@@ -15,7 +15,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .announce import CapabilityVector
@@ -101,6 +101,8 @@ def build(config: ScenarioConfig) -> BuiltScenario:
 
     collector = Collector()
     assignment = assign_cohorts(config)
+    # the plan counts injected faults; each run counts from zero on its own copy
+    fault_plan = replace(run.fault, injected=0)
     node_config = NodeConfig(strategy=run.strategy, weights=dict(run.weights),
                              preprocess_s=run.preprocess_s,
                              postprocess_s=run.postprocess_s,
@@ -116,7 +118,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         services = {name: config.services[name] for name in cohort.services}
         node = Node(addr, world, collector, node_config, caps, services,
                     seed=str(run.seed), position=positions[i],
-                    fault_plan=run.fault)
+                    fault_plan=fault_plan)
         nodes[addr] = node
         if cohort.client:
             clients.append(node)

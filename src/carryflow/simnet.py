@@ -1,13 +1,15 @@
 """Single-clock discrete event simulator with epidemic bundle replication.
 
 Nodes hold bundle stores and positions; contacts are derived either from a
-static adjacency list or from a disc radio range over mobile positions.
+static adjacency list or from a disc radio range over mobile positions,
+found each tick by one vectorised pass over the pairwise distance matrix.
 While two nodes are in contact every bundle one of them holds and the other
 lacks is transferred (anti-entropy), newly inserted bundles are pushed out
 immediately over active contacts, and all traffic on one link shares the
 medium first-come first-served. Contact state is re-evaluated on a fixed
-tick; a transfer interrupted by contact loss restarts from scratch at the
-next encounter.
+tick, which rescans a link direction only if its sender stored a bundle since
+the last scan; a transfer interrupted by contact loss restarts from scratch
+at the next encounter.
 """
 
 from __future__ import annotations
@@ -142,9 +144,12 @@ class World:
         self._handlers: dict[NodeAddress, Callable[[Bundle], None]] = {}
         self._accepts: dict[NodeAddress, Callable[[Bundle], bool]] = {}
         self._addr_index: dict[NodeAddress, int] = {}
+        # row i of _positions belongs to node _addrs[i]
+        self._addrs = np.empty(0, dtype=object)
         self._positions = np.zeros((0, 2))
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
-        self._contacts: set[tuple[NodeAddress, NodeAddress]] = set()
+        # per node, its open links as (pair, state, other end) in pair order
+        self._neighbours: dict[NodeAddress, list[tuple]] = {}
         self.transfers_completed = 0
         self.transfers_aborted = 0
         self.schedule(0.0, self._tick)
@@ -159,18 +164,13 @@ class World:
         store = BundleStore()
         self.stores[addr] = store
         self._addr_index[addr] = len(self._addr_index)
+        self._addrs = np.append(self._addrs, np.array([addr], dtype=object))
         self._positions = np.vstack([self._positions, [position]])
         if handler is not None:
             self._handlers[addr] = handler
         if accept is not None:
             self._accepts[addr] = accept
         return store
-
-    def set_handler(self, addr: NodeAddress, handler: Callable[[Bundle], None],
-                    accept: Optional[Callable[[Bundle], bool]] = None) -> None:
-        self._handlers[addr] = handler
-        if accept is not None:
-            self._accepts[addr] = accept
 
     def position_of(self, addr: NodeAddress) -> Position:
         row = self._positions[self._addr_index[addr]]
@@ -198,9 +198,6 @@ class World:
 
     # -- contacts ----------------------------------------------------------
 
-    def in_contact(self, a: NodeAddress, b: NodeAddress) -> bool:
-        return tuple(sorted((a, b))) in self._contacts
-
     def _contact_pairs(self) -> set[tuple[NodeAddress, NodeAddress]]:
         if self.adjacency is not None:
             return set(self.adjacency)
@@ -209,31 +206,26 @@ class World:
         pos = self._positions
         diff = pos[:, None, :] - pos[None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        within = dist2 <= self.contact_range ** 2
-        addrs = sorted(self._addr_index, key=self._addr_index.get)
-        pairs = set()
-        n = len(addrs)
-        for i in range(n):
-            row = within[self._addr_index[addrs[i]]]
-            for j in range(i + 1, n):
-                if row[self._addr_index[addrs[j]]]:
-                    pairs.add(tuple(sorted((addrs[i], addrs[j]))))
-        return pairs
+        rows, cols = np.nonzero(np.triu(dist2 <= self.contact_range ** 2, k=1))
+        return {(a, b) if a < b else (b, a)
+                for a, b in zip(self._addrs[rows].tolist(), self._addrs[cols].tolist())}
 
     def _tick(self) -> None:
         if self.mobility is not None:
             self.mobility.step(self._positions, self.tick_interval if self.now > 0 else 0.0)
         current = self._contact_pairs()
-        for pair in sorted(self._links):
-            if pair not in current:
-                self._close_link(pair)
+        for pair in sorted(self._links.keys() - current):
+            self._close_link(pair)
+        neighbours: dict[NodeAddress, list[tuple]] = {}
         for pair in sorted(current):
             state = self._links.get(pair)
             if state is None:
                 state = _LinkState(*pair)
                 self._links[pair] = state
             self._scan_link(pair, state)
-        self._contacts = current
+            neighbours.setdefault(pair[0], []).append((pair, state, pair[1]))
+            neighbours.setdefault(pair[1], []).append((pair, state, pair[0]))
+        self._neighbours = neighbours
         self.schedule(self.now + self.tick_interval, self._tick)
 
     def _close_link(self, pair: tuple[NodeAddress, NodeAddress]) -> None:
@@ -246,48 +238,30 @@ class World:
 
     # -- synchronization ---------------------------------------------------
 
-    def epidemic_sync(self, a: NodeAddress, b: NodeAddress) -> list[_Transfer]:
-        """Schedule transfers so a and b converge on the union of their stores.
-
-        The pair must currently be in contact. Returns the newly queued
-        transfers; completion times follow FIFO serialization on the link.
-        """
-        pair = tuple(sorted((a, b)))
-        if pair not in self._contacts:
-            raise ValueError(f"nodes {pair} are not in contact")
-        state = self._links.setdefault(pair, _LinkState(*pair))
-        state.synced_seq[pair[0]] = 0
-        state.synced_seq[pair[1]] = 0
-        return self._scan_link(pair, state)
-
-    def _scan_link(self, pair: tuple[NodeAddress, NodeAddress],
-                   state: _LinkState) -> list[_Transfer]:
-        queued = []
+    def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState) -> None:
         for sender, receiver in (pair, (pair[1], pair[0])):
             store = self.stores[sender]
             last = state.synced_seq[sender]
-            for seq, bundle in store.scan_log(last, self.now):
-                t = self._maybe_enqueue(pair, state, sender, receiver, bundle)
-                if t is not None:
-                    queued.append(t)
+            if last == store.log_seq:
+                # nothing inserted since the last scan of this direction
+                continue
+            for _, bundle in store.scan_log(last, self.now):
+                self._maybe_enqueue(pair, state, sender, receiver, bundle)
             state.synced_seq[sender] = store.log_seq
-        return queued
 
     def _maybe_enqueue(self, pair, state: _LinkState, sender: NodeAddress,
-                       receiver: NodeAddress, bundle: Bundle) -> Optional[_Transfer]:
+                       receiver: NodeAddress, bundle: Bundle) -> None:
         key = (receiver, bundle.bundle_id)
         if key in state.queued:
-            return None
+            return
         if bundle.bundle_id in self.stores[receiver]:
-            return None
+            return
         accept = self._accepts.get(receiver)
         if accept is not None and not accept(bundle):
-            return None
-        transfer = _Transfer(sender, receiver, bundle)
-        state.queue.append(transfer)
+            return
+        state.queue.append(_Transfer(sender, receiver, bundle))
         state.queued.add(key)
         self._try_start(pair, state)
-        return transfer
 
     def _try_start(self, pair, state: _LinkState) -> None:
         if state.current is not None:
@@ -333,11 +307,5 @@ class World:
     def _push(self, addr: NodeAddress, bundle: Bundle) -> None:
         # forward a fresh bundle over every active contact without waiting
         # for the next anti-entropy tick
-        for pair in sorted(self._contacts):
-            if addr not in pair:
-                continue
-            state = self._links.get(pair)
-            if state is None:
-                continue
-            other = pair[0] if pair[1] == addr else pair[1]
+        for pair, state, other in self._neighbours.get(addr, ()):
             self._maybe_enqueue(pair, state, addr, other, bundle)

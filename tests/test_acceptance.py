@@ -7,10 +7,13 @@ determinism, and cleanup completeness. One pass/fail line per property under
 pytest -v; measured values are printed alongside.
 """
 
+import json
 import math
+import os
 import random
 import time
 from collections import Counter
+from pathlib import Path
 from statistics import fmean
 
 import pytest
@@ -29,6 +32,7 @@ from conftest import build_line, service
 SEEDS = list(range(1, 26))
 ALL_STRATEGIES = [Strategy.BEST, Strategy.SPREAD, Strategy.RANDOM,
                   Strategy.RECENT]
+GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +263,20 @@ def test_criterion_10_cleanup_leaves_no_residue():
     for addr, node in built.nodes.items():
         leftover = set(tracks) & set(node.worker.files)
         assert not leftover, f"node {addr} still holds files for {leftover}"
+
+
+def test_golden_report_digests(het_suite, hom_suite, mobile_suite):
+    # Reuses the suites above, so the check adds no simulation time. To
+    # re-pin after an intended behaviour change, run this test with
+    # CARRYFLOW_REGEN_GOLDEN=1 and record the change in CHANGES.md.
+    reports = het_suite[0].reports + hom_suite.reports + mobile_suite.reports
+    digests = {f"{r.scenario}/{r.strategy}/{r.seed}": r.digest()
+               for r in reports}
+    assert len(digests) == len(reports)
+    if os.environ.get("CARRYFLOW_REGEN_GOLDEN"):
+        GOLDEN_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True)
+                                  + "\n", encoding="utf-8")
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    moved = sorted(key for key in golden.keys() | digests.keys()
+                   if golden.get(key) != digests.get(key))
+    assert not moved, f"{len(moved)} report digests moved: {moved[:5]}"

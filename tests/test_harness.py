@@ -1,15 +1,18 @@
 """Experiment harness: geometry, cohort placement, runs, suites, tables."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
 from carryflow.assignment import Strategy
+from carryflow.cli import resolve_scenario
 from carryflow.harness import (assign_cohorts, build, emit_suite, makespan,
                                ring_arc_distance, ring_positions, run_scenario,
                                run_suite, summarize)
+from carryflow.runtime import FaultPlan
 from carryflow.scenario import parse_scenario
 
 from test_scenario import RING_INI
@@ -163,3 +166,15 @@ def test_waypoint_scenario_runs():
     report = run_scenario(parse_scenario(text), seed=4)
     assert len(report.workflows) == 2
     assert report.duration_s <= 120.0
+
+
+def test_suite_runs_match_fresh_runs_with_bounded_faults():
+    # the fault cap is counted per run, not per config object
+    base = resolve_scenario("ring-heterogeneous")
+    fault = FaultPlan(rate=0.5, max_failures=1)
+    config = dataclasses.replace(base, run=dataclasses.replace(base.run, fault=fault))
+    suite = run_suite(config, [3, 3, 4], [Strategy.SPREAD])
+    for report in suite.reports:
+        fresh = run_scenario(config, seed=report.seed, strategy=Strategy.SPREAD)
+        assert report.digest() == fresh.digest()
+    assert fault.injected == 0

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carryflow.bundles import Bundle, BundleKind
 from carryflow.simnet import LinkModel, RandomWaypoint, World, transfer_duration
@@ -196,3 +198,49 @@ def test_waypoint_stays_in_bounds_and_is_deterministic():
     # node positions actually move
     assert first[0] != first[-1]
     assert trajectories("s") == first
+
+
+# integer-valued coordinates keep every squared distance exact, so nodes
+# exactly at range are decided the same way by numpy and by the reference
+_node = st.tuples(st.integers(1, 2 ** 64 - 1), st.integers(0, 12).map(float),
+                  st.integers(0, 12).map(float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(_node, max_size=9, unique_by=lambda n: n[0]),
+       radius=st.sampled_from([0.0, 1.0, 5.0, 7.5, 20.0]))
+@example(nodes=[], radius=5.0)
+@example(nodes=[(7, 1.0, 1.0)], radius=5.0)
+@example(nodes=[(2, 0.0, 0.0), (1, 3.0, 4.0)], radius=5.0)
+@example(nodes=[(9, 2.0, 2.0), (4, 2.0, 2.0), (6, 2.0, 2.0)], radius=0.0)
+def test_contact_pairs_match_pairwise_reference(nodes, radius):
+    world = World(LINK, contact_range=radius)
+    for addr, x, y in nodes:
+        world.add_node(addr, position=(x, y))
+    expected = set()
+    for i, (a, ax, ay) in enumerate(nodes):
+        for b, bx, by in nodes[i + 1:]:
+            if (ax - bx) ** 2 + (ay - by) ** 2 <= radius ** 2:
+                expected.add((min(a, b), max(a, b)))
+    pairs = world._contact_pairs()
+    assert pairs == expected
+    assert all(type(a) is int and type(b) is int for pair in pairs for a in pair)
+
+
+def test_push_reaches_neighbours_in_pair_order():
+    # star around node 5 plus a tail 9-11; nodes and links are registered
+    # out of order, so only the pair order can produce the arrival order
+    arrivals = []
+    world = World(LINK, tick_interval=0.5,
+                  adjacency=[(9, 5), (11, 9), (5, 1), (7, 5), (3, 5)])
+    for addr in (7, 11, 1, 9, 5, 3):
+        world.add_node(addr, handler=lambda b, a=addr: b.source != a
+                       and arrivals.append((a, world.now)))
+    bundle = make_bundle(5, None, 1, 1_000_000, created_at=1.2)
+    # between ticks, so the transfers are queued by the push, not a link scan
+    world.schedule(1.2, lambda: world.originate(bundle))
+    world.run_until(10.0)
+    d = transfer_duration(LINK, 1_000_000)
+    assert arrivals == [(1, pytest.approx(1.2 + d)), (3, pytest.approx(1.2 + d)),
+                        (7, pytest.approx(1.2 + d)), (9, pytest.approx(1.2 + d)),
+                        (11, pytest.approx(1.2 + 2 * d))]
