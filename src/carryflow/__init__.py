@@ -5,47 +5,26 @@ network as store-carry-forward bundles, assigned to workers either ahead of
 time or just in time by capability-rated selection strategies, executed on
 synthetic service profiles, and accounted per phase into reproducible
 reports.
+
+The top level holds what a script needs to run scenarios and wire a world
+by hand; everything else is imported from its submodule.
 """
 
-from .announce import (CapabilityVector, OfferDatabase, OfferRecord,
-                       ServiceOffer, decode_offers, encode_offers)
-from .assignment import (DEFAULT_WEIGHTS, SelectionError, Strategy,
-                         folded_normal_index, rank, rate, select)
-from .bundles import (BROADCAST, Bundle, BundleKind, BundleStore, NodeAddress,
-                      format_address, parse_address)
-from .client import ClientRuntime, HandleStatus, WorkflowHandle
-from .harness import (BuiltScenario, SuiteResult, build, emit_suite,
-                      run_scenario, run_suite, summarize)
+from .announce import CapabilityVector
+from .assignment import Strategy
+from .harness import run_scenario, run_suite, summarize
 from .nodes import Node, NodeConfig
-from .report import (Collector, ExperimentReport, FinalState, PhaseBreakdown,
-                     RETURN_LEG, Stage, WorkflowReport, report_from_obj,
-                     selection_entropy)
-from .runtime import (ErrorClass, ErrorReport, FaultPlan, ServiceDefinition,
-                      WorkerError, WorkerRuntime)
-from .scenario import (CohortSpec, RingTopology, ScenarioConfig, ScenarioError,
-                       WaypointTopology, load_scenario, parse_scenario)
-from .simnet import LinkModel, RandomWaypoint, World, transfer_duration
-from .workflow import (Archive, FileStub, Task, WorkflowDescription,
-                       WorkflowParseError, pack as pack_archive, packed_size,
-                       parse as parse_workflow, unpack as unpack_archive)
+from .report import Collector, ExperimentReport, selection_entropy
+from .runtime import FaultPlan, ServiceDefinition
+from .scenario import ScenarioError
+from .simnet import LinkModel, World
+from .workflow import WorkflowParseError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Archive", "BROADCAST", "BuiltScenario", "Bundle", "BundleKind",
-    "BundleStore", "CapabilityVector", "ClientRuntime", "CohortSpec",
-    "Collector", "DEFAULT_WEIGHTS", "ErrorClass", "ErrorReport",
-    "ExperimentReport", "FaultPlan", "FileStub", "FinalState", "HandleStatus",
-    "LinkModel", "Node", "NodeAddress", "NodeConfig", "OfferDatabase",
-    "OfferRecord", "PhaseBreakdown", "RETURN_LEG", "RandomWaypoint",
-    "RingTopology", "ScenarioConfig", "ScenarioError", "SelectionError",
-    "ServiceDefinition", "ServiceOffer", "Stage", "Strategy", "SuiteResult",
-    "Task", "WaypointTopology", "WorkerError", "WorkerRuntime",
-    "WorkflowDescription", "WorkflowHandle", "WorkflowParseError",
-    "WorkflowReport", "World", "build", "decode_offers", "emit_suite",
-    "encode_offers", "folded_normal_index", "format_address", "load_scenario",
-    "pack_archive", "packed_size", "parse_address", "parse_scenario",
-    "parse_workflow", "rank", "rate", "report_from_obj", "run_scenario",
-    "run_suite", "select", "selection_entropy", "summarize",
-    "transfer_duration", "unpack_archive",
+    "CapabilityVector", "Collector", "ExperimentReport", "FaultPlan",
+    "LinkModel", "Node", "NodeConfig", "ScenarioError", "ServiceDefinition",
+    "Strategy", "World", "WorkflowParseError", "run_scenario", "run_suite",
+    "selection_entropy", "summarize",
 ]

@@ -147,11 +147,6 @@ class OfferDatabase:
         fresh.sort(key=lambda rec: rec.offer.worker)
         return fresh
 
-    def known_workers(self, now: float) -> list[NodeAddress]:
-        workers = {rec.offer.worker for rec in self._records.values()
-                   if now - rec.offer.issued_at <= self.expiry_s}
-        return sorted(workers)
-
     def prune(self, now: float) -> int:
         stale = [key for key, rec in self._records.items()
                  if now - rec.offer.issued_at > self.expiry_s]

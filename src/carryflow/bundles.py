@@ -100,13 +100,6 @@ class BundleStore:
         self._log.append((self._seq, bundle.bundle_id))
         return True
 
-    def fetch(self, bundle_id: BundleId, now: float) -> Optional[Bundle]:
-        """Return a stored bundle unless it is missing or already expired."""
-        bundle = self._bundles.get(bundle_id)
-        if bundle is None or bundle.is_expired(now):
-            return None
-        return bundle
-
     def remove(self, bundle_id: BundleId) -> bool:
         return self._bundles.pop(bundle_id, None) is not None
 

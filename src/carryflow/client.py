@@ -9,34 +9,36 @@ broadcasts a cleanup marker so carriers drop the workflow's leftovers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .assignment import SelectionError
 from .bundles import BundleKind, NodeAddress
-from .report import Stage
+from .report import FinalState, HandleStatus, PhaseBreakdown
 from .runtime import ErrorClass, ErrorReport, WorkerError
 from .workflow import Archive, FileContent, WorkflowDescription, parse
 
 
-class HandleStatus(Enum):
-    PENDING = "pending"
-    SUCCEEDED = "succeeded"
-    FAILED = "failed"
-    TIMED_OUT = "timed_out"
-
-
 @dataclass
 class WorkflowHandle:
+    """One workflow's whole lifecycle, and the record its report is frozen from.
+
+    `stage` is the final state an unfinished workflow is reported as: the
+    phase it was in when the run ended or its TTL fired.
+    """
+
     workflow_id: str
     description: WorkflowDescription
     submitted_at: float
+    strategy: str
     status: HandleStatus = HandleStatus.PENDING
     result: Optional[Archive] = None
     error: Optional[WorkerError] = None
     finished_at: Optional[float] = None
     sent_any: bool = False
+    stage: FinalState = FinalState.RUNTIME
+    phases: dict[int, PhaseBreakdown] = field(default_factory=dict)
+    return_transmission_s: float = 0.0
 
     @property
     def terminal(self) -> bool:
@@ -63,11 +65,10 @@ class ClientRuntime:
         workflow_id = f"wf-{self.node.address:x}-{self._counter}"
         desc = parse(text, workflow_id=workflow_id, client=self.node.address)
         desc.created_at = now
-        handle = WorkflowHandle(workflow_id=workflow_id, description=desc, submitted_at=now)
+        handle = WorkflowHandle(workflow_id=workflow_id, description=desc, submitted_at=now,
+                                strategy=self.node.config.strategy.value)
         self.handles[workflow_id] = handle
-        self.node.collector.register_workflow(workflow_id, self.node.address,
-                                              len(desc.tasks),
-                                              self.node.config.strategy.value, now)
+        self.node.collector.tracks[workflow_id] = handle
         archive = Archive(description=desc, files=dict(files),
                           assigned_by=self.node.address)
         try:
@@ -79,7 +80,6 @@ class ClientRuntime:
             return handle
         if math.isfinite(desc.ttl_seconds):
             self.node.world.schedule(now + desc.ttl_seconds, lambda: self._expire(handle))
-        self.node.collector.set_stage(workflow_id, Stage.POSTPROCESS)
         self.node.collector.charge(workflow_id, 0, "runtime", self.node.config.postprocess_s)
         self.node.world.schedule(
             now + self.node.config.postprocess_s,
@@ -116,17 +116,9 @@ class ClientRuntime:
 
     def _finish(self, handle: WorkflowHandle, status: HandleStatus,
                 error: Optional[WorkerError] = None) -> None:
-        now = self.node.world.now
         handle.status = status
         handle.error = error
-        handle.finished_at = now
-        self.node.collector.terminal(
-            handle.workflow_id,
-            {HandleStatus.SUCCEEDED: "succeeded", HandleStatus.FAILED: "failed",
-             HandleStatus.TIMED_OUT: "timed_out"}[status],
-            now,
-            error_class=error.error_class.value if error else None,
-            error_message=error.message if error else "")
+        handle.finished_at = self.node.world.now
         if handle.sent_any:
             self.node.send_cleanup(handle.description)
         else:

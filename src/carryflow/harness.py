@@ -153,7 +153,7 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
         world.advance(min(_CHUNK_S, run.duration_s - world.now))
         tracks = collector.tracks
         if expected and len(tracks) >= expected and all(
-                t.status != "pending" for t in tracks.values()):
+                t.terminal for t in tracks.values()):
             world.run_until(min(run.duration_s, world.now + run.stop_grace_s))
             break
 

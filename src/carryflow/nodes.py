@@ -19,9 +19,9 @@ from .announce import (CapabilityVector, OfferDatabase, build_offer_bundle,
 from .assignment import DEFAULT_WEIGHTS, Strategy, validate_weights
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
-from .report import Collector, Stage
-from .runtime import (ErrorClass, ErrorReport, FaultPlan, ServiceDefinition,
-                      WorkerRuntime)
+from .report import Collector, FinalState
+from .runtime import (ErrorReport, FaultPlan, ServiceDefinition, WorkerRuntime,
+                      retryable)
 from .simnet import Position, World
 from .workflow import Archive, WorkflowDescription, packed_size
 
@@ -122,14 +122,10 @@ class Node:
 
     def _route_error(self, report: ErrorReport) -> None:
         archive = report.archive
-        desc = archive.description
-        task = desc.current_task if not desc.finished else None
-        retryable = (task is not None and task.worker.is_jit and not archive.retried
-                     and archive.assigned_by == self.address
-                     and report.error.error_class is not ErrorClass.WORKER_SELECTION)
-        if retryable:
+        if (archive.assigned_by == self.address
+                and retryable(archive, report.error.error_class)):
             self.worker.on_error_report(report)
-        elif desc.client == self.address:
+        elif archive.description.client == self.address:
             self.client.on_error(report)
 
     # -- sending -----------------------------------------------------------------
@@ -140,29 +136,23 @@ class Node:
         return max(0.0, desc.expires_at() - self.world.now)
 
     def send_archive(self, kind: BundleKind, archive: Archive, dest: NodeAddress,
-                     task_key: int) -> None:
+                     task_key: int, payload: object = None) -> None:
+        """Send an archive; an error bundle's payload is the report wrapping it."""
         now = self.world.now
         desc = archive.description
         bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,
-                        destination=dest, kind=kind, payload=archive,
+                        destination=dest, kind=kind,
+                        payload=archive if payload is None else payload,
                         size_bytes=packed_size(archive), created_at=now,
                         ttl_seconds=self._remaining_ttl(desc),
                         workflow_id=desc.workflow_id)
         self.collector.sent(bundle.bundle_id, desc.workflow_id, task_key, now)
-        self.collector.set_stage(desc.workflow_id, Stage.TRANSIT)
+        self.collector.set_stage(desc.workflow_id, FinalState.TRANSMISSION)
         self.world.originate(bundle)
 
     def send_error(self, report: ErrorReport, dest: NodeAddress) -> None:
-        now = self.world.now
-        desc = report.archive.description
-        bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,
-                        destination=dest, kind=BundleKind.ERROR_ARCHIVE, payload=report,
-                        size_bytes=packed_size(report.archive), created_at=now,
-                        ttl_seconds=self._remaining_ttl(desc),
-                        workflow_id=desc.workflow_id)
-        self.collector.sent(bundle.bundle_id, desc.workflow_id, report.error.task_index, now)
-        self.collector.set_stage(desc.workflow_id, Stage.TRANSIT)
-        self.world.originate(bundle)
+        self.send_archive(BundleKind.ERROR_ARCHIVE, report.archive, dest,
+                          report.error.task_index, payload=report)
 
     def hand_error_to_client(self, report: ErrorReport) -> None:
         """Terminal error path: deliver locally when this node is the client."""

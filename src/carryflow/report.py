@@ -12,25 +12,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bundles import BundleId, NodeAddress, format_address
+
+if TYPE_CHECKING:
+    from .client import WorkflowHandle
 
 RETURN_LEG = -1  # task key for the final result's trip back to the client
 
 
-class Stage(Enum):
-    """Where a workflow currently sits; used to classify unfinished runs."""
+class HandleStatus(str, Enum):
+    """A workflow's status; the values are the strings its report carries."""
 
-    SUBMITTED = "submitted"
-    TRANSIT = "transit"
-    QUEUED = "queued"
-    PREPROCESS = "preprocess"
-    EXECUTING = "executing"
-    POSTPROCESS = "postprocess"
-    DONE = "done"
+    PENDING = "pending"
+    SUCCEEDED = "succeeded"
+    FAILED = "failed"
+    TIMED_OUT = "timed_out"
 
 
 class FinalState(Enum):
@@ -39,17 +39,6 @@ class FinalState(Enum):
     TRANSMISSION = "transmission"
     RUNTIME = "runtime"
     EXECUTION = "execution"
-
-
-_STAGE_TO_STATE = {
-    Stage.SUBMITTED: FinalState.RUNTIME,
-    Stage.TRANSIT: FinalState.TRANSMISSION,
-    Stage.QUEUED: FinalState.RUNTIME,
-    Stage.PREPROCESS: FinalState.RUNTIME,
-    Stage.EXECUTING: FinalState.EXECUTION,
-    Stage.POSTPROCESS: FinalState.RUNTIME,
-    Stage.DONE: FinalState.RUNTIME,
-}
 
 
 @dataclass
@@ -63,26 +52,15 @@ class PhaseBreakdown:
         return self.runtime_s + self.transmission_s + self.execution_s
 
 
-@dataclass
-class _WorkflowTrack:
-    client: NodeAddress
-    strategy: str
-    n_tasks: int
-    offloaded_at: float
-    stage: Stage = Stage.SUBMITTED
-    status: str = "pending"
-    error_class: Optional[str] = None
-    error_message: str = ""
-    finished_at: Optional[float] = None
-    phases: dict[int, PhaseBreakdown] = field(default_factory=dict)
-    return_transmission_s: float = 0.0
-
-
 class Collector:
-    """Accumulates phase charges and selection counts while a run executes."""
+    """Accumulates phase charges and selection counts while a run executes.
+
+    `tracks` maps each offloaded workflow to its client's handle, which
+    holds the workflow's whole lifecycle; the phase charges land on it.
+    """
 
     def __init__(self) -> None:
-        self.tracks: dict[str, _WorkflowTrack] = {}
+        self.tracks: dict[str, WorkflowHandle] = {}
         self.selections: dict[tuple[NodeAddress, NodeAddress], int] = {}
         self._pending_sends: dict[BundleId, tuple[str, int, float]] = {}
         self.expired_drops = 0
@@ -90,27 +68,11 @@ class Collector:
 
     # -- workflow lifecycle -------------------------------------------------
 
-    def register_workflow(self, workflow_id: str, client: NodeAddress, n_tasks: int,
-                          strategy: str, now: float) -> None:
-        self.tracks[workflow_id] = _WorkflowTrack(client=client, strategy=strategy,
-                                                  n_tasks=n_tasks, offloaded_at=now)
-
-    def set_stage(self, workflow_id: str, stage: Stage) -> None:
+    def set_stage(self, workflow_id: str, state: FinalState) -> None:
+        """Record the state a workflow would end in if it never finished."""
         track = self.tracks.get(workflow_id)
-        if track is not None and track.status == "pending":
-            track.stage = stage
-
-    def terminal(self, workflow_id: str, status: str, now: float,
-                 error_class: Optional[str] = None, error_message: str = "") -> None:
-        track = self.tracks[workflow_id]
-        if track.status != "pending":
-            return
-        track.status = status
-        track.error_class = error_class
-        track.error_message = error_message
-        track.finished_at = now
-        if status == "succeeded":
-            track.stage = Stage.DONE
+        if track is not None and not track.terminal:
+            track.stage = state
 
     # -- phase charges ------------------------------------------------------
 
@@ -271,30 +233,30 @@ def report_from_obj(obj: dict) -> ExperimentReport:
     )
 
 
-def classify(track: _WorkflowTrack) -> FinalState:
+def classify(handle: WorkflowHandle) -> FinalState:
     """Map a workflow's end-of-run status onto the five reported final states."""
-    if track.status == "succeeded":
+    if handle.status is HandleStatus.SUCCEEDED:
         return FinalState.SUCCESS
-    if track.status == "failed":
+    if handle.status is HandleStatus.FAILED:
         return FinalState.WORKER_ERROR
     # timed out or still pending at the experiment cap: report where it sat
-    return _STAGE_TO_STATE[track.stage]
+    return handle.stage
 
 
-def freeze_workflow(workflow_id: str, track: _WorkflowTrack) -> WorkflowReport:
-    phases = [track.phases.get(i, PhaseBreakdown()) for i in range(track.n_tasks)]
+def freeze_workflow(workflow_id: str, handle: WorkflowHandle) -> WorkflowReport:
+    desc, error = handle.description, handle.error
     return WorkflowReport(
         workflow_id=workflow_id,
-        client=track.client,
-        strategy=track.strategy,
-        status=track.status,
-        error_class=track.error_class,
-        error_message=track.error_message,
-        final_state=classify(track),
-        offloaded_at=track.offloaded_at,
-        finished_at=track.finished_at,
-        task_phases=phases,
-        return_transmission_s=track.return_transmission_s,
+        client=desc.client,
+        strategy=handle.strategy,
+        status=handle.status.value,
+        error_class=error.error_class.value if error else None,
+        error_message=error.message if error else "",
+        final_state=classify(handle),
+        offloaded_at=handle.submitted_at,
+        finished_at=handle.finished_at,
+        task_phases=[handle.phases.get(i, PhaseBreakdown()) for i in range(len(desc.tasks))],
+        return_transmission_s=handle.return_transmission_s,
     )
 
 

@@ -8,21 +8,23 @@ itself failing (task execution), no candidate for the next task (worker
 selection), and a worker that turns out unfit for what it was sent (worker
 calling). A failure on a just-in-time assigned worker goes back to whoever
 assigned it for exactly one retry with the failed worker excluded; ahead of
-time failures and second failures go straight to the client.
+time failures and second failures go straight to the client. Every hop
+sends a new archive; the one it received is never edited.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 from .assignment import SelectionError, select
 from .bundles import BundleKind, NodeAddress, format_address
-from .report import RETURN_LEG, Stage
-from .workflow import Archive, FileStub, RESOURCE_METRICS, substitute_result
+from .report import RETURN_LEG, FinalState
+from .workflow import (Archive, FileStub, RESOURCE_METRICS, WorkflowDescription,
+                       substitute_result)
 
 MIN_EXEC_SECONDS = 0.05
 
@@ -52,6 +54,17 @@ class WorkerError:
     message: str
     task_index: int
     worker: NodeAddress
+
+
+def retryable(archive: Archive, error_class: ErrorClass) -> bool:
+    """Whether a failure goes back to the worker's assigner for a retry.
+
+    Only the first failure of a just-in-time assigned task does, and never
+    a selection failure; every other failure goes to the client.
+    """
+    desc = archive.description
+    return (not desc.finished and desc.current_task.worker.is_jit
+            and not archive.retried and error_class is not ErrorClass.WORKER_SELECTION)
 
 
 @dataclass
@@ -102,15 +115,24 @@ class WorkerRuntime:
 
     # -- archive intake ------------------------------------------------------
 
+    def _stale(self, desc: WorkflowDescription, now: float) -> bool:
+        """Whether to drop an archive: its workflow was cleaned, or it expired.
+
+        Expired drops are counted; expired workflows consume no execution
+        time at all.
+        """
+        if desc.workflow_id in self.node.cleaned:
+            return True
+        if desc.is_expired(now):
+            self.node.collector.expired_drops += 1
+            return True
+        return False
+
     def on_archive(self, archive: Archive, now: float) -> None:
         desc = archive.description
-        if desc.workflow_id in self.node.cleaned:
+        if self._stale(desc, now):
             return
-        if desc.is_expired(now):
-            # expired workflows consume no execution time at all
-            self.node.collector.expired_drops += 1
-            return
-        self.node.collector.set_stage(desc.workflow_id, Stage.QUEUED)
+        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
         self.queue.append((archive, now))
         self._start_next()
 
@@ -120,15 +142,13 @@ class WorkerRuntime:
         now = self.node.world.now
         archive, arrived = self.queue.popleft()
         desc = archive.description
-        if desc.workflow_id in self.node.cleaned or desc.is_expired(now):
-            if desc.is_expired(now) and desc.workflow_id not in self.node.cleaned:
-                self.node.collector.expired_drops += 1
+        if self._stale(desc, now):
             self._start_next()
             return
         self.busy = True
         cursor = desc.cursor
         self.node.collector.charge(desc.workflow_id, cursor, "runtime", now - arrived)
-        self.node.collector.set_stage(desc.workflow_id, Stage.PREPROCESS)
+        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
         self.node.collector.charge(desc.workflow_id, cursor, "runtime",
                                    self.node.config.preprocess_s)
         self.node.world.schedule(now + self.node.config.preprocess_s,
@@ -143,11 +163,7 @@ class WorkerRuntime:
     def _preprocessed(self, archive: Archive) -> None:
         now = self.node.world.now
         desc = archive.description
-        if desc.workflow_id in self.node.cleaned:
-            self._release()
-            return
-        if desc.is_expired(now):
-            self.node.collector.expired_drops += 1
+        if self._stale(desc, now):
             self._release()
             return
         task = desc.current_task
@@ -167,7 +183,7 @@ class WorkerRuntime:
         if service.exec_seconds_jitter > 0:
             duration += rng.uniform(-service.exec_seconds_jitter, service.exec_seconds_jitter)
         duration = max(MIN_EXEC_SECONDS, duration)
-        self.node.collector.set_stage(desc.workflow_id, Stage.EXECUTING)
+        self.node.collector.set_stage(desc.workflow_id, FinalState.EXECUTION)
         self.node.world.schedule(now + duration,
                                  lambda: self._executed(archive, service, duration))
 
@@ -185,13 +201,15 @@ class WorkerRuntime:
                              f"service {service.name!r} failed during execution")
             return
         result_name = f"result_{task_idx}.{service.output_ext}"
-        archive.files = {result_name: FileStub(size_bytes=service.output_size_bytes,
-                                               tag=f"{desc.workflow_id}:{result_name}")}
         self.files.setdefault(desc.workflow_id, set()).add(result_name)
-        if task_idx + 1 < len(desc.tasks):
-            desc.tasks[task_idx + 1] = substitute_result(desc.tasks[task_idx + 1], result_name)
-        desc.cursor += 1
-        self.node.collector.set_stage(desc.workflow_id, Stage.POSTPROCESS)
+        tasks = list(desc.tasks)
+        if task_idx + 1 < len(tasks):
+            tasks[task_idx + 1] = substitute_result(tasks[task_idx + 1], result_name)
+        archive = replace(
+            archive, description=replace(desc, tasks=tasks, cursor=task_idx + 1),
+            files={result_name: FileStub(size_bytes=service.output_size_bytes,
+                                         tag=f"{desc.workflow_id}:{result_name}")})
+        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
         self.node.collector.charge(desc.workflow_id, task_idx, "runtime",
                                    self.node.config.postprocess_s)
         self.node.world.schedule(now + self.node.config.postprocess_s,
@@ -215,8 +233,7 @@ class WorkerRuntime:
         except SelectionError as exc:
             self._emit_error(archive, ErrorClass.WORKER_SELECTION, str(exc))
             return
-        archive.assigned_by = self.node.address
-        archive.retried = False
+        archive = replace(archive, assigned_by=self.node.address, retried=False)
         self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker, desc.cursor)
         self._release()
 
@@ -244,13 +261,10 @@ class WorkerRuntime:
         desc = archive.description
         error = WorkerError(error_class=error_class, message=message,
                             task_index=desc.cursor, worker=self.node.address)
-        archive.error_log += (f"[{now:.3f}] {format_address(self.node.address)} "
-                              f"task {desc.cursor} {error_class.value}: {message}\n")
-        task = desc.current_task if not desc.finished else None
-        jit = task is not None and task.worker.is_jit
-        retryable = (jit and not archive.retried
-                     and error_class is not ErrorClass.WORKER_SELECTION)
-        dest = archive.assigned_by if retryable else desc.client
+        dest = archive.assigned_by if retryable(archive, error_class) else desc.client
+        archive = replace(archive, error_log=archive.error_log + (
+            f"[{now:.3f}] {format_address(self.node.address)} "
+            f"task {desc.cursor} {error_class.value}: {message}\n"))
         report = ErrorReport(archive=archive, error=error, failed_worker=self.node.address)
         self.node.send_error(report, dest)
         self._release()
@@ -270,9 +284,8 @@ class WorkerRuntime:
             self.node.hand_error_to_client(ErrorReport(archive=archive, error=error,
                                                        failed_worker=report.failed_worker))
             return
-        archive.assigned_by = self.node.address
-        archive.retried = True
-        self.node.collector.set_stage(desc.workflow_id, Stage.POSTPROCESS)
+        archive = replace(archive, assigned_by=self.node.address, retried=True)
+        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
         self.node.collector.charge(desc.workflow_id, desc.cursor, "runtime",
                                    self.node.config.postprocess_s)
         self.node.world.schedule(

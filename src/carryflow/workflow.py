@@ -231,17 +231,6 @@ class Archive:
     assigned_by: NodeAddress = 0
     retried: bool = False
 
-    def equivalent(self, other: "Archive") -> bool:
-        mine = json.dumps(_desc_to_obj(self.description), sort_keys=True)
-        theirs = json.dumps(_desc_to_obj(other.description), sort_keys=True)
-        if mine != theirs:
-            return False
-        if self.error_log != other.error_log:
-            return False
-        if sorted(self.files) != sorted(other.files):
-            return False
-        return all(file_bytes(self.files[k]) == file_bytes(other.files[k]) for k in self.files)
-
 
 _MAGIC = b"CFA1"
 _U32 = struct.Struct(">I")

@@ -13,6 +13,7 @@ import os
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from statistics import fmean
 
@@ -57,6 +58,32 @@ def mobile_suite():
     return run_suite(config, [1, 2, 3, 4, 5], ALL_STRATEGIES)
 
 
+@pytest.fixture(scope="module")
+def aot_runs():
+    config = resolve_scenario("ring-aot")
+    return [run_scenario(config, seed=seed) for seed in (1, 2, 3, 4, 5)]
+
+
+@pytest.fixture(scope="module")
+def fault_runs():
+    """Runs that reach the failed, retried and timed-out paths, by digest key.
+
+    The key's scenario part names the settings changed from the packaged
+    scenario, so it never collides with a suite key.
+    """
+    het = resolve_scenario("ring-heterogeneous")
+    het = replace(het, run=replace(het.run, fault=FaultPlan(rate=0.3)))
+    runs = {f"ring-heterogeneous+fault_rate=0.3/{s.value}/{seed}":
+            run_scenario(het, seed=seed, strategy=s)
+            for s in ALL_STRATEGIES for seed in (1, 2, 3)}
+    mobile = resolve_scenario("mobile-sparse")
+    mobile = replace(mobile, run=replace(mobile.run, fault=FaultPlan(rate=0.3),
+                                         duration_s=400.0))
+    runs["mobile-sparse+fault_rate=0.3+duration_s=400/spread/1"] = run_scenario(
+        mobile, seed=1, strategy=Strategy.SPREAD)
+    return runs
+
+
 def mean_total(suite, strategy: str) -> float:
     totals = [w.total_s for r in suite.reports if r.strategy == strategy
               for w in r.workflows if w.status == "succeeded"]
@@ -94,11 +121,10 @@ def test_criterion_02_homogeneous_spread_matches_best(hom_suite):
     assert abs(spread - best) <= 0.05 * best
 
 
-def test_criterion_03_pinned_chain_transmission_window():
-    config = resolve_scenario("ring-aot")
+def test_criterion_03_pinned_chain_transmission_window(aot_runs):
     values = [w.transmission_s
-              for seed in (1, 2, 3, 4, 5)
-              for w in run_scenario(config, seed=seed).workflows
+              for report in aot_runs
+              for w in report.workflows
               if w.status == "succeeded"]
     assert values
     mean = fmean(values)
@@ -265,14 +291,18 @@ def test_criterion_10_cleanup_leaves_no_residue():
         assert not leftover, f"node {addr} still holds files for {leftover}"
 
 
-def test_golden_report_digests(het_suite, hom_suite, mobile_suite):
-    # Reuses the suites above, so the check adds no simulation time. To
-    # re-pin after an intended behaviour change, run this test with
-    # CARRYFLOW_REGEN_GOLDEN=1 and record the change in CHANGES.md.
-    reports = het_suite[0].reports + hom_suite.reports + mobile_suite.reports
+def test_golden_report_digests(het_suite, hom_suite, mobile_suite, aot_runs,
+                               fault_runs):
+    # Reuses the runs above; only fault_runs simulates for this check alone,
+    # to cover the failed, retried and timed-out paths. To re-pin after an
+    # intended behaviour change, run this test with CARRYFLOW_REGEN_GOLDEN=1
+    # and record the change in CHANGES.md.
+    reports = (het_suite[0].reports + hom_suite.reports + mobile_suite.reports
+               + aot_runs)
     digests = {f"{r.scenario}/{r.strategy}/{r.seed}": r.digest()
                for r in reports}
     assert len(digests) == len(reports)
+    digests.update((key, r.digest()) for key, r in fault_runs.items())
     if os.environ.get("CARRYFLOW_REGEN_GOLDEN"):
         GOLDEN_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True)
                                   + "\n", encoding="utf-8")

@@ -94,12 +94,10 @@ def test_lookup_filters_by_issue_age_and_sorts():
     assert [r.offer.worker for r in db.lookup("scale", now=101.0)] == [1]
 
 
-def test_known_workers_and_prune():
+def test_prune_drops_expired_offers():
     db = OfferDatabase(expiry_s=100.0)
     db.ingest([offer(2, "a", 0.0), offer(2, "b", 0.0)], received_at=0.0)
     db.ingest([offer(7, "a", 80.0)], received_at=80.0)
-    assert db.known_workers(now=90.0) == [2, 7]
-    assert db.known_workers(now=150.0) == [7]
     assert db.prune(now=150.0) == 2
     assert len(db) == 1
 

@@ -55,15 +55,6 @@ def test_dead_on_arrival_rejected():
     assert len(store) == 0
 
 
-def test_fetch_hides_expired():
-    store = BundleStore()
-    b = make_bundle(1, ttl=10.0)
-    store.insert(b, now=0.0)
-    assert store.fetch(b.bundle_id, now=5.0) is b
-    assert store.fetch(b.bundle_id, now=20.0) is None
-    assert store.fetch((9, 9), now=0.0) is None
-
-
 def test_scan_log_orders_and_skips_removed():
     store = BundleStore()
     bundles = [make_bundle(i) for i in range(1, 5)]

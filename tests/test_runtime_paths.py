@@ -217,3 +217,30 @@ def test_fault_plan_scoping():
     assert plan.should_fail(2, "work", rng)
     assert not plan.should_fail(2, "work", rng)    # budget exhausted
     assert not FaultPlan().should_fail(2, "work", rng)
+
+
+def assert_client_archive_untouched(handle):
+    """Workers send new archives; the client's own description never moves."""
+    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.description.cursor == 0
+    assert handle.description.tasks[1].params == ["##result##"]
+    assert handle.result.description is not handle.description
+    assert handle.result.description.cursor == 2
+
+
+def test_hops_leave_the_client_description_untouched(line3):
+    line3.settle(1.0)
+    handle = offload(line3)
+    line3.settle(5.0)
+    assert_client_archive_untouched(handle)
+
+
+def test_retry_leaves_the_client_description_untouched():
+    svc = service("work")
+    micro = build_line(4, {2: {"work": svc}, 3: {"work": svc}, 4: {"work": svc}},
+                       fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2})))
+    micro.settle(1.0)
+    handle = offload(micro)
+    micro.settle(5.0)
+    assert "task_execution" in handle.result.error_log
+    assert_client_archive_untouched(handle)
