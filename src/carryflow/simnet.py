@@ -4,12 +4,12 @@ Nodes hold bundle stores and positions; contacts are derived either from a
 static adjacency list or from a disc radio range over mobile positions,
 found each tick by one vectorised pass over the pairwise distance matrix.
 While two nodes are in contact every bundle one of them holds and the other
-lacks is transferred (anti-entropy), newly inserted bundles are pushed out
-immediately over active contacts, and all traffic on one link shares the
+lacks is transferred (anti-entropy), and all traffic on one link shares the
 medium first-come first-served. Contact state is re-evaluated on a fixed
-tick, which rescans a link direction only if its sender stored a bundle since
-the last scan; a transfer interrupted by contact loss restarts from scratch
-at the next encounter.
+tick. A link is scanned once, in the tick it opens; from then on each newly
+stored bundle is pushed at once over its node's open links, which keeps the
+link in sync until it closes. A transfer interrupted by contact loss
+restarts from scratch at the next encounter.
 """
 
 from __future__ import annotations
@@ -107,20 +107,18 @@ class RandomWaypoint:
 
 @dataclass
 class _Transfer:
-    sender: NodeAddress
     receiver: NodeAddress
     bundle: Bundle
     aborted: bool = False
 
 
 class _LinkState:
-    __slots__ = ("queue", "queued", "current", "synced_seq")
+    __slots__ = ("queue", "queued", "current")
 
-    def __init__(self, a: NodeAddress, b: NodeAddress) -> None:
+    def __init__(self) -> None:
         self.queue: deque[_Transfer] = deque()
         self.queued: set[tuple[NodeAddress, BundleId]] = set()
         self.current: Optional[_Transfer] = None
-        self.synced_seq: dict[NodeAddress, int] = {a: 0, b: 0}
 
 
 class World:
@@ -220,9 +218,9 @@ class World:
         for pair in sorted(current):
             state = self._links.get(pair)
             if state is None:
-                state = _LinkState(*pair)
+                state = _LinkState()
                 self._links[pair] = state
-            self._scan_link(pair, state)
+                self._scan_link(pair, state)
             neighbours.setdefault(pair[0], []).append((pair, state, pair[1]))
             neighbours.setdefault(pair[1], []).append((pair, state, pair[0]))
         self._neighbours = neighbours
@@ -239,18 +237,13 @@ class World:
     # -- synchronization ---------------------------------------------------
 
     def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState) -> None:
+        # runs once per link, when it opens; _push keeps it in sync afterwards
         for sender, receiver in (pair, (pair[1], pair[0])):
-            store = self.stores[sender]
-            last = state.synced_seq[sender]
-            if last == store.log_seq:
-                # nothing inserted since the last scan of this direction
-                continue
-            for _, bundle in store.scan_log(last, self.now):
-                self._maybe_enqueue(pair, state, sender, receiver, bundle)
-            state.synced_seq[sender] = store.log_seq
+            for bundle in self.stores[sender].scan_log(self.now):
+                self._maybe_enqueue(pair, state, receiver, bundle)
 
-    def _maybe_enqueue(self, pair, state: _LinkState, sender: NodeAddress,
-                       receiver: NodeAddress, bundle: Bundle) -> None:
+    def _maybe_enqueue(self, pair, state: _LinkState, receiver: NodeAddress,
+                       bundle: Bundle) -> None:
         key = (receiver, bundle.bundle_id)
         if key in state.queued:
             return
@@ -259,7 +252,7 @@ class World:
         accept = self._accepts.get(receiver)
         if accept is not None and not accept(bundle):
             return
-        state.queue.append(_Transfer(sender, receiver, bundle))
+        state.queue.append(_Transfer(receiver, bundle))
         state.queued.add(key)
         self._try_start(pair, state)
 
@@ -305,7 +298,6 @@ class World:
         return bundle.bundle_id in self.stores[bundle.source]
 
     def _push(self, addr: NodeAddress, bundle: Bundle) -> None:
-        # forward a fresh bundle over every active contact without waiting
-        # for the next anti-entropy tick
+        # forward a fresh bundle over every open link without waiting for a tick
         for pair, state, other in self._neighbours.get(addr, ()):
-            self._maybe_enqueue(pair, state, addr, other, bundle)
+            self._maybe_enqueue(pair, state, other, bundle)

@@ -1,4 +1,4 @@
-"""Bundle store semantics: addressing, expiry, insertion log, pruning."""
+"""Bundle store semantics: addressing, expiry, insertion order, pruning."""
 
 import pytest
 
@@ -55,32 +55,26 @@ def test_dead_on_arrival_rejected():
     assert len(store) == 0
 
 
-def test_scan_log_orders_and_skips_removed():
+def test_live_keeps_insertion_order_and_skips_removed():
     store = BundleStore()
     bundles = [make_bundle(i) for i in range(1, 5)]
     for b in bundles:
         store.insert(b, now=0.0)
-    assert [b.bundle_id for _, b in store.scan_log(0, now=0.0)] == \
+    assert [b.bundle_id for b in store.live(now=0.0)] == \
         [b.bundle_id for b in bundles]
 
-    store.remove(bundles[1].bundle_id)
-    seen = [b.bundle_id for _, b in store.scan_log(0, now=0.0)]
-    assert bundles[1].bundle_id not in seen
-    assert len(seen) == 3
-
-    # resume from a cursor: only strictly newer entries appear
-    seqs = [seq for seq, _ in store.scan_log(0, now=0.0)]
-    assert [b.bundle_id for _, b in store.scan_log(seqs[1], now=0.0)] == \
-        [bundles[3].bundle_id]
+    assert store.remove_where(lambda b: b.bundle_id == bundles[1].bundle_id) == 1
+    assert [b.bundle_id for b in store.live(now=0.0)] == \
+        [b.bundle_id for b in bundles if b is not bundles[1]]
 
 
-def test_scan_log_skips_expired():
+def test_live_skips_expired():
     store = BundleStore()
     short = make_bundle(1, ttl=1.0)
     lasting = make_bundle(2, ttl=100.0)
     store.insert(short, now=0.0)
     store.insert(lasting, now=0.0)
-    assert [b.bundle_id for _, b in store.scan_log(0, now=5.0)] == \
+    assert [b.bundle_id for b in store.live(now=5.0)] == \
         [lasting.bundle_id]
 
 
@@ -93,7 +87,7 @@ def test_remove_where_counts():
     assert len(store) == 3
 
 
-def test_prune_drops_expired_and_compacts_log():
+def test_prune_drops_expired():
     store = BundleStore()
     for i in range(1, 4):
         store.insert(make_bundle(i, ttl=1.0), now=0.0)
@@ -101,16 +95,6 @@ def test_prune_drops_expired_and_compacts_log():
     store.insert(keeper, now=0.0)
     assert store.prune(now=10.0) == 3
     assert len(store) == 1
-    assert [b.bundle_id for _, b in store.scan_log(0, now=10.0)] == \
+    assert [b.bundle_id for b in store.live(now=10.0)] == \
         [keeper.bundle_id]
     assert store.prune(now=10.0) == 0
-
-
-def test_log_seq_is_monotonic_across_removal():
-    store = BundleStore()
-    a, b = make_bundle(1), make_bundle(2)
-    store.insert(a, now=0.0)
-    seq_after_a = store.log_seq
-    store.remove(a.bundle_id)
-    store.insert(b, now=0.0)
-    assert store.log_seq > seq_after_a

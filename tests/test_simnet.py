@@ -1,12 +1,17 @@
 """Event loop, link arithmetic, epidemic sync, and mobility bounds."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carryflow.bundles import Bundle, BundleKind
+from carryflow.cli import resolve_scenario
+from carryflow.harness import build
+from carryflow.runtime import FaultPlan
+from carryflow.scenario import WaypointTopology
 from carryflow.simnet import LinkModel, RandomWaypoint, World, transfer_duration
 
 LINK = LinkModel(bandwidth_bps=54e6, latency_s=0.020)
@@ -244,3 +249,42 @@ def test_push_reaches_neighbours_in_pair_order():
     assert arrivals == [(1, pytest.approx(1.2 + d)), (3, pytest.approx(1.2 + d)),
                         (7, pytest.approx(1.2 + d)), (9, pytest.approx(1.2 + d)),
                         (11, pytest.approx(1.2 + 2 * d))]
+
+
+SPARSE = resolve_scenario("mobile-sparse")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(1, 10_000), nodes=st.integers(8, 16),
+       range_m=st.sampled_from([30.0, 45.0, 70.0]),
+       fault_rate=st.sampled_from([0.0, 0.3]))
+def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
+                                                         fault_rate):
+    # a link is scanned only in the tick it opens, so from then on the push
+    # alone must keep queued every live bundle the other end lacks and accepts
+    config = replace(
+        SPARSE,
+        topology=WaypointTopology(nodes=nodes, width_m=150.0, height_m=150.0,
+                                  range_m=range_m, pause_max_s=10.0),
+        services={name: replace(svc, exec_seconds_mean=2.0, exec_seconds_jitter=0.5,
+                                output_size_bytes=200_000)
+                  for name, svc in SPARSE.services.items()},
+        workflow=replace(SPARSE.workflow, offload_at=5.0, interval_s=10.0),
+        run=replace(SPARSE.run, seed=seed, fault=FaultPlan(rate=fault_rate)))
+    built = build(config)
+    world = built.world
+    checked = 0
+    # 0.37 s steps stop between the 0.5 s ticks, with transfers in flight
+    while world.now < 90.0:
+        world.run_until(world.now + 0.37)
+        for pair, state in world._links.items():
+            for sender, receiver in (pair, pair[::-1]):
+                held = world.stores[receiver]
+                accepts = built.nodes[receiver].accepts
+                for bundle in world.stores[sender].live(world.now):
+                    if bundle.bundle_id in held or not accepts(bundle):
+                        continue
+                    assert (receiver, bundle.bundle_id) in state.queued, \
+                        (world.now, sender, receiver, bundle.bundle_id)
+                    checked += 1
+    assert checked
