@@ -11,7 +11,7 @@ terminal.
 """
 
 from carryflow import (CapabilityVector, Collector, FaultPlan, LinkModel,
-                       Node, NodeConfig, ServiceDefinition, Strategy, World)
+                       Node, RunSettings, ServiceDefinition, Strategy, World)
 
 ENHANCE = ServiceDefinition(name="enhance", exec_seconds_mean=0.3,
                             exec_seconds_jitter=0.0, output_size_bytes=4000,
@@ -22,16 +22,15 @@ def build_world(fault_plan):
     world = World(LinkModel(bandwidth_bps=1e8, latency_s=0.005),
                   adjacency=[(1, 2), (2, 3)])
     collector = Collector()
-    config = NodeConfig(strategy=Strategy.BEST, preprocess_s=0.01,
-                        postprocess_s=0.01)
+    # the same settings a scenario file's [run] section produces
+    run = RunSettings(strategy=Strategy.BEST, preprocess_s=0.01,
+                      postprocess_s=0.01, fault=fault_plan)
     nodes = {}
     for addr in (1, 2, 3):
         caps = CapabilityVector(cpu=4.0, memory=4096.0, disk=16384.0,
                                 energy=100.0, position=(30.0 * addr, 0.0))
         services = {} if addr == 1 else {"enhance": ENHANCE}
-        nodes[addr] = Node(addr, world, collector, config, caps, services,
-                           seed="demo", position=(30.0 * addr, 0.0),
-                           fault_plan=fault_plan)
+        nodes[addr] = Node(addr, world, collector, run, caps, services)
         if services:
             world.schedule(0.0, nodes[addr].start_announcing)
     world.run_until(1.0)    # let the offers flood the line

@@ -13,10 +13,10 @@ by hand; everything else is imported from its submodule.
 from .announce import CapabilityVector
 from .assignment import Strategy
 from .harness import run_scenario, run_suite, summarize
-from .nodes import Node, NodeConfig
+from .nodes import Node
 from .report import Collector, ExperimentReport, selection_entropy
 from .runtime import FaultPlan, ServiceDefinition
-from .scenario import ScenarioError
+from .scenario import RunSettings, ScenarioError
 from .simnet import LinkModel, World
 from .workflow import WorkflowParseError
 
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityVector", "Collector", "ExperimentReport", "FaultPlan",
-    "LinkModel", "Node", "NodeConfig", "ScenarioError", "ServiceDefinition",
+    "LinkModel", "Node", "RunSettings", "ScenarioError", "ServiceDefinition",
     "Strategy", "World", "WorkflowParseError", "run_scenario", "run_suite",
     "selection_entropy", "summarize",
 ]

@@ -19,8 +19,9 @@ from .simnet import Position
 OFFER_HEADER_BYTES = 64
 OFFER_RECORD_BYTES = 32
 _HEADER = struct.Struct(">Qddddddd")     # worker, issued_at, cpu, memory, disk, energy, x, y
-_RECORD = struct.Struct(">24sII")        # service name (NUL padded), param count, reserved
-_SERVICE_NAME_BYTES = 24
+SERVICE_NAME_BYTES = 24                  # UTF-8 bytes, NUL padded on the wire
+MAX_PARAM_COUNT = 2 ** 32 - 1            # the record's unsigned 32-bit field
+_RECORD = struct.Struct(f">{SERVICE_NAME_BYTES}sII")   # service name, param count, reserved
 
 DEFAULT_ANNOUNCE_INTERVAL_S = 2.0
 DEFAULT_OFFER_EXPIRY_S = 120.0
@@ -67,7 +68,7 @@ def encode_offers(worker: NodeAddress, issued_at: float, caps: CapabilityVector,
                           caps.energy, caps.position[0], caps.position[1])]
     for name, param_count in services:
         raw = name.encode("utf-8")
-        if len(raw) > _SERVICE_NAME_BYTES:
+        if len(raw) > SERVICE_NAME_BYTES:
             raise ValueError(f"service name too long for wire format: {name!r}")
         parts.append(_RECORD.pack(raw, param_count, 0))
     return b"".join(parts)

@@ -46,11 +46,14 @@ class WorkflowHandle:
 
 
 class ClientRuntime:
-    """Workflow origination and terminal bookkeeping for one node."""
+    """Workflow origination and terminal bookkeeping for one node.
+
+    Results and errors reach only the client named in the description, so
+    the handle they finish is the run's track of that workflow.
+    """
 
     def __init__(self, node) -> None:
         self.node = node
-        self.handles: dict[str, WorkflowHandle] = {}
         self._counter = 0
 
     def offload(self, text: str, files: dict[str, FileContent]) -> WorkflowHandle:
@@ -67,7 +70,6 @@ class ClientRuntime:
         desc.created_at = now
         handle = WorkflowHandle(workflow_id=workflow_id, description=desc, submitted_at=now,
                                 strategy=self.node.config.strategy.value)
-        self.handles[workflow_id] = handle
         self.node.collector.tracks[workflow_id] = handle
         archive = Archive(description=desc, files=dict(files),
                           assigned_by=self.node.address)
@@ -97,14 +99,14 @@ class ClientRuntime:
     # -- terminal transitions -------------------------------------------------
 
     def on_result(self, archive: Archive) -> None:
-        handle = self.handles.get(archive.description.workflow_id)
+        handle = self.node.collector.tracks.get(archive.description.workflow_id)
         if handle is None or handle.terminal:
             return
         handle.result = archive
         self._finish(handle, HandleStatus.SUCCEEDED)
 
     def on_error(self, report: ErrorReport) -> None:
-        handle = self.handles.get(report.archive.description.workflow_id)
+        handle = self.node.collector.tracks.get(report.archive.description.workflow_id)
         if handle is None or handle.terminal:
             return
         self._finish(handle, HandleStatus.FAILED, error=report.error)

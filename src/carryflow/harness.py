@@ -15,13 +15,13 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .announce import CapabilityVector
 from .assignment import Strategy
 from .bundles import NodeAddress, format_address
-from .nodes import Node, NodeConfig
+from .nodes import Node
 from .report import (Collector, ExperimentReport, freeze_workflow,
                      selection_entropy)
 from .scenario import (RingTopology, ScenarioConfig, WaypointTopology,
@@ -101,13 +101,6 @@ def build(config: ScenarioConfig) -> BuiltScenario:
 
     collector = Collector()
     assignment = assign_cohorts(config)
-    # the plan counts injected faults; each run counts from zero on its own copy
-    fault_plan = replace(run.fault, injected=0)
-    node_config = NodeConfig(strategy=run.strategy, weights=dict(run.weights),
-                             preprocess_s=run.preprocess_s,
-                             postprocess_s=run.postprocess_s,
-                             announce_interval_s=run.announce_interval_s,
-                             offer_expiry_s=run.offer_expiry_s)
     nodes: dict[NodeAddress, Node] = {}
     clients: list[Node] = []
     for i, addr in enumerate(addresses):
@@ -116,9 +109,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                                 disk=cohort.disk, energy=cohort.energy,
                                 position=positions[i])
         services = {name: config.services[name] for name in cohort.services}
-        node = Node(addr, world, collector, node_config, caps, services,
-                    seed=str(run.seed), position=positions[i],
-                    fault_plan=fault_plan)
+        node = Node(addr, world, collector, run, caps, services)
         nodes[addr] = node
         if cohort.client:
             clients.append(node)

@@ -11,58 +11,39 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional
 
-from .announce import (CapabilityVector, OfferDatabase, build_offer_bundle,
-                       DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S)
-from .assignment import DEFAULT_WEIGHTS, Strategy, validate_weights
+from .announce import CapabilityVector, OfferDatabase, build_offer_bundle
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
-from .runtime import (ErrorReport, FaultPlan, ServiceDefinition, WorkerRuntime,
-                      retryable)
+from .runtime import ErrorReport, ServiceDefinition, WorkerRuntime, retryable
+from .scenario import RunSettings
 from .simnet import Position, World
 from .workflow import Archive, WorkflowDescription, packed_size
 
 CLEANUP_MARKER_BYTES = 64
 
 
-@dataclass
-class NodeConfig:
-    strategy: Strategy = Strategy.BEST
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    preprocess_s: float = 0.05
-    postprocess_s: float = 0.6
-    announce_interval_s: float = DEFAULT_ANNOUNCE_INTERVAL_S
-    offer_expiry_s: float = DEFAULT_OFFER_EXPIRY_S
-
-    def __post_init__(self) -> None:
-        self.weights = validate_weights(self.weights)
-
-
 class Node:
     """Full protocol stack of one address, wired into a World."""
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
-                 config: NodeConfig, caps: CapabilityVector,
-                 services: dict[str, ServiceDefinition], *, seed: str = "0",
-                 position: Position = (0.0, 0.0),
-                 fault_plan: Optional[FaultPlan] = None) -> None:
+                 run: RunSettings, caps: CapabilityVector,
+                 services: dict[str, ServiceDefinition]) -> None:
         self.address = address
         self.world = world
         self.collector = collector
-        self.config = config
+        self.config = run
         self.caps = caps
         self.cleaned: set[str] = set()
-        self.offer_db = OfferDatabase(expiry_s=config.offer_expiry_s)
-        self.select_rng = random.Random(f"{seed}:select:{address}")
-        self.exec_rng = random.Random(f"{seed}:exec:{address}")
-        self.fault_rng = random.Random(f"{seed}:fault:{address}")
-        self.worker = WorkerRuntime(self, services, fault_plan)
+        self.offer_db = OfferDatabase(expiry_s=run.offer_expiry_s)
+        self.select_rng = random.Random(f"{run.seed}:select:{address}")
+        self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
+        self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
+        self.worker = WorkerRuntime(self, services)
         self.client = ClientRuntime(self)
         self._bundle_seq = 0
-        world.add_node(address, position=position, handler=self.on_bundle,
+        world.add_node(address, position=caps.position, handler=self.on_bundle,
                        accept=self.accepts)
 
     def position(self) -> Position:

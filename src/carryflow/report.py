@@ -57,6 +57,7 @@ class Collector:
 
     `tracks` maps each offloaded workflow to its client's handle, which
     holds the workflow's whole lifecycle; the phase charges land on it.
+    `faults_injected` is the run's count against its fault plan's cap.
     """
 
     def __init__(self) -> None:
@@ -65,6 +66,7 @@ class Collector:
         self._pending_sends: dict[BundleId, tuple[str, int, float]] = {}
         self.expired_drops = 0
         self.malformed_offers = 0
+        self.faults_injected = 0
 
     # -- workflow lifecycle -------------------------------------------------
 

@@ -76,39 +76,40 @@ class ErrorReport:
     failed_worker: NodeAddress
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultPlan:
-    """Scenario-configured execution faults, optionally scoped and bounded."""
+    """Scenario-configured execution faults, optionally scoped and bounded.
+
+    The plan is a spec only: the run counts the faults it has injected and
+    passes that count in, so one plan serves any number of runs.
+    """
 
     rate: float = 0.0
     nodes: Optional[frozenset[NodeAddress]] = None
     service: Optional[str] = None
     max_failures: Optional[int] = None
-    injected: int = 0
 
-    def should_fail(self, worker: NodeAddress, service: str, rng: random.Random) -> bool:
+    def should_fail(self, worker: NodeAddress, service: str, rng: random.Random,
+                    injected: int) -> bool:
+        # a capped plan returns before the draw, so the order of checks
+        # decides which executions consume a number from the node's stream
         if self.rate <= 0.0:
             return False
         if self.nodes is not None and worker not in self.nodes:
             return False
         if self.service is not None and service != self.service:
             return False
-        if self.max_failures is not None and self.injected >= self.max_failures:
+        if self.max_failures is not None and injected >= self.max_failures:
             return False
-        if rng.random() < self.rate:
-            self.injected += 1
-            return True
-        return False
+        return rng.random() < self.rate
 
 
 class WorkerRuntime:
     """One node's execution engine; archives queue when the worker is busy."""
 
-    def __init__(self, node, services: dict[str, ServiceDefinition],
-                 fault_plan: Optional[FaultPlan] = None) -> None:
+    def __init__(self, node, services: dict[str, ServiceDefinition]) -> None:
         self.node = node
         self.services = dict(services)
-        self.fault_plan = fault_plan or FaultPlan()
         self.busy = False
         self.queue: deque[tuple[Archive, float]] = deque()
         self.files: dict[str, set[str]] = {}
@@ -196,7 +197,10 @@ class WorkerRuntime:
         if desc.workflow_id in self.node.cleaned:
             self._release()
             return
-        if self.fault_plan.should_fail(self.node.address, service.name, self.node.fault_rng):
+        if self.node.config.fault.should_fail(self.node.address, service.name,
+                                              self.node.fault_rng,
+                                              self.node.collector.faults_injected):
+            self.node.collector.faults_injected += 1
             self._emit_error(archive, ErrorClass.TASK_EXECUTION,
                              f"service {service.name!r} failed during execution")
             return

@@ -27,7 +27,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .announce import DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S
+from .announce import (DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S,
+                       MAX_PARAM_COUNT, SERVICE_NAME_BYTES)
 from .assignment import DEFAULT_WEIGHTS, Strategy, validate_weights
 from .runtime import FaultPlan, ServiceDefinition
 from .simnet import LinkModel
@@ -105,6 +106,8 @@ class WorkflowSpec:
 
 @dataclass(frozen=True)
 class RunSettings:
+    """The only run configuration, parsed or hand-built; it holds no run state."""
+
     seed: int = 1
     duration_s: float = 600.0
     tick_s: float = 0.5
@@ -116,6 +119,9 @@ class RunSettings:
     postprocess_s: float = 0.6
     stop_grace_s: float = 20.0
     fault: FaultPlan = field(default_factory=FaultPlan)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", validate_weights(self.weights))
 
 
 @dataclass(frozen=True)
@@ -140,36 +146,21 @@ class ScenarioConfig:
     def to_obj(self) -> dict:
         topo: dict[str, object] = {"kind": self.topology.kind}
         topo.update(dataclasses.asdict(self.topology))
-        fault = self.run.fault
+        run = dataclasses.asdict(self.run)
+        run["strategy"] = self.run.strategy.value
+        nodes = self.run.fault.nodes
+        run["fault"]["nodes"] = sorted(nodes) if nodes else None
         return {
             "name": self.name,
             "topology": topo,
-            "link": {"bandwidth_bps": self.link.bandwidth_bps,
-                     "latency_s": self.link.latency_s},
+            "link": dataclasses.asdict(self.link),
             "services": {
                 name: dataclasses.asdict(svc)
                 for name, svc in sorted(self.services.items())
             },
             "cohorts": [dataclasses.asdict(c) for c in self.cohorts],
             "workflow": dataclasses.asdict(self.workflow),
-            "run": {
-                "seed": self.run.seed,
-                "duration_s": self.run.duration_s,
-                "tick_s": self.run.tick_s,
-                "announce_interval_s": self.run.announce_interval_s,
-                "offer_expiry_s": self.run.offer_expiry_s,
-                "strategy": self.run.strategy.value,
-                "weights": dict(sorted(self.run.weights.items())),
-                "preprocess_s": self.run.preprocess_s,
-                "postprocess_s": self.run.postprocess_s,
-                "stop_grace_s": self.run.stop_grace_s,
-                "fault": {
-                    "rate": fault.rate,
-                    "nodes": sorted(fault.nodes) if fault.nodes else None,
-                    "service": fault.service,
-                    "max_failures": fault.max_failures,
-                },
-            },
+            "run": run,
         }
 
     def digest(self) -> str:
@@ -251,13 +242,15 @@ class _Reader:
             self.complain(f"unknown key {key!r}")
 
     def get_float(self, key: str, default: float, *, minimum: float = -math.inf,
-                  positive: bool = False) -> float:
+                  positive: bool = False, allow_inf: bool = False) -> float:
         if key not in self.raw:
             return default
         try:
             value = float(self.raw[key])
         except ValueError:
-            self.complain(f"{key} is not a number: {self.raw[key]!r}")
+            value = math.nan
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            self.complain(f"{key} is not a finite number: {self.raw[key]!r}")
             return default
         if positive and value <= 0:
             self.complain(f"{key} must be positive, got {value:g}")
@@ -265,7 +258,8 @@ class _Reader:
             self.complain(f"{key} must be at least {minimum:g}, got {value:g}")
         return value
 
-    def get_int(self, key: str, default: int, *, minimum: int = 0) -> int:
+    def get_int(self, key: str, default: int, *, minimum: int = 0,
+                maximum: Optional[int] = None) -> int:
         if key not in self.raw:
             return default
         try:
@@ -275,6 +269,8 @@ class _Reader:
             return default
         if value < minimum:
             self.complain(f"{key} must be at least {minimum}, got {value}")
+        elif maximum is not None and value > maximum:
+            self.complain(f"{key} must be at most {maximum}, got {value}")
         return value
 
     def get_bool(self, key: str, default: bool) -> bool:
@@ -300,9 +296,13 @@ class _Reader:
                 self.complain(f"{key}: expected name=value, got {item!r}")
                 continue
             try:
-                out[name.strip()] = float(value)
+                number = float(value)
             except ValueError:
-                self.complain(f"{key}: {name.strip()} is not a number: {value!r}")
+                number = math.nan
+            if math.isfinite(number):
+                out[name.strip()] = number
+            else:
+                self.complain(f"{key}: {name.strip()} is not a finite number: {value!r}")
         return out
 
     def get_list(self, key: str) -> list[str]:
@@ -347,9 +347,13 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
             kv[key.strip()] = value.strip()
         fields.raw = kv
         fields.check_keys(_SERVICE_KEYS)
+        if len(name.encode("utf-8")) > SERVICE_NAME_BYTES:
+            reader.complain(f"{name}: name is longer than the {SERVICE_NAME_BYTES} "
+                            f"UTF-8 bytes an offer record holds")
         services[name] = ServiceDefinition(
             name=name,
-            param_count=fields.get_int("params", 1, minimum=0),
+            param_count=fields.get_int("params", 1, minimum=0,
+                                       maximum=MAX_PARAM_COUNT),
             exec_seconds_mean=fields.get_float("mean", 1.0, minimum=0.0),
             exec_seconds_jitter=fields.get_float("jitter", 0.0, minimum=0.0),
             output_size_bytes=fields.get_int("output_bytes", 1_000_000, minimum=0),
@@ -420,7 +424,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
     try:
         desc = parse_workflow(text)
         if "ttl" in reader.raw:
-            ttl = reader.get_float("ttl", desc.ttl_seconds, positive=True)
+            ttl = reader.get_float("ttl", desc.ttl_seconds, positive=True,
+                                   allow_inf=True)
             desc = dataclasses.replace(desc, ttl_seconds=ttl)
         if defaults:
             tasks = [
@@ -456,13 +461,14 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
 
 def _parse_run(reader: _Reader) -> RunSettings:
     reader.check_keys(_RUN_KEYS)
-    strategy = Strategy.BEST
+    default = RunSettings()
+    strategy = default.strategy
     if "strategy" in reader.raw:
         try:
             strategy = Strategy(reader.raw["strategy"].strip().lower())
         except ValueError:
             reader.complain(f"unknown strategy {reader.raw['strategy']!r}")
-    weights = dict(DEFAULT_WEIGHTS)
+    weights = default.weights
     if "weights" in reader.raw:
         candidate = reader.get_kv("weights")
         try:
@@ -482,24 +488,28 @@ def _parse_run(reader: _Reader) -> RunSettings:
     if reader.raw.get("fault_max_failures", "").strip():
         max_failures = reader.get_int("fault_max_failures", 0, minimum=0)
     fault = FaultPlan(
-        rate=reader.get_float("fault_rate", 0.0, minimum=0.0),
+        rate=reader.get_float("fault_rate", default.fault.rate, minimum=0.0),
         nodes=fault_nodes,
         service=reader.raw.get("fault_service", "").strip() or None,
         max_failures=max_failures,
     )
     return RunSettings(
-        seed=reader.get_int("seed", 1, minimum=0),
-        duration_s=reader.get_float("duration_s", 600.0, positive=True),
-        tick_s=reader.get_float("tick_s", 0.5, positive=True),
+        seed=reader.get_int("seed", default.seed, minimum=0),
+        duration_s=reader.get_float("duration_s", default.duration_s, positive=True),
+        tick_s=reader.get_float("tick_s", default.tick_s, positive=True),
         announce_interval_s=reader.get_float("announce_interval_s",
-                                             DEFAULT_ANNOUNCE_INTERVAL_S, positive=True),
-        offer_expiry_s=reader.get_float("offer_expiry_s",
-                                        DEFAULT_OFFER_EXPIRY_S, positive=True),
+                                             default.announce_interval_s,
+                                             positive=True),
+        offer_expiry_s=reader.get_float("offer_expiry_s", default.offer_expiry_s,
+                                        positive=True),
         strategy=strategy,
         weights=weights,
-        preprocess_s=reader.get_float("preprocess_s", 0.05, minimum=0.0),
-        postprocess_s=reader.get_float("postprocess_s", 0.6, minimum=0.0),
-        stop_grace_s=reader.get_float("stop_grace_s", 20.0, minimum=0.0),
+        preprocess_s=reader.get_float("preprocess_s", default.preprocess_s,
+                                      minimum=0.0),
+        postprocess_s=reader.get_float("postprocess_s", default.postprocess_s,
+                                       minimum=0.0),
+        stop_grace_s=reader.get_float("stop_grace_s", default.stop_grace_s,
+                                      minimum=0.0),
         fault=fault,
     )
 

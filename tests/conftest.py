@@ -14,9 +14,10 @@ import pytest
 
 from carryflow.announce import CapabilityVector
 from carryflow.assignment import Strategy
-from carryflow.nodes import Node, NodeConfig
+from carryflow.nodes import Node
 from carryflow.report import Collector
 from carryflow.runtime import FaultPlan, ServiceDefinition
+from carryflow.scenario import RunSettings
 from carryflow.simnet import LinkModel, World
 
 # fast link so micro tests spend almost no simulated time in transit
@@ -50,24 +51,23 @@ class MicroWorld:
 def build_line(n: int, services_by_addr: dict[int, dict[str, ServiceDefinition]],
                *, strategy: Strategy = Strategy.BEST, link: LinkModel = FAST_LINK,
                caps_by_addr: dict[int, dict[str, float]] | None = None,
-               fault_plan: FaultPlan | None = None, seed: str = "7",
+               fault_plan: FaultPlan = FaultPlan(), seed: int = 7,
                announce_interval_s: float = 2.0,
                offer_expiry_s: float = 120.0) -> MicroWorld:
     """Nodes 1..n in a chain, 10 m apart, announcing from t=0."""
     adjacency = [(i, i + 1) for i in range(1, n)]
     world = World(link, tick_interval=0.5, adjacency=adjacency)
     collector = Collector()
-    config = NodeConfig(strategy=strategy, preprocess_s=0.01, postprocess_s=0.01,
-                        announce_interval_s=announce_interval_s,
-                        offer_expiry_s=offer_expiry_s)
+    run = RunSettings(seed=seed, strategy=strategy, preprocess_s=0.01,
+                      postprocess_s=0.01, announce_interval_s=announce_interval_s,
+                      offer_expiry_s=offer_expiry_s, fault=fault_plan)
     caps_by_addr = caps_by_addr or {}
     nodes: dict[int, Node] = {}
     for addr in range(1, n + 1):
         caps = CapabilityVector(position=(10.0 * addr, 0.0),
                                 **{**BIG_CAPS, **caps_by_addr.get(addr, {})})
-        node = Node(addr, world, collector, config, caps,
-                    services_by_addr.get(addr, {}), seed=seed,
-                    position=(10.0 * addr, 0.0), fault_plan=fault_plan)
+        node = Node(addr, world, collector, run, caps,
+                    services_by_addr.get(addr, {}))
         nodes[addr] = node
         if node.worker.services:
             world.schedule(0.0, node.start_announcing)

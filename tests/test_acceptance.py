@@ -72,10 +72,15 @@ def fault_runs():
     scenario, so it never collides with a suite key.
     """
     het = resolve_scenario("ring-heterogeneous")
-    het = replace(het, run=replace(het.run, fault=FaultPlan(rate=0.3)))
-    runs = {f"ring-heterogeneous+fault_rate=0.3/{s.value}/{seed}":
-            run_scenario(het, seed=seed, strategy=s)
-            for s in ALL_STRATEGIES for seed in (1, 2, 3)}
+    runs = {}
+    for name, fault in (
+            ("fault_rate=0.3", FaultPlan(rate=0.3)),
+            ("fault_rate=0.5+fault_max_failures=1",
+             FaultPlan(rate=0.5, max_failures=1))):
+        faulty = replace(het, run=replace(het.run, fault=fault))
+        runs.update((f"ring-heterogeneous+{name}/{s.value}/{seed}",
+                     run_scenario(faulty, seed=seed, strategy=s))
+                    for s in ALL_STRATEGIES for seed in (1, 2, 3))
     mobile = resolve_scenario("mobile-sparse")
     mobile = replace(mobile, run=replace(mobile.run, fault=FaultPlan(rate=0.3),
                                          duration_s=400.0))

@@ -177,4 +177,3 @@ def test_suite_runs_match_fresh_runs_with_bounded_faults():
     for report in suite.reports:
         fresh = run_scenario(config, seed=report.seed, strategy=Strategy.SPREAD)
         assert report.digest() == fresh.digest()
-    assert fault.injected == 0

@@ -211,12 +211,12 @@ def test_fault_plan_scoping():
     rng = random.Random(1)
     plan = FaultPlan(rate=1.0, nodes=frozenset({2}), service="work",
                      max_failures=2)
-    assert not plan.should_fail(3, "work", rng)
-    assert not plan.should_fail(2, "other", rng)
-    assert plan.should_fail(2, "work", rng)
-    assert plan.should_fail(2, "work", rng)
-    assert not plan.should_fail(2, "work", rng)    # budget exhausted
-    assert not FaultPlan().should_fail(2, "work", rng)
+    assert not plan.should_fail(3, "work", rng, 0)
+    assert not plan.should_fail(2, "other", rng, 0)
+    assert plan.should_fail(2, "work", rng, 0)
+    assert plan.should_fail(2, "work", rng, 1)
+    assert not plan.should_fail(2, "work", rng, 2)    # budget exhausted
+    assert not FaultPlan().should_fail(2, "work", rng, 0)
 
 
 def assert_client_archive_untouched(handle):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from carryflow.announce import (MAX_PARAM_COUNT, SERVICE_NAME_BYTES,
+                                CapabilityVector, decode_offers, encode_offers)
 from carryflow.assignment import Strategy
 from carryflow.scenario import (CohortSpec, RingTopology, ScenarioError,
                                 WaypointTopology, load_scenario, parse_scenario,
@@ -121,10 +123,46 @@ def test_problems_are_collected_not_fail_fast():
     (lambda t: t.replace("seed = 9", "seed = 9\nwarp = 1"), "unknown key"),
     (lambda t: t + "\n[cohort:extra]\ncpu = 1\n\n[cohort:more]\ncpu = 1\n",
      "only one cohort may omit"),
+    (lambda t: t.replace("[cohort:worker]", "[cohort:worker]\nfraction = nan"),
+     "fraction is not a finite number"),
+    (lambda t: t.replace("[run]", "[run]\ntick_s = nan"),
+     "tick_s is not a finite number"),
+    (lambda t: t.replace("bandwidth_mbit = 10", "bandwidth_mbit = nan"),
+     "bandwidth_mbit is not a finite number"),
+    (lambda t: t.replace("offload_at = 2", "offload_at = nan"),
+     "offload_at is not a finite number"),
+    (lambda t: t.replace("duration_s = 60", "duration_s = inf"),
+     "duration_s is not a finite number"),
+    (lambda t: t.replace("latency_ms = 5", "latency_ms = -inf"),
+     "latency_ms is not a finite number"),
+    (lambda t: t.replace("cpu=2, energy=5", "cpu=inf, energy=5"),
+     "cpu is not a finite number"),
+    (lambda t: t.replace("ttl = 120", "ttl = nan"), "ttl is not a finite number"),
+    (lambda t: t.replace("[services]\n", "[services]\n" + "ré" * 9 + " = mean=1\n"),
+     "longer than the 24 UTF-8 bytes"),
+    (lambda t: t.replace("ext=png", "ext=png, params=4294967296"),
+     "params must be at most 4294967295"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(mutate(RING_INI))
+
+
+def test_infinite_ttl_means_no_expiry():
+    cfg = parse_scenario(RING_INI.replace("ttl = 120", "ttl = inf"))
+    assert "ttl=inf" in cfg.workflow.text
+
+
+def test_offer_wire_limits_are_inclusive():
+    name = "w" * SERVICE_NAME_BYTES
+    cfg = parse_scenario(RING_INI.replace(
+        "[services]\n", f"[services]\n{name} = mean=1, params={MAX_PARAM_COUNT}\n"))
+    svc = cfg.services[name]
+    caps = CapabilityVector(cpu=1.0, memory=1.0, disk=1.0, energy=1.0,
+                            position=(0.0, 0.0))
+    payload = encode_offers(1, 0.0, caps, [(svc.name, svc.param_count)])
+    assert [(o.service_name, o.param_count) for o in decode_offers(payload, 0.0)] \
+        == [(name, MAX_PARAM_COUNT)]
 
 
 def test_duplicate_pins_rejected():
