@@ -5,11 +5,17 @@ capability vector and one record per offered service. Receivers fold the
 records into an offer database keyed by (worker, service); a newer announce
 always wins, a delayed older one never overwrites. Offers age out by their
 issue time, not by arrival.
+
+Decoding is pure, so one run decodes each offer payload once: the run's
+offer databases share an OfferMemo keyed by payload bytes, which forgets a
+payload once its bundle has expired and can no longer be delivered.
+Malformed payloads are never memoised, so every receiver counts its drop.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,7 +80,7 @@ def encode_offers(worker: NodeAddress, issued_at: float, caps: CapabilityVector,
     return b"".join(parts)
 
 
-def decode_offers(payload: bytes, received_at: float) -> list[ServiceOffer]:
+def decode_offers(payload: bytes) -> list[ServiceOffer]:
     if not isinstance(payload, (bytes, bytearray)):
         raise OfferCodecError("offer payload is not a byte sequence")
     if len(payload) < OFFER_HEADER_BYTES:
@@ -110,11 +116,45 @@ def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: floa
                   created_at=issued_at, ttl_seconds=expiry_s)
 
 
+class OfferMemo:
+    """Decoded offers by payload bytes, shared by the offer databases of one run.
+
+    Entries leave in arrival order once their bundle has expired. The source
+    decodes its own offer when it issues it and a run's offers share one TTL,
+    so that order is expiry order. Every receiver of a payload gets the same
+    offer objects, so nothing may edit a decoded offer.
+    """
+
+    def __init__(self) -> None:
+        self._offers: dict[bytes, list[ServiceOffer]] = {}
+        self._arrivals: deque[tuple[float, bytes]] = deque()
+
+    def __len__(self) -> int:
+        return len(self._offers)
+
+    def decode(self, bundle: Bundle, now: float) -> list[ServiceOffer]:
+        """The bundle's offers; raises OfferCodecError for a malformed payload."""
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] < now:
+            del self._offers[arrivals.popleft()[1]]
+        payload = bundle.payload
+        if type(payload) is not bytes:
+            return decode_offers(payload)
+        offers = self._offers.get(payload)
+        if offers is None:
+            offers = decode_offers(payload)
+            self._offers[payload] = offers
+            arrivals.append((bundle.expires_at, payload))
+        return offers
+
+
 class OfferDatabase:
     """A node's current view of who offers what, folded from received bundles."""
 
-    def __init__(self, expiry_s: float = DEFAULT_OFFER_EXPIRY_S) -> None:
+    def __init__(self, expiry_s: float = DEFAULT_OFFER_EXPIRY_S,
+                 memo: Optional[OfferMemo] = None) -> None:
         self.expiry_s = expiry_s
+        self.memo = OfferMemo() if memo is None else memo
         self._records: dict[tuple[NodeAddress, str], OfferRecord] = {}
         self.malformed_dropped = 0
 
@@ -124,7 +164,7 @@ class OfferDatabase:
     def ingest_bundle(self, bundle: Bundle, received_at: float) -> int:
         """Fold one offer bundle in; malformed payloads are dropped and counted."""
         try:
-            offers = decode_offers(bundle.payload, received_at)
+            offers = self.memo.decode(bundle, received_at)
         except OfferCodecError:
             self.malformed_dropped += 1
             return 0

@@ -3,13 +3,17 @@
 A bundle is the unit of replication: an addressed (or broadcast) payload with
 a creation time and a TTL. Each node owns one store; synchronization between
 stores happens in the network layer, this module only answers what a node
-currently holds and what has expired.
+currently holds. A store sheds a bundle once it expires: inserting, listing
+the live bundles and pruning first drop everything whose expiry time has
+passed, so what a store holds is bounded by its live data, not by how long
+the run has gone.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
@@ -58,23 +62,31 @@ class Bundle:
     ttl_seconds: float
     # workflow tag used for cleanup; None for offers
     workflow_id: Optional[str] = None
+    # created_at + ttl_seconds; infinite for a bundle that never expires
+    expires_at: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.expires_at = self.created_at + self.ttl_seconds
 
     def is_expired(self, now: float) -> bool:
-        if math.isinf(self.ttl_seconds):
-            return False
-        return now > self.created_at + self.ttl_seconds
+        return now > self.expires_at
 
 
 class BundleStore:
     """Holds the bundles one node currently carries, in insertion order.
 
     A removed bundle is never stored again (removal happens only on cleanup,
-    after which the node refuses that workflow), so iterating the store gives
-    the order in which its live bundles arrived.
+    after which the node refuses that workflow, or on expiry, after which
+    insert refuses it), so iterating the store gives the order in which its
+    live bundles arrived. An expiry-ordered heap finds the bundles to shed,
+    and a per-workflow index lets a cleanup touch only its own workflow.
     """
 
     def __init__(self) -> None:
         self._bundles: dict[BundleId, Bundle] = {}
+        # (expires_at, bundle_id) of every stored bundle that can expire
+        self._expiry: list[tuple[float, BundleId]] = []
+        self._by_workflow: dict[str, dict[BundleId, Bundle]] = {}
 
     def __len__(self) -> int:
         return len(self._bundles)
@@ -84,24 +96,33 @@ class BundleStore:
 
     def insert(self, bundle: Bundle, now: float) -> bool:
         """Store a bundle. Returns False for duplicates and dead-on-arrival bundles."""
-        if bundle.bundle_id in self._bundles:
-            return False
-        if bundle.is_expired(now):
+        if self._expiry and self._expiry[0][0] < now:
+            self._shed(now)
+        if bundle.bundle_id in self._bundles or bundle.is_expired(now):
             return False
         self._bundles[bundle.bundle_id] = bundle
+        if bundle.expires_at != math.inf:
+            heapq.heappush(self._expiry, (bundle.expires_at, bundle.bundle_id))
+        if bundle.workflow_id is not None:
+            self._by_workflow.setdefault(bundle.workflow_id, {})[bundle.bundle_id] = bundle
         return True
 
-    def remove_where(self, predicate: Callable[[Bundle], bool]) -> int:
-        doomed = [bid for bid, b in self._bundles.items() if predicate(b)]
-        for bid in doomed:
-            del self._bundles[bid]
+    def remove_where(self, predicate: Callable[[Bundle], bool],
+                     workflow_id: Optional[str] = None) -> int:
+        """Drop the bundles matching predicate, among one workflow's if given."""
+        if workflow_id is None:
+            candidates = self._bundles.values()
+        else:
+            candidates = self._by_workflow.get(workflow_id, {}).values()
+        doomed = [b for b in candidates if predicate(b)]
+        for bundle in doomed:
+            self._drop(bundle)
         return len(doomed)
 
     def live(self, now: float) -> Iterator[Bundle]:
         """All stored, non-expired bundles in insertion order."""
-        for bundle in self._bundles.values():
-            if not bundle.is_expired(now):
-                yield bundle
+        self._shed(now)
+        yield from self._bundles.values()
 
     # The link scan calls live() under this second name so that a profiler
     # patching the class attribute by name can time link scans on their own.
@@ -109,4 +130,23 @@ class BundleStore:
 
     def prune(self, now: float) -> int:
         """Drop expired bundles."""
-        return self.remove_where(lambda b: b.is_expired(now))
+        before = len(self._bundles)
+        self._shed(now)
+        return before - len(self._bundles)
+
+    def _shed(self, now: float) -> None:
+        heap = self._expiry
+        while heap and heap[0][0] < now:
+            _, bundle_id = heapq.heappop(heap)
+            bundle = self._bundles.get(bundle_id)
+            # the entry is stale if cleanup already removed the bundle
+            if bundle is not None and bundle.is_expired(now):
+                self._drop(bundle)
+
+    def _drop(self, bundle: Bundle) -> None:
+        del self._bundles[bundle.bundle_id]
+        if bundle.workflow_id is not None:
+            held = self._by_workflow[bundle.workflow_id]
+            del held[bundle.bundle_id]
+            if not held:
+                del self._by_workflow[bundle.workflow_id]

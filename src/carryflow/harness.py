@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .announce import CapabilityVector
+from .announce import CapabilityVector, OfferMemo
 from .assignment import Strategy
 from .bundles import NodeAddress, format_address
 from .nodes import Node
@@ -100,6 +100,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         raise TypeError(f"unsupported topology {topo!r}")
 
     collector = Collector()
+    offer_memo = OfferMemo()
     assignment = assign_cohorts(config)
     nodes: dict[NodeAddress, Node] = {}
     clients: list[Node] = []
@@ -109,7 +110,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                                 disk=cohort.disk, energy=cohort.energy,
                                 position=positions[i])
         services = {name: config.services[name] for name in cohort.services}
-        node = Node(addr, world, collector, run, caps, services)
+        node = Node(addr, world, collector, run, caps, services, offer_memo)
         nodes[addr] = node
         if cohort.client:
             clients.append(node)
@@ -150,7 +151,7 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
 
     workflows = [freeze_workflow(wid, collector.tracks[wid])
                  for wid in sorted(collector.tracks)]
-    return ExperimentReport(
+    report = ExperimentReport(
         scenario=config.name,
         seed=run.seed,
         strategy=run.strategy.value,
@@ -163,6 +164,8 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
         expired_drops=collector.expired_drops,
         malformed_offers=collector.malformed_offers,
     )
+    world.release()
+    return report
 
 
 # -- suites -------------------------------------------------------------------

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Optional
 
-from .announce import CapabilityVector, OfferDatabase, build_offer_bundle
+from .announce import (CapabilityVector, OfferDatabase, OfferMemo,
+                       build_offer_bundle)
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
@@ -29,14 +31,15 @@ class Node:
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
                  run: RunSettings, caps: CapabilityVector,
-                 services: dict[str, ServiceDefinition]) -> None:
+                 services: dict[str, ServiceDefinition],
+                 offer_memo: Optional[OfferMemo] = None) -> None:
         self.address = address
         self.world = world
         self.collector = collector
         self.config = run
         self.caps = caps
         self.cleaned: set[str] = set()
-        self.offer_db = OfferDatabase(expiry_s=run.offer_expiry_s)
+        self.offer_db = OfferDatabase(expiry_s=run.offer_expiry_s, memo=offer_memo)
         self.select_rng = random.Random(f"{run.seed}:select:{address}")
         self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
         self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
@@ -159,6 +162,6 @@ class Node:
             return
         self.cleaned.add(workflow_id)
         store = self.world.stores[self.address]
-        store.remove_where(lambda b: b.workflow_id == workflow_id
-                           and b.kind is not BundleKind.CLEANUP_MARKER)
+        store.remove_where(lambda b: b.kind is not BundleKind.CLEANUP_MARKER,
+                           workflow_id=workflow_id)
         self.worker.on_cleanup(workflow_id)

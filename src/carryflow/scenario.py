@@ -229,13 +229,17 @@ _RUN_KEYS = {"seed", "duration_s", "tick_s", "announce_interval_s",
 class _Reader:
     """Typed key access over one INI section, collecting problems."""
 
-    def __init__(self, section: str, raw: dict[str, str], problems: list[str]) -> None:
+    def __init__(self, section: str, raw: dict[str, str], problems: list[str],
+                 subject: str = "") -> None:
         self.section = section
         self.raw = raw
         self.problems = problems
+        # names the entry within the section that the keys belong to
+        self.subject = subject
 
     def complain(self, msg: str) -> None:
-        self.problems.append(f"[{self.section}] {msg}")
+        subject = f"{self.subject}: " if self.subject else ""
+        self.problems.append(f"[{self.section}] {subject}{msg}")
 
     def check_keys(self, allowed: set[str]) -> None:
         for key in sorted(set(self.raw) - allowed):
@@ -334,7 +338,7 @@ def _parse_topology(reader: _Reader) -> Topology:
 def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     services: dict[str, ServiceDefinition] = {}
     for name in reader.raw:
-        fields = _Reader(f"services] {name}", {}, reader.problems)
+        fields = _Reader(reader.section, {}, reader.problems, subject=name)
         kv: dict[str, str] = {}
         for item in reader.raw[name].split(","):
             item = item.strip()

@@ -170,6 +170,20 @@ class World:
             self._accepts[addr] = accept
         return store
 
+    def release(self) -> None:
+        """Drop a finished run's events, stores, links and node hooks.
+
+        Nodes and their handlers refer to each other in cycles; emptying the
+        world frees its bundles and pending events by reference count at once
+        instead of whenever the garbage collector next runs.
+        """
+        self._heap.clear()
+        self.stores.clear()
+        self._links.clear()
+        self._neighbours = {}
+        self._handlers.clear()
+        self._accepts.clear()
+
     def position_of(self, addr: NodeAddress) -> Position:
         row = self._positions[self._addr_index[addr]]
         return (float(row[0]), float(row[1]))

@@ -2,11 +2,14 @@
 
 import pytest
 
+from carryflow import announce
 from carryflow.announce import (CapabilityVector, OFFER_HEADER_BYTES,
                                 OFFER_RECORD_BYTES, OfferCodecError,
-                                OfferDatabase, ServiceOffer, build_offer_bundle,
-                                decode_offers, encode_offers)
+                                OfferDatabase, OfferMemo, ServiceOffer,
+                                build_offer_bundle, decode_offers, encode_offers)
 from carryflow.bundles import BROADCAST, BundleKind
+from carryflow.cli import resolve_scenario
+from carryflow.harness import build, run_scenario
 
 CAPS = CapabilityVector(cpu=4.0, memory=2048.0, disk=8192.0, energy=75.5,
                         position=(12.5, -3.0))
@@ -20,7 +23,7 @@ def offer(worker: int, service: str, issued_at: float) -> ServiceOffer:
 def test_codec_round_trip():
     payload = encode_offers(42, 7.25, CAPS, [("scale", 1), ("denoise", 2)])
     assert len(payload) == OFFER_HEADER_BYTES + 2 * OFFER_RECORD_BYTES
-    decoded = decode_offers(payload, received_at=9.0)
+    decoded = decode_offers(payload)
     assert [(o.service_name, o.param_count) for o in decoded] == \
         [("scale", 1), ("denoise", 2)]
     first = decoded[0]
@@ -51,14 +54,14 @@ def test_service_name_length_limit():
 ])
 def test_decode_rejects_malformed(payload):
     with pytest.raises(OfferCodecError):
-        decode_offers(payload, received_at=0.0)
+        decode_offers(payload)
 
 
 def test_decode_rejects_empty_service_name():
     payload = encode_offers(1, 0.0, CAPS, [("ok", 1)])
     broken = payload[:OFFER_HEADER_BYTES] + b"\x00" * OFFER_RECORD_BYTES
     with pytest.raises(OfferCodecError):
-        decode_offers(broken, received_at=0.0)
+        decode_offers(broken)
 
 
 def test_build_offer_bundle_fields():
@@ -111,3 +114,63 @@ def test_ingest_bundle_counts_malformed():
     bad.payload = bad.payload[:-5]
     assert db.ingest_bundle(bad, received_at=0.2) == 0
     assert db.malformed_dropped == 1
+
+
+def count_decodes(monkeypatch) -> list:
+    calls = []
+    real = announce.decode_offers
+    monkeypatch.setattr(announce, "decode_offers",
+                        lambda payload: calls.append(bytes(payload)) or real(payload))
+    return calls
+
+
+def test_memo_decodes_each_payload_once_and_forgets_expired_ones(monkeypatch):
+    calls = count_decodes(monkeypatch)
+    memo = OfferMemo()
+    first = build_offer_bundle((1, 1), 1, 0.0, CAPS, [("scale", 1)], expiry_s=10.0)
+    a, b = OfferDatabase(memo=memo), OfferDatabase(memo=memo)
+    assert a.ingest_bundle(first, received_at=0.0) == 1
+    assert b.ingest_bundle(first, received_at=9.0) == 1
+    assert len(calls) == 1
+    assert a.lookup("scale", 9.0)[0].offer is b.lookup("scale", 9.0)[0].offer
+    later = build_offer_bundle((1, 2), 1, 11.0, CAPS, [("scale", 1)], expiry_s=10.0)
+    a.ingest_bundle(later, received_at=11.0)
+    assert len(memo) == 1
+    assert len(calls) == 2
+
+
+def test_hand_built_databases_do_not_share_a_memo():
+    assert OfferDatabase().memo is not OfferDatabase().memo
+
+
+def test_malformed_payload_is_not_memoised():
+    memo = OfferMemo()
+    bad = build_offer_bundle((1, 1), 1, 0.0, CAPS, [("scale", 1)])
+    bad.payload = bad.payload[:-5]
+    dbs = [OfferDatabase(memo=memo) for _ in range(3)]
+    for db in dbs:
+        assert db.ingest_bundle(bad, received_at=0.0) == 0
+    assert [db.malformed_dropped for db in dbs] == [1, 1, 1]
+    assert len(memo) == 0
+
+
+def test_one_decode_per_offer_payload_per_run(monkeypatch):
+    calls = count_decodes(monkeypatch)
+    report = run_scenario(resolve_scenario("ring-heterogeneous"))
+    assert report.workflows[0].status == "succeeded"
+    assert len(calls) > 100
+    assert len(calls) == len(set(calls))
+
+
+def test_malformed_offer_counts_once_per_receiver(monkeypatch):
+    calls = count_decodes(monkeypatch)
+    built = build(resolve_scenario("ring-heterogeneous"))
+    bad = build_offer_bundle((2, 10_000), 2, 1.0, CAPS, [("scale", 1)], expiry_s=60.0)
+    bad.payload = bad.payload[:-5]
+    built.world.schedule(1.0, lambda: built.world.originate(bad))
+    built.world.run_until(30.0)
+    holders = [addr for addr, store in built.world.stores.items()
+               if bad.bundle_id in store]
+    assert len(holders) == len(built.nodes)
+    assert built.collector.malformed_offers == len(holders)
+    assert calls.count(bad.payload) == len(holders)

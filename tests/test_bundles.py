@@ -1,6 +1,8 @@
 """Bundle store semantics: addressing, expiry, insertion order, pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carryflow.bundles import (Bundle, BundleKind, BundleStore, format_address,
                                parse_address)
@@ -98,3 +100,110 @@ def test_prune_drops_expired():
     assert [b.bundle_id for b in store.live(now=10.0)] == \
         [keeper.bundle_id]
     assert store.prune(now=10.0) == 0
+
+
+def marker(seq: int, workflow_id: str, *, ttl: float = 100.0) -> Bundle:
+    return Bundle(bundle_id=(2, seq), source=2, destination=None,
+                  kind=BundleKind.CLEANUP_MARKER, payload=workflow_id,
+                  size_bytes=64, created_at=0.0, ttl_seconds=ttl,
+                  workflow_id=workflow_id)
+
+
+def test_expires_at_is_creation_plus_ttl():
+    assert make_bundle(1, created_at=5.0, ttl=10.0).expires_at == 15.0
+    assert make_bundle(1, ttl=float("inf")).expires_at == float("inf")
+
+
+def test_insert_sheds_expired():
+    store = BundleStore()
+    short = make_bundle(1, ttl=1.0)
+    store.insert(short, now=0.0)
+    assert store.insert(make_bundle(2, created_at=5.0), now=5.0)
+    assert short.bundle_id not in store
+    assert len(store) == 1
+
+
+def test_live_sheds_expired_and_keeps_insertion_order():
+    store = BundleStore()
+    ttls = {1: 1.0, 2: 100.0, 3: 50.0, 4: 2.0, 5: float("inf")}
+    for seq, ttl in ttls.items():
+        store.insert(make_bundle(seq, ttl=ttl), now=0.0)
+    assert [b.bundle_id[1] for b in store.live(now=10.0)] == [2, 3, 5]
+    assert len(store) == 3
+    assert [b.bundle_id[1] for b in store.live(now=60.0)] == [2, 5]
+    assert len(store) == 2
+
+
+def test_prune_skips_bundles_cleanup_already_removed():
+    store = BundleStore()
+    store.insert(make_bundle(1, ttl=1.0), now=0.0)
+    store.insert(make_bundle(2, ttl=1.0), now=0.0)
+    assert store.remove_where(lambda b: True, workflow_id="wf-1") == 1
+    assert store.prune(now=5.0) == 1
+    assert len(store) == 0
+
+
+def test_remove_where_by_workflow_touches_only_that_workflow():
+    store = BundleStore()
+    store.insert(make_bundle(1), now=0.0)
+    store.insert(marker(1, "wf-1"), now=0.0)
+    store.insert(make_bundle(2), now=0.0)
+    seen = []
+
+    def not_a_marker(b: Bundle) -> bool:
+        seen.append(b.bundle_id)
+        return b.kind is not BundleKind.CLEANUP_MARKER
+
+    assert store.remove_where(not_a_marker, workflow_id="wf-1") == 1
+    assert sorted(seen) == [(1, 1), (2, 1)]
+    assert [b.bundle_id for b in store.live(now=0.0)] == [(2, 1), (1, 2)]
+    assert store.remove_where(not_a_marker, workflow_id="wf-9") == 0
+
+
+def test_workflow_index_shrinks_when_its_bundles_expire():
+    store = BundleStore()
+    store.insert(make_bundle(1, ttl=1.0), now=0.0)
+    store.insert(marker(1, "wf-1", ttl=2.0), now=0.0)
+    store.insert(make_bundle(2, ttl=100.0), now=0.0)
+    assert store.prune(now=1.5) == 1
+    assert set(store._by_workflow) == {"wf-1", "wf-2"}
+    assert store.prune(now=3.0) == 1
+    assert set(store._by_workflow) == {"wf-2"}
+
+
+# one step: (seconds forward, operation, bundle seq, ttl)
+_steps = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                            st.sampled_from(["insert", "live", "prune", "cleanup"]),
+                            st.integers(1, 6),
+                            st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, float("inf")])),
+                  max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps)
+def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
+    store = BundleStore()
+    model: dict = {}    # what the store held, by arrival, before shedding
+    now = 0.0
+    for dt, op, seq, ttl in steps:
+        now += dt
+        bundle = make_bundle(seq, created_at=now - 0.5, ttl=ttl)
+        live = {bid: b for bid, b in model.items() if not b.is_expired(now)}
+        if op == "insert":
+            accepted = store.insert(bundle, now)
+            assert accepted == (bundle.bundle_id not in live
+                                and not bundle.is_expired(now))
+            model = live
+            if accepted:
+                model[bundle.bundle_id] = bundle
+        elif op == "cleanup":
+            assert store.remove_where(lambda b: True, workflow_id=f"wf-{seq}") <= 1
+            assert bundle.bundle_id not in store
+            model.pop(bundle.bundle_id, None)
+            continue
+        elif op == "prune":
+            assert store.prune(now) == len(model) - len(live)
+            model = live
+        assert list(store.live(now)) == list(live.values())
+        assert len(store) == len(live)
+        model = live

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +178,35 @@ def test_suite_runs_match_fresh_runs_with_bounded_faults():
     for report in suite.reports:
         fresh = run_scenario(config, seed=report.seed, strategy=Strategy.SPREAD)
         assert report.digest() == fresh.digest()
+
+
+def test_run_scenario_releases_its_world(monkeypatch):
+    import carryflow.harness as harness
+    golden = json.loads((Path(__file__).with_name("golden_digests.json"))
+                        .read_text(encoding="utf-8"))
+    built = []
+    real_build = harness.build
+    monkeypatch.setattr(harness, "build",
+                        lambda config: built.append(real_build(config)) or built[-1])
+    report = run_scenario(resolve_scenario("ring-heterogeneous"), seed=2,
+                          strategy=Strategy.SPREAD)
+    assert report.digest() == golden["ring-heterogeneous/spread/2"]
+    world = built[0].world
+    assert world.stores == {} and world._heap == [] and world._links == {}
+    assert world._handlers == {} and world._accepts == {}
+
+
+def test_stored_bundles_stay_bounded_on_a_long_mobile_run():
+    base = resolve_scenario("mobile-sparse")
+    config = dataclasses.replace(base, run=dataclasses.replace(
+        base.run, duration_s=900.0, stop_grace_s=900.0))
+    world = build(config).world
+    peaks = {300.0: 0, 900.0: 0}
+    while world.now < 900.0:
+        world.advance(5.0)
+        stored = sum(len(store) for store in world.stores.values())
+        for horizon in peaks:
+            if world.now <= horizon:
+                peaks[horizon] = max(peaks[horizon], stored)
+    assert peaks[300.0] > 0
+    assert peaks[900.0] <= 1.1 * peaks[300.0]

@@ -161,7 +161,7 @@ def test_offer_wire_limits_are_inclusive():
     caps = CapabilityVector(cpu=1.0, memory=1.0, disk=1.0, energy=1.0,
                             position=(0.0, 0.0))
     payload = encode_offers(1, 0.0, caps, [(svc.name, svc.param_count)])
-    assert [(o.service_name, o.param_count) for o in decode_offers(payload, 0.0)] \
+    assert [(o.service_name, o.param_count) for o in decode_offers(payload)] \
         == [(name, MAX_PARAM_COUNT)]
 
 
@@ -237,3 +237,11 @@ def test_fault_settings_parsed():
     assert fault.nodes == frozenset({2, 3})
     assert fault.service == "work"
     assert fault.max_failures == 4
+
+
+def test_service_problems_name_the_service_once():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RING_INI.replace("ext=png", "ext=png, params=4294967296, warp=1"))
+    assert err.value.problems == [
+        "[services] work: unknown key 'warp'",
+        "[services] work: params must be at most 4294967295, got 4294967296"]
