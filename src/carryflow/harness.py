@@ -165,6 +165,8 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
         malformed_offers=collector.malformed_offers,
     )
     world.release()
+    for node in built.nodes.values():
+        node.release()
     return report
 
 

@@ -49,6 +49,15 @@ class Node:
         world.add_node(address, position=caps.position, handler=self.on_bundle,
                        accept=self.accepts)
 
+    def release(self) -> None:
+        """Drop the runtimes once the run is over.
+
+        Each runtime refers back to this node; breaking that cycle lets a
+        finished run's nodes be freed by reference count instead of whenever
+        the garbage collector next runs.
+        """
+        self.worker = self.client = None
+
     def position(self) -> Position:
         return self.world.position_of(self.address)
 

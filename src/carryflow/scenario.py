@@ -246,7 +246,8 @@ class _Reader:
             self.complain(f"unknown key {key!r}")
 
     def get_float(self, key: str, default: float, *, minimum: float = -math.inf,
-                  positive: bool = False, allow_inf: bool = False) -> float:
+                  maximum: float = math.inf, positive: bool = False,
+                  allow_inf: bool = False) -> float:
         if key not in self.raw:
             return default
         try:
@@ -260,6 +261,8 @@ class _Reader:
             self.complain(f"{key} must be positive, got {value:g}")
         elif value < minimum:
             self.complain(f"{key} must be at least {minimum:g}, got {value:g}")
+        elif value > maximum:
+            self.complain(f"{key} must be at most {maximum:g}, got {value:g}")
         return value
 
     def get_int(self, key: str, default: int, *, minimum: int = 0,
@@ -463,7 +466,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
     )
 
 
-def _parse_run(reader: _Reader) -> RunSettings:
+def _parse_run(reader: _Reader, n_nodes: int,
+               services: dict[str, ServiceDefinition]) -> RunSettings:
     reader.check_keys(_RUN_KEYS)
     default = RunSettings()
     strategy = default.strategy
@@ -487,14 +491,21 @@ def _parse_run(reader: _Reader) -> RunSettings:
                 nodes.append(int(item))
             except ValueError:
                 reader.complain(f"fault_nodes: not an integer: {item!r}")
+        for addr in sorted(set(nodes)):
+            if not 1 <= addr <= n_nodes:
+                reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
         fault_nodes = frozenset(nodes)
+    fault_service = reader.raw.get("fault_service", "").strip() or None
+    if fault_service is not None and fault_service not in services:
+        reader.complain(f"fault_service {fault_service!r} is not under [services]")
     max_failures = None
     if reader.raw.get("fault_max_failures", "").strip():
         max_failures = reader.get_int("fault_max_failures", 0, minimum=0)
     fault = FaultPlan(
-        rate=reader.get_float("fault_rate", default.fault.rate, minimum=0.0),
+        rate=reader.get_float("fault_rate", default.fault.rate, minimum=0.0,
+                              maximum=1.0),
         nodes=fault_nodes,
-        service=reader.raw.get("fault_service", "").strip() or None,
+        service=fault_service,
         max_failures=max_failures,
     )
     return RunSettings(
@@ -572,7 +583,7 @@ def parse_scenario(text: str, *, name: str = "inline",
         problems.append("no cohort is marked client = true")
 
     workflow = _parse_workflow(reader("workflow"), base_dir, services)
-    run = _parse_run(reader("run"))
+    run = _parse_run(reader("run"), topology.nodes, services)
 
     config = ScenarioConfig(name=name, topology=topology, link=link,
                             services=services, cohorts=tuple(cohorts),

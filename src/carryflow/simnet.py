@@ -1,21 +1,25 @@
 """Single-clock discrete event simulator with epidemic bundle replication.
 
 Nodes hold bundle stores and positions; contacts are derived either from a
-static adjacency list or from a disc radio range over mobile positions,
-found each tick by one vectorised pass over the pairwise distance matrix.
-While two nodes are in contact every bundle one of them holds and the other
-lacks is transferred (anti-entropy), and all traffic on one link shares the
-medium first-come first-served. Contact state is re-evaluated on a fixed
-tick. A link is scanned once, in the tick it opens; from then on each newly
-stored bundle is pushed at once over its node's open links, which keeps the
-link in sync until it closes. A transfer interrupted by contact loss
-restarts from scratch at the next encounter.
+static adjacency list or from a disc radio range over mobile positions.
+Contact state is re-evaluated on a fixed tick, as changes against the last
+one: the in-range test runs in one vectorised pass over every node pair, and
+only the pairs whose state flipped reach Python, as links that closed and
+links that opened. Each node keeps its open links in pair order, updated in
+place as links open and close. While two nodes are in contact every bundle
+one of them holds and the other lacks is transferred (anti-entropy), and all
+traffic on one link shares the medium first-come first-served. A link is
+scanned once, in the tick it opens; from then on each newly stored bundle is
+pushed at once over its node's open links, which keeps the link in sync
+until it closes. A transfer interrupted by contact loss restarts from
+scratch at the next encounter.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -73,36 +77,42 @@ class RandomWaypoint:
                 for rng in self._rngs]
 
     def step(self, positions: np.ndarray, dt: float) -> None:
-        for i in range(len(self._rngs)):
-            x, y = self._advance_node(i, positions[i, 0], positions[i, 1], dt)
-            positions[i, 0] = x
-            positions[i, 1] = y
+        """Move every node dt seconds along its legs, in place.
 
-    def _advance_node(self, i: int, x: float, y: float, dt: float) -> Position:
-        rng = self._rngs[i]
-        while dt > 1e-12:
-            if self._pause_left[i] > 0.0:
-                used = min(dt, self._pause_left[i])
-                self._pause_left[i] -= used
-                dt -= used
-                continue
-            if not self._has_target[i]:
-                self._target[i] = (rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
-                self._speed[i] = rng.uniform(self.speed_min, self.speed_max)
-                self._has_target[i] = True
-            tx, ty = self._target[i]
-            dist = math.hypot(tx - x, ty - y)
-            reach = self._speed[i] * dt
-            if reach >= dist:
-                x, y = tx, ty
-                dt -= dist / self._speed[i] if self._speed[i] > 0 else dt
-                self._has_target[i] = False
-                self._pause_left[i] = rng.uniform(0.0, self.pause_max)
-            else:
-                x += (tx - x) / dist * reach
-                y += (ty - y) / dist * reach
-                dt = 0.0
-        return x, y
+        The rows are read once into plain floats and written back once; a
+        node draws from its RNG only when it needs a new leg or a pause.
+        """
+        coords = positions.tolist()
+        rngs, targets, speeds = self._rngs, self._target, self._speed
+        pauses, has_target = self._pause_left, self._has_target
+        for i, rng in enumerate(rngs):
+            x, y = coords[i]
+            left = dt
+            while left > 1e-12:
+                if pauses[i] > 0.0:
+                    used = min(left, pauses[i])
+                    pauses[i] -= used
+                    left -= used
+                    continue
+                if not has_target[i]:
+                    targets[i] = (rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
+                    speeds[i] = rng.uniform(self.speed_min, self.speed_max)
+                    has_target[i] = True
+                tx, ty = targets[i]
+                speed = speeds[i]
+                dist = math.hypot(tx - x, ty - y)
+                reach = speed * left
+                if reach >= dist:
+                    x, y = tx, ty
+                    left -= dist / speed if speed > 0 else left
+                    has_target[i] = False
+                    pauses[i] = rng.uniform(0.0, self.pause_max)
+                else:
+                    x += (tx - x) / dist * reach
+                    y += (ty - y) / dist * reach
+                    left = 0.0
+            coords[i] = (x, y)
+        positions[:] = coords
 
 
 @dataclass
@@ -148,6 +158,10 @@ class World:
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
         # per node, its open links as (pair, state, other end) in pair order
         self._neighbours: dict[NodeAddress, list[tuple]] = {}
+        # rows (i, j), i < j, of every node pair, and whether each pair was in
+        # range at the last tick; None until the next tick after add_node
+        self._pair_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._in_range = np.zeros(0, dtype=bool)
         self.transfers_completed = 0
         self.transfers_aborted = 0
         self.schedule(0.0, self._tick)
@@ -164,6 +178,8 @@ class World:
         self._addr_index[addr] = len(self._addr_index)
         self._addrs = np.append(self._addrs, np.array([addr], dtype=object))
         self._positions = np.vstack([self._positions, [position]])
+        self._neighbours[addr] = []
+        self._pair_rows = None
         if handler is not None:
             self._handlers[addr] = handler
         if accept is not None:
@@ -181,6 +197,8 @@ class World:
         self.stores.clear()
         self._links.clear()
         self._neighbours = {}
+        self._pair_rows = None
+        self._in_range = np.zeros(0, dtype=bool)
         self._handlers.clear()
         self._accepts.clear()
 
@@ -210,38 +228,64 @@ class World:
 
     # -- contacts ----------------------------------------------------------
 
-    def _contact_pairs(self) -> set[tuple[NodeAddress, NodeAddress]]:
+    def _index_pairs(self) -> None:
+        # a node joined: enumerate the pairs again and mark the open links
+        n = len(self._addrs)
+        rows, cols = np.triu_indices(n, k=1)
+        self._pair_rows = (rows, cols)
+        self._in_range = np.zeros(len(rows), dtype=bool)
+        if self._links:
+            index = self._addr_index
+            ends = np.array([sorted((index[a], index[b])) for a, b in self._links])
+            i, j = ends[:, 0], ends[:, 1]
+            self._in_range[i * n - i * (i + 1) // 2 + j - i - 1] = True
+
+    def _contact_changes(self) -> tuple[list, list]:
+        """Links to close and links to open since the last tick, each in pair order."""
         if self.adjacency is not None:
-            return set(self.adjacency)
+            return [], sorted(self.adjacency - self._links.keys())
         if self.contact_range is None:
-            return set()
-        pos = self._positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows, cols = np.nonzero(np.triu(dist2 <= self.contact_range ** 2, k=1))
-        return {(a, b) if a < b else (b, a)
-                for a, b in zip(self._addrs[rows].tolist(), self._addrs[cols].tolist())}
+            return [], []
+        if self._pair_rows is None:
+            self._index_pairs()
+        rows, cols = self._pair_rows
+        x, y = self._positions[:, 0], self._positions[:, 1]
+        dx = np.take(x, rows) - np.take(x, cols)
+        dy = np.take(y, rows) - np.take(y, cols)
+        in_range = dx * dx + dy * dy <= self.contact_range ** 2
+        flipped = np.flatnonzero(in_range != self._in_range)
+        self._in_range = in_range
+        closed, opened = [], []
+        for a, b, now_in in zip(self._addrs[rows[flipped]].tolist(),
+                                self._addrs[cols[flipped]].tolist(),
+                                in_range[flipped].tolist()):
+            (opened if now_in else closed).append((a, b) if a < b else (b, a))
+        closed.sort()
+        opened.sort()
+        return closed, opened
 
     def _tick(self) -> None:
         if self.mobility is not None:
             self.mobility.step(self._positions, self.tick_interval if self.now > 0 else 0.0)
-        current = self._contact_pairs()
-        for pair in sorted(self._links.keys() - current):
+        closed, opened = self._contact_changes()
+        for pair in closed:
             self._close_link(pair)
-        neighbours: dict[NodeAddress, list[tuple]] = {}
-        for pair in sorted(current):
-            state = self._links.get(pair)
-            if state is None:
-                state = _LinkState()
-                self._links[pair] = state
-                self._scan_link(pair, state)
-            neighbours.setdefault(pair[0], []).append((pair, state, pair[1]))
-            neighbours.setdefault(pair[1], []).append((pair, state, pair[0]))
-        self._neighbours = neighbours
+        for pair in opened:
+            self._open_link(pair)
         self.schedule(self.now + self.tick_interval, self._tick)
+
+    def _open_link(self, pair: tuple[NodeAddress, NodeAddress]) -> None:
+        state = _LinkState()
+        self._links[pair] = state
+        insort(self._neighbours[pair[0]], (pair, state, pair[1]))
+        insort(self._neighbours[pair[1]], (pair, state, pair[0]))
+        self._scan_link(pair, state)
 
     def _close_link(self, pair: tuple[NodeAddress, NodeAddress]) -> None:
         state = self._links.pop(pair)
+        for end in pair:
+            links = self._neighbours[end]
+            del links[bisect_left(links, (pair,))]
         if state.current is not None:
             state.current.aborted = True
             self.transfers_aborted += 1
@@ -313,5 +357,5 @@ class World:
 
     def _push(self, addr: NodeAddress, bundle: Bundle) -> None:
         # forward a fresh bundle over every open link without waiting for a tick
-        for pair, state, other in self._neighbours.get(addr, ()):
+        for pair, state, other in self._neighbours[addr]:
             self._maybe_enqueue(pair, state, other, bundle)

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -194,6 +196,29 @@ def test_run_scenario_releases_its_world(monkeypatch):
     world = built[0].world
     assert world.stores == {} and world._heap == [] and world._links == {}
     assert world._handlers == {} and world._accepts == {}
+    assert world._neighbours == {} and len(world._in_range) == 0
+
+
+def test_finished_run_is_freed_by_reference_count(monkeypatch):
+    import carryflow.harness as harness
+    refs = []
+    real_build = harness.build
+
+    def build_and_watch(config):
+        built = real_build(config)
+        refs.extend(weakref.ref(obj) for obj in
+                    (built.nodes[1], built.clients[0], built.world))
+        return built
+
+    monkeypatch.setattr(harness, "build", build_and_watch)
+    # without the collector, only reference counts can free the run
+    gc.disable()
+    try:
+        run_scenario(resolve_scenario("ring-heterogeneous"), seed=2,
+                     strategy=Strategy.SPREAD)
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_stored_bundles_stay_bounded_on_a_long_mobile_run():

@@ -239,6 +239,25 @@ def test_fault_settings_parsed():
     assert fault.max_failures == 4
 
 
+@pytest.mark.parametrize("setting, problem", [
+    ("fault_rate = 1.5", "[run] fault_rate must be at most 1, got 1.5"),
+    ("fault_nodes = 0, 3, 7", "[run] fault_nodes: address 0 outside 1..6"),
+    ("fault_nodes = 2, 99", "[run] fault_nodes: address 99 outside 1..6"),
+    ("fault_service = nosuch", "[run] fault_service 'nosuch' is not under [services]"),
+])
+def test_fault_settings_checked_against_the_scenario(setting, problem):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RING_INI.replace("[run]", f"[run]\n{setting}"))
+    assert problem in err.value.problems
+
+
+def test_fault_settings_at_their_bounds_parse():
+    text = RING_INI.replace(
+        "[run]", "[run]\nfault_rate = 1\nfault_nodes = 1, 6\nfault_service = work")
+    fault = parse_scenario(text).run.fault
+    assert (fault.rate, fault.nodes, fault.service) == (1.0, frozenset({1, 6}), "work")
+
+
 def test_service_problems_name_the_service_once():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(RING_INI.replace("ext=png", "ext=png, params=4294967296, warp=1"))

@@ -227,9 +227,53 @@ def test_contact_pairs_match_pairwise_reference(nodes, radius):
         for b, bx, by in nodes[i + 1:]:
             if (ax - bx) ** 2 + (ay - by) ** 2 <= radius ** 2:
                 expected.add((min(a, b), max(a, b)))
-    pairs = world._contact_pairs()
-    assert pairs == expected
-    assert all(type(a) is int and type(b) is int for pair in pairs for a in pair)
+    closed, opened = world._contact_changes()
+    assert closed == []
+    assert opened == sorted(expected)
+    assert all(type(a) is int and type(b) is int for pair in opened for a in pair)
+
+
+_coord = st.integers(0, 100).map(float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       addrs=st.lists(st.integers(1, 2 ** 64 - 1), min_size=2, max_size=10, unique=True),
+       radius=st.sampled_from([10.0, 25.0, 50.0]), seed=st.integers(0, 10 ** 6))
+def test_contact_changes_keep_links_and_neighbours_exact(data, addrs, radius, seed):
+    # waypoint nodes first, then static ones that may join after some ticks;
+    # random moves between ticks; addresses arrive in no particular order
+    n_mobile = data.draw(st.integers(1, len(addrs)), label="mobile nodes")
+    rngs = [random.Random(f"{seed}:{i}") for i in range(n_mobile)]
+    mob = RandomWaypoint(100.0, 100.0, 2.0, 8.0, 3.0, rngs)
+    world = World(LINK, tick_interval=0.5, contact_range=radius, mobility=mob)
+    for addr, pos in zip(addrs, mob.initial_positions()):
+        world.add_node(addr, position=pos)
+    late = addrs[n_mobile:]
+    for _ in range(30):
+        if late and data.draw(st.booleans(), label="join"):
+            world.add_node(late.pop(0), position=(data.draw(_coord), data.draw(_coord)))
+        for _ in range(data.draw(st.integers(0, 2), label="moves")):
+            addr = data.draw(st.sampled_from(sorted(world.stores)), label="moved")
+            world.set_position(addr, (data.draw(_coord), data.draw(_coord)))
+        world.advance(0.5)
+
+        present = sorted(world.stores)
+        in_range = set()
+        for i, a in enumerate(present):
+            ax, ay = world.position_of(a)
+            for b in present[i + 1:]:
+                bx, by = world.position_of(b)
+                dx, dy = ax - bx, ay - by
+                if dx * dx + dy * dy <= radius * radius:
+                    in_range.add((a, b))
+        assert world._links.keys() == in_range
+        neighbours = {addr: [] for addr in present}
+        for pair in sorted(world._links):
+            state = world._links[pair]
+            neighbours[pair[0]].append((pair, state, pair[1]))
+            neighbours[pair[1]].append((pair, state, pair[0]))
+        assert world._neighbours == neighbours
 
 
 def test_push_reaches_neighbours_in_pair_order():
