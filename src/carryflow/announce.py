@@ -3,8 +3,11 @@
 Every worker broadcasts one bundle per announcement round carrying its full
 capability vector and one record per offered service. Receivers fold the
 records into an offer database keyed by (worker, service); a newer announce
-always wins, a delayed older one never overwrites. Offers age out by their
-issue time, not by arrival.
+always wins, a delayed older one never overwrites, and of two announces
+issued at the same time the first to arrive stays. Offers age out by their
+issue time, not by arrival. Each key holds a plain (issued_at, offer,
+received_at) tuple, so folding an offer builds no object; only lookup, which
+runs when a task is assigned, builds the OfferRecords it returns.
 
 Decoding is pure, so one run decodes each offer payload once: the run's
 offer databases share an OfferMemo keyed by payload bytes, which forgets a
@@ -149,13 +152,18 @@ class OfferMemo:
 
 
 class OfferDatabase:
-    """A node's current view of who offers what, folded from received bundles."""
+    """A node's current view of who offers what, folded from received bundles.
+
+    Each (worker, service) key holds a plain (issued_at, offer, received_at)
+    tuple; lookup builds the OfferRecords it returns.
+    """
 
     def __init__(self, expiry_s: float = DEFAULT_OFFER_EXPIRY_S,
                  memo: Optional[OfferMemo] = None) -> None:
         self.expiry_s = expiry_s
         self.memo = OfferMemo() if memo is None else memo
-        self._records: dict[tuple[NodeAddress, str], OfferRecord] = {}
+        self._records: dict[tuple[NodeAddress, str],
+                            tuple[float, ServiceOffer, float]] = {}
         self.malformed_dropped = 0
 
     def __len__(self) -> int:
@@ -171,26 +179,31 @@ class OfferDatabase:
         return self.ingest(offers, received_at)
 
     def ingest(self, offers: list[ServiceOffer], received_at: float) -> int:
+        """Fold offers in; a newer issue wins, on a tie the first arrival stays."""
+        records = self._records
         applied = 0
         for offer in offers:
             key = (offer.worker, offer.service_name)
-            existing = self._records.get(key)
-            if existing is not None and existing.offer.issued_at >= offer.issued_at:
-                continue
-            self._records[key] = OfferRecord(offer=offer, received_at=received_at)
-            applied += 1
+            record = records.get(key)
+            if record is None or record[0] < offer.issued_at:
+                records[key] = (offer.issued_at, offer, received_at)
+                applied += 1
         return applied
 
     def lookup(self, service_name: str, now: float) -> list[OfferRecord]:
         """Fresh offers for one service, sorted by worker address."""
-        fresh = [rec for (worker, name), rec in self._records.items()
-                 if name == service_name and now - rec.offer.issued_at <= self.expiry_s]
-        fresh.sort(key=lambda rec: rec.offer.worker)
-        return fresh
+        expiry_s = self.expiry_s
+        # one key per worker for a service, so the sort compares workers only
+        fresh = sorted((worker, offer, received_at)
+                       for (worker, name), (issued_at, offer, received_at)
+                       in self._records.items()
+                       if name == service_name and now - issued_at <= expiry_s)
+        return [OfferRecord(offer=offer, received_at=received_at)
+                for _, offer, received_at in fresh]
 
     def prune(self, now: float) -> int:
-        stale = [key for key, rec in self._records.items()
-                 if now - rec.offer.issued_at > self.expiry_s]
+        stale = [key for key, (issued_at, _, _) in self._records.items()
+                 if now - issued_at > self.expiry_s]
         for key in stale:
             del self._records[key]
         return len(stale)

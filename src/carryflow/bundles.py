@@ -15,7 +15,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 NodeAddress = int
 
@@ -84,6 +85,8 @@ class BundleStore:
 
     def __init__(self) -> None:
         self._bundles: dict[BundleId, Bundle] = {}
+        # read-only view for callers that test membership on a hot path
+        self.by_id: Mapping[BundleId, Bundle] = MappingProxyType(self._bundles)
         # (expires_at, bundle_id) of every stored bundle that can expire
         self._expiry: list[tuple[float, BundleId]] = []
         self._by_workflow: dict[str, dict[BundleId, Bundle]] = {}
@@ -96,15 +99,17 @@ class BundleStore:
 
     def insert(self, bundle: Bundle, now: float) -> bool:
         """Store a bundle. Returns False for duplicates and dead-on-arrival bundles."""
-        if self._expiry and self._expiry[0][0] < now:
+        expiry = self._expiry
+        if expiry and expiry[0][0] < now:
             self._shed(now)
-        if bundle.bundle_id in self._bundles or bundle.is_expired(now):
+        bundle_id, expires_at = bundle.bundle_id, bundle.expires_at
+        if bundle_id in self._bundles or now > expires_at:
             return False
-        self._bundles[bundle.bundle_id] = bundle
-        if bundle.expires_at != math.inf:
-            heapq.heappush(self._expiry, (bundle.expires_at, bundle.bundle_id))
+        self._bundles[bundle_id] = bundle
+        if expires_at != math.inf:
+            heapq.heappush(expiry, (expires_at, bundle_id))
         if bundle.workflow_id is not None:
-            self._by_workflow.setdefault(bundle.workflow_id, {})[bundle.bundle_id] = bundle
+            self._by_workflow.setdefault(bundle.workflow_id, {})[bundle_id] = bundle
         return True
 
     def remove_where(self, predicate: Callable[[Bundle], bool],

@@ -89,9 +89,9 @@ class Node:
 
     def accepts(self, bundle: Bundle) -> bool:
         """Refuse re-planting of bundles from workflows this node already cleaned."""
-        if bundle.kind is BundleKind.CLEANUP_MARKER:
-            return True
-        return bundle.workflow_id is None or bundle.workflow_id not in self.cleaned
+        workflow_id = bundle.workflow_id
+        return (workflow_id is None or workflow_id not in self.cleaned
+                or bundle.kind is BundleKind.CLEANUP_MARKER)
 
     def on_bundle(self, bundle: Bundle) -> None:
         now = self.world.now

@@ -13,6 +13,13 @@ scanned once, in the tick it opens; from then on each newly stored bundle is
 pushed at once over its node's open links, which keeps the link in sync
 until it closes. A transfer interrupted by contact loss restarts from
 scratch at the next encounter.
+
+The link scan and the push share one enqueue loop, `_push`, over (link,
+bundle) pairs: it skips a bundle the receiver holds (read from the store's
+mapping, not through a method call), one the link already queued for that
+receiver and one the receiver's accept hook refuses, and starts the link
+only if it is idle. A queued entry is a plain tuple; only the bundle a link
+is sending becomes a `_Transfer`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -115,18 +123,23 @@ class RandomWaypoint:
         positions[:] = coords
 
 
-@dataclass
 class _Transfer:
-    receiver: NodeAddress
-    bundle: Bundle
-    aborted: bool = False
+    """The bundle a link is sending; closing the link marks it aborted."""
+
+    __slots__ = ("key", "bundle", "aborted")
+
+    def __init__(self, key: tuple[NodeAddress, BundleId], bundle: Bundle) -> None:
+        self.key = key          # (receiver, bundle id), as in _LinkState.queued
+        self.bundle = bundle
+        self.aborted = False
 
 
 class _LinkState:
     __slots__ = ("queue", "queued", "current")
 
     def __init__(self) -> None:
-        self.queue: deque[_Transfer] = deque()
+        # ((receiver, bundle id), bundle) in arrival order
+        self.queue: deque[tuple[tuple[NodeAddress, BundleId], Bundle]] = deque()
         self.queued: set[tuple[NodeAddress, BundleId]] = set()
         self.current: Optional[_Transfer] = None
 
@@ -217,8 +230,9 @@ class World:
         heapq.heappush(self._heap, (when, self._seq, fn))
 
     def run_until(self, t_end: float) -> None:
-        while self._heap and self._heap[0][0] <= t_end:
-            when, _, fn = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            when, _, fn = pop(heap)
             self.now = when
             fn()
         self.now = max(self.now, t_end)
@@ -297,65 +311,75 @@ class World:
     def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState) -> None:
         # runs once per link, when it opens; _push keeps it in sync afterwards
         for sender, receiver in (pair, (pair[1], pair[0])):
-            for bundle in self.stores[sender].scan_log(self.now):
-                self._maybe_enqueue(pair, state, receiver, bundle)
+            self._push(((pair, state, receiver),), self.stores[sender].scan_log(self.now))
 
-    def _maybe_enqueue(self, pair, state: _LinkState, receiver: NodeAddress,
-                       bundle: Bundle) -> None:
-        key = (receiver, bundle.bundle_id)
-        if key in state.queued:
-            return
-        if bundle.bundle_id in self.stores[receiver]:
-            return
-        accept = self._accepts.get(receiver)
-        if accept is not None and not accept(bundle):
-            return
-        state.queue.append(_Transfer(receiver, bundle))
-        state.queued.add(key)
-        self._try_start(pair, state)
+    def _push(self, links: Sequence[tuple], bundles: Iterable[Bundle]) -> None:
+        """Queue bundles on each (pair, state, receiver) link, link by link.
+
+        A link skips a bundle the receiver holds, one it already queued for
+        that receiver and one the receiver's accept hook refuses; an idle
+        link starts sending at once. Bundles are iterated once per link, so
+        a one-shot iterable goes with a single link.
+        """
+        for pair, state, receiver in links:
+            held = self.stores[receiver].by_id
+            accept = self._accepts.get(receiver)
+            queue, queued = state.queue, state.queued
+            for bundle in bundles:
+                bundle_id = bundle.bundle_id
+                if bundle_id in held:
+                    continue
+                key = (receiver, bundle_id)
+                if key in queued:
+                    continue
+                if accept is not None and not accept(bundle):
+                    continue
+                queued.add(key)
+                queue.append((key, bundle))
+                if state.current is None:
+                    self._try_start(pair, state)
 
     def _try_start(self, pair, state: _LinkState) -> None:
-        if state.current is not None:
-            return
-        while state.queue:
-            transfer = state.queue.popleft()
-            bundle = transfer.bundle
-            if bundle.is_expired(self.now) or bundle.bundle_id in self.stores[transfer.receiver]:
-                state.queued.discard((transfer.receiver, bundle.bundle_id))
+        # the link is idle: send the first queued bundle still worth sending
+        queue, stores, now = state.queue, self.stores, self.now
+        while queue:
+            key, bundle = queue.popleft()
+            if now > bundle.expires_at or bundle.bundle_id in stores[key[0]].by_id:
+                state.queued.discard(key)
                 continue
-            state.current = transfer
-            done = self.now + transfer_duration(self.link, bundle.size_bytes)
-            self.schedule(done, lambda t=transfer, p=pair, s=state: self._complete(p, s, t))
+            transfer = state.current = _Transfer(key, bundle)
+            done = now + transfer_duration(self.link, bundle.size_bytes)
+            self.schedule(done, partial(self._complete, pair, state, transfer))
             return
 
     def _complete(self, pair, state: _LinkState, transfer: _Transfer) -> None:
-        if transfer.aborted or self._links.get(pair) is not state:
+        # a closed link aborts its transfer, so this link is still open
+        if transfer.aborted:
             return
         state.current = None
-        state.queued.discard((transfer.receiver, transfer.bundle.bundle_id))
+        state.queued.discard(transfer.key)
         self.transfers_completed += 1
-        self._deliver(transfer.receiver, transfer.bundle)
-        self._try_start(pair, state)
+        self._deliver(transfer.key[0], transfer.bundle)
+        # delivering may have started a transfer on this link already
+        if state.current is None and state.queue:
+            self._try_start(pair, state)
 
     def _deliver(self, addr: NodeAddress, bundle: Bundle) -> None:
-        if bundle.is_expired(self.now):
+        now = self.now
+        if now > bundle.expires_at:
             return
         accept = self._accepts.get(addr)
         if accept is not None and not accept(bundle):
             return
-        if not self.stores[addr].insert(bundle, self.now):
+        if not self.stores[addr].insert(bundle, now):
             return
         handler = self._handlers.get(addr)
         if handler is not None:
             handler(bundle)
-        self._push(addr, bundle)
+        # forward the fresh bundle over every open link without waiting for a tick
+        self._push(self._neighbours[addr], (bundle,))
 
     def originate(self, bundle: Bundle) -> bool:
         """Insert a locally created bundle at its source node and start spreading it."""
         self._deliver(bundle.source, bundle)
         return bundle.bundle_id in self.stores[bundle.source]
-
-    def _push(self, addr: NodeAddress, bundle: Bundle) -> None:
-        # forward a fresh bundle over every open link without waiting for a tick
-        for pair, state, other in self._neighbours[addr]:
-            self._maybe_enqueue(pair, state, other, bundle)

@@ -1,6 +1,8 @@
 """Offer wire format, monotonic ingest, and freshness queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carryflow import announce
 from carryflow.announce import (CapabilityVector, OFFER_HEADER_BYTES,
@@ -103,6 +105,76 @@ def test_prune_drops_expired_offers():
     db.ingest([offer(7, "a", 80.0)], received_at=80.0)
     assert db.prune(now=150.0) == 2
     assert len(db) == 1
+
+
+ORACLE_EXPIRY_S = 10.0
+# issue and clock times from a small grid, so ties and reordering are common
+TIMES = st.sampled_from([0.0, 1.0, 2.5, 4.0, 9.0, 10.0, 12.5, 20.0])
+OFFERS = st.builds(offer, worker=st.integers(1, 4),
+                   service=st.sampled_from(["scale", "denoise", "crop"]),
+                   issued_at=TIMES)
+OPS = st.one_of(
+    st.tuples(st.just("ingest"), st.lists(OFFERS, max_size=6), TIMES),
+    st.tuples(st.just("lookup"), st.sampled_from(["scale", "denoise", "crop"]), TIMES),
+    st.tuples(st.just("prune"), st.none(), TIMES))
+
+
+class HistoryOracle:
+    """Every offer ever ingested per key; the current record is derived from it.
+
+    The record of a key is the offer with the newest issue time, and among
+    offers issued at that time the one that arrived first. Pruning forgets a
+    key's history once its record is stale.
+    """
+
+    def __init__(self, expiry_s: float) -> None:
+        self.expiry_s = expiry_s
+        self.history: dict[tuple[int, str], list[tuple[ServiceOffer, float]]] = {}
+
+    def record(self, key):
+        entries = self.history[key]
+        newest = max(o.issued_at for o, _ in entries)
+        return next((o, at) for o, at in entries if o.issued_at == newest)
+
+    def ingest(self, offers, received_at) -> int:
+        applied = 0
+        for o in offers:
+            earlier = self.history.setdefault((o.worker, o.service_name), [])
+            if all(prior.issued_at < o.issued_at for prior, _ in earlier):
+                applied += 1
+            earlier.append((o, received_at))
+        return applied
+
+    def lookup(self, service, now):
+        fresh = [self.record(key) for key in sorted(self.history)
+                 if key[1] == service]
+        return [(o, at) for o, at in fresh if now - o.issued_at <= self.expiry_s]
+
+    def prune(self, now) -> int:
+        stale = [key for key in self.history
+                 if now - self.record(key)[0].issued_at > self.expiry_s]
+        for key in stale:
+            del self.history[key]
+        return len(stale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(OPS, max_size=25))
+def test_offer_database_matches_a_history_oracle(ops):
+    db = OfferDatabase(expiry_s=ORACLE_EXPIRY_S)
+    oracle = HistoryOracle(ORACLE_EXPIRY_S)
+    for op, arg, at in ops:
+        if op == "ingest":
+            assert db.ingest(arg, received_at=at) == oracle.ingest(arg, at)
+        elif op == "lookup":
+            got = [(rec.offer, rec.received_at) for rec in db.lookup(arg, now=at)]
+            want = oracle.lookup(arg, at)
+            assert [(o.worker, received) for o, received in got] == \
+                [(o.worker, received) for o, received in want]
+            assert all(g is w for (g, _), (w, _) in zip(got, want))
+        else:
+            assert db.prune(now=at) == oracle.prune(at)
+        assert len(db) == len(oracle.history)
 
 
 def test_ingest_bundle_counts_malformed():

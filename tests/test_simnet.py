@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carryflow.assignment import Strategy
 from carryflow.bundles import Bundle, BundleKind
 from carryflow.cli import resolve_scenario
 from carryflow.harness import build
@@ -332,3 +333,36 @@ def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
                         (world.now, sender, receiver, bundle.bundle_id)
                     checked += 1
     assert checked
+
+
+def link_work(monkeypatch, config, seed, strategy):
+    """(transfers completed, transfers aborted, events scheduled) of one run."""
+    import carryflow.harness as harness
+    built = []
+    real_build = harness.build
+    monkeypatch.setattr(harness, "build",
+                        lambda c: built.append(real_build(c)) or built[-1])
+    scheduled = []
+    real_schedule = World.schedule
+
+    def counted(self, when, fn):
+        scheduled.append(when)
+        real_schedule(self, when, fn)
+
+    monkeypatch.setattr(World, "schedule", counted)
+    harness.run_scenario(config, seed=seed, strategy=strategy)
+    world = built[0].world
+    return world.transfers_completed, world.transfers_aborted, len(scheduled)
+
+
+@pytest.mark.parametrize("name, duration_s, strategy, expected", [
+    ("ring-heterogeneous", None, Strategy.BEST, (5525, 0, 6199)),
+    ("mobile-sparse", 120.0, Strategy.SPREAD, (58976, 29, 60885)),
+])
+def test_link_work_is_pinned(monkeypatch, name, duration_s, strategy, expected):
+    # report bytes do not show every transfer: a change to how links queue,
+    # start or drop work must also leave these counts where they were
+    config = resolve_scenario(name)
+    if duration_s is not None:
+        config = replace(config, run=replace(config.run, duration_s=duration_s))
+    assert link_work(monkeypatch, config, 1, strategy) == expected
