@@ -327,13 +327,18 @@ def _parse_topology(reader: _Reader) -> Topology:
     if kind == "ring":
         return RingTopology(nodes=nodes,
                             spacing_m=reader.get_float("spacing_m", 100.0, positive=True))
+    before = len(reader.problems)
+    speed_min = reader.get_float("speed_min", 0.8, positive=True)
+    speed_max = reader.get_float("speed_max", 1.9, positive=True)
+    if len(reader.problems) == before and speed_min > speed_max:
+        reader.complain(f"speed_min {speed_min:g} exceeds speed_max {speed_max:g}")
     return WaypointTopology(
         nodes=nodes,
         width_m=reader.get_float("width_m", 500.0, positive=True),
         height_m=reader.get_float("height_m", 500.0, positive=True),
         range_m=reader.get_float("range_m", 50.0, positive=True),
-        speed_min=reader.get_float("speed_min", 0.8, positive=True),
-        speed_max=reader.get_float("speed_max", 1.9, positive=True),
+        speed_min=speed_min,
+        speed_max=speed_max,
         pause_max_s=reader.get_float("pause_max_s", 60.0, minimum=0.0),
     )
 

@@ -3,16 +3,20 @@
 Nodes hold bundle stores and positions; contacts are derived either from a
 static adjacency list or from a disc radio range over mobile positions.
 Contact state is re-evaluated on a fixed tick, as changes against the last
-one: the in-range test runs in one vectorised pass over every node pair, and
-only the pairs whose state flipped reach Python, as links that closed and
-links that opened. Each node keeps its open links in pair order, updated in
-place as links open and close. While two nodes are in contact every bundle
-one of them holds and the other lacks is transferred (anti-entropy), and all
-traffic on one link shares the medium first-come first-served. A link is
-scanned once, in the tick it opens; from then on each newly stored bundle is
-pushed at once over its node's open links, which keeps the link in sync
-until it closes. A transfer interrupted by contact loss restarts from
-scratch at the next encounter.
+one, and only the pairs whose state flipped reach Python, as links that
+closed and links that opened. The in-range test runs in numpy over a skin
+list (a Verlet neighbour list): the pairs that were within the range plus a
+skin of half the range when the list was last rebuilt. While no node has
+moved half a skin since then, no pair off the list can have come into range,
+so only the listed pairs are tested; a node joining, or a node moving that
+far, rebuilds the list from every pair. Each node keeps its open links in
+pair order, updated in place as links open and close. While two nodes are in
+contact every bundle one of them holds and the other lacks is transferred
+(anti-entropy), and all traffic on one link shares the medium first-come
+first-served. A link is scanned once, in the tick it opens; from then on
+each newly stored bundle is pushed at once over its node's open links, which
+keeps the link in sync until it closes. A transfer interrupted by contact
+loss restarts from scratch at the next encounter.
 
 The link scan and the push share one enqueue loop, `_push`, over (link,
 bundle) pairs: it skips a bundle the receiver holds (read from the store's
@@ -38,6 +42,10 @@ from .bundles import Bundle, BundleId, BundleStore, NodeAddress
 
 Position = tuple[float, float]
 
+# metres kept off the skin, so that rounding in the distances cannot let a
+# pair off the skin list come into range unseen
+_SKIN_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -56,6 +64,12 @@ def transfer_duration(link: LinkModel, size_bytes: int) -> float:
 
 def euclidean(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _squared(d: np.ndarray) -> np.ndarray:
+    """dx*dx + dy*dy of each (dx, dy) row; squares d in place."""
+    d *= d
+    return d[:, 0] + d[:, 1]
 
 
 class RandomWaypoint:
@@ -175,6 +189,10 @@ class World:
         # range at the last tick; None until the next tick after add_node
         self._pair_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._in_range = np.zeros(0, dtype=bool)
+        # the skin list: indices, rows and cols of the pairs within range
+        # plus skin at the last rebuild, and the positions then
+        self._near: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._anchor: Optional[np.ndarray] = None
         self.transfers_completed = 0
         self.transfers_aborted = 0
         self.schedule(0.0, self._tick)
@@ -212,6 +230,7 @@ class World:
         self._neighbours = {}
         self._pair_rows = None
         self._in_range = np.zeros(0, dtype=bool)
+        self._near = self._anchor = None
         self._handlers.clear()
         self._accepts.clear()
 
@@ -255,24 +274,57 @@ class World:
             self._in_range[i * n - i * (i + 1) // 2 + j - i - 1] = True
 
     def _contact_changes(self) -> tuple[list, list]:
-        """Links to close and links to open since the last tick, each in pair order."""
+        """Links to close and links to open since the last tick, each in pair order.
+
+        Only the pairs on the skin list are tested, unless a node joined or
+        moved half a skin since the list was built: then every pair is
+        tested and the list is rebuilt. A pair off the list was more than
+        range + skin apart then, and each end has moved less than half a
+        skin since, so it is still out of range.
+        """
         if self.adjacency is not None:
             return [], sorted(self.adjacency - self._links.keys())
         if self.contact_range is None:
             return [], []
+        reach = self.contact_range ** 2
+        skin = self.contact_range / 2
         if self._pair_rows is None:
             self._index_pairs()
+        elif 2.0 * self._max_drift() < skin - _SKIN_SLACK:
+            near, rows, cols = self._near
+            in_range = self._gaps(rows, cols) <= reach
+            changed = np.flatnonzero(in_range != self._in_range[near])
+            if not changed.size:
+                return [], []
+            in_range = in_range[changed]
+            self._in_range[near[changed]] = in_range
+            return self._flips(rows[changed], cols[changed], in_range)
         rows, cols = self._pair_rows
-        x, y = self._positions[:, 0], self._positions[:, 1]
-        dx = np.take(x, rows) - np.take(x, cols)
-        dy = np.take(y, rows) - np.take(y, cols)
-        in_range = dx * dx + dy * dy <= self.contact_range ** 2
-        flipped = np.flatnonzero(in_range != self._in_range)
+        gaps = self._gaps(rows, cols)
+        near = np.flatnonzero(gaps <= (self.contact_range + skin) ** 2)
+        self._near = (near, rows[near], cols[near])
+        self._anchor = self._positions.copy()
+        in_range = gaps <= reach
+        changed = np.flatnonzero(in_range != self._in_range)
         self._in_range = in_range
+        return self._flips(rows[changed], cols[changed], in_range[changed])
+
+    def _max_drift(self) -> float:
+        # the furthest any node has moved since the skin list was built
+        return math.sqrt(_squared(self._positions - self._anchor).max(initial=0.0))
+
+    def _gaps(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # squared distance of each (row, col) pair
+        d = np.take(self._positions, rows, axis=0)
+        d -= np.take(self._positions, cols, axis=0)
+        return _squared(d)
+
+    def _flips(self, rows: np.ndarray, cols: np.ndarray,
+               in_range: np.ndarray) -> tuple[list, list]:
+        # the flipped pairs as (closed, opened) address pairs, each sorted
         closed, opened = [], []
-        for a, b, now_in in zip(self._addrs[rows[flipped]].tolist(),
-                                self._addrs[cols[flipped]].tolist(),
-                                in_range[flipped].tolist()):
+        for a, b, now_in in zip(self._addrs[rows].tolist(), self._addrs[cols].tolist(),
+                                in_range.tolist()):
             (opened if now_in else closed).append((a, b) if a < b else (b, a))
         closed.sort()
         opened.sort()

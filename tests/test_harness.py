@@ -190,13 +190,16 @@ def test_run_scenario_releases_its_world(monkeypatch):
     real_build = harness.build
     monkeypatch.setattr(harness, "build",
                         lambda config: built.append(real_build(config)) or built[-1])
-    report = run_scenario(resolve_scenario("ring-heterogeneous"), seed=2,
-                          strategy=Strategy.SPREAD)
-    assert report.digest() == golden["ring-heterogeneous/spread/2"]
-    world = built[0].world
-    assert world.stores == {} and world._heap == [] and world._links == {}
-    assert world._handlers == {} and world._accepts == {}
-    assert world._neighbours == {} and len(world._in_range) == 0
+    # a static ring, and a mobile world that keeps a skin list
+    for name, seed in (("ring-heterogeneous", 2), ("mobile-sparse", 1)):
+        report = run_scenario(resolve_scenario(name), seed=seed,
+                              strategy=Strategy.SPREAD)
+        assert report.digest() == golden[f"{name}/spread/{seed}"]
+        world = built[-1].world
+        assert world.stores == {} and world._heap == [] and world._links == {}
+        assert world._handlers == {} and world._accepts == {}
+        assert world._neighbours == {} and len(world._in_range) == 0
+        assert world._near is None and world._anchor is None
 
 
 def test_finished_run_is_freed_by_reference_count(monkeypatch):

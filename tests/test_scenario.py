@@ -142,6 +142,9 @@ def test_problems_are_collected_not_fail_fast():
      "longer than the 24 UTF-8 bytes"),
     (lambda t: t.replace("ext=png", "ext=png, params=4294967296"),
      "params must be at most 4294967295"),
+    (lambda t: t.replace("kind = ring\nnodes = 6\nspacing_m = 50",
+                         "kind = waypoint\nspeed_min = 3\nspeed_max = 1"),
+     "speed_min 3 exceeds speed_max 1"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):

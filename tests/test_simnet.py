@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +235,20 @@ def test_contact_pairs_match_pairwise_reference(nodes, radius):
     assert all(type(a) is int and type(b) is int for pair in opened for a in pair)
 
 
+def in_range_pairs(world, radius):
+    """Every (a, b), a < b, within radius, from a plain pairwise loop."""
+    present = sorted(world.stores)
+    pairs = set()
+    for i, a in enumerate(present):
+        ax, ay = world.position_of(a)
+        for b in present[i + 1:]:
+            bx, by = world.position_of(b)
+            dx, dy = ax - bx, ay - by
+            if dx * dx + dy * dy <= radius * radius:
+                pairs.add((a, b))
+    return pairs
+
+
 _coord = st.integers(0, 100).map(float)
 
 
@@ -243,7 +258,9 @@ _coord = st.integers(0, 100).map(float)
        radius=st.sampled_from([10.0, 25.0, 50.0]), seed=st.integers(0, 10 ** 6))
 def test_contact_changes_keep_links_and_neighbours_exact(data, addrs, radius, seed):
     # waypoint nodes first, then static ones that may join after some ticks;
-    # random moves between ticks; addresses arrive in no particular order
+    # random jumps and small drifts between ticks (a drift is under the
+    # skin, often under half of it, so some rebuilds come only from drifts
+    # that add up); addresses arrive in no particular order
     n_mobile = data.draw(st.integers(1, len(addrs)), label="mobile nodes")
     rngs = [random.Random(f"{seed}:{i}") for i in range(n_mobile)]
     mob = RandomWaypoint(100.0, 100.0, 2.0, 8.0, 3.0, rngs)
@@ -251,30 +268,61 @@ def test_contact_changes_keep_links_and_neighbours_exact(data, addrs, radius, se
     for addr, pos in zip(addrs, mob.initial_positions()):
         world.add_node(addr, position=pos)
     late = addrs[n_mobile:]
+    drift = st.floats(-radius / 3, radius / 3)
     for _ in range(30):
         if late and data.draw(st.booleans(), label="join"):
             world.add_node(late.pop(0), position=(data.draw(_coord), data.draw(_coord)))
         for _ in range(data.draw(st.integers(0, 2), label="moves")):
             addr = data.draw(st.sampled_from(sorted(world.stores)), label="moved")
             world.set_position(addr, (data.draw(_coord), data.draw(_coord)))
+        for _ in range(data.draw(st.integers(0, 3), label="drifts")):
+            addr = data.draw(st.sampled_from(sorted(world.stores)), label="drifted")
+            x, y = world.position_of(addr)
+            world.set_position(addr, (x + data.draw(drift), y + data.draw(drift)))
         world.advance(0.5)
 
-        present = sorted(world.stores)
-        in_range = set()
-        for i, a in enumerate(present):
-            ax, ay = world.position_of(a)
-            for b in present[i + 1:]:
-                bx, by = world.position_of(b)
-                dx, dy = ax - bx, ay - by
-                if dx * dx + dy * dy <= radius * radius:
-                    in_range.add((a, b))
-        assert world._links.keys() == in_range
-        neighbours = {addr: [] for addr in present}
+        assert world._links.keys() == in_range_pairs(world, radius)
+        neighbours = {addr: [] for addr in world.stores}
         for pair in sorted(world._links):
             state = world._links[pair]
             neighbours[pair[0]].append((pair, state, pair[1]))
             neighbours[pair[1]].append((pair, state, pair[0]))
         assert world._neighbours == neighbours
+
+
+def test_skin_list_catches_two_ends_that_each_drift_under_half_a_skin():
+    # range 40 m, so the skin is 20 m: the pair starts 60.5 m apart, off the
+    # skin list, and each end then drifts 2.6 m a tick toward the other, 10.4 m
+    # in all, under a whole skin. Together they close 20.8 m in four ticks and
+    # come into range at the fourth, which only the summed drift of both ends
+    # can tell.
+    world = World(LINK, tick_interval=0.5, contact_range=40.0)
+    world.add_node(1, position=(0.0, 0.0))
+    world.add_node(2, position=(60.5, 0.0))
+    world.run_until(0.0)
+    assert world._links == {} and world._near[0].size == 0
+    for step in range(1, 5):
+        world.set_position(1, (2.6 * step, 0.0))
+        world.set_position(2, (60.5 - 2.6 * step, 0.0))
+        world.advance(0.5)
+        assert list(world._links) == ([(1, 2)] if step == 4 else [])
+
+
+def test_static_range_world_moved_by_hand_keeps_links_exact():
+    # no mobility: only set_position moves nodes, in walks of mixed step
+    # sizes, so ticks alternate between the skin list and rebuilds
+    rng = random.Random(5)
+    world = World(LINK, tick_interval=0.5, contact_range=15.0)
+    for addr in range(1, 13):
+        world.add_node(addr, position=(rng.uniform(0, 60), rng.uniform(0, 60)))
+    for tick in range(120):
+        step = (0.5, 2.0, 6.0)[tick // 8 % 3]
+        for addr in rng.sample(range(1, 13), 4):
+            x, y = world.position_of(addr)
+            world.set_position(addr, (x + rng.uniform(-step, step),
+                                      y + rng.uniform(-step, step)))
+        world.advance(0.5)
+        assert world._links.keys() == in_range_pairs(world, 15.0)
 
 
 def test_push_reaches_neighbours_in_pair_order():
@@ -297,6 +345,8 @@ def test_push_reaches_neighbours_in_pair_order():
 
 
 SPARSE = resolve_scenario("mobile-sparse")
+# the benchmark's contact-bound scenario: 150 nodes, about two neighbours each
+DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
 
 
 @settings(max_examples=10, deadline=None)
@@ -358,6 +408,7 @@ def link_work(monkeypatch, config, seed, strategy):
 @pytest.mark.parametrize("name, duration_s, strategy, expected", [
     ("ring-heterogeneous", None, Strategy.BEST, (5525, 0, 6199)),
     ("mobile-sparse", 120.0, Strategy.SPREAD, (58976, 29, 60885)),
+    pytest.param(DENSE, 120.0, Strategy.SPREAD, (6276, 4, 6607), id="mobile-dense"),
 ])
 def test_link_work_is_pinned(monkeypatch, name, duration_s, strategy, expected):
     # report bytes do not show every transfer: a change to how links queue,
