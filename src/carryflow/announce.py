@@ -9,6 +9,12 @@ issue time, not by arrival. Each key holds a plain (issued_at, offer,
 received_at) tuple, so folding an offer builds no object; only lookup, which
 runs when a task is assigned, builds the OfferRecords it returns.
 
+Offers are read far less often than they arrive, so a received bundle is
+only decoded and put in an inbox; lookup folds the inbox in arrival order
+before it reads, which gives the view an eager fold would. An inbox entry
+that is already stale when a later bundle arrives can never be seen, nor
+keep a fresh offer out, so arrivals trim such entries off the inbox's head.
+
 Decoding is pure, so one run decodes each offer payload once: the run's
 offer databases share an OfferMemo keyed by payload bytes, which forgets a
 payload once its bundle has expired and can no longer be delivered.
@@ -155,7 +161,8 @@ class OfferDatabase:
     """A node's current view of who offers what, folded from received bundles.
 
     Each (worker, service) key holds a plain (issued_at, offer, received_at)
-    tuple; lookup builds the OfferRecords it returns.
+    tuple; lookup builds the OfferRecords it returns. Received bundles wait
+    in an inbox of (issued_at, offers, received_at) until a read folds them.
     """
 
     def __init__(self, expiry_s: float = DEFAULT_OFFER_EXPIRY_S,
@@ -164,22 +171,38 @@ class OfferDatabase:
         self.memo = OfferMemo() if memo is None else memo
         self._records: dict[tuple[NodeAddress, str],
                             tuple[float, ServiceOffer, float]] = {}
+        self._inbox: deque[tuple[float, list[ServiceOffer], float]] = deque()
         self.malformed_dropped = 0
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._records)
 
     def ingest_bundle(self, bundle: Bundle, received_at: float) -> int:
-        """Fold one offer bundle in; malformed payloads are dropped and counted."""
+        """Queue one offer bundle's offers for folding and return how many it carries.
+
+        A malformed payload is dropped and counted, and queues nothing.
+        """
         try:
             offers = self.memo.decode(bundle, received_at)
         except OfferCodecError:
             self.malformed_dropped += 1
             return 0
-        return self.ingest(offers, received_at)
+        if offers:
+            # one payload carries one issue time
+            issued_at = offers[0].issued_at
+            inbox, expiry_s = self._inbox, self.expiry_s
+            while inbox and received_at - inbox[0][0] > expiry_s:
+                inbox.popleft()
+            inbox.append((issued_at, offers, received_at))
+        return len(offers)
 
     def ingest(self, offers: list[ServiceOffer], received_at: float) -> int:
-        """Fold offers in; a newer issue wins, on a tie the first arrival stays."""
+        """Fold offers in at once; a newer issue wins, on a tie the first arrival stays.
+
+        Bundles queued by ingest_bundle are not folded first, so one database
+        takes its offers through one of the two.
+        """
         records = self._records
         applied = 0
         for offer in offers:
@@ -192,6 +215,7 @@ class OfferDatabase:
 
     def lookup(self, service_name: str, now: float) -> list[OfferRecord]:
         """Fresh offers for one service, sorted by worker address."""
+        self._fold()
         expiry_s = self.expiry_s
         # one key per worker for a service, so the sort compares workers only
         fresh = sorted((worker, offer, received_at)
@@ -202,8 +226,19 @@ class OfferDatabase:
                 for _, offer, received_at in fresh]
 
     def prune(self, now: float) -> int:
+        """Drop the keys whose offer is stale at now, queued offers included."""
+        self._fold()
         stale = [key for key, (issued_at, _, _) in self._records.items()
                  if now - issued_at > self.expiry_s]
         for key in stale:
             del self._records[key]
         return len(stale)
+
+    def _fold(self) -> None:
+        # apply the queued bundles in the order they arrived
+        inbox = self._inbox
+        if inbox:
+            ingest = self.ingest
+            for _, offers, received_at in inbox:
+                ingest(offers, received_at)
+            inbox.clear()

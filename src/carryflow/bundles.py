@@ -6,7 +6,9 @@ stores happens in the network layer, this module only answers what a node
 currently holds. A store sheds a bundle once it expires: inserting, listing
 the live bundles and pruning first drop everything whose expiry time has
 passed, so what a store holds is bounded by its live data, not by how long
-the run has gone.
+the run has gone. Expiry is kept by time, not by bundle: a heap holds each
+distinct expiry time once, and the bundles that expire at that time hang off
+it, so the copies of one announce round cost one heap entry.
 """
 
 from __future__ import annotations
@@ -79,16 +81,19 @@ class BundleStore:
     A removed bundle is never stored again (removal happens only on cleanup,
     after which the node refuses that workflow, or on expiry, after which
     insert refuses it), so iterating the store gives the order in which its
-    live bundles arrived. An expiry-ordered heap finds the bundles to shed,
-    and a per-workflow index lets a cleanup touch only its own workflow.
+    live bundles arrived. A heap of distinct expiry times, each with the ids
+    that expire then, finds the bundles to shed, and a per-workflow index
+    lets a cleanup touch only its own workflow.
     """
 
     def __init__(self) -> None:
         self._bundles: dict[BundleId, Bundle] = {}
         # read-only view for callers that test membership on a hot path
         self.by_id: Mapping[BundleId, Bundle] = MappingProxyType(self._bundles)
-        # (expires_at, bundle_id) of every stored bundle that can expire
-        self._expiry: list[tuple[float, BundleId]] = []
+        # each finite expiry time of a stored bundle once, and per time the
+        # ids stored to expire then (ids cleanup removed since stay listed)
+        self._expiry: list[float] = []
+        self._expiring: dict[float, list[BundleId]] = {}
         self._by_workflow: dict[str, dict[BundleId, Bundle]] = {}
 
     def __len__(self) -> int:
@@ -100,14 +105,19 @@ class BundleStore:
     def insert(self, bundle: Bundle, now: float) -> bool:
         """Store a bundle. Returns False for duplicates and dead-on-arrival bundles."""
         expiry = self._expiry
-        if expiry and expiry[0][0] < now:
+        if expiry and expiry[0] < now:
             self._shed(now)
         bundle_id, expires_at = bundle.bundle_id, bundle.expires_at
         if bundle_id in self._bundles or now > expires_at:
             return False
         self._bundles[bundle_id] = bundle
         if expires_at != math.inf:
-            heapq.heappush(expiry, (expires_at, bundle_id))
+            ids = self._expiring.get(expires_at)
+            if ids is None:
+                heapq.heappush(expiry, expires_at)
+                self._expiring[expires_at] = [bundle_id]
+            else:
+                ids.append(bundle_id)
         if bundle.workflow_id is not None:
             self._by_workflow.setdefault(bundle.workflow_id, {})[bundle_id] = bundle
         return True
@@ -140,13 +150,13 @@ class BundleStore:
         return before - len(self._bundles)
 
     def _shed(self, now: float) -> None:
-        heap = self._expiry
-        while heap and heap[0][0] < now:
-            _, bundle_id = heapq.heappop(heap)
-            bundle = self._bundles.get(bundle_id)
-            # the entry is stale if cleanup already removed the bundle
-            if bundle is not None and bundle.is_expired(now):
-                self._drop(bundle)
+        heap, expiring, bundles = self._expiry, self._expiring, self._bundles
+        while heap and heap[0] < now:
+            for bundle_id in expiring.pop(heapq.heappop(heap)):
+                bundle = bundles.get(bundle_id)
+                # the id may be gone (cleanup) or stored again with a later expiry
+                if bundle is not None and bundle.is_expired(now):
+                    self._drop(bundle)
 
     def _drop(self, bundle: Bundle) -> None:
         del self._bundles[bundle.bundle_id]

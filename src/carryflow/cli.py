@@ -33,15 +33,26 @@ def resolve_scenario(ref: str) -> ScenarioConfig:
     raise SystemExit(f"error: no scenario {ref!r} (packaged scenarios: {names})")
 
 
+def _parse_seed(text: str) -> int:
+    """One seed: a non-negative integer, as `[run] seed` requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise SystemExit(f"error: a seed must be a non-negative integer, got {text.strip()!r}")
+    return seed
+
+
 def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, _, hi = part.partition("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
+            seeds.extend(range(_parse_seed(lo), _parse_seed(hi) + 1))
         elif part:
-            seeds.append(int(part))
+            seeds.append(_parse_seed(part))
     if not seeds:
         raise SystemExit("error: no seeds given")
     return seeds
@@ -73,9 +84,10 @@ def _load_reports(ref: str) -> list:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    seed = None if args.seed is None else _parse_seed(args.seed)
     config = resolve_scenario(args.scenario)
     strategy = Strategy(args.strategy) if args.strategy else None
-    report = run_scenario(config, seed=args.seed, strategy=strategy)
+    report = run_scenario(config, seed=seed, strategy=strategy)
     text = report.to_json() + "\n"
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -132,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario and print the report JSON")
     p_run.add_argument("scenario", help="scenario file or packaged name")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", default=None)
     p_run.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
     p_run.add_argument("--out", default="-", help="report path, - for stdout")
     p_run.set_defaults(fn=_cmd_run)

@@ -46,8 +46,8 @@ class Node:
         self.worker = WorkerRuntime(self, services)
         self.client = ClientRuntime(self)
         self._bundle_seq = 0
-        world.add_node(address, position=caps.position, handler=self.on_bundle,
-                       accept=self.accepts)
+        self.store = world.add_node(address, position=caps.position,
+                                    handler=self.on_bundle, accept=self.accepts)
 
     def release(self) -> None:
         """Drop the runtimes once the run is over.
@@ -170,7 +170,6 @@ class Node:
         if workflow_id in self.cleaned:
             return
         self.cleaned.add(workflow_id)
-        store = self.world.stores[self.address]
-        store.remove_where(lambda b: b.kind is not BundleKind.CLEANUP_MARKER,
-                           workflow_id=workflow_id)
+        self.store.remove_where(lambda b: b.kind is not BundleKind.CLEANUP_MARKER,
+                                workflow_id=workflow_id)
         self.worker.on_cleanup(workflow_id)

@@ -18,12 +18,18 @@ each newly stored bundle is pushed at once over its node's open links, which
 keeps the link in sync until it closes. A transfer interrupted by contact
 loss restarts from scratch at the next encounter.
 
-The link scan and the push share one enqueue loop, `_push`, over (link,
-bundle) pairs: it skips a bundle the receiver holds (read from the store's
-mapping, not through a method call), one the link already queued for that
-receiver and one the receiver's accept hook refuses, and starts the link
-only if it is idle. A queued entry is a plain tuple; only the bundle a link
-is sending becomes a `_Transfer`.
+The world keeps one record per node: its store, the store's id mapping,
+its accept and delivery hooks, and its open links, each link naming the
+record of the node at its far end, so the hot path reaches a receiver's
+state without a lookup. The link scan and the push share one enqueue loop,
+`_push`, over (link, bundle) pairs: it skips a bundle the receiver holds,
+one the link already queued for that receiver and one the receiver's accept
+hook refuses, and starts the link only if it is idle. A scan first drops the
+bundles the receiver holds in one pass, since those are most of what a
+sender carries. A queued entry is a plain (key, bundle, receiver) tuple; the
+entry a link is sending is its `current`, which closing the link clears, so
+a completion finds its own entry there only if the link stayed open. A
+completed copy the receiver already holds is not delivered again.
 """
 
 from __future__ import annotations
@@ -137,25 +143,33 @@ class RandomWaypoint:
         positions[:] = coords
 
 
-class _Transfer:
-    """The bundle a link is sending; closing the link marks it aborted."""
+class _Node:
+    """What the world keeps of one node."""
 
-    __slots__ = ("key", "bundle", "aborted")
+    __slots__ = ("addr", "store", "held", "accept", "handler", "links")
 
-    def __init__(self, key: tuple[NodeAddress, BundleId], bundle: Bundle) -> None:
-        self.key = key          # (receiver, bundle id), as in _LinkState.queued
-        self.bundle = bundle
-        self.aborted = False
+    def __init__(self, addr: NodeAddress, accept: Optional[Callable[[Bundle], bool]],
+                 handler: Optional[Callable[[Bundle], None]]) -> None:
+        self.addr = addr
+        self.store = BundleStore()
+        self.held = self.store.by_id
+        self.accept = accept
+        self.handler = handler
+        # open links as (pair, state, far end's _Node), in pair order
+        self.links: list[tuple] = []
+
+
+# ((receiver, bundle id), bundle, receiver's _Node)
+_Entry = tuple[tuple[NodeAddress, BundleId], Bundle, _Node]
 
 
 class _LinkState:
     __slots__ = ("queue", "queued", "current")
 
     def __init__(self) -> None:
-        # ((receiver, bundle id), bundle) in arrival order
-        self.queue: deque[tuple[tuple[NodeAddress, BundleId], Bundle]] = deque()
+        self.queue: deque[_Entry] = deque()      # in arrival order
         self.queued: set[tuple[NodeAddress, BundleId]] = set()
-        self.current: Optional[_Transfer] = None
+        self.current: Optional[_Entry] = None    # the entry being sent
 
 
 class World:
@@ -176,15 +190,12 @@ class World:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.stores: dict[NodeAddress, BundleStore] = {}
-        self._handlers: dict[NodeAddress, Callable[[Bundle], None]] = {}
-        self._accepts: dict[NodeAddress, Callable[[Bundle], bool]] = {}
+        self._nodes: dict[NodeAddress, _Node] = {}
         self._addr_index: dict[NodeAddress, int] = {}
         # row i of _positions belongs to node _addrs[i]
         self._addrs = np.empty(0, dtype=object)
         self._positions = np.zeros((0, 2))
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
-        # per node, its open links as (pair, state, other end) in pair order
-        self._neighbours: dict[NodeAddress, list[tuple]] = {}
         # rows (i, j), i < j, of every node pair, and whether each pair was in
         # range at the last tick; None until the next tick after add_node
         self._pair_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -202,37 +213,33 @@ class World:
     def add_node(self, addr: NodeAddress, position: Position = (0.0, 0.0),
                  handler: Optional[Callable[[Bundle], None]] = None,
                  accept: Optional[Callable[[Bundle], bool]] = None) -> BundleStore:
-        if addr in self.stores:
+        if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
-        store = BundleStore()
-        self.stores[addr] = store
+        node = self._nodes[addr] = _Node(addr, accept, handler)
+        self.stores[addr] = node.store
         self._addr_index[addr] = len(self._addr_index)
         self._addrs = np.append(self._addrs, np.array([addr], dtype=object))
         self._positions = np.vstack([self._positions, [position]])
-        self._neighbours[addr] = []
         self._pair_rows = None
-        if handler is not None:
-            self._handlers[addr] = handler
-        if accept is not None:
-            self._accepts[addr] = accept
-        return store
+        return node.store
 
     def release(self) -> None:
         """Drop a finished run's events, stores, links and node hooks.
 
-        Nodes and their handlers refer to each other in cycles; emptying the
-        world frees its bundles and pending events by reference count at once
-        instead of whenever the garbage collector next runs.
+        Nodes and their handlers refer to each other in cycles, and so do the
+        two ends of an open link; emptying the world frees its bundles and
+        pending events by reference count at once instead of whenever the
+        garbage collector next runs.
         """
         self._heap.clear()
         self.stores.clear()
+        for node in self._nodes.values():
+            node.links.clear()
+        self._nodes.clear()
         self._links.clear()
-        self._neighbours = {}
         self._pair_rows = None
         self._in_range = np.zeros(0, dtype=bool)
         self._near = self._anchor = None
-        self._handlers.clear()
-        self._accepts.clear()
 
     def position_of(self, addr: NodeAddress) -> Position:
         row = self._positions[self._addr_index[addr]]
@@ -343,39 +350,46 @@ class World:
     def _open_link(self, pair: tuple[NodeAddress, NodeAddress]) -> None:
         state = _LinkState()
         self._links[pair] = state
-        insort(self._neighbours[pair[0]], (pair, state, pair[1]))
-        insort(self._neighbours[pair[1]], (pair, state, pair[0]))
-        self._scan_link(pair, state)
+        a, b = self._nodes[pair[0]], self._nodes[pair[1]]
+        insort(a.links, (pair, state, b))
+        insort(b.links, (pair, state, a))
+        self._scan_link(pair, state, a, b)
 
     def _close_link(self, pair: tuple[NodeAddress, NodeAddress]) -> None:
         state = self._links.pop(pair)
         for end in pair:
-            links = self._neighbours[end]
+            links = self._nodes[end].links
             del links[bisect_left(links, (pair,))]
         if state.current is not None:
-            state.current.aborted = True
+            # the pending completion no longer finds its entry: aborted
+            state.current = None
             self.transfers_aborted += 1
         state.queue.clear()
         state.queued.clear()
 
     # -- synchronization ---------------------------------------------------
 
-    def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState) -> None:
+    def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState,
+                   a: _Node, b: _Node) -> None:
         # runs once per link, when it opens; _push keeps it in sync afterwards
-        for sender, receiver in (pair, (pair[1], pair[0])):
-            self._push(((pair, state, receiver),), self.stores[sender].scan_log(self.now))
+        now = self.now
+        for sender, receiver in ((a, b), (b, a)):
+            held = receiver.held
+            fresh = [bundle for bundle in sender.store.scan_log(now)
+                     if bundle.bundle_id not in held]
+            if fresh:
+                self._push(((pair, state, receiver),), fresh)
 
     def _push(self, links: Sequence[tuple], bundles: Iterable[Bundle]) -> None:
-        """Queue bundles on each (pair, state, receiver) link, link by link.
+        """Queue bundles on each (pair, state, receiver node) link, link by link.
 
         A link skips a bundle the receiver holds, one it already queued for
         that receiver and one the receiver's accept hook refuses; an idle
         link starts sending at once. Bundles are iterated once per link, so
         a one-shot iterable goes with a single link.
         """
-        for pair, state, receiver in links:
-            held = self.stores[receiver].by_id
-            accept = self._accepts.get(receiver)
+        for _, state, node in links:
+            receiver, held, accept = node.addr, node.held, node.accept
             queue, queued = state.queue, state.queued
             for bundle in bundles:
                 bundle_id = bundle.bundle_id
@@ -387,51 +401,54 @@ class World:
                 if accept is not None and not accept(bundle):
                     continue
                 queued.add(key)
-                queue.append((key, bundle))
+                queue.append((key, bundle, node))
                 if state.current is None:
-                    self._try_start(pair, state)
+                    self._try_start(state)
 
-    def _try_start(self, pair, state: _LinkState) -> None:
-        # the link is idle: send the first queued bundle still worth sending
-        queue, stores, now = state.queue, self.stores, self.now
+    def _try_start(self, state: _LinkState) -> None:
+        # the link is idle: send the first queued entry still worth sending
+        queue, now = state.queue, self.now
         while queue:
-            key, bundle = queue.popleft()
-            if now > bundle.expires_at or bundle.bundle_id in stores[key[0]].by_id:
+            entry = queue.popleft()
+            key, bundle, node = entry
+            if now > bundle.expires_at or bundle.bundle_id in node.held:
                 state.queued.discard(key)
                 continue
-            transfer = state.current = _Transfer(key, bundle)
+            state.current = entry
             done = now + transfer_duration(self.link, bundle.size_bytes)
-            self.schedule(done, partial(self._complete, pair, state, transfer))
+            self.schedule(done, partial(self._complete, state, entry))
             return
 
-    def _complete(self, pair, state: _LinkState, transfer: _Transfer) -> None:
-        # a closed link aborts its transfer, so this link is still open
-        if transfer.aborted:
-            return
+    def _complete(self, state: _LinkState, entry: _Entry) -> None:
+        if state.current is not entry:
+            return      # the link closed while this entry was in flight
         state.current = None
-        state.queued.discard(transfer.key)
+        key, bundle, node = entry
+        state.queued.discard(key)
         self.transfers_completed += 1
-        self._deliver(transfer.key[0], transfer.bundle)
+        # a copy that came in over another link meanwhile needs no delivery
+        if bundle.bundle_id not in node.held:
+            self._deliver(node, bundle)
         # delivering may have started a transfer on this link already
         if state.current is None and state.queue:
-            self._try_start(pair, state)
+            self._try_start(state)
 
-    def _deliver(self, addr: NodeAddress, bundle: Bundle) -> None:
+    def _deliver(self, node: _Node, bundle: Bundle) -> None:
         now = self.now
         if now > bundle.expires_at:
             return
-        accept = self._accepts.get(addr)
+        accept = node.accept
         if accept is not None and not accept(bundle):
             return
-        if not self.stores[addr].insert(bundle, now):
+        if not node.store.insert(bundle, now):
             return
-        handler = self._handlers.get(addr)
-        if handler is not None:
-            handler(bundle)
+        if node.handler is not None:
+            node.handler(bundle)
         # forward the fresh bundle over every open link without waiting for a tick
-        self._push(self._neighbours[addr], (bundle,))
+        self._push(node.links, (bundle,))
 
     def originate(self, bundle: Bundle) -> bool:
         """Insert a locally created bundle at its source node and start spreading it."""
-        self._deliver(bundle.source, bundle)
-        return bundle.bundle_id in self.stores[bundle.source]
+        node = self._nodes[bundle.source]
+        self._deliver(node, bundle)
+        return bundle.bundle_id in node.held

@@ -103,8 +103,15 @@ def test_prune_drops_expired_offers():
     db = OfferDatabase(expiry_s=100.0)
     db.ingest([offer(2, "a", 0.0), offer(2, "b", 0.0)], received_at=0.0)
     db.ingest([offer(7, "a", 80.0)], received_at=80.0)
-    assert db.prune(now=150.0) == 2
-    assert len(db) == 1
+    # queued and never folded by a read: one stale by 150, one still fresh
+    for seq, (worker, issued_at) in enumerate([(3, 20.0), (4, 90.0)], start=1):
+        bundle = build_offer_bundle((worker, seq), worker, issued_at, CAPS,
+                                    [("c", 1)], expiry_s=100.0)
+        assert db.ingest_bundle(bundle, received_at=issued_at + 1.0) == 1
+    assert db.prune(now=150.0) == 3
+    assert len(db) == 2
+    assert not db._inbox
+    assert [r.offer.worker for r in db.lookup("c", now=150.0)] == [4]
 
 
 ORACLE_EXPIRY_S = 10.0
@@ -246,3 +253,38 @@ def test_malformed_offer_counts_once_per_receiver(monkeypatch):
     assert len(holders) == len(built.nodes)
     assert built.collector.malformed_offers == len(holders)
     assert calls.count(bad.payload) == len(holders)
+
+
+INBOX_EXPIRY_S = 10.0
+# (seconds forward, worker or None for a lookup, issue delay, services)
+INBOX_STEPS = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 4.0]),
+    st.one_of(st.none(), st.integers(1, 3)),
+    # arrivals out of issue order, and some right at the expiry edge
+    st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.5, 10.0, 10.5, 14.0]),
+    st.lists(st.sampled_from(["scale", "denoise", "crop"]), min_size=1,
+             max_size=3, unique=True)),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=INBOX_STEPS)
+def test_inbox_lookups_match_an_eager_fold(steps):
+    db = OfferDatabase(expiry_s=INBOX_EXPIRY_S)
+    eager = OfferDatabase(expiry_s=INBOX_EXPIRY_S)
+    now = 0.0
+    for seq, (dt, worker, delay, services) in enumerate(steps, start=1):
+        now += dt
+        if worker is None:
+            for name in ("scale", "denoise", "crop"):
+                got = [(r.offer, r.received_at) for r in db.lookup(name, now)]
+                want = [(r.offer, r.received_at) for r in eager.lookup(name, now)]
+                assert got == want
+            continue
+        # issue times on a half-second grid, so equal issue times recur
+        issued_at = max(0.0, now - delay)
+        bundle = build_offer_bundle((worker, seq), worker, issued_at, CAPS,
+                                    [(name, 1) for name in services],
+                                    expiry_s=INBOX_EXPIRY_S)
+        assert db.ingest_bundle(bundle, received_at=now) == len(services)
+        eager.ingest(decode_offers(bundle.payload), received_at=now)

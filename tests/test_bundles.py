@@ -207,3 +207,53 @@ def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
         assert list(store.live(now)) == list(live.values())
         assert len(store) == len(live)
         model = live
+
+
+# one step: (seconds forward, operation, bundle seq, expiry time); few expiry
+# times, so that many stored bundles share one
+_colliding_steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+              st.sampled_from(["insert", "insert", "remove", "live", "prune"]),
+              st.integers(1, 8),
+              st.sampled_from([1.0, 2.0, 3.0, 5.0, float("inf")])),
+    max_size=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colliding_steps)
+def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
+    store = BundleStore()
+    oracle: dict = {}   # id -> bundle, in arrival order, holding what the store holds
+
+    def shed(now):
+        expired = [bid for bid, b in oracle.items() if now > b.expires_at]
+        for bid in expired:
+            del oracle[bid]
+        return len(expired)
+
+    now = 0.0
+    for dt, op, seq, expires_at in steps:
+        now += dt
+        if op == "insert":
+            # three workflows, so one cleanup removes bundles of several seqs
+            bundle = Bundle(bundle_id=(1, seq), source=1, destination=2,
+                            kind=BundleKind.WORKFLOW_ARCHIVE, payload=None,
+                            size_bytes=10, created_at=0.0, ttl_seconds=expires_at,
+                            workflow_id=f"wf-{seq % 3}")
+            shed(now)
+            accepted = bundle.bundle_id not in oracle and now <= expires_at
+            assert store.insert(bundle, now) == accepted
+            if accepted:
+                oracle[bundle.bundle_id] = bundle
+        elif op == "remove":
+            workflow_id = f"wf-{seq % 3}"
+            doomed = [bid for bid, b in oracle.items() if b.workflow_id == workflow_id]
+            assert store.remove_where(lambda b: True, workflow_id=workflow_id) == len(doomed)
+            for bid in doomed:
+                del oracle[bid]
+        elif op == "live":
+            shed(now)
+            assert list(store.live(now)) == list(oracle.values())
+        else:
+            assert store.prune(now) == shed(now)
+        assert len(store) == len(oracle)

@@ -25,6 +25,19 @@ def test_seed_ranges():
         _parse_seeds(" ")
 
 
+@pytest.mark.parametrize("seeds", ["1,x", "1..x", "x..3", "2,-1", "-1..3", "1.5"])
+def test_suite_refuses_bad_seeds_with_an_error_line(scenario_file, tmp_path, seeds):
+    with pytest.raises(SystemExit, match="^error: a seed must be a non-negative integer"):
+        main(["suite", scenario_file, f"--seeds={seeds}", "--out", str(tmp_path / "s")])
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("seed", ["x", "-1"])
+def test_run_refuses_bad_seed_with_an_error_line(scenario_file, seed):
+    with pytest.raises(SystemExit, match="^error: a seed must be a non-negative integer"):
+        main(["run", scenario_file, "--seed", seed])
+
+
 def test_packaged_scenarios_resolve():
     names = packaged_scenarios()
     assert "ring-heterogeneous" in names

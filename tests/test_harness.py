@@ -197,8 +197,7 @@ def test_run_scenario_releases_its_world(monkeypatch):
         assert report.digest() == golden[f"{name}/spread/{seed}"]
         world = built[-1].world
         assert world.stores == {} and world._heap == [] and world._links == {}
-        assert world._handlers == {} and world._accepts == {}
-        assert world._neighbours == {} and len(world._in_range) == 0
+        assert world._nodes == {} and len(world._in_range) == 0
         assert world._near is None and world._anchor is None
 
 

@@ -48,6 +48,25 @@ def test_transfer_duration_arithmetic():
         transfer_duration(LINK, -1)
 
 
+@pytest.mark.parametrize("link", [LINK, LinkModel(bandwidth_bps=7_777_777.0, latency_s=0.0137),
+                                  LinkModel(bandwidth_bps=1e6 / 3, latency_s=0.1)])
+def test_transfer_end_times_are_exact(link):
+    # sent back to back over one link, each copy lands at exactly the time the
+    # last one landed plus transfer_duration: no reordering of the arithmetic
+    arrivals = []
+    world = line_world(2, link=link, arrivals=arrivals)
+    sizes = [1, 999, 123_457, 10_000_001]
+    bundles = [make_bundle(1, 2, seq, size, created_at=1.3)
+               for seq, size in enumerate(sizes, start=1)]
+    world.schedule(1.3, lambda: [world.originate(b) for b in bundles])
+    world.run_until(1000.0)
+    expected, end = [], 1.3
+    for size in sizes:
+        end = end + transfer_duration(link, size)
+        expected.append(end)
+    assert [t for _, _, t in arrivals] == expected
+
+
 def test_same_time_events_run_in_insertion_order():
     world = World(LINK, adjacency=[])
     order = []
@@ -287,7 +306,8 @@ def test_contact_changes_keep_links_and_neighbours_exact(data, addrs, radius, se
             state = world._links[pair]
             neighbours[pair[0]].append((pair, state, pair[1]))
             neighbours[pair[1]].append((pair, state, pair[0]))
-        assert world._neighbours == neighbours
+        assert {addr: [(pair, state, far.addr) for pair, state, far in node.links]
+                for addr, node in world._nodes.items()} == neighbours
 
 
 def test_skin_list_catches_two_ends_that_each_drift_under_half_a_skin():
