@@ -11,8 +11,13 @@ A scenario file has the sections
   [workflow]    the task list (inline or file=), stub input files, offload times
   [run]         seed, duration, strategy, rating weights, fault injection
 
+Each scalar key is a `_Key` row in its section's table (INI name, field,
+type, bounds, unit scale); a section accepts its rows plus the few keys read
+by hand. Only keys the file sets are read, so each default is the dataclass's.
+
 Validation is collected rather than fail-fast: a bad file raises one
-ScenarioError listing every problem found.
+ScenarioError listing every problem found. A key that draws a problem reads
+as unset, so its default stands in for the cross-checks that follow.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .announce import (DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S,
                        MAX_PARAM_COUNT, SERVICE_NAME_BYTES)
@@ -48,7 +53,7 @@ class ScenarioError(ValueError):
 class RingTopology:
     """Static ring: node i sits on a circle, adjacent only to its neighbors."""
 
-    nodes: int
+    nodes: int = 8
     spacing_m: float = 100.0
 
     kind = "ring"
@@ -58,10 +63,10 @@ class RingTopology:
 class WaypointTopology:
     """Random-waypoint mobility on a rectangle with a radio disc range."""
 
-    nodes: int
-    width_m: float
-    height_m: float
-    range_m: float
+    nodes: int = 8
+    width_m: float = 500.0
+    height_m: float = 500.0
+    range_m: float = 50.0
     speed_min: float = 0.8
     speed_max: float = 1.9
     pause_max_s: float = 60.0
@@ -144,24 +149,12 @@ class ScenarioConfig:
         return dataclasses.replace(self, run=run)
 
     def to_obj(self) -> dict:
-        topo: dict[str, object] = {"kind": self.topology.kind}
-        topo.update(dataclasses.asdict(self.topology))
-        run = dataclasses.asdict(self.run)
-        run["strategy"] = self.run.strategy.value
+        obj = dataclasses.asdict(self)
+        obj["topology"]["kind"] = self.topology.kind
+        obj["run"]["strategy"] = self.run.strategy.value
         nodes = self.run.fault.nodes
-        run["fault"]["nodes"] = sorted(nodes) if nodes else None
-        return {
-            "name": self.name,
-            "topology": topo,
-            "link": dataclasses.asdict(self.link),
-            "services": {
-                name: dataclasses.asdict(svc)
-                for name, svc in sorted(self.services.items())
-            },
-            "cohorts": [dataclasses.asdict(c) for c in self.cohorts],
-            "workflow": dataclasses.asdict(self.workflow),
-            "run": run,
-        }
+        obj["run"]["fault"]["nodes"] = sorted(nodes) if nodes else None
+        return obj
 
     def digest(self) -> str:
         blob = json.dumps(self.to_obj(), sort_keys=True).encode()
@@ -210,20 +203,58 @@ def resolve_cohort_counts(cohorts: tuple[CohortSpec, ...], n_nodes: int) -> list
     return counts
 
 
-_SERVICE_KEYS = {"mean", "jitter", "energy", "output_bytes", "params", "ext"}
+@dataclass(frozen=True)
+class _Key:
+    """One scalar INI key: the field it sets, its type and its bounds."""
+
+    name: str
+    attr: str = ""              # the dataclass field, when not named like the key
+    kind: type = float          # int, float, bool or str
+    minimum: float = -math.inf
+    maximum: float = math.inf
+    positive: bool = False
+    allow_inf: bool = False
+    scale: Optional[Callable[[float], float]] = None   # INI unit -> field unit
+
+
+def _keys(*names: str, **bounds: object) -> tuple[_Key, ...]:
+    return tuple(_Key(name, **bounds) for name in names)
+
+
+_NODES = _Key("nodes", kind=int, minimum=2)
 _TOPOLOGY_KEYS = {
-    "ring": {"kind", "nodes", "spacing_m"},
-    "waypoint": {"kind", "nodes", "width_m", "height_m", "range_m",
-                 "speed_min", "speed_max", "pause_max_s"},
-}
-_COHORT_KEYS = {"count", "fraction", "addresses", "cpu", "memory", "disk",
-                "energy", "services", "client"}
-_WORKFLOW_KEYS = {"tasks", "file", "ttl", "requirements", "input",
-                  "offload_at", "repeat", "interval_s"}
-_RUN_KEYS = {"seed", "duration_s", "tick_s", "announce_interval_s",
-             "offer_expiry_s", "strategy", "weights", "preprocess_s",
-             "postprocess_s", "stop_grace_s", "fault_rate", "fault_nodes",
-             "fault_service", "fault_max_failures"}
+    RingTopology: (_NODES, _Key("spacing_m", positive=True)),
+    WaypointTopology: (_NODES, *_keys("width_m", "height_m", "range_m", "speed_min",
+                                      "speed_max", positive=True),
+                       _Key("pause_max_s", minimum=0.0))}
+# multiply and divide as written: `* 1e-3` is another double, and latency_s
+# is part of the config digest
+_LINK_KEYS = (
+    _Key("bandwidth_mbit", "bandwidth_bps", positive=True, scale=lambda v: v * 1e6),
+    _Key("latency_ms", "latency_s", minimum=0.0, scale=lambda v: v / 1e3))
+_SERVICE_KEYS = (
+    _Key("params", "param_count", int, minimum=0, maximum=MAX_PARAM_COUNT),
+    _Key("mean", "exec_seconds_mean", minimum=0.0),
+    _Key("jitter", "exec_seconds_jitter", minimum=0.0),
+    _Key("output_bytes", "output_size_bytes", int, minimum=0),
+    _Key("energy", "energy_cost_e", minimum=0.0),
+    _Key("ext", "output_ext", str))
+_COHORT_KEYS = (_Key("count", kind=int, minimum=0),
+                _Key("fraction", minimum=0.0, maximum=1.0),
+                *_keys("cpu", "memory", "disk", positive=True),
+                _Key("energy", minimum=0.0), _Key("client", kind=bool))
+_TTL = _Key("ttl", positive=True, allow_inf=True)
+_WORKFLOW_KEYS = (_Key("offload_at", minimum=0.0), _Key("repeat", kind=int, minimum=1),
+                  _Key("interval_s", minimum=0.0))
+_FAULT_KEYS = (_Key("fault_max_failures", "max_failures", int, minimum=0),
+               _Key("fault_rate", "rate", minimum=0.0, maximum=1.0))
+_RUN_KEYS = (_Key("seed", kind=int, minimum=0),
+             *_keys("duration_s", "tick_s", "announce_interval_s", "offer_expiry_s",
+                    positive=True),
+             *_keys("preprocess_s", "postprocess_s", "stop_grace_s", minimum=0.0))
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
 
 class _Reader:
@@ -241,55 +272,42 @@ class _Reader:
         subject = f"{self.subject}: " if self.subject else ""
         self.problems.append(f"[{self.section}] {subject}{msg}")
 
-    def check_keys(self, allowed: set[str]) -> None:
+    def check_keys(self, keys: tuple[_Key, ...], *by_hand: str) -> None:
+        allowed = {key.name for key in keys}.union(by_hand)
         for key in sorted(set(self.raw) - allowed):
             self.complain(f"unknown key {key!r}")
 
-    def get_float(self, key: str, default: float, *, minimum: float = -math.inf,
-                  maximum: float = math.inf, positive: bool = False,
-                  allow_inf: bool = False) -> float:
-        if key not in self.raw:
-            return default
+    def value(self, key: _Key) -> object:
+        """The key's checked value in the field's unit; None if unset or bad."""
+        text = self.raw.get(key.name)
+        if text is None or key.kind is str:
+            return text
         try:
-            value = float(self.raw[key])
-        except ValueError:
-            value = math.nan
-        if math.isnan(value) or (math.isinf(value) and not allow_inf):
-            self.complain(f"{key} is not a finite number: {self.raw[key]!r}")
-            return default
-        if positive and value <= 0:
-            self.complain(f"{key} must be positive, got {value:g}")
-        elif value < minimum:
-            self.complain(f"{key} must be at least {minimum:g}, got {value:g}")
-        elif value > maximum:
-            self.complain(f"{key} must be at most {maximum:g}, got {value:g}")
-        return value
+            value = _BOOLS[text.strip().lower()] if key.kind is bool else key.kind(text)
+        except (KeyError, ValueError):
+            value = None
+        if key.kind is float and value is not None and (
+                math.isnan(value) or math.isinf(value) and not key.allow_inf):
+            value = None
+        if value is None:
+            self.complain(f"{key.name} is not {_KINDS[key.kind]}: {text!r}")
+            return None
+        show = str if key.kind is int else "{:g}".format
+        if key.positive and value <= 0:
+            problem = f"must be positive, got {show(value)}"
+        elif value < key.minimum:
+            problem = f"must be at least {show(key.minimum)}, got {show(value)}"
+        elif value > key.maximum:
+            problem = f"must be at most {show(key.maximum)}, got {show(value)}"
+        else:
+            return value if key.scale is None else key.scale(value)
+        self.complain(f"{key.name} {problem}")
+        return None
 
-    def get_int(self, key: str, default: int, *, minimum: int = 0,
-                maximum: Optional[int] = None) -> int:
-        if key not in self.raw:
-            return default
-        try:
-            value = int(self.raw[key])
-        except ValueError:
-            self.complain(f"{key} is not an integer: {self.raw[key]!r}")
-            return default
-        if value < minimum:
-            self.complain(f"{key} must be at least {minimum}, got {value}")
-        elif maximum is not None and value > maximum:
-            self.complain(f"{key} must be at most {maximum}, got {value}")
-        return value
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        if key not in self.raw:
-            return default
-        text = self.raw[key].strip().lower()
-        if text in ("true", "yes", "1", "on"):
-            return True
-        if text in ("false", "no", "0", "off"):
-            return False
-        self.complain(f"{key} is not a boolean: {self.raw[key]!r}")
-        return default
+    def values(self, keys: tuple[_Key, ...]) -> dict[str, object]:
+        """Field name -> checked value, for the keys the section sets well."""
+        return {key.attr or key.name: value for key in keys
+                if (value := self.value(key)) is not None}
 
     def get_kv(self, key: str) -> dict[str, float]:
         """Parse `a=1, b=2.5` style values."""
@@ -316,104 +334,80 @@ class _Reader:
         return [item.strip() for item in self.raw.get(key, "").split(",")
                 if item.strip()]
 
+    def get_ints(self, key: str) -> list[int]:
+        out: list[int] = []
+        for item in self.get_list(key):
+            try:
+                out.append(int(item))
+            except ValueError:
+                self.complain(f"{key}: not an integer: {item!r}")
+        return out
+
 
 def _parse_topology(reader: _Reader) -> Topology:
+    kinds = {cls.kind: cls for cls in _TOPOLOGY_KEYS}
     kind = reader.raw.get("kind", "ring").strip().lower()
-    if kind not in _TOPOLOGY_KEYS:
+    if kind not in kinds:
         reader.complain(f"unknown topology kind {kind!r}")
         kind = "ring"
-    reader.check_keys(_TOPOLOGY_KEYS[kind])
-    nodes = reader.get_int("nodes", 8, minimum=2)
-    if kind == "ring":
-        return RingTopology(nodes=nodes,
-                            spacing_m=reader.get_float("spacing_m", 100.0, positive=True))
-    before = len(reader.problems)
-    speed_min = reader.get_float("speed_min", 0.8, positive=True)
-    speed_max = reader.get_float("speed_max", 1.9, positive=True)
-    if len(reader.problems) == before and speed_min > speed_max:
-        reader.complain(f"speed_min {speed_min:g} exceeds speed_max {speed_max:g}")
-    return WaypointTopology(
-        nodes=nodes,
-        width_m=reader.get_float("width_m", 500.0, positive=True),
-        height_m=reader.get_float("height_m", 500.0, positive=True),
-        range_m=reader.get_float("range_m", 50.0, positive=True),
-        speed_min=speed_min,
-        speed_max=speed_max,
-        pause_max_s=reader.get_float("pause_max_s", 60.0, minimum=0.0),
-    )
+    keys = _TOPOLOGY_KEYS[kinds[kind]]
+    reader.check_keys(keys, "kind")
+    values = reader.values(keys)
+    topology = kinds[kind](**values)
+    # compare only speeds that were read well: a bad one reads as its default
+    speeds = [key for key in ("speed_min", "speed_max") if key in reader.raw]
+    if kind == "waypoint" and all(key in values for key in speeds) \
+            and topology.speed_min > topology.speed_max:
+        reader.complain(f"speed_min {topology.speed_min:g} exceeds "
+                        f"speed_max {topology.speed_max:g}")
+    return topology
 
 
 def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     services: dict[str, ServiceDefinition] = {}
-    for name in reader.raw:
+    for name, spec in reader.raw.items():
         fields = _Reader(reader.section, {}, reader.problems, subject=name)
-        kv: dict[str, str] = {}
-        for item in reader.raw[name].split(","):
+        for item in spec.split(","):
             item = item.strip()
             if not item:
                 continue
             key, sep, value = item.partition("=")
             if not sep:
-                reader.complain(f"{name}: expected key=value, got {item!r}")
+                fields.complain(f"expected key=value, got {item!r}")
                 continue
-            kv[key.strip()] = value.strip()
-        fields.raw = kv
+            fields.raw[key.strip()] = value.strip()
         fields.check_keys(_SERVICE_KEYS)
         if len(name.encode("utf-8")) > SERVICE_NAME_BYTES:
-            reader.complain(f"{name}: name is longer than the {SERVICE_NAME_BYTES} "
+            fields.complain(f"name is longer than the {SERVICE_NAME_BYTES} "
                             f"UTF-8 bytes an offer record holds")
-        services[name] = ServiceDefinition(
-            name=name,
-            param_count=fields.get_int("params", 1, minimum=0,
-                                       maximum=MAX_PARAM_COUNT),
-            exec_seconds_mean=fields.get_float("mean", 1.0, minimum=0.0),
-            exec_seconds_jitter=fields.get_float("jitter", 0.0, minimum=0.0),
-            output_size_bytes=fields.get_int("output_bytes", 1_000_000, minimum=0),
-            energy_cost_e=fields.get_float("energy", 1.0, minimum=0.0),
-            output_ext=kv.get("ext", "out"),
-        )
+        services[name] = ServiceDefinition(name=name, **fields.values(_SERVICE_KEYS))
     return services
 
 
 def _parse_cohort(name: str, reader: _Reader,
                   services: dict[str, ServiceDefinition]) -> CohortSpec:
-    reader.check_keys(_COHORT_KEYS)
+    reader.check_keys(_COHORT_KEYS, "addresses", "services")
     sizing = [key for key in ("count", "fraction", "addresses") if key in reader.raw]
     if len(sizing) > 1:
         reader.complain(f"give at most one of count/fraction/addresses, got {sizing}")
-    count = reader.get_int("count", 0, minimum=0) if "count" in reader.raw else None
-    fraction = None
-    if "fraction" in reader.raw:
-        fraction = reader.get_float("fraction", 0.0, minimum=0.0)
-        if fraction > 1.0:
-            reader.complain(f"fraction must be at most 1, got {fraction:g}")
-    addresses: list[int] = []
-    for item in reader.get_list("addresses"):
-        try:
-            addresses.append(int(item))
-        except ValueError:
-            reader.complain(f"addresses: not an integer: {item!r}")
+    values = reader.values(_COHORT_KEYS)
+    # a bad count or fraction still sizes the cohort, so it is not a remainder
+    for key in ("count", "fraction"):
+        if key in reader.raw:
+            values.setdefault(key, 0)
+    addresses = reader.get_ints("addresses")
     offered = tuple(reader.get_list("services"))
     for svc in offered:
         if svc not in services:
             reader.complain(f"unknown service {svc!r}")
-    return CohortSpec(
-        name=name,
-        count=count,
-        fraction=fraction,
-        addresses=tuple(addresses),
-        cpu=reader.get_float("cpu", 1.0, positive=True),
-        memory=reader.get_float("memory", 1024.0, positive=True),
-        disk=reader.get_float("disk", 4096.0, positive=True),
-        energy=reader.get_float("energy", 100.0, minimum=0.0),
-        services=offered,
-        client=reader.get_bool("client", False),
-    )
+    return CohortSpec(name=name, addresses=tuple(addresses), services=offered,
+                      **values)
 
 
 def _parse_workflow(reader: _Reader, base_dir: Optional[str],
                     services: dict[str, ServiceDefinition]) -> WorkflowSpec:
-    reader.check_keys(_WORKFLOW_KEYS)
+    reader.check_keys(_WORKFLOW_KEYS + (_TTL,), "tasks", "file", "requirements",
+                      "input")
     text = reader.raw.get("tasks", "")
     if "file" in reader.raw:
         if text:
@@ -425,7 +419,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
             try:
                 with open(path, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
+                # ValueError: a NUL byte in the path, or text that is not UTF-8
                 reader.complain(f"cannot read workflow file: {exc}")
     defaults = reader.get_kv("requirements")
     for metric, value in sorted(defaults.items()):
@@ -435,9 +430,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
             reader.complain(f"requirements: {metric} must be positive")
     try:
         desc = parse_workflow(text)
-        if "ttl" in reader.raw:
-            ttl = reader.get_float("ttl", desc.ttl_seconds, positive=True,
-                                   allow_inf=True)
+        ttl = reader.value(_TTL)
+        if ttl is not None:
             desc = dataclasses.replace(desc, ttl_seconds=ttl)
         if defaults:
             tasks = [
@@ -459,79 +453,47 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
             reader.complain(f"input: expected name:bytes, got {item!r}")
             continue
         try:
-            files[name.strip()] = int(size)
+            size_bytes = int(size)
         except ValueError:
             reader.complain(f"input: size is not an integer: {size!r}")
-    return WorkflowSpec(
-        text=text,
-        files=files,
-        offload_at=reader.get_float("offload_at", 10.0, minimum=0.0),
-        repeat=reader.get_int("repeat", 1, minimum=1),
-        interval_s=reader.get_float("interval_s", 0.0, minimum=0.0),
-    )
+            continue
+        if size_bytes < 0:
+            reader.complain(f"input: size of {name.strip()!r} must be at least 0, "
+                            f"got {size_bytes}")
+        files[name.strip()] = size_bytes
+    return WorkflowSpec(text=text, files=files, **reader.values(_WORKFLOW_KEYS))
 
 
 def _parse_run(reader: _Reader, n_nodes: int,
                services: dict[str, ServiceDefinition]) -> RunSettings:
-    reader.check_keys(_RUN_KEYS)
-    default = RunSettings()
-    strategy = default.strategy
+    reader.check_keys(_RUN_KEYS + _FAULT_KEYS, "strategy", "weights",
+                      "fault_nodes", "fault_service")
+    settings = {}
     if "strategy" in reader.raw:
         try:
-            strategy = Strategy(reader.raw["strategy"].strip().lower())
+            settings["strategy"] = Strategy(reader.raw["strategy"].strip().lower())
         except ValueError:
             reader.complain(f"unknown strategy {reader.raw['strategy']!r}")
-    weights = default.weights
     if "weights" in reader.raw:
         candidate = reader.get_kv("weights")
         try:
-            weights = validate_weights(candidate)
+            settings["weights"] = validate_weights(candidate)
         except ValueError as exc:
             reader.complain(f"weights: {exc}")
-    fault_nodes = None
-    if reader.raw.get("fault_nodes", "").strip():
-        nodes = []
-        for item in reader.get_list("fault_nodes"):
-            try:
-                nodes.append(int(item))
-            except ValueError:
-                reader.complain(f"fault_nodes: not an integer: {item!r}")
-        for addr in sorted(set(nodes)):
-            if not 1 <= addr <= n_nodes:
-                reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
-        fault_nodes = frozenset(nodes)
+    # an empty fault key means "not set"
+    nodes = reader.get_ints("fault_nodes")
+    for addr in sorted(set(nodes)):
+        if not 1 <= addr <= n_nodes:
+            reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
+    fault_nodes = frozenset(nodes) if reader.raw.get("fault_nodes", "").strip() else None
     fault_service = reader.raw.get("fault_service", "").strip() or None
     if fault_service is not None and fault_service not in services:
         reader.complain(f"fault_service {fault_service!r} is not under [services]")
-    max_failures = None
-    if reader.raw.get("fault_max_failures", "").strip():
-        max_failures = reader.get_int("fault_max_failures", 0, minimum=0)
-    fault = FaultPlan(
-        rate=reader.get_float("fault_rate", default.fault.rate, minimum=0.0,
-                              maximum=1.0),
-        nodes=fault_nodes,
-        service=fault_service,
-        max_failures=max_failures,
-    )
-    return RunSettings(
-        seed=reader.get_int("seed", default.seed, minimum=0),
-        duration_s=reader.get_float("duration_s", default.duration_s, positive=True),
-        tick_s=reader.get_float("tick_s", default.tick_s, positive=True),
-        announce_interval_s=reader.get_float("announce_interval_s",
-                                             default.announce_interval_s,
-                                             positive=True),
-        offer_expiry_s=reader.get_float("offer_expiry_s", default.offer_expiry_s,
-                                        positive=True),
-        strategy=strategy,
-        weights=weights,
-        preprocess_s=reader.get_float("preprocess_s", default.preprocess_s,
-                                      minimum=0.0),
-        postprocess_s=reader.get_float("postprocess_s", default.postprocess_s,
-                                       minimum=0.0),
-        stop_grace_s=reader.get_float("stop_grace_s", default.stop_grace_s,
-                                      minimum=0.0),
-        fault=fault,
-    )
+    if not reader.raw.get("fault_max_failures", "").strip():
+        reader.raw.pop("fault_max_failures", None)
+    fault = FaultPlan(nodes=fault_nodes, service=fault_service,
+                      **reader.values(_FAULT_KEYS))
+    return RunSettings(fault=fault, **settings, **reader.values(_RUN_KEYS))
 
 
 def parse_scenario(text: str, *, name: str = "inline",
@@ -554,16 +516,13 @@ def parse_scenario(text: str, *, name: str = "inline",
         return _Reader(section, raw, problems)
 
     meta = reader("scenario")
-    meta.check_keys({"name"})
+    meta.check_keys((), "name")
     name = meta.raw.get("name", name).strip() or name
 
     topology = _parse_topology(reader("topology"))
     link_reader = reader("link")
-    link_reader.check_keys({"bandwidth_mbit", "latency_ms"})
-    link = LinkModel(
-        bandwidth_bps=link_reader.get_float("bandwidth_mbit", 54.0, positive=True) * 1e6,
-        latency_s=link_reader.get_float("latency_ms", 20.0, minimum=0.0) / 1e3,
-    )
+    link_reader.check_keys(_LINK_KEYS)
+    link = LinkModel(**link_reader.values(_LINK_KEYS))
     services = _parse_services(reader("services"))
 
     cohorts: list[CohortSpec] = []

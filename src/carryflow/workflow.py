@@ -189,19 +189,12 @@ def substitute_result(task: Task, result_name: str) -> Task:
 
 @dataclass(frozen=True)
 class FileStub:
-    """A file whose bytes are a deterministic filler pattern of a given size.
-
-    Keeps multi-megabyte payloads out of memory during simulation while
-    still defining exact wire bytes for packing.
+    """A file known only by its size, so multi-megabyte payloads stay out of
+    memory during simulation; the tag names what it stands for.
     """
 
     size_bytes: int
     tag: str = ""
-
-    def materialize(self) -> bytes:
-        pattern = (self.tag.encode("utf-8") or b"\x00") + b"\x00"
-        reps = self.size_bytes // len(pattern) + 1
-        return (pattern * reps)[: self.size_bytes]
 
 
 FileContent = Union[bytes, FileStub]
@@ -211,12 +204,6 @@ def file_size(content: FileContent) -> int:
     if isinstance(content, FileStub):
         return content.size_bytes
     return len(content)
-
-
-def file_bytes(content: FileContent) -> bytes:
-    if isinstance(content, FileStub):
-        return content.materialize()
-    return content
 
 
 @dataclass
@@ -256,22 +243,6 @@ def _desc_to_obj(desc: WorkflowDescription) -> dict:
     }
 
 
-def _desc_from_obj(obj: dict) -> WorkflowDescription:
-    ttl = obj["ttl_seconds"]
-    return WorkflowDescription(
-        workflow_id=obj["workflow_id"],
-        client=obj["client"],
-        ttl_seconds=math.inf if ttl == "inf" else float(ttl),
-        created_at=obj["created_at"],
-        cursor=obj["cursor"],
-        tasks=[
-            Task(worker=WorkerSpec(t["worker"]), service_name=t["service"],
-                 params=list(t["params"]), requirements=dict(t["requirements"]))
-            for t in obj["tasks"]
-        ],
-    )
-
-
 def _desc_blob(archive: Archive) -> bytes:
     meta = {
         "description": _desc_to_obj(archive.description),
@@ -283,63 +254,14 @@ def _desc_blob(archive: Archive) -> bytes:
 
 
 def packed_size(archive: Archive) -> int:
-    """Wire size of pack(archive) without materializing file contents."""
+    """Bytes the archive occupies on the wire.
+
+    The layout: a magic, the length-prefixed JSON metadata, a file count,
+    then per file in name order a length-prefixed UTF-8 name, a 64-bit
+    content length and the contents.
+    """
     total = len(_MAGIC) + _U32.size + len(_desc_blob(archive)) + _U32.size
     for name in sorted(archive.files):
         total += _U32.size + len(name.encode("utf-8")) + _U64.size
         total += file_size(archive.files[name])
     return total
-
-
-def pack(archive: Archive) -> bytes:
-    """Serialize an archive; the result length always equals packed_size()."""
-    parts = [_MAGIC]
-    blob = _desc_blob(archive)
-    parts.append(_U32.pack(len(blob)))
-    parts.append(blob)
-    parts.append(_U32.pack(len(archive.files)))
-    for name in sorted(archive.files):
-        raw_name = name.encode("utf-8")
-        data = file_bytes(archive.files[name])
-        parts.append(_U32.pack(len(raw_name)))
-        parts.append(raw_name)
-        parts.append(_U64.pack(len(data)))
-        parts.append(data)
-    return b"".join(parts)
-
-
-class ArchiveFormatError(ValueError):
-    """Raised when a packed archive is truncated or corrupt."""
-
-
-def unpack(data: bytes) -> Archive:
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise ArchiveFormatError("bad archive magic")
-    view = memoryview(data)
-    off = len(_MAGIC)
-
-    def take(n: int) -> memoryview:
-        nonlocal off
-        if off + n > len(view):
-            raise ArchiveFormatError(f"archive truncated at offset {off}")
-        chunk = view[off: off + n]
-        off += n
-        return chunk
-
-    blob_len = _U32.unpack(take(_U32.size))[0]
-    try:
-        meta = json.loads(bytes(take(blob_len)).decode("utf-8"))
-        desc = _desc_from_obj(meta["description"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ArchiveFormatError(f"bad archive metadata: {exc}") from exc
-    file_count = _U32.unpack(take(_U32.size))[0]
-    files: dict[str, FileContent] = {}
-    for _ in range(file_count):
-        name_len = _U32.unpack(take(_U32.size))[0]
-        name = bytes(take(name_len)).decode("utf-8")
-        data_len = _U64.unpack(take(_U64.size))[0]
-        files[name] = bytes(take(data_len))
-    if off != len(view):
-        raise ArchiveFormatError(f"{len(view) - off} trailing bytes after archive")
-    return Archive(description=desc, files=files, error_log=meta["error_log"],
-                   assigned_by=meta["assigned_by"], retried=meta["retried"])

@@ -1,13 +1,23 @@
 """Scenario INI parsing: typed sections, cohort sizing, collected errors."""
 
+import re
+from importlib import resources
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carryflow.announce import (MAX_PARAM_COUNT, SERVICE_NAME_BYTES,
                                 CapabilityVector, decode_offers, encode_offers)
 from carryflow.assignment import Strategy
-from carryflow.scenario import (CohortSpec, RingTopology, ScenarioError,
-                                WaypointTopology, load_scenario, parse_scenario,
+from carryflow.cli import packaged_scenarios
+from carryflow.runtime import ServiceDefinition
+from carryflow.scenario import (CohortSpec, RingTopology, RunSettings,
+                                ScenarioError, WaypointTopology, WorkflowSpec,
+                                load_scenario, parse_scenario,
                                 resolve_cohort_counts)
+from carryflow.simnet import LinkModel
 
 RING_INI = """
 [scenario]
@@ -145,6 +155,8 @@ def test_problems_are_collected_not_fail_fast():
     (lambda t: t.replace("kind = ring\nnodes = 6\nspacing_m = 50",
                          "kind = waypoint\nspeed_min = 3\nspeed_max = 1"),
      "speed_min 3 exceeds speed_max 1"),
+    (lambda t: t.replace("input = in.dat:1000", "input = in.dat:-1000"),
+     "input: size of 'in.dat' must be at least 0, got -1000"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -231,6 +243,13 @@ def test_missing_workflow_file_is_reported(tmp_path):
         load_scenario(str(ini))
 
 
+def test_nul_byte_in_workflow_file_is_reported():
+    text = RING_INI.replace("tasks =\n    any work in.dat\n    any work ##result##",
+                            "file = \x00")
+    with pytest.raises(ScenarioError, match="cannot read workflow file: .*null byte"):
+        parse_scenario(text)
+
+
 def test_fault_settings_parsed():
     text = RING_INI.replace(
         "[run]", "[run]\nfault_rate = 0.25\nfault_nodes = 2, 3\n"
@@ -267,3 +286,74 @@ def test_service_problems_name_the_service_once():
     assert err.value.problems == [
         "[services] work: unknown key 'warp'",
         "[services] work: params must be at most 4294967295, got 4294967296"]
+
+
+MINIMAL_INI = """
+[topology]
+kind = {kind}
+
+[services]
+work =
+
+[cohort:client]
+addresses = 1
+client = true
+
+[cohort:rest]
+
+[workflow]
+tasks = any work
+"""
+
+
+@pytest.mark.parametrize("topology", [RingTopology, WaypointTopology])
+def test_omitted_keys_take_the_dataclass_defaults(topology):
+    cfg = parse_scenario(MINIMAL_INI.format(kind=topology.kind))
+    assert cfg.topology == topology()
+    assert cfg.link == LinkModel()
+    assert cfg.services == {"work": ServiceDefinition(name="work")}
+    assert cfg.cohorts[1] == CohortSpec(name="rest")
+    assert cfg.workflow == WorkflowSpec(text=cfg.workflow.text)
+    assert cfg.run == RunSettings()
+
+
+def test_readme_scenario_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"six sections.*?```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_scenario(block).name == "tiny-ring"
+
+
+SCENARIO_DIR = resources.files("carryflow") / "scenarios"
+PACKAGED_INIS = [(SCENARIO_DIR / f"{name}.ini").read_text()
+                 for name in packaged_scenarios()]
+FUZZ_TOKENS = ["nan", "-1", "0", "=", ",", ":", "\x00", "1e400", "-inf", "inf",
+               "##result##", "", "yes", "4294967296", "a=1", "x:-5", "[run]",
+               "file", "kind", "fault_nodes", "9" * 30]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A packaged scenario with a few keys or values swapped for odd tokens."""
+    lines = draw(st.sampled_from(PACKAGED_INIS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        idx = draw(st.integers(0, len(lines) - 1))
+        key, sep, value = lines[idx].partition("=")
+        token = draw(st.sampled_from(FUZZ_TOKENS))
+        lines[idx] = draw(st.sampled_from([
+            f"{key}{sep} {token}",
+            f"{key}{sep}{value}{token}",
+            f"{token}{sep}{value}",
+            f"{lines[idx]}\n{token} = {draw(st.sampled_from(FUZZ_TOKENS))}",
+        ]))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_scenarios())
+@example(text=PACKAGED_INIS[packaged_scenarios().index("ring-aot")]
+         .replace("file = aot-chain.wf", "file = \x00"))
+def test_mutated_scenarios_raise_only_scenario_errors(text):
+    try:
+        parse_scenario(text, base_dir=str(SCENARIO_DIR))
+    except ScenarioError:
+        pass
