@@ -1,24 +1,20 @@
 """Service offers: periodic capability announcements and the local offer view.
 
 Every worker broadcasts one bundle per announcement round carrying its full
-capability vector and one record per offered service. Receivers fold the
-records into an offer database keyed by (worker, service); a newer announce
-always wins, a delayed older one never overwrites, and of two announces
-issued at the same time the first to arrive stays. Offers age out by their
-issue time, not by arrival. Each key holds a plain (issued_at, offer,
-received_at) tuple, so folding an offer builds no object; only lookup, which
-runs when a task is assigned, builds the OfferRecords it returns.
+capability vector and one record per offered service. A node's offer view
+is read from the offer bundles its store holds, in arrival order: of the
+offers for one (worker, service), a newer issue always wins, a delayed older
+one never overwrites, and of two issued at the same time the first to arrive
+stays. An offer is fresh exactly while its bundle is live in the store, so
+the store's expiry rule is the only one. The view keeps no state of its own;
+a lookup, which runs when a task is assigned, folds the live offer bundles
+and builds the OfferRecords it returns.
 
-Offers are read far less often than they arrive, so a received bundle is
-only decoded and put in an inbox; lookup folds the inbox in arrival order
-before it reads, which gives the view an eager fold would. An inbox entry
-that is already stale when a later bundle arrives can never be seen, nor
-keep a fresh offer out, so arrivals trim such entries off the inbox's head.
-
-Decoding is pure, so one run decodes each offer payload once: the run's
-offer databases share an OfferMemo keyed by payload bytes, which forgets a
-payload once its bundle has expired and can no longer be delivered.
-Malformed payloads are never memoised, so every receiver counts its drop.
+Decoding is pure, so one run decodes each offer payload once, when a copy
+arrives: the run's nodes share an OfferMemo keyed by payload bytes, which
+forgets a payload once its bundle has expired. Lookups read the memo and
+never decode. Malformed payloads are never memoised, so each arrival of one
+is counted, and a lookup passes over it.
 """
 
 from __future__ import annotations
@@ -28,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .bundles import BROADCAST, Bundle, BundleId, BundleKind, NodeAddress
+from .bundles import (BROADCAST, Bundle, BundleId, BundleKind, BundleStore,
+                      NodeAddress)
 from .simnet import Position
 
 OFFER_HEADER_BYTES = 64
@@ -126,12 +123,14 @@ def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: floa
 
 
 class OfferMemo:
-    """Decoded offers by payload bytes, shared by the offer databases of one run.
+    """Decoded offers by payload bytes, shared by the nodes of one run.
 
     Entries leave in arrival order once their bundle has expired. The source
     decodes its own offer when it issues it and a run's offers share one TTL,
-    so that order is expiry order. Every receiver of a payload gets the same
-    offer objects, so nothing may edit a decoded offer.
+    so that order is expiry order; every bundle carrying one payload is a
+    copy of one announce, so the entry outlives none of them. Every reader of
+    a payload gets the same offer objects, so nothing may edit a decoded
+    offer.
     """
 
     def __init__(self) -> None:
@@ -148,7 +147,7 @@ class OfferMemo:
             del self._offers[arrivals.popleft()[1]]
         payload = bundle.payload
         if type(payload) is not bytes:
-            return decode_offers(payload)
+            raise OfferCodecError("offer payload is not bytes")
         offers = self._offers.get(payload)
         if offers is None:
             offers = decode_offers(payload)
@@ -156,54 +155,31 @@ class OfferMemo:
             arrivals.append((bundle.expires_at, payload))
         return offers
 
+    def offers(self, payload: object) -> Optional[list[ServiceOffer]]:
+        """The memoised offers of a payload; None if it never decoded."""
+        return self._offers.get(payload) if type(payload) is bytes else None
+
 
 class OfferDatabase:
-    """A node's current view of who offers what, folded from received bundles.
+    """A node's view of who offers what, read from the live offer bundles of its store.
 
-    Each (worker, service) key holds a plain (issued_at, offer, received_at)
-    tuple; lookup builds the OfferRecords it returns. Received bundles wait
-    in an inbox of (issued_at, offers, received_at) until a read folds them.
+    Nothing is kept between lookups: each one folds the store's live offer
+    bundles in arrival order, with the offers the run's memo decoded when
+    each bundle arrived.
     """
 
-    def __init__(self, expiry_s: float = DEFAULT_OFFER_EXPIRY_S,
-                 memo: Optional[OfferMemo] = None) -> None:
-        self.expiry_s = expiry_s
-        self.memo = OfferMemo() if memo is None else memo
-        self._records: dict[tuple[NodeAddress, str],
-                            tuple[float, ServiceOffer, float]] = {}
-        self._inbox: deque[tuple[float, list[ServiceOffer], float]] = deque()
-        self.malformed_dropped = 0
+    def __init__(self, store: BundleStore, memo: OfferMemo) -> None:
+        self.store = store
+        self.memo = memo
 
-    def __len__(self) -> int:
-        self._fold()
-        return len(self._records)
+    def ingest(self, offers: list[ServiceOffer], received_at: float,
+               records: dict[tuple[NodeAddress, str],
+                             tuple[float, ServiceOffer, float]]) -> int:
+        """Fold offers into records; a newer issue wins, on a tie the first arrival stays.
 
-    def ingest_bundle(self, bundle: Bundle, received_at: float) -> int:
-        """Queue one offer bundle's offers for folding and return how many it carries.
-
-        A malformed payload is dropped and counted, and queues nothing.
+        Each (worker, service) key holds a plain (issued_at, offer, received_at)
+        tuple. Returns how many offers replaced or added a record.
         """
-        try:
-            offers = self.memo.decode(bundle, received_at)
-        except OfferCodecError:
-            self.malformed_dropped += 1
-            return 0
-        if offers:
-            # one payload carries one issue time
-            issued_at = offers[0].issued_at
-            inbox, expiry_s = self._inbox, self.expiry_s
-            while inbox and received_at - inbox[0][0] > expiry_s:
-                inbox.popleft()
-            inbox.append((issued_at, offers, received_at))
-        return len(offers)
-
-    def ingest(self, offers: list[ServiceOffer], received_at: float) -> int:
-        """Fold offers in at once; a newer issue wins, on a tie the first arrival stays.
-
-        Bundles queued by ingest_bundle are not folded first, so one database
-        takes its offers through one of the two.
-        """
-        records = self._records
         applied = 0
         for offer in offers:
             key = (offer.worker, offer.service_name)
@@ -215,30 +191,17 @@ class OfferDatabase:
 
     def lookup(self, service_name: str, now: float) -> list[OfferRecord]:
         """Fresh offers for one service, sorted by worker address."""
-        self._fold()
-        expiry_s = self.expiry_s
+        records: dict[tuple[NodeAddress, str], tuple[float, ServiceOffer, float]] = {}
+        memoised, arrived_at = self.memo.offers, self.store.arrived_at
+        for bundle in self.store.live(now):
+            if bundle.kind is BundleKind.OFFER:
+                offers = memoised(bundle.payload)
+                # a payload the memo lacks is malformed; its arrival was counted
+                if offers is not None:
+                    self.ingest(offers, arrived_at[bundle.bundle_id], records)
         # one key per worker for a service, so the sort compares workers only
         fresh = sorted((worker, offer, received_at)
-                       for (worker, name), (issued_at, offer, received_at)
-                       in self._records.items()
-                       if name == service_name and now - issued_at <= expiry_s)
+                       for (worker, name), (_, offer, received_at) in records.items()
+                       if name == service_name)
         return [OfferRecord(offer=offer, received_at=received_at)
                 for _, offer, received_at in fresh]
-
-    def prune(self, now: float) -> int:
-        """Drop the keys whose offer is stale at now, queued offers included."""
-        self._fold()
-        stale = [key for key, (issued_at, _, _) in self._records.items()
-                 if now - issued_at > self.expiry_s]
-        for key in stale:
-            del self._records[key]
-        return len(stale)
-
-    def _fold(self) -> None:
-        # apply the queued bundles in the order they arrived
-        inbox = self._inbox
-        if inbox:
-            ingest = self.ingest
-            for _, offers, received_at in inbox:
-                ingest(offers, received_at)
-            inbox.clear()

@@ -3,12 +3,13 @@
 A bundle is the unit of replication: an addressed (or broadcast) payload with
 a creation time and a TTL. Each node owns one store; synchronization between
 stores happens in the network layer, this module only answers what a node
-currently holds. A store sheds a bundle once it expires: inserting, listing
-the live bundles and pruning first drop everything whose expiry time has
-passed, so what a store holds is bounded by its live data, not by how long
-the run has gone. Expiry is kept by time, not by bundle: a heap holds each
-distinct expiry time once, and the bundles that expire at that time hang off
-it, so the copies of one announce round cost one heap entry.
+currently holds. A store sheds a bundle once it expires: inserting and
+listing the live bundles first drop everything whose expiry time has passed,
+so what a store holds is bounded by its live data, not by how long the run
+has gone. Expiry is kept by time, not by bundle: a heap holds each distinct
+expiry time once, and the bundles that expire at that time hang off it, so
+the copies of one announce round cost one heap entry. Each stored bundle's
+arrival time is kept beside it and dropped with it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ class BundleStore:
         self._bundles: dict[BundleId, Bundle] = {}
         # read-only view for callers that test membership on a hot path
         self.by_id: Mapping[BundleId, Bundle] = MappingProxyType(self._bundles)
+        self._arrived: dict[BundleId, float] = {}
+        # read-only: when each stored bundle was inserted
+        self.arrived_at: Mapping[BundleId, float] = MappingProxyType(self._arrived)
         # each finite expiry time of a stored bundle once, and per time the
         # ids stored to expire then (ids cleanup removed since stay listed)
         self._expiry: list[float] = []
@@ -111,6 +115,7 @@ class BundleStore:
         if bundle_id in self._bundles or now > expires_at:
             return False
         self._bundles[bundle_id] = bundle
+        self._arrived[bundle_id] = now
         if expires_at != math.inf:
             ids = self._expiring.get(expires_at)
             if ids is None:
@@ -143,12 +148,6 @@ class BundleStore:
     # patching the class attribute by name can time link scans on their own.
     scan_log = live
 
-    def prune(self, now: float) -> int:
-        """Drop expired bundles."""
-        before = len(self._bundles)
-        self._shed(now)
-        return before - len(self._bundles)
-
     def _shed(self, now: float) -> None:
         heap, expiring, bundles = self._expiry, self._expiring, self._bundles
         while heap and heap[0] < now:
@@ -160,6 +159,7 @@ class BundleStore:
 
     def _drop(self, bundle: Bundle) -> None:
         del self._bundles[bundle.bundle_id]
+        del self._arrived[bundle.bundle_id]
         if bundle.workflow_id is not None:
             held = self._by_workflow[bundle.workflow_id]
             del held[bundle.bundle_id]

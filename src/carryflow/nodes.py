@@ -1,10 +1,11 @@
 """One network participant: store, offer view, worker engine, client role.
 
-The node owns the glue: it announces its services on a fixed period, folds
-received offers into its database, dispatches addressed bundles to the
-worker or client runtime, and honors cleanup markers by purging everything
-a finished workflow left behind. Nodes remember which workflows were
-cleaned so anti-entropy cannot re-plant stale copies on them.
+The node owns the glue: it announces its services on a fixed period, decodes
+each received offer through the run's memo (its offer view reads the store),
+dispatches addressed bundles to the worker or client runtime, and honors
+cleanup markers by purging everything a finished workflow left behind. Nodes
+remember which workflows were cleaned so anti-entropy cannot re-plant stale
+copies on them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 import random
 from typing import Optional
 
-from .announce import (CapabilityVector, OfferDatabase, OfferMemo,
-                       build_offer_bundle)
+from .announce import (CapabilityVector, OfferCodecError, OfferDatabase,
+                       OfferMemo, build_offer_bundle)
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
@@ -39,7 +40,6 @@ class Node:
         self.config = run
         self.caps = caps
         self.cleaned: set[str] = set()
-        self.offer_db = OfferDatabase(expiry_s=run.offer_expiry_s, memo=offer_memo)
         self.select_rng = random.Random(f"{run.seed}:select:{address}")
         self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
         self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
@@ -48,6 +48,8 @@ class Node:
         self._bundle_seq = 0
         self.store = world.add_node(address, position=caps.position,
                                     handler=self.on_bundle, accept=self.accepts)
+        self.offer_db = OfferDatabase(
+            self.store, OfferMemo() if offer_memo is None else offer_memo)
 
     def release(self) -> None:
         """Drop the runtimes once the run is over.
@@ -96,9 +98,10 @@ class Node:
     def on_bundle(self, bundle: Bundle) -> None:
         now = self.world.now
         if bundle.kind is BundleKind.OFFER:
-            before = self.offer_db.malformed_dropped
-            self.offer_db.ingest_bundle(bundle, now)
-            self.collector.malformed_offers += self.offer_db.malformed_dropped - before
+            try:
+                self.offer_db.memo.decode(bundle, now)
+            except OfferCodecError:
+                self.collector.malformed_offers += 1
             return
         if bundle.kind is BundleKind.CLEANUP_MARKER:
             self.on_cleanup(str(bundle.payload))

@@ -334,9 +334,15 @@ class _Reader:
         return [item.strip() for item in self.raw.get(key, "").split(",")
                 if item.strip()]
 
-    def get_ints(self, key: str) -> list[int]:
+    def get_addresses(self, key: str) -> Optional[list[int]]:
+        """The node addresses listed under key; None if the key is unset or blank."""
+        if not self.raw.get(key, "").strip():
+            return None
         out: list[int] = []
-        for item in self.get_list(key):
+        items = self.get_list(key)
+        if not items:
+            self.complain(f"{key}: no address given")
+        for item in items:
             try:
                 out.append(int(item))
             except ValueError:
@@ -391,16 +397,19 @@ def _parse_cohort(name: str, reader: _Reader,
     if len(sizing) > 1:
         reader.complain(f"give at most one of count/fraction/addresses, got {sizing}")
     values = reader.values(_COHORT_KEYS)
-    # a bad count or fraction still sizes the cohort, so it is not a remainder
+    addresses = reader.get_addresses("addresses")
+    # a bad count, fraction or address list still sizes the cohort, so it is
+    # not a remainder
     for key in ("count", "fraction"):
         if key in reader.raw:
             values.setdefault(key, 0)
-    addresses = reader.get_ints("addresses")
+    if addresses == []:
+        values.setdefault("count", 0)
     offered = tuple(reader.get_list("services"))
     for svc in offered:
         if svc not in services:
             reader.complain(f"unknown service {svc!r}")
-    return CohortSpec(name=name, addresses=tuple(addresses), services=offered,
+    return CohortSpec(name=name, addresses=tuple(addresses or ()), services=offered,
                       **values)
 
 
@@ -481,11 +490,11 @@ def _parse_run(reader: _Reader, n_nodes: int,
         except ValueError as exc:
             reader.complain(f"weights: {exc}")
     # an empty fault key means "not set"
-    nodes = reader.get_ints("fault_nodes")
-    for addr in sorted(set(nodes)):
+    nodes = reader.get_addresses("fault_nodes")
+    for addr in sorted(set(nodes or ())):
         if not 1 <= addr <= n_nodes:
             reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
-    fault_nodes = frozenset(nodes) if reader.raw.get("fault_nodes", "").strip() else None
+    fault_nodes = None if nodes is None else frozenset(nodes)
     fault_service = reader.raw.get("fault_service", "").strip() or None
     if fault_service is not None and fault_service not in services:
         reader.complain(f"fault_service {fault_service!r} is not under [services]")

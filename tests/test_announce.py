@@ -1,7 +1,10 @@
-"""Offer wire format, monotonic ingest, and freshness queries."""
+"""Offer wire format, the fold over a store's offer bundles, and freshness."""
+
+import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carryflow import announce
@@ -9,7 +12,8 @@ from carryflow.announce import (CapabilityVector, OFFER_HEADER_BYTES,
                                 OFFER_RECORD_BYTES, OfferCodecError,
                                 OfferDatabase, OfferMemo, ServiceOffer,
                                 build_offer_bundle, decode_offers, encode_offers)
-from carryflow.bundles import BROADCAST, BundleKind
+from carryflow.assignment import DEFAULT_WEIGHTS, Strategy, select
+from carryflow.bundles import BROADCAST, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
 from carryflow.harness import build, run_scenario
 
@@ -76,62 +80,126 @@ def test_build_offer_bundle_fields():
     assert build_offer_bundle((5, 2), 5, 3.0, CAPS, []) is None
 
 
+def view() -> OfferDatabase:
+    return OfferDatabase(BundleStore(), OfferMemo())
+
+
+def receive(db: OfferDatabase, bundle, now: float) -> bool:
+    """Store a bundle and decode it through the memo, as a node does on arrival."""
+    if not db.store.insert(bundle, now):
+        return False
+    try:
+        db.memo.decode(bundle, now)
+    except OfferCodecError:
+        pass
+    return True
+
+
+def offer_bundle(seq: int, worker: int, issued_at: float, services=("scale",),
+                 expiry_s: float = 120.0):
+    return build_offer_bundle((worker, seq), worker, issued_at, CAPS,
+                              [(name, 1) for name in services], expiry_s=expiry_s)
+
+
 def test_ingest_newer_wins_older_never_overwrites():
-    db = OfferDatabase(expiry_s=120.0)
-    assert db.ingest([offer(1, "scale", 10.0)], received_at=10.1) == 1
-    assert db.ingest([offer(1, "scale", 12.0)], received_at=12.1) == 1
+    db, records = view(), {}
+    assert db.ingest([offer(1, "scale", 10.0)], 10.1, records) == 1
+    assert db.ingest([offer(1, "scale", 12.0)], 12.1, records) == 1
     # a delayed older announce must not roll the view back
-    assert db.ingest([offer(1, "scale", 11.0)], received_at=15.0) == 0
+    assert db.ingest([offer(1, "scale", 11.0)], 15.0, records) == 0
     # equal issue time: first arrival stays authoritative
-    assert db.ingest([offer(1, "scale", 12.0)], received_at=16.0) == 0
-    rec = db.lookup("scale", now=16.0)[0]
+    assert db.ingest([offer(1, "scale", 12.0)], 16.0, records) == 0
+    issued_at, _, received_at = records[(1, "scale")]
+    assert (issued_at, received_at) == (12.0, 12.1)
+
+
+def test_lookup_folds_the_store_in_arrival_order():
+    db = view()
+    for seq, (issued_at, at) in enumerate([(10.0, 10.1), (12.0, 12.1),
+                                           (11.0, 15.0), (12.0, 16.0)], start=1):
+        assert receive(db, offer_bundle(seq, 1, issued_at), at)
+    rec, = db.lookup("scale", now=16.0)
     assert rec.offer.issued_at == 12.0
     assert rec.received_at == 12.1
 
 
+def test_recent_strategy_reads_the_winning_bundles_arrival():
+    db = view()
+    receive(db, offer_bundle(1, 1, 12.0), 13.0)
+    receive(db, offer_bundle(2, 2, 15.0), 15.5)
+    # worker 1's older announce arrives last but does not win its key
+    receive(db, offer_bundle(3, 1, 11.0), 20.0)
+    records = db.lookup("scale", now=21.0)
+    assert [(r.offer.worker, r.received_at) for r in records] == [(1, 13.0), (2, 15.5)]
+    chosen = select(Strategy.RECENT, records, {}, DEFAULT_WEIGHTS, (0.0, 0.0),
+                    random.Random(0))
+    assert chosen.worker == 2
+
+
 def test_lookup_filters_by_issue_age_and_sorts():
-    db = OfferDatabase(expiry_s=100.0)
-    db.ingest([offer(3, "scale", 0.0)], received_at=0.0)
-    db.ingest([offer(1, "scale", 50.0)], received_at=50.0)
-    db.ingest([offer(2, "other", 50.0)], received_at=50.0)
+    db = view()
+    receive(db, offer_bundle(1, 3, 0.0, expiry_s=100.0), 60.0)
+    receive(db, offer_bundle(2, 1, 50.0, expiry_s=100.0), 60.0)
+    receive(db, offer_bundle(3, 2, 50.0, ("other",), expiry_s=100.0), 60.0)
     assert [r.offer.worker for r in db.lookup("scale", now=90.0)] == [1, 3]
     # worker 3's offer is now 101 s old by issue time, regardless of arrival
     assert [r.offer.worker for r in db.lookup("scale", now=101.0)] == [1]
 
 
-def test_prune_drops_expired_offers():
-    db = OfferDatabase(expiry_s=100.0)
-    db.ingest([offer(2, "a", 0.0), offer(2, "b", 0.0)], received_at=0.0)
-    db.ingest([offer(7, "a", 80.0)], received_at=80.0)
-    # queued and never folded by a read: one stale by 150, one still fresh
-    for seq, (worker, issued_at) in enumerate([(3, 20.0), (4, 90.0)], start=1):
-        bundle = build_offer_bundle((worker, seq), worker, issued_at, CAPS,
-                                    [("c", 1)], expiry_s=100.0)
-        assert db.ingest_bundle(bundle, received_at=issued_at + 1.0) == 1
-    assert db.prune(now=150.0) == 3
-    assert len(db) == 2
-    assert not db._inbox
-    assert [r.offer.worker for r in db.lookup("c", now=150.0)] == [4]
+def test_offers_leave_the_view_with_their_bundle():
+    db = view()
+    stale = offer_bundle(1, 2, 0.0, ("a", "b"), expiry_s=100.0)
+    fresh = offer_bundle(2, 7, 80.0, ("a",), expiry_s=100.0)
+    receive(db, stale, 0.0)
+    receive(db, fresh, 80.0)
+    assert [r.offer.worker for r in db.lookup("a", now=100.0)] == [2, 7]
+    assert db.lookup("b", now=150.0) == []
+    assert [r.offer.worker for r in db.lookup("a", now=150.0)] == [7]
+    assert stale.bundle_id not in db.store
+    assert stale.bundle_id not in db.store.arrived_at
+
+
+def test_offer_is_visible_until_its_bundle_expires():
+    db = view()
+    bundle = offer_bundle(1, 4, 7.809482654856925, expiry_s=40.0)
+    receive(db, bundle, 8.0)
+    assert [r.offer.worker for r in db.lookup("scale", bundle.expires_at)] == [4]
+    after = math.nextafter(bundle.expires_at, math.inf)
+    assert db.lookup("scale", after) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(issued_at=st.integers(0, 10 ** 6), expiry_s=st.integers(1, 10 ** 5),
+       late=st.floats(0.0, 2e5, allow_nan=False, allow_infinity=False))
+@example(issued_at=7, expiry_s=40, late=40.0)
+@example(issued_at=7, expiry_s=40, late=math.nextafter(40.0, 41.0))
+def test_store_expiry_agrees_with_the_issue_age_rule(issued_at, expiry_s, late):
+    """Whole-second issue times and expiry: an offer is shown iff now - issued_at <= expiry."""
+    now = issued_at + late
+    db = view()
+    assert receive(db, offer_bundle(1, 1, float(issued_at), expiry_s=float(expiry_s)),
+                   float(issued_at))
+    shown = bool(db.lookup("scale", now))
+    assert shown == (now - issued_at <= expiry_s)
 
 
 ORACLE_EXPIRY_S = 10.0
-# issue and clock times from a small grid, so ties and reordering are common
+SERVICES = ["scale", "denoise", "crop"]
+# issue times from a small grid, so ties and reordering are common
 TIMES = st.sampled_from([0.0, 1.0, 2.5, 4.0, 9.0, 10.0, 12.5, 20.0])
-OFFERS = st.builds(offer, worker=st.integers(1, 4),
-                   service=st.sampled_from(["scale", "denoise", "crop"]),
-                   issued_at=TIMES)
-OPS = st.one_of(
-    st.tuples(st.just("ingest"), st.lists(OFFERS, max_size=6), TIMES),
-    st.tuples(st.just("lookup"), st.sampled_from(["scale", "denoise", "crop"]), TIMES),
-    st.tuples(st.just("prune"), st.none(), TIMES))
+# (seconds forward, worker or None for a lookup, issue time, services)
+OPS = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 4.0]),
+    st.one_of(st.none(), st.integers(1, 4)),
+    TIMES,
+    st.lists(st.sampled_from(SERVICES), min_size=1, max_size=3, unique=True))
 
 
 class HistoryOracle:
-    """Every offer ever ingested per key; the current record is derived from it.
+    """Every offer ever received per key; the current record is derived from it.
 
     The record of a key is the offer with the newest issue time, and among
-    offers issued at that time the one that arrived first. Pruning forgets a
-    key's history once its record is stale.
+    offers issued at that time the one that arrived first.
     """
 
     def __init__(self, expiry_s: float) -> None:
@@ -143,56 +211,42 @@ class HistoryOracle:
         newest = max(o.issued_at for o, _ in entries)
         return next((o, at) for o, at in entries if o.issued_at == newest)
 
-    def ingest(self, offers, received_at) -> int:
-        applied = 0
+    def ingest(self, offers, received_at) -> None:
         for o in offers:
-            earlier = self.history.setdefault((o.worker, o.service_name), [])
-            if all(prior.issued_at < o.issued_at for prior, _ in earlier):
-                applied += 1
-            earlier.append((o, received_at))
-        return applied
+            self.history.setdefault((o.worker, o.service_name), []).append((o, received_at))
 
     def lookup(self, service, now):
         fresh = [self.record(key) for key in sorted(self.history)
                  if key[1] == service]
         return [(o, at) for o, at in fresh if now - o.issued_at <= self.expiry_s]
 
-    def prune(self, now) -> int:
-        stale = [key for key in self.history
-                 if now - self.record(key)[0].issued_at > self.expiry_s]
-        for key in stale:
-            del self.history[key]
-        return len(stale)
-
 
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(OPS, max_size=25))
 def test_offer_database_matches_a_history_oracle(ops):
-    db = OfferDatabase(expiry_s=ORACLE_EXPIRY_S)
+    db = view()
     oracle = HistoryOracle(ORACLE_EXPIRY_S)
-    for op, arg, at in ops:
-        if op == "ingest":
-            assert db.ingest(arg, received_at=at) == oracle.ingest(arg, at)
-        elif op == "lookup":
-            got = [(rec.offer, rec.received_at) for rec in db.lookup(arg, now=at)]
-            want = oracle.lookup(arg, at)
-            assert [(o.worker, received) for o, received in got] == \
-                [(o.worker, received) for o, received in want]
-            assert all(g is w for (g, _), (w, _) in zip(got, want))
-        else:
-            assert db.prune(now=at) == oracle.prune(at)
-        assert len(db) == len(oracle.history)
+    now = 0.0
+    for seq, (dt, worker, issued_at, services) in enumerate(ops, start=1):
+        now += dt
+        if worker is None:
+            for name in SERVICES:
+                got = [(rec.offer, rec.received_at) for rec in db.lookup(name, now)]
+                assert got == oracle.lookup(name, now)
+            continue
+        bundle = offer_bundle(seq, worker, issued_at, services, expiry_s=ORACLE_EXPIRY_S)
+        receive(db, bundle, now)
+        oracle.ingest(decode_offers(bundle.payload), now)
 
 
-def test_ingest_bundle_counts_malformed():
-    db = OfferDatabase()
-    bundle = build_offer_bundle((1, 1), 1, 0.0, CAPS, [("scale", 1)])
-    good = db.ingest_bundle(bundle, received_at=0.1)
-    assert good == 1
-    bad = build_offer_bundle((1, 2), 1, 0.0, CAPS, [("scale", 1)])
+def test_lookup_passes_over_a_malformed_offer_bundle():
+    db = view()
+    assert receive(db, offer_bundle(1, 1, 0.0), 0.1)
+    bad = offer_bundle(2, 2, 0.0)
     bad.payload = bad.payload[:-5]
-    assert db.ingest_bundle(bad, received_at=0.2) == 0
-    assert db.malformed_dropped == 1
+    assert receive(db, bad, 0.2)
+    assert bad.bundle_id in db.store
+    assert [r.offer.worker for r in db.lookup("scale", 1.0)] == [1]
 
 
 def count_decodes(monkeypatch) -> list:
@@ -206,31 +260,29 @@ def count_decodes(monkeypatch) -> list:
 def test_memo_decodes_each_payload_once_and_forgets_expired_ones(monkeypatch):
     calls = count_decodes(monkeypatch)
     memo = OfferMemo()
-    first = build_offer_bundle((1, 1), 1, 0.0, CAPS, [("scale", 1)], expiry_s=10.0)
-    a, b = OfferDatabase(memo=memo), OfferDatabase(memo=memo)
-    assert a.ingest_bundle(first, received_at=0.0) == 1
-    assert b.ingest_bundle(first, received_at=9.0) == 1
+    first = offer_bundle(1, 1, 0.0, expiry_s=10.0)
+    a, b = (OfferDatabase(BundleStore(), memo) for _ in range(2))
+    assert receive(a, first, 0.0) and receive(b, first, 9.0)
     assert len(calls) == 1
     assert a.lookup("scale", 9.0)[0].offer is b.lookup("scale", 9.0)[0].offer
-    later = build_offer_bundle((1, 2), 1, 11.0, CAPS, [("scale", 1)], expiry_s=10.0)
-    a.ingest_bundle(later, received_at=11.0)
+    receive(a, offer_bundle(2, 1, 11.0, expiry_s=10.0), 11.0)
     assert len(memo) == 1
     assert len(calls) == 2
 
 
-def test_hand_built_databases_do_not_share_a_memo():
-    assert OfferDatabase().memo is not OfferDatabase().memo
+def test_hand_built_databases_do_not_share_a_memo(line3):
+    assert line3.node(1).offer_db.memo is not line3.node(2).offer_db.memo
 
 
 def test_malformed_payload_is_not_memoised():
     memo = OfferMemo()
-    bad = build_offer_bundle((1, 1), 1, 0.0, CAPS, [("scale", 1)])
+    bad = offer_bundle(1, 1, 0.0)
     bad.payload = bad.payload[:-5]
-    dbs = [OfferDatabase(memo=memo) for _ in range(3)]
-    for db in dbs:
-        assert db.ingest_bundle(bad, received_at=0.0) == 0
-    assert [db.malformed_dropped for db in dbs] == [1, 1, 1]
+    for at in (0.0, 0.5, 1.0):
+        with pytest.raises(OfferCodecError):
+            memo.decode(bad, at)
     assert len(memo) == 0
+    assert memo.offers(bad.payload) is None
 
 
 def test_one_decode_per_offer_payload_per_run(monkeypatch):
@@ -262,29 +314,29 @@ INBOX_STEPS = st.lists(st.tuples(
     st.one_of(st.none(), st.integers(1, 3)),
     # arrivals out of issue order, and some right at the expiry edge
     st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.5, 10.0, 10.5, 14.0]),
-    st.lists(st.sampled_from(["scale", "denoise", "crop"]), min_size=1,
-             max_size=3, unique=True)),
+    st.lists(st.sampled_from(SERVICES), min_size=1, max_size=3, unique=True)),
     max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
 @given(steps=INBOX_STEPS)
 def test_inbox_lookups_match_an_eager_fold(steps):
-    db = OfferDatabase(expiry_s=INBOX_EXPIRY_S)
-    eager = OfferDatabase(expiry_s=INBOX_EXPIRY_S)
+    """The store's offer bundles are the inbox; an eager fold of every arrival agrees."""
+    db = view()
+    eager: dict = {}
     now = 0.0
     for seq, (dt, worker, delay, services) in enumerate(steps, start=1):
         now += dt
         if worker is None:
-            for name in ("scale", "denoise", "crop"):
+            for name in SERVICES:
                 got = [(r.offer, r.received_at) for r in db.lookup(name, now)]
-                want = [(r.offer, r.received_at) for r in eager.lookup(name, now)]
-                assert got == want
+                want = sorted((w, o, at) for (w, n), (issued_at, o, at) in eager.items()
+                              if n == name and now - issued_at <= INBOX_EXPIRY_S)
+                assert got == [(o, at) for _, o, at in want]
             continue
         # issue times on a half-second grid, so equal issue times recur
         issued_at = max(0.0, now - delay)
-        bundle = build_offer_bundle((worker, seq), worker, issued_at, CAPS,
-                                    [(name, 1) for name in services],
-                                    expiry_s=INBOX_EXPIRY_S)
-        assert db.ingest_bundle(bundle, received_at=now) == len(services)
-        eager.ingest(decode_offers(bundle.payload), received_at=now)
+        bundle = offer_bundle(seq, worker, issued_at, services, expiry_s=INBOX_EXPIRY_S)
+        # the store refuses a bundle dead on arrival; the eager fold takes it
+        assert receive(db, bundle, now) == (now - issued_at <= INBOX_EXPIRY_S)
+        db.ingest(decode_offers(bundle.payload), now, eager)

@@ -1,4 +1,4 @@
-"""Bundle store semantics: addressing, expiry, insertion order, pruning."""
+"""Bundle store semantics: addressing, expiry, insertion order, arrival times."""
 
 import pytest
 from hypothesis import given, settings
@@ -89,17 +89,17 @@ def test_remove_where_counts():
     assert len(store) == 3
 
 
-def test_prune_drops_expired():
+def test_live_drops_expired_with_their_arrival_times():
     store = BundleStore()
     for i in range(1, 4):
         store.insert(make_bundle(i, ttl=1.0), now=0.0)
     keeper = make_bundle(9, ttl=1000.0)
-    store.insert(keeper, now=0.0)
-    assert store.prune(now=10.0) == 3
-    assert len(store) == 1
+    store.insert(keeper, now=0.5)
+    assert len(store) == 4
     assert [b.bundle_id for b in store.live(now=10.0)] == \
         [keeper.bundle_id]
-    assert store.prune(now=10.0) == 0
+    assert len(store) == 1
+    assert dict(store.arrived_at) == {keeper.bundle_id: 0.5}
 
 
 def marker(seq: int, workflow_id: str, *, ttl: float = 100.0) -> Bundle:
@@ -134,13 +134,15 @@ def test_live_sheds_expired_and_keeps_insertion_order():
     assert len(store) == 2
 
 
-def test_prune_skips_bundles_cleanup_already_removed():
+def test_shedding_skips_bundles_cleanup_already_removed():
     store = BundleStore()
     store.insert(make_bundle(1, ttl=1.0), now=0.0)
     store.insert(make_bundle(2, ttl=1.0), now=0.0)
     assert store.remove_where(lambda b: True, workflow_id="wf-1") == 1
-    assert store.prune(now=5.0) == 1
+    assert list(store.arrived_at) == [(1, 2)]
+    assert list(store.live(now=5.0)) == []
     assert len(store) == 0
+    assert not store.arrived_at
 
 
 def test_remove_where_by_workflow_touches_only_that_workflow():
@@ -165,15 +167,15 @@ def test_workflow_index_shrinks_when_its_bundles_expire():
     store.insert(make_bundle(1, ttl=1.0), now=0.0)
     store.insert(marker(1, "wf-1", ttl=2.0), now=0.0)
     store.insert(make_bundle(2, ttl=100.0), now=0.0)
-    assert store.prune(now=1.5) == 1
+    assert len(list(store.live(now=1.5))) == 2
     assert set(store._by_workflow) == {"wf-1", "wf-2"}
-    assert store.prune(now=3.0) == 1
+    assert len(list(store.live(now=3.0))) == 1
     assert set(store._by_workflow) == {"wf-2"}
 
 
 # one step: (seconds forward, operation, bundle seq, ttl)
 _steps = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
-                            st.sampled_from(["insert", "live", "prune", "cleanup"]),
+                            st.sampled_from(["insert", "live", "cleanup"]),
                             st.integers(1, 6),
                             st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, float("inf")])),
                   max_size=40)
@@ -201,9 +203,6 @@ def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
             assert bundle.bundle_id not in store
             model.pop(bundle.bundle_id, None)
             continue
-        elif op == "prune":
-            assert store.prune(now) == len(model) - len(live)
-            model = live
         assert list(store.live(now)) == list(live.values())
         assert len(store) == len(live)
         model = live
@@ -213,7 +212,7 @@ def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
 # times, so that many stored bundles share one
 _colliding_steps = st.lists(
     st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
-              st.sampled_from(["insert", "insert", "remove", "live", "prune"]),
+              st.sampled_from(["insert", "insert", "remove", "live"]),
               st.integers(1, 8),
               st.sampled_from([1.0, 2.0, 3.0, 5.0, float("inf")])),
     max_size=50)
@@ -224,6 +223,7 @@ _colliding_steps = st.lists(
 def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
     store = BundleStore()
     oracle: dict = {}   # id -> bundle, in arrival order, holding what the store holds
+    arrived: dict = {}  # id -> arrival time, for every bundle ever accepted
 
     def shed(now):
         expired = [bid for bid, b in oracle.items() if now > b.expires_at]
@@ -245,15 +245,15 @@ def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
             assert store.insert(bundle, now) == accepted
             if accepted:
                 oracle[bundle.bundle_id] = bundle
+                arrived[bundle.bundle_id] = now
         elif op == "remove":
             workflow_id = f"wf-{seq % 3}"
             doomed = [bid for bid, b in oracle.items() if b.workflow_id == workflow_id]
             assert store.remove_where(lambda b: True, workflow_id=workflow_id) == len(doomed)
             for bid in doomed:
                 del oracle[bid]
-        elif op == "live":
+        else:
             shed(now)
             assert list(store.live(now)) == list(oracle.values())
-        else:
-            assert store.prune(now) == shed(now)
         assert len(store) == len(oracle)
+        assert dict(store.arrived_at) == {bid: arrived[bid] for bid in oracle}

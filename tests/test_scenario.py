@@ -265,12 +265,19 @@ def test_fault_settings_parsed():
     ("fault_rate = 1.5", "[run] fault_rate must be at most 1, got 1.5"),
     ("fault_nodes = 0, 3, 7", "[run] fault_nodes: address 0 outside 1..6"),
     ("fault_nodes = 2, 99", "[run] fault_nodes: address 99 outside 1..6"),
+    ("fault_nodes = ,", "[run] fault_nodes: no address given"),
     ("fault_service = nosuch", "[run] fault_service 'nosuch' is not under [services]"),
 ])
 def test_fault_settings_checked_against_the_scenario(setting, problem):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(RING_INI.replace("[run]", f"[run]\n{setting}"))
     assert problem in err.value.problems
+
+
+def test_cohort_with_no_readable_address_is_not_a_remainder():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RING_INI.replace("addresses = 1", "addresses = one"))
+    assert err.value.problems == ["[cohort:client] addresses: not an integer: 'one'"]
 
 
 def test_fault_settings_at_their_bounds_parse():
