@@ -9,7 +9,8 @@ import sys
 from importlib import resources
 
 from .assignment import Strategy
-from .harness import SuiteResult, emit_suite, run_scenario, run_suite, summarize
+from .harness import (SUMMARY_COLUMNS, SuiteResult, emit_suite, run_scenario, run_suite,
+                      summarize)
 from .report import report_from_obj
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
@@ -110,13 +111,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _print_summary(reports: list) -> None:
     summary = summarize(reports)
-    columns = ["runs", "workflows", "success_rate", "mean_makespan_s",
-               "mean_runtime_s", "mean_transmission_s", "mean_execution_s",
-               "selection_entropy"]
-    header = "strategy".ljust(10) + "".join(c.rjust(20) for c in columns)
+    header = "strategy".ljust(10) + "".join(c.rjust(20) for c in SUMMARY_COLUMNS)
     print(header)
     for strategy, row in summary.items():
-        cells = "".join(f"{row[c]:20.4f}" for c in columns)
+        cells = "".join(f"{row[c]:20.4f}" for c in SUMMARY_COLUMNS)
         print(strategy.ljust(10) + cells)
 
 

@@ -77,7 +77,7 @@ class ClientRuntime:
             worker = self.node.worker.resolve_worker(archive, exclude=set())
         except SelectionError as exc:
             error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
-                                task_index=0, worker=self.node.address)
+                                worker=self.node.address)
             self._finish(handle, HandleStatus.FAILED, error=error)
             return handle
         if math.isfinite(desc.ttl_seconds):
@@ -93,8 +93,7 @@ class ClientRuntime:
         if handle.terminal:
             return
         handle.sent_any = True
-        self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker,
-                               archive.description.cursor)
+        self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
 
     # -- terminal transitions -------------------------------------------------
 

@@ -200,6 +200,12 @@ def makespan(report_workflow) -> Optional[float]:
     return report_workflow.finished_at - report_workflow.offloaded_at
 
 
+# the per-strategy aggregates, in the order summary.csv and `carryflow report` show them
+SUMMARY_COLUMNS = ("runs", "workflows", "success_rate", "mean_makespan_s",
+                   "mean_runtime_s", "mean_transmission_s", "mean_execution_s",
+                   "selection_entropy")
+
+
 def summarize(reports: Sequence[ExperimentReport]) -> dict[str, dict[str, float]]:
     """Per-strategy aggregates over a suite's reports."""
     by_strategy: dict[str, list[ExperimentReport]] = {}
@@ -293,12 +299,10 @@ def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
     summary = summarize(result.reports)
     with open(path("summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        columns = ["runs", "workflows", "success_rate", "mean_makespan_s",
-                   "mean_runtime_s", "mean_transmission_s", "mean_execution_s",
-                   "selection_entropy"]
-        writer.writerow(["scenario", "strategy"] + columns)
+        writer.writerow(["scenario", "strategy", *SUMMARY_COLUMNS])
         for strategy, row in summary.items():
-            writer.writerow([result.scenario, strategy] + [_fmt(row[c]) for c in columns])
+            writer.writerow([result.scenario, strategy,
+                             *(_fmt(row[c]) for c in SUMMARY_COLUMNS)])
 
     manifest = {
         "scenario": result.scenario,

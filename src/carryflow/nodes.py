@@ -10,7 +10,6 @@ copies on them.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 
@@ -108,13 +107,15 @@ class Node:
             return
         if bundle.destination != self.address:
             return
-        self.collector.delivered(bundle.bundle_id, now)
+        payload = bundle.payload
+        archive = payload.archive if bundle.kind is BundleKind.ERROR_ARCHIVE else payload
+        self.collector.delivered(archive.description, bundle.created_at, now)
         if bundle.kind is BundleKind.WORKFLOW_ARCHIVE:
-            self.worker.on_archive(bundle.payload, now)
+            self.worker.on_archive(payload, now)
         elif bundle.kind is BundleKind.RESULT_ARCHIVE:
-            self.client.on_result(bundle.payload)
+            self.client.on_result(payload)
         elif bundle.kind is BundleKind.ERROR_ARCHIVE:
-            self._route_error(bundle.payload)
+            self._route_error(payload)
 
     def _route_error(self, report: ErrorReport) -> None:
         archive = report.archive
@@ -127,28 +128,23 @@ class Node:
     # -- sending -----------------------------------------------------------------
 
     def _remaining_ttl(self, desc: WorkflowDescription) -> float:
-        if math.isinf(desc.ttl_seconds):
-            return math.inf
         return max(0.0, desc.expires_at() - self.world.now)
 
     def send_archive(self, kind: BundleKind, archive: Archive, dest: NodeAddress,
-                     task_key: int, payload: object = None) -> None:
+                     payload: object = None) -> None:
         """Send an archive; an error bundle's payload is the report wrapping it."""
-        now = self.world.now
         desc = archive.description
         bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,
                         destination=dest, kind=kind,
                         payload=archive if payload is None else payload,
-                        size_bytes=packed_size(archive), created_at=now,
+                        size_bytes=packed_size(archive), created_at=self.world.now,
                         ttl_seconds=self._remaining_ttl(desc),
                         workflow_id=desc.workflow_id)
-        self.collector.sent(bundle.bundle_id, desc.workflow_id, task_key, now)
         self.collector.set_stage(desc.workflow_id, FinalState.TRANSMISSION)
         self.world.originate(bundle)
 
     def send_error(self, report: ErrorReport, dest: NodeAddress) -> None:
-        self.send_archive(BundleKind.ERROR_ARCHIVE, report.archive, dest,
-                          report.error.task_index, payload=report)
+        self.send_archive(BundleKind.ERROR_ARCHIVE, report.archive, dest, payload=report)
 
     def hand_error_to_client(self, report: ErrorReport) -> None:
         """Terminal error path: deliver locally when this node is the client."""

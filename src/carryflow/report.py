@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .bundles import BundleId, NodeAddress, format_address
+from .bundles import NodeAddress, format_address
+from .workflow import WorkflowDescription
 
 if TYPE_CHECKING:
     from .client import WorkflowHandle
-
-RETURN_LEG = -1  # task key for the final result's trip back to the client
 
 
 class HandleStatus(str, Enum):
@@ -56,14 +55,15 @@ class Collector:
     """Accumulates phase charges and selection counts while a run executes.
 
     `tracks` maps each offloaded workflow to its client's handle, which
-    holds the workflow's whole lifecycle; the phase charges land on it.
-    `faults_injected` is the run's count against its fault plan's cap.
+    holds the workflow's whole lifecycle; the phase charges land on it. An
+    archive's transmission is charged when its bundle reaches the addressee:
+    arrival minus the bundle's send time, to the task the archive's cursor
+    names. `faults_injected` is the run's count against its fault plan's cap.
     """
 
     def __init__(self) -> None:
         self.tracks: dict[str, WorkflowHandle] = {}
         self.selections: dict[tuple[NodeAddress, NodeAddress], int] = {}
-        self._pending_sends: dict[BundleId, tuple[str, int, float]] = {}
         self.expired_drops = 0
         self.malformed_offers = 0
         self.faults_injected = 0
@@ -90,22 +90,19 @@ class Collector:
         else:
             raise ValueError(f"unknown phase {phase!r}")
 
-    def sent(self, bundle_id: BundleId, workflow_id: str, task_key: int, now: float) -> None:
-        self._pending_sends[bundle_id] = (workflow_id, task_key, now)
+    def delivered(self, desc: WorkflowDescription, sent_at: float, now: float) -> None:
+        """Charge an archive's trip, sent at sent_at, to the task its cursor names.
 
-    def delivered(self, bundle_id: BundleId, now: float) -> None:
-        entry = self._pending_sends.pop(bundle_id, None)
-        if entry is None:
-            return
-        workflow_id, task_key, t_sent = entry
-        track = self.tracks.get(workflow_id)
+        A finished archive is the result on its way back to the client.
+        """
+        track = self.tracks.get(desc.workflow_id)
         if track is None:
             return
-        if task_key == RETURN_LEG:
-            track.return_transmission_s += now - t_sent
+        if desc.finished:
+            track.return_transmission_s += now - sent_at
         else:
-            breakdown = track.phases.setdefault(task_key, PhaseBreakdown())
-            breakdown.transmission_s += now - t_sent
+            breakdown = track.phases.setdefault(desc.cursor, PhaseBreakdown())
+            breakdown.transmission_s += now - sent_at
 
     def selection(self, caller: NodeAddress, worker: NodeAddress) -> None:
         key = (caller, worker)

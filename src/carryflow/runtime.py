@@ -22,7 +22,7 @@ from typing import Optional
 
 from .assignment import SelectionError, select
 from .bundles import BundleKind, NodeAddress, format_address
-from .report import RETURN_LEG, FinalState
+from .report import FinalState
 from .workflow import (Archive, FileStub, RESOURCE_METRICS, WorkflowDescription,
                        substitute_result)
 
@@ -52,7 +52,6 @@ class ErrorClass(Enum):
 class WorkerError:
     error_class: ErrorClass
     message: str
-    task_index: int
     worker: NodeAddress
 
 
@@ -73,7 +72,6 @@ class ErrorReport:
 
     archive: Archive
     error: WorkerError
-    failed_worker: NodeAddress
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,7 @@ class WorkerRuntime:
             self._release()
             return
         if desc.finished:
-            self.node.send_archive(BundleKind.RESULT_ARCHIVE, archive, desc.client,
-                                   RETURN_LEG)
+            self.node.send_archive(BundleKind.RESULT_ARCHIVE, archive, desc.client)
             self._release()
             return
         try:
@@ -238,7 +235,7 @@ class WorkerRuntime:
             self._emit_error(archive, ErrorClass.WORKER_SELECTION, str(exc))
             return
         archive = replace(archive, assigned_by=self.node.address, retried=False)
-        self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker, desc.cursor)
+        self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
         self._release()
 
     def resolve_worker(self, archive: Archive, exclude: set[NodeAddress]) -> NodeAddress:
@@ -264,12 +261,12 @@ class WorkerRuntime:
         now = self.node.world.now
         desc = archive.description
         error = WorkerError(error_class=error_class, message=message,
-                            task_index=desc.cursor, worker=self.node.address)
+                            worker=self.node.address)
         dest = archive.assigned_by if retryable(archive, error_class) else desc.client
         archive = replace(archive, error_log=archive.error_log + (
             f"[{now:.3f}] {format_address(self.node.address)} "
             f"task {desc.cursor} {error_class.value}: {message}\n"))
-        report = ErrorReport(archive=archive, error=error, failed_worker=self.node.address)
+        report = ErrorReport(archive=archive, error=error)
         self.node.send_error(report, dest)
         self._release()
 
@@ -281,12 +278,11 @@ class WorkerRuntime:
         if desc.workflow_id in self.node.cleaned or desc.is_expired(now):
             return
         try:
-            worker = self.resolve_worker(archive, exclude={report.failed_worker})
+            worker = self.resolve_worker(archive, exclude={report.error.worker})
         except SelectionError as exc:
             error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
-                                task_index=desc.cursor, worker=self.node.address)
-            self.node.hand_error_to_client(ErrorReport(archive=archive, error=error,
-                                                       failed_worker=report.failed_worker))
+                                worker=self.node.address)
+            self.node.hand_error_to_client(ErrorReport(archive=archive, error=error))
             return
         archive = replace(archive, assigned_by=self.node.address, retried=True)
         self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
@@ -294,8 +290,7 @@ class WorkerRuntime:
                                    self.node.config.postprocess_s)
         self.node.world.schedule(
             now + self.node.config.postprocess_s,
-            lambda: self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive,
-                                           worker, desc.cursor))
+            lambda: self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker))
 
     # -- cleanup ---------------------------------------------------------------
 

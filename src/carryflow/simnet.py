@@ -22,14 +22,16 @@ The world keeps one record per node: its store, the store's id mapping,
 its accept and delivery hooks, and its open links, each link naming the
 record of the node at its far end, so the hot path reaches a receiver's
 state without a lookup. The link scan and the push share one enqueue loop,
-`_push`, over (link, bundle) pairs: it skips a bundle the receiver holds,
-one the link already queued for that receiver and one the receiver's accept
-hook refuses, and starts the link only if it is idle. A scan first drops the
-bundles the receiver holds in one pass, since those are most of what a
-sender carries. A queued entry is a plain (key, bundle, receiver) tuple; the
-entry a link is sending is its `current`, which closing the link clears, so
-a completion finds its own entry there only if the link stayed open. A
-completed copy the receiver already holds is not delivered again.
+`_push`, over (link, bundle) pairs: it skips a bundle the receiver holds and
+one the receiver's accept hook refuses, and starts the link only if it is
+idle. A scan first drops the bundles the receiver holds in one pass, since
+those are most of what a sender carries. No link queues one bundle twice for
+one receiver: the scan runs once, when the link opens, and after that only
+bundles newly stored at one end are pushed, and a store takes an id at most
+once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
+is sending is its `current`, which closing the link clears, so a completion
+finds its own entry there only if the link stayed open. A completed copy the
+receiver already holds is not delivered again.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bundles import Bundle, BundleId, BundleStore, NodeAddress
+from .bundles import Bundle, BundleStore, NodeAddress
 
 Position = tuple[float, float]
 
@@ -159,16 +161,15 @@ class _Node:
         self.links: list[tuple] = []
 
 
-# ((receiver, bundle id), bundle, receiver's _Node)
-_Entry = tuple[tuple[NodeAddress, BundleId], Bundle, _Node]
+# (bundle, receiver's _Node)
+_Entry = tuple[Bundle, _Node]
 
 
 class _LinkState:
-    __slots__ = ("queue", "queued", "current")
+    __slots__ = ("queue", "current")
 
     def __init__(self) -> None:
         self.queue: deque[_Entry] = deque()      # in arrival order
-        self.queued: set[tuple[NodeAddress, BundleId]] = set()
         self.current: Optional[_Entry] = None    # the entry being sent
 
 
@@ -365,7 +366,6 @@ class World:
             state.current = None
             self.transfers_aborted += 1
         state.queue.clear()
-        state.queued.clear()
 
     # -- synchronization ---------------------------------------------------
 
@@ -383,25 +383,19 @@ class World:
     def _push(self, links: Sequence[tuple], bundles: Iterable[Bundle]) -> None:
         """Queue bundles on each (pair, state, receiver node) link, link by link.
 
-        A link skips a bundle the receiver holds, one it already queued for
-        that receiver and one the receiver's accept hook refuses; an idle
-        link starts sending at once. Bundles are iterated once per link, so
-        a one-shot iterable goes with a single link.
+        A link skips a bundle the receiver holds and one the receiver's
+        accept hook refuses; an idle link starts sending at once. Bundles
+        are iterated once per link, so a one-shot iterable goes with a
+        single link.
         """
         for _, state, node in links:
-            receiver, held, accept = node.addr, node.held, node.accept
-            queue, queued = state.queue, state.queued
+            held, accept, queue = node.held, node.accept, state.queue
             for bundle in bundles:
-                bundle_id = bundle.bundle_id
-                if bundle_id in held:
-                    continue
-                key = (receiver, bundle_id)
-                if key in queued:
+                if bundle.bundle_id in held:
                     continue
                 if accept is not None and not accept(bundle):
                     continue
-                queued.add(key)
-                queue.append((key, bundle, node))
+                queue.append((bundle, node))
                 if state.current is None:
                     self._try_start(state)
 
@@ -410,9 +404,8 @@ class World:
         queue, now = state.queue, self.now
         while queue:
             entry = queue.popleft()
-            key, bundle, node = entry
+            bundle, node = entry
             if now > bundle.expires_at or bundle.bundle_id in node.held:
-                state.queued.discard(key)
                 continue
             state.current = entry
             done = now + transfer_duration(self.link, bundle.size_bytes)
@@ -423,8 +416,7 @@ class World:
         if state.current is not entry:
             return      # the link closed while this entry was in flight
         state.current = None
-        key, bundle, node = entry
-        state.queued.discard(key)
+        bundle, node = entry
         self.transfers_completed += 1
         # a copy that came in over another link meanwhile needs no delivery
         if bundle.bundle_id not in node.held:

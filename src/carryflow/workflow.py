@@ -83,8 +83,6 @@ class WorkflowDescription:
         return self.created_at + self.ttl_seconds
 
     def is_expired(self, now: float) -> bool:
-        if math.isinf(self.ttl_seconds):
-            return False
         return now > self.expires_at()
 
 

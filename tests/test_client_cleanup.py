@@ -37,8 +37,7 @@ def test_late_error_cannot_flip_success(line3):
     line3.settle(5.0)
     assert handle.status is HandleStatus.SUCCEEDED
     report = ErrorReport(archive=_fake_archive(handle),
-                         error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 0, 2),
-                         failed_worker=2)
+                         error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
     line3.node(1).client.on_error(report)
     assert handle.status is HandleStatus.SUCCEEDED
     assert handle.error is None

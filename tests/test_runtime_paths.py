@@ -7,9 +7,11 @@ worker; pinned-worker failures and selection failures go straight to the
 client; a second failure is terminal.
 """
 
+import math
+
 import pytest
 
-from carryflow.bundles import format_address
+from carryflow.bundles import BundleKind, format_address
 from carryflow.client import HandleStatus
 from carryflow.runtime import ErrorClass, FaultPlan
 
@@ -116,6 +118,65 @@ def test_jit_fault_retries_once_excluding_failed_worker():
     log = handle.result.error_log
     assert "task_execution" in log
     assert format_address(2) in log
+
+
+ARCHIVE_KINDS = (BundleKind.WORKFLOW_ARCHIVE, BundleKind.RESULT_ARCHIVE,
+                 BundleKind.ERROR_ARCHIVE)
+
+
+def record_archive_arrivals(micro):
+    """(bundle, arrival time) of each archive bundle its addressee stores, in order."""
+    arrivals = []
+    for addr, record in micro.world._nodes.items():
+        def handler(bundle, addr=addr, inner=record.handler):
+            if bundle.kind in ARCHIVE_KINDS and bundle.destination == addr:
+                arrivals.append((bundle, micro.world.now))
+            inner(bundle)
+        record.handler = handler
+    return arrivals
+
+
+def test_transmission_is_each_archive_trip_charged_to_its_cursor():
+    # line3's workers, with one fault on worker 2: the client retries task 0
+    # on worker 3, which forwards task 1 back to worker 2
+    svc = service("work")
+    micro = build_line(3, {2: {"work": svc}, 3: {"work": svc}},
+                       fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2}),
+                                            max_failures=1))
+    arrivals = record_archive_arrivals(micro)
+    micro.settle(1.0)
+    handle = offload(micro)
+    micro.settle(5.0)
+    assert handle.status is HandleStatus.SUCCEEDED
+    trips = []
+    for bundle, arrived in arrivals:
+        archive = (bundle.payload.archive if bundle.kind is BundleKind.ERROR_ARCHIVE
+                   else bundle.payload)
+        desc = archive.description
+        leg = "return" if desc.finished else desc.cursor
+        trips.append((bundle.kind, bundle.destination, leg, arrived - bundle.created_at))
+    assert [trip[:3] for trip in trips] == [
+        (BundleKind.WORKFLOW_ARCHIVE, 2, 0), (BundleKind.ERROR_ARCHIVE, 1, 0),
+        (BundleKind.WORKFLOW_ARCHIVE, 3, 0), (BundleKind.WORKFLOW_ARCHIVE, 2, 1),
+        (BundleKind.RESULT_ARCHIVE, 1, "return")]
+    track = micro.collector.tracks[handle.workflow_id]
+    for task in (0, 1):
+        expected = sum(seconds for _, _, leg, seconds in trips if leg == task)
+        assert track.phases[task].transmission_s == expected > 0.0
+    assert track.return_transmission_s == trips[-1][3] > 0.0
+
+
+def test_infinite_ttl_workflow_succeeds_with_unexpiring_archives(line3):
+    arrivals = record_archive_arrivals(line3)
+    line3.settle(1.0)
+    handle = offload(line3, "ttl=inf\n" + TWO_STEP)
+    line3.settle(5.0)
+    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.description.ttl_seconds == math.inf
+    assert [bundle.kind for bundle, _ in arrivals] == [
+        BundleKind.WORKFLOW_ARCHIVE, BundleKind.WORKFLOW_ARCHIVE,
+        BundleKind.RESULT_ARCHIVE]
+    assert all(bundle.expires_at == math.inf for bundle, _ in arrivals)
 
 
 def test_second_fault_reaches_client():

@@ -376,7 +376,8 @@ DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
 def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
                                                          fault_rate):
     # a link is scanned only in the tick it opens, so from then on the push
-    # alone must keep queued every live bundle the other end lacks and accepts
+    # alone must keep queued every live bundle the other end lacks and accepts,
+    # and never queue one bundle twice for one receiver
     config = replace(
         SPARSE,
         topology=WaypointTopology(nodes=nodes, width_m=150.0, height_m=150.0,
@@ -393,13 +394,19 @@ def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
     while world.now < 90.0:
         world.run_until(world.now + 0.37)
         for pair, state in world._links.items():
+            entries = list(state.queue)
+            if state.current is not None:
+                entries.append(state.current)
+            pending = [(node.addr, bundle.bundle_id) for bundle, node in entries]
+            assert len(set(pending)) == len(pending), (world.now, pair, pending)
+            pending = set(pending)
             for sender, receiver in (pair, pair[::-1]):
                 held = world.stores[receiver]
                 accepts = built.nodes[receiver].accepts
                 for bundle in world.stores[sender].live(world.now):
                     if bundle.bundle_id in held or not accepts(bundle):
                         continue
-                    assert (receiver, bundle.bundle_id) in state.queued, \
+                    assert (receiver, bundle.bundle_id) in pending, \
                         (world.now, sender, receiver, bundle.bundle_id)
                     checked += 1
     assert checked
