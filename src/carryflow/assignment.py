@@ -12,7 +12,6 @@ offer arrived last.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -98,23 +97,12 @@ def capability_filter(records: list[OfferRecord],
     return kept
 
 
-@dataclass
-class WorkerRating:
-    worker: NodeAddress
-    score: float
-    record: OfferRecord
-
-
 def rank(records: list[OfferRecord], requirements: dict[str, float],
          weights: dict[str, float], origin: Position,
-         distance_fn: Callable[[Position, Position], float] = euclidean) -> list[WorkerRating]:
-    """Rate and order candidates: descending score, ties by ascending address."""
-    ratings = [WorkerRating(worker=rec.offer.worker,
-                            score=rate(rec.offer, requirements, weights, origin, distance_fn),
-                            record=rec)
-               for rec in records]
-    ratings.sort(key=lambda r: (-r.score, r.worker))
-    return ratings
+         distance_fn: Callable[[Position, Position], float] = euclidean) -> list[OfferRecord]:
+    """Order candidates by descending score, ties by ascending address."""
+    return sorted(records, key=lambda rec: (
+        -rate(rec.offer, requirements, weights, origin, distance_fn), rec.offer.worker))
 
 
 def folded_normal_index(n: int, rng: random.Random) -> int:
@@ -129,7 +117,7 @@ def select(strategy: Strategy, records: list[OfferRecord],
            requirements: dict[str, float], weights: dict[str, float],
            origin: Position, rng: random.Random,
            distance_fn: Callable[[Position, Position], float] = euclidean,
-           exclude: Optional[set[NodeAddress]] = None) -> WorkerRating:
+           exclude: Optional[set[NodeAddress]] = None) -> NodeAddress:
     """Pick a worker for one task; raises SelectionError when nobody qualifies.
 
     All strategies draw from the capability-filtered candidate set so the
@@ -141,19 +129,13 @@ def select(strategy: Strategy, records: list[OfferRecord],
     if not candidates:
         raise SelectionError("no capable worker offers the service")
     if strategy is Strategy.RECENT:
-        chosen = max(candidates, key=lambda rec: (rec.received_at, -rec.offer.worker))
-        return WorkerRating(worker=chosen.offer.worker,
-                            score=rate(chosen.offer, requirements, weights, origin, distance_fn),
-                            record=chosen)
+        return max(candidates, key=lambda rec: (rec.received_at, -rec.offer.worker)).offer.worker
     if strategy is Strategy.RANDOM:
-        ordered = sorted(candidates, key=lambda rec: rec.offer.worker)
-        chosen = ordered[rng.randrange(len(ordered))]
-        return WorkerRating(worker=chosen.offer.worker,
-                            score=rate(chosen.offer, requirements, weights, origin, distance_fn),
-                            record=chosen)
+        workers = sorted(rec.offer.worker for rec in candidates)
+        return workers[rng.randrange(len(workers))]
     ranked = rank(candidates, requirements, weights, origin, distance_fn)
     if strategy is Strategy.BEST:
-        return ranked[0]
+        return ranked[0].offer.worker
     if strategy is Strategy.SPREAD:
-        return ranked[folded_normal_index(len(ranked), rng)]
+        return ranked[folded_normal_index(len(ranked), rng)].offer.worker
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -68,7 +68,11 @@ def _parse_strategies(text: str) -> list[Strategy]:
 
 
 def _load_reports(ref: str) -> list:
-    """Read report JSON files from a directory or an explicit file."""
+    """Read report JSON files from a directory or an explicit file.
+
+    A file that cannot be read, is not JSON, or whose keys are not a
+    report's ends the command with an error line naming the file.
+    """
     paths = []
     if os.path.isdir(ref):
         paths = [os.path.join(ref, name) for name in sorted(os.listdir(ref))
@@ -79,8 +83,11 @@ def _load_reports(ref: str) -> list:
         raise SystemExit(f"error: no report JSON files under {ref!r}")
     reports = []
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            reports.append(report_from_obj(json.load(fh)))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                reports.append(report_from_obj(json.load(fh)))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise SystemExit(f"error: {path} is not a carryflow report: {exc}") from None
     return reports
 
 

@@ -24,7 +24,9 @@ class WorkflowHandle:
     """One workflow's whole lifecycle, and the record its report is frozen from.
 
     `stage` is the final state an unfinished workflow is reported as: the
-    phase it was in when the run ended or its TTL fired.
+    phase it was in when the run ended or its TTL fired. `phases` is its
+    ledger, one row per task plus the result's trip back at row
+    `len(tasks)`; `Collector.charge` writes both.
     """
 
     workflow_id: str
@@ -38,7 +40,6 @@ class WorkflowHandle:
     sent_any: bool = False
     stage: FinalState = FinalState.RUNTIME
     phases: dict[int, PhaseBreakdown] = field(default_factory=dict)
-    return_transmission_s: float = 0.0
 
     @property
     def terminal(self) -> bool:
@@ -82,7 +83,7 @@ class ClientRuntime:
             return handle
         if math.isfinite(desc.ttl_seconds):
             self.node.world.schedule(now + desc.ttl_seconds, lambda: self._expire(handle))
-        self.node.collector.charge(workflow_id, 0, "runtime", self.node.config.postprocess_s)
+        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
         self.node.world.schedule(
             now + self.node.config.postprocess_s,
             lambda: self._dispatch(handle, archive, worker))

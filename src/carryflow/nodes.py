@@ -109,7 +109,8 @@ class Node:
             return
         payload = bundle.payload
         archive = payload.archive if bundle.kind is BundleKind.ERROR_ARCHIVE else payload
-        self.collector.delivered(archive.description, bundle.created_at, now)
+        self.collector.charge(archive.description, FinalState.TRANSMISSION,
+                              now - bundle.created_at)
         if bundle.kind is BundleKind.WORKFLOW_ARCHIVE:
             self.worker.on_archive(payload, now)
         elif bundle.kind is BundleKind.RESULT_ARCHIVE:
@@ -140,7 +141,7 @@ class Node:
                         size_bytes=packed_size(archive), created_at=self.world.now,
                         ttl_seconds=self._remaining_ttl(desc),
                         workflow_id=desc.workflow_id)
-        self.collector.set_stage(desc.workflow_id, FinalState.TRANSMISSION)
+        self.collector.charge(desc, FinalState.TRANSMISSION)
         self.world.originate(bundle)
 
     def send_error(self, report: ErrorReport, dest: NodeAddress) -> None:

@@ -3,8 +3,12 @@
 Every workflow's wall clock is split into three phases: runtime (parsing,
 packing, queueing, worker assignment), transmission (bundle in transit,
 including store-carry-forward waiting), and execution (the service actually
-running). The collector accumulates these per task while a scenario runs;
-the harness freezes them into an ExperimentReport afterwards.
+running). A workflow that never finished is reported by the phase it was
+in. While a scenario runs the collector keeps one ledger per workflow, one
+row per task plus a last row for the result's trip back, written only
+through `Collector.charge`; the harness freezes it into an ExperimentReport
+afterwards. The report's dataclass fields are its JSON keys, so `to_obj` and
+`report_from_obj` spell out only the values that are not plain JSON.
 """
 
 from __future__ import annotations
@@ -52,13 +56,17 @@ class PhaseBreakdown:
 
 
 class Collector:
-    """Accumulates phase charges and selection counts while a run executes.
+    """Keeps each workflow's phase ledger and the run's selection counts.
 
     `tracks` maps each offloaded workflow to its client's handle, which
-    holds the workflow's whole lifecycle; the phase charges land on it. An
-    archive's transmission is charged when its bundle reaches the addressee:
-    arrival minus the bundle's send time, to the task the archive's cursor
-    names. `faults_injected` is the run's count against its fault plan's cap.
+    holds the workflow's whole lifecycle. `charge` is the one way its ledger
+    is written: it moves the workflow to a phase and adds seconds to the row
+    its description's cursor names. Task i's runtime, transmission and
+    execution land in row i; the result's trip back lands in the row after
+    the last task, the cursor of a finished archive. An archive's
+    transmission is charged when its bundle reaches the addressee: arrival
+    minus the bundle's send time. `faults_injected` is the run's count
+    against its fault plan's cap.
     """
 
     def __init__(self) -> None:
@@ -68,41 +76,22 @@ class Collector:
         self.malformed_offers = 0
         self.faults_injected = 0
 
-    # -- workflow lifecycle -------------------------------------------------
+    def charge(self, desc: WorkflowDescription, phase: FinalState,
+               seconds: float = 0.0) -> None:
+        """Put the workflow in `phase` and add `seconds` to that phase's column.
 
-    def set_stage(self, workflow_id: str, state: FinalState) -> None:
-        """Record the state a workflow would end in if it never finished."""
-        track = self.tracks.get(workflow_id)
-        if track is not None and not track.terminal:
-            track.stage = state
-
-    # -- phase charges ------------------------------------------------------
-
-    def charge(self, workflow_id: str, task_idx: int, phase: str, seconds: float) -> None:
-        track = self.tracks.get(workflow_id)
-        if track is None or seconds == 0.0:
-            return
-        breakdown = track.phases.setdefault(task_idx, PhaseBreakdown())
-        if phase == "runtime":
-            breakdown.runtime_s += seconds
-        elif phase == "execution":
-            breakdown.execution_s += seconds
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
-
-    def delivered(self, desc: WorkflowDescription, sent_at: float, now: float) -> None:
-        """Charge an archive's trip, sent at sent_at, to the task its cursor names.
-
-        A finished archive is the result on its way back to the client.
+        `phase` is runtime, transmission or execution, whose values name the
+        ledger's columns. A terminal workflow keeps the state it ended in.
         """
         track = self.tracks.get(desc.workflow_id)
         if track is None:
             return
-        if desc.finished:
-            track.return_transmission_s += now - sent_at
-        else:
-            breakdown = track.phases.setdefault(desc.cursor, PhaseBreakdown())
-            breakdown.transmission_s += now - sent_at
+        if not track.terminal:
+            track.stage = phase
+        if seconds:
+            row = track.phases.setdefault(desc.cursor, PhaseBreakdown())
+            column = f"{phase.value}_s"
+            setattr(row, column, getattr(row, column) + seconds)
 
     def selection(self, caller: NodeAddress, worker: NodeAddress) -> None:
         key = (caller, worker)
@@ -157,43 +146,22 @@ class ExperimentReport:
     malformed_offers: int
 
     def to_obj(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "config_digest": self.config_digest,
-            "duration_s": self.duration_s,
-            "expired_drops": self.expired_drops,
-            "malformed_offers": self.malformed_offers,
-            "workflows": [
-                {
-                    "workflow_id": w.workflow_id,
-                    "client": format_address(w.client),
-                    "strategy": w.strategy,
-                    "status": w.status,
-                    "error_class": w.error_class,
-                    "error_message": w.error_message,
-                    "final_state": w.final_state.value,
-                    "offloaded_at": w.offloaded_at,
-                    "finished_at": w.finished_at,
-                    "return_transmission_s": w.return_transmission_s,
-                    "task_phases": [
-                        {"runtime_s": p.runtime_s, "transmission_s": p.transmission_s,
-                         "execution_s": p.execution_s}
-                        for p in w.task_phases
-                    ],
-                }
-                for w in self.workflows
-            ],
-            "selections": {
-                f"{format_address(caller)}:{format_address(worker)}": count
-                for (caller, worker), count in sorted(self.selections.items())
-            },
-            "residual_energy": {
-                format_address(worker): energy
-                for worker, energy in sorted(self.residual_energy.items())
-            },
+        """The report as JSON types; every field is a key of the same name.
+
+        Each record's fields are copied one level deep from its `vars`;
+        `dataclasses.asdict` would deep-copy every leaf as well.
+        """
+        obj = dict(vars(self))
+        obj["workflows"] = [_workflow_obj(w) for w in self.workflows]
+        obj["selections"] = {
+            f"{format_address(caller)}:{format_address(worker)}": count
+            for (caller, worker), count in sorted(self.selections.items())
         }
+        obj["residual_energy"] = {
+            format_address(worker): energy
+            for worker, energy in sorted(self.residual_energy.items())
+        }
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, indent=1)
@@ -202,34 +170,28 @@ class ExperimentReport:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
+def _workflow_obj(w: WorkflowReport) -> dict:
+    obj = dict(vars(w))
+    obj["client"] = format_address(w.client)
+    obj["final_state"] = w.final_state.value
+    obj["task_phases"] = [dict(vars(p)) for p in w.task_phases]
+    return obj
+
+
 def report_from_obj(obj: dict) -> ExperimentReport:
-    workflows = []
-    for w in obj["workflows"]:
-        workflows.append(WorkflowReport(
-            workflow_id=w["workflow_id"],
-            client=int(w["client"], 16),
-            strategy=w["strategy"],
-            status=w["status"],
-            error_class=w["error_class"],
-            error_message=w["error_message"],
-            final_state=FinalState(w["final_state"]),
-            offloaded_at=w["offloaded_at"],
-            finished_at=w["finished_at"],
-            task_phases=[PhaseBreakdown(p["runtime_s"], p["transmission_s"], p["execution_s"])
-                         for p in w["task_phases"]],
-            return_transmission_s=w["return_transmission_s"],
-        ))
+    """Inverse of `ExperimentReport.to_obj`; a key that is no field raises TypeError."""
+    workflows = [WorkflowReport(**{
+        **w, "client": int(w["client"], 16),
+        "final_state": FinalState(w["final_state"]),
+        "task_phases": [PhaseBreakdown(**p) for p in w["task_phases"]],
+    }) for w in obj["workflows"]]
     selections = {}
     for key, count in obj["selections"].items():
         caller, _, worker = key.partition(":")
         selections[(int(caller, 16), int(worker, 16))] = count
-    return ExperimentReport(
-        scenario=obj["scenario"], seed=obj["seed"], strategy=obj["strategy"],
-        config_digest=obj["config_digest"], duration_s=obj["duration_s"],
-        workflows=workflows, selections=selections,
-        residual_energy={int(k, 16): v for k, v in obj["residual_energy"].items()},
-        expired_drops=obj["expired_drops"], malformed_offers=obj["malformed_offers"],
-    )
+    residual_energy = {int(k, 16): v for k, v in obj["residual_energy"].items()}
+    return ExperimentReport(**{**obj, "workflows": workflows, "selections": selections,
+                               "residual_energy": residual_energy})
 
 
 def classify(handle: WorkflowHandle) -> FinalState:
@@ -244,6 +206,9 @@ def classify(handle: WorkflowHandle) -> FinalState:
 
 def freeze_workflow(workflow_id: str, handle: WorkflowHandle) -> WorkflowReport:
     desc, error = handle.description, handle.error
+    # rows 0..n-1 are the tasks; row n is the result's trip back to the client
+    n = len(desc.tasks)
+    rows = [handle.phases.get(i, PhaseBreakdown()) for i in range(n + 1)]
     return WorkflowReport(
         workflow_id=workflow_id,
         client=desc.client,
@@ -254,8 +219,8 @@ def freeze_workflow(workflow_id: str, handle: WorkflowHandle) -> WorkflowReport:
         final_state=classify(handle),
         offloaded_at=handle.submitted_at,
         finished_at=handle.finished_at,
-        task_phases=[handle.phases.get(i, PhaseBreakdown()) for i in range(len(desc.tasks))],
-        return_transmission_s=handle.return_transmission_s,
+        task_phases=rows[:n],
+        return_transmission_s=rows[n].transmission_s,
     )
 
 

@@ -131,7 +131,7 @@ class WorkerRuntime:
         desc = archive.description
         if self._stale(desc, now):
             return
-        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
+        self.node.collector.charge(desc, FinalState.RUNTIME)
         self.queue.append((archive, now))
         self._start_next()
 
@@ -145,11 +145,8 @@ class WorkerRuntime:
             self._start_next()
             return
         self.busy = True
-        cursor = desc.cursor
-        self.node.collector.charge(desc.workflow_id, cursor, "runtime", now - arrived)
-        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
-        self.node.collector.charge(desc.workflow_id, cursor, "runtime",
-                                   self.node.config.preprocess_s)
+        self.node.collector.charge(desc, FinalState.RUNTIME, now - arrived)
+        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.preprocess_s)
         self.node.world.schedule(now + self.node.config.preprocess_s,
                                  lambda: self._preprocessed(archive))
 
@@ -182,7 +179,7 @@ class WorkerRuntime:
         if service.exec_seconds_jitter > 0:
             duration += rng.uniform(-service.exec_seconds_jitter, service.exec_seconds_jitter)
         duration = max(MIN_EXEC_SECONDS, duration)
-        self.node.collector.set_stage(desc.workflow_id, FinalState.EXECUTION)
+        self.node.collector.charge(desc, FinalState.EXECUTION)
         self.node.world.schedule(now + duration,
                                  lambda: self._executed(archive, service, duration))
 
@@ -190,7 +187,7 @@ class WorkerRuntime:
         now = self.node.world.now
         desc = archive.description
         task_idx = desc.cursor
-        self.node.collector.charge(desc.workflow_id, task_idx, "execution", duration)
+        self.node.collector.charge(desc, FinalState.EXECUTION, duration)
         self.node.caps.energy = max(0.0, self.node.caps.energy - service.energy_cost_e)
         if desc.workflow_id in self.node.cleaned:
             self._release()
@@ -211,9 +208,7 @@ class WorkerRuntime:
             archive, description=replace(desc, tasks=tasks, cursor=task_idx + 1),
             files={result_name: FileStub(size_bytes=service.output_size_bytes,
                                          tag=f"{desc.workflow_id}:{result_name}")})
-        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
-        self.node.collector.charge(desc.workflow_id, task_idx, "runtime",
-                                   self.node.config.postprocess_s)
+        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
         self.node.world.schedule(now + self.node.config.postprocess_s,
                                  lambda: self._forward(archive))
 
@@ -246,12 +241,11 @@ class WorkerRuntime:
             worker = task.worker.address
         else:
             records = self.node.offer_db.lookup(task.service_name, self.node.world.now)
-            rating = select(self.node.config.strategy, records, task.requirements,
+            worker = select(self.node.config.strategy, records, task.requirements,
                             self.node.config.weights, self.node.position(),
                             self.node.select_rng,
                             distance_fn=self.node.world.rating_distance,
                             exclude={self.node.address} | exclude)
-            worker = rating.worker
         self.node.collector.selection(self.node.address, worker)
         return worker
 
@@ -285,9 +279,7 @@ class WorkerRuntime:
             self.node.hand_error_to_client(ErrorReport(archive=archive, error=error))
             return
         archive = replace(archive, assigned_by=self.node.address, retried=True)
-        self.node.collector.set_stage(desc.workflow_id, FinalState.RUNTIME)
-        self.node.collector.charge(desc.workflow_id, desc.cursor, "runtime",
-                                   self.node.config.postprocess_s)
+        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
         self.node.world.schedule(
             now + self.node.config.postprocess_s,
             lambda: self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker))

@@ -573,7 +573,11 @@ def parse_scenario(text: str, *, name: str = "inline",
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Load a scenario INI from disk; relative workflow files resolve beside it."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path, or text that is not UTF-8
+        raise ScenarioError([f"cannot read scenario file: {exc}"]) from None
     stem = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(text, name=stem, base_dir=os.path.dirname(path) or ".")

@@ -133,7 +133,7 @@ def test_recent_strategy_reads_the_winning_bundles_arrival():
     assert [(r.offer.worker, r.received_at) for r in records] == [(1, 13.0), (2, 15.5)]
     chosen = select(Strategy.RECENT, records, {}, DEFAULT_WEIGHTS, (0.0, 0.0),
                     random.Random(0))
-    assert chosen.worker == 2
+    assert chosen == 2
 
 
 def test_lookup_filters_by_issue_age_and_sorts():

@@ -68,8 +68,8 @@ def test_rank_orders_by_score_then_address():
     far = record(2, cpu=2.0, x=400.0)
     twin = record(3, cpu=2.0, x=50.0)     # same score as worker 5
     ranked = rank([near, far, twin], reqs, weights, ORIGIN)
-    assert [r.worker for r in ranked] == [3, 5, 2]
-    assert ranked[0].score == ranked[1].score
+    assert [r.offer.worker for r in ranked] == [3, 5, 2]
+    assert rate(twin.offer, reqs, weights, ORIGIN) == rate(near.offer, reqs, weights, ORIGIN)
 
 
 def test_capability_filter_ignores_distance():
@@ -124,23 +124,23 @@ def candidates():
 def test_select_best_takes_top_ranked():
     pick = select(Strategy.BEST, candidates(), REQS, WEIGHTS, ORIGIN,
                   random.Random(0))
-    assert pick.worker == 2
+    assert pick == 2
 
 
 def test_select_recent_takes_last_arrival_ties_to_low_address():
     pick = select(Strategy.RECENT, candidates(), REQS, WEIGHTS, ORIGIN,
                   random.Random(0))
-    assert pick.worker == 2              # 30.0 arrival shared with 3, lower wins
+    assert pick == 2  # 30.0 arrival shared with 3, lower wins
 
 
 def test_select_spread_indexes_ranking_by_folded_normal():
     # ranking is [2, 3, 1]; |N| = 1.4 lands on index 1
     pick = select(Strategy.SPREAD, candidates(), REQS, WEIGHTS, ORIGIN,
                   RiggedNormal([-1.4]))
-    assert pick.worker == 3
+    assert pick == 3
     pick = select(Strategy.SPREAD, candidates(), REQS, WEIGHTS, ORIGIN,
                   RiggedNormal([0.2]))
-    assert pick.worker == 2
+    assert pick == 2
 
 
 def test_select_random_is_uniform_over_candidates():
@@ -148,7 +148,7 @@ def test_select_random_is_uniform_over_candidates():
     counts = {1: 0, 2: 0, 3: 0}
     for _ in range(3000):
         counts[select(Strategy.RANDOM, candidates(), REQS, WEIGHTS, ORIGIN,
-                      rng).worker] += 1
+                      rng)] += 1
     for worker in counts:
         assert counts[worker] / 3000 == pytest.approx(1 / 3, abs=0.04)
 
@@ -156,7 +156,7 @@ def test_select_random_is_uniform_over_candidates():
 def test_select_applies_exclusion_and_filter():
     pick = select(Strategy.BEST, candidates(), REQS, WEIGHTS, ORIGIN,
                   random.Random(0), exclude={2})
-    assert pick.worker == 3
+    assert pick == 3
     with pytest.raises(SelectionError):
         select(Strategy.BEST, candidates(), REQS, WEIGHTS, ORIGIN,
                random.Random(0), exclude={1, 2, 3})

@@ -1,6 +1,7 @@
 """Command line smoke tests over a tiny on-disk scenario."""
 
 import json
+import re
 
 import pytest
 
@@ -98,3 +99,52 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
 def test_report_requires_existing_files(tmp_path):
     with pytest.raises(SystemExit, match="no report JSON"):
         main(["report", str(tmp_path)])
+
+
+def test_scenario_directory_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert "error: invalid scenario:\n  - cannot read scenario file:" \
+        in capsys.readouterr().err
+
+
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.ini"
+    bad.write_bytes(RING_INI.replace("tiny-ring", "tiny-ring \xe9").encode("latin-1"))
+    assert main(["run", str(bad)]) == 2
+    assert "cannot read scenario file:" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def saved_report(scenario_file, tmp_path):
+    path = tmp_path / "report-1.json"
+    assert main(["run", scenario_file, "--seed", "1", "--out", str(path)]) == 0
+    return path
+
+
+def _break_json(path):
+    path.write_text(path.read_text()[:-20])
+
+
+def _drop_workflows(path):
+    obj = json.loads(path.read_text())
+    del obj["workflows"]
+    path.write_text(json.dumps(obj))
+
+
+def _add_key(path):
+    obj = json.loads(path.read_text())
+    obj["network"] = {}
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("command", ["report", "plot-data"])
+@pytest.mark.parametrize("spoil", [_break_json, _drop_workflows, _add_key])
+def test_file_that_is_not_a_report_is_refused_with_an_error_line(
+        saved_report, tmp_path, command, spoil):
+    spoil(saved_report)
+    args = [command, str(saved_report)]
+    if command == "plot-data":
+        args += ["--out", str(tmp_path / "tables")]
+    with pytest.raises(SystemExit,
+                       match=f"^error: {re.escape(str(saved_report))} is not a carryflow report: "):
+        main(args)

@@ -13,7 +13,9 @@ import pytest
 
 from carryflow.bundles import BundleKind, format_address
 from carryflow.client import HandleStatus
+from carryflow.report import FinalState, classify
 from carryflow.runtime import ErrorClass, FaultPlan
+from carryflow.simnet import LinkModel
 
 from conftest import build_line, service
 
@@ -163,7 +165,29 @@ def test_transmission_is_each_archive_trip_charged_to_its_cursor():
     for task in (0, 1):
         expected = sum(seconds for _, _, leg, seconds in trips if leg == task)
         assert track.phases[task].transmission_s == expected > 0.0
-    assert track.return_transmission_s == trips[-1][3] > 0.0
+    # the return leg is the ledger row after the last task
+    assert track.phases[2].transmission_s == trips[-1][3] > 0.0
+
+
+def test_unfinished_workflow_is_reported_by_the_phase_it_is_in():
+    # one 0.5 s hop each way, 0.01 s of pre- and post-processing and a 2 s
+    # task; the single announce at t=0 leaves the link free for the archives
+    micro = build_line(2, {2: {"work": service("work", mean=2.0)}},
+                       link=LinkModel(bandwidth_bps=1e9, latency_s=0.5),
+                       announce_interval_s=100.0)
+    micro.settle(1.0)
+    handle = offload(micro, "any work in.dat\n")
+    track = micro.collector.tracks[handle.workflow_id]
+    # offloaded at 1.0: sent at 1.01, arrives at ~1.51, preprocessed until
+    # ~1.52, executes until ~3.52, post-processed until ~3.53, back at ~4.03
+    expected = [(1.005, FinalState.RUNTIME), (1.3, FinalState.TRANSMISSION),
+                (1.515, FinalState.RUNTIME), (2.5, FinalState.EXECUTION),
+                (3.525, FinalState.RUNTIME), (3.8, FinalState.TRANSMISSION)]
+    for at, state in expected:
+        micro.world.run_until(at)
+        assert (at, handle.status, classify(track)) == (at, HandleStatus.PENDING, state)
+    micro.world.run_until(4.5)
+    assert classify(track) is FinalState.SUCCESS
 
 
 def test_infinite_ttl_workflow_succeeds_with_unexpiring_archives(line3):
