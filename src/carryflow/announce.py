@@ -12,9 +12,11 @@ and builds the OfferRecords it returns.
 
 Decoding is pure, so one run decodes each offer payload once, when a copy
 arrives: the run's nodes share an OfferMemo keyed by payload bytes, which
-forgets a payload once its bundle has expired. Lookups read the memo and
-never decode. Malformed payloads are never memoised, so each arrival of one
-is counted, and a lookup passes over it.
+forgets a payload after its bundle has expired. Most arrivals are copies of a
+payload the memo already holds, and such a receipt costs one lookup in the
+memo's read-only view; only a payload the memo lacks goes through decode.
+Lookups read the memo and never decode. Malformed payloads are never
+memoised, so each arrival of one is counted, and a lookup passes over it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .bundles import (BROADCAST, Bundle, BundleId, BundleKind, BundleStore,
                       NodeAddress)
@@ -125,16 +128,20 @@ def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: floa
 class OfferMemo:
     """Decoded offers by payload bytes, shared by the nodes of one run.
 
-    Entries leave in arrival order once their bundle has expired. The source
-    decodes its own offer when it issues it and a run's offers share one TTL,
-    so that order is expiry order; every bundle carrying one payload is a
-    copy of one announce, so the entry outlives none of them. Every reader of
-    a payload gets the same offer objects, so nothing may edit a decoded
-    offer.
+    Entries leave in arrival order, at the first decode after their bundle
+    has expired. The source decodes its own offer when it issues it and a
+    run's offers share one TTL, so that order is expiry order; every bundle
+    carrying one payload is a copy of one announce, so the entry outlives
+    none of them. A copy is delivered only while it is live, so a payload
+    found in `decoded` on arrival is one that decode would return as is.
+    Every reader of a payload gets the same offer objects, so nothing may
+    edit a decoded offer.
     """
 
     def __init__(self) -> None:
         self._offers: dict[bytes, list[ServiceOffer]] = {}
+        # read-only view for callers that test membership on a hot path
+        self.decoded: Mapping[bytes, list[ServiceOffer]] = MappingProxyType(self._offers)
         self._arrivals: deque[tuple[float, bytes]] = deque()
 
     def __len__(self) -> int:

@@ -91,6 +91,18 @@ def _load_reports(ref: str) -> list:
     return reports
 
 
+def _cannot_write(path: str, exc: OSError) -> str:
+    return f"error: cannot write {path}: {exc.strerror or exc}"
+
+
+def _emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
+    """emit_suite, ending the command with an error line if out_dir cannot be written."""
+    try:
+        return emit_suite(result, out_dir)
+    except OSError as exc:
+        raise SystemExit(_cannot_write(out_dir, exc)) from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     seed = None if args.seed is None else _parse_seed(args.seed)
     config = resolve_scenario(args.scenario)
@@ -98,8 +110,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run_scenario(config, seed=seed, strategy=strategy)
     text = report.to_json() + "\n"
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(_cannot_write(args.out, exc)) from None
         print(f"wrote {args.out} (digest {report.digest()[:16]})", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -110,7 +125,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     config = resolve_scenario(args.scenario)
     strategies = _parse_strategies(args.strategies)
     result = run_suite(config, _parse_seeds(args.seeds), strategies)
-    files = emit_suite(result, args.out)
+    files = _emit_suite(result, args.out)
     print(f"{len(result.reports)} runs -> {args.out} ({len(files)} files)")
     print(f"suite digest {result.digest()}")
     return 0
@@ -136,7 +151,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     strategies = sorted({r.strategy for r in reports})
     result = SuiteResult(scenario=reports[0].scenario, seeds=seeds,
                          strategies=strategies, reports=reports)
-    files = emit_suite(result, args.out)
+    files = _emit_suite(result, args.out)
     print(f"wrote {len(files)} files to {args.out}")
     return 0
 

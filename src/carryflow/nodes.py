@@ -49,6 +49,7 @@ class Node:
                                     handler=self.on_bundle, accept=self.accepts)
         self.offer_db = OfferDatabase(
             self.store, OfferMemo() if offer_memo is None else offer_memo)
+        self._decoded = self.offer_db.memo.decoded
 
     def release(self) -> None:
         """Drop the runtimes once the run is over.
@@ -95,27 +96,33 @@ class Node:
                 or bundle.kind is BundleKind.CLEANUP_MARKER)
 
     def on_bundle(self, bundle: Bundle) -> None:
-        now = self.world.now
-        if bundle.kind is BundleKind.OFFER:
+        kind = bundle.kind
+        if kind is BundleKind.OFFER:
+            payload = bundle.payload
+            # a copy of a payload the memo holds needs no decode; the type test
+            # keeps an unhashable payload out of the lookup
+            if type(payload) is bytes and payload in self._decoded:
+                return
             try:
-                self.offer_db.memo.decode(bundle, now)
+                self.offer_db.memo.decode(bundle, self.world.now)
             except OfferCodecError:
                 self.collector.malformed_offers += 1
             return
-        if bundle.kind is BundleKind.CLEANUP_MARKER:
+        if kind is BundleKind.CLEANUP_MARKER:
             self.on_cleanup(str(bundle.payload))
             return
         if bundle.destination != self.address:
             return
+        now = self.world.now
         payload = bundle.payload
-        archive = payload.archive if bundle.kind is BundleKind.ERROR_ARCHIVE else payload
+        archive = payload.archive if kind is BundleKind.ERROR_ARCHIVE else payload
         self.collector.charge(archive.description, FinalState.TRANSMISSION,
                               now - bundle.created_at)
-        if bundle.kind is BundleKind.WORKFLOW_ARCHIVE:
+        if kind is BundleKind.WORKFLOW_ARCHIVE:
             self.worker.on_archive(payload, now)
-        elif bundle.kind is BundleKind.RESULT_ARCHIVE:
+        elif kind is BundleKind.RESULT_ARCHIVE:
             self.client.on_result(payload)
-        elif bundle.kind is BundleKind.ERROR_ARCHIVE:
+        elif kind is BundleKind.ERROR_ARCHIVE:
             self._route_error(payload)
 
     def _route_error(self, report: ErrorReport) -> None:

@@ -29,9 +29,14 @@ those are most of what a sender carries. No link queues one bundle twice for
 one receiver: the scan runs once, when the link opens, and after that only
 bundles newly stored at one end are pushed, and a store takes an id at most
 once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
-is sending is its `current`, which closing the link clears, so a completion
-finds its own entry there only if the link stayed open. A completed copy the
-receiver already holds is not delivered again.
+is sending is its `current`, the one record of the entry in flight, which
+closing the link clears. A link has at most one transfer pending, so each
+link builds its completion callback once, when it opens, and every transfer
+on it schedules that same callable: a completion that finds `current` empty
+belongs to a link that closed. A transfer's duration depends only on the
+bundle's size, so the world computes it once per distinct size and looks it
+up after that. A completed copy the receiver already holds is not delivered
+again.
 """
 
 from __future__ import annotations
@@ -166,11 +171,21 @@ _Entry = tuple[Bundle, _Node]
 
 
 class _LinkState:
-    __slots__ = ("queue", "current")
+    """One open link: its queue, the entry in flight and its completion callback.
 
-    def __init__(self) -> None:
+    `current` is the one record of the entry being sent; None while the link
+    is idle and for good once it has closed. `complete` is built once, when
+    the link opens, and scheduled for every transfer on the link. It refers
+    back to this state, so closing the link or releasing the world sets it
+    to None to break that cycle.
+    """
+
+    __slots__ = ("queue", "current", "complete")
+
+    def __init__(self, complete: Callable[[_LinkState], None]) -> None:
         self.queue: deque[_Entry] = deque()      # in arrival order
         self.current: Optional[_Entry] = None    # the entry being sent
+        self.complete: Optional[Callable[[], None]] = partial(complete, self)
 
 
 class World:
@@ -197,6 +212,8 @@ class World:
         self._addrs = np.empty(0, dtype=object)
         self._positions = np.zeros((0, 2))
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
+        # transfer_duration(link, size) of each bundle size sent so far
+        self._durations: dict[int, float] = {}
         # rows (i, j), i < j, of every node pair, and whether each pair was in
         # range at the last tick; None until the next tick after add_node
         self._pair_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -228,15 +245,18 @@ class World:
         """Drop a finished run's events, stores, links and node hooks.
 
         Nodes and their handlers refer to each other in cycles, and so do the
-        two ends of an open link; emptying the world frees its bundles and
-        pending events by reference count at once instead of whenever the
-        garbage collector next runs.
+        two ends of an open link, and each open link and its completion
+        callback; emptying the world frees its bundles and pending events by
+        reference count at once instead of whenever the garbage collector
+        next runs.
         """
         self._heap.clear()
         self.stores.clear()
         for node in self._nodes.values():
             node.links.clear()
         self._nodes.clear()
+        for state in self._links.values():
+            state.complete = None
         self._links.clear()
         self._pair_rows = None
         self._in_range = np.zeros(0, dtype=bool)
@@ -349,7 +369,7 @@ class World:
         self.schedule(self.now + self.tick_interval, self._tick)
 
     def _open_link(self, pair: tuple[NodeAddress, NodeAddress]) -> None:
-        state = _LinkState()
+        state = _LinkState(self._complete)
         self._links[pair] = state
         a, b = self._nodes[pair[0]], self._nodes[pair[1]]
         insort(a.links, (pair, state, b))
@@ -366,6 +386,7 @@ class World:
             state.current = None
             self.transfers_aborted += 1
         state.queue.clear()
+        state.complete = None
 
     # -- synchronization ---------------------------------------------------
 
@@ -408,12 +429,17 @@ class World:
             if now > bundle.expires_at or bundle.bundle_id in node.held:
                 continue
             state.current = entry
-            done = now + transfer_duration(self.link, bundle.size_bytes)
-            self.schedule(done, partial(self._complete, state, entry))
+            size = bundle.size_bytes
+            try:
+                duration = self._durations[size]
+            except KeyError:
+                duration = self._durations[size] = transfer_duration(self.link, size)
+            self.schedule(now + duration, state.complete)
             return
 
-    def _complete(self, state: _LinkState, entry: _Entry) -> None:
-        if state.current is not entry:
+    def _complete(self, state: _LinkState) -> None:
+        entry = state.current
+        if entry is None:
             return      # the link closed while this entry was in flight
         state.current = None
         bundle, node = entry

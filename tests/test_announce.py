@@ -295,16 +295,21 @@ def test_one_decode_per_offer_payload_per_run(monkeypatch):
 
 def test_malformed_offer_counts_once_per_receiver(monkeypatch):
     calls = count_decodes(monkeypatch)
-    built = build(resolve_scenario("ring-heterogeneous"))
-    bad = build_offer_bundle((2, 10_000), 2, 1.0, CAPS, [("scale", 1)], expiry_s=60.0)
-    bad.payload = bad.payload[:-5]
-    built.world.schedule(1.0, lambda: built.world.originate(bad))
-    built.world.run_until(30.0)
-    holders = [addr for addr, store in built.world.stores.items()
-               if bad.bundle_id in store]
-    assert len(holders) == len(built.nodes)
-    assert built.collector.malformed_offers == len(holders)
-    assert calls.count(bad.payload) == len(holders)
+    # a short byte string, and payloads that are not byte strings at all
+    for spoil in (lambda payload: payload[:-5], bytearray, bytes.hex):
+        calls.clear()
+        built = build(resolve_scenario("ring-heterogeneous"))
+        bad = build_offer_bundle((2, 10_000), 2, 1.0, CAPS, [("scale", 1)], expiry_s=60.0)
+        bad.payload = spoil(bad.payload)
+        built.world.schedule(1.0, lambda: built.world.originate(bad))
+        built.world.run_until(30.0)
+        holders = [addr for addr, store in built.world.stores.items()
+                   if bad.bundle_id in store]
+        assert len(holders) == len(built.nodes)
+        assert built.collector.malformed_offers == len(holders)
+        # a payload that is not a byte string is refused before the decoder
+        decoded = len(holders) if type(bad.payload) is bytes else 0
+        assert calls.count(bad.payload) == decoded
 
 
 INBOX_EXPIRY_S = 10.0

@@ -66,6 +66,27 @@ def test_run_writes_file(scenario_file, tmp_path, capsys):
     assert "digest" in capsys.readouterr().err
 
 
+def test_run_to_a_missing_directory_is_refused_with_an_error_line(scenario_file, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit,
+                       match=f"^error: cannot write {re.escape(str(out))}: No such file"):
+        main(["run", scenario_file, "--seed", "1", "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["suite", "plot-data"])
+def test_tables_to_an_existing_file_are_refused_with_an_error_line(
+        scenario_file, saved_report, tmp_path, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    source = scenario_file if command == "suite" else str(saved_report)
+    args = [command, source, "--out", str(out)]
+    if command == "suite":
+        args[2:2] = ["--seeds", "1", "--strategies", "best"]
+    with pytest.raises(SystemExit, match=f"^error: cannot write {re.escape(str(out))}: "):
+        main(args)
+    assert out.read_text() == ""
+
+
 def test_suite_report_and_plot_data_round_trip(scenario_file, tmp_path, capsys):
     suite_dir = tmp_path / "suite"
     assert main(["suite", scenario_file, "--seeds", "1..2",

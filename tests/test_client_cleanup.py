@@ -113,11 +113,15 @@ def test_successful_workflow_broadcasts_marker_to_all(line3):
 
 
 def test_malformed_offer_bundles_are_counted(line3):
-    bad = Bundle(bundle_id=(7, 1), source=2, destination=None,
-                 kind=BundleKind.OFFER, payload=b"\x01\x02", size_bytes=2,
-                 created_at=0.0, ttl_seconds=100.0)
-    line3.node(1).on_bundle(bad)
-    assert line3.collector.malformed_offers == 1
+    # an unhashable payload must not reach the memo's lookup
+    for seq, payload in enumerate((b"\x01\x02", bytearray(b"\x01\x02"), "\x01\x02"),
+                                  start=1):
+        bad = Bundle(bundle_id=(7, seq), source=2, destination=None,
+                     kind=BundleKind.OFFER, payload=payload, size_bytes=2,
+                     created_at=0.0, ttl_seconds=100.0)
+        line3.node(1).on_bundle(bad)
+        line3.node(2).on_bundle(bad)
+        assert line3.collector.malformed_offers == 2 * seq
 
 
 def test_unparsable_workflow_raises_immediately(line3):

@@ -17,6 +17,7 @@ from carryflow.harness import (assign_cohorts, build, emit_suite, makespan,
                                run_suite, summarize)
 from carryflow.runtime import FaultPlan
 from carryflow.scenario import parse_scenario
+from carryflow.simnet import World
 
 from test_scenario import RING_INI
 
@@ -212,15 +213,32 @@ def test_finished_run_is_freed_by_reference_count(monkeypatch):
                     (built.nodes[1], built.clients[0], built.world))
         return built
 
+    at_release = {}
+    real_release = World.release
+
+    def release_and_count(world):
+        at_release.update(open=len(world._links), aborted=world.transfers_aborted)
+        real_release(world)
+
     monkeypatch.setattr(harness, "build", build_and_watch)
-    # without the collector, only reference counts can free the run
-    gc.disable()
-    try:
-        run_scenario(resolve_scenario("ring-heterogeneous"), seed=2,
-                     strategy=Strategy.SPREAD)
-        assert [ref() for ref in refs] == [None, None, None]
-    finally:
-        gc.enable()
+    monkeypatch.setattr(World, "release", release_and_count)
+    ring = resolve_scenario("ring-heterogeneous")
+    mobile = resolve_scenario("mobile-sparse")
+    # the mobile run ends with links that closed mid-transfer and links
+    # still open
+    mobile = dataclasses.replace(mobile, run=dataclasses.replace(mobile.run,
+                                                                 duration_s=120.0))
+    for config, seed in ((ring, 2), (mobile, 1)):
+        refs.clear()
+        # without the collector, only reference counts can free the run
+        gc.disable()
+        try:
+            run_scenario(config, seed=seed, strategy=Strategy.SPREAD)
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+        assert at_release["open"] > 0
+    assert at_release["aborted"] > 0
 
 
 def test_stored_bundles_stay_bounded_on_a_long_mobile_run():
