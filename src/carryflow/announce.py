@@ -115,10 +115,8 @@ def decode_offers(payload: bytes) -> list[ServiceOffer]:
 
 def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: float,
                        caps: CapabilityVector, services: list[tuple[str, int]],
-                       expiry_s: float = DEFAULT_OFFER_EXPIRY_S) -> Optional[Bundle]:
-    """One broadcast bundle per announcement round; None if nothing is offered."""
-    if not services:
-        return None
+                       expiry_s: float = DEFAULT_OFFER_EXPIRY_S) -> Bundle:
+    """One broadcast bundle per announcement round."""
     payload = encode_offers(worker, issued_at, caps, services)
     return Bundle(bundle_id=bundle_id, source=worker, destination=BROADCAST,
                   kind=BundleKind.OFFER, payload=payload, size_bytes=len(payload),

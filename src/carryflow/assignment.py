@@ -20,7 +20,6 @@ from .bundles import NodeAddress
 from .simnet import Position, euclidean
 from .workflow import RESOURCE_METRICS
 
-CAP_RATIO = 10.0
 DISTANCE_METRIC = "distance"
 
 # weight layout: energy and closeness matter most, then compute, then storage
@@ -65,19 +64,19 @@ def proximity(distance_m: float, reference_m: float) -> float:
 
 def rate(offer: ServiceOffer, requirements: dict[str, float],
          weights: dict[str, float], origin: Position,
-         distance_fn: Callable[[Position, Position], float] = euclidean,
-         cap_ratio: float = CAP_RATIO) -> float:
+         distance_fn: Callable[[Position, Position], float] = euclidean) -> float:
     """Score one offer against one task's requirements.
 
     Metrics absent from the requirements are left out of the score entirely.
     """
+    CAP_RATIO = 10.0
     score = 0.0
     for metric in RESOURCE_METRICS:
         required = requirements.get(metric)
         if required is None:
             continue
         ratio = offer.capabilities.resource(metric) / required
-        score += weights.get(metric, 0.0) * min(ratio, cap_ratio)
+        score += weights.get(metric, 0.0) * min(ratio, CAP_RATIO)
     reference = requirements.get(DISTANCE_METRIC)
     if reference is not None:
         d = distance_fn(origin, offer.capabilities.position)

@@ -52,9 +52,13 @@ class BundleKind(Enum):
 BundleId = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
-    """An immutable-by-convention payload unit carried between nodes."""
+    """A payload unit carried between nodes.
+
+    Bundles are frozen, and every store holding a copy holds the same
+    object; an archive payload is frozen too.
+    """
 
     bundle_id: BundleId
     source: NodeAddress
@@ -70,7 +74,7 @@ class Bundle:
     expires_at: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.expires_at = self.created_at + self.ttl_seconds
+        object.__setattr__(self, "expires_at", self.created_at + self.ttl_seconds)
 
     def is_expired(self, now: float) -> bool:
         return now > self.expires_at

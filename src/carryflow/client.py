@@ -15,7 +15,7 @@ from typing import Optional
 from .assignment import SelectionError
 from .bundles import BundleKind, NodeAddress
 from .report import FinalState, HandleStatus, PhaseBreakdown
-from .runtime import ErrorClass, ErrorReport, WorkerError
+from .runtime import ErrorClass, WorkerError
 from .workflow import Archive, FileContent, WorkflowDescription, parse
 
 
@@ -23,16 +23,15 @@ from .workflow import Archive, FileContent, WorkflowDescription, parse
 class WorkflowHandle:
     """One workflow's whole lifecycle, and the record its report is frozen from.
 
-    `stage` is the final state an unfinished workflow is reported as: the
-    phase it was in when the run ended or its TTL fired. `phases` is its
-    ledger, one row per task plus the result's trip back at row
-    `len(tasks)`; `Collector.charge` writes both.
+    The description holds the workflow's id and offload time; the handle
+    adds only what changes as the workflow runs. `stage` is the final state
+    an unfinished workflow is reported as: the phase it was in when the run
+    ended or its TTL fired. `phases` is its ledger, one row per task plus
+    the result's trip back at row `len(tasks)`; `Collector.charge` writes
+    both.
     """
 
-    workflow_id: str
     description: WorkflowDescription
-    submitted_at: float
-    strategy: str
     status: HandleStatus = HandleStatus.PENDING
     result: Optional[Archive] = None
     error: Optional[WorkerError] = None
@@ -67,10 +66,8 @@ class ClientRuntime:
         now = self.node.world.now
         self._counter += 1
         workflow_id = f"wf-{self.node.address:x}-{self._counter}"
-        desc = parse(text, workflow_id=workflow_id, client=self.node.address)
-        desc.created_at = now
-        handle = WorkflowHandle(workflow_id=workflow_id, description=desc, submitted_at=now,
-                                strategy=self.node.config.strategy.value)
+        desc = parse(text, workflow_id=workflow_id, client=self.node.address, created_at=now)
+        handle = WorkflowHandle(description=desc)
         self.node.collector.tracks[workflow_id] = handle
         archive = Archive(description=desc, files=dict(files),
                           assigned_by=self.node.address)
@@ -105,11 +102,11 @@ class ClientRuntime:
         handle.result = archive
         self._finish(handle, HandleStatus.SUCCEEDED)
 
-    def on_error(self, report: ErrorReport) -> None:
-        handle = self.node.collector.tracks.get(report.archive.description.workflow_id)
+    def on_error(self, archive: Archive) -> None:
+        handle = self.node.collector.tracks.get(archive.description.workflow_id)
         if handle is None or handle.terminal:
             return
-        self._finish(handle, HandleStatus.FAILED, error=report.error)
+        self._finish(handle, HandleStatus.FAILED, error=archive.error)
 
     def _expire(self, handle: WorkflowHandle) -> None:
         if handle.terminal:
@@ -124,4 +121,4 @@ class ClientRuntime:
         if handle.sent_any:
             self.node.send_cleanup(handle.description)
         else:
-            self.node.on_cleanup(handle.workflow_id)
+            self.node.on_cleanup(handle.description.workflow_id)

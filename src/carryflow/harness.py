@@ -149,7 +149,7 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
             world.run_until(min(run.duration_s, world.now + run.stop_grace_s))
             break
 
-    workflows = [freeze_workflow(wid, collector.tracks[wid])
+    workflows = [freeze_workflow(collector.tracks[wid], run.strategy.value)
                  for wid in sorted(collector.tracks)]
     report = ExperimentReport(
         scenario=config.name,

@@ -18,7 +18,7 @@ from .announce import (CapabilityVector, OfferCodecError, OfferDatabase,
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
-from .runtime import ErrorReport, ServiceDefinition, WorkerRuntime, retryable
+from .runtime import ServiceDefinition, WorkerRuntime, retryable
 from .scenario import RunSettings
 from .simnet import Position, World
 from .workflow import Archive, WorkflowDescription, packed_size
@@ -73,14 +73,11 @@ class Node:
         now = self.world.now
         if self.worker.services:
             self.caps.position = self.position()
-            bundle = build_offer_bundle(self._next_bundle_id(), self.address, now,
-                                        self.caps,
-                                        [(svc.name, svc.param_count) for svc in
-                                         sorted(self.worker.services.values(),
-                                                key=lambda s: s.name)],
-                                        expiry_s=self.config.offer_expiry_s)
-            if bundle is not None:
-                self.world.originate(bundle)
+            self.world.originate(build_offer_bundle(
+                self._next_bundle_id(), self.address, now, self.caps,
+                [(svc.name, svc.param_count) for svc in
+                 sorted(self.worker.services.values(), key=lambda s: s.name)],
+                expiry_s=self.config.offer_expiry_s))
         self.world.schedule(now + self.config.announce_interval_s, self._announce)
 
     # -- bundle plumbing ---------------------------------------------------------
@@ -114,53 +111,45 @@ class Node:
         if bundle.destination != self.address:
             return
         now = self.world.now
-        payload = bundle.payload
-        archive = payload.archive if kind is BundleKind.ERROR_ARCHIVE else payload
+        archive = bundle.payload
         self.collector.charge(archive.description, FinalState.TRANSMISSION,
                               now - bundle.created_at)
         if kind is BundleKind.WORKFLOW_ARCHIVE:
-            self.worker.on_archive(payload, now)
+            self.worker.on_archive(archive, now)
         elif kind is BundleKind.RESULT_ARCHIVE:
-            self.client.on_result(payload)
+            self.client.on_result(archive)
         elif kind is BundleKind.ERROR_ARCHIVE:
-            self._route_error(payload)
+            self._route_error(archive)
 
-    def _route_error(self, report: ErrorReport) -> None:
-        archive = report.archive
+    def _route_error(self, archive: Archive) -> None:
         if (archive.assigned_by == self.address
-                and retryable(archive, report.error.error_class)):
-            self.worker.on_error_report(report)
+                and retryable(archive, archive.error.error_class)):
+            self.worker.on_error_report(archive)
         elif archive.description.client == self.address:
-            self.client.on_error(report)
+            self.client.on_error(archive)
 
     # -- sending -----------------------------------------------------------------
 
     def _remaining_ttl(self, desc: WorkflowDescription) -> float:
         return max(0.0, desc.expires_at() - self.world.now)
 
-    def send_archive(self, kind: BundleKind, archive: Archive, dest: NodeAddress,
-                     payload: object = None) -> None:
-        """Send an archive; an error bundle's payload is the report wrapping it."""
+    def send_archive(self, kind: BundleKind, archive: Archive, dest: NodeAddress) -> None:
         desc = archive.description
         bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,
-                        destination=dest, kind=kind,
-                        payload=archive if payload is None else payload,
+                        destination=dest, kind=kind, payload=archive,
                         size_bytes=packed_size(archive), created_at=self.world.now,
                         ttl_seconds=self._remaining_ttl(desc),
                         workflow_id=desc.workflow_id)
         self.collector.charge(desc, FinalState.TRANSMISSION)
         self.world.originate(bundle)
 
-    def send_error(self, report: ErrorReport, dest: NodeAddress) -> None:
-        self.send_archive(BundleKind.ERROR_ARCHIVE, report.archive, dest, payload=report)
-
-    def hand_error_to_client(self, report: ErrorReport) -> None:
+    def hand_error_to_client(self, archive: Archive) -> None:
         """Terminal error path: deliver locally when this node is the client."""
-        desc = report.archive.description
-        if desc.client == self.address:
-            self.client.on_error(report)
+        client = archive.description.client
+        if client == self.address:
+            self.client.on_error(archive)
         else:
-            self.send_error(report, desc.client)
+            self.send_archive(BundleKind.ERROR_ARCHIVE, archive, client)
 
     def send_cleanup(self, desc: WorkflowDescription) -> None:
         bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,

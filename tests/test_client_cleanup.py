@@ -1,10 +1,12 @@
 """Handle lifecycle: terminal-once semantics and network-wide cleanup."""
 
+from dataclasses import replace
+
 import pytest
 
 from carryflow.bundles import Bundle, BundleKind
 from carryflow.client import HandleStatus
-from carryflow.runtime import ErrorClass, ErrorReport, WorkerError
+from carryflow.runtime import ErrorClass, WorkerError
 
 from conftest import build_line, service
 
@@ -17,7 +19,7 @@ def test_timeout_fires_exactly_once_and_result_cannot_flip_it():
     micro.settle(10.0)
     assert handle.status is HandleStatus.TIMED_OUT
     timed_out_at = handle.finished_at
-    assert timed_out_at == pytest.approx(handle.submitted_at + 2.0)
+    assert timed_out_at == pytest.approx(handle.description.created_at + 2.0)
 
     # a result that straggles in later is ignored
     micro.node(1).client.on_result(handle.result or
@@ -36,9 +38,9 @@ def test_late_error_cannot_flip_success(line3):
     handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
     assert handle.status is HandleStatus.SUCCEEDED
-    report = ErrorReport(archive=_fake_archive(handle),
-                         error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
-    line3.node(1).client.on_error(report)
+    late = replace(_fake_archive(handle),
+                   error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
+    line3.node(1).client.on_error(late)
     assert handle.status is HandleStatus.SUCCEEDED
     assert handle.error is None
 
@@ -60,7 +62,7 @@ def test_terminal_workflow_is_scrubbed_from_every_store(line3):
         "any work in.dat\nany work ##result##\n", {"in.dat": b"x" * 64})
     line3.settle(10.0)
     assert handle.status is HandleStatus.SUCCEEDED
-    wf = handle.workflow_id
+    wf = handle.description.workflow_id
     for addr, store in line3.world.stores.items():
         leftovers = [b for b in store.live(line3.world.now)
                      if b.workflow_id == wf
@@ -75,7 +77,7 @@ def test_cleaned_node_refuses_replanting(line3):
     line3.settle(1.0)
     handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
-    wf = handle.workflow_id
+    wf = handle.description.workflow_id
     stray = Bundle(bundle_id=(9, 1), source=3, destination=1,
                    kind=BundleKind.WORKFLOW_ARCHIVE, payload=None,
                    size_bytes=10, created_at=line3.world.now, ttl_seconds=100.0,
@@ -97,7 +99,7 @@ def test_local_failure_broadcasts_no_marker():
                for b in store.live(micro.world.now)
                if b.kind is BundleKind.CLEANUP_MARKER]
     assert markers == []
-    assert handle.workflow_id in micro.node(1).cleaned
+    assert handle.description.workflow_id in micro.node(1).cleaned
 
 
 def test_successful_workflow_broadcasts_marker_to_all(line3):
@@ -108,7 +110,7 @@ def test_successful_workflow_broadcasts_marker_to_all(line3):
     for addr in (2, 3):
         held = [b for b in line3.world.stores[addr].live(line3.world.now)
                 if b.kind is BundleKind.CLEANUP_MARKER
-                and b.workflow_id == handle.workflow_id]
+                and b.workflow_id == handle.description.workflow_id]
         assert len(held) == 1
 
 

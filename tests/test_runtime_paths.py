@@ -16,6 +16,7 @@ from carryflow.client import HandleStatus
 from carryflow.report import FinalState, classify
 from carryflow.runtime import ErrorClass, FaultPlan
 from carryflow.simnet import LinkModel
+from carryflow.workflow import Archive
 
 from conftest import build_line, service
 
@@ -33,12 +34,12 @@ def test_two_task_chain_succeeds(line3):
     line3.settle(5.0)
     assert handle.status is HandleStatus.SUCCEEDED
     assert sorted(handle.result.files) == ["result_1.out"]
-    assert handle.finished_at > handle.submitted_at
+    assert handle.finished_at > handle.description.created_at
 
     # best strategy: tie on equal caps breaks to the lower address, then the
     # holder excludes itself
     assert line3.collector.selections == {(1, 2): 1, (2, 3): 1}
-    track = line3.collector.tracks[handle.workflow_id]
+    track = line3.collector.tracks[handle.description.workflow_id]
     assert track.status == "succeeded"
     assert track.phases[0].execution_s == pytest.approx(0.2)
     assert track.phases[1].execution_s == pytest.approx(0.2)
@@ -71,7 +72,7 @@ def test_busy_worker_queues_fifo():
     assert second.status is HandleStatus.SUCCEEDED
     assert first.finished_at < second.finished_at
     # the second workflow's runtime phase includes the wait behind the first
-    waited = micro.collector.tracks[second.workflow_id].phases[0].runtime_s
+    waited = micro.collector.tracks[second.description.workflow_id].phases[0].runtime_s
     assert waited > 0.4
 
 
@@ -83,24 +84,24 @@ def test_expired_workflow_behind_a_queue_never_executes():
     micro.settle(10.0)
     assert blocker.status is HandleStatus.SUCCEEDED
     assert doomed.status is HandleStatus.TIMED_OUT
-    track = micro.collector.tracks[doomed.workflow_id]
+    track = micro.collector.tracks[doomed.description.workflow_id]
     assert track.phases.get(0) is None or track.phases[0].execution_s == 0.0
 
 
 def test_worker_refuses_expired_archives():
-    from carryflow.workflow import Archive, parse
+    from carryflow.workflow import parse
 
     micro = build_line(2, {2: {"work": service("work")}})
     micro.settle(3.0)
-    desc = parse("ttl=1\nany work in.dat\n", workflow_id="wf-x", client=1)
-    desc.created_at = 0.0      # expired two seconds ago
+    # expired two seconds ago
+    desc = parse("ttl=1\nany work in.dat\n", workflow_id="wf-x", client=1, created_at=0.0)
     micro.node(2).worker.on_archive(Archive(description=desc), micro.world.now)
     assert micro.collector.expired_drops == 1
     assert not micro.node(2).worker.busy
 
     # an archive that expires during preprocessing is dropped there
-    fresh = parse("ttl=1\nany work in.dat\n", workflow_id="wf-y", client=1)
-    fresh.created_at = micro.world.now - 0.995
+    fresh = parse("ttl=1\nany work in.dat\n", workflow_id="wf-y", client=1,
+                  created_at=micro.world.now - 0.995)
     micro.node(2).worker.on_archive(Archive(description=fresh), micro.world.now)
     assert micro.node(2).worker.busy
     micro.settle(1.0)
@@ -112,6 +113,7 @@ def test_jit_fault_retries_once_excluding_failed_worker():
     svc = service("work")
     micro = build_line(3, {2: {"work": svc}, 3: {"work": svc}},
                        fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2})))
+    arrivals = record_archive_arrivals(micro)
     micro.settle(1.0)
     handle = offload(micro, "any work in.dat\n")
     micro.settle(5.0)
@@ -120,6 +122,18 @@ def test_jit_fault_retries_once_excluding_failed_worker():
     log = handle.result.error_log
     assert "task_execution" in log
     assert format_address(2) in log
+    # the failure travels back as the archive itself, with its error set; the
+    # re-sent workflow archive and the result carry none
+    kinds = [(b.kind, b.destination) for b, _ in arrivals]
+    assert kinds == [(BundleKind.WORKFLOW_ARCHIVE, 2), (BundleKind.ERROR_ARCHIVE, 1),
+                     (BundleKind.WORKFLOW_ARCHIVE, 3), (BundleKind.RESULT_ARCHIVE, 1)]
+    payloads = [b.payload for b, _ in arrivals]
+    assert all(isinstance(p, Archive) for p in payloads)
+    assert payloads[1].error.worker == 2
+    assert payloads[1].error.error_class is ErrorClass.TASK_EXECUTION
+    assert payloads[2].error is None and payloads[2].retried
+    assert payloads[3].error is None
+    assert handle.result is payloads[3]
 
 
 ARCHIVE_KINDS = (BundleKind.WORKFLOW_ARCHIVE, BundleKind.RESULT_ARCHIVE,
@@ -152,16 +166,14 @@ def test_transmission_is_each_archive_trip_charged_to_its_cursor():
     assert handle.status is HandleStatus.SUCCEEDED
     trips = []
     for bundle, arrived in arrivals:
-        archive = (bundle.payload.archive if bundle.kind is BundleKind.ERROR_ARCHIVE
-                   else bundle.payload)
-        desc = archive.description
+        desc = bundle.payload.description
         leg = "return" if desc.finished else desc.cursor
         trips.append((bundle.kind, bundle.destination, leg, arrived - bundle.created_at))
     assert [trip[:3] for trip in trips] == [
         (BundleKind.WORKFLOW_ARCHIVE, 2, 0), (BundleKind.ERROR_ARCHIVE, 1, 0),
         (BundleKind.WORKFLOW_ARCHIVE, 3, 0), (BundleKind.WORKFLOW_ARCHIVE, 2, 1),
         (BundleKind.RESULT_ARCHIVE, 1, "return")]
-    track = micro.collector.tracks[handle.workflow_id]
+    track = micro.collector.tracks[handle.description.workflow_id]
     for task in (0, 1):
         expected = sum(seconds for _, _, leg, seconds in trips if leg == task)
         assert track.phases[task].transmission_s == expected > 0.0
@@ -177,7 +189,7 @@ def test_unfinished_workflow_is_reported_by_the_phase_it_is_in():
                        announce_interval_s=100.0)
     micro.settle(1.0)
     handle = offload(micro, "any work in.dat\n")
-    track = micro.collector.tracks[handle.workflow_id]
+    track = micro.collector.tracks[handle.description.workflow_id]
     # offloaded at 1.0: sent at 1.01, arrives at ~1.51, preprocessed until
     # ~1.52, executes until ~3.52, post-processed until ~3.53, back at ~4.03
     expected = [(1.005, FinalState.RUNTIME), (1.3, FinalState.TRANSMISSION),
@@ -266,7 +278,7 @@ def test_empty_offer_database_fails_locally():
     # the failure never touched the network
     tagged = [b for store in micro.world.stores.values()
               for b in store.live(micro.world.now)
-              if b.workflow_id == handle.workflow_id]
+              if b.workflow_id == handle.description.workflow_id]
     assert tagged == []
 
 
@@ -308,7 +320,7 @@ def assert_client_archive_untouched(handle):
     """Workers send new archives; the client's own description never moves."""
     assert handle.status is HandleStatus.SUCCEEDED
     assert handle.description.cursor == 0
-    assert handle.description.tasks[1].params == ["##result##"]
+    assert handle.description.tasks[1].params == ("##result##",)
     assert handle.result.description is not handle.description
     assert handle.result.description.cursor == 2
 

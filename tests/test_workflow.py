@@ -2,16 +2,17 @@
 
 import math
 import struct
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carryflow.bundles import format_address
+from carryflow.bundles import Bundle, BundleKind, format_address
+from carryflow.runtime import ErrorClass, WorkerError
 from carryflow.workflow import (Archive, FileStub, Task, WorkflowParseError,
-                                WorkerSpec, _desc_blob, file_size,
-                                format_description, packed_size, parse,
-                                substitute_result)
+                                _desc_blob, file_size, format_description,
+                                packed_size, parse, substitute_result)
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -51,16 +52,15 @@ def test_parse_pipeline():
     assert desc.ttl_seconds == 900.0
     assert len(desc.tasks) == 2
     first = desc.tasks[0]
-    assert first.worker.is_jit
+    assert first.worker is None
     assert first.service_name == "denoise"
-    assert first.params == ["photo.raw"]
+    assert first.params == ("photo.raw",)
     assert first.requirements == {"cpu": 2.0, "memory": 1024.0, "energy": 5.0}
 
 
 def test_parse_pinned_worker_address():
     desc = parse(f"{format_address(9)} scale photo.raw\n")
-    assert desc.tasks[0].worker.address == 9
-    assert not desc.tasks[0].worker.is_jit
+    assert desc.tasks[0].worker == 9
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -91,21 +91,19 @@ def test_format_description_round_trips():
 
 
 def test_substitute_result_replaces_placeholder_once():
-    task = Task(worker=WorkerSpec(None), service_name="scale",
-                params=["##result##", "flag"], requirements={"cpu": 1.0})
+    task = Task(worker=None, service_name="scale",
+                params=("##result##", "flag"), requirements={"cpu": 1.0})
     done = substitute_result(task, "result_0.png")
-    assert done.params == ["result_0.png", "flag"]
-    assert task.params == ["##result##", "flag"]
+    assert done.params == ("result_0.png", "flag")
+    assert task.params == ("##result##", "flag")
 
 
 def test_expiry_accessors():
-    desc = parse("ttl=10\nany scale f\n")
-    desc.created_at = 5.0
+    desc = parse("ttl=10\nany scale f\n", created_at=5.0)
     assert desc.expires_at() == 15.0
     assert not desc.is_expired(15.0)
     assert desc.is_expired(15.1)
-    infinite = parse("any scale f\n")
-    infinite.ttl_seconds = math.inf
+    infinite = replace(parse("any scale f\n"), ttl_seconds=math.inf)
     assert not infinite.is_expired(1e12)
 
 
@@ -119,9 +117,8 @@ def test_file_stub_bytes_are_deterministic():
 
 
 def make_archive(cursor: int = 0) -> Archive:
-    desc = parse(PIPELINE, workflow_id="wf-7", client=2)
-    desc.created_at = 4.5
-    desc.cursor = cursor
+    desc = replace(parse(PIPELINE, workflow_id="wf-7", client=2, created_at=4.5),
+                   cursor=cursor)
     return Archive(description=desc,
                    files={"photo.raw": FileStub(size_bytes=512, tag="photo")},
                    error_log="", assigned_by=2, retried=False)
@@ -130,6 +127,23 @@ def make_archive(cursor: int = 0) -> Archive:
 def test_packed_size_matches_pack():
     archive = make_archive()
     assert packed_size(archive) == len(pack(archive))
+    # the error travels beside the wire metadata, so it costs no bytes
+    failed = replace(archive, error=WorkerError(ErrorClass.TASK_EXECUTION, "boom", 4))
+    assert packed_size(failed) == packed_size(archive)
+
+
+def test_travelling_values_are_frozen():
+    archive = make_archive()
+    desc = archive.description
+    bundle = Bundle(bundle_id=(1, 1), source=1, destination=2,
+                    kind=BundleKind.WORKFLOW_ARCHIVE, payload=archive,
+                    size_bytes=packed_size(archive), created_at=0.0, ttl_seconds=10.0)
+    for value, name, new in ((desc.tasks[0], "params", ()),
+                             (desc, "cursor", 1),
+                             (archive, "error_log", "edited"),
+                             (bundle, "expires_at", 99.0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, new)
 
 
 @settings(max_examples=50, deadline=None)
@@ -140,8 +154,7 @@ def test_packed_size_matches_pack():
     log=st.text(max_size=40),
 )
 def test_packed_size_equals_wire_length(n_files, sizes, cursor, log):
-    desc = parse(PIPELINE, workflow_id="wf-h", client=1)
-    desc.cursor = cursor
+    desc = replace(parse(PIPELINE, workflow_id="wf-h", client=1), cursor=cursor)
     files = {f"f{i}.bin": FileStub(size_bytes=sizes[i], tag=f"f{i}")
              for i in range(n_files)}
     archive = Archive(description=desc, files=files, error_log=log,
