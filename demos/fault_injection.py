@@ -45,7 +45,7 @@ handle = nodes[1].client.offload("any enhance photo.raw\n",
                                  {"photo.raw": b"\0" * 2048})
 world.run_until(10.0)
 
-print(f"one flaky worker  -> {handle.status.value}")
+print(f"one flaky worker  -> {handle.status}")
 print("selections:", dict(sorted(collector.selections.items())))
 print("log carried back to the client:")
 for line in handle.result.error_log.strip().splitlines():
@@ -58,7 +58,7 @@ handle = nodes[1].client.offload("any enhance photo.raw\n",
                                  {"photo.raw": b"\0" * 2048})
 world.run_until(10.0)
 
-print(f"\nall workers flaky -> {handle.status.value}")
+print(f"\nall workers flaky -> {handle.status}")
 print("selections:", dict(sorted(collector.selections.items())))
-print(f"error class {handle.error.error_class.value!r} "
-      f"from worker {handle.error.worker}")
+print(f"error class {handle.result.error.error_class.value!r} "
+      f"from worker {handle.result.error.worker}")

@@ -45,6 +45,15 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _refuse_repeats(values: list, what: str) -> None:
+    """End the command if a value is given twice: it would run the same run again."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise SystemExit(f"error: {what} {value!r} is given more than once")
+        seen.add(value)
+
+
 def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
     for part in text.split(","):
@@ -56,13 +65,17 @@ def _parse_seeds(text: str) -> list[int]:
             seeds.append(_parse_seed(part))
     if not seeds:
         raise SystemExit("error: no seeds given")
+    _refuse_repeats(seeds, "seed")
     return seeds
 
 
 def _parse_strategies(text: str) -> list[Strategy]:
+    names = [part.strip().lower() for part in text.split(",") if part.strip()]
+    if not names:
+        raise SystemExit("error: no strategies given")
+    _refuse_repeats(names, "strategy")
     try:
-        return [Strategy(part.strip().lower())
-                for part in text.split(",") if part.strip()]
+        return [Strategy(name) for name in names]
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 

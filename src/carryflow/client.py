@@ -1,48 +1,23 @@
 """Client-side workflow lifecycle: offload, await the result, enforce the TTL.
 
-A handle moves from pending to exactly one of succeeded, failed, or timed
-out, and never leaves a terminal state; whatever arrives later is ignored.
-Every terminal transition of a workflow that put bundles on the network
-broadcasts a cleanup marker so carriers drop the workflow's leftovers.
+A workflow finishes once, through `_finish`: with the result or error archive
+that returns, with an error archive made here when no first worker can be
+chosen, or, when its TTL fires, with none; later arrivals are ignored. A
+finish of a workflow that put bundles on the network broadcasts a cleanup
+marker so carriers drop its leftovers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional
 
 from .assignment import SelectionError
 from .bundles import BundleKind, NodeAddress
-from .report import FinalState, HandleStatus, PhaseBreakdown
+from .report import FinalState, WorkflowHandle
 from .runtime import ErrorClass, WorkerError
-from .workflow import Archive, FileContent, WorkflowDescription, parse
-
-
-@dataclass
-class WorkflowHandle:
-    """One workflow's whole lifecycle, and the record its report is frozen from.
-
-    The description holds the workflow's id and offload time; the handle
-    adds only what changes as the workflow runs. `stage` is the final state
-    an unfinished workflow is reported as: the phase it was in when the run
-    ended or its TTL fired. `phases` is its ledger, one row per task plus
-    the result's trip back at row `len(tasks)`; `Collector.charge` writes
-    both.
-    """
-
-    description: WorkflowDescription
-    status: HandleStatus = HandleStatus.PENDING
-    result: Optional[Archive] = None
-    error: Optional[WorkerError] = None
-    finished_at: Optional[float] = None
-    sent_any: bool = False
-    stage: FinalState = FinalState.RUNTIME
-    phases: dict[int, PhaseBreakdown] = field(default_factory=dict)
-
-    @property
-    def terminal(self) -> bool:
-        return self.status is not HandleStatus.PENDING
+from .workflow import Archive, FileContent, parse
 
 
 class ClientRuntime:
@@ -76,10 +51,10 @@ class ClientRuntime:
         except SelectionError as exc:
             error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
                                 worker=self.node.address)
-            self._finish(handle, HandleStatus.FAILED, error=error)
+            self._finish(handle, replace(archive, error=error))
             return handle
         if math.isfinite(desc.ttl_seconds):
-            self.node.world.schedule(now + desc.ttl_seconds, lambda: self._expire(handle))
+            self.node.world.schedule(now + desc.ttl_seconds, lambda: self._finish(handle, None))
         self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
         self.node.world.schedule(
             now + self.node.config.postprocess_s,
@@ -95,29 +70,15 @@ class ClientRuntime:
 
     # -- terminal transitions -------------------------------------------------
 
-    def on_result(self, archive: Archive) -> None:
+    def on_returned(self, archive: Archive) -> None:
+        """A result or error archive reached its client."""
         handle = self.node.collector.tracks.get(archive.description.workflow_id)
-        if handle is None or handle.terminal:
-            return
-        handle.result = archive
-        self._finish(handle, HandleStatus.SUCCEEDED)
+        if handle is not None:
+            self._finish(handle, archive)
 
-    def on_error(self, archive: Archive) -> None:
-        handle = self.node.collector.tracks.get(archive.description.workflow_id)
-        if handle is None or handle.terminal:
+    def _finish(self, handle: WorkflowHandle, archive: Optional[Archive]) -> None:
+        if not handle.finish(archive, self.node.world.now):
             return
-        self._finish(handle, HandleStatus.FAILED, error=archive.error)
-
-    def _expire(self, handle: WorkflowHandle) -> None:
-        if handle.terminal:
-            return
-        self._finish(handle, HandleStatus.TIMED_OUT)
-
-    def _finish(self, handle: WorkflowHandle, status: HandleStatus,
-                error: Optional[WorkerError] = None) -> None:
-        handle.status = status
-        handle.error = error
-        handle.finished_at = self.node.world.now
         if handle.sent_any:
             self.node.send_cleanup(handle.description)
         else:

@@ -114,19 +114,15 @@ class Node:
         archive = bundle.payload
         self.collector.charge(archive.description, FinalState.TRANSMISSION,
                               now - bundle.created_at)
+        # an error is retried by the node that assigned the failing worker if
+        # it can be; a result, or an error that is not retried, ends at the client
         if kind is BundleKind.WORKFLOW_ARCHIVE:
             self.worker.on_archive(archive, now)
-        elif kind is BundleKind.RESULT_ARCHIVE:
-            self.client.on_result(archive)
-        elif kind is BundleKind.ERROR_ARCHIVE:
-            self._route_error(archive)
-
-    def _route_error(self, archive: Archive) -> None:
-        if (archive.assigned_by == self.address
-                and retryable(archive, archive.error.error_class)):
+        elif (kind is BundleKind.ERROR_ARCHIVE and archive.assigned_by == self.address
+              and retryable(archive, archive.error.error_class)):
             self.worker.on_error_report(archive)
         elif archive.description.client == self.address:
-            self.client.on_error(archive)
+            self.client.on_returned(archive)
 
     # -- sending -----------------------------------------------------------------
 
@@ -147,7 +143,7 @@ class Node:
         """Terminal error path: deliver locally when this node is the client."""
         client = archive.description.client
         if client == self.address:
-            self.client.on_error(archive)
+            self.client.on_returned(archive)
         else:
             self.send_archive(BundleKind.ERROR_ARCHIVE, archive, client)
 

@@ -1,14 +1,13 @@
-"""Phase accounting, final-state bookkeeping, and report serialization.
+"""Workflow lifecycle, phase accounting, and report serialization.
 
 Every workflow's wall clock is split into three phases: runtime (parsing,
 packing, queueing, worker assignment), transmission (bundle in transit,
 including store-carry-forward waiting), and execution (the service actually
-running). A workflow that never finished is reported by the phase it was
-in. While a scenario runs the collector keeps one ledger per workflow, one
-row per task plus a last row for the result's trip back, written only
-through `Collector.charge`; the harness freezes it into an ExperimentReport
-afterwards. The report's dataclass fields are its JSON keys, so `to_obj` and
-`report_from_obj` spell out only the values that are not plain JSON.
+running). A workflow's one lifecycle state is its handle's `state`:
+`Collector.charge` moves it between phases and writes the phase ledger,
+`WorkflowHandle.finish` ends it once, and `freeze_workflow` reads it into
+the report. The report's dataclass fields are its JSON keys, so `to_obj`
+and `report_from_obj` spell out only the values that are not plain JSON.
 """
 
 from __future__ import annotations
@@ -16,27 +15,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .bundles import NodeAddress, format_address
-from .workflow import WorkflowDescription
-
-if TYPE_CHECKING:
-    from .client import WorkflowHandle
-
-
-class HandleStatus(str, Enum):
-    """A workflow's status; the values are the strings its report carries."""
-
-    PENDING = "pending"
-    SUCCEEDED = "succeeded"
-    FAILED = "failed"
-    TIMED_OUT = "timed_out"
+from .workflow import Archive, WorkflowDescription
 
 
 class FinalState(Enum):
+    """A workflow's one lifecycle state: a phase until it ends in success or error.
+
+    The phase members' values name the ledger's columns. A workflow that
+    timed out or never finished is reported by the phase it was in.
+    """
+
     SUCCESS = "success"
     WORKER_ERROR = "worker_error"
     TRANSMISSION = "transmission"
@@ -53,6 +46,50 @@ class PhaseBreakdown:
     @property
     def total_s(self) -> float:
         return self.runtime_s + self.transmission_s + self.execution_s
+
+
+@dataclass
+class WorkflowHandle:
+    """One workflow's whole lifecycle, and the record its report is frozen from.
+
+    The description holds the workflow's id and offload time; the handle
+    adds only what changes as the workflow runs. `state` is its one
+    lifecycle field, which `Collector.charge` moves between phases and
+    `finish` ends. `result` is the archive the workflow ended with: the
+    result, or the error archive. `sent_any` records that a bundle of the
+    workflow left the client. `phases` is its ledger, one row per task plus
+    the result's trip back at row `len(tasks)`.
+    """
+
+    description: WorkflowDescription
+    state: FinalState = FinalState.RUNTIME
+    result: Optional[Archive] = None
+    finished_at: Optional[float] = None
+    sent_any: bool = False
+    phases: dict[int, PhaseBreakdown] = field(default_factory=dict)
+
+    @property
+    def terminal(self) -> bool:
+        return self.finished_at is not None
+
+    @property
+    def status(self) -> str:
+        if self.state is FinalState.SUCCESS:
+            return "succeeded"
+        if self.state is FinalState.WORKER_ERROR:
+            return "failed"
+        return "pending" if self.finished_at is None else "timed_out"
+
+    def finish(self, archive: Optional[Archive], now: float) -> bool:
+        """End the workflow once, by the archive that came back or by its TTL (None)."""
+        if self.terminal:
+            return False
+        self.result = archive
+        if archive is not None:
+            self.state = (FinalState.SUCCESS if archive.error is None
+                          else FinalState.WORKER_ERROR)
+        self.finished_at = now
+        return True
 
 
 class Collector:
@@ -87,7 +124,7 @@ class Collector:
         if track is None:
             return
         if not track.terminal:
-            track.stage = phase
+            track.state = phase
         if seconds:
             row = track.phases.setdefault(desc.cursor, PhaseBreakdown())
             column = f"{phase.value}_s"
@@ -194,18 +231,9 @@ def report_from_obj(obj: dict) -> ExperimentReport:
                                "residual_energy": residual_energy})
 
 
-def classify(handle: WorkflowHandle) -> FinalState:
-    """Map a workflow's end-of-run status onto the five reported final states."""
-    if handle.status is HandleStatus.SUCCEEDED:
-        return FinalState.SUCCESS
-    if handle.status is HandleStatus.FAILED:
-        return FinalState.WORKER_ERROR
-    # timed out or still pending at the experiment cap: report where it sat
-    return handle.stage
-
-
 def freeze_workflow(handle: WorkflowHandle, strategy: str) -> WorkflowReport:
-    desc, error = handle.description, handle.error
+    desc = handle.description
+    error = handle.result.error if handle.result else None
     # rows 0..n-1 are the tasks; row n is the result's trip back to the client
     n = len(desc.tasks)
     rows = [handle.phases.get(i, PhaseBreakdown()) for i in range(n + 1)]
@@ -213,10 +241,10 @@ def freeze_workflow(handle: WorkflowHandle, strategy: str) -> WorkflowReport:
         workflow_id=desc.workflow_id,
         client=desc.client,
         strategy=strategy,
-        status=handle.status.value,
+        status=handle.status,
         error_class=error.error_class.value if error else None,
         error_message=error.message if error else "",
-        final_state=classify(handle),
+        final_state=handle.state,
         offloaded_at=desc.created_at,
         finished_at=handle.finished_at,
         task_phases=rows[:n],

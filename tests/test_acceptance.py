@@ -22,7 +22,6 @@ import pytest
 from carryflow.assignment import Strategy, folded_normal_index
 from carryflow.bundles import BundleKind, format_address
 from carryflow.cli import resolve_scenario
-from carryflow.client import HandleStatus
 from carryflow.harness import build, run_scenario, run_suite, summarize
 from carryflow.report import selection_entropy
 from carryflow.runtime import ErrorClass, FaultPlan
@@ -199,7 +198,7 @@ def test_criterion_07_error_path_conformance():
     micro.settle(1.0)
     handle = micro.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
     assert "task_execution" in handle.result.error_log
     assert format_address(2) in handle.result.error_log
@@ -211,7 +210,7 @@ def test_criterion_07_error_path_conformance():
     handle = micro.node(1).client.offload("any work in.dat [energy=50]\n",
                                           {"in.dat": b"x"})
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
     assert "worker_calling" in handle.result.error_log
 
@@ -221,8 +220,8 @@ def test_criterion_07_error_path_conformance():
     handle = micro.node(1).client.offload(
         "any work in.dat\nany work ##result##\n", {"in.dat": b"x"})
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.WORKER_SELECTION
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.WORKER_SELECTION
     assert micro.collector.selections == {(1, 2): 1}
 
     # a pinned worker's failure skips the retry entirely
@@ -232,8 +231,8 @@ def test_criterion_07_error_path_conformance():
     handle = micro.node(1).client.offload(
         f"{format_address(2)} work in.dat\n", {"in.dat": b"x"})
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.TASK_EXECUTION
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
     assert micro.collector.selections == {(1, 2): 1}
 
     # a second failure is terminal and reaches the client
@@ -241,9 +240,9 @@ def test_criterion_07_error_path_conformance():
     micro.settle(1.0)
     handle = micro.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.TASK_EXECUTION
-    assert handle.error.worker == 3
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
+    assert handle.result.error.worker == 3
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
 
 
@@ -254,16 +253,16 @@ def test_criterion_08_ttl_conformance():
     doomed = micro.node(1).client.offload("ttl=2\nany work b.dat\n",
                                           {"b.dat": b"b"})
     micro.settle(10.0)
-    assert blocker.status is HandleStatus.SUCCEEDED
-    assert doomed.status is HandleStatus.TIMED_OUT
+    assert blocker.status == "succeeded"
+    assert doomed.status == "timed_out"
     assert doomed.finished_at == pytest.approx(doomed.description.created_at + 2.0)
     track = micro.collector.tracks[doomed.description.workflow_id]
     assert all(p.execution_s == 0.0 for p in track.phases.values())
 
     # a result that straggles in after the deadline never flips the state
     finished_at = doomed.finished_at
-    micro.node(1).client.on_result(Archive(description=doomed.description))
-    assert doomed.status is HandleStatus.TIMED_OUT
+    micro.node(1).client.on_returned(Archive(description=doomed.description))
+    assert doomed.status == "timed_out"
     assert doomed.finished_at == finished_at
 
 

@@ -33,6 +33,25 @@ def test_suite_refuses_bad_seeds_with_an_error_line(scenario_file, tmp_path, see
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--seeds=1,1", "seed 1"), ("--seeds=1..3,2", "seed 2"),
+    ("--strategies=best,best", "strategy 'best'"),
+    ("--strategies=Best, best", "strategy 'best'"),
+])
+def test_suite_refuses_repeats_with_an_error_line(scenario_file, tmp_path, option, message):
+    with pytest.raises(SystemExit, match=f"^error: {message} is given more than once$"):
+        main(["suite", scenario_file, option, "--out", str(tmp_path / "s")])
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("strategies", [",", "", " , "])
+def test_suite_refuses_no_strategies_with_an_error_line(scenario_file, tmp_path, strategies):
+    with pytest.raises(SystemExit, match="^error: no strategies given$"):
+        main(["suite", scenario_file, f"--strategies={strategies}",
+              "--out", str(tmp_path / "s")])
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("seed", ["x", "-1"])
 def test_run_refuses_bad_seed_with_an_error_line(scenario_file, seed):
     with pytest.raises(SystemExit, match="^error: a seed must be a non-negative integer"):

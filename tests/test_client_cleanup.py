@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from carryflow.bundles import Bundle, BundleKind
-from carryflow.client import HandleStatus
+from carryflow.report import FinalState
 from carryflow.runtime import ErrorClass, WorkerError
 
 from conftest import build_line, service
@@ -17,15 +17,22 @@ def test_timeout_fires_exactly_once_and_result_cannot_flip_it():
     handle = micro.node(1).client.offload("ttl=2\nany work in.dat\n",
                                           {"in.dat": b"x"})
     micro.settle(10.0)
-    assert handle.status is HandleStatus.TIMED_OUT
+    # the TTL fires while the 3 s task executes: the workflow keeps that phase
+    assert handle.status == "timed_out"
+    assert handle.state is FinalState.EXECUTION
+    assert handle.result is None
     timed_out_at = handle.finished_at
     assert timed_out_at == pytest.approx(handle.description.created_at + 2.0)
 
-    # a result that straggles in later is ignored
-    micro.node(1).client.on_result(handle.result or
-                                   _fake_archive(handle))
-    assert handle.status is HandleStatus.TIMED_OUT
-    assert handle.finished_at == timed_out_at
+    # a result or an error that straggles in later is ignored
+    late_error = replace(_fake_archive(handle),
+                         error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
+    for late in (_fake_archive(handle), late_error):
+        micro.node(1).client.on_returned(late)
+        assert handle.status == "timed_out"
+        assert handle.state is FinalState.EXECUTION
+        assert handle.result is None
+        assert handle.finished_at == timed_out_at
 
 
 def _fake_archive(handle):
@@ -37,12 +44,14 @@ def test_late_error_cannot_flip_success(line3):
     line3.settle(1.0)
     handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
+    result = handle.result
     late = replace(_fake_archive(handle),
                    error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
-    line3.node(1).client.on_error(late)
-    assert handle.status is HandleStatus.SUCCEEDED
-    assert handle.error is None
+    line3.node(1).client.on_returned(late)
+    assert handle.status == "succeeded"
+    assert handle.state is FinalState.SUCCESS
+    assert handle.result is result and result.error is None
 
 
 def test_unknown_workflow_results_are_ignored(line3):
@@ -51,9 +60,9 @@ def test_unknown_workflow_results_are_ignored(line3):
     line3.settle(1.0)
     handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     stranger = parse("any work in.dat\n", workflow_id="wf-unknown", client=1)
-    line3.node(1).client.on_result(Archive(description=stranger))
+    line3.node(1).client.on_returned(Archive(description=stranger))
     line3.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
 
 
 def test_terminal_workflow_is_scrubbed_from_every_store(line3):
@@ -61,7 +70,7 @@ def test_terminal_workflow_is_scrubbed_from_every_store(line3):
     handle = line3.node(1).client.offload(
         "any work in.dat\nany work ##result##\n", {"in.dat": b"x" * 64})
     line3.settle(10.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     wf = handle.description.workflow_id
     for addr, store in line3.world.stores.items():
         leftovers = [b for b in store.live(line3.world.now)
@@ -93,7 +102,7 @@ def test_cleaned_node_refuses_replanting(line3):
 def test_local_failure_broadcasts_no_marker():
     micro = build_line(3, {2: {"work": service("work")}})
     handle = micro.node(1).client.offload("any other in.dat\n", {"in.dat": b"x"})
-    assert handle.status is HandleStatus.FAILED
+    assert handle.status == "failed"
     micro.settle(3.0)
     markers = [b for store in micro.world.stores.values()
                for b in store.live(micro.world.now)
@@ -106,7 +115,7 @@ def test_successful_workflow_broadcasts_marker_to_all(line3):
     line3.settle(1.0)
     handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     for addr in (2, 3):
         held = [b for b in line3.world.stores[addr].live(line3.world.now)
                 if b.kind is BundleKind.CLEANUP_MARKER

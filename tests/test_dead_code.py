@@ -1,4 +1,4 @@
-"""Every public function or method of the package has a caller outside tests."""
+"""Every public class, function or method of the package has a caller outside tests."""
 
 import ast
 import re
@@ -13,11 +13,12 @@ ALLOWED = {"set_position"}
 
 
 def public_defs() -> list[tuple[str, int, str]]:
-    """(file name, line, name) of every public def in the package."""
+    """(file name, line, name) of every public class and def in the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if (isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
                     and not node.name.startswith("_")):
                 found.append((path.name, node.lineno, node.name))
     return found

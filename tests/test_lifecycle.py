@@ -2,11 +2,11 @@
 
 Each generated run varies the seed, the strategy, the fault plan and the
 workflow TTL (short enough that some runs time out). Whatever the run, each
-workflow is pending exactly while it has no finish time, its final state
-agrees with its status, energy never goes negative, and the report survives
-a JSON round trip byte for byte. The phases of a succeeded or failed
-workflow fit inside its makespan; a timed-out one's may not yet (see the
-xfail below).
+workflow is pending exactly while it has no finish time; its report's
+status and final state, both read from the handle's one lifecycle state,
+agree; energy never goes negative; and the report survives a JSON round
+trip byte for byte. The phases of a succeeded or failed workflow fit inside
+its makespan; a timed-out one's may not yet (see the xfail below).
 """
 
 import json

@@ -12,8 +12,7 @@ import math
 import pytest
 
 from carryflow.bundles import BundleKind, format_address
-from carryflow.client import HandleStatus
-from carryflow.report import FinalState, classify
+from carryflow.report import FinalState
 from carryflow.runtime import ErrorClass, FaultPlan
 from carryflow.simnet import LinkModel
 from carryflow.workflow import Archive
@@ -32,7 +31,7 @@ def test_two_task_chain_succeeds(line3):
     line3.settle(1.0)
     handle = offload(line3)
     line3.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert sorted(handle.result.files) == ["result_1.out"]
     assert handle.finished_at > handle.description.created_at
 
@@ -57,7 +56,7 @@ def test_recent_strategy_prefers_last_arrival():
     micro.settle(1.0)
     handle = offload(micro, "any work in.dat\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     # worker 3's announcement needed one more hop, so it arrived last
     assert micro.collector.selections == {(1, 3): 1}
 
@@ -68,8 +67,8 @@ def test_busy_worker_queues_fifo():
     first = offload(micro, "any work a.dat\n", files={"a.dat": b"a"})
     second = offload(micro, "any work b.dat\n", files={"b.dat": b"b"})
     micro.settle(5.0)
-    assert first.status is HandleStatus.SUCCEEDED
-    assert second.status is HandleStatus.SUCCEEDED
+    assert first.status == "succeeded"
+    assert second.status == "succeeded"
     assert first.finished_at < second.finished_at
     # the second workflow's runtime phase includes the wait behind the first
     waited = micro.collector.tracks[second.description.workflow_id].phases[0].runtime_s
@@ -82,8 +81,8 @@ def test_expired_workflow_behind_a_queue_never_executes():
     blocker = offload(micro, "any work a.dat\n", files={"a.dat": b"a"})
     doomed = offload(micro, "ttl=1\nany work b.dat\n", files={"b.dat": b"b"})
     micro.settle(10.0)
-    assert blocker.status is HandleStatus.SUCCEEDED
-    assert doomed.status is HandleStatus.TIMED_OUT
+    assert blocker.status == "succeeded"
+    assert doomed.status == "timed_out"
     track = micro.collector.tracks[doomed.description.workflow_id]
     assert track.phases.get(0) is None or track.phases[0].execution_s == 0.0
 
@@ -117,7 +116,7 @@ def test_jit_fault_retries_once_excluding_failed_worker():
     micro.settle(1.0)
     handle = offload(micro, "any work in.dat\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
     log = handle.result.error_log
     assert "task_execution" in log
@@ -163,7 +162,7 @@ def test_transmission_is_each_archive_trip_charged_to_its_cursor():
     micro.settle(1.0)
     handle = offload(micro)
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     trips = []
     for bundle, arrived in arrivals:
         desc = bundle.payload.description
@@ -197,9 +196,9 @@ def test_unfinished_workflow_is_reported_by_the_phase_it_is_in():
                 (3.525, FinalState.RUNTIME), (3.8, FinalState.TRANSMISSION)]
     for at, state in expected:
         micro.world.run_until(at)
-        assert (at, handle.status, classify(track)) == (at, HandleStatus.PENDING, state)
+        assert (at, track.status, track.state) == (at, "pending", state)
     micro.world.run_until(4.5)
-    assert classify(track) is FinalState.SUCCESS
+    assert (track.status, track.state) == ("succeeded", FinalState.SUCCESS)
 
 
 def test_infinite_ttl_workflow_succeeds_with_unexpiring_archives(line3):
@@ -207,7 +206,7 @@ def test_infinite_ttl_workflow_succeeds_with_unexpiring_archives(line3):
     line3.settle(1.0)
     handle = offload(line3, "ttl=inf\n" + TWO_STEP)
     line3.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert handle.description.ttl_seconds == math.inf
     assert [bundle.kind for bundle, _ in arrivals] == [
         BundleKind.WORKFLOW_ARCHIVE, BundleKind.WORKFLOW_ARCHIVE,
@@ -222,11 +221,11 @@ def test_second_fault_reaches_client():
     micro.settle(1.0)
     handle = offload(micro, "any work in.dat\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.TASK_EXECUTION
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
     # one selection plus exactly one retry, then no third attempt
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
-    assert handle.error.worker == 3
+    assert handle.result.error.worker == 3
 
 
 def test_worker_calling_when_capabilities_drifted():
@@ -238,7 +237,7 @@ def test_worker_calling_when_capabilities_drifted():
     micro.node(2).caps.energy = 1.0
     handle = offload(micro, "any work in.dat [energy=50]\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
     assert "worker_calling" in handle.result.error_log
 
@@ -250,9 +249,9 @@ def test_pinned_worker_failure_skips_retry():
     micro.settle(1.0)
     handle = offload(micro, f"{format_address(2)} work in.dat\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.TASK_EXECUTION
-    assert handle.error.worker == 2
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
+    assert handle.result.error.worker == 2
     # the pinned dispatch is recorded, but no re-selection follows it
     assert micro.collector.selections == {(1, 2): 1}
 
@@ -262,18 +261,19 @@ def test_pinned_worker_without_service_is_worker_calling():
     micro.settle(1.0)
     handle = offload(micro, f"{format_address(3)} work in.dat\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.WORKER_CALLING
-    assert "not offered" in handle.error.message
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.WORKER_CALLING
+    assert "not offered" in handle.result.error.message
 
 
 def test_empty_offer_database_fails_locally():
     micro = build_line(3, {2: {"work": service("work")}})
     # no settling: nothing has been announced yet
     handle = offload(micro, "any work in.dat\n")
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.WORKER_SELECTION
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.WORKER_SELECTION
     assert handle.sent_any is False
+    assert handle.result.description is handle.description
     micro.settle(2.0)
     # the failure never touched the network
     tagged = [b for store in micro.world.stores.values()
@@ -288,8 +288,8 @@ def test_mid_chain_selection_failure_reaches_client():
     micro.settle(1.0)
     handle = offload(micro)
     micro.settle(5.0)
-    assert handle.status is HandleStatus.FAILED
-    assert handle.error.error_class is ErrorClass.WORKER_SELECTION
+    assert handle.status == "failed"
+    assert handle.result.error.error_class is ErrorClass.WORKER_SELECTION
     assert micro.collector.selections == {(1, 2): 1}
 
 
@@ -299,7 +299,7 @@ def test_energy_clamps_at_zero():
     micro.node(2).caps.energy = 3.0
     handle = offload(micro, "any work in.dat\n")
     micro.settle(5.0)
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert micro.node(2).caps.energy == 0.0
 
 
@@ -318,7 +318,7 @@ def test_fault_plan_scoping():
 
 def assert_client_archive_untouched(handle):
     """Workers send new archives; the client's own description never moves."""
-    assert handle.status is HandleStatus.SUCCEEDED
+    assert handle.status == "succeeded"
     assert handle.description.cursor == 0
     assert handle.description.tasks[1].params == ("##result##",)
     assert handle.result.description is not handle.description
