@@ -31,8 +31,6 @@ def build_world(fault_plan):
                                 energy=100.0, position=(30.0 * addr, 0.0))
         services = {} if addr == 1 else {"enhance": ENHANCE}
         nodes[addr] = Node(addr, world, collector, run, caps, services)
-        if services:
-            world.schedule(0.0, nodes[addr].start_announcing)
     world.run_until(1.0)    # let the offers flood the line
     return world, collector, nodes
 
@@ -41,8 +39,8 @@ def build_world(fault_plan):
 
 world, collector, nodes = build_world(
     FaultPlan(rate=1.0, nodes=frozenset({2})))
-handle = nodes[1].client.offload("any enhance photo.raw\n",
-                                 {"photo.raw": b"\0" * 2048})
+handle = nodes[1].offload("any enhance photo.raw\n",
+                          {"photo.raw": b"\0" * 2048})
 world.run_until(10.0)
 
 print(f"one flaky worker  -> {handle.status}")
@@ -54,8 +52,8 @@ for line in handle.result.error_log.strip().splitlines():
 # -- every worker flaky: the second failure is terminal -----------------------
 
 world, collector, nodes = build_world(FaultPlan(rate=1.0))
-handle = nodes[1].client.offload("any enhance photo.raw\n",
-                                 {"photo.raw": b"\0" * 2048})
+handle = nodes[1].offload("any enhance photo.raw\n",
+                          {"photo.raw": b"\0" * 2048})
 world.run_until(10.0)
 
 print(f"\nall workers flaky -> {handle.status}")

@@ -60,7 +60,10 @@ def _parse_seeds(text: str) -> list[int]:
         part = part.strip()
         if ".." in part:
             lo, _, hi = part.partition("..")
-            seeds.extend(range(_parse_seed(lo), _parse_seed(hi) + 1))
+            first, last = _parse_seed(lo), _parse_seed(hi)
+            if last < first:
+                raise SystemExit(f"error: seed range {part!r} ends below its start")
+            seeds.extend(range(first, last + 1))
         elif part:
             seeds.append(_parse_seed(part))
     if not seeds:
@@ -84,7 +87,8 @@ def _load_reports(ref: str) -> list:
     """Read report JSON files from a directory or an explicit file.
 
     A file that cannot be read, is not JSON, or whose keys are not a
-    report's ends the command with an error line naming the file.
+    report's ends the command with an error line naming the file; so do
+    reports of more than one scenario, which no table can hold apart.
     """
     paths = []
     if os.path.isdir(ref):
@@ -101,6 +105,10 @@ def _load_reports(ref: str) -> list:
                 reports.append(report_from_obj(json.load(fh)))
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SystemExit(f"error: {path} is not a carryflow report: {exc}") from None
+    scenarios = sorted({report.scenario for report in reports})
+    if len(scenarios) > 1:
+        raise SystemExit(f"error: {ref} holds reports of more than one scenario: "
+                         + ", ".join(scenarios))
     return reports
 
 

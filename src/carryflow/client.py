@@ -1,10 +1,11 @@
-"""Client-side workflow lifecycle: offload, await the result, enforce the TTL.
+"""Client role of a node: offload, await the result, enforce the TTL.
 
-A workflow finishes once, through `_finish`: with the result or error archive
-that returns, with an error archive made here when no first worker can be
-chosen, or, when its TTL fires, with none; later arrivals are ignored. A
-finish of a workflow that put bundles on the network broadcasts a cleanup
-marker so carriers drop its leftovers.
+`ClientRuntime` holds only methods; `Node` inherits them and owns the state
+they use. A workflow finishes once, through `_finish`: with the result or
+error archive that returns, with an error archive made here when no first
+worker can be chosen, or, when its TTL fires, with none; later arrivals are
+ignored. A finish of a workflow that put bundles on the network broadcasts a
+cleanup marker so carriers drop its leftovers.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from .workflow import Archive, FileContent, parse
 
 
 class ClientRuntime:
-    """Workflow origination and terminal bookkeeping for one node.
+    """The client role of a `Node`: workflow origination and terminal bookkeeping.
 
     Results and errors reach only the client named in the description, so
-    the handle they finish is the run's track of that workflow.
+    the handle they finish is the run's track of that workflow. The role
+    numbers its workflows with the node's `_workflow_seq` and reads its
+    `address`, `world`, `collector` and `config`; it picks the first worker
+    with the worker role's `resolve_worker` and sends through
+    `send_archive`, `send_cleanup` and `on_cleanup`.
     """
-
-    def __init__(self, node) -> None:
-        self.node = node
-        self._counter = 0
 
     def offload(self, text: str, files: dict[str, FileContent]) -> WorkflowHandle:
         """Parse, assign the first worker, and send the archive on its way.
@@ -38,26 +39,26 @@ class ClientRuntime:
         just-in-time first task fails the handle locally without any
         network traffic.
         """
-        now = self.node.world.now
-        self._counter += 1
-        workflow_id = f"wf-{self.node.address:x}-{self._counter}"
-        desc = parse(text, workflow_id=workflow_id, client=self.node.address, created_at=now)
+        now = self.world.now
+        self._workflow_seq += 1
+        workflow_id = f"wf-{self.address:x}-{self._workflow_seq}"
+        desc = parse(text, workflow_id=workflow_id, client=self.address, created_at=now)
         handle = WorkflowHandle(description=desc)
-        self.node.collector.tracks[workflow_id] = handle
+        self.collector.tracks[workflow_id] = handle
         archive = Archive(description=desc, files=dict(files),
-                          assigned_by=self.node.address)
+                          assigned_by=self.address)
         try:
-            worker = self.node.worker.resolve_worker(archive, exclude=set())
+            worker = self.resolve_worker(archive, exclude=set())
         except SelectionError as exc:
             error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
-                                worker=self.node.address)
+                                worker=self.address)
             self._finish(handle, replace(archive, error=error))
             return handle
         if math.isfinite(desc.ttl_seconds):
-            self.node.world.schedule(now + desc.ttl_seconds, lambda: self._finish(handle, None))
-        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
-        self.node.world.schedule(
-            now + self.node.config.postprocess_s,
+            self.world.schedule(now + desc.ttl_seconds, lambda: self._finish(handle, None))
+        self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
+        self.world.schedule(
+            now + self.config.postprocess_s,
             lambda: self._dispatch(handle, archive, worker))
         return handle
 
@@ -66,20 +67,20 @@ class ClientRuntime:
         if handle.terminal:
             return
         handle.sent_any = True
-        self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
+        self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
 
     # -- terminal transitions -------------------------------------------------
 
     def on_returned(self, archive: Archive) -> None:
         """A result or error archive reached its client."""
-        handle = self.node.collector.tracks.get(archive.description.workflow_id)
+        handle = self.collector.tracks.get(archive.description.workflow_id)
         if handle is not None:
             self._finish(handle, archive)
 
     def _finish(self, handle: WorkflowHandle, archive: Optional[Archive]) -> None:
-        if not handle.finish(archive, self.node.world.now):
+        if not handle.finish(archive, self.world.now):
             return
         if handle.sent_any:
-            self.node.send_cleanup(handle.description)
+            self.send_cleanup(handle.description)
         else:
-            self.node.on_cleanup(handle.description.workflow_id)
+            self.on_cleanup(handle.description.workflow_id)

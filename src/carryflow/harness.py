@@ -115,17 +115,13 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         if cohort.client:
             clients.append(node)
 
-    for addr in addresses:
-        if nodes[addr].worker.services:
-            world.schedule(0.0, nodes[addr].start_announcing)
-
     spec = config.workflow
     for client in clients:
         for k in range(spec.repeat):
             def offload(node: Node = client) -> None:
                 files = {name: FileStub(size, tag=name)
                          for name, size in sorted(spec.files.items())}
-                node.client.offload(spec.text, files)
+                node.offload(spec.text, files)
             world.schedule(spec.offload_at + k * spec.interval_s, offload)
 
     return BuiltScenario(config=config, world=world, nodes=nodes,
@@ -165,8 +161,6 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
         malformed_offers=collector.malformed_offers,
     )
     world.release()
-    for node in built.nodes.values():
-        node.release()
     return report
 
 

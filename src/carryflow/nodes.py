@@ -1,8 +1,10 @@
-"""One network participant: store, offer view, worker engine, client role.
+"""One network participant: store, offer view, worker role, client role.
 
-The node owns the glue: it announces its services on a fixed period, decodes
-each received offer through the run's memo (its offer view reads the store),
-dispatches addressed bundles to the worker or client runtime, and honors
+A node is one object. It inherits the worker role (`WorkerRuntime`) and the
+client role (`ClientRuntime`) and owns the state both read. It announces its
+services on a fixed period from the moment it is built, decodes each
+received offer through the run's memo (its offer view reads the store),
+dispatches addressed bundles to its worker or client methods, and honors
 cleanup markers by purging everything a finished workflow left behind. Nodes
 remember which workflows were cleaned so anti-entropy cannot re-plant stale
 copies on them.
@@ -11,6 +13,7 @@ copies on them.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Optional
 
 from .announce import (CapabilityVector, OfferCodecError, OfferDatabase,
@@ -26,7 +29,7 @@ from .workflow import Archive, WorkflowDescription, packed_size
 CLEANUP_MARKER_BYTES = 64
 
 
-class Node:
+class Node(WorkerRuntime, ClientRuntime):
     """Full protocol stack of one address, wired into a World."""
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
@@ -42,41 +45,34 @@ class Node:
         self.select_rng = random.Random(f"{run.seed}:select:{address}")
         self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
         self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
-        self.worker = WorkerRuntime(self, services)
-        self.client = ClientRuntime(self)
+        self.services = dict(services)
+        self.busy = False
+        self.queue: deque[tuple[Archive, float]] = deque()
+        self.files: dict[str, set[str]] = {}
+        self._workflow_seq = 0
         self._bundle_seq = 0
         self.store = world.add_node(address, position=caps.position,
                                     handler=self.on_bundle, accept=self.accepts)
         self.offer_db = OfferDatabase(
             self.store, OfferMemo() if offer_memo is None else offer_memo)
         self._decoded = self.offer_db.memo.decoded
-
-    def release(self) -> None:
-        """Drop the runtimes once the run is over.
-
-        Each runtime refers back to this node; breaking that cycle lets a
-        finished run's nodes be freed by reference count instead of whenever
-        the garbage collector next runs.
-        """
-        self.worker = self.client = None
+        # nodes built in address order announce in address order
+        if self.services:
+            world.schedule(world.now, self._announce)
 
     def position(self) -> Position:
         return self.world.position_of(self.address)
 
     # -- announcements ---------------------------------------------------------
 
-    def start_announcing(self) -> None:
-        """Broadcast offers now and on every announce interval from here on."""
-        self._announce()
-
     def _announce(self) -> None:
         now = self.world.now
-        if self.worker.services:
+        if self.services:
             self.caps.position = self.position()
             self.world.originate(build_offer_bundle(
                 self._next_bundle_id(), self.address, now, self.caps,
                 [(svc.name, svc.param_count) for svc in
-                 sorted(self.worker.services.values(), key=lambda s: s.name)],
+                 sorted(self.services.values(), key=lambda s: s.name)],
                 expiry_s=self.config.offer_expiry_s))
         self.world.schedule(now + self.config.announce_interval_s, self._announce)
 
@@ -117,12 +113,12 @@ class Node:
         # an error is retried by the node that assigned the failing worker if
         # it can be; a result, or an error that is not retried, ends at the client
         if kind is BundleKind.WORKFLOW_ARCHIVE:
-            self.worker.on_archive(archive, now)
+            self.on_archive(archive, now)
         elif (kind is BundleKind.ERROR_ARCHIVE and archive.assigned_by == self.address
               and retryable(archive, archive.error.error_class)):
-            self.worker.on_error_report(archive)
+            self.on_error_report(archive)
         elif archive.description.client == self.address:
-            self.client.on_returned(archive)
+            self.on_returned(archive)
 
     # -- sending -----------------------------------------------------------------
 
@@ -138,14 +134,6 @@ class Node:
                         workflow_id=desc.workflow_id)
         self.collector.charge(desc, FinalState.TRANSMISSION)
         self.world.originate(bundle)
-
-    def hand_error_to_client(self, archive: Archive) -> None:
-        """Terminal error path: deliver locally when this node is the client."""
-        client = archive.description.client
-        if client == self.address:
-            self.client.on_returned(archive)
-        else:
-            self.send_archive(BundleKind.ERROR_ARCHIVE, archive, client)
 
     def send_cleanup(self, desc: WorkflowDescription) -> None:
         bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,
@@ -164,4 +152,4 @@ class Node:
         self.cleaned.add(workflow_id)
         self.store.remove_where(lambda b: b.kind is not BundleKind.CLEANUP_MARKER,
                                 workflow_id=workflow_id)
-        self.worker.on_cleanup(workflow_id)
+        self._drop_workflow(workflow_id)

@@ -1,8 +1,9 @@
-"""Worker-side execution: run tasks, forward archives, handle errors.
+"""Worker role of a node: run tasks, forward archives, handle errors.
 
-A worker accepts an archive addressed to it, re-checks the TTL and its own
-live capabilities, executes the current task synthetically, then either
-forwards the archive to the next worker (pinned or freshly selected) or
+`WorkerRuntime` holds only methods; `Node` inherits them and owns the state
+they use. A worker accepts an archive addressed to it, re-checks the TTL and
+its own live capabilities, executes the current task synthetically, then
+either forwards the archive to the next worker (pinned or freshly selected) or
 returns the result to the client. Three error classes exist: the task
 itself failing (task execution), no candidate for the next task (worker
 selection), and a worker that turns out unfit for what it was sent (worker
@@ -96,14 +97,14 @@ class FaultPlan:
 
 
 class WorkerRuntime:
-    """One node's execution engine; archives queue when the worker is busy."""
+    """The worker role of a `Node`: its execution engine.
 
-    def __init__(self, node, services: dict[str, ServiceDefinition]) -> None:
-        self.node = node
-        self.services = dict(services)
-        self.busy = False
-        self.queue: deque[tuple[Archive, float]] = deque()
-        self.files: dict[str, set[str]] = {}
+    Archives wait in the node's `queue` while it is `busy`; `services` are
+    what it offers and `files` the results it holds per workflow. The role
+    also reads `address`, `world`, `collector`, `config`, `caps`, `cleaned`,
+    `offer_db`, `position()` and the random streams, sends through
+    `send_archive`, and hands a terminal error to `on_returned`.
+    """
 
     # -- archive intake ------------------------------------------------------
 
@@ -113,10 +114,10 @@ class WorkerRuntime:
         Expired drops are counted; expired workflows consume no execution
         time at all.
         """
-        if desc.workflow_id in self.node.cleaned:
+        if desc.workflow_id in self.cleaned:
             return True
         if desc.is_expired(now):
-            self.node.collector.expired_drops += 1
+            self.collector.expired_drops += 1
             return True
         return False
 
@@ -124,24 +125,24 @@ class WorkerRuntime:
         desc = archive.description
         if self._stale(desc, now):
             return
-        self.node.collector.charge(desc, FinalState.RUNTIME)
+        self.collector.charge(desc, FinalState.RUNTIME)
         self.queue.append((archive, now))
         self._start_next()
 
     def _start_next(self) -> None:
         if self.busy or not self.queue:
             return
-        now = self.node.world.now
+        now = self.world.now
         archive, arrived = self.queue.popleft()
         desc = archive.description
         if self._stale(desc, now):
             self._start_next()
             return
         self.busy = True
-        self.node.collector.charge(desc, FinalState.RUNTIME, now - arrived)
-        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.preprocess_s)
-        self.node.world.schedule(now + self.node.config.preprocess_s,
-                                 lambda: self._preprocessed(archive))
+        self.collector.charge(desc, FinalState.RUNTIME, now - arrived)
+        self.collector.charge(desc, FinalState.RUNTIME, self.config.preprocess_s)
+        self.world.schedule(now + self.config.preprocess_s,
+                            lambda: self._preprocessed(archive))
 
     def _release(self) -> None:
         self.busy = False
@@ -150,7 +151,7 @@ class WorkerRuntime:
     # -- execution -------------------------------------------------------------
 
     def _preprocessed(self, archive: Archive) -> None:
-        now = self.node.world.now
+        now = self.world.now
         desc = archive.description
         if self._stale(desc, now):
             self._release()
@@ -162,33 +163,32 @@ class WorkerRuntime:
                              f"service {task.service_name!r} is not offered here")
             return
         unmet = [m for m, req in task.requirements.items()
-                 if m in RESOURCE_METRICS and self.node.caps.resource(m) < req]
+                 if m in RESOURCE_METRICS and self.caps.resource(m) < req]
         if unmet:
             self._emit_error(archive, ErrorClass.WORKER_CALLING,
                              f"capabilities changed since the offer: {', '.join(unmet)} below requirement")
             return
-        rng = self.node.exec_rng
+        rng = self.exec_rng
         duration = service.exec_seconds_mean
         if service.exec_seconds_jitter > 0:
             duration += rng.uniform(-service.exec_seconds_jitter, service.exec_seconds_jitter)
         duration = max(MIN_EXEC_SECONDS, duration)
-        self.node.collector.charge(desc, FinalState.EXECUTION)
-        self.node.world.schedule(now + duration,
-                                 lambda: self._executed(archive, service, duration))
+        self.collector.charge(desc, FinalState.EXECUTION)
+        self.world.schedule(now + duration,
+                            lambda: self._executed(archive, service, duration))
 
     def _executed(self, archive: Archive, service: ServiceDefinition, duration: float) -> None:
-        now = self.node.world.now
+        now = self.world.now
         desc = archive.description
         task_idx = desc.cursor
-        self.node.collector.charge(desc, FinalState.EXECUTION, duration)
-        self.node.caps.energy = max(0.0, self.node.caps.energy - service.energy_cost_e)
-        if desc.workflow_id in self.node.cleaned:
+        self.collector.charge(desc, FinalState.EXECUTION, duration)
+        self.caps.energy = max(0.0, self.caps.energy - service.energy_cost_e)
+        if desc.workflow_id in self.cleaned:
             self._release()
             return
-        if self.node.config.fault.should_fail(self.node.address, service.name,
-                                              self.node.fault_rng,
-                                              self.node.collector.faults_injected):
-            self.node.collector.faults_injected += 1
+        if self.config.fault.should_fail(self.address, service.name, self.fault_rng,
+                                         self.collector.faults_injected):
+            self.collector.faults_injected += 1
             self._emit_error(archive, ErrorClass.TASK_EXECUTION,
                              f"service {service.name!r} failed during execution")
             return
@@ -201,20 +201,20 @@ class WorkerRuntime:
             archive, description=replace(desc, tasks=tuple(tasks), cursor=task_idx + 1),
             files={result_name: FileStub(size_bytes=service.output_size_bytes,
                                          tag=f"{desc.workflow_id}:{result_name}")})
-        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
-        self.node.world.schedule(now + self.node.config.postprocess_s,
-                                 lambda: self._forward(archive))
+        self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
+        self.world.schedule(now + self.config.postprocess_s,
+                            lambda: self._forward(archive))
 
     # -- forwarding --------------------------------------------------------------
 
     def _forward(self, archive: Archive) -> None:
-        now = self.node.world.now
+        now = self.world.now
         desc = archive.description
-        if desc.workflow_id in self.node.cleaned or desc.is_expired(now):
+        if desc.workflow_id in self.cleaned or desc.is_expired(now):
             self._release()
             return
         if desc.finished:
-            self.node.send_archive(BundleKind.RESULT_ARCHIVE, archive, desc.client)
+            self.send_archive(BundleKind.RESULT_ARCHIVE, archive, desc.client)
             self._release()
             return
         try:
@@ -222,8 +222,8 @@ class WorkerRuntime:
         except SelectionError as exc:
             self._emit_error(archive, ErrorClass.WORKER_SELECTION, str(exc))
             return
-        archive = replace(archive, assigned_by=self.node.address, retried=False)
-        self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
+        archive = replace(archive, assigned_by=self.address, retried=False)
+        self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
         self._release()
 
     def resolve_worker(self, archive: Archive, exclude: set[NodeAddress]) -> NodeAddress:
@@ -233,51 +233,55 @@ class WorkerRuntime:
         if task.worker is not None:
             worker = task.worker
         else:
-            records = self.node.offer_db.lookup(task.service_name, self.node.world.now)
-            worker = select(self.node.config.strategy, records, task.requirements,
-                            self.node.config.weights, self.node.position(),
-                            self.node.select_rng,
-                            distance_fn=self.node.world.rating_distance,
-                            exclude={self.node.address} | exclude)
-        self.node.collector.selection(self.node.address, worker)
+            records = self.offer_db.lookup(task.service_name, self.world.now)
+            worker = select(self.config.strategy, records, task.requirements,
+                            self.config.weights, self.position(),
+                            self.select_rng,
+                            distance_fn=self.world.rating_distance,
+                            exclude={self.address} | exclude)
+        self.collector.selection(self.address, worker)
         return worker
 
     # -- errors -------------------------------------------------------------------
 
     def _emit_error(self, archive: Archive, error_class: ErrorClass, message: str) -> None:
-        now = self.node.world.now
+        now = self.world.now
         desc = archive.description
         error = WorkerError(error_class=error_class, message=message,
-                            worker=self.node.address)
+                            worker=self.address)
         dest = archive.assigned_by if retryable(archive, error_class) else desc.client
         archive = replace(archive, error=error, error_log=archive.error_log + (
-            f"[{now:.3f}] {format_address(self.node.address)} "
+            f"[{now:.3f}] {format_address(self.address)} "
             f"task {desc.cursor} {error_class.value}: {message}\n"))
-        self.node.send_archive(BundleKind.ERROR_ARCHIVE, archive, dest)
+        self.send_archive(BundleKind.ERROR_ARCHIVE, archive, dest)
         self._release()
 
     def on_error_report(self, archive: Archive) -> None:
         """Retry path at the node that assigned the failing worker."""
-        now = self.node.world.now
+        now = self.world.now
         desc = archive.description
-        if desc.workflow_id in self.node.cleaned or desc.is_expired(now):
+        if desc.workflow_id in self.cleaned or desc.is_expired(now):
             return
         try:
             worker = self.resolve_worker(archive, exclude={archive.error.worker})
         except SelectionError as exc:
             error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
-                                worker=self.node.address)
-            self.node.hand_error_to_client(replace(archive, error=error))
+                                worker=self.address)
+            archive = replace(archive, error=error)
+            if desc.client == self.address:
+                self.on_returned(archive)
+            else:
+                self.send_archive(BundleKind.ERROR_ARCHIVE, archive, desc.client)
             return
-        archive = replace(archive, assigned_by=self.node.address, retried=True, error=None)
-        self.node.collector.charge(desc, FinalState.RUNTIME, self.node.config.postprocess_s)
-        self.node.world.schedule(
-            now + self.node.config.postprocess_s,
-            lambda: self.node.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker))
+        archive = replace(archive, assigned_by=self.address, retried=True, error=None)
+        self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
+        self.world.schedule(
+            now + self.config.postprocess_s,
+            lambda: self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker))
 
     # -- cleanup ---------------------------------------------------------------
 
-    def on_cleanup(self, workflow_id: str) -> None:
+    def _drop_workflow(self, workflow_id: str) -> None:
         self.files.pop(workflow_id, None)
         if self.queue:
             self.queue = deque((a, t) for a, t in self.queue

@@ -66,11 +66,8 @@ def build_line(n: int, services_by_addr: dict[int, dict[str, ServiceDefinition]]
     for addr in range(1, n + 1):
         caps = CapabilityVector(position=(10.0 * addr, 0.0),
                                 **{**BIG_CAPS, **caps_by_addr.get(addr, {})})
-        node = Node(addr, world, collector, run, caps,
-                    services_by_addr.get(addr, {}))
-        nodes[addr] = node
-        if node.worker.services:
-            world.schedule(0.0, node.start_announcing)
+        nodes[addr] = Node(addr, world, collector, run, caps,
+                           services_by_addr.get(addr, {}))
     return MicroWorld(world=world, collector=collector, nodes=nodes)
 
 

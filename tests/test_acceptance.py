@@ -196,7 +196,7 @@ def test_criterion_07_error_path_conformance():
     micro = build_line(3, both,
                        fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2})))
     micro.settle(1.0)
-    handle = micro.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = micro.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
     micro.settle(5.0)
     assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
@@ -207,8 +207,8 @@ def test_criterion_07_error_path_conformance():
     micro = build_line(3, both, announce_interval_s=120.0)
     micro.settle(0.5)
     micro.node(2).caps.energy = 1.0
-    handle = micro.node(1).client.offload("any work in.dat [energy=50]\n",
-                                          {"in.dat": b"x"})
+    handle = micro.node(1).offload("any work in.dat [energy=50]\n",
+                                   {"in.dat": b"x"})
     micro.settle(5.0)
     assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
@@ -217,7 +217,7 @@ def test_criterion_07_error_path_conformance():
     # selection fault goes straight to the client, no retry
     micro = build_line(3, {2: {"work": svc}})
     micro.settle(1.0)
-    handle = micro.node(1).client.offload(
+    handle = micro.node(1).offload(
         "any work in.dat\nany work ##result##\n", {"in.dat": b"x"})
     micro.settle(5.0)
     assert handle.status == "failed"
@@ -228,7 +228,7 @@ def test_criterion_07_error_path_conformance():
     micro = build_line(3, both,
                        fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2})))
     micro.settle(1.0)
-    handle = micro.node(1).client.offload(
+    handle = micro.node(1).offload(
         f"{format_address(2)} work in.dat\n", {"in.dat": b"x"})
     micro.settle(5.0)
     assert handle.status == "failed"
@@ -238,7 +238,7 @@ def test_criterion_07_error_path_conformance():
     # a second failure is terminal and reaches the client
     micro = build_line(3, both, fault_plan=FaultPlan(rate=1.0))
     micro.settle(1.0)
-    handle = micro.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = micro.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
     micro.settle(5.0)
     assert handle.status == "failed"
     assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
@@ -249,9 +249,9 @@ def test_criterion_07_error_path_conformance():
 def test_criterion_08_ttl_conformance():
     micro = build_line(2, {2: {"work": service("work", mean=3.0)}})
     micro.settle(1.0)
-    blocker = micro.node(1).client.offload("any work a.dat\n", {"a.dat": b"a"})
-    doomed = micro.node(1).client.offload("ttl=2\nany work b.dat\n",
-                                          {"b.dat": b"b"})
+    blocker = micro.node(1).offload("any work a.dat\n", {"a.dat": b"a"})
+    doomed = micro.node(1).offload("ttl=2\nany work b.dat\n",
+                                   {"b.dat": b"b"})
     micro.settle(10.0)
     assert blocker.status == "succeeded"
     assert doomed.status == "timed_out"
@@ -261,7 +261,7 @@ def test_criterion_08_ttl_conformance():
 
     # a result that straggles in after the deadline never flips the state
     finished_at = doomed.finished_at
-    micro.node(1).client.on_returned(Archive(description=doomed.description))
+    micro.node(1).on_returned(Archive(description=doomed.description))
     assert doomed.status == "timed_out"
     assert doomed.finished_at == finished_at
 
@@ -291,7 +291,7 @@ def test_criterion_10_cleanup_leaves_no_residue():
                    and b.kind is not BundleKind.CLEANUP_MARKER]
         assert residue == [], f"node {addr} still carries {residue}"
     for addr, node in built.nodes.items():
-        leftover = set(tracks) & set(node.worker.files)
+        leftover = set(tracks) & set(node.files)
         assert not leftover, f"node {addr} still holds files for {leftover}"
 
 

@@ -33,6 +33,16 @@ def test_suite_refuses_bad_seeds_with_an_error_line(scenario_file, tmp_path, see
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("seeds, bad", [
+    ("3..1", "3..1"), ("3..1,5", "3..1"), ("1..2, 9..8", "9..8")])
+def test_suite_refuses_a_reversed_seed_range_with_an_error_line(
+        scenario_file, tmp_path, seeds, bad):
+    with pytest.raises(SystemExit,
+                       match=f"^error: seed range '{re.escape(bad)}' ends below its start$"):
+        main(["suite", scenario_file, f"--seeds={seeds}", "--out", str(tmp_path / "s")])
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("option, message", [
     ("--seeds=1,1", "seed 1"), ("--seeds=1..3,2", "seed 2"),
     ("--strategies=best,best", "strategy 'best'"),
@@ -188,3 +198,22 @@ def test_file_that_is_not_a_report_is_refused_with_an_error_line(
     with pytest.raises(SystemExit,
                        match=f"^error: {re.escape(str(saved_report))} is not a carryflow report: "):
         main(args)
+
+
+@pytest.mark.parametrize("command", ["report", "plot-data"])
+def test_reports_of_two_scenarios_are_refused_with_an_error_line(
+        scenario_file, tmp_path, command):
+    other = tmp_path / "other.ini"
+    other.write_text(RING_INI.replace("tiny-ring", "other-ring"))
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for name, source in (("report-best-1.json", scenario_file),
+                         ("report-best-2.json", str(other))):
+        assert main(["run", source, "--seed", "1", "--out", str(mixed / name)]) == 0
+    args = [command, str(mixed)]
+    if command == "plot-data":
+        args += ["--out", str(tmp_path / "tables")]
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(str(mixed))} holds reports "
+                                         "of more than one scenario: other-ring, tiny-ring$"):
+        main(args)
+    assert not (tmp_path / "tables").exists()

@@ -14,8 +14,8 @@ from conftest import build_line, service
 def test_timeout_fires_exactly_once_and_result_cannot_flip_it():
     micro = build_line(2, {2: {"work": service("work", mean=3.0)}})
     micro.settle(1.0)
-    handle = micro.node(1).client.offload("ttl=2\nany work in.dat\n",
-                                          {"in.dat": b"x"})
+    handle = micro.node(1).offload("ttl=2\nany work in.dat\n",
+                                   {"in.dat": b"x"})
     micro.settle(10.0)
     # the TTL fires while the 3 s task executes: the workflow keeps that phase
     assert handle.status == "timed_out"
@@ -28,7 +28,7 @@ def test_timeout_fires_exactly_once_and_result_cannot_flip_it():
     late_error = replace(_fake_archive(handle),
                          error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
     for late in (_fake_archive(handle), late_error):
-        micro.node(1).client.on_returned(late)
+        micro.node(1).on_returned(late)
         assert handle.status == "timed_out"
         assert handle.state is FinalState.EXECUTION
         assert handle.result is None
@@ -42,13 +42,13 @@ def _fake_archive(handle):
 
 def test_late_error_cannot_flip_success(line3):
     line3.settle(1.0)
-    handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
     assert handle.status == "succeeded"
     result = handle.result
     late = replace(_fake_archive(handle),
                    error=WorkerError(ErrorClass.TASK_EXECUTION, "late", 2))
-    line3.node(1).client.on_returned(late)
+    line3.node(1).on_returned(late)
     assert handle.status == "succeeded"
     assert handle.state is FinalState.SUCCESS
     assert handle.result is result and result.error is None
@@ -58,16 +58,16 @@ def test_unknown_workflow_results_are_ignored(line3):
     from carryflow.workflow import Archive, parse
 
     line3.settle(1.0)
-    handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
     stranger = parse("any work in.dat\n", workflow_id="wf-unknown", client=1)
-    line3.node(1).client.on_returned(Archive(description=stranger))
+    line3.node(1).on_returned(Archive(description=stranger))
     line3.settle(5.0)
     assert handle.status == "succeeded"
 
 
 def test_terminal_workflow_is_scrubbed_from_every_store(line3):
     line3.settle(1.0)
-    handle = line3.node(1).client.offload(
+    handle = line3.node(1).offload(
         "any work in.dat\nany work ##result##\n", {"in.dat": b"x" * 64})
     line3.settle(10.0)
     assert handle.status == "succeeded"
@@ -79,12 +79,12 @@ def test_terminal_workflow_is_scrubbed_from_every_store(line3):
         assert leftovers == [], f"node {addr} still carries {leftovers}"
     for addr in (1, 2, 3):
         assert wf in line3.node(addr).cleaned
-        assert wf not in line3.node(addr).worker.files
+        assert wf not in line3.node(addr).files
 
 
 def test_cleaned_node_refuses_replanting(line3):
     line3.settle(1.0)
-    handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
     wf = handle.description.workflow_id
     stray = Bundle(bundle_id=(9, 1), source=3, destination=1,
@@ -101,7 +101,7 @@ def test_cleaned_node_refuses_replanting(line3):
 
 def test_local_failure_broadcasts_no_marker():
     micro = build_line(3, {2: {"work": service("work")}})
-    handle = micro.node(1).client.offload("any other in.dat\n", {"in.dat": b"x"})
+    handle = micro.node(1).offload("any other in.dat\n", {"in.dat": b"x"})
     assert handle.status == "failed"
     micro.settle(3.0)
     markers = [b for store in micro.world.stores.values()
@@ -113,7 +113,7 @@ def test_local_failure_broadcasts_no_marker():
 
 def test_successful_workflow_broadcasts_marker_to_all(line3):
     line3.settle(1.0)
-    handle = line3.node(1).client.offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
     line3.settle(5.0)
     assert handle.status == "succeeded"
     for addr in (2, 3):
@@ -138,5 +138,5 @@ def test_malformed_offer_bundles_are_counted(line3):
 def test_unparsable_workflow_raises_immediately(line3):
     from carryflow.workflow import WorkflowParseError
     with pytest.raises(WorkflowParseError):
-        line3.node(1).client.offload("nonsense", {})
+        line3.node(1).offload("nonsense", {})
     assert line3.collector.tracks == {}

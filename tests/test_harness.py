@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from carryflow.assignment import Strategy
+from carryflow.bundles import BundleKind
 from carryflow.cli import resolve_scenario
 from carryflow.harness import (assign_cohorts, build, emit_suite, makespan,
                                ring_arc_distance, ring_positions, run_scenario,
@@ -66,9 +67,14 @@ def test_build_wires_nodes_and_clients(tiny_config):
     built = build(tiny_config)
     assert sorted(built.nodes) == [1, 2, 3, 4, 5, 6]
     assert [c.address for c in built.clients] == [1]
-    assert built.nodes[1].worker.services == {}
-    assert set(built.nodes[2].worker.services) == {"work"}
+    assert built.nodes[1].services == {}
+    assert set(built.nodes[2].services) == {"work"}
     assert built.world.position_of(3) != built.world.position_of(4)
+    # a node with services announces from its construction on
+    built.world.run_until(0.0)
+    assert [(b.kind, b.source) for b in built.nodes[2].store.live(0.0)] == \
+        [(BundleKind.OFFER, 2)]
+    assert len(built.nodes[1].store) == 0
 
 
 def test_run_scenario_produces_report(tiny_config):

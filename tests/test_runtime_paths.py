@@ -23,7 +23,7 @@ TWO_STEP = "any work in.dat\nany work ##result##\n"
 
 
 def offload(micro, text=TWO_STEP, addr=1, files=None):
-    return micro.node(addr).client.offload(
+    return micro.node(addr).offload(
         text, files if files is not None else {"in.dat": b"x" * 64})
 
 
@@ -94,15 +94,15 @@ def test_worker_refuses_expired_archives():
     micro.settle(3.0)
     # expired two seconds ago
     desc = parse("ttl=1\nany work in.dat\n", workflow_id="wf-x", client=1, created_at=0.0)
-    micro.node(2).worker.on_archive(Archive(description=desc), micro.world.now)
+    micro.node(2).on_archive(Archive(description=desc), micro.world.now)
     assert micro.collector.expired_drops == 1
-    assert not micro.node(2).worker.busy
+    assert not micro.node(2).busy
 
     # an archive that expires during preprocessing is dropped there
     fresh = parse("ttl=1\nany work in.dat\n", workflow_id="wf-y", client=1,
                   created_at=micro.world.now - 0.995)
-    micro.node(2).worker.on_archive(Archive(description=fresh), micro.world.now)
-    assert micro.node(2).worker.busy
+    micro.node(2).on_archive(Archive(description=fresh), micro.world.now)
+    assert micro.node(2).busy
     micro.settle(1.0)
     assert micro.collector.expired_drops == 2
     assert micro.collector.tracks == {}    # nothing was ever charged
