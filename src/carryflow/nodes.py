@@ -46,6 +46,9 @@ class Node(WorkerRuntime, ClientRuntime):
         self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
         self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
         self.services = dict(services)
+        # what each announcement offers, by name; services are fixed once built
+        self._offered = [(svc.name, svc.param_count) for svc in
+                         sorted(self.services.values(), key=lambda s: s.name)]
         self.busy = False
         self.queue: deque[tuple[Archive, float]] = deque()
         self.files: dict[str, set[str]] = {}
@@ -70,9 +73,7 @@ class Node(WorkerRuntime, ClientRuntime):
         if self.services:
             self.caps.position = self.position()
             self.world.originate(build_offer_bundle(
-                self._next_bundle_id(), self.address, now, self.caps,
-                [(svc.name, svc.param_count) for svc in
-                 sorted(self.services.values(), key=lambda s: s.name)],
+                self._next_bundle_id(), self.address, now, self.caps, self._offered,
                 expiry_s=self.config.offer_expiry_s))
         self.world.schedule(now + self.config.announce_interval_s, self._announce)
 

@@ -3,15 +3,14 @@
 Nodes hold bundle stores and positions; contacts are derived either from a
 static adjacency list or from a disc radio range over mobile positions.
 Contact state is re-evaluated on a fixed tick, as changes against the last
-one, and only the pairs whose state flipped reach Python, as links that
-closed and links that opened. The in-range test runs in numpy over a skin
-list (a Verlet neighbour list): the pairs that were within the range plus a
-skin of half the range when the list was last rebuilt. While no node has
-moved half a skin since then, no pair off the list can have come into range,
-so only the listed pairs are tested; a node joining, or a node moving that
-far, rebuilds the list from every pair. Each node keeps its open links in
-pair order, updated in place as links open and close. While two nodes are in
-contact every bundle one of them holds and the other lacks is transferred
+one: links that closed and links that opened. Positions are a plain list of
+(x, y) float tuples, one per node in joining order, which mobility moves in
+place. A range world hands them each tick to its detector
+(`contacts.RangeContacts`), whose in-range test runs in numpy over a skin
+list; only a world with a contact range imports that module, so a static
+world never loads numpy. Each node keeps its open links in pair order,
+updated in place as links open and close. While two nodes are in contact
+every bundle one of them holds and the other lacks is transferred
 (anti-entropy), and all traffic on one link shares the medium first-come
 first-served. A link is scanned once, in the tick it opens; from then on
 each newly stored bundle is pushed at once over its node's open links, which
@@ -47,17 +46,14 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .bundles import Bundle, BundleStore, NodeAddress
 
-Position = tuple[float, float]
+if TYPE_CHECKING:
+    from .contacts import RangeContacts
 
-# metres kept off the skin, so that rounding in the distances cannot let a
-# pair off the skin list come into range unseen
-_SKIN_SLACK = 1e-6
+Position = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,10 @@ def euclidean(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _squared(d: np.ndarray) -> np.ndarray:
-    """dx*dx + dy*dy of each (dx, dy) row; squares d in place."""
-    d *= d
-    return d[:, 0] + d[:, 1]
+def _point(position: Position) -> Position:
+    # a position as built-in floats, whatever numbers it was given in
+    x, y = position
+    return (float(x), float(y))
 
 
 class RandomWaypoint:
@@ -111,17 +107,17 @@ class RandomWaypoint:
         return [(rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
                 for rng in self._rngs]
 
-    def step(self, positions: np.ndarray, dt: float) -> None:
+    def step(self, positions: list[Position], dt: float) -> None:
         """Move every node dt seconds along its legs, in place.
 
-        The rows are read once into plain floats and written back once; a
-        node draws from its RNG only when it needs a new leg or a pause.
+        positions[i] is node i's (x, y) as plain floats, replaced by its new
+        one; a node draws from its RNG only when it needs a new leg or a
+        pause.
         """
-        coords = positions.tolist()
         rngs, targets, speeds = self._rngs, self._target, self._speed
         pauses, has_target = self._pause_left, self._has_target
         for i, rng in enumerate(rngs):
-            x, y = coords[i]
+            x, y = positions[i]
             left = dt
             while left > 1e-12:
                 if pauses[i] > 0.0:
@@ -146,8 +142,7 @@ class RandomWaypoint:
                     x += (tx - x) / dist * reach
                     y += (ty - y) / dist * reach
                     left = 0.0
-            coords[i] = (x, y)
-        positions[:] = coords
+            positions[i] = (x, y)
 
 
 class _Node:
@@ -198,7 +193,6 @@ class World:
                  rating_distance: Callable[[Position, Position], float] = euclidean) -> None:
         self.link = link
         self.tick_interval = tick_interval
-        self.contact_range = contact_range
         self.adjacency = {tuple(sorted(p)) for p in adjacency} if adjacency is not None else None
         self.mobility = mobility
         self.rating_distance = rating_distance
@@ -208,20 +202,17 @@ class World:
         self.stores: dict[NodeAddress, BundleStore] = {}
         self._nodes: dict[NodeAddress, _Node] = {}
         self._addr_index: dict[NodeAddress, int] = {}
-        # row i of _positions belongs to node _addrs[i]
-        self._addrs = np.empty(0, dtype=object)
-        self._positions = np.zeros((0, 2))
+        # _positions[i] is the (x, y) of node _addrs[i], in joining order
+        self._addrs: list[NodeAddress] = []
+        self._positions: list[Position] = []
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
         # transfer_duration(link, size) of each bundle size sent so far
         self._durations: dict[int, float] = {}
-        # rows (i, j), i < j, of every node pair, and whether each pair was in
-        # range at the last tick; None until the next tick after add_node
-        self._pair_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._in_range = np.zeros(0, dtype=bool)
-        # the skin list: indices, rows and cols of the pairs within range
-        # plus skin at the last rebuild, and the positions then
-        self._near: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._anchor: Optional[np.ndarray] = None
+        # the in-range test of a range world; it alone needs numpy
+        self._contacts: Optional[RangeContacts] = None
+        if contact_range is not None:
+            from .contacts import RangeContacts
+            self._contacts = RangeContacts(contact_range)
         self.transfers_completed = 0
         self.transfers_aborted = 0
         self.schedule(0.0, self._tick)
@@ -236,9 +227,8 @@ class World:
         node = self._nodes[addr] = _Node(addr, accept, handler)
         self.stores[addr] = node.store
         self._addr_index[addr] = len(self._addr_index)
-        self._addrs = np.append(self._addrs, np.array([addr], dtype=object))
-        self._positions = np.vstack([self._positions, [position]])
-        self._pair_rows = None
+        self._addrs.append(addr)
+        self._positions.append(_point(position))
         return node.store
 
     def release(self) -> None:
@@ -258,16 +248,14 @@ class World:
         for state in self._links.values():
             state.complete = None
         self._links.clear()
-        self._pair_rows = None
-        self._in_range = np.zeros(0, dtype=bool)
-        self._near = self._anchor = None
+        if self._contacts is not None:
+            self._contacts.release()
 
     def position_of(self, addr: NodeAddress) -> Position:
-        row = self._positions[self._addr_index[addr]]
-        return (float(row[0]), float(row[1]))
+        return self._positions[self._addr_index[addr]]
 
     def set_position(self, addr: NodeAddress, position: Position) -> None:
-        self._positions[self._addr_index[addr]] = position
+        self._positions[self._addr_index[addr]] = _point(position)
 
     # -- event queue -------------------------------------------------------
 
@@ -289,74 +277,13 @@ class World:
 
     # -- contacts ----------------------------------------------------------
 
-    def _index_pairs(self) -> None:
-        # a node joined: enumerate the pairs again and mark the open links
-        n = len(self._addrs)
-        rows, cols = np.triu_indices(n, k=1)
-        self._pair_rows = (rows, cols)
-        self._in_range = np.zeros(len(rows), dtype=bool)
-        if self._links:
-            index = self._addr_index
-            ends = np.array([sorted((index[a], index[b])) for a, b in self._links])
-            i, j = ends[:, 0], ends[:, 1]
-            self._in_range[i * n - i * (i + 1) // 2 + j - i - 1] = True
-
     def _contact_changes(self) -> tuple[list, list]:
-        """Links to close and links to open since the last tick, each in pair order.
-
-        Only the pairs on the skin list are tested, unless a node joined or
-        moved half a skin since the list was built: then every pair is
-        tested and the list is rebuilt. A pair off the list was more than
-        range + skin apart then, and each end has moved less than half a
-        skin since, so it is still out of range.
-        """
+        """Links to close and links to open since the last tick, each in pair order."""
         if self.adjacency is not None:
             return [], sorted(self.adjacency - self._links.keys())
-        if self.contact_range is None:
+        if self._contacts is None:
             return [], []
-        reach = self.contact_range ** 2
-        skin = self.contact_range / 2
-        if self._pair_rows is None:
-            self._index_pairs()
-        elif 2.0 * self._max_drift() < skin - _SKIN_SLACK:
-            near, rows, cols = self._near
-            in_range = self._gaps(rows, cols) <= reach
-            changed = np.flatnonzero(in_range != self._in_range[near])
-            if not changed.size:
-                return [], []
-            in_range = in_range[changed]
-            self._in_range[near[changed]] = in_range
-            return self._flips(rows[changed], cols[changed], in_range)
-        rows, cols = self._pair_rows
-        gaps = self._gaps(rows, cols)
-        near = np.flatnonzero(gaps <= (self.contact_range + skin) ** 2)
-        self._near = (near, rows[near], cols[near])
-        self._anchor = self._positions.copy()
-        in_range = gaps <= reach
-        changed = np.flatnonzero(in_range != self._in_range)
-        self._in_range = in_range
-        return self._flips(rows[changed], cols[changed], in_range[changed])
-
-    def _max_drift(self) -> float:
-        # the furthest any node has moved since the skin list was built
-        return math.sqrt(_squared(self._positions - self._anchor).max(initial=0.0))
-
-    def _gaps(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # squared distance of each (row, col) pair
-        d = np.take(self._positions, rows, axis=0)
-        d -= np.take(self._positions, cols, axis=0)
-        return _squared(d)
-
-    def _flips(self, rows: np.ndarray, cols: np.ndarray,
-               in_range: np.ndarray) -> tuple[list, list]:
-        # the flipped pairs as (closed, opened) address pairs, each sorted
-        closed, opened = [], []
-        for a, b, now_in in zip(self._addrs[rows].tolist(), self._addrs[cols].tolist(),
-                                in_range.tolist()):
-            (opened if now_in else closed).append((a, b) if a < b else (b, a))
-        closed.sort()
-        opened.sort()
-        return closed, opened
+        return self._contacts.changes(self._positions, self._addrs, self._links.keys())
 
     def _tick(self) -> None:
         if self.mobility is not None:

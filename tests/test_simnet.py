@@ -197,6 +197,25 @@ def test_duplicate_not_requeued():
     assert world.transfers_completed == completed
 
 
+def test_positions_are_built_in_floats_that_round_trip_exactly():
+    np = pytest.importorskip("numpy")
+    world = World(LINK, adjacency=[])
+    world.add_node(1, position=(3, -4))
+    world.add_node(2, position=(np.float64(0.1), np.float64(2.5e-300)))
+    world.add_node(3)
+    given = {1: (3.0, -4.0), 2: (0.1, 2.5e-300), 3: (0.0, 0.0)}
+    world.set_position(3, (np.float64(1 / 3), 7))
+    given[3] = (1 / 3, 7.0)
+    world.set_position(1, (0.1 + 0.2, -0.0))
+    given[1] = (0.1 + 0.2, -0.0)
+    for addr, expected in given.items():
+        position = world.position_of(addr)
+        assert type(position) is tuple
+        assert [type(c) for c in position] == [float, float]
+        # repr tells -0.0 from 0.0 and every last bit apart
+        assert repr(position) == repr(expected)
+
+
 def test_originate_reports_source_refusal():
     world = World(LINK, adjacency=[])
     world.add_node(1, accept=lambda b: False)
@@ -320,7 +339,7 @@ def test_skin_list_catches_two_ends_that_each_drift_under_half_a_skin():
     world.add_node(1, position=(0.0, 0.0))
     world.add_node(2, position=(60.5, 0.0))
     world.run_until(0.0)
-    assert world._links == {} and world._near[0].size == 0
+    assert world._links == {} and world._contacts._near[0].size == 0
     for step in range(1, 5):
         world.set_position(1, (2.6 * step, 0.0))
         world.set_position(2, (60.5 - 2.6 * step, 0.0))
