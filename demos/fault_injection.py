@@ -11,7 +11,8 @@ terminal.
 """
 
 from carryflow import (CapabilityVector, Collector, FaultPlan, LinkModel,
-                       Node, RunSettings, ServiceDefinition, Strategy, World)
+                       Node, OfferMemo, RunSettings, ServiceDefinition, Strategy,
+                       World)
 
 ENHANCE = ServiceDefinition(name="enhance", exec_seconds_mean=0.3,
                             exec_seconds_jitter=0.0, output_size_bytes=4000,
@@ -25,12 +26,14 @@ def build_world(fault_plan):
     # the same settings a scenario file's [run] section produces
     run = RunSettings(strategy=Strategy.BEST, preprocess_s=0.01,
                       postprocess_s=0.01, fault=fault_plan)
+    # the nodes of one world decode each offer once, through one memo
+    memo = OfferMemo()
     nodes = {}
     for addr in (1, 2, 3):
         caps = CapabilityVector(cpu=4.0, memory=4096.0, disk=16384.0,
                                 energy=100.0, position=(30.0 * addr, 0.0))
         services = {} if addr == 1 else {"enhance": ENHANCE}
-        nodes[addr] = Node(addr, world, collector, run, caps, services)
+        nodes[addr] = Node(addr, world, collector, run, caps, services, memo)
     world.run_until(1.0)    # let the offers flood the line
     return world, collector, nodes
 

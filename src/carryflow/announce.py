@@ -14,9 +14,10 @@ Decoding is pure, so one run decodes each offer payload once, when a copy
 arrives: the run's nodes share an OfferMemo keyed by payload bytes, which
 forgets a payload after its bundle has expired. Most arrivals are copies of a
 payload the memo already holds, and such a receipt costs one lookup in the
-memo's read-only view; only a payload the memo lacks goes through decode.
-Lookups read the memo and never decode. Malformed payloads are never
-memoised, so each arrival of one is counted, and a lookup passes over it.
+memo; only a payload the memo lacks goes through decode. No other module
+relies on a payload being bytes. Lookups read the memo and never decode.
+Malformed payloads are never memoised, so each arrival of one is counted,
+and a lookup passes over it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from .bundles import (BROADCAST, Bundle, BundleId, BundleKind, BundleStore,
                       NodeAddress)
@@ -126,38 +126,36 @@ def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: floa
 class OfferMemo:
     """Decoded offers by payload bytes, shared by the nodes of one run.
 
-    Entries leave in arrival order, at the first decode after their bundle
+    Entries leave in arrival order, at the first miss after their bundle
     has expired. The source decodes its own offer when it issues it and a
     run's offers share one TTL, so that order is expiry order; every bundle
     carrying one payload is a copy of one announce, so the entry outlives
     none of them. A copy is delivered only while it is live, so a payload
-    found in `decoded` on arrival is one that decode would return as is.
-    Every reader of a payload gets the same offer objects, so nothing may
-    edit a decoded offer.
+    the memo holds on arrival is one that decoding again would return as
+    is. Every reader of a payload gets the same offer objects, so nothing
+    may edit a decoded offer.
     """
 
     def __init__(self) -> None:
         self._offers: dict[bytes, list[ServiceOffer]] = {}
-        # read-only view for callers that test membership on a hot path
-        self.decoded: Mapping[bytes, list[ServiceOffer]] = MappingProxyType(self._offers)
         self._arrivals: deque[tuple[float, bytes]] = deque()
 
     def __len__(self) -> int:
         return len(self._offers)
 
     def decode(self, bundle: Bundle, now: float) -> list[ServiceOffer]:
-        """The bundle's offers; raises OfferCodecError for a malformed payload."""
-        arrivals = self._arrivals
-        while arrivals and arrivals[0][0] < now:
-            del self._offers[arrivals.popleft()[1]]
+        """The bundle's offers, held or decoded; OfferCodecError if malformed."""
         payload = bundle.payload
         if type(payload) is not bytes:
             raise OfferCodecError("offer payload is not bytes")
         offers = self._offers.get(payload)
-        if offers is None:
-            offers = decode_offers(payload)
-            self._offers[payload] = offers
-            arrivals.append((bundle.expires_at, payload))
+        if offers is not None:
+            return offers
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] < now:
+            del self._offers[arrivals.popleft()[1]]
+        offers = self._offers[payload] = decode_offers(payload)
+        arrivals.append((bundle.expires_at, payload))
         return offers
 
     def offers(self, payload: object) -> Optional[list[ServiceOffer]]:

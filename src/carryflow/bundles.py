@@ -9,7 +9,8 @@ so what a store holds is bounded by its live data, not by how long the run
 has gone. Expiry is kept by time, not by bundle: a heap holds each distinct
 expiry time once, and the bundles that expire at that time hang off it, so
 the copies of one announce round cost one heap entry. Each stored bundle's
-arrival time is kept beside it and dropped with it.
+arrival time is kept beside it and dropped with it. A cleanup removes one
+workflow's bundles (`remove_where`) and never scans the whole store.
 """
 
 from __future__ import annotations
@@ -131,14 +132,10 @@ class BundleStore:
             self._by_workflow.setdefault(bundle.workflow_id, {})[bundle_id] = bundle
         return True
 
-    def remove_where(self, predicate: Callable[[Bundle], bool],
-                     workflow_id: Optional[str] = None) -> int:
-        """Drop the bundles matching predicate, among one workflow's if given."""
-        if workflow_id is None:
-            candidates = self._bundles.values()
-        else:
-            candidates = self._by_workflow.get(workflow_id, {}).values()
-        doomed = [b for b in candidates if predicate(b)]
+    def remove_where(self, predicate: Callable[[Bundle], bool], workflow_id: str) -> int:
+        """Drop the bundles of one workflow that match predicate; returns how many."""
+        doomed = [b for b in self._by_workflow.get(workflow_id, {}).values()
+                  if predicate(b)]
         for bundle in doomed:
             self._drop(bundle)
         return len(doomed)

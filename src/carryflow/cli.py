@@ -168,10 +168,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     reports = _load_reports(args.reports)
-    seeds = sorted({r.seed for r in reports})
-    strategies = sorted({r.strategy for r in reports})
-    result = SuiteResult(scenario=reports[0].scenario, seeds=seeds,
-                         strategies=strategies, reports=reports)
+    result = SuiteResult(scenario=reports[0].scenario, reports=reports)
     files = _emit_suite(result, args.out)
     print(f"wrote {len(files)} files to {args.out}")
     return 0

@@ -10,8 +10,9 @@ moved half a skin since then, no pair off the list can have come into range,
 so only the listed pairs are tested; a node joining, or a node moving that
 far, rebuilds the list from every pair.
 
-Only a world with a contact range builds a detector, so only waypoint
-scenarios load numpy; a static (adjacency) world never imports this module.
+Only a world with a contact range builds a detector, and then ignores its
+static pairs; so only waypoint scenarios load numpy. The detector refers to
+no node, so releasing a world leaves it be: its arrays go with the world.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class RangeContacts:
         # the first tick
         self._near: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._anchor: Optional[np.ndarray] = None
-
-    def release(self) -> None:
-        """Forget every pair, as before the first tick."""
-        self._pair_rows = None
-        self._in_range = np.zeros(0, dtype=bool)
-        self._near = self._anchor = None
 
     def changes(self, positions: Sequence[tuple[float, float]],
                 addrs: Sequence[NodeAddress],

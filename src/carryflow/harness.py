@@ -34,7 +34,6 @@ _CHUNK_S = 5.0
 
 @dataclass
 class BuiltScenario:
-    config: ScenarioConfig
     world: World
     nodes: dict[NodeAddress, Node]
     clients: list[Node]
@@ -124,8 +123,8 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                 node.offload(spec.text, files)
             world.schedule(spec.offload_at + k * spec.interval_s, offload)
 
-    return BuiltScenario(config=config, world=world, nodes=nodes,
-                         clients=clients, collector=collector)
+    return BuiltScenario(world=world, nodes=nodes, clients=clients,
+                         collector=collector)
 
 
 def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
@@ -169,12 +168,24 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
 
 @dataclass
 class SuiteResult:
+    """One scenario's reports in (strategy, seed) order, however run or read in."""
+
     scenario: str
-    seeds: list[int]
-    strategies: list[str]
     reports: list[ExperimentReport]
 
+    def __post_init__(self) -> None:
+        self.reports = sorted(self.reports, key=lambda r: (r.strategy, r.seed))
+
+    @property
+    def seeds(self) -> list[int]:
+        return sorted({r.seed for r in self.reports})
+
+    @property
+    def strategies(self) -> list[str]:
+        return sorted({r.strategy for r in self.reports})
+
     def digest(self) -> str:
+        """Covers every report, each with its own config digest."""
         blob = "\n".join(r.digest() for r in self.reports).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -184,8 +195,7 @@ def run_suite(config: ScenarioConfig, seeds: Sequence[int],
     """Sweep seeds for each strategy; reports in (strategy, seed) order."""
     reports = [run_scenario(config, seed=seed, strategy=strategy)
                for strategy in strategies for seed in seeds]
-    return SuiteResult(scenario=config.name, seeds=list(seeds),
-                       strategies=[s.value for s in strategies], reports=reports)
+    return SuiteResult(scenario=config.name, reports=reports)
 
 
 def makespan(report_workflow) -> Optional[float]:
@@ -302,7 +312,6 @@ def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
         "scenario": result.scenario,
         "seeds": result.seeds,
         "strategies": result.strategies,
-        "config_digest": result.reports[0].config_digest if result.reports else None,
         "suite_digest": result.digest(),
         "files": sorted(written),
     }

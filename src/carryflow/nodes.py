@@ -2,19 +2,18 @@
 
 A node is one object. It inherits the worker role (`WorkerRuntime`) and the
 client role (`ClientRuntime`) and owns the state both read. It announces its
-services on a fixed period from the moment it is built, decodes each
-received offer through the run's memo (its offer view reads the store),
-dispatches addressed bundles to its worker or client methods, and honors
-cleanup markers by purging everything a finished workflow left behind. Nodes
-remember which workflows were cleaned so anti-entropy cannot re-plant stale
-copies on them.
+services, if it has any, on a fixed period from the moment it is built,
+hands each received offer to the memo all its world's nodes share (its offer
+view reads the store), dispatches addressed bundles to its worker or client
+methods, and honors cleanup markers by purging everything a finished
+workflow left behind. Nodes remember which workflows were cleaned so
+anti-entropy cannot re-plant stale copies on them.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Optional
 
 from .announce import (CapabilityVector, OfferCodecError, OfferDatabase,
                        OfferMemo, build_offer_bundle)
@@ -34,8 +33,7 @@ class Node(WorkerRuntime, ClientRuntime):
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
                  run: RunSettings, caps: CapabilityVector,
-                 services: dict[str, ServiceDefinition],
-                 offer_memo: Optional[OfferMemo] = None) -> None:
+                 services: dict[str, ServiceDefinition], offer_memo: OfferMemo) -> None:
         self.address = address
         self.world = world
         self.collector = collector
@@ -56,9 +54,7 @@ class Node(WorkerRuntime, ClientRuntime):
         self._bundle_seq = 0
         self.store = world.add_node(address, position=caps.position,
                                     handler=self.on_bundle, accept=self.accepts)
-        self.offer_db = OfferDatabase(
-            self.store, OfferMemo() if offer_memo is None else offer_memo)
-        self._decoded = self.offer_db.memo.decoded
+        self.offer_db = OfferDatabase(self.store, offer_memo)
         # nodes built in address order announce in address order
         if self.services:
             world.schedule(world.now, self._announce)
@@ -70,11 +66,10 @@ class Node(WorkerRuntime, ClientRuntime):
 
     def _announce(self) -> None:
         now = self.world.now
-        if self.services:
-            self.caps.position = self.position()
-            self.world.originate(build_offer_bundle(
-                self._next_bundle_id(), self.address, now, self.caps, self._offered,
-                expiry_s=self.config.offer_expiry_s))
+        self.caps.position = self.position()
+        self.world.originate(build_offer_bundle(
+            self._next_bundle_id(), self.address, now, self.caps, self._offered,
+            expiry_s=self.config.offer_expiry_s))
         self.world.schedule(now + self.config.announce_interval_s, self._announce)
 
     # -- bundle plumbing ---------------------------------------------------------
@@ -92,11 +87,6 @@ class Node(WorkerRuntime, ClientRuntime):
     def on_bundle(self, bundle: Bundle) -> None:
         kind = bundle.kind
         if kind is BundleKind.OFFER:
-            payload = bundle.payload
-            # a copy of a payload the memo holds needs no decode; the type test
-            # keeps an unhashable payload out of the lookup
-            if type(payload) is bytes and payload in self._decoded:
-                return
             try:
                 self.offer_db.memo.decode(bundle, self.world.now)
             except OfferCodecError:

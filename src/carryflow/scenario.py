@@ -29,6 +29,7 @@ import io
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -272,6 +273,13 @@ class _Reader:
         subject = f"{self.subject}: " if self.subject else ""
         self.problems.append(f"[{self.section}] {subject}{msg}")
 
+    def refuse_repeats(self, names: list[str], key: str = "") -> None:
+        """Complain once about each name that a list gives more than once."""
+        prefix = f"{key}: " if key else ""
+        for name, count in Counter(names).items():
+            if count > 1:
+                self.complain(f"{prefix}{name} is given more than once")
+
     def check_keys(self, keys: tuple[_Key, ...], *by_hand: str) -> None:
         allowed = {key.name for key in keys}.union(by_hand)
         for key in sorted(set(self.raw) - allowed):
@@ -310,8 +318,9 @@ class _Reader:
                 if (value := self.value(key)) is not None}
 
     def get_kv(self, key: str) -> dict[str, float]:
-        """Parse `a=1, b=2.5` style values."""
+        """Parse `a=1, b=2.5` style values; a name may be given once."""
         out: dict[str, float] = {}
+        names: list[str] = []
         for item in self.raw.get(key, "").split(","):
             item = item.strip()
             if not item:
@@ -320,14 +329,17 @@ class _Reader:
             if not sep:
                 self.complain(f"{key}: expected name=value, got {item!r}")
                 continue
+            name = name.strip()
+            names.append(name)
             try:
                 number = float(value)
             except ValueError:
                 number = math.nan
             if math.isfinite(number):
-                out[name.strip()] = number
+                out[name] = number
             else:
-                self.complain(f"{key}: {name.strip()} is not a finite number: {value!r}")
+                self.complain(f"{key}: {name} is not a finite number: {value!r}")
+        self.refuse_repeats(names, key)
         return out
 
     def get_list(self, key: str) -> list[str]:
@@ -373,6 +385,7 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     services: dict[str, ServiceDefinition] = {}
     for name, spec in reader.raw.items():
         fields = _Reader(reader.section, {}, reader.problems, subject=name)
+        keys: list[str] = []
         for item in spec.split(","):
             item = item.strip()
             if not item:
@@ -381,7 +394,10 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
             if not sep:
                 fields.complain(f"expected key=value, got {item!r}")
                 continue
-            fields.raw[key.strip()] = value.strip()
+            key = key.strip()
+            keys.append(key)
+            fields.raw[key] = value.strip()
+        fields.refuse_repeats(keys)
         fields.check_keys(_SERVICE_KEYS)
         if len(name.encode("utf-8")) > SERVICE_NAME_BYTES:
             fields.complain(f"name is longer than the {SERVICE_NAME_BYTES} "
@@ -456,20 +472,24 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
     except WorkflowParseError as exc:
         reader.complain(f"tasks: {exc}")
     files: dict[str, int] = {}
+    names: list[str] = []
     for item in reader.get_list("input"):
         name, sep, size = item.partition(":")
         if not sep:
             reader.complain(f"input: expected name:bytes, got {item!r}")
             continue
+        name = name.strip()
+        names.append(name)
         try:
             size_bytes = int(size)
         except ValueError:
             reader.complain(f"input: size is not an integer: {size!r}")
             continue
         if size_bytes < 0:
-            reader.complain(f"input: size of {name.strip()!r} must be at least 0, "
+            reader.complain(f"input: size of {name!r} must be at least 0, "
                             f"got {size_bytes}")
-        files[name.strip()] = size_bytes
+        files[name] = size_bytes
+    reader.refuse_repeats(names, "input")
     return WorkflowSpec(text=text, files=files, **reader.values(_WORKFLOW_KEYS))
 
 

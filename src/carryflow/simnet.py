@@ -1,11 +1,11 @@
 """Single-clock discrete event simulator with epidemic bundle replication.
 
-Nodes hold bundle stores and positions; contacts are derived either from a
-static adjacency list or from a disc radio range over mobile positions.
-Contact state is re-evaluated on a fixed tick, as changes against the last
-one: links that closed and links that opened. Positions are a plain list of
-(x, y) float tuples, one per node in joining order, which mobility moves in
-place. A range world hands them each tick to its detector
+Nodes hold bundle stores and positions; contacts come from a disc radio
+range over mobile positions or, without one, from static pairs (none by
+default). Contact state is re-evaluated on a fixed tick, as changes against
+the last one: links that closed and links that opened. Positions are a plain
+list of (x, y) float tuples, one per node in joining order, which mobility
+moves in place. A range world hands them each tick to its detector
 (`contacts.RangeContacts`), whose in-range test runs in numpy over a skin
 list; only a world with a contact range imports that module, so a static
 world never loads numpy. Each node keeps its open links in pair order,
@@ -18,15 +18,15 @@ keeps the link in sync until it closes. A transfer interrupted by contact
 loss restarts from scratch at the next encounter.
 
 The world keeps one record per node: its store, the store's id mapping,
-its accept and delivery hooks, and its open links, each link naming the
-record of the node at its far end, so the hot path reaches a receiver's
-state without a lookup. The link scan and the push share one enqueue loop,
-`_push`, over (link, bundle) pairs: it skips a bundle the receiver holds and
-one the receiver's accept hook refuses, and starts the link only if it is
-idle. A scan first drops the bundles the receiver holds in one pass, since
-those are most of what a sender carries. No link queues one bundle twice for
-one receiver: the scan runs once, when the link opens, and after that only
-bundles newly stored at one end are pushed, and a store takes an id at most
+its accept and delivery hooks (always both, so they are called untested),
+and its open links, each naming the record of the node at its far end, so
+the hot path reaches a receiver's state without a lookup. The link scan and
+the push share one enqueue loop, `_push`, over (link, bundle) pairs: it
+skips a bundle the receiver holds and one the receiver's accept hook
+refuses, and starts the link only if it is idle. A scan first drops the
+bundles the receiver holds in one pass, since those are most of what a
+sender carries. No link queues one bundle twice for one receiver: the scan
+runs once, when the link opens, and after that only bundles newly stored at one end are pushed, and a store takes an id at most
 once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
 is sending is its `current`, the one record of the entry in flight, which
 closing the link clears. A link has at most one transfer pending, so each
@@ -150,8 +150,8 @@ class _Node:
 
     __slots__ = ("addr", "store", "held", "accept", "handler", "links")
 
-    def __init__(self, addr: NodeAddress, accept: Optional[Callable[[Bundle], bool]],
-                 handler: Optional[Callable[[Bundle], None]]) -> None:
+    def __init__(self, addr: NodeAddress, accept: Callable[[Bundle], bool],
+                 handler: Callable[[Bundle], None]) -> None:
         self.addr = addr
         self.store = BundleStore()
         self.held = self.store.by_id
@@ -188,12 +188,12 @@ class World:
 
     def __init__(self, link: LinkModel, tick_interval: float = 0.5, *,
                  contact_range: Optional[float] = None,
-                 adjacency: Optional[Iterable[tuple[NodeAddress, NodeAddress]]] = None,
+                 adjacency: Iterable[tuple[NodeAddress, NodeAddress]] = (),
                  mobility: Optional[RandomWaypoint] = None,
                  rating_distance: Callable[[Position, Position], float] = euclidean) -> None:
         self.link = link
         self.tick_interval = tick_interval
-        self.adjacency = {tuple(sorted(p)) for p in adjacency} if adjacency is not None else None
+        self.adjacency = {tuple(sorted(p)) for p in adjacency}
         self.mobility = mobility
         self.rating_distance = rating_distance
         self.now = 0.0
@@ -220,8 +220,8 @@ class World:
     # -- node registration ------------------------------------------------
 
     def add_node(self, addr: NodeAddress, position: Position = (0.0, 0.0),
-                 handler: Optional[Callable[[Bundle], None]] = None,
-                 accept: Optional[Callable[[Bundle], bool]] = None) -> BundleStore:
+                 handler: Callable[[Bundle], None] = lambda bundle: None,
+                 accept: Callable[[Bundle], bool] = lambda bundle: True) -> BundleStore:
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
         node = self._nodes[addr] = _Node(addr, accept, handler)
@@ -248,8 +248,6 @@ class World:
         for state in self._links.values():
             state.complete = None
         self._links.clear()
-        if self._contacts is not None:
-            self._contacts.release()
 
     def position_of(self, addr: NodeAddress) -> Position:
         return self._positions[self._addr_index[addr]]
@@ -279,10 +277,8 @@ class World:
 
     def _contact_changes(self) -> tuple[list, list]:
         """Links to close and links to open since the last tick, each in pair order."""
-        if self.adjacency is not None:
-            return [], sorted(self.adjacency - self._links.keys())
         if self._contacts is None:
-            return [], []
+            return [], sorted(self.adjacency - self._links.keys())
         return self._contacts.changes(self._positions, self._addrs, self._links.keys())
 
     def _tick(self) -> None:
@@ -339,9 +335,7 @@ class World:
         for _, state, node in links:
             held, accept, queue = node.held, node.accept, state.queue
             for bundle in bundles:
-                if bundle.bundle_id in held:
-                    continue
-                if accept is not None and not accept(bundle):
+                if bundle.bundle_id in held or not accept(bundle):
                     continue
                 queue.append((bundle, node))
                 if state.current is None:
@@ -380,20 +374,13 @@ class World:
 
     def _deliver(self, node: _Node, bundle: Bundle) -> None:
         now = self.now
-        if now > bundle.expires_at:
+        if (now > bundle.expires_at or not node.accept(bundle)
+                or not node.store.insert(bundle, now)):
             return
-        accept = node.accept
-        if accept is not None and not accept(bundle):
-            return
-        if not node.store.insert(bundle, now):
-            return
-        if node.handler is not None:
-            node.handler(bundle)
+        node.handler(bundle)
         # forward the fresh bundle over every open link without waiting for a tick
         self._push(node.links, (bundle,))
 
-    def originate(self, bundle: Bundle) -> bool:
+    def originate(self, bundle: Bundle) -> None:
         """Insert a locally created bundle at its source node and start spreading it."""
-        node = self._nodes[bundle.source]
-        self._deliver(node, bundle)
-        return bundle.bundle_id in node.held
+        self._deliver(self._nodes[bundle.source], bundle)

@@ -91,6 +91,8 @@ def _parse_requirements(text: str, lineno: int) -> dict[str, float]:
         key = key.strip()
         if key not in ALL_METRICS:
             raise WorkflowParseError(f"line {lineno}: unknown requirement metric {key!r}")
+        if key in reqs:
+            raise WorkflowParseError(f"line {lineno}: requirement {key} is given more than once")
         try:
             value = float(raw)
         except ValueError:

@@ -17,6 +17,7 @@ from carryflow.assignment import DEFAULT_WEIGHTS, Strategy, select
 from carryflow.bundles import BROADCAST, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
 from carryflow.harness import build, run_scenario
+from conftest import build_line
 
 CAPS = CapabilityVector(cpu=4.0, memory=2048.0, disk=8192.0, energy=75.5,
                         position=(12.5, -3.0))
@@ -270,8 +271,25 @@ def test_memo_decodes_each_payload_once_and_forgets_expired_ones(monkeypatch):
     assert len(calls) == 2
 
 
-def test_hand_built_databases_do_not_share_a_memo(line3):
-    assert line3.node(1).offer_db.memo is not line3.node(2).offer_db.memo
+def test_nodes_of_one_hand_built_world_share_a_memo(line3):
+    other = build_line(3, {})
+    for micro in (line3, other):
+        assert len({id(node.offer_db.memo) for node in micro.nodes.values()}) == 1
+    assert other.node(1).offer_db.memo is not line3.node(1).offer_db.memo
+
+
+def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypatch):
+    calls = count_decodes(monkeypatch)
+    line3.settle(0.5)
+    # worker 3's first announce, decoded where it was issued
+    first = line3.world.stores[3].by_id[(3, 1)]
+    assert all(first.bundle_id in line3.world.stores[addr] for addr in (1, 2))
+    assert calls.count(first.payload) == 1
+    now = line3.world.now
+    seen_at_1, seen_at_2 = (line3.node(addr).offer_db.lookup("work", now)
+                            for addr in (1, 2))
+    assert [r.offer.worker for r in seen_at_1] == [2, 3]
+    assert seen_at_1[1].offer is seen_at_2[1].offer
 
 
 def test_malformed_payload_is_not_memoised():

@@ -65,7 +65,7 @@ def test_live_keeps_insertion_order_and_skips_removed():
     assert [b.bundle_id for b in store.live(now=0.0)] == \
         [b.bundle_id for b in bundles]
 
-    assert store.remove_where(lambda b: b.bundle_id == bundles[1].bundle_id) == 1
+    assert store.remove_where(lambda b: True, workflow_id=bundles[1].workflow_id) == 1
     assert [b.bundle_id for b in store.live(now=0.0)] == \
         [b.bundle_id for b in bundles if b is not bundles[1]]
 
@@ -84,7 +84,8 @@ def test_remove_where_counts():
     store = BundleStore()
     for i in range(1, 6):
         store.insert(make_bundle(i), now=0.0)
-    removed = store.remove_where(lambda b: b.workflow_id in ("wf-2", "wf-4"))
+    removed = sum(store.remove_where(lambda b: True, workflow_id=workflow_id)
+                  for workflow_id in ("wf-2", "wf-4"))
     assert removed == 2
     assert len(store) == 3
 

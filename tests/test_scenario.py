@@ -163,6 +163,24 @@ def test_single_problem_scenarios(mutate, fragment):
         parse_scenario(mutate(RING_INI))
 
 
+@pytest.mark.parametrize("old,new,problem", [
+    ("input = in.dat:1000", "input = in.dat:1000, in.dat:5",
+     "[workflow] input: in.dat is given more than once"),
+    ("cpu=2, energy=5", "cpu=2, cpu=3, energy=5",
+     "[workflow] requirements: cpu is given more than once"),
+    ("work = mean=0.5,", "work = mean=0.5, mean=9.0,",
+     "[services] work: mean is given more than once"),
+    # sums to 1 only while disk counts once
+    ("seed = 9", "seed = 9\nweights = energy=0.3, distance=0.3, cpu=0.2, "
+     "memory=0.1, disk=0.1, disk=0.1",
+     "[run] weights: disk is given more than once"),
+], ids=["input", "requirements", "service", "weights"])
+def test_a_name_given_twice_in_a_list_is_one_problem(old, new, problem):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(RING_INI.replace(old, new))
+    assert info.value.problems == [problem]
+
+
 def test_infinite_ttl_means_no_expiry():
     cfg = parse_scenario(RING_INI.replace("ttl = 120", "ttl = inf"))
     assert "ttl=inf" in cfg.workflow.text

@@ -216,10 +216,11 @@ def test_positions_are_built_in_floats_that_round_trip_exactly():
         assert repr(position) == repr(expected)
 
 
-def test_originate_reports_source_refusal():
+def test_originate_honors_source_refusal():
     world = World(LINK, adjacency=[])
-    world.add_node(1, accept=lambda b: False)
-    assert world.originate(make_bundle(1, None, 1, 10)) is False
+    store = world.add_node(1, accept=lambda b: False)
+    world.originate(make_bundle(1, None, 1, 10))
+    assert len(store) == 0
 
 
 def test_waypoint_stays_in_bounds_and_is_deterministic():

@@ -75,6 +75,7 @@ def test_parse_pinned_worker_address():
     ("ttl=abc\nany scale f\n", "not a number"),
     ("ttl=0\nany scale f\n", "must be positive"),
     ("mode=fast\nany scale f\n", "unknown directive"),
+    ("any scale f [cpu=1,cpu=2]\n", "line 1: requirement cpu is given more than once"),
 ])
 def test_parse_rejects(text, fragment):
     with pytest.raises(WorkflowParseError, match=fragment):
