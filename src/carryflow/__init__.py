@@ -10,7 +10,7 @@ The top level holds what a script needs to run scenarios and wire a world
 by hand; everything else is imported from its submodule.
 """
 
-from .announce import CapabilityVector, OfferMemo
+from .announce import CapabilityVector
 from .assignment import Strategy
 from .harness import run_scenario, run_suite, summarize
 from .nodes import Node
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityVector", "Collector", "ExperimentReport", "FaultPlan",
-    "LinkModel", "Node", "OfferMemo", "RunSettings", "ScenarioError",
+    "LinkModel", "Node", "RunSettings", "ScenarioError",
     "ServiceDefinition", "Strategy", "World", "WorkflowParseError",
     "run_scenario", "run_suite", "selection_entropy", "summarize",
 ]

@@ -10,22 +10,19 @@ the store's expiry rule is the only one. The view keeps no state of its own;
 a lookup, which runs when a task is assigned, folds the live offer bundles
 and builds the OfferRecords it returns.
 
-Decoding is pure, so one run decodes each offer payload once, when a copy
-arrives: the run's nodes share an OfferMemo keyed by payload bytes, which
-forgets a payload after its bundle has expired. Most arrivals are copies of a
-payload the memo already holds, and such a receipt costs one lookup in the
-memo; only a payload the memo lacks goes through decode. No other module
-relies on a payload being bytes. Lookups read the memo and never decode.
-Malformed payloads are never memoised, so each arrival of one is counted,
-and a lookup passes over it.
+Decoding is pure, so an offer bundle is decoded at most once, when a copy
+first arrives, and keeps its offers (`Bundle.decoded`): every store holding a
+copy holds the same bundle object, so every later receipt and every lookup
+reads them from there, and they are freed with the bundle. Nothing may edit
+a decoded offer. No other module relies on a payload being bytes. A
+malformed payload stores nothing, so each arrival of one is counted, and a
+lookup passes over it.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .bundles import (BROADCAST, Bundle, BundleId, BundleKind, BundleStore,
                       NodeAddress)
@@ -123,57 +120,29 @@ def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: floa
                   created_at=issued_at, ttl_seconds=expiry_s)
 
 
-class OfferMemo:
-    """Decoded offers by payload bytes, shared by the nodes of one run.
-
-    Entries leave in arrival order, at the first miss after their bundle
-    has expired. The source decodes its own offer when it issues it and a
-    run's offers share one TTL, so that order is expiry order; every bundle
-    carrying one payload is a copy of one announce, so the entry outlives
-    none of them. A copy is delivered only while it is live, so a payload
-    the memo holds on arrival is one that decoding again would return as
-    is. Every reader of a payload gets the same offer objects, so nothing
-    may edit a decoded offer.
-    """
-
-    def __init__(self) -> None:
-        self._offers: dict[bytes, list[ServiceOffer]] = {}
-        self._arrivals: deque[tuple[float, bytes]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._offers)
-
-    def decode(self, bundle: Bundle, now: float) -> list[ServiceOffer]:
-        """The bundle's offers, held or decoded; OfferCodecError if malformed."""
-        payload = bundle.payload
-        if type(payload) is not bytes:
-            raise OfferCodecError("offer payload is not bytes")
-        offers = self._offers.get(payload)
-        if offers is not None:
-            return offers
-        arrivals = self._arrivals
-        while arrivals and arrivals[0][0] < now:
-            del self._offers[arrivals.popleft()[1]]
-        offers = self._offers[payload] = decode_offers(payload)
-        arrivals.append((bundle.expires_at, payload))
+def offers_of(bundle: Bundle) -> list[ServiceOffer]:
+    """The offer bundle's offers, decoded on first use; OfferCodecError if malformed."""
+    offers = bundle.decoded
+    if offers is not None:
         return offers
-
-    def offers(self, payload: object) -> Optional[list[ServiceOffer]]:
-        """The memoised offers of a payload; None if it never decoded."""
-        return self._offers.get(payload) if type(payload) is bytes else None
+    payload = bundle.payload
+    if type(payload) is not bytes:
+        raise OfferCodecError("offer payload is not bytes")
+    offers = decode_offers(payload)
+    object.__setattr__(bundle, "decoded", offers)
+    return offers
 
 
 class OfferDatabase:
     """A node's view of who offers what, read from the live offer bundles of its store.
 
     Nothing is kept between lookups: each one folds the store's live offer
-    bundles in arrival order, with the offers the run's memo decoded when
-    each bundle arrived.
+    bundles in arrival order, with the offers each bundle kept when it was
+    decoded on arrival.
     """
 
-    def __init__(self, store: BundleStore, memo: OfferMemo) -> None:
+    def __init__(self, store: BundleStore) -> None:
         self.store = store
-        self.memo = memo
 
     def ingest(self, offers: list[ServiceOffer], received_at: float,
                records: dict[tuple[NodeAddress, str],
@@ -195,11 +164,11 @@ class OfferDatabase:
     def lookup(self, service_name: str, now: float) -> list[OfferRecord]:
         """Fresh offers for one service, sorted by worker address."""
         records: dict[tuple[NodeAddress, str], tuple[float, ServiceOffer, float]] = {}
-        memoised, arrived_at = self.memo.offers, self.store.arrived_at
+        arrived_at = self.store.arrived_at
         for bundle in self.store.live(now):
             if bundle.kind is BundleKind.OFFER:
-                offers = memoised(bundle.payload)
-                # a payload the memo lacks is malformed; its arrival was counted
+                offers = bundle.decoded
+                # an undecoded offer bundle is malformed; its arrival was counted
                 if offers is not None:
                     self.ingest(offers, arrived_at[bundle.bundle_id], records)
         # one key per worker for a service, so the sort compares workers only

@@ -1,9 +1,11 @@
 """Per-node bundle storage for a store-carry-forward network.
 
 A bundle is the unit of replication: an addressed (or broadcast) payload with
-a creation time and a TTL. Each node owns one store; synchronization between
-stores happens in the network layer, this module only answers what a node
-currently holds. A store sheds a bundle once it expires: inserting and
+a creation time and a TTL. Every store holding a copy holds the same frozen
+object; its one field written after construction is `decoded`, where an offer
+bundle keeps its decoded offers. Each node owns one store; synchronization
+between stores happens in the network layer, this module only answers what a
+node currently holds. A store sheds a bundle once it expires: inserting and
 listing the live bundles first drop everything whose expiry time has passed,
 so what a store holds is bounded by its live data, not by how long the run
 has gone. Expiry is kept by time, not by bundle: a heap holds each distinct
@@ -58,7 +60,8 @@ class Bundle:
     """A payload unit carried between nodes.
 
     Bundles are frozen, and every store holding a copy holds the same
-    object; an archive payload is frozen too.
+    object; an archive payload is frozen too. `decoded` is written once,
+    by `announce.offers_of`, and takes no part in equality, hash or repr.
     """
 
     bundle_id: BundleId
@@ -73,6 +76,7 @@ class Bundle:
     workflow_id: Optional[str] = None
     # created_at + ttl_seconds; infinite for a bundle that never expires
     expires_at: float = field(init=False)
+    decoded: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "expires_at", self.created_at + self.ttl_seconds)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .announce import CapabilityVector, OfferMemo
+from .announce import CapabilityVector
 from .assignment import Strategy
 from .bundles import NodeAddress, format_address
 from .nodes import Node
@@ -99,7 +99,6 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         raise TypeError(f"unsupported topology {topo!r}")
 
     collector = Collector()
-    offer_memo = OfferMemo()
     assignment = assign_cohorts(config)
     nodes: dict[NodeAddress, Node] = {}
     clients: list[Node] = []
@@ -109,7 +108,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                                 disk=cohort.disk, energy=cohort.energy,
                                 position=positions[i])
         services = {name: config.services[name] for name in cohort.services}
-        node = Node(addr, world, collector, run, caps, services, offer_memo)
+        node = Node(addr, world, collector, run, caps, services)
         nodes[addr] = node
         if cohort.client:
             clients.append(node)

@@ -3,9 +3,9 @@
 A node is one object. It inherits the worker role (`WorkerRuntime`) and the
 client role (`ClientRuntime`) and owns the state both read. It announces its
 services, if it has any, on a fixed period from the moment it is built,
-hands each received offer to the memo all its world's nodes share (its offer
-view reads the store), dispatches addressed bundles to its worker or client
-methods, and honors cleanup markers by purging everything a finished
+decodes each received offer bundle unless a copy was decoded already (its
+offer view reads the store), dispatches addressed bundles to its worker or
+client methods, and honors cleanup markers by purging everything a finished
 workflow left behind. Nodes remember which workflows were cleaned so
 anti-entropy cannot re-plant stale copies on them.
 """
@@ -16,7 +16,7 @@ import random
 from collections import deque
 
 from .announce import (CapabilityVector, OfferCodecError, OfferDatabase,
-                       OfferMemo, build_offer_bundle)
+                       build_offer_bundle, offers_of)
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
@@ -33,7 +33,7 @@ class Node(WorkerRuntime, ClientRuntime):
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
                  run: RunSettings, caps: CapabilityVector,
-                 services: dict[str, ServiceDefinition], offer_memo: OfferMemo) -> None:
+                 services: dict[str, ServiceDefinition]) -> None:
         self.address = address
         self.world = world
         self.collector = collector
@@ -54,7 +54,7 @@ class Node(WorkerRuntime, ClientRuntime):
         self._bundle_seq = 0
         self.store = world.add_node(address, position=caps.position,
                                     handler=self.on_bundle, accept=self.accepts)
-        self.offer_db = OfferDatabase(self.store, offer_memo)
+        self.offer_db = OfferDatabase(self.store)
         # nodes built in address order announce in address order
         if self.services:
             world.schedule(world.now, self._announce)
@@ -88,7 +88,7 @@ class Node(WorkerRuntime, ClientRuntime):
         kind = bundle.kind
         if kind is BundleKind.OFFER:
             try:
-                self.offer_db.memo.decode(bundle, self.world.now)
+                offers_of(bundle)
             except OfferCodecError:
                 self.collector.malformed_offers += 1
             return

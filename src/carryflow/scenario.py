@@ -273,7 +273,7 @@ class _Reader:
         subject = f"{self.subject}: " if self.subject else ""
         self.problems.append(f"[{self.section}] {subject}{msg}")
 
-    def refuse_repeats(self, names: list[str], key: str = "") -> None:
+    def refuse_repeats(self, names: list, key: str = "") -> None:
         """Complain once about each name that a list gives more than once."""
         prefix = f"{key}: " if key else ""
         for name, count in Counter(names).items():
@@ -347,7 +347,7 @@ class _Reader:
                 if item.strip()]
 
     def get_addresses(self, key: str) -> Optional[list[int]]:
-        """The node addresses listed under key; None if the key is unset or blank."""
+        """The distinct node addresses listed under key; None if unset or blank."""
         if not self.raw.get(key, "").strip():
             return None
         out: list[int] = []
@@ -359,7 +359,8 @@ class _Reader:
                 out.append(int(item))
             except ValueError:
                 self.complain(f"{key}: not an integer: {item!r}")
-        return out
+        self.refuse_repeats(out, key)
+        return list(dict.fromkeys(out))
 
 
 def _parse_topology(reader: _Reader) -> Topology:
@@ -421,7 +422,9 @@ def _parse_cohort(name: str, reader: _Reader,
             values.setdefault(key, 0)
     if addresses == []:
         values.setdefault("count", 0)
-    offered = tuple(reader.get_list("services"))
+    listed = reader.get_list("services")
+    reader.refuse_repeats(listed, "services")
+    offered = tuple(dict.fromkeys(listed))
     for svc in offered:
         if svc not in services:
             reader.complain(f"unknown service {svc!r}")
@@ -511,7 +514,7 @@ def _parse_run(reader: _Reader, n_nodes: int,
             reader.complain(f"weights: {exc}")
     # an empty fault key means "not set"
     nodes = reader.get_addresses("fault_nodes")
-    for addr in sorted(set(nodes or ())):
+    for addr in sorted(nodes or ()):
         if not 1 <= addr <= n_nodes:
             reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
     fault_nodes = None if nodes is None else frozenset(nodes)

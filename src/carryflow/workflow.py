@@ -155,15 +155,21 @@ def parse(text: str, *, workflow_id: str = "", client: NodeAddress = 0,
                                tasks=tuple(tasks), ttl_seconds=ttl, created_at=created_at)
 
 
+def _number(value: float) -> str:
+    """Short `:g` text where it parses back to value; otherwise exact."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def format_description(desc: WorkflowDescription) -> str:
     """Inverse of parse for the task list (header carries the ttl)."""
-    lines = [f"ttl={desc.ttl_seconds:g}"]
+    lines = [f"ttl={_number(desc.ttl_seconds)}"]
     for task in desc.tasks:
         worker = "any" if task.worker is None else format_address(task.worker)
         parts = [worker, task.service_name, *task.params]
         if task.requirements:
-            body = ",".join(f"{k}={task.requirements[k]:g}" for k in ALL_METRICS
-                            if k in task.requirements)
+            reqs = task.requirements
+            body = ",".join(f"{k}={_number(reqs[k])}" for k in ALL_METRICS if k in reqs)
             parts.append(f"[{body}]")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from carryflow.announce import CapabilityVector, OfferMemo
+from carryflow.announce import CapabilityVector
 from carryflow.assignment import Strategy
 from carryflow.nodes import Node
 from carryflow.report import Collector
@@ -62,14 +62,12 @@ def build_line(n: int, services_by_addr: dict[int, dict[str, ServiceDefinition]]
                       postprocess_s=0.01, announce_interval_s=announce_interval_s,
                       offer_expiry_s=offer_expiry_s, fault=fault_plan)
     caps_by_addr = caps_by_addr or {}
-    # one memo per world, as harness.build wires a run
-    memo = OfferMemo()
     nodes: dict[int, Node] = {}
     for addr in range(1, n + 1):
         caps = CapabilityVector(position=(10.0 * addr, 0.0),
                                 **{**BIG_CAPS, **caps_by_addr.get(addr, {})})
         nodes[addr] = Node(addr, world, collector, run, caps,
-                           services_by_addr.get(addr, {}), memo)
+                           services_by_addr.get(addr, {}))
     return MicroWorld(world=world, collector=collector, nodes=nodes)
 
 

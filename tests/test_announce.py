@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from carryflow import announce
 from carryflow.announce import (CapabilityVector, OFFER_HEADER_BYTES,
                                 OFFER_RECORD_BYTES, OfferCodecError,
-                                OfferDatabase, OfferMemo, ServiceOffer,
-                                build_offer_bundle, decode_offers, encode_offers)
+                                OfferDatabase, ServiceOffer, build_offer_bundle,
+                                decode_offers, encode_offers, offers_of)
 from carryflow.assignment import DEFAULT_WEIGHTS, Strategy, select
 from carryflow.bundles import BROADCAST, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
 from carryflow.harness import build, run_scenario
-from conftest import build_line
 
 CAPS = CapabilityVector(cpu=4.0, memory=2048.0, disk=8192.0, energy=75.5,
                         position=(12.5, -3.0))
@@ -82,15 +81,15 @@ def test_build_offer_bundle_fields():
 
 
 def view() -> OfferDatabase:
-    return OfferDatabase(BundleStore(), OfferMemo())
+    return OfferDatabase(BundleStore())
 
 
 def receive(db: OfferDatabase, bundle, now: float) -> bool:
-    """Store a bundle and decode it through the memo, as a node does on arrival."""
+    """Store a bundle and decode it, as a node does on arrival."""
     if not db.store.insert(bundle, now):
         return False
     try:
-        db.memo.decode(bundle, now)
+        offers_of(bundle)
     except OfferCodecError:
         pass
     return True
@@ -258,24 +257,23 @@ def count_decodes(monkeypatch) -> list:
     return calls
 
 
-def test_memo_decodes_each_payload_once_and_forgets_expired_ones(monkeypatch):
+def test_an_offer_bundle_received_twice_is_decoded_once(monkeypatch):
     calls = count_decodes(monkeypatch)
-    memo = OfferMemo()
     first = offer_bundle(1, 1, 0.0, expiry_s=10.0)
-    a, b = (OfferDatabase(BundleStore(), memo) for _ in range(2))
+    a, b = view(), view()
     assert receive(a, first, 0.0) and receive(b, first, 9.0)
     assert len(calls) == 1
     assert a.lookup("scale", 9.0)[0].offer is b.lookup("scale", 9.0)[0].offer
-    receive(a, offer_bundle(2, 1, 11.0, expiry_s=10.0), 11.0)
-    assert len(memo) == 1
-    assert len(calls) == 2
 
 
-def test_nodes_of_one_hand_built_world_share_a_memo(line3):
-    other = build_line(3, {})
-    for micro in (line3, other):
-        assert len({id(node.offer_db.memo) for node in micro.nodes.values()}) == 1
-    assert other.node(1).offer_db.memo is not line3.node(1).offer_db.memo
+def test_decoding_leaves_equality_hash_and_repr_alone():
+    bundle = offer_bundle(1, 1, 0.0)
+    fresh = replace(bundle)
+    offers_of(bundle)
+    assert bundle.decoded is not None and fresh.decoded is None
+    assert bundle == fresh
+    assert hash(bundle) == hash(fresh)
+    assert repr(bundle) == repr(fresh)
 
 
 def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypatch):
@@ -292,15 +290,13 @@ def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypat
     assert seen_at_1[1].offer is seen_at_2[1].offer
 
 
-def test_malformed_payload_is_not_memoised():
-    memo = OfferMemo()
+def test_malformed_payload_is_not_kept():
     bad = offer_bundle(1, 1, 0.0)
     bad = replace(bad, payload=bad.payload[:-5])
-    for at in (0.0, 0.5, 1.0):
+    for _ in range(3):
         with pytest.raises(OfferCodecError):
-            memo.decode(bad, at)
-    assert len(memo) == 0
-    assert memo.offers(bad.payload) is None
+            offers_of(bad)
+    assert bad.decoded is None
 
 
 def test_one_decode_per_offer_payload_per_run(monkeypatch):

@@ -124,7 +124,7 @@ def test_successful_workflow_broadcasts_marker_to_all(line3):
 
 
 def test_malformed_offer_bundles_are_counted(line3):
-    # an unhashable payload must not reach the memo's lookup
+    # a short payload, and payloads that are not bytes at all
     for seq, payload in enumerate((b"\x01\x02", bytearray(b"\x01\x02"), "\x01\x02"),
                                   start=1):
         bad = Bundle(bundle_id=(7, seq), source=2, destination=None,

@@ -18,6 +18,7 @@ from carryflow.scenario import (CohortSpec, RingTopology, RunSettings,
                                 load_scenario, parse_scenario,
                                 resolve_cohort_counts)
 from carryflow.simnet import LinkModel
+from carryflow.workflow import parse as parse_workflow
 
 RING_INI = """
 [scenario]
@@ -174,7 +175,14 @@ def test_single_problem_scenarios(mutate, fragment):
     ("seed = 9", "seed = 9\nweights = energy=0.3, distance=0.3, cpu=0.2, "
      "memory=0.1, disk=0.1, disk=0.1",
      "[run] weights: disk is given more than once"),
-], ids=["input", "requirements", "service", "weights"])
+    ("addresses = 1", "addresses = 1, 1",
+     "[cohort:client] addresses: 1 is given more than once"),
+    ("services = work", "services = work, work",
+     "[cohort:worker] services: work is given more than once"),
+    ("seed = 9", "seed = 9\nfault_nodes = 2, 2",
+     "[run] fault_nodes: 2 is given more than once"),
+], ids=["input", "requirements", "service", "weights", "addresses",
+        "cohort-services", "fault-nodes"])
 def test_a_name_given_twice_in_a_list_is_one_problem(old, new, problem):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(RING_INI.replace(old, new))
@@ -184,6 +192,14 @@ def test_a_name_given_twice_in_a_list_is_one_problem(old, new, problem):
 def test_infinite_ttl_means_no_expiry():
     cfg = parse_scenario(RING_INI.replace("ttl = 120", "ttl = inf"))
     assert "ttl=inf" in cfg.workflow.text
+
+
+def test_workflow_text_keeps_every_digit_of_ttl_and_requirements():
+    cfg = parse_scenario(RING_INI.replace("ttl = 120", "ttl = 1234.5678").replace(
+        "requirements = cpu=2, energy=5", "requirements = cpu=2, memory=1048576"))
+    desc = parse_workflow(cfg.workflow.text)
+    assert desc.ttl_seconds == 1234.5678
+    assert {task.requirements["memory"] for task in desc.tasks} == {1048576.0}
 
 
 def test_offer_wire_limits_are_inclusive():

@@ -5,12 +5,13 @@ import struct
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carryflow.bundles import Bundle, BundleKind, format_address
 from carryflow.runtime import ErrorClass, WorkerError
-from carryflow.workflow import (Archive, FileStub, Task, WorkflowParseError,
+from carryflow.workflow import (ALL_METRICS, Archive, FileStub, Task,
+                                WorkflowDescription, WorkflowParseError,
                                 _desc_blob, file_size, format_description,
                                 packed_size, parse, substitute_result)
 
@@ -89,6 +90,23 @@ def test_format_description_round_trips():
     assert format_description(again) == text
     assert [t.requirements for t in again.tasks] == \
         [t.requirements for t in desc.tasks]
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                     allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ttl=POSITIVE | st.just(math.inf),
+       requirements=st.lists(st.dictionaries(st.sampled_from(ALL_METRICS), POSITIVE),
+                             min_size=1, max_size=3))
+@example(ttl=1234.5678, requirements=[{"memory": 1048576.0}])
+def test_format_description_round_trips_every_number(ttl, requirements):
+    desc = WorkflowDescription(
+        workflow_id="", client=0, ttl_seconds=ttl,
+        tasks=tuple(Task(worker=None, service_name="scale", params=("f",),
+                         requirements=reqs) for reqs in requirements))
+    assert parse(format_description(desc)) == desc
 
 
 def test_substitute_result_replaces_placeholder_once():
