@@ -1,63 +1,113 @@
 """Range contacts: which node pairs are within a disc radio range, tick by tick.
 
 The world keeps node positions as a plain list of (x, y) float tuples, in
-the order the nodes joined. Each tick the detector reads them into one array
-and reports, as changes against the last tick, the pairs that left the range
-and the pairs that came into it. The in-range test runs in numpy over a skin
-list (a Verlet neighbour list): the pairs that were within the range plus a
-skin of half the range when the list was last rebuilt. While no node has
-moved half a skin since then, no pair off the list can have come into range,
-so only the listed pairs are tested; a node joining, or a node moving that
-far, rebuilds the list from every pair.
+the order the nodes joined, and never removes a node; so a node's index in
+that list names it for good, and the detector works on index pairs (i, j),
+i < j. Each tick it reports, as changes against the last tick, the pairs
+that left the range and the pairs that came into it. A pair is in range
+when dx*dx + dy*dy <= range*range on Python floats.
+
+The detector keeps a skin list (a Verlet neighbour list): the pairs that
+were within range plus a skin of half the range when the list was last
+rebuilt, sorted by their squared distance then, with the positions then as
+the anchor. A rebuild bins the nodes into square cells one range plus skin
+wide, so a pair that close lies in one cell or in two that touch, and tests
+each cell against itself and its four half-neighbour cells (Allen and
+Tildesley's cell list). Between rebuilds let D be the largest distance any
+node has moved from its anchor, kept monotone; each end of a pair has moved
+at most D, so the pair's distance is within 2D of its distance at the
+rebuild. Hence:
+
+- a pair off the list was more than range + skin apart, and while
+  2D < skin it is still out of range;
+- a listed pair more than 2D from the range at the rebuild, on either side,
+  is still on the side it was then.
+
+So only the listed pairs whose rebuild distance lies within 2D of the
+range are tested, found with two bisections; a pair once in that window
+stays in it, since D only grows. A node joining, or 2D reaching the skin,
+rebuilds the list. The window and the rebuild trigger each keep a slack of
+1 um, so rounding in the distances cannot let a pair change sides unseen;
+nor can rounding in a cell index, which can drop only a pair within a hair
+of range + skin, further out than any window reaches.
 
 Only a world with a contact range builds a detector, and then ignores its
-static pairs; so only waypoint scenarios load numpy. The detector refers to
-no node, so releasing a world leaves it be: its arrays go with the world.
+static pairs. The detector refers to no node, so releasing a world leaves
+it be: its lists go with the world.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Collection, Optional, Sequence
-
-import numpy as np
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from typing import Iterable, Optional, Sequence
 
 from .bundles import NodeAddress
 
-# metres kept off the skin, so that rounding in the distances cannot let a
-# pair off the skin list come into range unseen
+# metres kept off every bound, so that rounding in the distances cannot let
+# a pair change sides unseen
 _SKIN_SLACK = 1e-6
 
-
-def _squared(d: np.ndarray) -> np.ndarray:
-    """dx*dx + dy*dy of each (dx, dy) row; squares d in place."""
-    d *= d
-    return d[:, 0] + d[:, 1]
-
-
-def _max_drift(xy: np.ndarray, anchor: np.ndarray) -> float:
-    # the furthest any node has moved since the skin list was built
-    return math.sqrt(_squared(xy - anchor).max(initial=0.0))
+# each cell (cx, cy) has the key cx * _ROW + cy, so the four cells after it
+# in scan order are at these key offsets; with the cell itself they meet
+# every touching pair of cells exactly once. Two cells whose keys collide
+# share a list, which only adds pairs to test.
+_ROW = 1 << 32
+_HALF_NEIGHBOURS = (_ROW - 1, _ROW, _ROW + 1, 1)
 
 
-def _gaps(xy: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # squared distance of each (row, col) pair
-    d = np.take(xy, rows, axis=0)
-    d -= np.take(xy, cols, axis=0)
-    return _squared(d)
+def _near_pairs(positions: Sequence[tuple[float, float]],
+                width: float) -> tuple[list[float], list[tuple[int, int]]]:
+    """Every pair (i, j), i < j, at most width apart, and its squared distance.
+
+    Both lists are in order of squared distance.
+    """
+    floor = math.floor
+    cells: dict[int, list[tuple[float, float, int]]] = {}
+    if width > 0.0:
+        for i, (x, y) in enumerate(positions):
+            key = floor(x / width) * _ROW + floor(y / width)
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [(x, y, i)]
+            else:
+                cell.append((x, y, i))
+    elif positions:
+        # a zero range has no cells to bin by: one cell, so every pair is tested
+        cells[0] = [(x, y, i) for i, (x, y) in enumerate(positions)]
+    bound = width * width
+    gaps: list[float] = []
+    pairs: list[tuple[int, int]] = []
+    for key, cell in cells.items():
+        # the cell's own points, then its half neighbours': the k-th point
+        # of the cell is tested against everything after it
+        group = cell[:]
+        for offset in _HALF_NEIGHBOURS:
+            other = cells.get(key + offset)
+            if other:
+                group += other
+        for k, (x, y, i) in enumerate(cell, start=1):
+            for x2, y2, j in group[k:]:
+                dx = x - x2
+                dy = y - y2
+                gap = dx * dx + dy * dy
+                if gap <= bound:
+                    gaps.append(gap)
+                    pairs.append((i, j) if i < j else (j, i))
+    order = sorted(range(len(gaps)), key=gaps.__getitem__)
+    return list(map(gaps.__getitem__, order)), list(map(pairs.__getitem__, order))
 
 
-def _flips(addrs: Sequence[NodeAddress], rows: np.ndarray, cols: np.ndarray,
-           in_range: np.ndarray) -> tuple[list, list]:
-    # the flipped pairs as (closed, opened) address pairs, each sorted
-    closed, opened = [], []
-    for i, j, now_in in zip(rows.tolist(), cols.tolist(), in_range.tolist()):
+def _address_pairs(addrs: Sequence[NodeAddress],
+                   pairs: Iterable[tuple[int, int]]) -> list[tuple[NodeAddress, NodeAddress]]:
+    # index pairs as address pairs, each in order, sorted
+    out = []
+    for i, j in pairs:
         a, b = addrs[i], addrs[j]
-        (opened if now_in else closed).append((a, b) if a < b else (b, a))
-    closed.sort()
-    opened.sort()
-    return closed, opened
+        out.append((a, b) if a < b else (b, a))
+    out.sort()
+    return out
 
 
 class RangeContacts:
@@ -65,63 +115,65 @@ class RangeContacts:
 
     def __init__(self, contact_range: float) -> None:
         self.contact_range = contact_range
-        # rows (i, j), i < j, of every node pair, and whether each pair was in
-        # range at the last tick
-        self._pair_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._in_range = np.zeros(0, dtype=bool)
-        # the skin list: indices, rows and cols of the pairs within range
-        # plus skin at the last rebuild, and the positions then; None until
-        # the first tick
-        self._near: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._anchor: Optional[np.ndarray] = None
+        # the skin list: index pairs in order of their squared distance at
+        # the last rebuild (_gaps), and whether each is in range now
+        self._pairs: list[tuple[int, int]] = []
+        self._gaps: list[float] = []
+        self._in_range: list[bool] = []
+        # the positions at the last rebuild, None until the first tick, and
+        # the furthest any node has moved from them since
+        self._anchor: Optional[list[tuple[float, float]]] = None
+        self._drift = 0.0
 
     def changes(self, positions: Sequence[tuple[float, float]],
-                addrs: Sequence[NodeAddress],
-                links: Collection[tuple[NodeAddress, NodeAddress]]) -> tuple[list, list]:
+                addrs: Sequence[NodeAddress]) -> tuple[list, list]:
         """Pairs to close and pairs to open since the last tick, each in pair order.
 
-        positions[i] is the (x, y) of node addrs[i]; links are the pairs
-        open now. Only the pairs on the skin list are tested, unless a node
-        joined or moved half a skin since the list was built: then every
-        pair is tested and the list is rebuilt. A pair off the list was
-        more than range + skin apart then, and each end has moved less than
-        half a skin since, so it is still out of range.
+        positions[i] is the (x, y) of node addrs[i]. Only the listed pairs
+        that may have changed sides are tested, unless a node joined or
+        moved half a skin since the list was built: then the list is
+        rebuilt, and every pair within range plus skin is tested.
         """
-        n = len(positions)
-        xy = np.fromiter(chain.from_iterable(positions), float, 2 * n).reshape(-1, 2)
-        reach = self.contact_range ** 2
+        anchor = self._anchor
         skin = self.contact_range / 2
-        if self._anchor is None or len(self._anchor) != n:
-            # the first tick, or a node joined since the last rebuild
-            self._index_pairs(addrs, links)
-        elif 2.0 * _max_drift(xy, self._anchor) < skin - _SKIN_SLACK:
-            near, rows, cols = self._near
-            in_range = _gaps(xy, rows, cols) <= reach
-            changed = np.flatnonzero(in_range != self._in_range[near])
-            if not changed.size:
-                return [], []
-            in_range = in_range[changed]
-            self._in_range[near[changed]] = in_range
-            return _flips(addrs, rows[changed], cols[changed], in_range)
-        rows, cols = self._pair_rows
-        gaps = _gaps(xy, rows, cols)
-        near = np.flatnonzero(gaps <= (self.contact_range + skin) ** 2)
-        self._near = (near, rows[near], cols[near])
-        self._anchor = xy
-        in_range = gaps <= reach
-        changed = np.flatnonzero(in_range != self._in_range)
-        self._in_range = in_range
-        return _flips(addrs, rows[changed], cols[changed], in_range[changed])
+        if anchor is not None and len(anchor) == len(positions):
+            drift = max(self._drift, max(map(math.dist, positions, anchor), default=0.0))
+            if 2.0 * drift < skin - _SKIN_SLACK:
+                self._drift = drift
+                return self._recheck(positions, addrs, 2.0 * drift + _SKIN_SLACK)
+        return self._rebuild(positions, addrs, self.contact_range + skin)
 
-    def _index_pairs(self, addrs: Sequence[NodeAddress],
-                     links: Collection[tuple[NodeAddress, NodeAddress]]) -> None:
-        # enumerate the pairs again and mark the open links
-        n = len(addrs)
-        rows, cols = np.triu_indices(n, k=1)
-        self._pair_rows = (rows, cols)
-        self._in_range = np.zeros(len(rows), dtype=bool)
-        if links:
-            index = {addr: i for i, addr in enumerate(addrs)}
-            ends = np.array([sorted((index[a], index[b])) for a, b in links])
-            i, j = ends[:, 0], ends[:, 1]
-            self._in_range[i * n - i * (i + 1) // 2 + j - i - 1] = True
+    def _recheck(self, positions: Sequence[tuple[float, float]],
+                 addrs: Sequence[NodeAddress], window: float) -> tuple[list, list]:
+        # test the listed pairs within `window` of the range at the rebuild
+        r = self.contact_range
+        gaps, pairs, in_range = self._gaps, self._pairs, self._in_range
+        low = r - window
+        start = bisect_left(gaps, low * low) if low > 0.0 else 0
+        stop = bisect_right(gaps, (r + window) ** 2)
+        reach = r * r
+        closed, opened = [], []
+        for k in range(start, stop):
+            i, j = pairs[k]
+            xi, yi = positions[i]
+            xj, yj = positions[j]
+            dx = xi - xj
+            dy = yi - yj
+            now_in = dx * dx + dy * dy <= reach
+            if now_in is not in_range[k]:
+                in_range[k] = now_in
+                (opened if now_in else closed).append((i, j))
+        return _address_pairs(addrs, closed), _address_pairs(addrs, opened)
+
+    def _rebuild(self, positions: Sequence[tuple[float, float]],
+                 addrs: Sequence[NodeAddress], width: float) -> tuple[list, list]:
+        # list every pair within width, and diff the in-range ones with the last tick's
+        was_in = set(compress(self._pairs, self._in_range))
+        self._gaps, self._pairs = gaps, pairs = _near_pairs(positions, width)
+        inside = bisect_right(gaps, self.contact_range * self.contact_range)
+        self._in_range = [True] * inside + [False] * (len(pairs) - inside)
+        self._anchor = list(positions)
+        self._drift = 0.0
+        now_in = set(pairs[:inside])
+        return (_address_pairs(addrs, was_in - now_in),
+                _address_pairs(addrs, now_in - was_in))

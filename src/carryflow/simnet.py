@@ -6,9 +6,9 @@ default). Contact state is re-evaluated on a fixed tick, as changes against
 the last one: links that closed and links that opened. Positions are a plain
 list of (x, y) float tuples, one per node in joining order, which mobility
 moves in place. A range world hands them each tick to its detector
-(`contacts.RangeContacts`), whose in-range test runs in numpy over a skin
-list; only a world with a contact range imports that module, so a static
-world never loads numpy. Each node keeps its open links in pair order,
+(`contacts.RangeContacts`), which tests only the pairs on its skin list
+that may have changed sides; only a world with a contact range imports that
+module. Each node keeps its open links in pair order,
 updated in place as links open and close. While two nodes are in contact
 every bundle one of them holds and the other lacks is transferred
 (anti-entropy), and all traffic on one link shares the medium first-come
@@ -55,6 +55,9 @@ if TYPE_CHECKING:
 
 Position = tuple[float, float]
 
+# seconds of a step too short to move a node
+_TIME_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -76,9 +79,12 @@ def euclidean(a: Position, b: Position) -> float:
 
 
 def _point(position: Position) -> Position:
-    # a position as built-in floats, whatever numbers it was given in
-    x, y = position
-    return (float(x), float(y))
+    # a position as built-in floats, whatever numbers it was given in; a
+    # range world bins nodes into cells by position, so both must be finite
+    x, y = float(position[0]), float(position[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"position must be finite, got {position!r}")
+    return (x, y)
 
 
 class RandomWaypoint:
@@ -97,11 +103,10 @@ class RandomWaypoint:
         self.speed_max = speed_max
         self.pause_max = pause_max
         self._rngs = rngs
-        n = len(rngs)
-        self._target = [(0.0, 0.0)] * n
-        self._speed = [0.0] * n
-        self._pause_left = [0.0] * n
-        self._has_target = [False] * n
+        # each node's leg as (target x, target y, speed), or None while it
+        # pauses or has yet to draw one; a node walking a leg has no pause left
+        self._legs: list[Optional[tuple[float, float, float]]] = [None] * len(rngs)
+        self._pause_left = [0.0] * len(rngs)
 
     def initial_positions(self) -> list[Position]:
         return [(rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
@@ -112,37 +117,56 @@ class RandomWaypoint:
 
         positions[i] is node i's (x, y) as plain floats, replaced by its new
         one; a node draws from its RNG only when it needs a new leg or a
-        pause.
+        pause. Two common cases are done here: a node that walks all of dt
+        without reaching its target, and one whose pause lasts all of dt.
+        Every other node goes through `_walk`, with the same arithmetic.
         """
-        rngs, targets, speeds = self._rngs, self._target, self._speed
-        pauses, has_target = self._pause_left, self._has_target
-        for i, rng in enumerate(rngs):
-            x, y = positions[i]
-            left = dt
-            while left > 1e-12:
-                if pauses[i] > 0.0:
-                    used = min(left, pauses[i])
-                    pauses[i] -= used
-                    left -= used
+        if dt <= _TIME_EPS:
+            return
+        legs, pauses, hypot = self._legs, self._pause_left, math.hypot
+        for i, leg in enumerate(legs):
+            if leg is not None:
+                x, y = positions[i]
+                tx, ty, speed = leg
+                dx = tx - x
+                dy = ty - y
+                dist = hypot(dx, dy)
+                reach = speed * dt
+                if reach < dist:
+                    positions[i] = (x + dx / dist * reach, y + dy / dist * reach)
                     continue
-                if not has_target[i]:
-                    targets[i] = (rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
-                    speeds[i] = rng.uniform(self.speed_min, self.speed_max)
-                    has_target[i] = True
-                tx, ty = targets[i]
-                speed = speeds[i]
-                dist = math.hypot(tx - x, ty - y)
-                reach = speed * left
-                if reach >= dist:
-                    x, y = tx, ty
-                    left -= dist / speed if speed > 0 else left
-                    has_target[i] = False
-                    pauses[i] = rng.uniform(0.0, self.pause_max)
-                else:
-                    x += (tx - x) / dist * reach
-                    y += (ty - y) / dist * reach
-                    left = 0.0
-            positions[i] = (x, y)
+            elif pauses[i] >= dt:
+                pauses[i] -= dt
+                continue
+            positions[i] = self._walk(i, positions[i], dt)
+
+    def _walk(self, i: int, position: Position, left: float) -> Position:
+        # node i's moves over `left` seconds: pauses, legs and arrivals in turn
+        rng, legs, pauses = self._rngs[i], self._legs, self._pause_left
+        x, y = position
+        while left > _TIME_EPS:
+            if pauses[i] > 0.0:
+                used = min(left, pauses[i])
+                pauses[i] -= used
+                left -= used
+                continue
+            leg = legs[i]
+            if leg is None:
+                leg = legs[i] = (rng.uniform(0.0, self.width), rng.uniform(0.0, self.height),
+                                 rng.uniform(self.speed_min, self.speed_max))
+            tx, ty, speed = leg
+            dist = math.hypot(tx - x, ty - y)
+            reach = speed * left
+            if reach >= dist:
+                x, y = tx, ty
+                left -= dist / speed if speed > 0 else left
+                legs[i] = None
+                pauses[i] = rng.uniform(0.0, self.pause_max)
+            else:
+                x += (tx - x) / dist * reach
+                y += (ty - y) / dist * reach
+                left = 0.0
+        return (x, y)
 
 
 class _Node:
@@ -208,7 +232,8 @@ class World:
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
         # transfer_duration(link, size) of each bundle size sent so far
         self._durations: dict[int, float] = {}
-        # the in-range test of a range world; it alone needs numpy
+        # the in-range test of a range world; only such a world imports its
+        # module, so a static run and `import carryflow` skip that import
         self._contacts: Optional[RangeContacts] = None
         if contact_range is not None:
             from .contacts import RangeContacts
@@ -224,11 +249,12 @@ class World:
                  accept: Callable[[Bundle], bool] = lambda bundle: True) -> BundleStore:
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
+        point = _point(position)
         node = self._nodes[addr] = _Node(addr, accept, handler)
         self.stores[addr] = node.store
         self._addr_index[addr] = len(self._addr_index)
         self._addrs.append(addr)
-        self._positions.append(_point(position))
+        self._positions.append(point)
         return node.store
 
     def release(self) -> None:
@@ -279,7 +305,7 @@ class World:
         """Links to close and links to open since the last tick, each in pair order."""
         if self._contacts is None:
             return [], sorted(self.adjacency - self._links.keys())
-        return self._contacts.changes(self._positions, self._addrs, self._links.keys())
+        return self._contacts.changes(self._positions, self._addrs)
 
     def _tick(self) -> None:
         if self.mobility is not None:

@@ -1,8 +1,8 @@
-"""Static runs and `import carryflow` never load numpy.
+"""carryflow runs without numpy: it has no runtime dependency.
 
-Only a world with a contact range imports `carryflow.contacts`, and with it
-numpy. Each check runs in a fresh interpreter; in most of them `import
-numpy` fails, so a stray import anywhere on the ring path ends the run.
+Each check runs in a fresh interpreter. In most of them `import numpy`
+fails, so a stray import anywhere on a run's path, static or mobile, ends
+the run.
 """
 
 import hashlib
@@ -46,11 +46,10 @@ def test_import_carryflow_leaves_numpy_unloaded(tmp_path):
     assert done.stdout.strip() == "False"
 
 
-def test_blocked_numpy_stops_a_range_world(tmp_path):
-    # the block is real: the one path that needs numpy fails under it
-    done = _python(BLOCK_NUMPY + "from carryflow.simnet import LinkModel, World\n"
-                   "World(LinkModel(), contact_range=10.0)\n", tmp_path)
-    assert done.returncode != 0 and "import of numpy halted" in done.stderr
+def test_mobile_run_without_numpy_matches_its_golden_digest(tmp_path):
+    # a waypoint world: mobility and the range-contact test
+    _cli(["run", "mobile-sparse", "--out", "report.json"], tmp_path)
+    assert _digest_matches_its_pin(tmp_path / "report.json")
 
 
 def test_ring_run_without_numpy_matches_its_golden_digest(tmp_path):

@@ -1,5 +1,6 @@
 """Event loop, link arithmetic, epidemic sync, and mobility bounds."""
 
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -216,6 +217,17 @@ def test_positions_are_built_in_floats_that_round_trip_exactly():
         assert repr(position) == repr(expected)
 
 
+@pytest.mark.parametrize("position", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)])
+def test_positions_must_be_finite(position):
+    world = World(LINK, contact_range=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        world.add_node(1, position=position)
+    world.add_node(1)
+    with pytest.raises(ValueError, match="finite"):
+        world.set_position(1, position)
+    assert world.position_of(1) == (0.0, 0.0)
+
+
 def test_originate_honors_source_refusal():
     world = World(LINK, adjacency=[])
     store = world.add_node(1, accept=lambda b: False)
@@ -246,8 +258,80 @@ def test_waypoint_stays_in_bounds_and_is_deterministic():
     assert trajectories("s") == first
 
 
+class PlainWaypoint(RandomWaypoint):
+    """RandomWaypoint stepped by one plain loop over every node, with no
+    fast path: the reference the fast paths must match bit for bit, draws
+    included."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        n = len(self._rngs)
+        self._target = [(0.0, 0.0)] * n
+        self._speed = [0.0] * n
+        self._has_target = [False] * n
+
+    def step(self, positions, dt):
+        rngs, targets, speeds = self._rngs, self._target, self._speed
+        pauses, has_target = self._pause_left, self._has_target
+        for i, rng in enumerate(rngs):
+            x, y = positions[i]
+            left = dt
+            while left > 1e-12:
+                if pauses[i] > 0.0:
+                    used = min(left, pauses[i])
+                    pauses[i] -= used
+                    left -= used
+                    continue
+                if not has_target[i]:
+                    targets[i] = (rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
+                    speeds[i] = rng.uniform(self.speed_min, self.speed_max)
+                    has_target[i] = True
+                tx, ty = targets[i]
+                speed = speeds[i]
+                dist = math.hypot(tx - x, ty - y)
+                reach = speed * left
+                if reach >= dist:
+                    x, y = tx, ty
+                    left -= dist / speed if speed > 0 else left
+                    has_target[i] = False
+                    pauses[i] = rng.uniform(0.0, self.pause_max)
+                else:
+                    x += (tx - x) / dist * reach
+                    y += (ty - y) / dist * reach
+                    left = 0.0
+            positions[i] = (x, y)
+
+
+_speed = st.floats(0.0, 4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), nodes=st.integers(1, 5),
+       speeds=st.one_of(st.tuples(_speed, _speed).map(sorted), _speed.map(lambda v: (v, v))),
+       pause_max=st.sampled_from([0.0, 0.5, 2.0, 60.0]),
+       dts=st.lists(st.sampled_from([0.0, 1e-13, 0.5, 7.3]), min_size=1, max_size=60))
+@example(seed=1, nodes=3, speeds=(1.5, 1.5), pause_max=0.0, dts=[0.0, 1e-13, 0.5, 7.3] * 5)
+def test_waypoint_step_matches_the_plain_loop(seed, nodes, speeds, pause_max, dts):
+    # speed_min == speed_max and pause_max = 0 are the edges of the draws;
+    # dt = 0 and 1e-13 move nothing, 0.5 is the tick, and 7.3 s spans legs
+    # and pauses, which the fast paths leave to the loop
+    def model(cls):
+        rngs = [random.Random(f"{seed}:{i}") for i in range(nodes)]
+        mob = cls(60.0, 40.0, speeds[0], speeds[1], pause_max, rngs)
+        return mob, mob.initial_positions()
+
+    (fast, fast_at), (plain, plain_at) = model(RandomWaypoint), model(PlainWaypoint)
+    for dt in dts:
+        fast.step(fast_at, dt)
+        plain.step(plain_at, dt)
+        # repr tells every last bit apart
+        assert repr(fast_at) == repr(plain_at)
+    assert [rng.getstate() for rng in fast._rngs] == [rng.getstate() for rng in plain._rngs]
+
+
 # integer-valued coordinates keep every squared distance exact, so nodes
-# exactly at range are decided the same way by numpy and by the reference
+# exactly at range are decided the same way by the detector and by the
+# reference
 _node = st.tuples(st.integers(1, 2 ** 64 - 1), st.integers(0, 12).map(float),
                   st.integers(0, 12).map(float))
 
@@ -276,12 +360,10 @@ def test_contact_pairs_match_pairwise_reference(nodes, radius):
 
 def in_range_pairs(world, radius):
     """Every (a, b), a < b, within radius, from a plain pairwise loop."""
-    present = sorted(world.stores)
+    present = [(addr, world.position_of(addr)) for addr in sorted(world.stores)]
     pairs = set()
-    for i, a in enumerate(present):
-        ax, ay = world.position_of(a)
-        for b in present[i + 1:]:
-            bx, by = world.position_of(b)
+    for i, (a, (ax, ay)) in enumerate(present):
+        for b, (bx, by) in present[i + 1:]:
             dx, dy = ax - bx, ay - by
             if dx * dx + dy * dy <= radius * radius:
                 pairs.add((a, b))
@@ -340,12 +422,51 @@ def test_skin_list_catches_two_ends_that_each_drift_under_half_a_skin():
     world.add_node(1, position=(0.0, 0.0))
     world.add_node(2, position=(60.5, 0.0))
     world.run_until(0.0)
-    assert world._links == {} and world._contacts._near[0].size == 0
+    assert world._links == {} and world._contacts._pairs == []
     for step in range(1, 5):
         world.set_position(1, (2.6 * step, 0.0))
         world.set_position(2, (60.5 - 2.6 * step, 0.0))
         world.advance(0.5)
         assert list(world._links) == ([(1, 2)] if step == 4 else [])
+
+
+def test_range_contacts_match_all_pairs_every_tick():
+    # the benchmark's dense world: 150 waypoint nodes on 600 x 600 m with a
+    # 40 m range. Now and then a node jumps across the field or a static
+    # node joins, so ticks mix the skin window and rebuilds.
+    rng = random.Random(3)
+    mob = RandomWaypoint(600.0, 600.0, 0.8, 1.9, 60.0,
+                         [random.Random(f"dense:{i}") for i in range(150)])
+    world = World(LINK, tick_interval=0.5, contact_range=40.0, mobility=mob)
+    addrs = rng.sample(range(3, 100_000), 160)
+    for addr, pos in zip(addrs, mob.initial_positions()):
+        world.add_node(addr, position=pos)
+    late = addrs[150:]
+    # a probe pair on a rounding edge of the window, 500 m off the field: it
+    # joins 40 + 2d apart, and a tick later each end has moved d toward the
+    # other, more than any walker moves in a tick. It is then exactly 40 m
+    # apart, in range; but its squared distance at the join lies just above
+    # (40 + 2 * drift)**2 as rounded, so only the window's slack tests it.
+    d = 2.2197220890791756
+    far = 40.0 + 2 * d
+    probes = {120: (0.0, far), 121: (d, far - d)}
+    for tick in range(240):
+        if tick in probes:
+            a, b = probes[tick]
+            if tick == 120:
+                world.add_node(1, position=(a, -500.0))
+                world.add_node(2, position=(b, -500.0))
+            else:
+                world.set_position(1, (a, -500.0))
+                world.set_position(2, (b, -500.0))
+        elif tick % 30 == 11:
+            world.add_node(late.pop(), position=(rng.uniform(0, 600), rng.uniform(0, 600)))
+        elif tick % 30 == 23:
+            world.set_position(rng.choice(addrs[:150]),
+                               (rng.uniform(0, 600), rng.uniform(0, 600)))
+        world.advance(0.5)
+        assert world._links.keys() == in_range_pairs(world, 40.0), tick
+    assert (1, 2) in world._links
 
 
 def test_static_range_world_moved_by_hand_keeps_links_exact():
