@@ -13,7 +13,10 @@ A scenario file has the sections
 
 Each scalar key is a `_Key` row in its section's table (INI name, field,
 type, bounds, unit scale); a section accepts its rows plus the few keys read
-by hand. Only keys the file sets are read, so each default is the dataclass's.
+by hand. A `name=value` list (a service profile, `requirements`, `weights`,
+or `input` with `:`) is read as a section of its own, so its names and
+values are checked by `_Key` rows too. Only keys the file sets are read, so
+each default is the dataclass's.
 
 Validation is collected rather than fail-fast: a bad file raises one
 ScenarioError listing every problem found. A key that draws a problem reads
@@ -247,6 +250,7 @@ _COHORT_KEYS = (_Key("count", kind=int, minimum=0),
 _TTL = _Key("ttl", positive=True, allow_inf=True)
 _WORKFLOW_KEYS = (_Key("offload_at", minimum=0.0), _Key("repeat", kind=int, minimum=1),
                   _Key("interval_s", minimum=0.0))
+_REQUIREMENT_KEYS = _keys(*ALL_METRICS, positive=True)
 _FAULT_KEYS = (_Key("fault_max_failures", "max_failures", int, minimum=0),
                _Key("fault_rate", "rate", minimum=0.0, maximum=1.0))
 _RUN_KEYS = (_Key("seed", kind=int, minimum=0),
@@ -317,41 +321,31 @@ class _Reader:
         return {key.attr or key.name: value for key in keys
                 if (value := self.value(key)) is not None}
 
-    def get_kv(self, key: str) -> dict[str, float]:
-        """Parse `a=1, b=2.5` style values; a name may be given once."""
-        out: dict[str, float] = {}
-        names: list[str] = []
-        for item in self.raw.get(key, "").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, sep, value = item.partition("=")
-            if not sep:
-                self.complain(f"{key}: expected name=value, got {item!r}")
-                continue
-            name = name.strip()
-            names.append(name)
-            try:
-                number = float(value)
-            except ValueError:
-                number = math.nan
-            if math.isfinite(number):
-                out[name] = number
-            else:
-                self.complain(f"{key}: {name} is not a finite number: {value!r}")
-        self.refuse_repeats(names, key)
-        return out
-
-    def get_list(self, key: str) -> list[str]:
+    def items(self, key: str) -> list[str]:
+        """The stripped, non-blank items of the comma list under key."""
         return [item.strip() for item in self.raw.get(key, "").split(",")
                 if item.strip()]
+
+    def entries(self, key: str, sep: str = "=") -> _Reader:
+        """The `name<sep>value` list under key, read as a section of its own."""
+        entries = _Reader(self.section, {}, self.problems, subject=key)
+        names: list[str] = []
+        for item in self.items(key):
+            name, found, value = (part.strip() for part in item.partition(sep))
+            if not (found and name):
+                entries.complain(f"expected name{sep}value, got {item!r}")
+                continue
+            names.append(name)
+            entries.raw[name] = value
+        entries.refuse_repeats(names)
+        return entries
 
     def get_addresses(self, key: str) -> Optional[list[int]]:
         """The distinct node addresses listed under key; None if unset or blank."""
         if not self.raw.get(key, "").strip():
             return None
         out: list[int] = []
-        items = self.get_list(key)
+        items = self.items(key)
         if not items:
             self.complain(f"{key}: no address given")
         for item in items:
@@ -384,21 +378,8 @@ def _parse_topology(reader: _Reader) -> Topology:
 
 def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     services: dict[str, ServiceDefinition] = {}
-    for name, spec in reader.raw.items():
-        fields = _Reader(reader.section, {}, reader.problems, subject=name)
-        keys: list[str] = []
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, value = item.partition("=")
-            if not sep:
-                fields.complain(f"expected key=value, got {item!r}")
-                continue
-            key = key.strip()
-            keys.append(key)
-            fields.raw[key] = value.strip()
-        fields.refuse_repeats(keys)
+    for name in reader.raw:
+        fields = reader.entries(name)
         fields.check_keys(_SERVICE_KEYS)
         if len(name.encode("utf-8")) > SERVICE_NAME_BYTES:
             fields.complain(f"name is longer than the {SERVICE_NAME_BYTES} "
@@ -422,7 +403,7 @@ def _parse_cohort(name: str, reader: _Reader,
             values.setdefault(key, 0)
     if addresses == []:
         values.setdefault("count", 0)
-    listed = reader.get_list("services")
+    listed = reader.items("services")
     reader.refuse_repeats(listed, "services")
     offered = tuple(dict.fromkeys(listed))
     for svc in offered:
@@ -450,12 +431,9 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
             except (OSError, ValueError) as exc:
                 # ValueError: a NUL byte in the path, or text that is not UTF-8
                 reader.complain(f"cannot read workflow file: {exc}")
-    defaults = reader.get_kv("requirements")
-    for metric, value in sorted(defaults.items()):
-        if metric not in ALL_METRICS:
-            reader.complain(f"requirements: unknown metric {metric!r}")
-        elif value <= 0:
-            reader.complain(f"requirements: {metric} must be positive")
+    required = reader.entries("requirements")
+    required.check_keys(_REQUIREMENT_KEYS)
+    defaults = required.values(_REQUIREMENT_KEYS)
     try:
         desc = parse_workflow(text)
         ttl = reader.value(_TTL)
@@ -474,25 +452,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
         text = format_description(desc)
     except WorkflowParseError as exc:
         reader.complain(f"tasks: {exc}")
-    files: dict[str, int] = {}
-    names: list[str] = []
-    for item in reader.get_list("input"):
-        name, sep, size = item.partition(":")
-        if not sep:
-            reader.complain(f"input: expected name:bytes, got {item!r}")
-            continue
-        name = name.strip()
-        names.append(name)
-        try:
-            size_bytes = int(size)
-        except ValueError:
-            reader.complain(f"input: size is not an integer: {size!r}")
-            continue
-        if size_bytes < 0:
-            reader.complain(f"input: size of {name!r} must be at least 0, "
-                            f"got {size_bytes}")
-        files[name] = size_bytes
-    reader.refuse_repeats(names, "input")
+    sizes = reader.entries("input", ":")
+    files = sizes.values(tuple(_Key(name, kind=int, minimum=0) for name in sizes.raw))
     return WorkflowSpec(text=text, files=files, **reader.values(_WORKFLOW_KEYS))
 
 
@@ -500,6 +461,10 @@ def _parse_run(reader: _Reader, n_nodes: int,
                services: dict[str, ServiceDefinition]) -> RunSettings:
     reader.check_keys(_RUN_KEYS + _FAULT_KEYS, "strategy", "weights",
                       "fault_nodes", "fault_service")
+    # an empty fault key means "not set"
+    for key in [key for key, text in reader.raw.items()
+                if key.startswith("fault_") and not text.strip()]:
+        del reader.raw[key]
     settings = {}
     if "strategy" in reader.raw:
         try:
@@ -507,12 +472,12 @@ def _parse_run(reader: _Reader, n_nodes: int,
         except ValueError:
             reader.complain(f"unknown strategy {reader.raw['strategy']!r}")
     if "weights" in reader.raw:
-        candidate = reader.get_kv("weights")
+        weights = reader.entries("weights")
         try:
-            settings["weights"] = validate_weights(candidate)
+            settings["weights"] = validate_weights(
+                weights.values(tuple(_Key(name) for name in weights.raw)))
         except ValueError as exc:
             reader.complain(f"weights: {exc}")
-    # an empty fault key means "not set"
     nodes = reader.get_addresses("fault_nodes")
     for addr in sorted(nodes or ()):
         if not 1 <= addr <= n_nodes:
@@ -521,8 +486,6 @@ def _parse_run(reader: _Reader, n_nodes: int,
     fault_service = reader.raw.get("fault_service", "").strip() or None
     if fault_service is not None and fault_service not in services:
         reader.complain(f"fault_service {fault_service!r} is not under [services]")
-    if not reader.raw.get("fault_max_failures", "").strip():
-        reader.raw.pop("fault_max_failures", None)
     fault = FaultPlan(nodes=fault_nodes, service=fault_service,
                       **reader.values(_FAULT_KEYS))
     return RunSettings(fault=fault, **settings, **reader.values(_RUN_KEYS))

@@ -2,13 +2,14 @@
 
 Nodes hold bundle stores and positions; contacts come from a disc radio
 range over mobile positions or, without one, from static pairs (none by
-default). Contact state is re-evaluated on a fixed tick, as changes against
-the last one: links that closed and links that opened. Positions are a plain
-list of (x, y) float tuples, one per node in joining order, which mobility
-moves in place. A range world hands them each tick to its detector
-(`contacts.RangeContacts`), which tests only the pairs on its skin list
-that may have changed sides; only a world with a contact range imports that
-module. Each node keeps its open links in pair order,
+default). Static pairs all open at t = 0 and never close. A range world
+re-evaluates contact state on a fixed tick, as changes against the last
+one: links that closed and links that opened. Only a range world has
+mobility. Positions are a plain list of (x, y) float tuples, one per node in
+joining order, which mobility moves in place. A range world hands them each
+tick to its detector (`contacts.RangeContacts`), which tests only the pairs
+on its skin list that may have changed sides; only a world with a contact
+range imports that module. Each node keeps its open links in pair order,
 updated in place as links open and close. While two nodes are in contact
 every bundle one of them holds and the other lacks is transferred
 (anti-entropy), and all traffic on one link shares the medium first-come
@@ -232,6 +233,8 @@ class World:
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
         # transfer_duration(link, size) of each bundle size sent so far
         self._durations: dict[int, float] = {}
+        if mobility is not None and contact_range is None:
+            raise ValueError("mobility needs a contact range")
         # the in-range test of a range world; only such a world imports its
         # module, so a static run and `import carryflow` skip that import
         self._contacts: Optional[RangeContacts] = None
@@ -301,16 +304,15 @@ class World:
 
     # -- contacts ----------------------------------------------------------
 
-    def _contact_changes(self) -> tuple[list, list]:
-        """Links to close and links to open since the last tick, each in pair order."""
-        if self._contacts is None:
-            return [], sorted(self.adjacency - self._links.keys())
-        return self._contacts.changes(self._positions, self._addrs)
-
     def _tick(self) -> None:
+        if self._contacts is None:
+            # static pairs open at t = 0 and never close, so nothing ticks again
+            for pair in sorted(self.adjacency):
+                self._open_link(pair)
+            return
         if self.mobility is not None:
             self.mobility.step(self._positions, self.tick_interval if self.now > 0 else 0.0)
-        closed, opened = self._contact_changes()
+        closed, opened = self._contacts.changes(self._positions, self._addrs)
         for pair in closed:
             self._close_link(pair)
         for pair in opened:

@@ -12,7 +12,7 @@ from carryflow.announce import (MAX_PARAM_COUNT, SERVICE_NAME_BYTES,
                                 CapabilityVector, decode_offers, encode_offers)
 from carryflow.assignment import Strategy
 from carryflow.cli import packaged_scenarios
-from carryflow.runtime import ServiceDefinition
+from carryflow.runtime import FaultPlan, ServiceDefinition
 from carryflow.scenario import (CohortSpec, RingTopology, RunSettings,
                                 ScenarioError, WaypointTopology, WorkflowSpec,
                                 load_scenario, parse_scenario,
@@ -157,7 +157,7 @@ def test_problems_are_collected_not_fail_fast():
                          "kind = waypoint\nspeed_min = 3\nspeed_max = 1"),
      "speed_min 3 exceeds speed_max 1"),
     (lambda t: t.replace("input = in.dat:1000", "input = in.dat:-1000"),
-     "input: size of 'in.dat' must be at least 0, got -1000"),
+     "input: in.dat must be at least 0, got -1000"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -184,6 +184,30 @@ def test_single_problem_scenarios(mutate, fragment):
 ], ids=["input", "requirements", "service", "weights", "addresses",
         "cohort-services", "fault-nodes"])
 def test_a_name_given_twice_in_a_list_is_one_problem(old, new, problem):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(RING_INI.replace(old, new))
+    assert info.value.problems == [problem]
+
+
+@pytest.mark.parametrize("old,new,problem", [
+    ("input = in.dat:1000", "input = :1000",
+     "[workflow] input: expected name:value, got ':1000'"),
+    ("input = in.dat:1000", "input = in.dat",
+     "[workflow] input: expected name:value, got 'in.dat'"),
+    ("cpu=2, energy=5", "=2, energy=5",
+     "[workflow] requirements: expected name=value, got '=2'"),
+    ("cpu=2, energy=5", "cpu, energy=5",
+     "[workflow] requirements: expected name=value, got 'cpu'"),
+    # sums to 1 without the bad item
+    ("seed = 9", "seed = 9\nweights = cpu=1, =0",
+     "[run] weights: expected name=value, got '=0'"),
+    ("seed = 9", "seed = 9\nweights = cpu=1, disk",
+     "[run] weights: expected name=value, got 'disk'"),
+    ("ext=png", "ext=png, =3", "[services] work: expected name=value, got '=3'"),
+    ("ext=png", "ext=png, jitter", "[services] work: expected name=value, got 'jitter'"),
+], ids=["input-no-name", "input-no-sep", "requirements-no-name", "requirements-no-sep",
+        "weights-no-name", "weights-no-sep", "service-no-name", "service-no-sep"])
+def test_a_list_item_needs_a_name_and_a_separator(old, new, problem):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(RING_INI.replace(old, new))
     assert info.value.problems == [problem]
@@ -306,6 +330,13 @@ def test_fault_settings_checked_against_the_scenario(setting, problem):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(RING_INI.replace("[run]", f"[run]\n{setting}"))
     assert problem in err.value.problems
+
+
+@pytest.mark.parametrize("key", ["fault_rate", "fault_nodes", "fault_service",
+                                 "fault_max_failures"])
+def test_a_blank_fault_key_is_not_set(key):
+    text = RING_INI.replace("[run]", f"[run]\n{key} =")
+    assert parse_scenario(text).run.fault == FaultPlan()
 
 
 def test_cohort_with_no_readable_address_is_not_a_remainder():

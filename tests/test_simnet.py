@@ -228,6 +228,15 @@ def test_positions_must_be_finite(position):
     assert world.position_of(1) == (0.0, 0.0)
 
 
+def test_a_static_world_opens_its_pairs_once():
+    world = line_world(3)
+    world.run_until(100.0)
+    assert sorted(world._links) == [(1, 2), (2, 3)]
+    assert world._heap == []        # no tick is left to run
+    with pytest.raises(ValueError, match="contact range"):
+        World(LINK, mobility=RandomWaypoint(100.0, 80.0, 0.8, 1.9, 10.0, []))
+
+
 def test_originate_honors_source_refusal():
     world = World(LINK, adjacency=[])
     store = world.add_node(1, accept=lambda b: False)
@@ -352,7 +361,7 @@ def test_contact_pairs_match_pairwise_reference(nodes, radius):
         for b, bx, by in nodes[i + 1:]:
             if (ax - bx) ** 2 + (ay - by) ** 2 <= radius ** 2:
                 expected.add((min(a, b), max(a, b)))
-    closed, opened = world._contact_changes()
+    closed, opened = world._contacts.changes(world._positions, world._addrs)
     assert closed == []
     assert opened == sorted(expected)
     assert all(type(a) is int and type(b) is int for pair in opened for a in pair)
@@ -574,7 +583,7 @@ def link_work(monkeypatch, config, seed, strategy):
 
 
 @pytest.mark.parametrize("name, duration_s, strategy, expected", [
-    ("ring-heterogeneous", None, Strategy.BEST, (5525, 0, 6199)),
+    ("ring-heterogeneous", None, Strategy.BEST, (5525, 0, 6028)),
     ("mobile-sparse", 120.0, Strategy.SPREAD, (58976, 29, 60885)),
     pytest.param(DENSE, 120.0, Strategy.SPREAD, (6276, 4, 6607), id="mobile-dense"),
 ])
