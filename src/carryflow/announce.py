@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .bundles import (BROADCAST, Bundle, BundleId, BundleKind, BundleStore,
                       NodeAddress)
 from .simnet import Position
+from .workflow import RESOURCE_METRICS
 
 OFFER_HEADER_BYTES = 64
 OFFER_RECORD_BYTES = 32
@@ -54,8 +55,12 @@ class CapabilityVector:
     position: Position
 
     def resource(self, metric: str) -> float:
-        return {"cpu": self.cpu, "memory": self.memory,
-                "disk": self.disk, "energy": self.energy}[metric]
+        return getattr(self, metric)
+
+    def unmet(self, requirements: dict[str, float]) -> list[str]:
+        """The required resource metrics this vector falls short of, in requirement order."""
+        return [metric for metric, required in requirements.items()
+                if metric in RESOURCE_METRICS and getattr(self, metric) < required]
 
 
 @dataclass(frozen=True)

@@ -87,13 +87,7 @@ def rate(offer: ServiceOffer, requirements: dict[str, float],
 def capability_filter(records: list[OfferRecord],
                       requirements: dict[str, float]) -> list[OfferRecord]:
     """Keep offers whose advertised resources meet every required metric."""
-    kept = []
-    for rec in records:
-        caps = rec.offer.capabilities
-        if all(caps.resource(m) >= req for m, req in requirements.items()
-               if m in RESOURCE_METRICS):
-            kept.append(rec)
-    return kept
+    return [rec for rec in records if not rec.offer.capabilities.unmet(requirements)]
 
 
 def rank(records: list[OfferRecord], requirements: dict[str, float],

@@ -248,6 +248,35 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
+def _tables(result: SuiteResult) -> dict[str, list[list]]:
+    """The suite's CSV tables: file name to rows, header row first."""
+    phases: list[list] = [["scenario", "strategy", "seed", "workflow_id", "task",
+                           "runtime_s", "transmission_s", "execution_s"]]
+    states: list[list] = [["scenario", "strategy", "seed", "workflow_id", "status",
+                           "final_state", "error_class", "makespan_s"]]
+    totals: dict[tuple[str, NodeAddress, NodeAddress], int] = {}
+    for report in result.reports:
+        run = [report.scenario, report.strategy, report.seed]
+        for w in report.workflows:
+            for task_idx, phase in enumerate(w.task_phases):
+                phases.append([*run, w.workflow_id, task_idx, _fmt(phase.runtime_s),
+                               _fmt(phase.transmission_s), _fmt(phase.execution_s)])
+            span = makespan(w)
+            states.append([*run, w.workflow_id, w.status, w.final_state.value,
+                           w.error_class or "", _fmt(span) if span is not None else ""])
+        for (caller, worker), count in report.selections.items():
+            key = (report.strategy, caller, worker)
+            totals[key] = totals.get(key, 0) + count
+    load = [["scenario", "strategy", "caller", "worker", "count"]]
+    load += [[result.scenario, strategy, format_address(caller), format_address(worker), count]
+             for (strategy, caller, worker), count in sorted(totals.items())]
+    summary = [["scenario", "strategy", *SUMMARY_COLUMNS]]
+    summary += [[result.scenario, strategy, *(_fmt(row[c]) for c in SUMMARY_COLUMNS)]
+                for strategy, row in summarize(result.reports).items()]
+    return {"phases.csv": phases, "final_states.csv": states,
+            "load_matrix.csv": load, "summary.csv": summary}
+
+
 def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
     """Write reports plus the derived CSV tables; returns the files written."""
     os.makedirs(out_dir, exist_ok=True)
@@ -263,49 +292,9 @@ def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
             fh.write(report.to_json())
             fh.write("\n")
 
-    with open(path("phases.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "strategy", "seed", "workflow_id", "task",
-                         "runtime_s", "transmission_s", "execution_s"])
-        for report in result.reports:
-            for w in report.workflows:
-                for task_idx, phase in enumerate(w.task_phases):
-                    writer.writerow([report.scenario, report.strategy, report.seed,
-                                     w.workflow_id, task_idx,
-                                     _fmt(phase.runtime_s), _fmt(phase.transmission_s),
-                                     _fmt(phase.execution_s)])
-
-    with open(path("final_states.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "strategy", "seed", "workflow_id", "status",
-                         "final_state", "error_class", "makespan_s"])
-        for report in result.reports:
-            for w in report.workflows:
-                span = makespan(w)
-                writer.writerow([report.scenario, report.strategy, report.seed,
-                                 w.workflow_id, w.status, w.final_state.value,
-                                 w.error_class or "",
-                                 _fmt(span) if span is not None else ""])
-
-    with open(path("load_matrix.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "strategy", "caller", "worker", "count"])
-        totals: dict[tuple[str, NodeAddress, NodeAddress], int] = {}
-        for report in result.reports:
-            for (caller, worker), count in report.selections.items():
-                key = (report.strategy, caller, worker)
-                totals[key] = totals.get(key, 0) + count
-        for (strategy, caller, worker), count in sorted(totals.items()):
-            writer.writerow([result.scenario, strategy, format_address(caller),
-                             format_address(worker), count])
-
-    summary = summarize(result.reports)
-    with open(path("summary.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "strategy", *SUMMARY_COLUMNS])
-        for strategy, row in summary.items():
-            writer.writerow([result.scenario, strategy,
-                             *(_fmt(row[c]) for c in SUMMARY_COLUMNS)])
+    for name, rows in _tables(result).items():
+        with open(path(name), "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
 
     manifest = {
         "scenario": result.scenario,

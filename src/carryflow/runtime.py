@@ -1,17 +1,18 @@
 """Worker role of a node: run tasks, forward archives, handle errors.
 
 `WorkerRuntime` holds only methods; `Node` inherits them and owns the state
-they use. A worker accepts an archive addressed to it, re-checks the TTL and
-its own live capabilities, executes the current task synthetically, then
-either forwards the archive to the next worker (pinned or freshly selected) or
-returns the result to the client. Three error classes exist: the task
-itself failing (task execution), no candidate for the next task (worker
-selection), and a worker that turns out unfit for what it was sent (worker
-calling). A failure travels as the archive itself with its `error` set. A
-failure on a just-in-time assigned worker goes back to whoever assigned it
-for exactly one retry with the failed worker excluded; ahead of time
-failures and second failures go straight to the client. Archives are
-frozen: every hop sends a new one built with `replace`.
+they use. A worker queues each archive addressed to it and serves one at a
+time, each stay one process: it re-checks the TTL and its own live
+capabilities, executes the current task synthetically, then either forwards
+the archive to the next worker (pinned or freshly selected) or returns the
+result to the client. Three error classes exist: the task itself failing
+(task execution), no candidate for the next task (worker selection), and a
+worker that turns out unfit for what it was sent (worker calling). A failure
+travels as the archive itself with its `error` set. A failure on a
+just-in-time assigned worker goes back to whoever assigned it for exactly
+one retry with the failed worker excluded; ahead of time failures and second
+failures go straight to the client. Archives are frozen: every hop sends a
+new one built with `replace`.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .assignment import SelectionError, select
 from .bundles import BundleKind, NodeAddress, format_address
 from .report import FinalState
-from .workflow import (Archive, FileStub, RESOURCE_METRICS, WorkflowDescription,
-                       substitute_result)
+from .workflow import Archive, FileStub, WorkflowDescription, substitute_result
 
 MIN_EXEC_SECONDS = 0.05
 
@@ -104,6 +104,11 @@ class WorkerRuntime:
     also reads `address`, `world`, `collector`, `config`, `caps`, `cleaned`,
     `offer_db`, `position()` and the random streams, sends through
     `send_archive`, and hands a terminal error to `on_returned`.
+
+    `_serve` is one archive's stay, and each way out of it is a `return`;
+    `_resume`, its driver, is the one place that frees the worker. No
+    `finally` may wrap a `yield` there: a released world drops suspended
+    stays, and the `finally` would then run on that world.
     """
 
     # -- archive intake ------------------------------------------------------
@@ -130,31 +135,33 @@ class WorkerRuntime:
         self._start_next()
 
     def _start_next(self) -> None:
-        if self.busy or not self.queue:
-            return
-        now = self.world.now
-        archive, arrived = self.queue.popleft()
-        desc = archive.description
-        if self._stale(desc, now):
+        while not self.busy and self.queue:
+            now = self.world.now
+            archive, arrived = self.queue.popleft()
+            desc = archive.description
+            if self._stale(desc, now):
+                continue
+            self.busy = True
+            self.collector.charge(desc, FinalState.RUNTIME, now - arrived)
+            self._resume(self._serve(archive))
+
+    def _resume(self, serving: Iterator[float]) -> None:
+        """Run a stay to its next wait and come back after it; free the worker at its end."""
+        wait = next(serving, None)
+        if wait is None:
+            self.busy = False
             self._start_next()
-            return
-        self.busy = True
-        self.collector.charge(desc, FinalState.RUNTIME, now - arrived)
-        self.collector.charge(desc, FinalState.RUNTIME, self.config.preprocess_s)
-        self.world.schedule(now + self.config.preprocess_s,
-                            lambda: self._preprocessed(archive))
+        else:
+            self.world.schedule(self.world.now + wait, lambda: self._resume(serving))
 
-    def _release(self) -> None:
-        self.busy = False
-        self._start_next()
+    # -- serving an archive ----------------------------------------------------
 
-    # -- execution -------------------------------------------------------------
-
-    def _preprocessed(self, archive: Archive) -> None:
-        now = self.world.now
+    def _serve(self, archive: Archive) -> Iterator[float]:
+        """Preprocess, execute and postprocess one archive, yielding each wait."""
         desc = archive.description
-        if self._stale(desc, now):
-            self._release()
+        self.collector.charge(desc, FinalState.RUNTIME, self.config.preprocess_s)
+        yield self.config.preprocess_s
+        if self._stale(desc, self.world.now):
             return
         task = desc.current_task
         service = self.services.get(task.service_name)
@@ -162,29 +169,22 @@ class WorkerRuntime:
             self._emit_error(archive, ErrorClass.WORKER_CALLING,
                              f"service {task.service_name!r} is not offered here")
             return
-        unmet = [m for m, req in task.requirements.items()
-                 if m in RESOURCE_METRICS and self.caps.resource(m) < req]
+        unmet = self.caps.unmet(task.requirements)
         if unmet:
             self._emit_error(archive, ErrorClass.WORKER_CALLING,
                              f"capabilities changed since the offer: {', '.join(unmet)} below requirement")
             return
-        rng = self.exec_rng
         duration = service.exec_seconds_mean
         if service.exec_seconds_jitter > 0:
-            duration += rng.uniform(-service.exec_seconds_jitter, service.exec_seconds_jitter)
+            duration += self.exec_rng.uniform(-service.exec_seconds_jitter,
+                                              service.exec_seconds_jitter)
         duration = max(MIN_EXEC_SECONDS, duration)
         self.collector.charge(desc, FinalState.EXECUTION)
-        self.world.schedule(now + duration,
-                            lambda: self._executed(archive, service, duration))
-
-    def _executed(self, archive: Archive, service: ServiceDefinition, duration: float) -> None:
-        now = self.world.now
-        desc = archive.description
+        yield duration
         task_idx = desc.cursor
         self.collector.charge(desc, FinalState.EXECUTION, duration)
         self.caps.energy = max(0.0, self.caps.energy - service.energy_cost_e)
         if desc.workflow_id in self.cleaned:
-            self._release()
             return
         if self.config.fault.should_fail(self.address, service.name, self.fault_rng,
                                          self.collector.faults_injected):
@@ -202,20 +202,12 @@ class WorkerRuntime:
             files={result_name: FileStub(size_bytes=service.output_size_bytes,
                                          tag=f"{desc.workflow_id}:{result_name}")})
         self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
-        self.world.schedule(now + self.config.postprocess_s,
-                            lambda: self._forward(archive))
-
-    # -- forwarding --------------------------------------------------------------
-
-    def _forward(self, archive: Archive) -> None:
-        now = self.world.now
+        yield self.config.postprocess_s
         desc = archive.description
-        if desc.workflow_id in self.cleaned or desc.is_expired(now):
-            self._release()
+        if desc.workflow_id in self.cleaned or desc.is_expired(self.world.now):
             return
         if desc.finished:
             self.send_archive(BundleKind.RESULT_ARCHIVE, archive, desc.client)
-            self._release()
             return
         try:
             worker = self.resolve_worker(archive, exclude=set())
@@ -224,7 +216,6 @@ class WorkerRuntime:
             return
         archive = replace(archive, assigned_by=self.address, retried=False)
         self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
-        self._release()
 
     def resolve_worker(self, archive: Archive, exclude: set[NodeAddress]) -> NodeAddress:
         """Resolve the worker for the archive's current task; records the selection."""
@@ -254,7 +245,6 @@ class WorkerRuntime:
             f"[{now:.3f}] {format_address(self.address)} "
             f"task {desc.cursor} {error_class.value}: {message}\n"))
         self.send_archive(BundleKind.ERROR_ARCHIVE, archive, dest)
-        self._release()
 
     def on_error_report(self, archive: Archive) -> None:
         """Retry path at the node that assigned the failing worker."""

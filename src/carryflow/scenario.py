@@ -472,12 +472,15 @@ def _parse_run(reader: _Reader, n_nodes: int,
         except ValueError:
             reader.complain(f"unknown strategy {reader.raw['strategy']!r}")
     if "weights" in reader.raw:
+        known = len(reader.problems)
         weights = reader.entries("weights")
-        try:
-            settings["weights"] = validate_weights(
-                weights.values(tuple(_Key(name) for name in weights.raw)))
-        except ValueError as exc:
-            reader.complain(f"weights: {exc}")
+        values = weights.values(tuple(_Key(name, minimum=0.0) for name in weights.raw))
+        # a sum over what is left of a bad list would be a second, derived problem
+        if len(reader.problems) == known:
+            try:
+                settings["weights"] = validate_weights(values)
+            except ValueError as exc:
+                reader.complain(f"weights: {exc}")
     nodes = reader.get_addresses("fault_nodes")
     for addr in sorted(nodes or ()):
         if not 1 <= addr <= n_nodes:

@@ -97,6 +97,8 @@ def _parse_requirements(text: str, lineno: int) -> dict[str, float]:
             value = float(raw)
         except ValueError:
             raise WorkflowParseError(f"line {lineno}: requirement {key} is not a number: {raw!r}")
+        if not math.isfinite(value):
+            raise WorkflowParseError(f"line {lineno}: requirement {key} must be finite, got {raw!r}")
         if not value > 0:
             raise WorkflowParseError(f"line {lineno}: requirement {key} must be positive")
         reqs[key] = value

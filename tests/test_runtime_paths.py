@@ -4,10 +4,12 @@ Covers the execution pipeline, queueing, TTL refusal, and the three error
 classes with their retry semantics: a failure on a just-in-time worker goes
 back to its assigner for exactly one re-selection that excludes the failed
 worker; pinned-worker failures and selection failures go straight to the
-client; a second failure is terminal.
+client; a second failure is terminal. However an archive leaves a worker,
+the worker is then free for the next archive in its queue.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -341,3 +343,75 @@ def test_retry_leaves_the_client_description_untouched():
     micro.settle(5.0)
     assert "task_execution" in handle.result.error_log
     assert_client_archive_untouched(handle)
+
+
+def _drift(micro):
+    micro.node(2).caps.energy = 1.0
+
+
+def _clean_mid_run(micro):
+    # preprocessing ends 0.01 s in, and the 0.2 s run after it
+    worker = micro.node(2)
+    micro.world.schedule(micro.world.now + 0.1, lambda: worker.cleaned.add("wf-first"))
+
+
+def _fail_once(micro):
+    worker = micro.node(2)
+    worker.config = replace(worker.config, fault=FaultPlan(rate=1.0, max_failures=1))
+
+
+def _error(error_class):
+    return [(BundleKind.ERROR_ARCHIVE, error_class)]
+
+
+SERVE_EXITS = {
+    # id: (first workflow, its TTL, setup, what worker 2 sends for it,
+    #      expired drops, whether its result was made)
+    "stale-after-preprocessing": ("any work in.dat\n", 0.005, None, [], 1, False),
+    "unknown-service": ("any nosuch in.dat\n", 100, None,
+                        _error(ErrorClass.WORKER_CALLING), 0, False),
+    "capabilities-drifted": ("any work in.dat [energy=50]\n", 100, _drift,
+                             _error(ErrorClass.WORKER_CALLING), 0, False),
+    "cleaned-during-execution": ("any work in.dat\n", 100, _clean_mid_run, [], 0, False),
+    "injected-fault": ("any work in.dat\n", 100, _fail_once,
+                       _error(ErrorClass.TASK_EXECUTION), 0, False),
+    # the run ends 0.21 s in, and postprocessing 0.22 s in
+    "expired-after-postprocessing": ("any work in.dat\n", 0.215, None, [], 0, True),
+    "no-next-worker": ("any work in.dat\nany work ##result## [cpu=100]\n", 100, None,
+                       _error(ErrorClass.WORKER_SELECTION), 0, True),
+    "result-returned": ("any work in.dat\n", 100, None,
+                        [(BundleKind.RESULT_ARCHIVE, None)], 0, True),
+    "forwarded": (TWO_STEP, 100, None, [(BundleKind.WORKFLOW_ARCHIVE, None)], 0, True),
+}
+
+
+@pytest.mark.parametrize("case", SERVE_EXITS.values(), ids=SERVE_EXITS.keys())
+def test_worker_is_free_after_every_way_an_archive_leaves(line3, case):
+    from carryflow.workflow import parse
+
+    text, ttl, setup, first_sent, drops, made = case
+    line3.settle(1.0)
+    worker, now = line3.node(2), line3.world.now
+    if setup is not None:
+        setup(line3)
+    sent = []
+    real_send = worker.send_archive
+
+    def send_archive(kind, archive, dest):
+        error = archive.error.error_class if archive.error else None
+        sent.append((archive.description.workflow_id, (kind, error)))
+        real_send(kind, archive, dest)
+    worker.send_archive = send_archive
+
+    # the second archive arrives while the first is being served
+    for wid, wf_text in (("wf-first", f"ttl={ttl}\n{text}"), ("wf-second", "any work in.dat\n")):
+        desc = parse(wf_text, workflow_id=wid, client=1, created_at=now)
+        worker.on_archive(Archive(description=desc, files={"in.dat": b"x"}, assigned_by=1), now)
+    assert worker.busy and len(worker.queue) == 1
+    line3.settle(5.0)
+
+    assert not worker.busy and not worker.queue
+    assert [how for wid, how in sent if wid == "wf-first"] == first_sent
+    assert [how for wid, how in sent if wid == "wf-second"] == [(BundleKind.RESULT_ARCHIVE, None)]
+    assert line3.collector.expired_drops == drops
+    assert ("wf-first" in worker.files) is made

@@ -213,6 +213,17 @@ def test_a_list_item_needs_a_name_and_a_separator(old, new, problem):
     assert info.value.problems == [problem]
 
 
+@pytest.mark.parametrize("weights,problem", [
+    ("cpu=x", "[run] weights: cpu is not a finite number: 'x'"),
+    # sums to 1, so only the sign is wrong
+    ("energy=-1, distance=2", "[run] weights: energy must be at least 0, got -1"),
+], ids=["not-a-number", "negative"])
+def test_a_bad_rating_weight_is_one_problem(weights, problem):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(RING_INI.replace("seed = 9", f"seed = 9\nweights = {weights}"))
+    assert info.value.problems == [problem]
+
+
 def test_infinite_ttl_means_no_expiry():
     cfg = parse_scenario(RING_INI.replace("ttl = 120", "ttl = inf"))
     assert "ttl=inf" in cfg.workflow.text

@@ -71,6 +71,8 @@ def test_parse_pinned_worker_address():
     ("any scale f [cpu=two]\n", "not a number"),
     ("any scale f [speed=1]\n", "unknown requirement"),
     ("any scale f [cpu=-1]\n", "must be positive"),
+    ("any scale f [cpu=inf]\n", "line 1: requirement cpu must be finite, got 'inf'"),
+    ("any scale f [memory=nan]\n", "line 1: requirement memory must be finite, got 'nan'"),
     ("any scale ##result##\n", "not allowed in the first task"),
     ("any scale a\nany crop ##result## ##result##\n", "at most once"),
     ("ttl=abc\nany scale f\n", "not a number"),
