@@ -10,13 +10,16 @@ the store's expiry rule is the only one. The view keeps no state of its own;
 a lookup, which runs when a task is assigned, folds the live offer bundles
 and builds the OfferRecords it returns.
 
-Decoding is pure, so an offer bundle is decoded at most once, when a copy
-first arrives, and keeps its offers (`Bundle.decoded`): every store holding a
-copy holds the same bundle object, so every later receipt and every lookup
-reads them from there, and they are freed with the bundle. Nothing may edit
-a decoded offer. No other module relies on a payload being bytes. A
-malformed payload stores nothing, so each arrival of one is counted, and a
-lookup passes over it.
+An offer bundle carries its offers (`Bundle.decoded`) from where it is
+built: `build_offer_bundle` encodes them, which checks them and sizes the
+payload, and keeps the very offers `decode_offers` would read back from
+that payload, since the encoder writes only payloads that decode to its
+inputs. Every store holding a copy holds the same bundle object, so no
+receiver and no lookup decodes it, and the offers are freed with the
+bundle. A bundle built any other way is decoded by `offers_of` when a copy
+first arrives, and keeps what it decoded. Nothing may edit a decoded offer.
+No other module relies on a payload being bytes. A malformed payload keeps
+nothing, so each arrival of one is counted, and a lookup passes over it.
 """
 
 from __future__ import annotations
@@ -80,13 +83,21 @@ class OfferRecord:
 
 def encode_offers(worker: NodeAddress, issued_at: float, caps: CapabilityVector,
                   services: list[tuple[str, int]]) -> bytes:
-    """Fixed-width wire layout: 64 byte header + 32 bytes per offered service."""
+    """Fixed-width wire layout: 64 byte header + 32 bytes per offered service.
+
+    Writes only payloads that decode back to its inputs: a service name that
+    is empty, too long or ends in NUL, or a param count outside the record's
+    field, is a ValueError.
+    """
     parts = [_HEADER.pack(worker, issued_at, caps.cpu, caps.memory, caps.disk,
                           caps.energy, caps.position[0], caps.position[1])]
     for name, param_count in services:
         raw = name.encode("utf-8")
-        if len(raw) > SERVICE_NAME_BYTES:
-            raise ValueError(f"service name too long for wire format: {name!r}")
+        # the decoder strips the NUL padding, so a name may not end in one
+        if not raw or len(raw) > SERVICE_NAME_BYTES or raw.endswith(b"\x00"):
+            raise ValueError(f"service name does not fit the wire format: {name!r}")
+        if not 0 <= param_count <= MAX_PARAM_COUNT:
+            raise ValueError(f"param count out of range for service {name!r}: {param_count}")
         parts.append(_RECORD.pack(raw, param_count, 0))
     return b"".join(parts)
 
@@ -118,15 +129,32 @@ def decode_offers(payload: bytes) -> list[ServiceOffer]:
 def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: float,
                        caps: CapabilityVector, services: list[tuple[str, int]],
                        expiry_s: float = DEFAULT_OFFER_EXPIRY_S) -> Bundle:
-    """One broadcast bundle per announcement round."""
+    """One broadcast bundle per announcement round, carrying its decoded offers.
+
+    The offers are what `decode_offers` reads back from the payload: one
+    snapshot of the capabilities, every number a float.
+    """
     payload = encode_offers(worker, issued_at, caps, services)
-    return Bundle(bundle_id=bundle_id, source=worker, destination=BROADCAST,
-                  kind=BundleKind.OFFER, payload=payload, size_bytes=len(payload),
-                  created_at=issued_at, ttl_seconds=expiry_s)
+    bundle = Bundle(bundle_id=bundle_id, source=worker, destination=BROADCAST,
+                    kind=BundleKind.OFFER, payload=payload, size_bytes=len(payload),
+                    created_at=issued_at, ttl_seconds=expiry_s)
+    x, y = caps.position
+    snapshot = CapabilityVector(cpu=float(caps.cpu), memory=float(caps.memory),
+                                disk=float(caps.disk), energy=float(caps.energy),
+                                position=(float(x), float(y)))
+    issued_at = float(issued_at)
+    object.__setattr__(bundle, "decoded", [
+        ServiceOffer(worker=worker, service_name=name, param_count=param_count,
+                     capabilities=snapshot, issued_at=issued_at)
+        for name, param_count in services])
+    return bundle
 
 
 def offers_of(bundle: Bundle) -> list[ServiceOffer]:
-    """The offer bundle's offers, decoded on first use; OfferCodecError if malformed."""
+    """The offer bundle's offers, decoded once if it was not built with them.
+
+    Raises OfferCodecError if the payload is malformed.
+    """
     offers = bundle.decoded
     if offers is not None:
         return offers
@@ -142,8 +170,7 @@ class OfferDatabase:
     """A node's view of who offers what, read from the live offer bundles of its store.
 
     Nothing is kept between lookups: each one folds the store's live offer
-    bundles in arrival order, with the offers each bundle kept when it was
-    decoded on arrival.
+    bundles in arrival order, with the offers each bundle carries.
     """
 
     def __init__(self, store: BundleStore) -> None:

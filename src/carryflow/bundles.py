@@ -61,7 +61,8 @@ class Bundle:
 
     Bundles are frozen, and every store holding a copy holds the same
     object; an archive payload is frozen too. `decoded` is written once,
-    by `announce.offers_of`, and takes no part in equality, hash or repr.
+    by `announce.build_offer_bundle` or `announce.offers_of`, and takes no
+    part in equality, hash or repr.
     """
 
     bundle_id: BundleId
@@ -80,9 +81,6 @@ class Bundle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "expires_at", self.created_at + self.ttl_seconds)
-
-    def is_expired(self, now: float) -> bool:
-        return now > self.expires_at
 
 
 class BundleStore:
@@ -159,7 +157,7 @@ class BundleStore:
             for bundle_id in expiring.pop(heapq.heappop(heap)):
                 bundle = bundles.get(bundle_id)
                 # the id may be gone (cleanup) or stored again with a later expiry
-                if bundle is not None and bundle.is_expired(now):
+                if bundle is not None and now > bundle.expires_at:
                     self._drop(bundle)
 
     def _drop(self, bundle: Bundle) -> None:

@@ -2,12 +2,13 @@
 
 A node is one object. It inherits the worker role (`WorkerRuntime`) and the
 client role (`ClientRuntime`) and owns the state both read. It announces its
-services, if it has any, on a fixed period from the moment it is built,
-decodes each received offer bundle unless a copy was decoded already (its
-offer view reads the store), dispatches addressed bundles to its worker or
-client methods, and honors cleanup markers by purging everything a finished
-workflow left behind. Nodes remember which workflows were cleaned so
-anti-entropy cannot re-plant stale copies on them.
+services, if it has any, on a fixed period from the moment it is built. It
+decodes a received offer bundle only if the bundle carries no offers yet
+(one built by `build_offer_bundle` carries them; its offer view reads the
+store). It dispatches addressed bundles to its worker or client methods,
+and honors cleanup markers by purging everything a finished workflow left
+behind. Nodes remember which workflows were cleaned so anti-entropy cannot
+re-plant stale copies on them.
 """
 
 from __future__ import annotations
@@ -87,10 +88,11 @@ class Node(WorkerRuntime, ClientRuntime):
     def on_bundle(self, bundle: Bundle) -> None:
         kind = bundle.kind
         if kind is BundleKind.OFFER:
-            try:
-                offers_of(bundle)
-            except OfferCodecError:
-                self.collector.malformed_offers += 1
+            if bundle.decoded is None:
+                try:
+                    offers_of(bundle)
+                except OfferCodecError:
+                    self.collector.malformed_offers += 1
             return
         if kind is BundleKind.CLEANUP_MARKER:
             self.on_cleanup(str(bundle.payload))

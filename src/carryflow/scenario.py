@@ -384,6 +384,9 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
         if len(name.encode("utf-8")) > SERVICE_NAME_BYTES:
             fields.complain(f"name is longer than the {SERVICE_NAME_BYTES} "
                             f"UTF-8 bytes an offer record holds")
+        elif name.endswith("\x00"):
+            # an offer record pads names with NUL, so the decoder strips it
+            fields.complain("name ends in a NUL byte, which an offer record drops")
         services[name] = ServiceDefinition(name=name, **fields.values(_SERVICE_KEYS))
     return services
 

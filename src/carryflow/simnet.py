@@ -14,25 +14,40 @@ updated in place as links open and close. While two nodes are in contact
 every bundle one of them holds and the other lacks is transferred
 (anti-entropy), and all traffic on one link shares the medium first-come
 first-served. A link is scanned once, in the tick it opens; from then on
-each newly stored bundle is pushed at once over its node's open links, which
-keeps the link in sync until it closes. A transfer interrupted by contact
-loss restarts from scratch at the next encounter.
+each newly stored bundle is forwarded at once over its node's open links,
+which keeps the link in sync until it closes. A transfer interrupted by
+contact loss restarts from scratch at the next encounter.
 
 The world keeps one record per node: its store, the store's id mapping,
 its accept and delivery hooks (always both, so they are called untested),
 and its open links, each naming the record of the node at its far end, so
-the hot path reaches a receiver's state without a lookup. The link scan and
-the push share one enqueue loop, `_push`, over (link, bundle) pairs: it
-skips a bundle the receiver holds and one the receiver's accept hook
-refuses, and starts the link only if it is idle. A scan first drops the
-bundles the receiver holds in one pass, since those are most of what a
-sender carries. No link queues one bundle twice for one receiver: the scan
-runs once, when the link opens, and after that only bundles newly stored at one end are pushed, and a store takes an id at most
+the hot path reaches a receiver's state without a lookup. Two paths
+enqueue: the link scan puts many bundles on its one link, and a delivery
+(`_deliver`) forwards its one bundle over the receiver's links. Both skip a
+bundle the receiver holds and one the receiver's accept hook refuses. A
+scan first drops the bundles the receiver holds in one pass, since those
+are most of what a sender carries. No link queues one bundle twice for one
+receiver: the scan runs once, when the link opens, after that only bundles
+newly stored at one end are forwarded, and a store takes an id at most
 once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
 is sending is its `current`, the one record of the entry in flight, which
-closing the link clears. A link has at most one transfer pending, so each
-link builds its completion callback once, when it opens, and every transfer
-on it schedules that same callable: a completion that finds `current` empty
+closing the link clears.
+
+An entry that finds its link idle with an empty queue is put in flight at
+once (`_start`), without the queue round trip and the recheck `_try_start`
+makes of a queued entry: it was found live, lacking at the receiver and
+accepted just now, so that recheck would pass. This is exact because a
+link can be idle with a non-empty queue only while its own completion
+runs, between clearing `current` and starting the next entry. There the
+receiver never forwards the bundle it just got back over that link, since
+the sender either holds it or refuses it; a bundle the receiver's handler
+creates meanwhile joins the back of the queue, and the queue's head starts,
+as it would have. Every transfer is scheduled through `schedule`, so
+events are counted in one place.
+
+A link has at most one transfer pending, so each link builds its
+completion callback once, when it opens, and every transfer on it
+schedules that same callable: a completion that finds `current` empty
 belongs to a link that closed. A transfer's duration depends only on the
 bundle's size, so the world computes it once per distinct size and looks it
 up after that. A completed copy the receiver already holds is not delivered
@@ -47,7 +62,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .bundles import Bundle, BundleStore, NodeAddress
 
@@ -343,31 +358,31 @@ class World:
 
     def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState,
                    a: _Node, b: _Node) -> None:
-        # runs once per link, when it opens; _push keeps it in sync afterwards
-        now = self.now
+        # runs once per link, when it opens; _deliver keeps it in sync afterwards.
+        # The link is new, so it is idle with an empty queue until its first
+        # entry starts, and every later one waits behind that
+        now, queue = self.now, state.queue
         for sender, receiver in ((a, b), (b, a)):
-            held = receiver.held
+            held, accept = receiver.held, receiver.accept
             fresh = [bundle for bundle in sender.store.scan_log(now)
                      if bundle.bundle_id not in held]
-            if fresh:
-                self._push(((pair, state, receiver),), fresh)
-
-    def _push(self, links: Sequence[tuple], bundles: Iterable[Bundle]) -> None:
-        """Queue bundles on each (pair, state, receiver node) link, link by link.
-
-        A link skips a bundle the receiver holds and one the receiver's
-        accept hook refuses; an idle link starts sending at once. Bundles
-        are iterated once per link, so a one-shot iterable goes with a
-        single link.
-        """
-        for _, state, node in links:
-            held, accept, queue = node.held, node.accept, state.queue
-            for bundle in bundles:
-                if bundle.bundle_id in held or not accept(bundle):
+            for bundle in fresh:
+                if not accept(bundle):
                     continue
-                queue.append((bundle, node))
                 if state.current is None:
-                    self._try_start(state)
+                    self._start(state, (bundle, receiver))
+                else:
+                    queue.append((bundle, receiver))
+
+    def _start(self, state: _LinkState, entry: _Entry) -> None:
+        # put the entry in flight on the idle link
+        state.current = entry
+        size = entry[0].size_bytes
+        try:
+            duration = self._durations[size]
+        except KeyError:
+            duration = self._durations[size] = transfer_duration(self.link, size)
+        self.schedule(self.now + duration, state.complete)
 
     def _try_start(self, state: _LinkState) -> None:
         # the link is idle: send the first queued entry still worth sending
@@ -377,13 +392,7 @@ class World:
             bundle, node = entry
             if now > bundle.expires_at or bundle.bundle_id in node.held:
                 continue
-            state.current = entry
-            size = bundle.size_bytes
-            try:
-                duration = self._durations[size]
-            except KeyError:
-                duration = self._durations[size] = transfer_duration(self.link, size)
-            self.schedule(now + duration, state.complete)
+            self._start(state, entry)
             return
 
     def _complete(self, state: _LinkState) -> None:
@@ -407,7 +416,18 @@ class World:
             return
         node.handler(bundle)
         # forward the fresh bundle over every open link without waiting for a tick
-        self._push(node.links, (bundle,))
+        bundle_id = bundle.bundle_id
+        for _, state, far in node.links:
+            if bundle_id in far.held or not far.accept(bundle):
+                continue
+            if state.current is not None:
+                state.queue.append((bundle, far))
+            elif state.queue:
+                # idle with a queue: only inside this link's own completion
+                state.queue.append((bundle, far))
+                self._try_start(state)
+            else:
+                self._start(state, (bundle, far))
 
     def originate(self, bundle: Bundle) -> None:
         """Insert a locally created bundle at its source node and start spreading it."""

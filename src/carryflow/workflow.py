@@ -122,6 +122,8 @@ def parse(text: str, *, workflow_id: str = "", client: NodeAddress = 0,
             try:
                 ttl = float(value)
             except ValueError:
+                ttl = math.nan
+            if math.isnan(ttl):
                 raise WorkflowParseError(f"line {lineno}: ttl is not a number: {value!r}")
             if not (ttl > 0):
                 raise WorkflowParseError(f"line {lineno}: ttl must be positive")

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carryflow import announce
-from carryflow.announce import (CapabilityVector, OFFER_HEADER_BYTES,
-                                OFFER_RECORD_BYTES, OfferCodecError,
-                                OfferDatabase, ServiceOffer, build_offer_bundle,
-                                decode_offers, encode_offers, offers_of)
+from carryflow.announce import (CapabilityVector, MAX_PARAM_COUNT,
+                                OFFER_HEADER_BYTES, OFFER_RECORD_BYTES,
+                                OfferCodecError, OfferDatabase,
+                                SERVICE_NAME_BYTES, ServiceOffer,
+                                build_offer_bundle, decode_offers,
+                                encode_offers, offers_of)
 from carryflow.assignment import DEFAULT_WEIGHTS, Strategy, select
 from carryflow.bundles import BROADCAST, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
@@ -69,6 +71,46 @@ def test_decode_rejects_empty_service_name():
     broken = payload[:OFFER_HEADER_BYTES] + b"\x00" * OFFER_RECORD_BYTES
     with pytest.raises(OfferCodecError):
         decode_offers(broken)
+
+
+NAMES = st.text(st.characters(codec="utf-8"), min_size=1, max_size=24).filter(
+    lambda name: len(name.encode("utf-8")) <= SERVICE_NAME_BYTES
+    and not name.endswith("\x00"))
+NUMBERS = st.integers(-2 ** 60, 2 ** 60) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(worker=st.integers(0, 2 ** 64 - 1), issued_at=NUMBERS,
+       numbers=st.lists(NUMBERS, min_size=6, max_size=6),
+       services=st.lists(st.tuples(NAMES, st.integers(0, MAX_PARAM_COUNT)),
+                         max_size=5))
+@example(worker=0, issued_at=3, numbers=[4, 2048, -0.0, 0, -7, 2 ** 53 + 1],
+         services=[("é" * 12, 0), ("名" * 8, MAX_PARAM_COUNT), ("a\x00b", 1)])
+def test_built_offers_are_what_the_payload_decodes_to(worker, issued_at, numbers,
+                                                      services):
+    cpu, memory, disk, energy, x, y = numbers
+    caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
+                            position=(x, y))
+    bundle = build_offer_bundle((worker, 1), worker, issued_at, caps, services)
+    # repr tells an int from a float and -0.0 from 0.0
+    assert repr(bundle.decoded) == repr(decode_offers(bundle.payload))
+    # the offers hold a snapshot: the node moves and spends its own vector
+    caps.position, caps.energy = (1.5, 2.5), 0.5
+    assert repr(bundle.decoded) == repr(decode_offers(bundle.payload))
+
+
+@pytest.mark.parametrize("service", [
+    ("", 1),                        # decoded as malformed
+    ("a\x00", 1),                   # decoded as "a"
+    ("é" * 13, 1),                  # 13 characters, but 26 bytes
+    ("scale", -1),
+    ("scale", MAX_PARAM_COUNT + 1),
+])
+def test_encoder_refuses_what_would_not_decode_back(service):
+    with pytest.raises(ValueError):
+        encode_offers(1, 0.0, CAPS, [service])
+    with pytest.raises(ValueError):
+        build_offer_bundle((1, 1), 1, 0.0, CAPS, [service])
 
 
 def test_build_offer_bundle_fields():
@@ -262,7 +304,8 @@ def test_an_offer_bundle_received_twice_is_decoded_once(monkeypatch):
     first = offer_bundle(1, 1, 0.0, expiry_s=10.0)
     a, b = view(), view()
     assert receive(a, first, 0.0) and receive(b, first, 9.0)
-    assert len(calls) == 1
+    # built with its offers, so no receiver decodes it
+    assert calls == []
     assert a.lookup("scale", 9.0)[0].offer is b.lookup("scale", 9.0)[0].offer
 
 
@@ -279,10 +322,10 @@ def test_decoding_leaves_equality_hash_and_repr_alone():
 def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypatch):
     calls = count_decodes(monkeypatch)
     line3.settle(0.5)
-    # worker 3's first announce, decoded where it was issued
+    # worker 3's first announce, built with its offers where it was issued
     first = line3.world.stores[3].by_id[(3, 1)]
     assert all(first.bundle_id in line3.world.stores[addr] for addr in (1, 2))
-    assert calls.count(first.payload) == 1
+    assert calls == []
     now = line3.world.now
     seen_at_1, seen_at_2 = (line3.node(addr).offer_db.lookup("work", now)
                             for addr in (1, 2))
@@ -303,8 +346,8 @@ def test_one_decode_per_offer_payload_per_run(monkeypatch):
     calls = count_decodes(monkeypatch)
     report = run_scenario(resolve_scenario("ring-heterogeneous"))
     assert report.workflows[0].status == "succeeded"
-    assert len(calls) > 100
-    assert len(calls) == len(set(calls))
+    # every announce is built with its offers, so a run decodes none
+    assert calls == []
 
 
 def test_malformed_offer_counts_once_per_receiver(monkeypatch):

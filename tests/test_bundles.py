@@ -32,13 +32,18 @@ def test_address_rejects_wrong_length():
 
 def test_expiry_boundary_is_inclusive():
     b = make_bundle(1, created_at=5.0, ttl=10.0)
-    assert not b.is_expired(15.0)
-    assert b.is_expired(15.0001)
+    assert b.expires_at == 15.0
+    store = BundleStore()
+    assert store.insert(b, 5.0)
+    assert list(store.live(15.0)) == [b]
+    assert list(store.live(15.0001)) == []
 
 
 def test_infinite_ttl_never_expires():
     b = make_bundle(1, ttl=float("inf"))
-    assert not b.is_expired(1e12)
+    store = BundleStore()
+    assert store.insert(b, 1e12)
+    assert list(store.live(1e12)) == [b]
 
 
 def test_insert_and_duplicate():
@@ -191,11 +196,11 @@ def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
     for dt, op, seq, ttl in steps:
         now += dt
         bundle = make_bundle(seq, created_at=now - 0.5, ttl=ttl)
-        live = {bid: b for bid, b in model.items() if not b.is_expired(now)}
+        live = {bid: b for bid, b in model.items() if now <= b.expires_at}
         if op == "insert":
             accepted = store.insert(bundle, now)
             assert accepted == (bundle.bundle_id not in live
-                                and not bundle.is_expired(now))
+                                and now <= bundle.expires_at)
             model = live
             if accepted:
                 model[bundle.bundle_id] = bundle

@@ -151,6 +151,8 @@ def test_problems_are_collected_not_fail_fast():
     (lambda t: t.replace("ttl = 120", "ttl = nan"), "ttl is not a finite number"),
     (lambda t: t.replace("[services]\n", "[services]\n" + "ré" * 9 + " = mean=1\n"),
      "longer than the 24 UTF-8 bytes"),
+    (lambda t: t.replace("[services]\n", "[services]\nwork\x00 = mean=1\n"),
+     "ends in a NUL byte"),
     (lambda t: t.replace("ext=png", "ext=png, params=4294967296"),
      "params must be at most 4294967295"),
     (lambda t: t.replace("kind = ring\nnodes = 6\nspacing_m = 50",

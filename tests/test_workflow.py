@@ -77,12 +77,18 @@ def test_parse_pinned_worker_address():
     ("any scale a\nany crop ##result## ##result##\n", "at most once"),
     ("ttl=abc\nany scale f\n", "not a number"),
     ("ttl=0\nany scale f\n", "must be positive"),
+    ("ttl=nan\nany scale f\n", "line 1: ttl is not a number: 'nan'"),
+    ("ttl=-inf\nany scale f\n", "line 1: ttl must be positive"),
     ("mode=fast\nany scale f\n", "unknown directive"),
     ("any scale f [cpu=1,cpu=2]\n", "line 1: requirement cpu is given more than once"),
 ])
 def test_parse_rejects(text, fragment):
     with pytest.raises(WorkflowParseError, match=fragment):
         parse(text)
+
+
+def test_parse_accepts_an_infinite_ttl():
+    assert parse("ttl=inf\nany scale f\n").ttl_seconds == math.inf
 
 
 def test_format_description_round_trips():
