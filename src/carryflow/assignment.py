@@ -99,7 +99,12 @@ def rank(records: list[OfferRecord], requirements: dict[str, float],
 
 
 def folded_normal_index(n: int, rng: random.Random) -> int:
-    """Index into a ranking of length n: floor of |N(0,1)|, clamped to the tail."""
+    """Index into a ranking of length n: floor of |N(0,1)|, clamped to the tail.
+
+    `normalvariate` calls libm's `log`, whose last bit may differ between
+    platforms. Only `int(|z|)` is used, so such a difference can change an
+    index only where |z| lies within an ulp of an integer.
+    """
     if n < 1:
         raise ValueError("ranking is empty")
     z = abs(rng.normalvariate(0.0, 1.0))

@@ -2,8 +2,10 @@
 
 A bundle is the unit of replication: an addressed (or broadcast) payload with
 a creation time and a TTL. Every store holding a copy holds the same frozen
-object; its one field written after construction is `decoded`, where an offer
-bundle keeps its decoded offers. Each node owns one store; synchronization
+object, and no field of it is written after construction. A payload is a
+plain object, never encoded bytes: an offer bundle's `Announcement`, an
+archive bundle's `Archive`, a cleanup marker's workflow id. Only
+`size_bytes` stands for the wire. Each node owns one store; synchronization
 between stores happens in the network layer, this module only answers what a
 node currently holds. A store sheds a bundle once it expires: inserting and
 listing the live bundles first drop everything whose expiry time has passed,
@@ -60,9 +62,7 @@ class Bundle:
     """A payload unit carried between nodes.
 
     Bundles are frozen, and every store holding a copy holds the same
-    object; an archive payload is frozen too. `decoded` is written once,
-    by `announce.build_offer_bundle` or `announce.offers_of`, and takes no
-    part in equality, hash or repr.
+    object; its payload is frozen too.
     """
 
     bundle_id: BundleId
@@ -77,7 +77,6 @@ class Bundle:
     workflow_id: Optional[str] = None
     # created_at + ttl_seconds; infinite for a bundle that never expires
     expires_at: float = field(init=False)
-    decoded: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "expires_at", self.created_at + self.ttl_seconds)

@@ -48,12 +48,25 @@ def ring_positions(n: int, spacing_m: float) -> list[Position]:
 
 
 def ring_arc_distance(n: int, spacing_m: float):
-    """Distance along the ring (hops times spacing), recovered from positions."""
+    """Distance along the ring between two of its slots: hops times spacing_m.
+
+    Each end is looked up by its exact position, so no trigonometric
+    function runs after `ring_positions`, and the result is exact. A
+    position that is not a slot of the ring raises ValueError.
+    """
+    slots = {position: i for i, position in enumerate(ring_positions(n, spacing_m))}
+    if len(slots) != n:
+        raise ValueError(f"{n} ring slots at {spacing_m} m do not all differ")
+
+    def slot(position: Position) -> int:
+        try:
+            return slots[position]
+        except KeyError:
+            raise ValueError(f"{position!r} is not a slot of the ring") from None
+
     def arc(a: Position, b: Position) -> float:
-        da = math.atan2(a[1], a[0]) - math.atan2(b[1], b[0])
-        da = abs(da) % (2.0 * math.pi)
-        da = min(da, 2.0 * math.pi - da)
-        return da * n * spacing_m / (2.0 * math.pi)
+        hops = abs(slot(a) - slot(b))
+        return min(hops, n - hops) * spacing_m
     return arc
 
 

@@ -2,13 +2,13 @@
 
 A node is one object. It inherits the worker role (`WorkerRuntime`) and the
 client role (`ClientRuntime`) and owns the state both read. It announces its
-services, if it has any, on a fixed period from the moment it is built. It
-decodes a received offer bundle only if the bundle carries no offers yet
-(one built by `build_offer_bundle` carries them; its offer view reads the
-store). It dispatches addressed bundles to its worker or client methods,
-and honors cleanup markers by purging everything a finished workflow left
-behind. Nodes remember which workflows were cleaned so anti-entropy cannot
-re-plant stale copies on them.
+services, if it has any, on a fixed period from the moment it is built, one
+`Announcement` record per round. A received offer bundle needs no handling:
+its store keeps it, and the node's offer view reads the store when a task
+is assigned. It dispatches addressed bundles to its worker or client
+methods, and honors cleanup markers by purging everything a finished
+workflow left behind. Nodes remember which workflows were cleaned so
+anti-entropy cannot re-plant stale copies on them.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .announce import (CapabilityVector, OfferCodecError, OfferDatabase,
-                       build_offer_bundle, offers_of)
+from .announce import CapabilityVector, OfferDatabase, build_offer_bundle
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
@@ -45,9 +44,10 @@ class Node(WorkerRuntime, ClientRuntime):
         self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
         self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
         self.services = dict(services)
-        # what each announcement offers, by name; services are fixed once built
-        self._offered = [(svc.name, svc.param_count) for svc in
-                         sorted(self.services.values(), key=lambda s: s.name)]
+        # param count by service, shared by every announcement: services are
+        # fixed once built
+        self._offered = {name: self.services[name].param_count
+                         for name in sorted(self.services)}
         self.busy = False
         self.queue: deque[tuple[Archive, float]] = deque()
         self.files: dict[str, set[str]] = {}
@@ -87,16 +87,10 @@ class Node(WorkerRuntime, ClientRuntime):
 
     def on_bundle(self, bundle: Bundle) -> None:
         kind = bundle.kind
-        if kind is BundleKind.OFFER:
-            if bundle.decoded is None:
-                try:
-                    offers_of(bundle)
-                except OfferCodecError:
-                    self.collector.malformed_offers += 1
-            return
         if kind is BundleKind.CLEANUP_MARKER:
             self.on_cleanup(str(bundle.payload))
             return
+        # an offer is broadcast, so it ends here, kept only in the store
         if bundle.destination != self.address:
             return
         now = self.world.now

@@ -21,6 +21,20 @@ each default is the dataclass's.
 Validation is collected rather than fail-fast: a bad file raises one
 ScenarioError listing every problem found. A key that draws a problem reads
 as unset, so its default stands in for the cross-checks that follow.
+
+Every accepted scenario ends, and bounds what it allocates before its first
+event:
+  - A periodic event (`tick_s`, `announce_interval_s`) reschedules itself at
+    now + period. A period below one ulp of the clock would round back to
+    now and stop simulated time, so a run could never end. Each period must
+    fit at most `MAX_ROUNDS` times into `duration_s`. That bounds the events
+    it makes per node, and keeps it far above one ulp of every time up to
+    the cap, since an ulp is at most 2**-52 of the time.
+  - Building a world allocates per node (three RNGs, a store and its views)
+    and per offload (one scheduled event) before anything runs, so `nodes`
+    is at most `MAX_NODES` and clients x `repeat` at most `MAX_OFFLOADS`.
+The bounds sit far above every packaged and benchmark scenario, whose
+largest values are 3,600 ticks, 150 nodes and 15 offloads.
 """
 
 from __future__ import annotations
@@ -221,11 +235,16 @@ class _Key:
     scale: Optional[Callable[[float], float]] = None   # INI unit -> field unit
 
 
+MAX_ROUNDS = 1_000_000
+MAX_NODES = 10_000
+MAX_OFFLOADS = 100_000
+
+
 def _keys(*names: str, **bounds: object) -> tuple[_Key, ...]:
     return tuple(_Key(name, **bounds) for name in names)
 
 
-_NODES = _Key("nodes", kind=int, minimum=2)
+_NODES = _Key("nodes", kind=int, minimum=2, maximum=MAX_NODES)
 _TOPOLOGY_KEYS = {
     RingTopology: (_NODES, _Key("spacing_m", positive=True)),
     WaypointTopology: (_NODES, *_keys("width_m", "height_m", "range_m", "speed_min",
@@ -248,7 +267,8 @@ _COHORT_KEYS = (_Key("count", kind=int, minimum=0),
                 *_keys("cpu", "memory", "disk", positive=True),
                 _Key("energy", minimum=0.0), _Key("client", kind=bool))
 _TTL = _Key("ttl", positive=True, allow_inf=True)
-_WORKFLOW_KEYS = (_Key("offload_at", minimum=0.0), _Key("repeat", kind=int, minimum=1),
+_WORKFLOW_KEYS = (_Key("offload_at", minimum=0.0),
+                  _Key("repeat", kind=int, minimum=1, maximum=MAX_OFFLOADS),
                   _Key("interval_s", minimum=0.0))
 _REQUIREMENT_KEYS = _keys(*ALL_METRICS, positive=True)
 _FAULT_KEYS = (_Key("fault_max_failures", "max_failures", int, minimum=0),
@@ -385,7 +405,7 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
             fields.complain(f"name is longer than the {SERVICE_NAME_BYTES} "
                             f"UTF-8 bytes an offer record holds")
         elif name.endswith("\x00"):
-            # an offer record pads names with NUL, so the decoder strips it
+            # the record layout pads a name with NUL, so a trailing one is lost
             fields.complain("name ends in a NUL byte, which an offer record drops")
         services[name] = ServiceDefinition(name=name, **fields.values(_SERVICE_KEYS))
     return services
@@ -494,7 +514,13 @@ def _parse_run(reader: _Reader, n_nodes: int,
         reader.complain(f"fault_service {fault_service!r} is not under [services]")
     fault = FaultPlan(nodes=fault_nodes, service=fault_service,
                       **reader.values(_FAULT_KEYS))
-    return RunSettings(fault=fault, **settings, **reader.values(_RUN_KEYS))
+    run = RunSettings(fault=fault, **settings, **reader.values(_RUN_KEYS))
+    for key in ("tick_s", "announce_interval_s"):
+        period = getattr(run, key)
+        if period * MAX_ROUNDS < run.duration_s:
+            reader.complain(f"{key} {period:g} repeats more than {MAX_ROUNDS} times "
+                            f"in duration_s {run.duration_s:g}")
+    return run
 
 
 def parse_scenario(text: str, *, name: str = "inline",
@@ -555,9 +581,14 @@ def parse_scenario(text: str, *, name: str = "inline",
                             workflow=workflow, run=run)
     if not problems:
         try:
-            resolve_cohort_counts(config.cohorts, topology.nodes)
+            counts = resolve_cohort_counts(config.cohorts, topology.nodes)
         except ScenarioError as exc:
             problems.extend(exc.problems)
+        else:
+            clients = sum(count for count, cohort in zip(counts, cohorts) if cohort.client)
+            if clients * workflow.repeat > MAX_OFFLOADS:
+                problems.append(f"[workflow] repeat {workflow.repeat} for {clients} "
+                                f"clients is more than {MAX_OFFLOADS} offloads")
     if problems:
         raise ScenarioError(problems)
     return config

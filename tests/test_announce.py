@@ -1,41 +1,52 @@
-"""Offer wire format, the fold over a store's offer bundles, and freshness."""
+"""Offer records, the fold over a store's offer bundles, and freshness."""
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import carryflow
 from carryflow import announce
-from carryflow.announce import (CapabilityVector, MAX_PARAM_COUNT,
-                                OFFER_HEADER_BYTES, OFFER_RECORD_BYTES,
-                                OfferCodecError, OfferDatabase,
-                                SERVICE_NAME_BYTES, ServiceOffer,
-                                build_offer_bundle, decode_offers,
-                                encode_offers, offers_of)
+from carryflow.announce import (Announcement, CapabilityVector,
+                                MAX_PARAM_COUNT, OFFER_HEADER_BYTES, OFFER_RECORD_BYTES,
+                                OfferDatabase, SERVICE_NAME_BYTES, ServiceOffer,
+                                build_offer_bundle)
 from carryflow.assignment import DEFAULT_WEIGHTS, Strategy, select
 from carryflow.bundles import BROADCAST, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
-from carryflow.harness import build, run_scenario
+from carryflow.harness import run_scenario
+from carryflow.scenario import ScenarioError, parse_scenario
 
 CAPS = CapabilityVector(cpu=4.0, memory=2048.0, disk=8192.0, energy=75.5,
                         position=(12.5, -3.0))
+SCENARIOS = Path(carryflow.__file__).parent / "scenarios"
 
 
-def offer(worker: int, service: str, issued_at: float) -> ServiceOffer:
-    return ServiceOffer(worker=worker, service_name=service, param_count=1,
-                        capabilities=CAPS, issued_at=issued_at)
+def announcement(worker: int, issued_at: float, services=("scale",)) -> Announcement:
+    return Announcement(worker, issued_at, CAPS, {name: 1 for name in services})
+
+
+def offers_in(record: Announcement) -> list[ServiceOffer]:
+    """Every (worker, service) offer an announcement makes, as a lookup shows it."""
+    return [ServiceOffer(worker=record.worker, service_name=name, param_count=count,
+                         capabilities=record.capabilities, issued_at=record.issued_at)
+            for name, count in record.params.items()]
 
 
 def test_codec_round_trip():
-    payload = encode_offers(42, 7.25, CAPS, [("scale", 1), ("denoise", 2)])
-    assert len(payload) == OFFER_HEADER_BYTES + 2 * OFFER_RECORD_BYTES
-    decoded = decode_offers(payload)
-    assert [(o.service_name, o.param_count) for o in decoded] == \
+    """A built record reads back through a lookup as the offers it was given."""
+    db = OfferDatabase(BundleStore())
+    bundle = build_offer_bundle((42, 1), 42, 7.25, CAPS, {"scale": 1, "denoise": 2})
+    assert bundle.size_bytes == OFFER_HEADER_BYTES + 2 * OFFER_RECORD_BYTES
+    assert db.store.insert(bundle, 7.5)
+    read = [rec.offer for name in ("scale", "denoise") for rec in db.lookup(name, 8.0)]
+    assert [(o.service_name, o.param_count) for o in read] == \
         [("scale", 1), ("denoise", 2)]
-    first = decoded[0]
+    first = read[0]
     assert first.worker == 42
     assert first.issued_at == 7.25
     assert first.capabilities.cpu == 4.0
@@ -43,83 +54,122 @@ def test_codec_round_trip():
     assert first.capabilities.position == (12.5, -3.0)
 
 
+def test_build_offer_bundle_fields():
+    params = {"denoise": 2, "scale": 1}
+    bundle = build_offer_bundle((5, 1), 5, 3, CAPS, params, expiry_s=60.0)
+    assert bundle.kind is BundleKind.OFFER
+    assert bundle.destination is BROADCAST
+    assert bundle.created_at == 3.0
+    assert bundle.ttl_seconds == 60.0
+    record = bundle.payload
+    assert type(record) is Announcement
+    assert (record.worker, repr(record.issued_at)) == (5, "3.0")
+    # every round of a node shares its one params map
+    assert record.params is params
+    assert record.capabilities == CAPS and record.capabilities is not CAPS
+
+
 def test_payload_size_is_header_plus_records():
-    for n in range(1, 5):
-        payload = encode_offers(1, 0.0, CAPS, [(f"s{i}", 1) for i in range(n)])
-        assert len(payload) == OFFER_HEADER_BYTES + n * OFFER_RECORD_BYTES
+    for n in range(5):
+        bundle = build_offer_bundle((1, 1), 1, 0.0, CAPS, {f"s{i}": 1 for i in range(n)})
+        assert bundle.size_bytes == OFFER_HEADER_BYTES + n * OFFER_RECORD_BYTES
+
+
+def parse_with_service(line: str):
+    text = (SCENARIOS / "ring-heterogeneous.ini").read_text(encoding="utf-8")
+    return parse_scenario(text.replace("[services]\n", f"[services]\n{line}\n"),
+                          base_dir=str(SCENARIOS))
 
 
 def test_service_name_length_limit():
-    encode_offers(1, 0.0, CAPS, [("x" * 24, 1)])
-    with pytest.raises(ValueError):
-        encode_offers(1, 0.0, CAPS, [("x" * 25, 1)])
-
-
-@pytest.mark.parametrize("payload", [
-    b"",
-    b"\x00" * (OFFER_HEADER_BYTES - 1),
-    b"\x00" * (OFFER_HEADER_BYTES + 7),    # trailing partial record
-    "not-bytes",
-])
-def test_decode_rejects_malformed(payload):
-    with pytest.raises(OfferCodecError):
-        decode_offers(payload)
-
-
-def test_decode_rejects_empty_service_name():
-    payload = encode_offers(1, 0.0, CAPS, [("ok", 1)])
-    broken = payload[:OFFER_HEADER_BYTES] + b"\x00" * OFFER_RECORD_BYTES
-    with pytest.raises(OfferCodecError):
-        decode_offers(broken)
-
-
-NAMES = st.text(st.characters(codec="utf-8"), min_size=1, max_size=24).filter(
-    lambda name: len(name.encode("utf-8")) <= SERVICE_NAME_BYTES
-    and not name.endswith("\x00"))
-NUMBERS = st.integers(-2 ** 60, 2 ** 60) | st.floats()
-
-
-@settings(max_examples=300, deadline=None)
-@given(worker=st.integers(0, 2 ** 64 - 1), issued_at=NUMBERS,
-       numbers=st.lists(NUMBERS, min_size=6, max_size=6),
-       services=st.lists(st.tuples(NAMES, st.integers(0, MAX_PARAM_COUNT)),
-                         max_size=5))
-@example(worker=0, issued_at=3, numbers=[4, 2048, -0.0, 0, -7, 2 ** 53 + 1],
-         services=[("é" * 12, 0), ("名" * 8, MAX_PARAM_COUNT), ("a\x00b", 1)])
-def test_built_offers_are_what_the_payload_decodes_to(worker, issued_at, numbers,
-                                                      services):
-    cpu, memory, disk, energy, x, y = numbers
-    caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
-                            position=(x, y))
-    bundle = build_offer_bundle((worker, 1), worker, issued_at, caps, services)
-    # repr tells an int from a float and -0.0 from 0.0
-    assert repr(bundle.decoded) == repr(decode_offers(bundle.payload))
-    # the offers hold a snapshot: the node moves and spends its own vector
-    caps.position, caps.energy = (1.5, 2.5), 0.5
-    assert repr(bundle.decoded) == repr(decode_offers(bundle.payload))
+    name = "x" * SERVICE_NAME_BYTES
+    assert name in parse_with_service(f"{name} = mean=1").services
+    with pytest.raises(ScenarioError) as info:
+        parse_with_service(f"{name}x = mean=1")
+    assert info.value.problems == [
+        f"[services] {name}x: name is longer than the 24 UTF-8 bytes an offer "
+        "record holds"]
 
 
 @pytest.mark.parametrize("service", [
-    ("", 1),                        # decoded as malformed
-    ("a\x00", 1),                   # decoded as "a"
-    ("é" * 13, 1),                  # 13 characters, but 26 bytes
-    ("scale", -1),
-    ("scale", MAX_PARAM_COUNT + 1),
+    ("", 1, "parsing errors"),      # no name to offer
+    ("a\x00", 1, "NUL byte"),       # the record's padding would drop it
+    ("é" * 13, 1, "24 UTF-8 bytes"),  # 13 characters, but 26 bytes
+    ("rescale", -1, "at least 0"),
+    ("rescale", MAX_PARAM_COUNT + 1, f"at most {MAX_PARAM_COUNT}"),
 ])
 def test_encoder_refuses_what_would_not_decode_back(service):
-    with pytest.raises(ValueError):
-        encode_offers(1, 0.0, CAPS, [service])
-    with pytest.raises(ValueError):
-        build_offer_bundle((1, 1), 1, 0.0, CAPS, [service])
+    """A service whose offer record would not read back as written is refused at parse time."""
+    name, count, why = service
+    with pytest.raises(ScenarioError) as info:
+        parse_with_service(f"{name} = mean=1, params={count}")
+    problem, = info.value.problems
+    assert why in problem
 
 
-def test_build_offer_bundle_fields():
-    bundle = build_offer_bundle((5, 1), 5, 3.0, CAPS, [("scale", 1)], expiry_s=60.0)
-    assert bundle.kind is BundleKind.OFFER
-    assert bundle.destination is BROADCAST
-    assert bundle.size_bytes == len(bundle.payload)
-    assert bundle.created_at == 3.0
-    assert bundle.ttl_seconds == 60.0
+NUMBERS = st.integers(-2 ** 60, 2 ** 60) | st.floats()
+NAMES = st.text(st.characters(codec="utf-8"), min_size=1, max_size=24).filter(
+    lambda name: len(name.encode("utf-8")) <= SERVICE_NAME_BYTES
+    and not name.endswith("\x00"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(worker=st.integers(0, 2 ** 64 - 1),
+       issued_at=st.integers(-2 ** 60, 2 ** 60)
+       | st.floats(allow_nan=False, allow_infinity=False),
+       numbers=st.lists(NUMBERS, min_size=6, max_size=6),
+       params=st.dictionaries(NAMES, st.integers(0, MAX_PARAM_COUNT), max_size=5))
+@example(worker=0, issued_at=3, numbers=[4, 2048, -0.0, 0, -7, 2 ** 53 + 1],
+         params={"é" * 12: 0, "名" * 8: MAX_PARAM_COUNT, "a\x00b": 1})
+def test_built_offers_are_what_the_payload_decodes_to(worker, issued_at, numbers, params):
+    """Each service of a built record reads back through a lookup as a float snapshot."""
+    cpu, memory, disk, energy, x, y = numbers
+    caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
+                            position=(x, y))
+    db = OfferDatabase(BundleStore())
+    now = float(issued_at)
+    assert db.store.insert(build_offer_bundle((worker, 1), worker, issued_at, caps, params),
+                           now)
+    snapshot = CapabilityVector(cpu=float(cpu), memory=float(memory), disk=float(disk),
+                                energy=float(energy), position=(float(x), float(y)))
+    want = {name: repr(ServiceOffer(worker=worker, service_name=name, param_count=count,
+                                    capabilities=snapshot, issued_at=now))
+            for name, count in params.items()}
+
+    def read() -> dict:
+        # repr tells an int from a float and -0.0 from 0.0
+        return {name: repr(rec.offer) for name in params
+                for rec in db.lookup(name, now)}
+    assert read() == want
+    # the offers hold a snapshot: the node moves and spends its own vector
+    caps.position, caps.energy = (1.5, 2.5), 0.5
+    assert read() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(worker=st.integers(0, 2 ** 64 - 1), issued_at=NUMBERS,
+       numbers=st.lists(NUMBERS, min_size=6, max_size=6))
+@example(worker=0, issued_at=3, numbers=[4, 2048, -0.0, 0, -7, 2 ** 53 + 1])
+def test_an_announcement_is_a_frozen_float_snapshot(worker, issued_at, numbers):
+    cpu, memory, disk, energy, x, y = numbers
+    caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
+                            position=(x, y))
+    record = build_offer_bundle((worker, 1), worker, issued_at, caps, {"s": 1}).payload
+    want = repr((float(issued_at), float(cpu), float(memory), float(disk),
+                 float(energy), (float(x), float(y))))
+    snapshot = record.capabilities
+
+    def seen() -> str:
+        # repr tells an int from a float and -0.0 from 0.0
+        return repr((record.issued_at, snapshot.cpu, snapshot.memory, snapshot.disk,
+                     snapshot.energy, snapshot.position))
+    assert seen() == want
+    # the node moves and spends its own vector; the round keeps what it sent
+    caps.position, caps.energy = (1.5, 2.5), 0.5
+    assert seen() == want
+    with pytest.raises(FrozenInstanceError):
+        record.issued_at = 0.0
+    assert not hasattr(record, "__dict__")
 
 
 def view() -> OfferDatabase:
@@ -127,32 +177,32 @@ def view() -> OfferDatabase:
 
 
 def receive(db: OfferDatabase, bundle, now: float) -> bool:
-    """Store a bundle and decode it, as a node does on arrival."""
-    if not db.store.insert(bundle, now):
-        return False
-    try:
-        offers_of(bundle)
-    except OfferCodecError:
-        pass
-    return True
+    """Store a bundle, as a node's world does on arrival."""
+    return db.store.insert(bundle, now)
 
 
 def offer_bundle(seq: int, worker: int, issued_at: float, services=("scale",),
                  expiry_s: float = 120.0):
     return build_offer_bundle((worker, seq), worker, issued_at, CAPS,
-                              [(name, 1) for name in services], expiry_s=expiry_s)
+                              {name: 1 for name in services}, expiry_s=expiry_s)
 
 
 def test_ingest_newer_wins_older_never_overwrites():
-    db, records = view(), {}
-    assert db.ingest([offer(1, "scale", 10.0)], 10.1, records) == 1
-    assert db.ingest([offer(1, "scale", 12.0)], 12.1, records) == 1
+    db, winners = view(), {}
+    assert db.ingest([(announcement(1, 10.0), 10.1)], winners) == 1
+    assert db.ingest([(announcement(1, 12.0), 12.1)], winners) == 1
     # a delayed older announce must not roll the view back
-    assert db.ingest([offer(1, "scale", 11.0)], 15.0, records) == 0
+    assert db.ingest([(announcement(1, 11.0), 15.0)], winners) == 0
     # equal issue time: first arrival stays authoritative
-    assert db.ingest([offer(1, "scale", 12.0)], 16.0, records) == 0
-    issued_at, _, received_at = records[(1, "scale")]
-    assert (issued_at, received_at) == (12.0, 12.1)
+    assert db.ingest([(announcement(1, 12.0), 16.0)], winners) == 0
+    record, received_at = winners[1]
+    assert (record.issued_at, received_at) == (12.0, 12.1)
+    # one call folds a whole arrival sequence the same way
+    batch = [(announcement(1, t), at) for t, at in
+             [(10.0, 10.1), (12.0, 12.1), (11.0, 15.0), (12.0, 16.0)]]
+    folded = {}
+    assert db.ingest(batch, folded) == 2
+    assert folded[1] is batch[1]
 
 
 def test_lookup_folds_the_store_in_arrival_order():
@@ -163,6 +213,38 @@ def test_lookup_folds_the_store_in_arrival_order():
     rec, = db.lookup("scale", now=16.0)
     assert rec.offer.issued_at == 12.0
     assert rec.received_at == 12.1
+
+
+def test_lookup_keeps_the_newest_issue_that_offers_the_service():
+    db = view()
+    receive(db, build_offer_bundle((1, 1), 1, 10.0, CAPS, {"a": 3, "b": 7}), 10.0)
+    receive(db, build_offer_bundle((1, 2), 1, 12.0, CAPS, {"a": 4}), 12.0)
+    (b,) = db.lookup("b", now=13.0)
+    assert (b.offer.service_name, b.offer.param_count, b.offer.issued_at) == ("b", 7, 10.0)
+    (a,) = db.lookup("a", now=13.0)
+    assert (a.offer.service_name, a.offer.param_count, a.offer.issued_at) == ("a", 4, 12.0)
+    assert db.lookup("c", now=13.0) == []
+
+
+def test_a_lookup_folds_through_ingest_once(monkeypatch):
+    """The benchmark tracer counts a lookup's candidates as ingest's second argument."""
+    calls = []
+    real = OfferDatabase.ingest
+
+    def counted(self, candidates, winners):
+        applied = real(self, candidates, winners)
+        calls.append((len(candidates), applied))
+        return applied
+    monkeypatch.setattr(OfferDatabase, "ingest", counted)
+    db = view()
+    for seq, (worker, issued_at, services) in enumerate(
+            [(1, 1.0, ("a",)), (2, 1.0, ("a", "b")), (1, 2.0, ("a",)), (3, 0.5, ("b",))],
+            start=1):
+        receive(db, offer_bundle(seq, worker, issued_at, services), 3.0)
+    assert [r.offer.worker for r in db.lookup("a", 3.0)] == [1, 2]
+    assert calls == [(3, 3)]
+    assert db.lookup("z", 3.0) == []
+    assert calls[1:] == [(0, 0)]
 
 
 def test_recent_strategy_reads_the_winning_bundles_arrival():
@@ -225,6 +307,65 @@ def test_store_expiry_agrees_with_the_issue_age_rule(issued_at, expiry_s, late):
     assert shown == (now - issued_at <= expiry_s)
 
 
+def test_an_offer_bundle_received_twice_is_decoded_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(announce, "decode_offers", calls.append)
+    first = offer_bundle(1, 1, 0.0, expiry_s=10.0)
+    a, b = view(), view()
+    assert receive(a, first, 0.0) and receive(b, first, 9.0)
+    # the payload is a record, so no receiver decodes it
+    assert calls == []
+    seen_a, = a.lookup("scale", 9.0)
+    seen_b, = b.lookup("scale", 9.0)
+    assert seen_a.offer == seen_b.offer
+    assert seen_a.offer.capabilities is seen_b.offer.capabilities
+    assert seen_a.offer.capabilities is first.payload.capabilities
+    assert (seen_a.received_at, seen_b.received_at) == (0.0, 9.0)
+
+
+def test_decoding_leaves_equality_hash_and_repr_alone():
+    """Reading a bundle's record through a lookup writes nothing back to the bundle."""
+    bundle = offer_bundle(1, 1, 0.0)
+    fresh = replace(bundle)
+    db = view()
+    assert receive(db, bundle, 0.0)
+    assert db.lookup("scale", 1.0)
+    assert bundle == fresh
+    assert repr(bundle) == repr(fresh)
+    # no attribute was added or rebound, and the record is the one it was built with
+    assert vars(bundle) == vars(fresh)
+    assert bundle.payload is fresh.payload
+    # like an archive bundle, an offer bundle has no hash: its record holds a dict
+    with pytest.raises(TypeError):
+        hash(bundle)
+
+
+def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypatch):
+    calls = []
+    monkeypatch.setattr(announce, "decode_offers", calls.append)
+    line3.settle(0.5)
+    # worker 3's first announce: one record, held by every store it reached
+    first = line3.world.stores[3].by_id[(3, 1)]
+    assert all(line3.world.stores[addr].by_id[first.bundle_id] is first
+               for addr in (1, 2))
+    assert calls == []
+    now = line3.world.now
+    seen_at_1, seen_at_2 = (line3.node(addr).offer_db.lookup("work", now)
+                            for addr in (1, 2))
+    assert [r.offer.worker for r in seen_at_1] == [2, 3]
+    assert seen_at_1[1].offer.capabilities is seen_at_2[1].offer.capabilities
+
+
+def test_one_decode_per_offer_payload_per_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(announce, "decode_offers", calls.append)
+    report = run_scenario(resolve_scenario("ring-heterogeneous"))
+    assert report.workflows[0].status == "succeeded"
+    assert report.malformed_offers == 0
+    # every announce is a record, so a run decodes none
+    assert calls == []
+
+
 ORACLE_EXPIRY_S = 10.0
 SERVICES = ["scale", "denoise", "crop"]
 # issue times from a small grid, so ties and reordering are common
@@ -278,95 +419,42 @@ def test_offer_database_matches_a_history_oracle(ops):
             continue
         bundle = offer_bundle(seq, worker, issued_at, services, expiry_s=ORACLE_EXPIRY_S)
         receive(db, bundle, now)
-        oracle.ingest(decode_offers(bundle.payload), now)
+        oracle.ingest(offers_in(bundle.payload), now)
 
 
-def test_lookup_passes_over_a_malformed_offer_bundle():
+def full_fold(store: BundleStore, now: float) -> dict:
+    """(worker, service) -> (offer, received_at), folding every offer of every live bundle."""
+    folded: dict = {}
+    for bundle in store.live(now):
+        for offer in offers_in(bundle.payload):
+            key = (offer.worker, offer.service_name)
+            if key not in folded or folded[key][0].issued_at < offer.issued_at:
+                folded[key] = (offer, store.arrived_at[bundle.bundle_id])
+    return folded
+
+
+# (seconds forward, worker, issue delay, param count per offered service, expiry)
+ARRIVALS = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.0, 0.5, 2.0, 6.0]),
+    st.dictionaries(st.sampled_from(SERVICES), st.integers(0, 3), min_size=1),
+    st.sampled_from([5.0, 10.0, 30.0])), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrivals=ARRIVALS)
+def test_a_one_service_lookup_equals_a_full_fold(arrivals):
     db = view()
-    assert receive(db, offer_bundle(1, 1, 0.0), 0.1)
-    bad = offer_bundle(2, 2, 0.0)
-    bad = replace(bad, payload=bad.payload[:-5])
-    assert receive(db, bad, 0.2)
-    assert bad.bundle_id in db.store
-    assert [r.offer.worker for r in db.lookup("scale", 1.0)] == [1]
-
-
-def count_decodes(monkeypatch) -> list:
-    calls = []
-    real = announce.decode_offers
-    monkeypatch.setattr(announce, "decode_offers",
-                        lambda payload: calls.append(bytes(payload)) or real(payload))
-    return calls
-
-
-def test_an_offer_bundle_received_twice_is_decoded_once(monkeypatch):
-    calls = count_decodes(monkeypatch)
-    first = offer_bundle(1, 1, 0.0, expiry_s=10.0)
-    a, b = view(), view()
-    assert receive(a, first, 0.0) and receive(b, first, 9.0)
-    # built with its offers, so no receiver decodes it
-    assert calls == []
-    assert a.lookup("scale", 9.0)[0].offer is b.lookup("scale", 9.0)[0].offer
-
-
-def test_decoding_leaves_equality_hash_and_repr_alone():
-    bundle = offer_bundle(1, 1, 0.0)
-    fresh = replace(bundle)
-    offers_of(bundle)
-    assert bundle.decoded is not None and fresh.decoded is None
-    assert bundle == fresh
-    assert hash(bundle) == hash(fresh)
-    assert repr(bundle) == repr(fresh)
-
-
-def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypatch):
-    calls = count_decodes(monkeypatch)
-    line3.settle(0.5)
-    # worker 3's first announce, built with its offers where it was issued
-    first = line3.world.stores[3].by_id[(3, 1)]
-    assert all(first.bundle_id in line3.world.stores[addr] for addr in (1, 2))
-    assert calls == []
-    now = line3.world.now
-    seen_at_1, seen_at_2 = (line3.node(addr).offer_db.lookup("work", now)
-                            for addr in (1, 2))
-    assert [r.offer.worker for r in seen_at_1] == [2, 3]
-    assert seen_at_1[1].offer is seen_at_2[1].offer
-
-
-def test_malformed_payload_is_not_kept():
-    bad = offer_bundle(1, 1, 0.0)
-    bad = replace(bad, payload=bad.payload[:-5])
-    for _ in range(3):
-        with pytest.raises(OfferCodecError):
-            offers_of(bad)
-    assert bad.decoded is None
-
-
-def test_one_decode_per_offer_payload_per_run(monkeypatch):
-    calls = count_decodes(monkeypatch)
-    report = run_scenario(resolve_scenario("ring-heterogeneous"))
-    assert report.workflows[0].status == "succeeded"
-    # every announce is built with its offers, so a run decodes none
-    assert calls == []
-
-
-def test_malformed_offer_counts_once_per_receiver(monkeypatch):
-    calls = count_decodes(monkeypatch)
-    # a short byte string, and payloads that are not byte strings at all
-    for spoil in (lambda payload: payload[:-5], bytearray, bytes.hex):
-        calls.clear()
-        built = build(resolve_scenario("ring-heterogeneous"))
-        bad = build_offer_bundle((2, 10_000), 2, 1.0, CAPS, [("scale", 1)], expiry_s=60.0)
-        bad = replace(bad, payload=spoil(bad.payload))
-        built.world.schedule(1.0, lambda: built.world.originate(bad))
-        built.world.run_until(30.0)
-        holders = [addr for addr, store in built.world.stores.items()
-                   if bad.bundle_id in store]
-        assert len(holders) == len(built.nodes)
-        assert built.collector.malformed_offers == len(holders)
-        # a payload that is not a byte string is refused before the decoder
-        decoded = len(holders) if type(bad.payload) is bytes else 0
-        assert calls.count(bad.payload) == decoded
+    now = 0.0
+    for seq, (dt, worker, delay, params, expiry_s) in enumerate(arrivals, start=1):
+        now += dt
+        receive(db, build_offer_bundle((worker, seq), worker, max(0.0, now - delay),
+                                       CAPS, params, expiry_s=expiry_s), now)
+        folded = full_fold(db.store, now)
+        for name in SERVICES:
+            got = [(r.offer, r.received_at) for r in db.lookup(name, now)]
+            assert got == [folded[key] for key in sorted(folded) if key[1] == name]
 
 
 INBOX_EXPIRY_S = 10.0
@@ -385,20 +473,24 @@ INBOX_STEPS = st.lists(st.tuples(
 def test_inbox_lookups_match_an_eager_fold(steps):
     """The store's offer bundles are the inbox; an eager fold of every arrival agrees."""
     db = view()
-    eager: dict = {}
+    # per service, the winner per worker of every arrival so far
+    eager: dict[str, dict] = {name: {} for name in SERVICES}
     now = 0.0
     for seq, (dt, worker, delay, services) in enumerate(steps, start=1):
         now += dt
         if worker is None:
             for name in SERVICES:
-                got = [(r.offer, r.received_at) for r in db.lookup(name, now)]
-                want = sorted((w, o, at) for (w, n), (issued_at, o, at) in eager.items()
-                              if n == name and now - issued_at <= INBOX_EXPIRY_S)
-                assert got == [(o, at) for _, o, at in want]
+                got = [(r.offer.worker, r.offer.issued_at, r.received_at)
+                       for r in db.lookup(name, now)]
+                want = [(w, record.issued_at, at)
+                        for w, (record, at) in sorted(eager[name].items())
+                        if now - record.issued_at <= INBOX_EXPIRY_S]
+                assert got == want
             continue
         # issue times on a half-second grid, so equal issue times recur
         issued_at = max(0.0, now - delay)
         bundle = offer_bundle(seq, worker, issued_at, services, expiry_s=INBOX_EXPIRY_S)
         # the store refuses a bundle dead on arrival; the eager fold takes it
         assert receive(db, bundle, now) == (now - issued_at <= INBOX_EXPIRY_S)
-        db.ingest(decode_offers(bundle.payload), now, eager)
+        for name in services:
+            db.ingest([(bundle.payload, now)], eager[name])

@@ -1,5 +1,9 @@
 """Bundle store semantics: addressing, expiry, insertion order, arrival times."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,3 +267,25 @@ def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
             assert list(store.live(now)) == list(oracle.values())
         assert len(store) == len(oracle)
         assert dict(store.arrived_at) == {bid: arrived[bid] for bid in oracle}
+
+
+def test_no_bundle_field_is_written_after_construction():
+    """Bundles are frozen, and the package's only writes past that are __post_init__'s own."""
+    assert Bundle.__dataclass_params__.frozen
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        make_bundle(1).payload = b"y"
+    package = Path(__file__).resolve().parents[1] / "src" / "carryflow"
+    stray = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call) and ast.unparse(call.func) in
+                        ("object.__setattr__", "setattr")
+                        and not (func.name == "__post_init__"
+                                 and ast.unparse(call.args[0]) == "self")):
+                    stray.add(f"{path.name}: {ast.unparse(call)}")
+    # the collector adds seconds to its own phase rows, which are not bundles
+    assert stray == {"report.py: setattr(row, column, getattr(row, column) + seconds)"}

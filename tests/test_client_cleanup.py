@@ -123,18 +123,6 @@ def test_successful_workflow_broadcasts_marker_to_all(line3):
         assert len(held) == 1
 
 
-def test_malformed_offer_bundles_are_counted(line3):
-    # a short payload, and payloads that are not bytes at all
-    for seq, payload in enumerate((b"\x01\x02", bytearray(b"\x01\x02"), "\x01\x02"),
-                                  start=1):
-        bad = Bundle(bundle_id=(7, seq), source=2, destination=None,
-                     kind=BundleKind.OFFER, payload=payload, size_bytes=2,
-                     created_at=0.0, ttl_seconds=100.0)
-        line3.node(1).on_bundle(bad)
-        line3.node(2).on_bundle(bad)
-        assert line3.collector.malformed_offers == 2 * seq
-
-
 def test_unparsable_workflow_raises_immediately(line3):
     from carryflow.workflow import WorkflowParseError
     with pytest.raises(WorkflowParseError):

@@ -35,3 +35,29 @@ def test_every_public_function_has_a_caller():
     uncalled = [f"{file}:{line} {name}" for file, line, name in defs
                 if words[name] <= n_defs[name] and name not in ALLOWED]
     assert uncalled == []
+
+
+# names deleted with the offer codec: an offer bundle's payload is its
+# Announcement record, so nothing encodes, decodes or caches decoded offers
+DELETED = ("encode_offers", "offers_of", "OfferCodecError", "_HEADER", "_RECORD")
+
+
+def test_the_offer_codec_stays_deleted():
+    from dataclasses import fields
+
+    from carryflow.bundles import Bundle
+    assert "decoded" not in {f.name for f in fields(Bundle)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name} {name}" for name in DELETED
+                  if re.search(rf"\b{name}\b", text)]
+        found += [f"{path.name} .decoded" for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute) and node.attr == "decoded"]
+    assert found == []
+    # no module packs or unpacks an offer
+    announce = ast.parse((PACKAGE / "announce.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(announce)
+                if isinstance(node, ast.Import)
+                and any(alias.name == "struct" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "struct"]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from carryflow import harness
 from carryflow.assignment import Strategy
 from carryflow.bundles import BundleKind
 from carryflow.cli import resolve_scenario
@@ -39,10 +40,35 @@ def test_ring_positions_spacing():
     assert chord < spacing
     arc = ring_arc_distance(n, spacing)
     for i in range(n):
-        assert arc(pos[i], pos[(i + 1) % n]) == pytest.approx(spacing)
-    # arc distance counts hops the short way around
-    assert arc(pos[0], pos[6]) == pytest.approx(6 * spacing)
-    assert arc(pos[0], pos[9]) == pytest.approx(3 * spacing)
+        assert arc(pos[i], pos[(i + 1) % n]) == spacing
+        assert arc(pos[i], pos[i]) == 0.0
+    # arc distance counts hops the short way around, exactly
+    assert arc(pos[0], pos[6]) == 6 * spacing
+    assert arc(pos[0], pos[9]) == 3 * spacing
+    assert arc(pos[9], pos[2]) == 5 * spacing
+
+
+def test_ring_arc_distance_refuses_a_position_that_is_not_a_slot():
+    pos = ring_positions(12, 100.0)
+    arc = ring_arc_distance(12, 100.0)
+    off = (math.nextafter(pos[3][0], math.inf), pos[3][1])
+    with pytest.raises(ValueError, match="not a slot"):
+        arc(pos[0], off)
+    with pytest.raises(ValueError, match="not a slot"):
+        arc((0.0, 0.0), pos[0])
+
+
+def test_a_ring_run_calls_no_trigonometry_after_its_slots(monkeypatch):
+    config = resolve_scenario("ring-heterogeneous")
+    want = [run_scenario(config, strategy=s).digest() for s in Strategy]
+    slots = ring_positions(config.topology.nodes, config.topology.spacing_m)
+    monkeypatch.setattr(harness, "ring_positions", lambda n, spacing_m: list(slots))
+
+    def refused(*args):
+        raise AssertionError("a trigonometric call after ring_positions")
+    for name in ("atan2", "cos", "sin"):
+        monkeypatch.setattr(math, name, refused)
+    assert [run_scenario(config, strategy=s).digest() for s in Strategy] == want
 
 
 def test_assign_cohorts_pins_and_shuffles(tiny_config):

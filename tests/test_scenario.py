@@ -1,5 +1,6 @@
 """Scenario INI parsing: typed sections, cohort sizing, collected errors."""
 
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carryflow.announce import (MAX_PARAM_COUNT, SERVICE_NAME_BYTES,
-                                CapabilityVector, decode_offers, encode_offers)
+from carryflow.announce import (MAX_PARAM_COUNT, OFFER_HEADER_BYTES,
+                                OFFER_RECORD_BYTES, SERVICE_NAME_BYTES,
+                                CapabilityVector, build_offer_bundle)
 from carryflow.assignment import Strategy
 from carryflow.cli import packaged_scenarios
 from carryflow.runtime import FaultPlan, ServiceDefinition
@@ -155,11 +157,26 @@ def test_problems_are_collected_not_fail_fast():
      "ends in a NUL byte"),
     (lambda t: t.replace("ext=png", "ext=png, params=4294967296"),
      "params must be at most 4294967295"),
+    (lambda t: t.replace("ext=png", "ext=png, params=-1"),
+     "params must be at least 0, got -1"),
+    # a service with an empty name never reaches an offer record
+    (lambda t: t.replace("[services]\n", "[services]\n = mean=1\n"),
+     "Source contains parsing errors"),
     (lambda t: t.replace("kind = ring\nnodes = 6\nspacing_m = 50",
                          "kind = waypoint\nspeed_min = 3\nspeed_max = 1"),
      "speed_min 3 exceeds speed_max 1"),
     (lambda t: t.replace("input = in.dat:1000", "input = in.dat:-1000"),
      "input: in.dat must be at least 0, got -1000"),
+    (lambda t: t.replace("[run]", "[run]\nannounce_interval_s = 1e-300"),
+     r"\[run\] announce_interval_s 1e-300 repeats more than 1000000 times"),
+    (lambda t: t.replace("[run]", "[run]\ntick_s = 1e-5"),
+     r"\[run\] tick_s 1e-05 repeats more than 1000000 times in duration_s 60"),
+    (lambda t: t.replace("nodes = 6", "nodes = 1000000000"),
+     r"\[topology\] nodes must be at most 10000, got 1000000000"),
+    (lambda t: t.replace("repeat = 2", "repeat = 100001"),
+     r"\[workflow\] repeat must be at most 100000, got 100001"),
+    (lambda t: t.replace("addresses = 1", "count = 3").replace("repeat = 2", "repeat = 40000"),
+     r"\[workflow\] repeat 40000 for 3 clients is more than 100000 offloads"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -246,9 +263,62 @@ def test_offer_wire_limits_are_inclusive():
     svc = cfg.services[name]
     caps = CapabilityVector(cpu=1.0, memory=1.0, disk=1.0, energy=1.0,
                             position=(0.0, 0.0))
-    payload = encode_offers(1, 0.0, caps, [(svc.name, svc.param_count)])
-    assert [(o.service_name, o.param_count) for o in decode_offers(payload)] \
-        == [(name, MAX_PARAM_COUNT)]
+    bundle = build_offer_bundle((1, 1), 1, 0.0, caps, {svc.name: svc.param_count})
+    assert bundle.payload.params == {name: MAX_PARAM_COUNT}
+    assert bundle.size_bytes == OFFER_HEADER_BYTES + OFFER_RECORD_BYTES
+
+
+def test_the_size_bounds_are_inclusive():
+    text = RING_INI.replace("addresses = 1", "count = 5").replace("repeat = 2",
+                                                                 "repeat = 20000")
+    assert parse_scenario(text).workflow.repeat == 20000
+    assert parse_scenario(RING_INI.replace("nodes = 6", "nodes = 10000")).topology.nodes \
+        == 10000
+
+
+def test_a_zeno_announce_round_on_a_packaged_scenario_is_refused(tmp_path, monkeypatch):
+    from carryflow import harness
+    from carryflow.cli import main
+
+    def no_world(config):
+        raise AssertionError("a refused scenario built a world")
+    monkeypatch.setattr(harness, "build", no_world)
+    for setting in ("announce_interval_s = 1e-300", "tick_s = 1e-300"):
+        text = (SCENARIO_DIR / "ring-heterogeneous.ini").read_text().replace(
+            "[run]", f"[run]\n{setting}").replace("file = pipeline.wf",
+                                                 f"file = {SCENARIO_DIR / 'pipeline.wf'}")
+        path = tmp_path / "zeno.ini"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+    path.write_text(path.read_text().replace("nodes = 12", "nodes = 1000000000"))
+    assert main(["run", str(path)]) == 2
+
+
+FINITE = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,
+                   allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(duration_s=FINITE, period=FINITE)
+@example(duration_s=60.0, period=1e-300)
+# the sum rounds up past an odd duration, yet the float below it stays put
+@example(duration_s=1.0 + 2 ** -52, period=2 ** -53)
+@example(duration_s=1e6, period=1.0)
+def test_every_accepted_period_advances_the_clock(duration_s, period):
+    text = RING_INI.replace("duration_s = 60", f"duration_s = {duration_s!r}").replace(
+        "[run]", f"[run]\ntick_s = {period!r}\nannounce_interval_s = {period!r}")
+    try:
+        run = parse_scenario(text).run
+    except ScenarioError as exc:
+        assert all("repeats more than" in problem for problem in exc.problems)
+        return
+    assert (run.duration_s, run.tick_s, run.announce_interval_s) \
+        == (duration_s, period, period)
+    # every time up to the cap moves: the floats of the cap's binade have the
+    # largest gaps, and the two below the cap have opposite last bits
+    below = math.nextafter(duration_s, 0.0)
+    for now in (duration_s, below, math.nextafter(below, 0.0), 0.0):
+        assert now + period > now
 
 
 def test_duplicate_pins_rejected():
