@@ -52,6 +52,17 @@ belongs to a link that closed. A transfer's duration depends only on the
 bundle's size, so the world computes it once per distinct size and looks it
 up after that. A completed copy the receiver already holds is not delivered
 again.
+
+The event queue is keyed by time. Equal-sized transfers that start together
+end together, so events cluster, a handful to a time; the heap holds each
+pending time once, as a bare float, and `_due` maps each of those times to
+the list of its callbacks in the order they were scheduled. Events run in
+time order and, at one time, in that order, with no tuple or sequence
+number per event. `run_until` takes a time's whole list out before running
+it; an event scheduled for that same instant meanwhile starts a fresh list
+and pushes the time again, so it runs right after every event already
+listed, where a (time, sequence) heap would put it. That holds because no
+event is scheduled before `now`: `schedule` refuses such a time, and NaN.
 """
 
 from __future__ import annotations
@@ -237,8 +248,9 @@ class World:
         self.mobility = mobility
         self.rating_distance = rating_distance
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+        # each pending event time once, and its callbacks in scheduling order
+        self._heap: list[float] = []
+        self._due: dict[float, list[Callable[[], None]]] = {}
         self.stores: dict[NodeAddress, BundleStore] = {}
         self._nodes: dict[NodeAddress, _Node] = {}
         self._addr_index: dict[NodeAddress, int] = {}
@@ -285,6 +297,7 @@ class World:
         next runs.
         """
         self._heap.clear()
+        self._due.clear()
         self.stores.clear()
         for node in self._nodes.values():
             node.links.clear()
@@ -302,16 +315,49 @@ class World:
     # -- event queue -------------------------------------------------------
 
     def schedule(self, when: float, fn: Callable[[], None]) -> None:
-        """Queue fn at simulated time `when`; same-time events run in insertion order."""
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, fn))
+        """Queue fn at simulated time `when`, which may not be before `now`.
+
+        Events run in time order and, at one time, in the order they were
+        scheduled: fn joins the list of `when` if it has one, or starts it and
+        puts `when` on the heap. A time before `now`, or NaN, raises
+        ValueError; the clock never runs backwards.
+        """
+        if not when >= self.now:
+            raise ValueError(f"cannot schedule an event at {when!r}, before now = {self.now!r}")
+        fns = self._due.get(when)
+        if fns is None:
+            self._due[when] = [fn]
+            heapq.heappush(self._heap, when)
+        else:
+            fns.append(fn)
 
     def run_until(self, t_end: float) -> None:
-        heap, pop = self._heap, heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            when, _, fn = pop(heap)
+        """Run every event due at or before t_end, then set `now` to at least t_end.
+
+        Each step takes the earliest time's whole list out of the queue and
+        runs it in order; an event it schedules at that same time starts a
+        fresh list, which runs next. If an event raises, the rest of its list
+        goes back to the front of that time's list before the error
+        propagates, so a later call runs each of them once.
+        """
+        heap, due, pop = self._heap, self._due, heapq.heappop
+        while heap and heap[0] <= t_end:
+            when = pop(heap)
             self.now = when
-            fn()
+            fns = iter(due.pop(when))
+            try:
+                for fn in fns:
+                    fn()
+            except BaseException:
+                rest = list(fns)
+                if rest:
+                    later = due.get(when)
+                    if later is None:
+                        due[when] = rest
+                        heapq.heappush(heap, when)
+                    else:
+                        later[:0] = rest
+                raise
         self.now = max(self.now, t_end)
 
     def advance(self, dt: float) -> None:

@@ -61,3 +61,11 @@ def test_the_offer_codec_stays_deleted():
                 if isinstance(node, ast.Import)
                 and any(alias.name == "struct" for alias in node.names)
                 or isinstance(node, ast.ImportFrom) and node.module == "struct"]
+
+
+def test_the_event_queue_keeps_no_sequence_number():
+    # same-time events keep their order in their time's list, so no event
+    # carries a tie-breaking counter and the heap holds bare times
+    from carryflow.simnet import LinkModel, World
+    assert not hasattr(World(LinkModel()), "_seq")
+    assert not re.search(r"\b_seq\b", (PACKAGE / "simnet.py").read_text(encoding="utf-8"))

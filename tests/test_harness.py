@@ -232,7 +232,7 @@ def test_run_scenario_releases_its_world(monkeypatch):
         assert report.digest() == golden[f"{name}/spread/{seed}"]
         world = built[-1].world
         assert world.stores == {} and world._heap == [] and world._links == {}
-        assert world._nodes == {}
+        assert world._nodes == {} and world._due == {}
         # the ring world has no range detector; the mobile one has
         assert (world._contacts is None) == (name == "ring-heterogeneous")
 

@@ -1,5 +1,6 @@
 """Event loop, link arithmetic, epidemic sync, and mobility bounds."""
 
+import heapq
 import math
 import random
 from dataclasses import replace
@@ -77,6 +78,173 @@ def test_same_time_events_run_in_insertion_order():
     world.run_until(2.0)
     assert order == ["first", "a", "b"]
     assert world.now == 2.0
+
+
+def test_an_event_cannot_schedule_before_now():
+    # from inside an event at 5.0, a time of 2.0 is refused: it would set the
+    # clock back and run ahead of the event already queued at 5.0
+    world = World(LINK)
+    seen = []
+
+    def at_five():
+        with pytest.raises(ValueError):
+            world.schedule(2.0, lambda: seen.append(("past", world.now)))
+        seen.append(("five", world.now))
+
+    world.schedule(5.0, at_five)
+    world.schedule(5.0, lambda: seen.append(("other", world.now)))
+    world.run_until(10.0)
+    assert seen == [("five", 5.0), ("other", 5.0)]
+    assert world.now == 10.0
+    with pytest.raises(ValueError):
+        world.schedule(9.5, lambda: None)
+    assert world._heap == [] and world._due == {}
+
+
+def test_a_nan_time_is_refused_and_stalls_nothing():
+    world = World(LINK)
+    order = []
+    with pytest.raises(ValueError):
+        world.schedule(math.nan, lambda: order.append("nan"))
+    world.schedule(1.0, lambda: order.append("one"))
+    world.run_until(2.0)
+    assert order == ["one"]
+
+
+@pytest.mark.parametrize("same_time_child", [False, True])
+def test_a_raising_event_leaves_the_rest_of_its_instant_queued(same_time_child):
+    world = World(LINK)
+    order = []
+
+    def boom():
+        order.append("boom")
+        if same_time_child:
+            world.schedule(world.now, lambda: order.append("child"))
+        raise RuntimeError("boom")
+
+    for fn in (lambda: order.append("a"), boom, lambda: order.append("b"),
+               lambda: order.append("c")):
+        world.schedule(1.0, fn)
+    world.schedule(2.0, lambda: order.append("later"))
+    with pytest.raises(RuntimeError):
+        world.run_until(3.0)
+    assert order == ["a", "boom"] and world.now == 1.0
+    world.run_until(3.0)
+    child = ["child"] if same_time_child else []
+    assert order == ["a", "boom", "b", "c", *child, "later"]
+    assert world.now == 3.0
+
+
+class _Boom(Exception):
+    pass
+
+
+class _ReferenceQueue:
+    """The (when, seq) tuple heap the world's queue must order events like."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.heap: list = []
+        self.seq = 0
+
+        def tick():
+            pass
+
+        tick.label = "tick"     # the world's own first event, at 0.0
+        self.schedule(0.0, tick)
+
+    def schedule(self, when, fn) -> None:
+        if not when >= self.now:
+            raise ValueError(when)
+        self.seq += 1
+        heapq.heappush(self.heap, (when, self.seq, fn))
+
+    def run_until(self, t_end) -> None:
+        while self.heap and self.heap[0][0] <= t_end:
+            when, _, fn = heapq.heappop(self.heap)
+            self.now = when
+            fn()
+        self.now = max(self.now, t_end)
+
+    def pending(self) -> list:
+        return [(when, fn.label) for when, _, fn in sorted(self.heap)]
+
+
+def world_pending(world: World) -> list:
+    # one heap entry per pending time, and a non-empty list for each
+    assert sorted(world._heap) == sorted(world._due) and len(set(world._heap)) == len(world._heap)
+    assert all(world._due.values())
+    return [(when, getattr(fn, "label", "tick"))
+            for when in sorted(world._heap) for fn in world._due[when]]
+
+
+def drive(queue, ops) -> list:
+    """Run ops on queue: what ran, at what time, and each call's outcome.
+
+    A plan is (time, raises, children): its event schedules each child's
+    plan and then raises if asked. A time before `now` must be refused.
+    """
+    log = []
+
+    def schedule(plan, label):
+        when, raises, children = plan
+
+        def fn():
+            log.append((label, queue.now))
+            for i, child in enumerate(children):
+                schedule(child, f"{label}.{i}")
+            if raises:
+                raise _Boom(label)
+
+        fn.label = label
+        try:
+            queue.schedule(when, fn)
+        except ValueError:
+            log.append(("refused", label, queue.now))
+
+    for k, (kind, arg) in enumerate(ops):
+        if kind == "add":
+            schedule(arg, str(k))
+            continue
+        try:
+            queue.run_until(arg)
+        except _Boom as exc:
+            log.append(("raised", str(exc)))
+        log.append(("now", queue.now))
+    return log
+
+
+_TIMES = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, math.inf])
+_PLANS = st.recursive(
+    st.tuples(_TIMES, st.sampled_from([False, False, True]), st.just(())),
+    lambda kids: st.tuples(_TIMES, st.sampled_from([False, False, True]),
+                           st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=8)
+# on event times and between them
+_BOUNDS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, math.inf])
+_OPS = st.lists(st.one_of(st.tuples(st.just("add"), _PLANS),
+                          st.tuples(st.just("run"), _BOUNDS)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+# ties, one scheduling at its own instant mid-list, and one raising before it
+@example([("add", (1.0, False, ())), ("add", (1.0, False, ((1.0, False, ()),))),
+          ("add", (1.0, True, ())), ("add", (1.0, False, ())), ("run", 1.0),
+          ("add", (1.0, False, ())), ("run", 1.0)])
+@example([("add", (-0.0, False, ((0.0, False, ()), (math.inf, False, ())))),
+          ("run", 0.0), ("add", (-0.0, False, ())), ("run", math.inf)])
+def test_queue_runs_events_as_a_sequence_numbered_heap(ops):
+    world, reference = World(LINK), _ReferenceQueue()
+    assert drive(world, ops) == drive(reference, ops)
+    assert world.now == reference.now
+    assert world_pending(world) == reference.pending()
+    # every event still pending runs once, in the same order; each call
+    # stops at most at one raising event
+    while reference.heap:
+        drain = [("run", math.inf)]
+        assert drive(world, drain) == drive(reference, drain)
+    assert world_pending(world) == []
 
 
 def test_flood_arrival_times_per_hop():
