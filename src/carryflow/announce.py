@@ -2,14 +2,15 @@
 
 Every worker broadcasts one bundle per announcement round. Its payload is
 the round's `Announcement`, the way an archive bundle's payload is its
-`Archive`: the worker, the issue time, a snapshot of its capability vector
-and the param count of each service it offers. Nothing is encoded; a
-bundle's size is what the fixed-width record layout would take, a header
-plus one record per service, so link timing follows the layout. The
-layout's limits, `SERVICE_NAME_BYTES` and `MAX_PARAM_COUNT`, are the
-model's, and the scenario parser enforces them. Every store holding a copy
-holds the same bundle, so the announcement is freed with its last copy, and
-nothing may edit it.
+`Archive`: a snapshot of the worker's capability vector and the param count
+of each service it offers. The bundle's source and creation time are the
+worker and the issue time. Nothing is encoded; a bundle's size is what the
+fixed-width record layout would take, a header plus one record per
+service, so link timing follows the layout. The layout's limits,
+`SERVICE_NAME_BYTES` and `MAX_PARAM_COUNT`, are the model's, and the
+scenario parser enforces them. Every store holding a copy holds the same
+bundle, so the announcement is freed with its last copy, and nothing may
+edit it.
 
 A node's offer view is read from the offer bundles its store holds, in
 arrival order: of the announcements of one worker offering one service, a
@@ -17,7 +18,7 @@ newer issue always wins, a delayed older one never overwrites, and of two
 issued at the same time the first to arrive stays. An offer is fresh
 exactly while its bundle is live in the store, so the store's expiry rule
 is the only one. The view keeps no state of its own; a lookup, which runs
-when a task is assigned, folds the live announcements of the one service
+when a task is assigned, folds the live offer bundles of the one service
 it asks for and builds an OfferRecord only for each winner.
 """
 
@@ -53,9 +54,6 @@ class CapabilityVector:
     energy: float
     position: Position
 
-    def resource(self, metric: str) -> float:
-        return getattr(self, metric)
-
     def unmet(self, requirements: dict[str, float]) -> list[str]:
         """The required resource metrics this vector falls short of, in requirement order."""
         return [metric for metric, required in requirements.items()
@@ -71,28 +69,20 @@ class Announcement:
     since its services are fixed once it is built, and every round shares it.
     """
 
-    worker: NodeAddress
-    issued_at: float
     capabilities: CapabilityVector
     params: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class ServiceOffer:
-    worker: NodeAddress
-    service_name: str
-    param_count: int
-    capabilities: "CapabilityVector"
-    issued_at: float
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class OfferRecord:
-    offer: ServiceOffer
+    """One worker's winning offer of a service, as selection reads it."""
+
+    worker: NodeAddress
+    capabilities: CapabilityVector
     received_at: float
 
 
-def decode_offers(payload: object) -> list[ServiceOffer]:
+def decode_offers(payload: object) -> list[OfferRecord]:
     """No payload is encoded; the name stays only for the benchmark tracer, which patches it."""
     raise NotImplementedError("offer payloads are Announcement records, not bytes")
 
@@ -108,7 +98,7 @@ def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: floa
     issued_at = float(issued_at)
     return Bundle(bundle_id=bundle_id, source=worker, destination=BROADCAST,
                   kind=BundleKind.OFFER,
-                  payload=Announcement(worker, issued_at, snapshot, params),
+                  payload=Announcement(snapshot, params),
                   size_bytes=OFFER_HEADER_BYTES + OFFER_RECORD_BYTES * len(params),
                   created_at=issued_at, ttl_seconds=expiry_s)
 
@@ -123,18 +113,18 @@ class OfferDatabase:
     def __init__(self, store: BundleStore) -> None:
         self.store = store
 
-    def ingest(self, candidates: Sequence[tuple[Announcement, float]],
-               winners: dict[NodeAddress, tuple[Announcement, float]]) -> int:
-        """Fold (announcement, received_at) pairs, in arrival order, into one winner per worker.
+    def ingest(self, candidates: Sequence[tuple[Bundle, float]],
+               winners: dict[NodeAddress, tuple[Bundle, float]]) -> int:
+        """Fold (offer bundle, received_at) pairs, in arrival order, into one winner per worker.
 
         A newer issue wins; on a tie the first arrival stays. Returns how
         many candidates added or replaced a winner.
         """
         applied = 0
         for candidate in candidates:
-            worker = candidate[0].worker
+            worker = candidate[0].source
             winner = winners.get(worker)
-            if winner is None or winner[0].issued_at < candidate[0].issued_at:
+            if winner is None or winner[0].created_at < candidate[0].created_at:
                 winners[worker] = candidate
                 applied += 1
         return applied
@@ -142,16 +132,11 @@ class OfferDatabase:
     def lookup(self, service_name: str, now: float) -> list[OfferRecord]:
         """Fresh offers for one service, sorted by worker address."""
         arrived_at = self.store.arrived_at
-        candidates = [(bundle.payload, arrived_at[bundle.bundle_id])
+        candidates = [(bundle, arrived_at[bundle.bundle_id])
                       for bundle in self.store.live(now)
                       if bundle.kind is BundleKind.OFFER
                       and service_name in bundle.payload.params]
-        winners: dict[NodeAddress, tuple[Announcement, float]] = {}
+        winners: dict[NodeAddress, tuple[Bundle, float]] = {}
         self.ingest(candidates, winners)
-        return [OfferRecord(offer=ServiceOffer(
-                    worker=worker, service_name=service_name,
-                    param_count=announcement.params[service_name],
-                    capabilities=announcement.capabilities,
-                    issued_at=announcement.issued_at),
-                    received_at=received_at)
-                for worker, (announcement, received_at) in sorted(winners.items())]
+        return [OfferRecord(worker, bundle.payload.capabilities, received_at)
+                for worker, (bundle, received_at) in sorted(winners.items())]

@@ -1,6 +1,8 @@
 """Worker rating and the four selection strategies.
 
-A worker's score for a task sums, over the task's required resource metrics,
+Selection reads a lookup's offer records: per worker, the capability
+snapshot of its winning announcement and the time that bundle arrived. A
+worker's score for a task sums, over the task's required resource metrics,
 the weighted ratio of advertised capability to requirement (capped so one
 huge resource cannot buy an arbitrary advantage), plus a weighted proximity
 term derived from the distance to the worker's announced position. Selection
@@ -15,7 +17,7 @@ import random
 from enum import Enum
 from typing import Callable, Optional
 
-from .announce import OfferRecord, ServiceOffer
+from .announce import CapabilityVector, OfferRecord
 from .bundles import NodeAddress
 from .simnet import Position, euclidean
 from .workflow import RESOURCE_METRICS
@@ -62,10 +64,10 @@ def proximity(distance_m: float, reference_m: float) -> float:
     return 1.0 / (1.0 + distance_m / reference_m)
 
 
-def rate(offer: ServiceOffer, requirements: dict[str, float],
+def rate(caps: CapabilityVector, requirements: dict[str, float],
          weights: dict[str, float], origin: Position,
          distance_fn: Callable[[Position, Position], float] = euclidean) -> float:
-    """Score one offer against one task's requirements.
+    """Score one advertised capability vector against one task's requirements.
 
     Metrics absent from the requirements are left out of the score entirely.
     """
@@ -75,11 +77,11 @@ def rate(offer: ServiceOffer, requirements: dict[str, float],
         required = requirements.get(metric)
         if required is None:
             continue
-        ratio = offer.capabilities.resource(metric) / required
+        ratio = getattr(caps, metric) / required
         score += weights.get(metric, 0.0) * min(ratio, CAP_RATIO)
     reference = requirements.get(DISTANCE_METRIC)
     if reference is not None:
-        d = distance_fn(origin, offer.capabilities.position)
+        d = distance_fn(origin, caps.position)
         score += weights.get(DISTANCE_METRIC, 0.0) * proximity(d, reference)
     return score
 
@@ -87,7 +89,7 @@ def rate(offer: ServiceOffer, requirements: dict[str, float],
 def capability_filter(records: list[OfferRecord],
                       requirements: dict[str, float]) -> list[OfferRecord]:
     """Keep offers whose advertised resources meet every required metric."""
-    return [rec for rec in records if not rec.offer.capabilities.unmet(requirements)]
+    return [rec for rec in records if not rec.capabilities.unmet(requirements)]
 
 
 def rank(records: list[OfferRecord], requirements: dict[str, float],
@@ -95,7 +97,7 @@ def rank(records: list[OfferRecord], requirements: dict[str, float],
          distance_fn: Callable[[Position, Position], float] = euclidean) -> list[OfferRecord]:
     """Order candidates by descending score, ties by ascending address."""
     return sorted(records, key=lambda rec: (
-        -rate(rec.offer, requirements, weights, origin, distance_fn), rec.offer.worker))
+        -rate(rec.capabilities, requirements, weights, origin, distance_fn), rec.worker))
 
 
 def folded_normal_index(n: int, rng: random.Random) -> int:
@@ -122,18 +124,18 @@ def select(strategy: Strategy, records: list[OfferRecord],
     strategies stay comparable. Ties everywhere resolve by worker address.
     """
     if exclude:
-        records = [rec for rec in records if rec.offer.worker not in exclude]
+        records = [rec for rec in records if rec.worker not in exclude]
     candidates = capability_filter(records, requirements)
     if not candidates:
         raise SelectionError("no capable worker offers the service")
     if strategy is Strategy.RECENT:
-        return max(candidates, key=lambda rec: (rec.received_at, -rec.offer.worker)).offer.worker
+        return max(candidates, key=lambda rec: (rec.received_at, -rec.worker)).worker
     if strategy is Strategy.RANDOM:
-        workers = sorted(rec.offer.worker for rec in candidates)
+        workers = sorted(rec.worker for rec in candidates)
         return workers[rng.randrange(len(workers))]
     ranked = rank(candidates, requirements, weights, origin, distance_fn)
     if strategy is Strategy.BEST:
-        return ranked[0].offer.worker
+        return ranked[0].worker
     if strategy is Strategy.SPREAD:
-        return ranked[folded_normal_index(len(ranked), rng)].offer.worker
+        return ranked[folded_normal_index(len(ranked), rng)].worker
     raise ValueError(f"unknown strategy {strategy!r}")

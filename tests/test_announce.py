@@ -13,10 +13,10 @@ import carryflow
 from carryflow import announce
 from carryflow.announce import (Announcement, CapabilityVector,
                                 MAX_PARAM_COUNT, OFFER_HEADER_BYTES, OFFER_RECORD_BYTES,
-                                OfferDatabase, SERVICE_NAME_BYTES, ServiceOffer,
+                                OfferDatabase, OfferRecord, SERVICE_NAME_BYTES,
                                 build_offer_bundle)
 from carryflow.assignment import DEFAULT_WEIGHTS, Strategy, select
-from carryflow.bundles import BROADCAST, BundleKind, BundleStore
+from carryflow.bundles import BROADCAST, Bundle, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
 from carryflow.harness import run_scenario
 from carryflow.scenario import ScenarioError, parse_scenario
@@ -26,29 +26,18 @@ CAPS = CapabilityVector(cpu=4.0, memory=2048.0, disk=8192.0, energy=75.5,
 SCENARIOS = Path(carryflow.__file__).parent / "scenarios"
 
 
-def announcement(worker: int, issued_at: float, services=("scale",)) -> Announcement:
-    return Announcement(worker, issued_at, CAPS, {name: 1 for name in services})
-
-
-def offers_in(record: Announcement) -> list[ServiceOffer]:
-    """Every (worker, service) offer an announcement makes, as a lookup shows it."""
-    return [ServiceOffer(worker=record.worker, service_name=name, param_count=count,
-                         capabilities=record.capabilities, issued_at=record.issued_at)
-            for name, count in record.params.items()]
-
-
-def test_codec_round_trip():
-    """A built record reads back through a lookup as the offers it was given."""
+def test_a_built_bundle_reads_back_through_a_lookup():
+    """Each service of a built bundle shows its worker and capability snapshot."""
     db = OfferDatabase(BundleStore())
     bundle = build_offer_bundle((42, 1), 42, 7.25, CAPS, {"scale": 1, "denoise": 2})
     assert bundle.size_bytes == OFFER_HEADER_BYTES + 2 * OFFER_RECORD_BYTES
+    assert bundle.payload.params == {"scale": 1, "denoise": 2}
+    assert (bundle.source, bundle.created_at) == (42, 7.25)
     assert db.store.insert(bundle, 7.5)
-    read = [rec.offer for name in ("scale", "denoise") for rec in db.lookup(name, 8.0)]
-    assert [(o.service_name, o.param_count) for o in read] == \
-        [("scale", 1), ("denoise", 2)]
+    read = [rec for name in ("scale", "denoise") for rec in db.lookup(name, 8.0)]
+    assert [(rec.worker, rec.received_at) for rec in read] == [(42, 7.5), (42, 7.5)]
     first = read[0]
-    assert first.worker == 42
-    assert first.issued_at == 7.25
+    assert first.capabilities is bundle.payload.capabilities
     assert first.capabilities.cpu == 4.0
     assert first.capabilities.energy == 75.5
     assert first.capabilities.position == (12.5, -3.0)
@@ -63,7 +52,7 @@ def test_build_offer_bundle_fields():
     assert bundle.ttl_seconds == 60.0
     record = bundle.payload
     assert type(record) is Announcement
-    assert (record.worker, repr(record.issued_at)) == (5, "3.0")
+    assert (bundle.source, repr(bundle.created_at)) == (5, "3.0")
     # every round of a node shares its one params map
     assert record.params is params
     assert record.capabilities == CAPS and record.capabilities is not CAPS
@@ -98,8 +87,8 @@ def test_service_name_length_limit():
     ("rescale", -1, "at least 0"),
     ("rescale", MAX_PARAM_COUNT + 1, f"at most {MAX_PARAM_COUNT}"),
 ])
-def test_encoder_refuses_what_would_not_decode_back(service):
-    """A service whose offer record would not read back as written is refused at parse time."""
+def test_the_parser_refuses_a_service_the_offer_layout_cannot_hold(service):
+    """A service whose name or param count the fixed-width layout cannot hold is refused."""
     name, count, why = service
     with pytest.raises(ScenarioError) as info:
         parse_with_service(f"{name} = mean=1, params={count}")
@@ -121,25 +110,26 @@ NAMES = st.text(st.characters(codec="utf-8"), min_size=1, max_size=24).filter(
        params=st.dictionaries(NAMES, st.integers(0, MAX_PARAM_COUNT), max_size=5))
 @example(worker=0, issued_at=3, numbers=[4, 2048, -0.0, 0, -7, 2 ** 53 + 1],
          params={"é" * 12: 0, "名" * 8: MAX_PARAM_COUNT, "a\x00b": 1})
-def test_built_offers_are_what_the_payload_decodes_to(worker, issued_at, numbers, params):
-    """Each service of a built record reads back through a lookup as a float snapshot."""
+def test_a_lookup_shows_each_service_of_a_built_bundle_as_a_float_snapshot(
+        worker, issued_at, numbers, params):
+    """Each service of a built bundle reads back through a lookup as a float snapshot."""
     cpu, memory, disk, energy, x, y = numbers
     caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
                             position=(x, y))
     db = OfferDatabase(BundleStore())
     now = float(issued_at)
-    assert db.store.insert(build_offer_bundle((worker, 1), worker, issued_at, caps, params),
-                           now)
+    bundle = build_offer_bundle((worker, 1), worker, issued_at, caps, params)
+    assert db.store.insert(bundle, now)
+    assert bundle.payload.params is params
+    assert repr(bundle.created_at) == repr(now)
     snapshot = CapabilityVector(cpu=float(cpu), memory=float(memory), disk=float(disk),
                                 energy=float(energy), position=(float(x), float(y)))
-    want = {name: repr(ServiceOffer(worker=worker, service_name=name, param_count=count,
-                                    capabilities=snapshot, issued_at=now))
-            for name, count in params.items()}
+    want = {name: repr(OfferRecord(worker=worker, capabilities=snapshot, received_at=now))
+            for name in params}
 
     def read() -> dict:
         # repr tells an int from a float and -0.0 from 0.0
-        return {name: repr(rec.offer) for name in params
-                for rec in db.lookup(name, now)}
+        return {name: repr(rec) for name in params for rec in db.lookup(name, now)}
     assert read() == want
     # the offers hold a snapshot: the node moves and spends its own vector
     caps.position, caps.energy = (1.5, 2.5), 0.5
@@ -154,21 +144,24 @@ def test_an_announcement_is_a_frozen_float_snapshot(worker, issued_at, numbers):
     cpu, memory, disk, energy, x, y = numbers
     caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
                             position=(x, y))
-    record = build_offer_bundle((worker, 1), worker, issued_at, caps, {"s": 1}).payload
+    bundle = build_offer_bundle((worker, 1), worker, issued_at, caps, {"s": 1})
+    record = bundle.payload
     want = repr((float(issued_at), float(cpu), float(memory), float(disk),
                  float(energy), (float(x), float(y))))
     snapshot = record.capabilities
 
     def seen() -> str:
         # repr tells an int from a float and -0.0 from 0.0
-        return repr((record.issued_at, snapshot.cpu, snapshot.memory, snapshot.disk,
+        return repr((bundle.created_at, snapshot.cpu, snapshot.memory, snapshot.disk,
                      snapshot.energy, snapshot.position))
     assert seen() == want
     # the node moves and spends its own vector; the round keeps what it sent
     caps.position, caps.energy = (1.5, 2.5), 0.5
     assert seen() == want
     with pytest.raises(FrozenInstanceError):
-        record.issued_at = 0.0
+        bundle.created_at = 0.0
+    with pytest.raises(FrozenInstanceError):
+        record.params = {}
     assert not hasattr(record, "__dict__")
 
 
@@ -187,42 +180,55 @@ def offer_bundle(seq: int, worker: int, issued_at: float, services=("scale",),
                               {name: 1 for name in services}, expiry_s=expiry_s)
 
 
+def assert_shows(records, winners) -> None:
+    """A lookup's records are the winning (bundle, received_at) pairs, in order.
+
+    Every bundle here carries CAPS's values, so a record's snapshot is matched
+    by identity: build_offer_bundle makes a fresh one per bundle.
+    """
+    assert [(rec.worker, rec.received_at) for rec in records] == \
+        [(bundle.source, at) for bundle, at in winners]
+    assert all(rec.capabilities is bundle.payload.capabilities
+               for rec, (bundle, _) in zip(records, winners))
+
+
+ARRIVAL_ORDER = [(10.0, 10.1), (12.0, 12.1), (11.0, 15.0), (12.0, 16.0)]
+
+
 def test_ingest_newer_wins_older_never_overwrites():
     db, winners = view(), {}
-    assert db.ingest([(announcement(1, 10.0), 10.1)], winners) == 1
-    assert db.ingest([(announcement(1, 12.0), 12.1)], winners) == 1
+    arrivals = [(offer_bundle(seq, 1, issued_at), at)
+                for seq, (issued_at, at) in enumerate(ARRIVAL_ORDER, start=1)]
+    assert db.ingest(arrivals[:1], winners) == 1
+    assert db.ingest(arrivals[1:2], winners) == 1
     # a delayed older announce must not roll the view back
-    assert db.ingest([(announcement(1, 11.0), 15.0)], winners) == 0
+    assert db.ingest(arrivals[2:3], winners) == 0
     # equal issue time: first arrival stays authoritative
-    assert db.ingest([(announcement(1, 12.0), 16.0)], winners) == 0
-    record, received_at = winners[1]
-    assert (record.issued_at, received_at) == (12.0, 12.1)
+    assert db.ingest(arrivals[3:], winners) == 0
+    assert winners[1] is arrivals[1]
     # one call folds a whole arrival sequence the same way
-    batch = [(announcement(1, t), at) for t, at in
-             [(10.0, 10.1), (12.0, 12.1), (11.0, 15.0), (12.0, 16.0)]]
     folded = {}
-    assert db.ingest(batch, folded) == 2
-    assert folded[1] is batch[1]
+    assert db.ingest(arrivals, folded) == 2
+    assert folded[1] is arrivals[1]
 
 
 def test_lookup_folds_the_store_in_arrival_order():
     db = view()
-    for seq, (issued_at, at) in enumerate([(10.0, 10.1), (12.0, 12.1),
-                                           (11.0, 15.0), (12.0, 16.0)], start=1):
-        assert receive(db, offer_bundle(seq, 1, issued_at), at)
-    rec, = db.lookup("scale", now=16.0)
-    assert rec.offer.issued_at == 12.0
-    assert rec.received_at == 12.1
+    bundles = [offer_bundle(seq, 1, issued_at)
+               for seq, (issued_at, _) in enumerate(ARRIVAL_ORDER, start=1)]
+    for bundle, (_, at) in zip(bundles, ARRIVAL_ORDER):
+        assert receive(db, bundle, at)
+    assert_shows(db.lookup("scale", now=16.0), [(bundles[1], 12.1)])
 
 
 def test_lookup_keeps_the_newest_issue_that_offers_the_service():
     db = view()
-    receive(db, build_offer_bundle((1, 1), 1, 10.0, CAPS, {"a": 3, "b": 7}), 10.0)
-    receive(db, build_offer_bundle((1, 2), 1, 12.0, CAPS, {"a": 4}), 12.0)
-    (b,) = db.lookup("b", now=13.0)
-    assert (b.offer.service_name, b.offer.param_count, b.offer.issued_at) == ("b", 7, 10.0)
-    (a,) = db.lookup("a", now=13.0)
-    assert (a.offer.service_name, a.offer.param_count, a.offer.issued_at) == ("a", 4, 12.0)
+    older = build_offer_bundle((1, 1), 1, 10.0, CAPS, {"a": 3, "b": 7})
+    newer = build_offer_bundle((1, 2), 1, 12.0, CAPS, {"a": 4})
+    receive(db, older, 10.0)
+    receive(db, newer, 12.0)
+    assert_shows(db.lookup("b", now=13.0), [(older, 10.0)])
+    assert_shows(db.lookup("a", now=13.0), [(newer, 12.0)])
     assert db.lookup("c", now=13.0) == []
 
 
@@ -241,7 +247,7 @@ def test_a_lookup_folds_through_ingest_once(monkeypatch):
             [(1, 1.0, ("a",)), (2, 1.0, ("a", "b")), (1, 2.0, ("a",)), (3, 0.5, ("b",))],
             start=1):
         receive(db, offer_bundle(seq, worker, issued_at, services), 3.0)
-    assert [r.offer.worker for r in db.lookup("a", 3.0)] == [1, 2]
+    assert [r.worker for r in db.lookup("a", 3.0)] == [1, 2]
     assert calls == [(3, 3)]
     assert db.lookup("z", 3.0) == []
     assert calls[1:] == [(0, 0)]
@@ -254,7 +260,7 @@ def test_recent_strategy_reads_the_winning_bundles_arrival():
     # worker 1's older announce arrives last but does not win its key
     receive(db, offer_bundle(3, 1, 11.0), 20.0)
     records = db.lookup("scale", now=21.0)
-    assert [(r.offer.worker, r.received_at) for r in records] == [(1, 13.0), (2, 15.5)]
+    assert [(r.worker, r.received_at) for r in records] == [(1, 13.0), (2, 15.5)]
     chosen = select(Strategy.RECENT, records, {}, DEFAULT_WEIGHTS, (0.0, 0.0),
                     random.Random(0))
     assert chosen == 2
@@ -265,9 +271,9 @@ def test_lookup_filters_by_issue_age_and_sorts():
     receive(db, offer_bundle(1, 3, 0.0, expiry_s=100.0), 60.0)
     receive(db, offer_bundle(2, 1, 50.0, expiry_s=100.0), 60.0)
     receive(db, offer_bundle(3, 2, 50.0, ("other",), expiry_s=100.0), 60.0)
-    assert [r.offer.worker for r in db.lookup("scale", now=90.0)] == [1, 3]
+    assert [r.worker for r in db.lookup("scale", now=90.0)] == [1, 3]
     # worker 3's offer is now 101 s old by issue time, regardless of arrival
-    assert [r.offer.worker for r in db.lookup("scale", now=101.0)] == [1]
+    assert [r.worker for r in db.lookup("scale", now=101.0)] == [1]
 
 
 def test_offers_leave_the_view_with_their_bundle():
@@ -276,9 +282,9 @@ def test_offers_leave_the_view_with_their_bundle():
     fresh = offer_bundle(2, 7, 80.0, ("a",), expiry_s=100.0)
     receive(db, stale, 0.0)
     receive(db, fresh, 80.0)
-    assert [r.offer.worker for r in db.lookup("a", now=100.0)] == [2, 7]
+    assert [r.worker for r in db.lookup("a", now=100.0)] == [2, 7]
     assert db.lookup("b", now=150.0) == []
-    assert [r.offer.worker for r in db.lookup("a", now=150.0)] == [7]
+    assert [r.worker for r in db.lookup("a", now=150.0)] == [7]
     assert stale.bundle_id not in db.store
     assert stale.bundle_id not in db.store.arrived_at
 
@@ -287,7 +293,7 @@ def test_offer_is_visible_until_its_bundle_expires():
     db = view()
     bundle = offer_bundle(1, 4, 7.809482654856925, expiry_s=40.0)
     receive(db, bundle, 8.0)
-    assert [r.offer.worker for r in db.lookup("scale", bundle.expires_at)] == [4]
+    assert [r.worker for r in db.lookup("scale", bundle.expires_at)] == [4]
     after = math.nextafter(bundle.expires_at, math.inf)
     assert db.lookup("scale", after) == []
 
@@ -307,7 +313,7 @@ def test_store_expiry_agrees_with_the_issue_age_rule(issued_at, expiry_s, late):
     assert shown == (now - issued_at <= expiry_s)
 
 
-def test_an_offer_bundle_received_twice_is_decoded_once(monkeypatch):
+def test_two_stores_holding_one_offer_bundle_share_its_snapshot(monkeypatch):
     calls = []
     monkeypatch.setattr(announce, "decode_offers", calls.append)
     first = offer_bundle(1, 1, 0.0, expiry_s=10.0)
@@ -317,13 +323,13 @@ def test_an_offer_bundle_received_twice_is_decoded_once(monkeypatch):
     assert calls == []
     seen_a, = a.lookup("scale", 9.0)
     seen_b, = b.lookup("scale", 9.0)
-    assert seen_a.offer == seen_b.offer
-    assert seen_a.offer.capabilities is seen_b.offer.capabilities
-    assert seen_a.offer.capabilities is first.payload.capabilities
+    assert seen_a.worker == seen_b.worker == 1
+    assert seen_a.capabilities is seen_b.capabilities
+    assert seen_a.capabilities is first.payload.capabilities
     assert (seen_a.received_at, seen_b.received_at) == (0.0, 9.0)
 
 
-def test_decoding_leaves_equality_hash_and_repr_alone():
+def test_a_lookup_leaves_the_bundle_as_built():
     """Reading a bundle's record through a lookup writes nothing back to the bundle."""
     bundle = offer_bundle(1, 1, 0.0)
     fresh = replace(bundle)
@@ -340,7 +346,7 @@ def test_decoding_leaves_equality_hash_and_repr_alone():
         hash(bundle)
 
 
-def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypatch):
+def test_one_offer_bundle_reaching_two_nodes_is_one_shared_record(line3, monkeypatch):
     calls = []
     monkeypatch.setattr(announce, "decode_offers", calls.append)
     line3.settle(0.5)
@@ -352,11 +358,11 @@ def test_memoised_payload_reaching_a_second_node_is_not_decoded(line3, monkeypat
     now = line3.world.now
     seen_at_1, seen_at_2 = (line3.node(addr).offer_db.lookup("work", now)
                             for addr in (1, 2))
-    assert [r.offer.worker for r in seen_at_1] == [2, 3]
-    assert seen_at_1[1].offer.capabilities is seen_at_2[1].offer.capabilities
+    assert [r.worker for r in seen_at_1] == [2, 3]
+    assert seen_at_1[1].capabilities is seen_at_2[1].capabilities
 
 
-def test_one_decode_per_offer_payload_per_run(monkeypatch):
+def test_a_run_calls_no_offer_decoder(monkeypatch):
     calls = []
     monkeypatch.setattr(announce, "decode_offers", calls.append)
     report = run_scenario(resolve_scenario("ring-heterogeneous"))
@@ -379,29 +385,30 @@ OPS = st.tuples(
 
 
 class HistoryOracle:
-    """Every offer ever received per key; the current record is derived from it.
+    """Every offer bundle ever received per (worker, service); the winner is derived from it.
 
-    The record of a key is the offer with the newest issue time, and among
-    offers issued at that time the one that arrived first.
+    The winner of a key is the bundle with the newest issue time, and among
+    bundles issued at that time the one that arrived first.
     """
 
     def __init__(self, expiry_s: float) -> None:
         self.expiry_s = expiry_s
-        self.history: dict[tuple[int, str], list[tuple[ServiceOffer, float]]] = {}
+        self.history: dict[tuple[int, str], list[tuple[Bundle, float]]] = {}
 
     def record(self, key):
         entries = self.history[key]
-        newest = max(o.issued_at for o, _ in entries)
-        return next((o, at) for o, at in entries if o.issued_at == newest)
+        newest = max(bundle.created_at for bundle, _ in entries)
+        return next((bundle, at) for bundle, at in entries if bundle.created_at == newest)
 
-    def ingest(self, offers, received_at) -> None:
-        for o in offers:
-            self.history.setdefault((o.worker, o.service_name), []).append((o, received_at))
+    def ingest(self, bundle, received_at) -> None:
+        for name in bundle.payload.params:
+            self.history.setdefault((bundle.source, name), []).append((bundle, received_at))
 
     def lookup(self, service, now):
         fresh = [self.record(key) for key in sorted(self.history)
                  if key[1] == service]
-        return [(o, at) for o, at in fresh if now - o.issued_at <= self.expiry_s]
+        return [(bundle, at) for bundle, at in fresh
+                if now - bundle.created_at <= self.expiry_s]
 
 
 @settings(max_examples=300, deadline=None)
@@ -414,22 +421,21 @@ def test_offer_database_matches_a_history_oracle(ops):
         now += dt
         if worker is None:
             for name in SERVICES:
-                got = [(rec.offer, rec.received_at) for rec in db.lookup(name, now)]
-                assert got == oracle.lookup(name, now)
+                assert_shows(db.lookup(name, now), oracle.lookup(name, now))
             continue
         bundle = offer_bundle(seq, worker, issued_at, services, expiry_s=ORACLE_EXPIRY_S)
         receive(db, bundle, now)
-        oracle.ingest(offers_in(bundle.payload), now)
+        oracle.ingest(bundle, now)
 
 
 def full_fold(store: BundleStore, now: float) -> dict:
-    """(worker, service) -> (offer, received_at), folding every offer of every live bundle."""
+    """(worker, service) -> (bundle, received_at), folding every service of every live bundle."""
     folded: dict = {}
     for bundle in store.live(now):
-        for offer in offers_in(bundle.payload):
-            key = (offer.worker, offer.service_name)
-            if key not in folded or folded[key][0].issued_at < offer.issued_at:
-                folded[key] = (offer, store.arrived_at[bundle.bundle_id])
+        for name in bundle.payload.params:
+            key = (bundle.source, name)
+            if key not in folded or folded[key][0].created_at < bundle.created_at:
+                folded[key] = (bundle, store.arrived_at[bundle.bundle_id])
     return folded
 
 
@@ -453,8 +459,8 @@ def test_a_one_service_lookup_equals_a_full_fold(arrivals):
                                        CAPS, params, expiry_s=expiry_s), now)
         folded = full_fold(db.store, now)
         for name in SERVICES:
-            got = [(r.offer, r.received_at) for r in db.lookup(name, now)]
-            assert got == [folded[key] for key in sorted(folded) if key[1] == name]
+            assert_shows(db.lookup(name, now),
+                         [folded[key] for key in sorted(folded) if key[1] == name])
 
 
 INBOX_EXPIRY_S = 10.0
@@ -480,12 +486,9 @@ def test_inbox_lookups_match_an_eager_fold(steps):
         now += dt
         if worker is None:
             for name in SERVICES:
-                got = [(r.offer.worker, r.offer.issued_at, r.received_at)
-                       for r in db.lookup(name, now)]
-                want = [(w, record.issued_at, at)
-                        for w, (record, at) in sorted(eager[name].items())
-                        if now - record.issued_at <= INBOX_EXPIRY_S]
-                assert got == want
+                assert_shows(db.lookup(name, now),
+                             [(bundle, at) for _, (bundle, at) in sorted(eager[name].items())
+                              if now - bundle.created_at <= INBOX_EXPIRY_S])
             continue
         # issue times on a half-second grid, so equal issue times recur
         issued_at = max(0.0, now - delay)
@@ -493,4 +496,6 @@ def test_inbox_lookups_match_an_eager_fold(steps):
         # the store refuses a bundle dead on arrival; the eager fold takes it
         assert receive(db, bundle, now) == (now - issued_at <= INBOX_EXPIRY_S)
         for name in services:
-            db.ingest([(bundle.payload, now)], eager[name])
+            winner = eager[name].get(worker)
+            if winner is None or winner[0].created_at < bundle.created_at:
+                eager[name][worker] = (bundle, now)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from carryflow.announce import CapabilityVector, OfferRecord, ServiceOffer
+from carryflow.announce import CapabilityVector, OfferRecord
 from carryflow.assignment import (DEFAULT_WEIGHTS, SelectionError, Strategy,
                                   capability_filter, folded_normal_index,
                                   proximity, rank, rate, select,
@@ -15,13 +15,10 @@ ORIGIN = (0.0, 0.0)
 
 
 def record(worker: int, *, cpu=4.0, memory=2048.0, disk=8192.0, energy=100.0,
-           x=100.0, issued_at=10.0, received_at=10.5) -> OfferRecord:
+           x=100.0, received_at=10.5) -> OfferRecord:
     caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
                             position=(x, 0.0))
-    return OfferRecord(offer=ServiceOffer(worker=worker, service_name="scale",
-                                          param_count=1, capabilities=caps,
-                                          issued_at=issued_at),
-                       received_at=received_at)
+    return OfferRecord(worker, caps, received_at)
 
 
 def test_validate_weights():
@@ -48,17 +45,17 @@ def test_rate_hand_computed():
     rec = record(1, cpu=4.0, memory=2048.0, energy=100.0, x=100.0)
     # 0.2*2 + 0.1*2 + 0.3*2 + 0.3*(1/(1+1)); disk not required, so no term
     expected = 0.4 + 0.2 + 0.6 + 0.15
-    assert rate(rec.offer, reqs, weights, ORIGIN) == pytest.approx(expected)
+    assert rate(rec.capabilities, reqs, weights, ORIGIN) == pytest.approx(expected)
 
 
 def test_rate_caps_huge_ratios():
     weights = {"cpu": 1.0}
-    assert rate(record(1, cpu=1000.0).offer, {"cpu": 1.0}, weights, ORIGIN) == \
+    assert rate(record(1, cpu=1000.0).capabilities, {"cpu": 1.0}, weights, ORIGIN) == \
         pytest.approx(10.0)
 
 
 def test_rate_without_requirements_is_zero():
-    assert rate(record(1).offer, {}, DEFAULT_WEIGHTS, ORIGIN) == 0.0
+    assert rate(record(1).capabilities, {}, DEFAULT_WEIGHTS, ORIGIN) == 0.0
 
 
 def test_rank_orders_by_score_then_address():
@@ -68,8 +65,8 @@ def test_rank_orders_by_score_then_address():
     far = record(2, cpu=2.0, x=400.0)
     twin = record(3, cpu=2.0, x=50.0)     # same score as worker 5
     ranked = rank([near, far, twin], reqs, weights, ORIGIN)
-    assert [r.offer.worker for r in ranked] == [3, 5, 2]
-    assert rate(twin.offer, reqs, weights, ORIGIN) == rate(near.offer, reqs, weights, ORIGIN)
+    assert [r.worker for r in ranked] == [3, 5, 2]
+    assert rate(twin.capabilities, reqs, weights, ORIGIN) == rate(near.capabilities, reqs, weights, ORIGIN)
 
 
 def test_capability_filter_ignores_distance():
@@ -77,7 +74,7 @@ def test_capability_filter_ignores_distance():
     weak = record(1, cpu=1.0)
     drained = record(2, energy=10.0)
     fit = record(3, x=900.0)              # far away but resource-capable
-    assert [r.offer.worker for r in capability_filter([weak, drained, fit],
+    assert [r.worker for r in capability_filter([weak, drained, fit],
                                                       reqs)] == [3]
 
 

@@ -69,3 +69,21 @@ def test_the_event_queue_keeps_no_sequence_number():
     from carryflow.simnet import LinkModel, World
     assert not hasattr(World(LinkModel()), "_seq")
     assert not re.search(r"\b_seq\b", (PACKAGE / "simnet.py").read_text(encoding="utf-8"))
+
+
+def test_one_flat_offer_record():
+    # a lookup's winner is one flat record; the bundle carrying an
+    # announcement already names its worker (source) and issue time
+    # (created_at), so the announcement does not repeat them
+    from dataclasses import fields
+
+    from carryflow.announce import Announcement, CapabilityVector, OfferRecord
+    assert not hasattr(CapabilityVector, "resource")
+    assert [f.name for f in fields(Announcement)] == ["capabilities", "params"]
+    assert [f.name for f in fields(OfferRecord)] == ["worker", "capabilities", "received_at"]
+    assert "__slots__" in vars(OfferRecord)
+    assert OfferRecord.__dataclass_params__.frozen
+    found = [f"{path.name} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in (r"\bServiceOffer\b", r"\.resource\(")
+             if re.search(name, path.read_text(encoding="utf-8"))]
+    assert found == []
