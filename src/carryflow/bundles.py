@@ -79,7 +79,13 @@ class Bundle:
     expires_at: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "expires_at", self.created_at + self.ttl_seconds)
+        expires_at = self.created_at + self.ttl_seconds
+        # a NaN expiry would sit at the head of a store's expiry heap, never
+        # compare as passed, and keep everything behind it from being shed
+        if math.isnan(expires_at):
+            raise ValueError(f"bundle expiry is NaN (created_at={self.created_at!r}, "
+                             f"ttl_seconds={self.ttl_seconds!r})")
+        object.__setattr__(self, "expires_at", expires_at)
 
 
 class BundleStore:
@@ -151,13 +157,23 @@ class BundleStore:
     scan_log = live
 
     def _shed(self, now: float) -> None:
-        heap, expiring, bundles = self._expiry, self._expiring, self._bundles
+        # drops each expired bundle as _drop would, inline: most are offers
+        heap, expiring, bundles, arrived = (self._expiry, self._expiring, self._bundles,
+                                            self._arrived)
         while heap and heap[0] < now:
             for bundle_id in expiring.pop(heapq.heappop(heap)):
                 bundle = bundles.get(bundle_id)
                 # the id may be gone (cleanup) or stored again with a later expiry
-                if bundle is not None and now > bundle.expires_at:
-                    self._drop(bundle)
+                if bundle is None or now <= bundle.expires_at:
+                    continue
+                del bundles[bundle_id]
+                del arrived[bundle_id]
+                workflow_id = bundle.workflow_id
+                if workflow_id is not None:
+                    held = self._by_workflow[workflow_id]
+                    del held[bundle_id]
+                    if not held:
+                        del self._by_workflow[workflow_id]
 
     def _drop(self, bundle: Bundle) -> None:
         del self._bundles[bundle.bundle_id]

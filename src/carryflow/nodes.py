@@ -80,9 +80,11 @@ class Node(WorkerRuntime, ClientRuntime):
         return (self.address, self._bundle_seq)
 
     def accepts(self, bundle: Bundle) -> bool:
-        """Refuse re-planting of bundles from workflows this node already cleaned."""
-        workflow_id = bundle.workflow_id
-        return (workflow_id is None or workflow_id not in self.cleaned
+        """Refuse re-planting of bundles from workflows this node already cleaned.
+
+        The world asks only about bundles that carry a workflow id.
+        """
+        return (bundle.workflow_id not in self.cleaned
                 or bundle.kind is BundleKind.CLEANUP_MARKER)
 
     def on_bundle(self, bundle: Bundle) -> None:

@@ -24,34 +24,44 @@ and its open links, each naming the record of the node at its far end, so
 the hot path reaches a receiver's state without a lookup. Two paths
 enqueue: the link scan puts many bundles on its one link, and a delivery
 (`_deliver`) forwards its one bundle over the receiver's links. Both skip a
-bundle the receiver holds and one the receiver's accept hook refuses. A
-scan first drops the bundles the receiver holds in one pass, since those
-are most of what a sender carries. No link queues one bundle twice for one
-receiver: the scan runs once, when the link opens, after that only bundles
-newly stored at one end are forwarded, and a store takes an id at most
-once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
-is sending is its `current`, the one record of the entry in flight, which
-closing the link clears.
+bundle the receiver holds and a tagged one (it carries a workflow id) the
+receiver's accept hook refuses; the hook is asked about nothing else, so an
+offer never costs it a call. Storing a delivered or originated bundle asks
+the storing node's hook by the same rule. A scan first drops the bundles
+the receiver holds in one pass, since those are most of what a sender
+carries. No link queues one bundle twice for one receiver: the scan runs
+once, when the link opens, after that only bundles newly stored at one end
+are forwarded, and a store takes an id at most once. A queued entry is a
+plain (bundle, receiver) tuple; the entry a link is sending is its
+`current`, the one record of the entry in flight, which closing the link
+clears.
 
-An entry that finds its link idle with an empty queue is put in flight at
-once (`_start`), without the queue round trip and the recheck `_try_start`
-makes of a queued entry: it was found live, lacking at the receiver and
-accepted just now, so that recheck would pass. This is exact because a
-link can be idle with a non-empty queue only while its own completion
-runs, between clearing `current` and starting the next entry. There the
-receiver never forwards the bundle it just got back over that link, since
-the sender either holds it or refuses it; a bundle the receiver's handler
-creates meanwhile joins the back of the queue, and the queue's head starts,
-as it would have. Every transfer is scheduled through `schedule`, so
-events are counted in one place.
+Transfers start inline. A completion (`_complete`) delivers its entry,
+then starts its link's next live queued entry itself: it skips entries
+that expired or whose receiver got the bundle meanwhile, looks the
+duration up and schedules; a scan starts the head of what it queued the
+same way. A forward that finds its link idle with an empty queue puts its
+entry in flight at once, without the queue round trip and that recheck: it
+was found live, lacking at the receiver and accepted just now, so the
+recheck would pass. A link can be idle with a non-empty queue only while
+its own completion runs, between clearing `current` and starting the next
+entry. There the receiver never forwards the bundle it just got back over
+that link, since the sender either holds it or refuses it; a bundle the
+receiver's handler creates meanwhile joins the back of the queue, and the
+queue's head starts right there, inside that forward loop, before the links
+after it in pair order get theirs. Starting it once the completion ends
+instead would move no count, but it would reorder same-instant `schedule`
+calls, and equal-sized transfers that start together end together, so
+events at one instant would run in another order. Every transfer is
+scheduled through `schedule`, so events are counted in one place.
 
 A link has at most one transfer pending, so each link builds its
 completion callback once, when it opens, and every transfer on it
 schedules that same callable: a completion that finds `current` empty
-belongs to a link that closed. A transfer's duration depends only on the
-bundle's size, so the world computes it once per distinct size and looks it
-up after that. A completed copy the receiver already holds is not delivered
-again.
+belongs to a link that closed, whose queue is empty too. A transfer's
+duration depends only on the bundle's size, so the world computes it once
+per distinct size and looks it up after that. A completed copy the
+receiver already holds is not delivered again.
 
 The event queue is keyed by time. Equal-sized transfers that start together
 end together, so events cluster, a handful to a time; the heap holds each
@@ -277,6 +287,13 @@ class World:
     def add_node(self, addr: NodeAddress, position: Position = (0.0, 0.0),
                  handler: Callable[[Bundle], None] = lambda bundle: None,
                  accept: Callable[[Bundle], bool] = lambda bundle: True) -> BundleStore:
+        """Join a node and return its store.
+
+        `handler` is called with each bundle the node stores, its own
+        included. `accept` is asked, before the node stores a bundle or a
+        link queues one for it, only about a bundle that carries a
+        `workflow_id`; a bundle without one (an offer) is always accepted.
+        """
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
         point = _point(position)
@@ -405,75 +422,79 @@ class World:
     def _scan_link(self, pair: tuple[NodeAddress, NodeAddress], state: _LinkState,
                    a: _Node, b: _Node) -> None:
         # runs once per link, when it opens; _deliver keeps it in sync afterwards.
-        # The link is new, so it is idle with an empty queue until its first
-        # entry starts, and every later one waits behind that
+        # The link is new, so its queue is empty and it is idle until the head
+        # of what the scan queues starts
         now, queue = self.now, state.queue
         for sender, receiver in ((a, b), (b, a)):
             held, accept = receiver.held, receiver.accept
             fresh = [bundle for bundle in sender.store.scan_log(now)
                      if bundle.bundle_id not in held]
             for bundle in fresh:
-                if not accept(bundle):
-                    continue
-                if state.current is None:
-                    self._start(state, (bundle, receiver))
-                else:
+                if bundle.workflow_id is None or accept(bundle):
                     queue.append((bundle, receiver))
+        if queue:
+            self._complete(state)
 
-    def _start(self, state: _LinkState, entry: _Entry) -> None:
-        # put the entry in flight on the idle link
-        state.current = entry
-        size = entry[0].size_bytes
-        try:
-            duration = self._durations[size]
-        except KeyError:
-            duration = self._durations[size] = transfer_duration(self.link, size)
-        self.schedule(self.now + duration, state.complete)
-
-    def _try_start(self, state: _LinkState) -> None:
-        # the link is idle: send the first queued entry still worth sending
+    def _complete(self, state: _LinkState) -> None:
+        # finish the entry in flight, if there is one, then start the link's
+        # next live queued entry unless delivering already started one. With
+        # `current` empty this only starts that entry: the link closed while
+        # its entry was in flight (its queue is empty then), or the scan or
+        # `_deliver` found it idle with a queue
+        entry = state.current
+        if entry is not None:
+            state.current = None
+            self.transfers_completed += 1
+            bundle, node = entry
+            # a copy that came in over another link meanwhile needs no delivery
+            if bundle.bundle_id not in node.held:
+                self._deliver(node, bundle)
+                if state.current is not None:
+                    return
         queue, now = state.queue, self.now
         while queue:
             entry = queue.popleft()
             bundle, node = entry
             if now > bundle.expires_at or bundle.bundle_id in node.held:
                 continue
-            self._start(state, entry)
+            state.current = entry
+            size = bundle.size_bytes
+            try:
+                duration = self._durations[size]
+            except KeyError:
+                duration = self._durations[size] = transfer_duration(self.link, size)
+            self.schedule(now + duration, state.complete)
             return
-
-    def _complete(self, state: _LinkState) -> None:
-        entry = state.current
-        if entry is None:
-            return      # the link closed while this entry was in flight
-        state.current = None
-        bundle, node = entry
-        self.transfers_completed += 1
-        # a copy that came in over another link meanwhile needs no delivery
-        if bundle.bundle_id not in node.held:
-            self._deliver(node, bundle)
-        # delivering may have started a transfer on this link already
-        if state.current is None and state.queue:
-            self._try_start(state)
 
     def _deliver(self, node: _Node, bundle: Bundle) -> None:
         now = self.now
-        if (now > bundle.expires_at or not node.accept(bundle)
+        tagged = bundle.workflow_id is not None
+        if (now > bundle.expires_at or tagged and not node.accept(bundle)
                 or not node.store.insert(bundle, now)):
             return
         node.handler(bundle)
         # forward the fresh bundle over every open link without waiting for a tick
         bundle_id = bundle.bundle_id
+        duration = None
         for _, state, far in node.links:
-            if bundle_id in far.held or not far.accept(bundle):
+            if bundle_id in far.held or tagged and not far.accept(bundle):
                 continue
             if state.current is not None:
                 state.queue.append((bundle, far))
             elif state.queue:
-                # idle with a queue: only inside this link's own completion
+                # idle with a queue: only inside this link's own completion,
+                # whose next entry starts here, before the links after it
                 state.queue.append((bundle, far))
-                self._try_start(state)
+                self._complete(state)
             else:
-                self._start(state, (bundle, far))
+                state.current = (bundle, far)
+                if duration is None:
+                    size = bundle.size_bytes
+                    try:
+                        duration = self._durations[size]
+                    except KeyError:
+                        duration = self._durations[size] = transfer_duration(self.link, size)
+                self.schedule(now + duration, state.complete)
 
     def originate(self, bundle: Bundle) -> None:
         """Insert a locally created bundle at its source node and start spreading it."""

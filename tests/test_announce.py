@@ -140,10 +140,16 @@ def test_a_lookup_shows_each_service_of_a_built_bundle_as_a_float_snapshot(
 @given(worker=st.integers(0, 2 ** 64 - 1), issued_at=NUMBERS,
        numbers=st.lists(NUMBERS, min_size=6, max_size=6))
 @example(worker=0, issued_at=3, numbers=[4, 2048, -0.0, 0, -7, 2 ** 53 + 1])
+@example(worker=0, issued_at=math.nan, numbers=[0, 0, 0, 0, 0, 0])
 def test_an_announcement_is_a_frozen_float_snapshot(worker, issued_at, numbers):
     cpu, memory, disk, energy, x, y = numbers
     caps = CapabilityVector(cpu=cpu, memory=memory, disk=disk, energy=energy,
                             position=(x, y))
+    if math.isnan(issued_at):
+        # a NaN issue time gives the bundle a NaN expiry, which it refuses
+        with pytest.raises(ValueError, match="NaN"):
+            build_offer_bundle((worker, 1), worker, issued_at, caps, {"s": 1})
+        return
     bundle = build_offer_bundle((worker, 1), worker, issued_at, caps, {"s": 1})
     record = bundle.payload
     want = repr((float(issued_at), float(cpu), float(memory), float(disk),

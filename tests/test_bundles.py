@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,15 @@ def marker(seq: int, workflow_id: str, *, ttl: float = 100.0) -> Bundle:
 def test_expires_at_is_creation_plus_ttl():
     assert make_bundle(1, created_at=5.0, ttl=10.0).expires_at == 15.0
     assert make_bundle(1, ttl=float("inf")).expires_at == float("inf")
+
+
+@pytest.mark.parametrize("created_at, ttl", [(0.0, math.nan), (math.nan, 100.0),
+                                             (math.inf, -math.inf)])
+def test_a_nan_expiry_is_refused(created_at, ttl):
+    # a NaN expiry never compares as passed: at the head of a store's expiry
+    # heap it would keep every bundle behind it from being shed
+    with pytest.raises(ValueError, match="NaN"):
+        make_bundle(1, created_at=created_at, ttl=ttl)
 
 
 def test_insert_sheds_expired():

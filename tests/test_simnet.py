@@ -1,8 +1,10 @@
 """Event loop, link arithmetic, epidemic sync, and mobility bounds."""
 
+import hashlib
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carryflow.assignment import Strategy
-from carryflow.bundles import Bundle, BundleKind
+from carryflow.bundles import Bundle, BundleKind, BundleStore
 from carryflow.cli import resolve_scenario
 from carryflow.harness import build
+from carryflow.nodes import Node
 from carryflow.runtime import FaultPlan
 from carryflow.scenario import WaypointTopology
 from carryflow.simnet import LinkModel, RandomWaypoint, World, transfer_duration
@@ -22,10 +25,11 @@ LINK = LinkModel(bandwidth_bps=54e6, latency_s=0.020)
 
 
 def make_bundle(source: int, dest, seq: int, size: int, *, created_at: float = 0.0,
-                ttl: float = 1e6) -> Bundle:
+                ttl: float = 1e6, workflow_id=None) -> Bundle:
     return Bundle(bundle_id=(source, seq), source=source, destination=dest,
                   kind=BundleKind.WORKFLOW_ARCHIVE, payload=None,
-                  size_bytes=size, created_at=created_at, ttl_seconds=ttl)
+                  size_bytes=size, created_at=created_at, ttl_seconds=ttl,
+                  workflow_id=workflow_id)
 
 
 def line_world(n: int, link: LinkModel = LINK, arrivals=None):
@@ -338,7 +342,8 @@ def test_receiver_accept_filter_blocks_storage():
     world = World(LINK, tick_interval=0.5, adjacency=[(1, 2)])
     world.add_node(1)
     world.add_node(2, accept=lambda b: False)
-    bundle = make_bundle(1, 2, 1, 1000, created_at=1.0)
+    # the hook is asked only about a bundle that carries a workflow id
+    bundle = make_bundle(1, 2, 1, 1000, created_at=1.0, workflow_id="wf")
     world.schedule(1.0, lambda: world.originate(bundle))
     world.run_until(5.0)
     assert bundle.bundle_id not in world.stores[2]
@@ -408,8 +413,35 @@ def test_a_static_world_opens_its_pairs_once():
 def test_originate_honors_source_refusal():
     world = World(LINK, adjacency=[])
     store = world.add_node(1, accept=lambda b: False)
-    world.originate(make_bundle(1, None, 1, 10))
+    world.originate(make_bundle(1, None, 1, 10, workflow_id="wf"))
     assert len(store) == 0
+
+
+def test_the_accept_hook_is_asked_only_about_tagged_bundles():
+    # an offer (no workflow id) and a workflow bundle take the same paths:
+    # node 1 originates both, forwards them to node 2, which takes delivery,
+    # and node 3, brought in range later, gets both by the scans of its links
+    world = World(LINK, tick_interval=0.5, contact_range=20.0)
+    asked = []
+    for addr, x in ((1, 0.0), (2, 10.0), (3, 1000.0)):
+        world.add_node(addr, position=(x, 0.0),
+                       accept=lambda b, a=addr: asked.append((a, b, world.now)) or True)
+    offer = make_bundle(1, None, 1, 1_000_000, created_at=1.2)
+    tagged = make_bundle(1, 2, 2, 1_000_000, created_at=1.2, workflow_id="wf")
+    world.schedule(1.2, lambda: (world.originate(offer), world.originate(tagged)))
+    world.schedule(5.2, lambda: world.set_position(3, (15.0, 0.0)))
+    world.run_until(10.0)
+    for addr in (1, 2, 3):
+        assert {offer.bundle_id, tagged.bundle_id} <= world.stores[addr].by_id.keys()
+    assert all(b is tagged for _, b, _ in asked)
+    d = transfer_duration(LINK, 1_000_000)
+    assert [(a, t) for a, _, t in asked] == [
+        (1, 1.2),                           # originate, at the source
+        (2, 1.2),                           # forwarding over (1, 2)
+        (2, pytest.approx(1.2 + 2 * d)),    # delivery, behind the offer
+        (3, 5.5), (3, 5.5),                 # the scans of (1, 3) and (2, 3)
+        (3, pytest.approx(5.5 + 2 * d)),    # delivery over (1, 3)
+    ]
 
 
 def test_waypoint_stays_in_bounds_and_is_deterministic():
@@ -731,33 +763,72 @@ def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
 
 
 def link_work(monkeypatch, config, seed, strategy):
-    """(transfers completed, transfers aborted, events scheduled) of one run."""
+    """What one run's links, stores and handlers did, in the counts the tracer reads.
+
+    (transfers completed, transfers aborted, events scheduled, store inserts,
+    inserts that stored the bundle, handler calls, SHA-256 of every scheduled
+    event's (time, target) in scheduling order). A completion's target is its
+    link's pair; any other event's is its callback's qualified name.
+    """
     import carryflow.harness as harness
     built = []
     real_build = harness.build
     monkeypatch.setattr(harness, "build",
                         lambda c: built.append(real_build(c)) or built[-1])
-    scheduled = []
+    counts = Counter()
+    order = hashlib.sha256()
+    # each open link's completion callback, by the callback, to its pair
+    pairs: dict = {}
     real_schedule = World.schedule
 
-    def counted(self, when, fn):
-        scheduled.append(when)
+    def schedule(self, when, fn):
+        counts["scheduled"] += 1
+        target = pairs.get(fn)
+        if target is None:
+            pairs.update((state.complete, pair) for pair, state in self._links.items())
+            target = pairs.get(fn) or fn.__qualname__
+        order.update(f"{when!r} {target}\n".encode())
         real_schedule(self, when, fn)
 
-    monkeypatch.setattr(World, "schedule", counted)
+    real_insert = BundleStore.insert
+
+    def insert(self, bundle, now):
+        stored = real_insert(self, bundle, now)
+        counts["inserted"] += 1
+        counts["stored"] += stored
+        return stored
+
+    real_on_bundle = Node.on_bundle
+
+    def on_bundle(self, bundle):
+        counts["handled"] += 1
+        real_on_bundle(self, bundle)
+
+    monkeypatch.setattr(World, "schedule", schedule)
+    monkeypatch.setattr(BundleStore, "insert", insert)
+    monkeypatch.setattr(Node, "on_bundle", on_bundle)
     harness.run_scenario(config, seed=seed, strategy=strategy)
     world = built[0].world
-    return world.transfers_completed, world.transfers_aborted, len(scheduled)
+    return (world.transfers_completed, world.transfers_aborted, counts["scheduled"],
+            counts["inserted"], counts["stored"], counts["handled"], order.hexdigest())
 
 
 @pytest.mark.parametrize("name, duration_s, strategy, expected", [
-    ("ring-heterogeneous", None, Strategy.BEST, (5525, 0, 6028)),
-    ("mobile-sparse", 120.0, Strategy.SPREAD, (58976, 29, 60885)),
-    pytest.param(DENSE, 120.0, Strategy.SPREAD, (6276, 4, 6607), id="mobile-dense"),
+    ("ring-heterogeneous", None, Strategy.BEST, (
+        5525, 0, 6028, 5753, 5753, 5753,
+        "b5e2bc48c36956910e1a1a9502a2f24c9e1ad189fb16f3703338a19a8d4acd83")),
+    ("mobile-sparse", 120.0, Strategy.SPREAD, (
+        58976, 29, 60885, 35228, 35228, 35228,
+        "00484c8661b071fe897264990cd4622026bb6403bfefeb1ba241968efaa65b68")),
+    pytest.param(DENSE, 120.0, Strategy.SPREAD, (
+        6276, 4, 6607, 3660, 3660, 3660,
+        "2d935023d14e01917343b7d2267de8777b4fccef88b17b6eadd6bbf861390e25"),
+        id="mobile-dense"),
 ])
 def test_link_work_is_pinned(monkeypatch, name, duration_s, strategy, expected):
     # report bytes do not show every transfer: a change to how links queue,
-    # start or drop work must also leave these counts where they were
+    # start or drop work, or to which instant's events run in which order,
+    # must also leave these counts and the schedule digest where they were
     config = resolve_scenario(name)
     if duration_s is not None:
         config = replace(config, run=replace(config.run, duration_s=duration_s))
