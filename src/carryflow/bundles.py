@@ -119,7 +119,12 @@ class BundleStore:
         return bundle_id in self._bundles
 
     def insert(self, bundle: Bundle, now: float) -> bool:
-        """Store a bundle. Returns False for duplicates and dead-on-arrival bundles."""
+        """Store a bundle. Returns False for duplicates and dead-on-arrival bundles.
+
+        The world never hands it a bundle the store holds or one that has
+        expired, since it tests both first; so these refusals guard direct
+        callers only.
+        """
         expiry = self._expiry
         if expiry and expiry[0] < now:
             self._shed(now)

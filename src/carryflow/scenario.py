@@ -33,8 +33,14 @@ event:
   - Building a world allocates per node (three RNGs, a store and its views)
     and per offload (one scheduled event) before anything runs, so `nodes`
     is at most `MAX_NODES` and clients x `repeat` at most `MAX_OFFLOADS`.
+  - Every length (`spacing_m`, `width_m`, `height_m`, `range_m`) lies in
+    [`MIN_LENGTH_M`, `MAX_LENGTH_M`]. That keeps the contact detector's
+    cell index (a coordinate over the range) and every squared distance
+    finite, and keeps the slots of a ring of up to `MAX_NODES` nodes
+    finite and distinct.
 The bounds sit far above every packaged and benchmark scenario, whose
-largest values are 3,600 ticks, 150 nodes and 15 offloads.
+largest values are 3,600 ticks, 150 nodes and 15 offloads, and far outside
+their lengths, which run from 40 m to 600 m.
 """
 
 from __future__ import annotations
@@ -238,6 +244,9 @@ class _Key:
 MAX_ROUNDS = 1_000_000
 MAX_NODES = 10_000
 MAX_OFFLOADS = 100_000
+# metres, for every length of the geometry
+MIN_LENGTH_M = 1e-6
+MAX_LENGTH_M = 1e9
 
 
 def _keys(*names: str, **bounds: object) -> tuple[_Key, ...]:
@@ -246,9 +255,10 @@ def _keys(*names: str, **bounds: object) -> tuple[_Key, ...]:
 
 _NODES = _Key("nodes", kind=int, minimum=2, maximum=MAX_NODES)
 _TOPOLOGY_KEYS = {
-    RingTopology: (_NODES, _Key("spacing_m", positive=True)),
-    WaypointTopology: (_NODES, *_keys("width_m", "height_m", "range_m", "speed_min",
-                                      "speed_max", positive=True),
+    RingTopology: (_NODES, _Key("spacing_m", minimum=MIN_LENGTH_M, maximum=MAX_LENGTH_M)),
+    WaypointTopology: (_NODES, *_keys("width_m", "height_m", "range_m",
+                                      minimum=MIN_LENGTH_M, maximum=MAX_LENGTH_M),
+                       *_keys("speed_min", "speed_max", positive=True),
                        _Key("pause_max_s", minimum=0.0))}
 # multiply and divide as written: `* 1e-3` is another double, and latency_s
 # is part of the config digest

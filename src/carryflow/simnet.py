@@ -18,15 +18,15 @@ each newly stored bundle is forwarded at once over its node's open links,
 which keeps the link in sync until it closes. A transfer interrupted by
 contact loss restarts from scratch at the next encounter.
 
-The world keeps one record per node: its store, the store's id mapping,
-its accept and delivery hooks (always both, so they are called untested),
-and its open links, each naming the record of the node at its far end, so
-the hot path reaches a receiver's state without a lookup. Two paths
-enqueue: the link scan puts many bundles on its one link, and a delivery
-(`_deliver`) forwards its one bundle over the receiver's links. Both skip a
-bundle the receiver holds and a tagged one (it carries a workflow id) the
-receiver's accept hook refuses; the hook is asked about nothing else, so an
-offer never costs it a call. Storing a delivered or originated bundle asks
+The world keeps one record per node: its slot in the position list, its
+store, the store's id mapping, its accept and delivery hooks (always both,
+so they are called untested), and its open links, each naming the record
+of the node at its far end, so the hot path reaches a receiver's state
+without a lookup. Two paths enqueue: the link scan puts many bundles on its
+one link, and a delivery (`_deliver`) forwards its one bundle over the
+receiver's links. Both skip a bundle the receiver holds and a tagged one
+(it carries a workflow id) the receiver's accept hook refuses; the hook is
+asked about nothing else, so an offer never costs it a call. Storing a delivered or originated bundle asks
 the storing node's hook by the same rule. A scan first drops the bundles
 the receiver holds in one pass, since those are most of what a sender
 carries. No link queues one bundle twice for one receiver: the scan runs
@@ -59,9 +59,11 @@ A link has at most one transfer pending, so each link builds its
 completion callback once, when it opens, and every transfer on it
 schedules that same callable: a completion that finds `current` empty
 belongs to a link that closed, whose queue is empty too. A transfer's
-duration depends only on the bundle's size, so the world computes it once
-per distinct size and looks it up after that. A completed copy the
-receiver already holds is not delivered again.
+duration depends only on the bundle's size, so the world keeps one table of
+durations by size, a dict that computes a size's entry the first time it
+is asked for it; both places that start a transfer read it in one
+expression. A completed copy the receiver already holds is not delivered
+again.
 
 The event queue is keyed by time. Equal-sized transfers that start together
 end together, so events cluster, a handful to a time; the heap holds each
@@ -206,14 +208,28 @@ class RandomWaypoint:
         return (x, y)
 
 
+class _Durations(dict):
+    """transfer_duration(link, size) of each bundle size, computed when first asked."""
+
+    def __init__(self, link: LinkModel) -> None:
+        super().__init__()
+        self.link = link
+
+    def __missing__(self, size: int) -> float:
+        duration = self[size] = transfer_duration(self.link, size)
+        return duration
+
+
 class _Node:
     """What the world keeps of one node."""
 
-    __slots__ = ("addr", "store", "held", "accept", "handler", "links")
+    __slots__ = ("addr", "index", "store", "held", "accept", "handler", "links")
 
-    def __init__(self, addr: NodeAddress, accept: Callable[[Bundle], bool],
+    def __init__(self, addr: NodeAddress, index: int, accept: Callable[[Bundle], bool],
                  handler: Callable[[Bundle], None]) -> None:
         self.addr = addr
+        # the node's slot in the world's position list, in joining order
+        self.index = index
         self.store = BundleStore()
         self.held = self.store.by_id
         self.accept = accept
@@ -263,13 +279,11 @@ class World:
         self._due: dict[float, list[Callable[[], None]]] = {}
         self.stores: dict[NodeAddress, BundleStore] = {}
         self._nodes: dict[NodeAddress, _Node] = {}
-        self._addr_index: dict[NodeAddress, int] = {}
         # _positions[i] is the (x, y) of node _addrs[i], in joining order
         self._addrs: list[NodeAddress] = []
         self._positions: list[Position] = []
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
-        # transfer_duration(link, size) of each bundle size sent so far
-        self._durations: dict[int, float] = {}
+        self._durations = _Durations(link)
         if mobility is not None and contact_range is None:
             raise ValueError("mobility needs a contact range")
         # the in-range test of a range world; only such a world imports its
@@ -297,9 +311,8 @@ class World:
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
         point = _point(position)
-        node = self._nodes[addr] = _Node(addr, accept, handler)
+        node = self._nodes[addr] = _Node(addr, len(self._positions), accept, handler)
         self.stores[addr] = node.store
-        self._addr_index[addr] = len(self._addr_index)
         self._addrs.append(addr)
         self._positions.append(point)
         return node.store
@@ -324,10 +337,10 @@ class World:
         self._links.clear()
 
     def position_of(self, addr: NodeAddress) -> Position:
-        return self._positions[self._addr_index[addr]]
+        return self._positions[self._nodes[addr].index]
 
     def set_position(self, addr: NodeAddress, position: Position) -> None:
-        self._positions[self._addr_index[addr]] = _point(position)
+        self._positions[self._nodes[addr].index] = _point(position)
 
     # -- event queue -------------------------------------------------------
 
@@ -458,12 +471,7 @@ class World:
             if now > bundle.expires_at or bundle.bundle_id in node.held:
                 continue
             state.current = entry
-            size = bundle.size_bytes
-            try:
-                duration = self._durations[size]
-            except KeyError:
-                duration = self._durations[size] = transfer_duration(self.link, size)
-            self.schedule(now + duration, state.complete)
+            self.schedule(now + self._durations[bundle.size_bytes], state.complete)
             return
 
     def _deliver(self, node: _Node, bundle: Bundle) -> None:
@@ -475,7 +483,6 @@ class World:
         node.handler(bundle)
         # forward the fresh bundle over every open link without waiting for a tick
         bundle_id = bundle.bundle_id
-        duration = None
         for _, state, far in node.links:
             if bundle_id in far.held or tagged and not far.accept(bundle):
                 continue
@@ -488,13 +495,7 @@ class World:
                 self._complete(state)
             else:
                 state.current = (bundle, far)
-                if duration is None:
-                    size = bundle.size_bytes
-                    try:
-                        duration = self._durations[size]
-                    except KeyError:
-                        duration = self._durations[size] = transfer_duration(self.link, size)
-                self.schedule(now + duration, state.complete)
+                self.schedule(now + self._durations[bundle.size_bytes], state.complete)
 
     def originate(self, bundle: Bundle) -> None:
         """Insert a locally created bundle at its source node and start spreading it."""

@@ -87,3 +87,33 @@ def test_one_flat_offer_record():
              for name in (r"\bServiceOffer\b", r"\.resource\(")
              if re.search(name, path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def _functions_using(name: str) -> list[str]:
+    """`file:function` of every package function that mentions `name`, once each."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(inner, (ast.Name, ast.Attribute))
+                    and (getattr(inner, "id", None) or getattr(inner, "attr", None)) == name
+                    for inner in ast.walk(node)):
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_each_node_layer_rule_is_kept_once():
+    # a node's slot in the position list is a field of its world record, and
+    # transfer durations come from one table that fills itself
+    simnet = (PACKAGE / "simnet.py").read_text(encoding="utf-8")
+    assert not re.search(r"\b_addr_index\b", simnet)
+    assert "except KeyError" not in simnet
+    # no counter that nothing increments
+    from carryflow.report import Collector
+    assert not hasattr(Collector(), "malformed_offers")
+    # a worker-selection error archive is built in one method; _serve hands
+    # its own through _emit_error, and retryable only tests the class
+    assert _functions_using("WORKER_SELECTION") == [
+        "runtime.py:retryable", "runtime.py:_serve", "runtime.py:_fail_selection"]
+    assert _functions_using("WorkerError") == [
+        "runtime.py:_emit_error", "runtime.py:_fail_selection"]

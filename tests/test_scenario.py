@@ -15,7 +15,9 @@ from carryflow.announce import (MAX_PARAM_COUNT, OFFER_HEADER_BYTES,
 from carryflow.assignment import Strategy
 from carryflow.cli import packaged_scenarios
 from carryflow.runtime import FaultPlan, ServiceDefinition
-from carryflow.scenario import (CohortSpec, RingTopology, RunSettings,
+from carryflow.harness import ring_arc_distance, ring_positions
+from carryflow.scenario import (MAX_LENGTH_M, MAX_NODES, MIN_LENGTH_M,
+                                CohortSpec, RingTopology, RunSettings,
                                 ScenarioError, WaypointTopology, WorkflowSpec,
                                 load_scenario, parse_scenario,
                                 resolve_cohort_counts)
@@ -274,6 +276,22 @@ def test_the_size_bounds_are_inclusive():
     assert parse_scenario(text).workflow.repeat == 20000
     assert parse_scenario(RING_INI.replace("nodes = 6", "nodes = 10000")).topology.nodes \
         == 10000
+    waypoint = "kind = waypoint\nwidth_m = {0!r}\nheight_m = {0!r}\nrange_m = {0!r}"
+    for bound in (MIN_LENGTH_M, MAX_LENGTH_M):
+        ring = parse_scenario(RING_INI.replace("spacing_m = 50", f"spacing_m = {bound!r}"))
+        assert ring.topology.spacing_m == bound
+        topo = parse_scenario(RING_INI.replace(
+            "kind = ring\nnodes = 6\nspacing_m = 50", waypoint.format(bound))).topology
+        assert (topo.width_m, topo.height_m, topo.range_m) == (bound, bound, bound)
+
+
+@pytest.mark.parametrize("spacing_m", [MIN_LENGTH_M, MAX_LENGTH_M])
+def test_ring_slots_stay_distinct_at_the_length_bounds(spacing_m):
+    # ring_arc_distance raises if two slots round to one position
+    for nodes in (*range(2, 65), MAX_NODES - 1, MAX_NODES):
+        arc = ring_arc_distance(nodes, spacing_m)
+        first, second = ring_positions(nodes, spacing_m)[:2]
+        assert arc(first, second) == spacing_m
 
 
 def test_a_zeno_announce_round_on_a_packaged_scenario_is_refused(tmp_path, monkeypatch):
@@ -292,6 +310,41 @@ def test_a_zeno_announce_round_on_a_packaged_scenario_is_refused(tmp_path, monke
         assert main(["run", str(path)]) == 2
     path.write_text(path.read_text().replace("nodes = 12", "nodes = 1000000000"))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("scenario,setting,key", [
+    # (r + window) ** 2 overflowed in the contact detector's recheck
+    ("mobile-sparse", "range_m = 1e200", "range_m"),
+    # floor(x / width) overflowed when binning nodes into cells
+    ("mobile-sparse", "range_m = 1e-320", "range_m"),
+    ("mobile-sparse", "width_m = 1e10", "width_m"),
+    ("mobile-sparse", "height_m = 1e-7", "height_m"),
+    # ring slots overflowed to infinity or underflowed onto each other
+    ("ring-heterogeneous", "nodes = 8\nspacing_m = 1e308", "spacing_m"),
+    ("ring-heterogeneous", "nodes = 64\nspacing_m = 5e-324", "spacing_m"),
+])
+def test_out_of_range_geometry_on_a_packaged_scenario_is_refused(
+        scenario, setting, key, tmp_path, monkeypatch, capsys):
+    from carryflow import harness
+    from carryflow.cli import main
+
+    def no_world(config):
+        raise AssertionError("a refused scenario built a world")
+    monkeypatch.setattr(harness, "build", no_world)
+    text = (SCENARIO_DIR / f"{scenario}.ini").read_text().replace(
+        "file = pipeline.wf", f"file = {SCENARIO_DIR / 'pipeline.wf'}")
+    for line in setting.splitlines():
+        name = line.partition(" =")[0]
+        text, found = re.subn(rf"^{name} = .*$", line, text, flags=re.M)
+        assert found == 1
+    path = tmp_path / "geometry.ini"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario:")
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert len(problems) == 1
+    assert problems[0].startswith(f"  - [topology] {key} must be ")
 
 
 FINITE = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,

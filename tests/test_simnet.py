@@ -714,6 +714,29 @@ def test_push_reaches_neighbours_in_pair_order():
                         (11, pytest.approx(1.2 + 2 * d))]
 
 
+def test_a_queue_head_starts_inside_the_forward_that_finds_its_link_idle():
+    # line 1-2-3: node 2's handler makes a bundle while link 1-2 completes,
+    # so that forward finds the link idle with (1, 2) still queued. The head
+    # starts right there, before link 2-3 gets the new bundle, and the two
+    # equal-sized transfers that start together end in that order
+    log = []
+    world = World(LINK, tick_interval=0.5, adjacency=[(1, 2), (2, 3)])
+
+    def handler(addr, bundle):
+        if bundle.source != addr:
+            log.append((addr, bundle.bundle_id, world.now))
+        if addr == 2 and bundle.bundle_id == (1, 1):
+            world.originate(make_bundle(2, None, 1, 1_000, created_at=world.now))
+    for addr in (1, 2, 3):
+        world.add_node(addr, handler=lambda b, a=addr: handler(a, b))
+    world.schedule(0.0, lambda: [world.originate(make_bundle(1, None, seq, 1_000))
+                                 for seq in (1, 2)])
+    world.run_until(1.0)
+    d = transfer_duration(LINK, 1_000)
+    assert log[:3] == [(2, (1, 1), d), (2, (1, 2), d + d), (3, (2, 1), d + d)]
+    assert log[1][2] == pytest.approx(0.0403, abs=1e-4)
+
+
 SPARSE = resolve_scenario("mobile-sparse")
 # the benchmark's contact-bound scenario: 150 nodes, about two neighbours each
 DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
