@@ -40,7 +40,7 @@ def build_world(fault_plan):
 world, collector, nodes = build_world(
     FaultPlan(rate=1.0, nodes=frozenset({2})))
 handle = nodes[1].offload("any enhance photo.raw\n",
-                          {"photo.raw": b"\0" * 2048})
+                          {"photo.raw": 2048})
 world.run_until(10.0)
 
 print(f"one flaky worker  -> {handle.status}")
@@ -53,7 +53,7 @@ for line in handle.result.error_log.strip().splitlines():
 
 world, collector, nodes = build_world(FaultPlan(rate=1.0))
 handle = nodes[1].offload("any enhance photo.raw\n",
-                          {"photo.raw": b"\0" * 2048})
+                          {"photo.raw": 2048})
 world.run_until(10.0)
 
 print(f"\nall workers flaky -> {handle.status}")

@@ -13,6 +13,7 @@ offer arrived last.
 
 from __future__ import annotations
 
+import math
 import random
 from enum import Enum
 from typing import Callable, Optional
@@ -54,8 +55,9 @@ def validate_weights(weights: dict[str, float]) -> dict[str, float]:
     total = sum(weights.values())
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"rating weights must sum to 1, got {total!r}")
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("rating weights must be non-negative")
+    # a NaN weight makes a NaN sum, and NaN passes both comparisons
+    if any(not (math.isfinite(w) and w >= 0) for w in weights.values()):
+        raise ValueError("rating weights must be finite and non-negative")
     return dict(weights)
 
 

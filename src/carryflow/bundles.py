@@ -13,8 +13,10 @@ so what a store holds is bounded by its live data, not by how long the run
 has gone. Expiry is kept by time, not by bundle: a heap holds each distinct
 expiry time once, and the bundles that expire at that time hang off it, so
 the copies of one announce round cost one heap entry. Each stored bundle's
-arrival time is kept beside it and dropped with it. A cleanup removes one
-workflow's bundles (`remove_where`) and never scans the whole store.
+arrival time is kept beside it and dropped with it. Only archive bundles
+carry a workflow tag; an offer or a cleanup marker carries none. A cleanup
+drops its workflow's index entry and the bundles it names (`remove_where`),
+so it never scans the whole store and never removes a marker.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 NodeAddress = int
 
@@ -32,6 +34,7 @@ NodeAddress = int
 BROADCAST: Optional[NodeAddress] = None
 
 ADDRESS_HEX_DIGITS = 16
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def format_address(addr: NodeAddress) -> str:
@@ -40,7 +43,8 @@ def format_address(addr: NodeAddress) -> str:
 
 
 def parse_address(text: str) -> NodeAddress:
-    if len(text) != ADDRESS_HEX_DIGITS:
+    """Read exactly 16 hex digits: no sign, prefix, underscore or space."""
+    if len(text) != ADDRESS_HEX_DIGITS or not _HEX_DIGITS.issuperset(text):
         raise ValueError(f"node address must be {ADDRESS_HEX_DIGITS} hex chars, got {text!r}")
     return int(text, 16)
 
@@ -73,7 +77,7 @@ class Bundle:
     size_bytes: int
     created_at: float
     ttl_seconds: float
-    # workflow tag used for cleanup; None for offers
+    # workflow tag used for cleanup; None for offers and cleanup markers
     workflow_id: Optional[str] = None
     # created_at + ttl_seconds; infinite for a bundle that never expires
     expires_at: float = field(init=False)
@@ -110,7 +114,8 @@ class BundleStore:
         # ids stored to expire then (ids cleanup removed since stay listed)
         self._expiry: list[float] = []
         self._expiring: dict[float, list[BundleId]] = {}
-        self._by_workflow: dict[str, dict[BundleId, Bundle]] = {}
+        # per workflow tag, the ids of its stored bundles
+        self._by_workflow: dict[str, set[BundleId]] = {}
 
     def __len__(self) -> int:
         return len(self._bundles)
@@ -141,16 +146,20 @@ class BundleStore:
             else:
                 ids.append(bundle_id)
         if bundle.workflow_id is not None:
-            self._by_workflow.setdefault(bundle.workflow_id, {})[bundle_id] = bundle
+            self._by_workflow.setdefault(bundle.workflow_id, set()).add(bundle_id)
         return True
 
-    def remove_where(self, predicate: Callable[[Bundle], bool], workflow_id: str) -> int:
-        """Drop the bundles of one workflow that match predicate; returns how many."""
-        doomed = [b for b in self._by_workflow.get(workflow_id, {}).values()
-                  if predicate(b)]
-        for bundle in doomed:
-            self._drop(bundle)
-        return len(doomed)
+    def remove_where(self, workflow_id: str) -> int:
+        """Drop every stored bundle of one workflow; returns how many.
+
+        Only archive bundles carry a workflow tag, so a cleanup marker is
+        never indexed here and outlives its workflow's cleanup.
+        """
+        held = self._by_workflow.pop(workflow_id, ())
+        for bundle_id in held:
+            del self._bundles[bundle_id]
+            del self._arrived[bundle_id]
+        return len(held)
 
     def live(self, now: float) -> Iterator[Bundle]:
         """All stored, non-expired bundles in insertion order."""
@@ -162,7 +171,6 @@ class BundleStore:
     scan_log = live
 
     def _shed(self, now: float) -> None:
-        # drops each expired bundle as _drop would, inline: most are offers
         heap, expiring, bundles, arrived = (self._expiry, self._expiring, self._bundles,
                                             self._arrived)
         while heap and heap[0] < now:
@@ -176,15 +184,6 @@ class BundleStore:
                 workflow_id = bundle.workflow_id
                 if workflow_id is not None:
                     held = self._by_workflow[workflow_id]
-                    del held[bundle_id]
+                    held.remove(bundle_id)
                     if not held:
                         del self._by_workflow[workflow_id]
-
-    def _drop(self, bundle: Bundle) -> None:
-        del self._bundles[bundle.bundle_id]
-        del self._arrived[bundle.bundle_id]
-        if bundle.workflow_id is not None:
-            held = self._by_workflow[bundle.workflow_id]
-            del held[bundle.bundle_id]
-            if not held:
-                del self._by_workflow[bundle.workflow_id]

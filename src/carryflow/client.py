@@ -18,7 +18,7 @@ from typing import Optional
 from .assignment import SelectionError
 from .bundles import BundleKind, NodeAddress
 from .report import FinalState, WorkflowHandle
-from .workflow import Archive, FileContent, parse
+from .workflow import Archive, parse
 
 
 class ClientRuntime:
@@ -33,8 +33,10 @@ class ClientRuntime:
     `on_cleanup`.
     """
 
-    def offload(self, text: str, files: dict[str, FileContent]) -> WorkflowHandle:
+    def offload(self, text: str, files: dict[str, int]) -> WorkflowHandle:
         """Parse, assign the first worker, and send the archive on its way.
+
+        `files` maps each input file's name to its size in bytes.
 
         Unparsable text raises immediately. An empty candidate set for a
         just-in-time first task fails the handle locally without any

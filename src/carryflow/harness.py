@@ -27,7 +27,6 @@ from .report import (Collector, ExperimentReport, freeze_workflow,
 from .scenario import (RingTopology, ScenarioConfig, WaypointTopology,
                        resolve_cohort_counts)
 from .simnet import Position, RandomWaypoint, World
-from .workflow import FileStub
 
 _CHUNK_S = 5.0
 
@@ -130,9 +129,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
     for client in clients:
         for k in range(spec.repeat):
             def offload(node: Node = client) -> None:
-                files = {name: FileStub(size, tag=name)
-                         for name, size in sorted(spec.files.items())}
-                node.offload(spec.text, files)
+                node.offload(spec.text, spec.files)
             world.schedule(spec.offload_at + k * spec.interval_s, offload)
 
     return BuiltScenario(world=world, nodes=nodes, clients=clients,

@@ -6,9 +6,11 @@ services, if it has any, on a fixed period from the moment it is built, one
 `Announcement` record per round. A received offer bundle needs no handling:
 its store keeps it, and the node's offer view reads the store when a task
 is assigned. It dispatches addressed bundles to its worker or client
-methods, and honors cleanup markers by purging everything a finished
-workflow left behind. Nodes remember which workflows were cleaned so
-anti-entropy cannot re-plant stale copies on them.
+methods, and honors a cleanup marker by dropping every stored copy of the
+finished workflow's archives. Nodes remember which workflows were cleaned so
+anti-entropy cannot re-plant stale copies on them, and a worker skips a
+queued archive of a cleaned workflow when it reaches it. A cleanup marker,
+like an offer, carries no workflow tag, so no node ever refuses one.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class Node(WorkerRuntime, ClientRuntime):
                          for name in sorted(self.services)}
         self.busy = False
         self.queue: deque[tuple[Archive, float]] = deque()
-        self.files: dict[str, set[str]] = {}
         self._workflow_seq = 0
         self._bundle_seq = 0
         self.store = world.add_node(address, position=caps.position,
@@ -82,10 +83,10 @@ class Node(WorkerRuntime, ClientRuntime):
     def accepts(self, bundle: Bundle) -> bool:
         """Refuse re-planting of bundles from workflows this node already cleaned.
 
-        The world asks only about bundles that carry a workflow id.
+        The world asks only about bundles that carry a workflow id, and only
+        archives do.
         """
-        return (bundle.workflow_id not in self.cleaned
-                or bundle.kind is BundleKind.CLEANUP_MARKER)
+        return bundle.workflow_id not in self.cleaned
 
     def on_bundle(self, bundle: Bundle) -> None:
         kind = bundle.kind
@@ -129,14 +130,11 @@ class Node(WorkerRuntime, ClientRuntime):
                         destination=BROADCAST, kind=BundleKind.CLEANUP_MARKER,
                         payload=desc.workflow_id,
                         size_bytes=CLEANUP_MARKER_BYTES + len(desc.workflow_id),
-                        created_at=self.world.now, ttl_seconds=desc.ttl_seconds,
-                        workflow_id=desc.workflow_id)
+                        created_at=self.world.now, ttl_seconds=desc.ttl_seconds)
         self.world.originate(bundle)
 
     # -- cleanup -------------------------------------------------------------------
 
     def on_cleanup(self, workflow_id: str) -> None:
         self.cleaned.add(workflow_id)
-        self.store.remove_where(lambda b: b.kind is not BundleKind.CLEANUP_MARKER,
-                                workflow_id=workflow_id)
-        self._drop_workflow(workflow_id)
+        self.store.remove_where(workflow_id)

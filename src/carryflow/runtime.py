@@ -18,7 +18,6 @@ new one built with `replace`.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional
@@ -26,7 +25,7 @@ from typing import Iterator, Optional
 from .assignment import SelectionError, select
 from .bundles import BundleKind, NodeAddress, format_address
 from .report import FinalState
-from .workflow import Archive, FileStub, WorkflowDescription, substitute_result
+from .workflow import Archive, WorkflowDescription, substitute_result
 
 MIN_EXEC_SECONDS = 0.05
 
@@ -99,11 +98,12 @@ class FaultPlan:
 class WorkerRuntime:
     """The worker role of a `Node`: its execution engine.
 
-    Archives wait in the node's `queue` while it is `busy`; `services` are
-    what it offers and `files` the results it holds per workflow. The role
-    also reads `address`, `world`, `collector`, `config`, `caps`, `cleaned`,
-    `offer_db`, `position()` and the random streams, sends through
-    `send_archive`, and hands a terminal error to `on_returned`.
+    Archives wait in the node's `queue` while it is `busy`, and one of a
+    cleaned workflow is skipped when `_start_next` reaches it; `services`
+    are what it offers. The role also reads `address`, `world`,
+    `collector`, `config`, `caps`, `cleaned`, `offer_db`, `position()` and
+    the random streams, sends through `send_archive`, and hands a terminal
+    error to `on_returned`.
 
     `_serve` is one archive's stay, and each way out of it is a `return`;
     `_resume`, its driver, is the one place that frees the worker. No
@@ -193,14 +193,12 @@ class WorkerRuntime:
                              f"service {service.name!r} failed during execution")
             return
         result_name = f"result_{task_idx}.{service.output_ext}"
-        self.files.setdefault(desc.workflow_id, set()).add(result_name)
         tasks = list(desc.tasks)
         if task_idx + 1 < len(tasks):
             tasks[task_idx + 1] = substitute_result(tasks[task_idx + 1], result_name)
         archive = replace(
             archive, description=replace(desc, tasks=tuple(tasks), cursor=task_idx + 1),
-            files={result_name: FileStub(size_bytes=service.output_size_bytes,
-                                         tag=f"{desc.workflow_id}:{result_name}")})
+            files={result_name: service.output_size_bytes})
         self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
         yield self.config.postprocess_s
         desc = archive.description
@@ -277,11 +275,3 @@ class WorkerRuntime:
         self.world.schedule(
             now + self.config.postprocess_s,
             lambda: self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker))
-
-    # -- cleanup ---------------------------------------------------------------
-
-    def _drop_workflow(self, workflow_id: str) -> None:
-        self.files.pop(workflow_id, None)
-        if self.queue:
-            self.queue = deque((a, t) for a, t in self.queue
-                               if a.description.workflow_id != workflow_id)

@@ -8,7 +8,7 @@ A scenario file has the sections
   [services]    one key per service: mean=, jitter=, energy=, output_bytes=, ...
   [cohort:X]    node groups: count= / fraction= / addresses= (or nothing for
                 the single remainder cohort), capability caps, offered services
-  [workflow]    the task list (inline or file=), stub input files, offload times
+  [workflow]    the task list (inline or file=), input file sizes, offload times
   [run]         seed, duration, strategy, rating weights, fault injection
 
 Each scalar key is a `_Key` row in its section's table (INI name, field,
@@ -446,7 +446,7 @@ def _parse_cohort(name: str, reader: _Reader,
                       **values)
 
 
-def _parse_workflow(reader: _Reader, base_dir: Optional[str],
+def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: int,
                     services: dict[str, ServiceDefinition]) -> WorkflowSpec:
     reader.check_keys(_WORKFLOW_KEYS + (_TTL,), "tasks", "file", "requirements",
                       "input")
@@ -482,6 +482,9 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str],
             if task.service_name not in services:
                 reader.complain(f"task {idx} uses unknown service "
                                 f"{task.service_name!r}")
+            if task.worker is not None and not 1 <= task.worker <= n_nodes:
+                reader.complain(f"task {idx} pinned address {task.worker} "
+                                f"outside 1..{n_nodes}")
         text = format_description(desc)
     except WorkflowParseError as exc:
         reader.complain(f"tasks: {exc}")
@@ -583,7 +586,7 @@ def parse_scenario(text: str, *, name: str = "inline",
     if not any(c.client for c in cohorts):
         problems.append("no cohort is marked client = true")
 
-    workflow = _parse_workflow(reader("workflow"), base_dir, services)
+    workflow = _parse_workflow(reader("workflow"), base_dir, topology.nodes, services)
     run = _parse_run(reader("run"), topology.nodes, services)
 
     config = ScenarioConfig(name=name, topology=topology, link=link,

@@ -26,8 +26,9 @@ without a lookup. Two paths enqueue: the link scan puts many bundles on its
 one link, and a delivery (`_deliver`) forwards its one bundle over the
 receiver's links. Both skip a bundle the receiver holds and a tagged one
 (it carries a workflow id) the receiver's accept hook refuses; the hook is
-asked about nothing else, so an offer never costs it a call. Storing a delivered or originated bundle asks
-the storing node's hook by the same rule. A scan first drops the bundles
+asked about nothing else, so an offer or a cleanup marker never costs it
+a call. Storing a delivered or originated bundle asks the storing node's
+hook by the same rule. A scan first drops the bundles
 the receiver holds in one pass, since those are most of what a sender
 carries. No link queues one bundle twice for one receiver: the scan runs
 once, when the link opens, after that only bundles newly stored at one end
@@ -306,7 +307,8 @@ class World:
         `handler` is called with each bundle the node stores, its own
         included. `accept` is asked, before the node stores a bundle or a
         link queues one for it, only about a bundle that carries a
-        `workflow_id`; a bundle without one (an offer) is always accepted.
+        `workflow_id`; a bundle without one (an offer or a cleanup marker)
+        is always accepted.
         """
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")

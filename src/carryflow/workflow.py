@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .bundles import NodeAddress, format_address, parse_address
 
@@ -189,36 +188,18 @@ def substitute_result(task: Task, result_name: str) -> Task:
 
 
 @dataclass(frozen=True)
-class FileStub:
-    """A file known only by its size, so multi-megabyte payloads stay out of
-    memory during simulation; the tag names what it stands for.
-    """
-
-    size_bytes: int
-    tag: str = ""
-
-
-FileContent = Union[bytes, FileStub]
-
-
-def file_size(content: FileContent) -> int:
-    if isinstance(content, FileStub):
-        return content.size_bytes
-    return len(content)
-
-
-@dataclass(frozen=True)
 class Archive:
     """Everything a worker needs to run the next task, in one transferable unit.
 
     An archive is a value: each hop builds a new one with `replace`, so the
     copies every store carries never change under them. A failed task's
     archive travels back with `error` set. The wire metadata leaves `error`
-    out, so setting it leaves `packed_size` as it is.
+    out, so setting it leaves `packed_size` as it is. A file is carried as
+    its name and size in bytes: no run reads file contents.
     """
 
     description: WorkflowDescription
-    files: dict[str, FileContent] = field(default_factory=dict)
+    files: dict[str, int] = field(default_factory=dict)
     error_log: str = ""
     # bookkeeping for the retry path: who picked the current task's worker,
     # and whether that pick already was the retry
@@ -227,9 +208,10 @@ class Archive:
     error: Optional[WorkerError] = None
 
 
-_MAGIC = b"CFA1"
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
+# wire framing: a 4-byte magic, a 32-bit metadata length and a 32-bit file
+# count; per file, a 32-bit name length and a 64-bit content length
+_ARCHIVE_FRAMING_BYTES = 4 + 4 + 4
+_FILE_FRAMING_BYTES = 4 + 8
 
 
 def _desc_to_obj(desc: WorkflowDescription) -> dict:
@@ -266,10 +248,10 @@ def packed_size(archive: Archive) -> int:
 
     The layout: a magic, the length-prefixed JSON metadata, a file count,
     then per file in name order a length-prefixed UTF-8 name, a 64-bit
-    content length and the contents.
+    content length and `size` content bytes. Only the total is needed, so
+    the files are summed in any order.
     """
-    total = len(_MAGIC) + _U32.size + len(_desc_blob(archive)) + _U32.size
-    for name in sorted(archive.files):
-        total += _U32.size + len(name.encode("utf-8")) + _U64.size
-        total += file_size(archive.files[name])
+    total = _ARCHIVE_FRAMING_BYTES + len(_desc_blob(archive))
+    for name, size in archive.files.items():
+        total += _FILE_FRAMING_BYTES + len(name.encode("utf-8")) + size
     return total

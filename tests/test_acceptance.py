@@ -20,7 +20,7 @@ from statistics import fmean
 import pytest
 
 from carryflow.assignment import Strategy, folded_normal_index
-from carryflow.bundles import BundleKind, format_address
+from carryflow.bundles import format_address
 from carryflow.cli import resolve_scenario
 from carryflow.harness import build, run_scenario, run_suite, summarize
 from carryflow.report import selection_entropy
@@ -196,7 +196,7 @@ def test_criterion_07_error_path_conformance():
     micro = build_line(3, both,
                        fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2})))
     micro.settle(1.0)
-    handle = micro.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = micro.node(1).offload("any work in.dat\n", {"in.dat": 1})
     micro.settle(5.0)
     assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
@@ -208,7 +208,7 @@ def test_criterion_07_error_path_conformance():
     micro.settle(0.5)
     micro.node(2).caps.energy = 1.0
     handle = micro.node(1).offload("any work in.dat [energy=50]\n",
-                                   {"in.dat": b"x"})
+                                   {"in.dat": 1})
     micro.settle(5.0)
     assert handle.status == "succeeded"
     assert micro.collector.selections == {(1, 2): 1, (1, 3): 1}
@@ -218,7 +218,7 @@ def test_criterion_07_error_path_conformance():
     micro = build_line(3, {2: {"work": svc}})
     micro.settle(1.0)
     handle = micro.node(1).offload(
-        "any work in.dat\nany work ##result##\n", {"in.dat": b"x"})
+        "any work in.dat\nany work ##result##\n", {"in.dat": 1})
     micro.settle(5.0)
     assert handle.status == "failed"
     assert handle.result.error.error_class is ErrorClass.WORKER_SELECTION
@@ -229,7 +229,7 @@ def test_criterion_07_error_path_conformance():
                        fault_plan=FaultPlan(rate=1.0, nodes=frozenset({2})))
     micro.settle(1.0)
     handle = micro.node(1).offload(
-        f"{format_address(2)} work in.dat\n", {"in.dat": b"x"})
+        f"{format_address(2)} work in.dat\n", {"in.dat": 1})
     micro.settle(5.0)
     assert handle.status == "failed"
     assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
@@ -238,7 +238,7 @@ def test_criterion_07_error_path_conformance():
     # a second failure is terminal and reaches the client
     micro = build_line(3, both, fault_plan=FaultPlan(rate=1.0))
     micro.settle(1.0)
-    handle = micro.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = micro.node(1).offload("any work in.dat\n", {"in.dat": 1})
     micro.settle(5.0)
     assert handle.status == "failed"
     assert handle.result.error.error_class is ErrorClass.TASK_EXECUTION
@@ -249,9 +249,9 @@ def test_criterion_07_error_path_conformance():
 def test_criterion_08_ttl_conformance():
     micro = build_line(2, {2: {"work": service("work", mean=3.0)}})
     micro.settle(1.0)
-    blocker = micro.node(1).offload("any work a.dat\n", {"a.dat": b"a"})
+    blocker = micro.node(1).offload("any work a.dat\n", {"a.dat": 1})
     doomed = micro.node(1).offload("ttl=2\nany work b.dat\n",
-                                   {"b.dat": b"b"})
+                                   {"b.dat": 1})
     micro.settle(10.0)
     assert blocker.status == "succeeded"
     assert doomed.status == "timed_out"
@@ -286,13 +286,8 @@ def test_criterion_10_cleanup_leaves_no_residue():
     assert tracks and all(t.status != "pending" for t in tracks.values())
 
     for addr, store in built.world.stores.items():
-        residue = [b for b in store.live(built.world.now)
-                   if b.workflow_id in tracks
-                   and b.kind is not BundleKind.CLEANUP_MARKER]
+        residue = [b for b in store.live(built.world.now) if b.workflow_id in tracks]
         assert residue == [], f"node {addr} still carries {residue}"
-    for addr, node in built.nodes.items():
-        leftover = set(tracks) & set(node.files)
-        assert not leftover, f"node {addr} still holds files for {leftover}"
 
 
 def test_golden_report_digests(het_suite, hom_suite, mobile_suite, aot_runs,

@@ -29,6 +29,10 @@ def test_validate_weights():
         validate_weights({"cpu": 0.7})
     with pytest.raises(ValueError, match="non-negative"):
         validate_weights({"cpu": 1.5, "energy": -0.5})
+    # a NaN sum passes the sum test, so the weight itself is refused
+    for weights in ({"cpu": math.nan}, {"cpu": math.nan, "memory": 1.0}):
+        with pytest.raises(ValueError, match="finite"):
+            validate_weights(weights)
 
 
 def test_proximity_endpoints():

@@ -33,6 +33,11 @@ def test_address_rejects_wrong_length():
         parse_address("ff")
     with pytest.raises(ValueError):
         parse_address("0" * 17)
+    for text in ("-000000000000001", "+00000000000000f", " 00000000000000f",
+                 "0x00000000000002", "0000_0000_0000_1", "00000000000000g"):
+        with pytest.raises(ValueError, match="hex"):
+            parse_address(text)
+    assert parse_address("00000000000000FF") == 255
 
 
 def test_expiry_boundary_is_inclusive():
@@ -75,7 +80,7 @@ def test_live_keeps_insertion_order_and_skips_removed():
     assert [b.bundle_id for b in store.live(now=0.0)] == \
         [b.bundle_id for b in bundles]
 
-    assert store.remove_where(lambda b: True, workflow_id=bundles[1].workflow_id) == 1
+    assert store.remove_where(bundles[1].workflow_id) == 1
     assert [b.bundle_id for b in store.live(now=0.0)] == \
         [b.bundle_id for b in bundles if b is not bundles[1]]
 
@@ -94,7 +99,7 @@ def test_remove_where_counts():
     store = BundleStore()
     for i in range(1, 6):
         store.insert(make_bundle(i), now=0.0)
-    removed = sum(store.remove_where(lambda b: True, workflow_id=workflow_id)
+    removed = sum(store.remove_where(workflow_id)
                   for workflow_id in ("wf-2", "wf-4"))
     assert removed == 2
     assert len(store) == 3
@@ -113,11 +118,10 @@ def test_live_drops_expired_with_their_arrival_times():
     assert dict(store.arrived_at) == {keeper.bundle_id: 0.5}
 
 
-def marker(seq: int, workflow_id: str, *, ttl: float = 100.0) -> Bundle:
+def marker(seq: int, workflow_id: str) -> Bundle:
     return Bundle(bundle_id=(2, seq), source=2, destination=None,
                   kind=BundleKind.CLEANUP_MARKER, payload=workflow_id,
-                  size_bytes=64, created_at=0.0, ttl_seconds=ttl,
-                  workflow_id=workflow_id)
+                  size_bytes=64, created_at=0.0, ttl_seconds=100.0)
 
 
 def test_expires_at_is_creation_plus_ttl():
@@ -158,7 +162,7 @@ def test_shedding_skips_bundles_cleanup_already_removed():
     store = BundleStore()
     store.insert(make_bundle(1, ttl=1.0), now=0.0)
     store.insert(make_bundle(2, ttl=1.0), now=0.0)
-    assert store.remove_where(lambda b: True, workflow_id="wf-1") == 1
+    assert store.remove_where("wf-1") == 1
     assert list(store.arrived_at) == [(1, 2)]
     assert list(store.live(now=5.0)) == []
     assert len(store) == 0
@@ -170,22 +174,17 @@ def test_remove_where_by_workflow_touches_only_that_workflow():
     store.insert(make_bundle(1), now=0.0)
     store.insert(marker(1, "wf-1"), now=0.0)
     store.insert(make_bundle(2), now=0.0)
-    seen = []
-
-    def not_a_marker(b: Bundle) -> bool:
-        seen.append(b.bundle_id)
-        return b.kind is not BundleKind.CLEANUP_MARKER
-
-    assert store.remove_where(not_a_marker, workflow_id="wf-1") == 1
-    assert sorted(seen) == [(1, 1), (2, 1)]
+    # the marker names its workflow only in its payload, so it outlives the
+    # cleanup it announces
+    assert store.remove_where("wf-1") == 1
     assert [b.bundle_id for b in store.live(now=0.0)] == [(2, 1), (1, 2)]
-    assert store.remove_where(not_a_marker, workflow_id="wf-9") == 0
+    assert store.remove_where("wf-9") == 0
 
 
 def test_workflow_index_shrinks_when_its_bundles_expire():
     store = BundleStore()
     store.insert(make_bundle(1, ttl=1.0), now=0.0)
-    store.insert(marker(1, "wf-1", ttl=2.0), now=0.0)
+    store.insert(dataclasses.replace(make_bundle(3, ttl=2.0), workflow_id="wf-1"), now=0.0)
     store.insert(make_bundle(2, ttl=100.0), now=0.0)
     assert len(list(store.live(now=1.5))) == 2
     assert set(store._by_workflow) == {"wf-1", "wf-2"}
@@ -219,7 +218,7 @@ def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
             if accepted:
                 model[bundle.bundle_id] = bundle
         elif op == "cleanup":
-            assert store.remove_where(lambda b: True, workflow_id=f"wf-{seq}") <= 1
+            assert store.remove_where(f"wf-{seq}") <= 1
             assert bundle.bundle_id not in store
             model.pop(bundle.bundle_id, None)
             continue
@@ -269,7 +268,7 @@ def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
         elif op == "remove":
             workflow_id = f"wf-{seq % 3}"
             doomed = [bid for bid, b in oracle.items() if b.workflow_id == workflow_id]
-            assert store.remove_where(lambda b: True, workflow_id=workflow_id) == len(doomed)
+            assert store.remove_where(workflow_id) == len(doomed)
             for bid in doomed:
                 del oracle[bid]
         else:

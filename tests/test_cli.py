@@ -2,6 +2,7 @@
 
 import json
 import re
+from importlib import resources
 
 import pytest
 
@@ -146,6 +147,24 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     bad.write_text(RING_INI.replace("client = true", "client = false"))
     assert main(["run", str(bad)]) == 2
     assert "invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pin,problem", [
+    ("00000000000000ff", "[workflow] task 0 pinned address 255 outside 1..11"),
+    ("-000000000000003", "[workflow] tasks: line 4: node address must be 16 hex chars, "
+                         "got '-000000000000003'"),
+])
+def test_a_bad_pinned_worker_exits_2_before_any_run(tmp_path, capsys, monkeypatch, pin,
+                                                    problem):
+    # unchecked, either pin ran ring-aot to its 300 s cap with the workflow pending
+    packaged = resources.files("carryflow") / "scenarios"
+    chain = (packaged / "aot-chain.wf").read_text(encoding="utf-8")
+    (tmp_path / "aot-chain.wf").write_text(chain.replace("0000000000000003", pin))
+    ini = tmp_path / "ring-aot.ini"
+    ini.write_text((packaged / "ring-aot.ini").read_text(encoding="utf-8"))
+    monkeypatch.setattr("carryflow.cli.run_scenario", None)
+    assert main(["run", str(ini)]) == 2
+    assert capsys.readouterr().err == f"error: invalid scenario:\n  - {problem}\n"
 
 
 def test_report_requires_existing_files(tmp_path):

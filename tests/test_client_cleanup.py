@@ -15,7 +15,7 @@ def test_timeout_fires_exactly_once_and_result_cannot_flip_it():
     micro = build_line(2, {2: {"work": service("work", mean=3.0)}})
     micro.settle(1.0)
     handle = micro.node(1).offload("ttl=2\nany work in.dat\n",
-                                   {"in.dat": b"x"})
+                                   {"in.dat": 1})
     micro.settle(10.0)
     # the TTL fires while the 3 s task executes: the workflow keeps that phase
     assert handle.status == "timed_out"
@@ -42,7 +42,7 @@ def _fake_archive(handle):
 
 def test_late_error_cannot_flip_success(line3):
     line3.settle(1.0)
-    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": 1})
     line3.settle(5.0)
     assert handle.status == "succeeded"
     result = handle.result
@@ -58,7 +58,7 @@ def test_unknown_workflow_results_are_ignored(line3):
     from carryflow.workflow import Archive, parse
 
     line3.settle(1.0)
-    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": 1})
     stranger = parse("any work in.dat\n", workflow_id="wf-unknown", client=1)
     line3.node(1).on_returned(Archive(description=stranger))
     line3.settle(5.0)
@@ -68,23 +68,20 @@ def test_unknown_workflow_results_are_ignored(line3):
 def test_terminal_workflow_is_scrubbed_from_every_store(line3):
     line3.settle(1.0)
     handle = line3.node(1).offload(
-        "any work in.dat\nany work ##result##\n", {"in.dat": b"x" * 64})
+        "any work in.dat\nany work ##result##\n", {"in.dat": 64})
     line3.settle(10.0)
     assert handle.status == "succeeded"
     wf = handle.description.workflow_id
     for addr, store in line3.world.stores.items():
-        leftovers = [b for b in store.live(line3.world.now)
-                     if b.workflow_id == wf
-                     and b.kind is not BundleKind.CLEANUP_MARKER]
+        leftovers = [b for b in store.live(line3.world.now) if b.workflow_id == wf]
         assert leftovers == [], f"node {addr} still carries {leftovers}"
     for addr in (1, 2, 3):
         assert wf in line3.node(addr).cleaned
-        assert wf not in line3.node(addr).files
 
 
 def test_cleaned_node_refuses_replanting(line3):
     line3.settle(1.0)
-    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": 1})
     line3.settle(5.0)
     wf = handle.description.workflow_id
     stray = Bundle(bundle_id=(9, 1), source=3, destination=1,
@@ -94,14 +91,13 @@ def test_cleaned_node_refuses_replanting(line3):
     assert line3.node(1).accepts(stray) is False
     marker = Bundle(bundle_id=(9, 2), source=3, destination=None,
                     kind=BundleKind.CLEANUP_MARKER, payload=wf,
-                    size_bytes=10, created_at=line3.world.now, ttl_seconds=100.0,
-                    workflow_id=wf)
+                    size_bytes=10, created_at=line3.world.now, ttl_seconds=100.0)
     assert line3.node(1).accepts(marker) is True
 
 
 def test_local_failure_broadcasts_no_marker():
     micro = build_line(3, {2: {"work": service("work")}})
-    handle = micro.node(1).offload("any other in.dat\n", {"in.dat": b"x"})
+    handle = micro.node(1).offload("any other in.dat\n", {"in.dat": 1})
     assert handle.status == "failed"
     micro.settle(3.0)
     markers = [b for store in micro.world.stores.values()
@@ -113,13 +109,13 @@ def test_local_failure_broadcasts_no_marker():
 
 def test_successful_workflow_broadcasts_marker_to_all(line3):
     line3.settle(1.0)
-    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": b"x"})
+    handle = line3.node(1).offload("any work in.dat\n", {"in.dat": 1})
     line3.settle(5.0)
     assert handle.status == "succeeded"
     for addr in (2, 3):
         held = [b for b in line3.world.stores[addr].live(line3.world.now)
                 if b.kind is BundleKind.CLEANUP_MARKER
-                and b.workflow_id == handle.description.workflow_id]
+                and b.payload == handle.description.workflow_id]
         assert len(held) == 1
 
 

@@ -117,3 +117,39 @@ def test_each_node_layer_rule_is_kept_once():
         "runtime.py:retryable", "runtime.py:_serve", "runtime.py:_fail_selection"]
     assert _functions_using("WorkerError") == [
         "runtime.py:_emit_error", "runtime.py:_fail_selection"]
+
+
+def _imports_struct(path: Path) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "struct"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_a_file_is_its_size_and_a_cleanup_forgets_by_one_set():
+    import inspect
+
+    from conftest import build_line, service
+
+    from carryflow.bundles import BundleKind, BundleStore
+    from carryflow.runtime import WorkerRuntime
+    from carryflow.workflow import parse
+    # an archive file is its size in bytes, so there is no second form of it
+    found = [f"{path.name} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in ("FileStub", "FileContent", "file_size", "_drop_workflow")
+             if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))]
+    assert found == []
+    assert not _imports_struct(PACKAGE / "workflow.py")
+    # a cleanup pops one index entry, and the queue is filtered only when
+    # the worker reaches an entry
+    assert not hasattr(BundleStore, "_drop")
+    assert not hasattr(WorkerRuntime, "_drop_workflow")
+    assert list(inspect.signature(BundleStore.remove_where).parameters) == [
+        "self", "workflow_id"]
+    # no node keeps result files, and a cleanup marker carries no workflow tag
+    micro = build_line(2, {2: {"work": service("work")}})
+    node = micro.node(1)
+    assert not hasattr(node, "files")
+    node.send_cleanup(parse("any work in.dat\n", workflow_id="wf-x", client=1))
+    markers = [b for b in micro.world.stores[1].live(micro.world.now)
+               if b.kind is BundleKind.CLEANUP_MARKER]
+    assert [(b.payload, b.workflow_id) for b in markers] == [("wf-x", None)]

@@ -26,7 +26,7 @@ TWO_STEP = "any work in.dat\nany work ##result##\n"
 
 def offload(micro, text=TWO_STEP, addr=1, files=None):
     return micro.node(addr).offload(
-        text, files if files is not None else {"in.dat": b"x" * 64})
+        text, files if files is not None else {"in.dat": 64})
 
 
 def test_two_task_chain_succeeds(line3):
@@ -66,8 +66,8 @@ def test_recent_strategy_prefers_last_arrival():
 def test_busy_worker_queues_fifo():
     micro = build_line(2, {2: {"work": service("work", mean=0.5)}})
     micro.settle(1.0)
-    first = offload(micro, "any work a.dat\n", files={"a.dat": b"a"})
-    second = offload(micro, "any work b.dat\n", files={"b.dat": b"b"})
+    first = offload(micro, "any work a.dat\n", files={"a.dat": 1})
+    second = offload(micro, "any work b.dat\n", files={"b.dat": 1})
     micro.settle(5.0)
     assert first.status == "succeeded"
     assert second.status == "succeeded"
@@ -80,8 +80,8 @@ def test_busy_worker_queues_fifo():
 def test_expired_workflow_behind_a_queue_never_executes():
     micro = build_line(2, {2: {"work": service("work", mean=3.0)}})
     micro.settle(1.0)
-    blocker = offload(micro, "any work a.dat\n", files={"a.dat": b"a"})
-    doomed = offload(micro, "ttl=1\nany work b.dat\n", files={"b.dat": b"b"})
+    blocker = offload(micro, "any work a.dat\n", files={"a.dat": 1})
+    doomed = offload(micro, "ttl=1\nany work b.dat\n", files={"b.dat": 1})
     micro.settle(10.0)
     assert blocker.status == "succeeded"
     assert doomed.status == "timed_out"
@@ -366,22 +366,22 @@ def _error(error_class):
 
 SERVE_EXITS = {
     # id: (first workflow, its TTL, setup, what worker 2 sends for it,
-    #      expired drops, whether its result was made)
-    "stale-after-preprocessing": ("any work in.dat\n", 0.005, None, [], 1, False),
+    #      expired drops)
+    "stale-after-preprocessing": ("any work in.dat\n", 0.005, None, [], 1),
     "unknown-service": ("any nosuch in.dat\n", 100, None,
-                        _error(ErrorClass.WORKER_CALLING), 0, False),
+                        _error(ErrorClass.WORKER_CALLING), 0),
     "capabilities-drifted": ("any work in.dat [energy=50]\n", 100, _drift,
-                             _error(ErrorClass.WORKER_CALLING), 0, False),
-    "cleaned-during-execution": ("any work in.dat\n", 100, _clean_mid_run, [], 0, False),
+                             _error(ErrorClass.WORKER_CALLING), 0),
+    "cleaned-during-execution": ("any work in.dat\n", 100, _clean_mid_run, [], 0),
     "injected-fault": ("any work in.dat\n", 100, _fail_once,
-                       _error(ErrorClass.TASK_EXECUTION), 0, False),
+                       _error(ErrorClass.TASK_EXECUTION), 0),
     # the run ends 0.21 s in, and postprocessing 0.22 s in
-    "expired-after-postprocessing": ("any work in.dat\n", 0.215, None, [], 0, True),
+    "expired-after-postprocessing": ("any work in.dat\n", 0.215, None, [], 0),
     "no-next-worker": ("any work in.dat\nany work ##result## [cpu=100]\n", 100, None,
-                       _error(ErrorClass.WORKER_SELECTION), 0, True),
+                       _error(ErrorClass.WORKER_SELECTION), 0),
     "result-returned": ("any work in.dat\n", 100, None,
-                        [(BundleKind.RESULT_ARCHIVE, None)], 0, True),
-    "forwarded": (TWO_STEP, 100, None, [(BundleKind.WORKFLOW_ARCHIVE, None)], 0, True),
+                        [(BundleKind.RESULT_ARCHIVE, None)], 0),
+    "forwarded": (TWO_STEP, 100, None, [(BundleKind.WORKFLOW_ARCHIVE, None)], 0),
 }
 
 
@@ -389,7 +389,7 @@ SERVE_EXITS = {
 def test_worker_is_free_after_every_way_an_archive_leaves(line3, case):
     from carryflow.workflow import parse
 
-    text, ttl, setup, first_sent, drops, made = case
+    text, ttl, setup, first_sent, drops = case
     line3.settle(1.0)
     worker, now = line3.node(2), line3.world.now
     if setup is not None:
@@ -406,7 +406,7 @@ def test_worker_is_free_after_every_way_an_archive_leaves(line3, case):
     # the second archive arrives while the first is being served
     for wid, wf_text in (("wf-first", f"ttl={ttl}\n{text}"), ("wf-second", "any work in.dat\n")):
         desc = parse(wf_text, workflow_id=wid, client=1, created_at=now)
-        worker.on_archive(Archive(description=desc, files={"in.dat": b"x"}, assigned_by=1), now)
+        worker.on_archive(Archive(description=desc, files={"in.dat": 1}, assigned_by=1), now)
     assert worker.busy and len(worker.queue) == 1
     line3.settle(5.0)
 
@@ -414,4 +414,32 @@ def test_worker_is_free_after_every_way_an_archive_leaves(line3, case):
     assert [how for wid, how in sent if wid == "wf-first"] == first_sent
     assert [how for wid, how in sent if wid == "wf-second"] == [(BundleKind.RESULT_ARCHIVE, None)]
     assert line3.collector.expired_drops == drops
-    assert ("wf-first" in worker.files) is made
+
+
+def test_a_cleanup_skips_a_queued_archive_of_its_workflow(line3):
+    from carryflow.workflow import parse
+
+    line3.settle(1.0)
+    worker, now = line3.node(2), line3.world.now
+    sent = []
+    real_send = worker.send_archive
+
+    def send_archive(kind, archive, dest):
+        sent.append((archive.description.workflow_id, kind))
+        real_send(kind, archive, dest)
+    worker.send_archive = send_archive
+
+    # wf-queued waits behind wf-serving, and its cleanup arrives meanwhile
+    for wid in ("wf-serving", "wf-queued"):
+        desc = parse("any work in.dat\n", workflow_id=wid, client=1, created_at=now)
+        worker.on_archive(Archive(description=desc, files={"in.dat": 1}, assigned_by=1), now)
+    assert worker.busy and len(worker.queue) == 1
+    energy = worker.caps.energy
+    worker.on_cleanup("wf-queued")
+    line3.settle(5.0)
+
+    assert sent == [("wf-serving", BundleKind.RESULT_ARCHIVE)]
+    # one execution's energy: the queued archive never ran
+    assert worker.caps.energy == pytest.approx(energy - 1.0)
+    assert line3.collector.expired_drops == 0
+    assert not worker.busy and not worker.queue

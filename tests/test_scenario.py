@@ -131,6 +131,18 @@ def test_problems_are_collected_not_fail_fast():
      "no cohort is marked client"),
     (lambda t: t.replace("any work in.dat", "any vanish in.dat"),
      "unknown service"),
+    (lambda t: t.replace("any work in.dat", "-000000000000003 work in.dat"),
+     r"\[workflow\] tasks: line 2: node address must be 16 hex chars"),
+    (lambda t: t.replace("any work in.dat", "0x00000000000002 work in.dat"),
+     r"\[workflow\] tasks: line 2: node address must be 16 hex chars"),
+    (lambda t: t.replace("any work in.dat", "0000_0000_0000_1 work in.dat"),
+     r"\[workflow\] tasks: line 2: node address must be 16 hex chars"),
+    (lambda t: t.replace("any work in.dat", "+00000000000000f work in.dat"),
+     r"\[workflow\] tasks: line 2: node address must be 16 hex chars"),
+    (lambda t: t.replace("any work in.dat", "00000000000000ff work in.dat"),
+     r"\[workflow\] task 0 pinned address 255 outside 1\.\.6"),
+    (lambda t: t.replace("any work ##result##", "0000000000000000 work ##result##"),
+     r"\[workflow\] task 1 pinned address 0 outside 1\.\.6"),
     (lambda t: t.replace("[workflow]", "[workflow]\nfile = extra.wf"),
      "either tasks or file"),
     (lambda t: t.replace("[run]", "[sprint]\nx = 1\n\n[run]"),

@@ -10,31 +10,25 @@ from hypothesis import strategies as st
 
 from carryflow.bundles import Bundle, BundleKind, format_address
 from carryflow.runtime import ErrorClass, WorkerError
-from carryflow.workflow import (ALL_METRICS, Archive, FileStub, Task,
+from carryflow.workflow import (ALL_METRICS, Archive, Task,
                                 WorkflowDescription, WorkflowParseError,
-                                _desc_blob, file_size, format_description,
+                                _desc_blob, format_description,
                                 packed_size, parse, substitute_result)
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
 
-def file_bytes(content):
-    """The bytes a FileStub stands for: its tag and a NUL, repeated to size."""
-    if isinstance(content, FileStub):
-        pattern = (content.tag.encode("utf-8") or b"\x00") + b"\x00"
-        reps = content.size_bytes // len(pattern) + 1
-        return (pattern * reps)[: content.size_bytes]
-    return content
-
-
 def pack(archive: Archive) -> bytes:
-    """Reference wire encoding whose length packed_size must give."""
+    """Reference wire encoding whose length packed_size must give.
+
+    A file is only its size, so each is written as that many zero bytes.
+    """
     blob = _desc_blob(archive)
     parts = [b"CFA1", _U32.pack(len(blob)), blob, _U32.pack(len(archive.files))]
     for name in sorted(archive.files):
         raw_name = name.encode("utf-8")
-        data = file_bytes(archive.files[name])
+        data = bytes(archive.files[name])
         parts += [_U32.pack(len(raw_name)), raw_name, _U64.pack(len(data)), data]
     return b"".join(parts)
 
@@ -68,6 +62,12 @@ def test_parse_pinned_worker_address():
     ("", "no tasks"),
     ("any\n", "expected"),
     ("zz11 scale f\n", "address"),
+    # int(text, 16) would take each of these: a sign, a prefix, an
+    # underscore, or a space in place of a digit
+    ("-000000000000001 scale f\n", "address"),
+    ("+00000000000000f scale f\n", "address"),
+    ("0x00000000000002 scale f\n", "address"),
+    ("0000_0000_0000_1 scale f\n", "address"),
     ("any scale f [cpu=two]\n", "not a number"),
     ("any scale f [speed=1]\n", "unknown requirement"),
     ("any scale f [cpu=-1]\n", "must be positive"),
@@ -134,20 +134,11 @@ def test_expiry_accessors():
     assert not infinite.is_expired(1e12)
 
 
-def test_file_stub_bytes_are_deterministic():
-    stub = FileStub(size_bytes=100, tag="wf-1:result_0.png")
-    data = file_bytes(stub)
-    assert len(data) == 100
-    assert data == file_bytes(FileStub(size_bytes=100, tag="wf-1:result_0.png"))
-    assert file_size(stub) == 100
-    assert file_bytes(b"abc") == b"abc"
-
-
 def make_archive(cursor: int = 0) -> Archive:
     desc = replace(parse(PIPELINE, workflow_id="wf-7", client=2, created_at=4.5),
                    cursor=cursor)
     return Archive(description=desc,
-                   files={"photo.raw": FileStub(size_bytes=512, tag="photo")},
+                   files={"photo.raw": 512},
                    error_log="", assigned_by=2, retried=False)
 
 
@@ -182,8 +173,7 @@ def test_travelling_values_are_frozen():
 )
 def test_packed_size_equals_wire_length(n_files, sizes, cursor, log):
     desc = replace(parse(PIPELINE, workflow_id="wf-h", client=1), cursor=cursor)
-    files = {f"f{i}.bin": FileStub(size_bytes=sizes[i], tag=f"f{i}")
-             for i in range(n_files)}
+    files = {f"f{i}.bin": sizes[i] for i in range(n_files)}
     archive = Archive(description=desc, files=files, error_log=log,
                       assigned_by=3, retried=bool(cursor))
     assert packed_size(archive) == len(pack(archive))
