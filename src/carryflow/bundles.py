@@ -10,13 +10,17 @@ between stores happens in the network layer, this module only answers what a
 node currently holds. A store sheds a bundle once it expires: inserting and
 listing the live bundles first drop everything whose expiry time has passed,
 so what a store holds is bounded by its live data, not by how long the run
-has gone. Expiry is kept by time, not by bundle: a heap holds each distinct
-expiry time once, and the bundles that expire at that time hang off it, so
-the copies of one announce round cost one heap entry. Each stored bundle's
-arrival time is kept beside it and dropped with it. Only archive bundles
-carry a workflow tag; an offer or a cleanup marker carries none. A cleanup
-drops its workflow's index entry and the bundles it names (`remove_where`),
-so it never scans the whole store and never removes a marker.
+has gone. A store refuses nothing: its caller hands `insert` only a live
+bundle that the store has never held. The world checks both before every
+write (a copy in flight can expire, and one can arrive over two links), so
+the store does not test them again. Expiry is kept by time, not by bundle: a
+heap holds each distinct expiry time once, and the bundles that expire at
+that time hang off it, so the copies of one announce round cost one heap
+entry. Each stored bundle's arrival time is kept beside it and dropped with
+it. Only archive bundles carry a workflow tag; an offer or a cleanup marker
+carries none. A cleanup drops its workflow's index entry and the bundles it
+names (`remove_where`), so it never scans the whole store and never removes
+a marker.
 """
 
 from __future__ import annotations
@@ -61,12 +65,12 @@ class BundleKind(Enum):
 BundleId = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bundle:
     """A payload unit carried between nodes.
 
-    Bundles are frozen, and every store holding a copy holds the same
-    object; its payload is frozen too.
+    Bundles are frozen and slotted, and every store holding a copy holds the
+    same object; its payload is frozen too.
     """
 
     bundle_id: BundleId
@@ -97,10 +101,10 @@ class BundleStore:
 
     A removed bundle is never stored again (removal happens only on cleanup,
     after which the node refuses that workflow, or on expiry, after which
-    insert refuses it), so iterating the store gives the order in which its
-    live bundles arrived. A heap of distinct expiry times, each with the ids
-    that expire then, finds the bundles to shed, and a per-workflow index
-    lets a cleanup touch only its own workflow.
+    the world no longer hands it over), so iterating the store gives the
+    order in which its live bundles arrived. A heap of distinct expiry
+    times, each with the ids that expire then, finds the bundles to shed,
+    and a per-workflow index lets a cleanup touch only its own workflow.
     """
 
     def __init__(self) -> None:
@@ -123,19 +127,17 @@ class BundleStore:
     def __contains__(self, bundle_id: BundleId) -> bool:
         return bundle_id in self._bundles
 
-    def insert(self, bundle: Bundle, now: float) -> bool:
-        """Store a bundle. Returns False for duplicates and dead-on-arrival bundles.
+    def insert(self, bundle: Bundle, now: float) -> None:
+        """Store a bundle, first shedding what expired before `now`.
 
-        The world never hands it a bundle the store holds or one that has
-        expired, since it tests both first; so these refusals guard direct
-        callers only.
+        The caller hands it only a live bundle (`now <= expires_at`) that
+        this store has never held, neither now nor before a cleanup or
+        expiry removed it; nothing here tests that again.
         """
         expiry = self._expiry
         if expiry and expiry[0] < now:
             self._shed(now)
         bundle_id, expires_at = bundle.bundle_id, bundle.expires_at
-        if bundle_id in self._bundles or now > expires_at:
-            return False
         self._bundles[bundle_id] = bundle
         self._arrived[bundle_id] = now
         if expires_at != math.inf:
@@ -147,7 +149,6 @@ class BundleStore:
                 ids.append(bundle_id)
         if bundle.workflow_id is not None:
             self._by_workflow.setdefault(bundle.workflow_id, set()).add(bundle_id)
-        return True
 
     def remove_where(self, workflow_id: str) -> int:
         """Drop every stored bundle of one workflow; returns how many.
@@ -175,11 +176,10 @@ class BundleStore:
                                             self._arrived)
         while heap and heap[0] < now:
             for bundle_id in expiring.pop(heapq.heappop(heap)):
-                bundle = bundles.get(bundle_id)
-                # the id may be gone (cleanup) or stored again with a later expiry
-                if bundle is None or now <= bundle.expires_at:
+                # the id may be gone (cleanup); it is never stored again
+                bundle = bundles.pop(bundle_id, None)
+                if bundle is None:
                     continue
-                del bundles[bundle_id]
                 del arrived[bundle_id]
                 workflow_id = bundle.workflow_id
                 if workflow_id is not None:

@@ -39,8 +39,8 @@ class ClientRuntime:
         `files` maps each input file's name to its size in bytes.
 
         Unparsable text raises immediately. An empty candidate set for a
-        just-in-time first task fails the handle locally without any
-        network traffic.
+        just-in-time first task, or a first task pinned to an address no
+        node has, fails the handle locally without any network traffic.
         """
         now = self.world.now
         self._workflow_seq += 1

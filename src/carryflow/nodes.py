@@ -3,10 +3,12 @@
 A node is one object. It inherits the worker role (`WorkerRuntime`) and the
 client role (`ClientRuntime`) and owns the state both read. It announces its
 services, if it has any, on a fixed period from the moment it is built, one
-`Announcement` record per round. A received offer bundle needs no handling:
-its store keeps it, and the node's offer view reads the store when a task
-is assigned. It dispatches addressed bundles to its worker or client
-methods, and honors a cleanup marker by dropping every stored copy of the
+`Announcement` record per round. A received offer bundle needs no handling,
+so the world never passes one to `on_bundle`: its store keeps it, and the
+node's offer view reads the store when a task is assigned. `on_bundle` gets
+every other bundle the node stores. It dispatches the archives addressed to
+the node to its worker or client methods, only carries the ones passing
+through, and honors a cleanup marker by dropping every stored copy of the
 finished workflow's archives. Nodes remember which workflows were cleaned so
 anti-entropy cannot re-plant stale copies on them, and a worker skips a
 queued archive of a cleaned workflow when it reaches it. A cleanup marker,
@@ -89,11 +91,11 @@ class Node(WorkerRuntime, ClientRuntime):
         return bundle.workflow_id not in self.cleaned
 
     def on_bundle(self, bundle: Bundle) -> None:
+        """Act on a stored cleanup marker or archive; the world passes no offer."""
         kind = bundle.kind
         if kind is BundleKind.CLEANUP_MARKER:
             self.on_cleanup(str(bundle.payload))
             return
-        # an offer is broadcast, so it ends here, kept only in the store
         if bundle.destination != self.address:
             return
         now = self.world.now

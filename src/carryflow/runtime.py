@@ -6,13 +6,13 @@ time, each stay one process: it re-checks the TTL and its own live
 capabilities, executes the current task synthetically, then either forwards
 the archive to the next worker (pinned or freshly selected) or returns the
 result to the client. Three error classes exist: the task itself failing
-(task execution), no candidate for the next task (worker selection), and a
-worker that turns out unfit for what it was sent (worker calling). A failure
-travels as the archive itself with its `error` set. A failure on a
-just-in-time assigned worker goes back to whoever assigned it for exactly
-one retry with the failed worker excluded; ahead of time failures and second
-failures go straight to the client. Archives are frozen: every hop sends a
-new one built with `replace`.
+(task execution), no candidate for the next task or a pin to an address no
+node has (worker selection), and a worker that turns out unfit for what it
+was sent (worker calling). A failure travels as the archive itself with its
+`error` set. A failure on a just-in-time assigned worker goes back to
+whoever assigned it for exactly one retry with the failed worker excluded;
+ahead of time failures and second failures go straight to the client.
+Archives are frozen: every hop sends a new one built with `replace`.
 """
 
 from __future__ import annotations
@@ -216,11 +216,18 @@ class WorkerRuntime:
         self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker)
 
     def resolve_worker(self, archive: Archive, exclude: set[NodeAddress]) -> NodeAddress:
-        """Resolve the worker for the archive's current task; records the selection."""
+        """Resolve the worker for the archive's current task; records the selection.
+
+        Raises SelectionError when no worker qualifies, or when the task is
+        pinned to an address that no node of the world has.
+        """
         desc = archive.description
         task = desc.current_task
         if task.worker is not None:
             worker = task.worker
+            if worker not in self.world.stores:
+                raise SelectionError(
+                    f"pinned worker {format_address(worker)} is not in the world")
         else:
             records = self.offer_db.lookup(task.service_name, self.world.now)
             worker = select(self.config.strategy, records, task.requirements,

@@ -302,6 +302,9 @@ class _Reader:
         self.problems = problems
         # names the entry within the section that the keys belong to
         self.subject = subject
+        # the keys set but refused; each reads as its default, so a check
+        # against one would only add a derived problem
+        self.refused: set[str] = set()
 
     def complain(self, msg: str) -> None:
         subject = f"{self.subject}: " if self.subject else ""
@@ -333,6 +336,7 @@ class _Reader:
             value = None
         if value is None:
             self.complain(f"{key.name} is not {_KINDS[key.kind]}: {text!r}")
+            self.refused.add(key.name)
             return None
         show = str if key.kind is int else "{:g}".format
         if key.positive and value <= 0:
@@ -344,6 +348,7 @@ class _Reader:
         else:
             return value if key.scale is None else key.scale(value)
         self.complain(f"{key.name} {problem}")
+        self.refused.add(key.name)
         return None
 
     def values(self, keys: tuple[_Key, ...]) -> dict[str, object]:
@@ -446,7 +451,7 @@ def _parse_cohort(name: str, reader: _Reader,
                       **values)
 
 
-def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: int,
+def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: Optional[int],
                     services: dict[str, ServiceDefinition]) -> WorkflowSpec:
     reader.check_keys(_WORKFLOW_KEYS + (_TTL,), "tasks", "file", "requirements",
                       "input")
@@ -482,7 +487,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: int,
             if task.service_name not in services:
                 reader.complain(f"task {idx} uses unknown service "
                                 f"{task.service_name!r}")
-            if task.worker is not None and not 1 <= task.worker <= n_nodes:
+            if (task.worker is not None and n_nodes is not None
+                    and not 1 <= task.worker <= n_nodes):
                 reader.complain(f"task {idx} pinned address {task.worker} "
                                 f"outside 1..{n_nodes}")
         text = format_description(desc)
@@ -493,7 +499,7 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: int,
     return WorkflowSpec(text=text, files=files, **reader.values(_WORKFLOW_KEYS))
 
 
-def _parse_run(reader: _Reader, n_nodes: int,
+def _parse_run(reader: _Reader, n_nodes: Optional[int],
                services: dict[str, ServiceDefinition]) -> RunSettings:
     reader.check_keys(_RUN_KEYS + _FAULT_KEYS, "strategy", "weights",
                       "fault_nodes", "fault_service")
@@ -519,7 +525,7 @@ def _parse_run(reader: _Reader, n_nodes: int,
                 reader.complain(f"weights: {exc}")
     nodes = reader.get_addresses("fault_nodes")
     for addr in sorted(nodes or ()):
-        if not 1 <= addr <= n_nodes:
+        if n_nodes is not None and not 1 <= addr <= n_nodes:
             reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
     fault_nodes = None if nodes is None else frozenset(nodes)
     fault_service = reader.raw.get("fault_service", "").strip() or None
@@ -559,17 +565,23 @@ def parse_scenario(text: str, *, name: str = "inline",
     meta.check_keys((), "name")
     name = meta.raw.get("name", name).strip() or name
 
-    topology = _parse_topology(reader("topology"))
+    topology_reader = reader("topology")
+    topology = _parse_topology(topology_reader)
+    # with `nodes` refused, no address range is checked
+    n_nodes = None if _NODES.name in topology_reader.refused else topology.nodes
     link_reader = reader("link")
     link_reader.check_keys(_LINK_KEYS)
     link = LinkModel(**link_reader.values(_LINK_KEYS))
     services = _parse_services(reader("services"))
 
     cohorts: list[CohortSpec] = []
+    client_refused = False
     for section in parser.sections():
         if section.startswith("cohort:"):
             cohort_name = section.partition(":")[2].strip()
-            cohorts.append(_parse_cohort(cohort_name, reader(section), services))
+            cohort_reader = reader(section)
+            cohorts.append(_parse_cohort(cohort_name, cohort_reader, services))
+            client_refused |= "client" in cohort_reader.refused
     if not cohorts:
         problems.append("no [cohort:*] sections")
     if sum(1 for c in cohorts
@@ -581,13 +593,13 @@ def parse_scenario(text: str, *, name: str = "inline",
             if addr in seen_addresses:
                 problems.append(f"address {addr} pinned by more than one cohort")
             seen_addresses.add(addr)
-            if not 1 <= addr <= topology.nodes:
-                problems.append(f"pinned address {addr} outside 1..{topology.nodes}")
-    if not any(c.client for c in cohorts):
+            if n_nodes is not None and not 1 <= addr <= n_nodes:
+                problems.append(f"pinned address {addr} outside 1..{n_nodes}")
+    if not client_refused and not any(c.client for c in cohorts):
         problems.append("no cohort is marked client = true")
 
-    workflow = _parse_workflow(reader("workflow"), base_dir, topology.nodes, services)
-    run = _parse_run(reader("run"), topology.nodes, services)
+    workflow = _parse_workflow(reader("workflow"), base_dir, n_nodes, services)
+    run = _parse_run(reader("run"), n_nodes, services)
 
     config = ScenarioConfig(name=name, topology=topology, link=link,
                             services=services, cohorts=tuple(cohorts),

@@ -19,23 +19,32 @@ which keeps the link in sync until it closes. A transfer interrupted by
 contact loss restarts from scratch at the next encounter.
 
 The world keeps one record per node: its slot in the position list, its
-store, the store's id mapping, its accept and delivery hooks (always both,
-so they are called untested), and its open links, each naming the record
-of the node at its far end, so the hot path reaches a receiver's state
-without a lookup. Two paths enqueue: the link scan puts many bundles on its
-one link, and a delivery (`_deliver`) forwards its one bundle over the
-receiver's links. Both skip a bundle the receiver holds and a tagged one
-(it carries a workflow id) the receiver's accept hook refuses; the hook is
-asked about nothing else, so an offer or a cleanup marker never costs it
-a call. Storing a delivered or originated bundle asks the storing node's
-hook by the same rule. A scan first drops the bundles
-the receiver holds in one pass, since those are most of what a sender
-carries. No link queues one bundle twice for one receiver: the scan runs
-once, when the link opens, after that only bundles newly stored at one end
-are forwarded, and a store takes an id at most once. A queued entry is a
-plain (bundle, receiver) tuple; the entry a link is sending is its
-`current`, the one record of the entry in flight, which closing the link
-clears.
+store, the store's id mapping and bound `insert`, its accept and delivery
+hooks (always both, so they are called untested), and its open links, each
+naming the record of the node at its far end, so the hot path reaches a
+receiver's state without a lookup. Two paths enqueue: the link scan puts
+many bundles on its one link, and a delivery (`_deliver`) forwards its one
+bundle over the receiver's links. Both skip a bundle the receiver holds and
+a tagged one (it carries a workflow id) the receiver's accept hook refuses;
+the hook is asked about nothing else, so an offer or a cleanup marker never
+costs it a call. Storing a delivered or originated bundle asks the storing
+node's hook by the same rule. A scan first drops the bundles the receiver
+holds in one pass, since those are most of what a sender carries. No link
+queues one bundle twice for one receiver: the scan runs once, when the link
+opens, after that only bundles newly stored at one end are forwarded, and a
+store takes an id at most once. A queued entry is a plain (bundle,
+receiver) tuple; the entry a link is sending is its `current`, the one
+record of the entry in flight, which closing the link clears.
+
+The world alone decides what a store takes. A store refuses nothing, so
+every write is of a live bundle the store never held: a completion skips a
+copy its receiver got over another link meanwhile, `originate` one its
+source holds, and `_deliver` an expired one; a copy that cleanup or expiry
+removed never comes back, since its workflow is refused or it is expired.
+Every stored bundle but an offer then goes to its node's delivery hook:
+cleanup markers, and archives addressed to the node or passing through it.
+An offer, most of what floods, only sits in the store, where the node's
+offer view reads it, so it costs no hook call.
 
 Transfers start inline. A completion (`_complete`) delivers its entry,
 then starts its link's next live queued entry itself: it skips entries
@@ -88,7 +97,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .bundles import Bundle, BundleStore, NodeAddress
+from .bundles import Bundle, BundleKind, BundleStore, NodeAddress
 
 if TYPE_CHECKING:
     from .contacts import RangeContacts
@@ -97,6 +106,9 @@ Position = tuple[float, float]
 
 # seconds of a step too short to move a node
 _TIME_EPS = 1e-12
+
+# the one kind a node's handler never sees: its store is all an offer touches
+_OFFER = BundleKind.OFFER
 
 
 @dataclass(frozen=True)
@@ -224,7 +236,7 @@ class _Durations(dict):
 class _Node:
     """What the world keeps of one node."""
 
-    __slots__ = ("addr", "index", "store", "held", "accept", "handler", "links")
+    __slots__ = ("addr", "index", "store", "held", "insert", "accept", "handler", "links")
 
     def __init__(self, addr: NodeAddress, index: int, accept: Callable[[Bundle], bool],
                  handler: Callable[[Bundle], None]) -> None:
@@ -233,6 +245,7 @@ class _Node:
         self.index = index
         self.store = BundleStore()
         self.held = self.store.by_id
+        self.insert = self.store.insert
         self.accept = accept
         self.handler = handler
         # open links as (pair, state, far end's _Node), in pair order
@@ -305,10 +318,13 @@ class World:
         """Join a node and return its store.
 
         `handler` is called with each bundle the node stores, its own
-        included. `accept` is asked, before the node stores a bundle or a
+        included, except an offer: an offer's only effect is its place in
+        the store. `accept` is asked, before the node stores a bundle or a
         link queues one for it, only about a bundle that carries a
         `workflow_id`; a bundle without one (an offer or a cleanup marker)
-        is always accepted.
+        is always accepted. The world writes to the store only a live
+        bundle that the store never held; it checks both itself, and the
+        store does not.
         """
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
@@ -477,12 +493,14 @@ class World:
             return
 
     def _deliver(self, node: _Node, bundle: Bundle) -> None:
+        # the caller found the node lacking the bundle; the store tests nothing
         now = self.now
         tagged = bundle.workflow_id is not None
-        if (now > bundle.expires_at or tagged and not node.accept(bundle)
-                or not node.store.insert(bundle, now)):
+        if now > bundle.expires_at or tagged and not node.accept(bundle):
             return
-        node.handler(bundle)
+        node.insert(bundle, now)
+        if bundle.kind is not _OFFER:
+            node.handler(bundle)
         # forward the fresh bundle over every open link without waiting for a tick
         bundle_id = bundle.bundle_id
         for _, state, far in node.links:
@@ -500,5 +518,11 @@ class World:
                 self.schedule(now + self._durations[bundle.size_bytes], state.complete)
 
     def originate(self, bundle: Bundle) -> None:
-        """Insert a locally created bundle at its source node and start spreading it."""
-        self._deliver(self._nodes[bundle.source], bundle)
+        """Insert a locally created bundle at its source node and start spreading it.
+
+        A bundle the source already holds is ignored: only its first
+        origination spreads it.
+        """
+        node = self._nodes[bundle.source]
+        if bundle.bundle_id not in node.held:
+            self._deliver(node, bundle)

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +33,7 @@ def test_a_built_bundle_reads_back_through_a_lookup():
     assert bundle.size_bytes == OFFER_HEADER_BYTES + 2 * OFFER_RECORD_BYTES
     assert bundle.payload.params == {"scale": 1, "denoise": 2}
     assert (bundle.source, bundle.created_at) == (42, 7.25)
-    assert db.store.insert(bundle, 7.5)
+    db.store.insert(bundle, 7.5)
     read = [rec for name in ("scale", "denoise") for rec in db.lookup(name, 8.0)]
     assert [(rec.worker, rec.received_at) for rec in read] == [(42, 7.5), (42, 7.5)]
     first = read[0]
@@ -119,7 +119,7 @@ def test_a_lookup_shows_each_service_of_a_built_bundle_as_a_float_snapshot(
     db = OfferDatabase(BundleStore())
     now = float(issued_at)
     bundle = build_offer_bundle((worker, 1), worker, issued_at, caps, params)
-    assert db.store.insert(bundle, now)
+    db.store.insert(bundle, now)
     assert bundle.payload.params is params
     assert repr(bundle.created_at) == repr(now)
     snapshot = CapabilityVector(cpu=float(cpu), memory=float(memory), disk=float(disk),
@@ -176,8 +176,14 @@ def view() -> OfferDatabase:
 
 
 def receive(db: OfferDatabase, bundle, now: float) -> bool:
-    """Store a bundle, as a node's world does on arrival."""
-    return db.store.insert(bundle, now)
+    """Store a bundle as a node's world does on arrival: only a live one it lacks.
+
+    Returns whether the bundle was stored. Every bundle here has a fresh id.
+    """
+    if now > bundle.expires_at or bundle.bundle_id in db.store:
+        return False
+    db.store.insert(bundle, now)
+    return True
 
 
 def offer_bundle(seq: int, worker: int, issued_at: float, services=("scale",),
@@ -344,8 +350,14 @@ def test_a_lookup_leaves_the_bundle_as_built():
     assert db.lookup("scale", 1.0)
     assert bundle == fresh
     assert repr(bundle) == repr(fresh)
-    # no attribute was added or rebound, and the record is the one it was built with
-    assert vars(bundle) == vars(fresh)
+    # no attribute was added or rebound, and the record is the one it was
+    # built with: a slotted bundle has no __dict__ to add to, its only slots
+    # are its fields, and every field reads as it was built
+    assert not hasattr(bundle, "__dict__")
+    names = [f.name for f in fields(Bundle)]
+    assert list(Bundle.__slots__) == names
+    assert [getattr(bundle, name) for name in names] == \
+        [getattr(fresh, name) for name in names]
     assert bundle.payload is fresh.payload
     # like an archive bundle, an offer bundle has no hash: its record holds a dict
     with pytest.raises(TypeError):
@@ -499,7 +511,7 @@ def test_inbox_lookups_match_an_eager_fold(steps):
         # issue times on a half-second grid, so equal issue times recur
         issued_at = max(0.0, now - delay)
         bundle = offer_bundle(seq, worker, issued_at, services, expiry_s=INBOX_EXPIRY_S)
-        # the store refuses a bundle dead on arrival; the eager fold takes it
+        # the world drops a bundle dead on arrival; the eager fold takes it
         assert receive(db, bundle, now) == (now - issued_at <= INBOX_EXPIRY_S)
         for name in services:
             winner = eager[name].get(worker)

@@ -1,9 +1,15 @@
-"""Bundle store semantics: addressing, expiry, insertion order, arrival times."""
+"""Bundle store semantics: addressing, expiry, insertion order, arrival times.
+
+`BundleStore.insert` tests nothing: its caller hands it only a live bundle
+the store has never held. Every call here keeps that contract; the world's
+side of it is tested in tests/test_simnet.py.
+"""
 
 import ast
 import dataclasses
 import math
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +20,11 @@ from carryflow.bundles import (Bundle, BundleKind, BundleStore, format_address,
 
 
 def make_bundle(seq: int, *, created_at: float = 0.0, ttl: float = 100.0,
-                size: int = 10) -> Bundle:
+                size: int = 10, workflow_id: Optional[str] = None) -> Bundle:
     return Bundle(bundle_id=(1, seq), source=1, destination=2,
                   kind=BundleKind.WORKFLOW_ARCHIVE, payload=b"x" * size,
                   size_bytes=size, created_at=created_at, ttl_seconds=ttl,
-                  workflow_id=f"wf-{seq}")
+                  workflow_id=workflow_id or f"wf-{seq}")
 
 
 def test_address_round_trip():
@@ -44,7 +50,7 @@ def test_expiry_boundary_is_inclusive():
     b = make_bundle(1, created_at=5.0, ttl=10.0)
     assert b.expires_at == 15.0
     store = BundleStore()
-    assert store.insert(b, 5.0)
+    store.insert(b, 5.0)
     assert list(store.live(15.0)) == [b]
     assert list(store.live(15.0001)) == []
 
@@ -52,23 +58,31 @@ def test_expiry_boundary_is_inclusive():
 def test_infinite_ttl_never_expires():
     b = make_bundle(1, ttl=float("inf"))
     store = BundleStore()
-    assert store.insert(b, 1e12)
+    store.insert(b, 1e12)
     assert list(store.live(1e12)) == [b]
 
 
 def test_insert_and_duplicate():
+    # insert stores and answers nothing; a caller skips a duplicate by the
+    # membership test that the insert itself makes true
     store = BundleStore()
     b = make_bundle(1)
-    assert store.insert(b, now=0.0)
-    assert not store.insert(b, now=0.0)
+    assert b.bundle_id not in store and b.bundle_id not in store.by_id
+    assert store.insert(b, now=0.0) is None
     assert len(store) == 1
     assert b.bundle_id in store
+    assert store.by_id[b.bundle_id] is b
+    assert dict(store.arrived_at) == {b.bundle_id: 0.0}
 
 
 def test_dead_on_arrival_rejected():
-    store = BundleStore()
+    # the caller refuses a bundle once now > expires_at; up to that instant
+    # it is live, and the store keeps it until the instant after
     b = make_bundle(1, created_at=0.0, ttl=1.0)
-    assert not store.insert(b, now=5.0)
+    store = BundleStore()
+    store.insert(b, now=b.expires_at)
+    assert list(store.live(b.expires_at)) == [b]
+    assert list(store.live(math.nextafter(b.expires_at, math.inf))) == []
     assert len(store) == 0
 
 
@@ -142,7 +156,7 @@ def test_insert_sheds_expired():
     store = BundleStore()
     short = make_bundle(1, ttl=1.0)
     store.insert(short, now=0.0)
-    assert store.insert(make_bundle(2, created_at=5.0), now=5.0)
+    store.insert(make_bundle(2, created_at=5.0), now=5.0)
     assert short.bundle_id not in store
     assert len(store) == 1
 
@@ -203,28 +217,30 @@ _steps = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
 @settings(max_examples=200, deadline=None)
 @given(_steps)
 def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
+    # calls that keep insert's contract, as the world's do: each insert is of
+    # a fresh id, and a bundle dead on arrival never reaches the store; the
+    # seq names one of six workflows, so one cleanup can drop several bundles
     store = BundleStore()
-    model: dict = {}    # what the store held, by arrival, before shedding
+    model: dict = {}    # what the store holds, by arrival, before shedding
     now = 0.0
-    for dt, op, seq, ttl in steps:
+    for step, (dt, op, seq, ttl) in enumerate(steps, start=1):
         now += dt
-        bundle = make_bundle(seq, created_at=now - 0.5, ttl=ttl)
-        live = {bid: b for bid, b in model.items() if now <= b.expires_at}
         if op == "insert":
-            accepted = store.insert(bundle, now)
-            assert accepted == (bundle.bundle_id not in live
-                                and now <= bundle.expires_at)
-            model = live
-            if accepted:
+            bundle = make_bundle(step, created_at=now - 0.5, ttl=ttl,
+                                 workflow_id=f"wf-{seq}")
+            if now <= bundle.expires_at:
+                store.insert(bundle, now)
                 model[bundle.bundle_id] = bundle
         elif op == "cleanup":
-            assert store.remove_where(f"wf-{seq}") <= 1
-            assert bundle.bundle_id not in store
-            model.pop(bundle.bundle_id, None)
+            doomed = [bid for bid, b in model.items() if b.workflow_id == f"wf-{seq}"]
+            assert store.remove_where(f"wf-{seq}") == len(doomed)
+            for bid in doomed:
+                del model[bid]
+                assert bid not in store
             continue
-        assert list(store.live(now)) == list(live.values())
-        assert len(store) == len(live)
-        model = live
+        model = {bid: b for bid, b in model.items() if now <= b.expires_at}
+        assert list(store.live(now)) == list(model.values())
+        assert len(store) == len(model)
 
 
 # one step: (seconds forward, operation, bundle seq, expiry time); few expiry
@@ -242,7 +258,7 @@ _colliding_steps = st.lists(
 def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
     store = BundleStore()
     oracle: dict = {}   # id -> bundle, in arrival order, holding what the store holds
-    arrived: dict = {}  # id -> arrival time, for every bundle ever accepted
+    arrived: dict = {}  # id -> arrival time, for every bundle ever stored
 
     def shed(now):
         expired = [bid for bid, b in oracle.items() if now > b.expires_at]
@@ -251,18 +267,19 @@ def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
         return len(expired)
 
     now = 0.0
-    for dt, op, seq, expires_at in steps:
+    for step, (dt, op, seq, expires_at) in enumerate(steps, start=1):
         now += dt
         if op == "insert":
-            # three workflows, so one cleanup removes bundles of several seqs
-            bundle = Bundle(bundle_id=(1, seq), source=1, destination=2,
+            # a fresh id per insert, as insert's contract asks; three
+            # workflows, so one cleanup removes bundles of several seqs
+            bundle = Bundle(bundle_id=(1, step), source=1, destination=2,
                             kind=BundleKind.WORKFLOW_ARCHIVE, payload=None,
                             size_bytes=10, created_at=0.0, ttl_seconds=expires_at,
                             workflow_id=f"wf-{seq % 3}")
-            shed(now)
-            accepted = bundle.bundle_id not in oracle and now <= expires_at
-            assert store.insert(bundle, now) == accepted
-            if accepted:
+            # the caller drops a bundle dead on arrival before the store
+            if now <= expires_at:
+                shed(now)
+                store.insert(bundle, now)
                 oracle[bundle.bundle_id] = bundle
                 arrived[bundle.bundle_id] = now
         elif op == "remove":

@@ -295,6 +295,67 @@ def test_mid_chain_selection_failure_reaches_client():
     assert micro.collector.selections == {(1, 2): 1}
 
 
+@pytest.mark.parametrize("text, failed_by", [
+    ("ttl=30\n00000000000000ff work in.dat\n", 1),
+    ("ttl=30\nany work in.dat\n00000000000000ff work ##result##\n", 2),
+], ids=["first-task", "next-task"])
+def test_a_pin_to_an_address_no_node_has_is_a_selection_failure(line3, text, failed_by):
+    # a pin the world cannot reach ends the workflow where it is resolved:
+    # at the client, at once and with nothing sent, or at the worker that
+    # would forward to it, whose selection error goes to the client
+    line3.settle(1.0)
+    handle = offload(line3, text, files={"in.dat": 1})
+    workflow_id = handle.description.workflow_id
+    if failed_by == 1:
+        assert handle.status == "failed"
+        assert handle.finished_at == line3.world.now
+        assert handle.sent_any is False
+    line3.settle(10.0)
+    assert handle.status == "failed"
+    error = handle.result.error
+    assert error.error_class is ErrorClass.WORKER_SELECTION
+    assert (error.worker, error.message) == (
+        failed_by, "pinned worker 00000000000000ff is not in the world")
+    assert 255 not in {worker for _, worker in line3.collector.selections}
+    if failed_by == 1:
+        # nothing of the workflow, not even a cleanup marker, was stored
+        assert [b for store in line3.world.stores.values() for b in store.by_id.values()
+                if b.kind is not BundleKind.OFFER] == []
+        assert line3.collector.selections == {}
+
+
+def test_the_handler_sees_every_stored_bundle_but_an_offer(line3):
+    # workers pinned 3 then 2: the first archive passes through node 2, the
+    # second goes 3 -> 2, the result 2 -> 1, and the client's cleanup
+    # marker floods the line
+    stored, handled = [], []
+    for addr, record in line3.world._nodes.items():
+        insert, handler = record.insert, record.handler
+        record.insert = (lambda bundle, now, addr=addr, insert=insert:
+                         (stored.append((addr, bundle)), insert(bundle, now))[-1])
+        record.handler = (lambda bundle, addr=addr, handler=handler:
+                          (handled.append((addr, bundle)), handler(bundle))[-1])
+    line3.settle(1.0)
+    handle = offload(line3, f"{format_address(3)} work in.dat\n"
+                            f"{format_address(2)} work ##result##\n")
+    line3.settle(5.0)
+    assert handle.status == "succeeded"
+    assert any(bundle.kind is BundleKind.OFFER for _, bundle in stored)
+    # every stored bundle but an offer, in the order it was stored
+    assert handled == [(addr, bundle) for addr, bundle in stored
+                       if bundle.kind is not BundleKind.OFFER]
+    markers = [bundle for _, bundle in stored if bundle.kind is BundleKind.CLEANUP_MARKER]
+    assert markers and all(
+        sorted(addr for addr, b in handled if b is marker) == [1, 2, 3] for marker in markers)
+    archives = {bundle.bundle_id: bundle for _, bundle in stored
+                if bundle.workflow_id is not None}
+    assert {(b.source, b.destination) for b in archives.values()} >= {(1, 3), (3, 2), (2, 1)}
+    for archive in archives.values():
+        ends = sorted((archive.source, archive.destination))
+        on_path = set(range(ends[0], ends[1] + 1))
+        assert on_path <= {addr for addr, b in handled if b is archive}
+
+
 def test_energy_clamps_at_zero():
     micro = build_line(2, {2: {"work": service("work", energy=5.0)}})
     micro.settle(1.0)

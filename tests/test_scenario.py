@@ -191,10 +191,34 @@ def test_problems_are_collected_not_fail_fast():
      r"\[workflow\] repeat must be at most 100000, got 100001"),
     (lambda t: t.replace("addresses = 1", "count = 3").replace("repeat = 2", "repeat = 40000"),
      r"\[workflow\] repeat 40000 for 3 clients is more than 100000 offloads"),
+    # a refused node count reads as its default of 8: the pins past it, in a
+    # cohort, the tasks and the fault plan, are not checked against it
+    (lambda t: t.replace("nodes = 6", "nodes = 2000000000")
+     .replace("addresses = 1", "addresses = 1, 9")
+     .replace("any work in.dat", "000000000000000b work in.dat"),
+     r"\[topology\] nodes must be at most 10000, got 2000000000"),
+    (lambda t: t.replace("nodes = 6", "nodes = many")
+     .replace("seed = 9", "seed = 9\nfault_nodes = 1, 12"),
+     r"\[topology\] nodes is not an integer: 'many'"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
-    with pytest.raises(ScenarioError, match=fragment):
+    with pytest.raises(ScenarioError, match=fragment) as info:
         parse_scenario(mutate(RING_INI))
+    # one mistake, one problem: nothing derived from a refused value
+    assert len(info.value.problems) == 1, info.value.problems
+
+
+def test_a_refused_node_count_on_ring_aot_is_one_problem(tmp_path):
+    # ring-aot pins its workers at 3, 5, 7, 9 and 11, past the default of 8
+    text = (SCENARIO_DIR / "ring-aot.ini").read_text().replace(
+        "file = aot-chain.wf", f"file = {SCENARIO_DIR / 'aot-chain.wf'}")
+    text, found = re.subn(r"^nodes = .*$", "nodes = 1000000000", text, flags=re.M)
+    assert found == 1
+    path = tmp_path / "ring-aot.ini"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(str(path))
+    assert info.value.problems == ["[topology] nodes must be at most 10000, got 1000000000"]
 
 
 @pytest.mark.parametrize("old,new,problem", [

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from carryflow.assignment import Strategy
 from carryflow.bundles import Bundle, BundleKind, BundleStore
-from carryflow.cli import resolve_scenario
-from carryflow.harness import build
+from carryflow.cli import packaged_scenarios, resolve_scenario
+from carryflow.harness import build, run_scenario
 from carryflow.nodes import Node
 from carryflow.runtime import FaultPlan
 from carryflow.scenario import WaypointTopology
@@ -785,13 +785,79 @@ def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
     assert checked
 
 
+def test_a_copy_expired_in_flight_or_already_delivered_is_not_stored(monkeypatch):
+    # a store tests nothing, so the world must drop both before the write:
+    # 1-2-3 is a triangle, and node 1 sends two bundles. The short-lived one
+    # expires while it crosses (1, 2) and (1, 3). The lasting one reaches
+    # node 2 and node 3 at the same instant, and node 2 forwards it over
+    # (2, 3), where the copy lands after node 3 already has it
+    inserted = []
+    real_insert = BundleStore.insert
+
+    def insert(self, bundle, now):
+        inserted.append((self, bundle.bundle_id))
+        real_insert(self, bundle, now)
+
+    monkeypatch.setattr(BundleStore, "insert", insert)
+    world = World(LINK, tick_interval=0.5, adjacency=[(1, 2), (1, 3), (2, 3)])
+    stores = {addr: world.add_node(addr) for addr in (1, 2, 3)}
+    d = transfer_duration(LINK, 13_600_000)
+    short = make_bundle(1, None, 1, 13_600_000, created_at=1.0, ttl=d / 2)
+    lasting = make_bundle(1, None, 2, 13_600_000, created_at=1.0)
+    world.schedule(1.0, lambda: world.originate(short))
+    world.run_until(1.0 + 2 * d)
+    assert world.transfers_completed == 2
+    assert inserted == [(stores[1], short.bundle_id)]
+    inserted.clear()
+    world.schedule(world.now, lambda: world.originate(lasting))
+    world.run_until(world.now + 3 * d)
+    # (1, 2) and (1, 3) land together, then (2, 3) lands a copy node 3 holds
+    assert world.transfers_completed == 2 + 3
+    assert inserted == [(stores[addr], lasting.bundle_id) for addr in (1, 2, 3)]
+    assert all(short.bundle_id not in stores[addr] for addr in (2, 3))
+
+
+@pytest.mark.parametrize("scenario", [*packaged_scenarios(), DENSE],
+                         ids=[*packaged_scenarios(), "mobile-dense"])
+def test_the_world_hands_each_store_only_live_bundles_it_never_held(monkeypatch,
+                                                                    scenario):
+    # BundleStore.insert refuses nothing: the world keeps its contract, on
+    # every packaged scenario and the benchmark's dense world
+    ever: dict = {}     # store -> every id it was ever handed
+    broken = []
+    calls = 0
+    real_insert = BundleStore.insert
+
+    def insert(self, bundle, now):
+        nonlocal calls
+        calls += 1
+        held = bundle.bundle_id in self
+        seen = ever.setdefault(self, set())
+        if now > bundle.expires_at:
+            broken.append(("expired", now, bundle.bundle_id))
+        if held:
+            broken.append(("held", now, bundle.bundle_id))
+        elif bundle.bundle_id in seen:
+            broken.append(("removed", now, bundle.bundle_id))
+        seen.add(bundle.bundle_id)
+        real_insert(self, bundle, now)
+
+    monkeypatch.setattr(BundleStore, "insert", insert)
+    config = resolve_scenario(scenario)
+    config = replace(config, run=replace(config.run, duration_s=min(config.run.duration_s,
+                                                                     120.0)))
+    run_scenario(config, seed=1)
+    assert calls and broken == []
+
+
 def link_work(monkeypatch, config, seed, strategy):
     """What one run's links, stores and handlers did, in the counts the tracer reads.
 
     (transfers completed, transfers aborted, events scheduled, store inserts,
-    inserts that stored the bundle, handler calls, SHA-256 of every scheduled
-    event's (time, target) in scheduling order). A completion's target is its
-    link's pair; any other event's is its callback's qualified name.
+    handler calls, SHA-256 of every scheduled event's (time, target) in
+    scheduling order). A completion's target is its link's pair; any other
+    event's is its callback's qualified name. A store refuses nothing, so
+    every insert stores its bundle, and no offer reaches a handler.
     """
     import carryflow.harness as harness
     built = []
@@ -816,10 +882,8 @@ def link_work(monkeypatch, config, seed, strategy):
     real_insert = BundleStore.insert
 
     def insert(self, bundle, now):
-        stored = real_insert(self, bundle, now)
         counts["inserted"] += 1
-        counts["stored"] += stored
-        return stored
+        real_insert(self, bundle, now)
 
     real_on_bundle = Node.on_bundle
 
@@ -833,18 +897,18 @@ def link_work(monkeypatch, config, seed, strategy):
     harness.run_scenario(config, seed=seed, strategy=strategy)
     world = built[0].world
     return (world.transfers_completed, world.transfers_aborted, counts["scheduled"],
-            counts["inserted"], counts["stored"], counts["handled"], order.hexdigest())
+            counts["inserted"], counts["handled"], order.hexdigest())
 
 
 @pytest.mark.parametrize("name, duration_s, strategy, expected", [
     ("ring-heterogeneous", None, Strategy.BEST, (
-        5525, 0, 6028, 5753, 5753, 5753,
+        5525, 0, 6028, 5753, 77,
         "b5e2bc48c36956910e1a1a9502a2f24c9e1ad189fb16f3703338a19a8d4acd83")),
     ("mobile-sparse", 120.0, Strategy.SPREAD, (
-        58976, 29, 60885, 35228, 35228, 35228,
+        58976, 29, 60885, 35228, 0,
         "00484c8661b071fe897264990cd4622026bb6403bfefeb1ba241968efaa65b68")),
     pytest.param(DENSE, 120.0, Strategy.SPREAD, (
-        6276, 4, 6607, 3660, 3660, 3660,
+        6276, 4, 6607, 3660, 413,
         "2d935023d14e01917343b7d2267de8777b4fccef88b17b6eadd6bbf861390e25"),
         id="mobile-dense"),
 ])
