@@ -7,20 +7,27 @@ plain object, never encoded bytes: an offer bundle's `Announcement`, an
 archive bundle's `Archive`, a cleanup marker's workflow id. Only
 `size_bytes` stands for the wire. Each node owns one store; synchronization
 between stores happens in the network layer, this module only answers what a
-node currently holds. A store sheds a bundle once it expires: inserting and
-listing the live bundles first drop everything whose expiry time has passed,
-so what a store holds is bounded by its live data, not by how long the run
-has gone. A store refuses nothing: its caller hands `insert` only a live
+node currently holds.
+
+A stored copy costs one dict entry: a store is an insertion-ordered dict
+from bundle id to arrival time, and nothing else. The bundles sit in a
+`BundleTable`, one per world, shared by all its stores, which keeps each
+bundle once however many stores hold it. The table sheds a bundle once it
+expires, from itself and from every store at once: inserting into any
+store and listing any store's live bundles first drop everything whose
+expiry time has passed, so what the stores hold is bounded by the live
+data, not by how long the run has gone. Expiry is kept by time, not by
+bundle: a heap holds each distinct expiry time once, and the ids that
+expire at that time hang off it, so an announce round's offers cost one
+heap entry. A store refuses nothing: its caller hands `insert` only a live
 bundle that the store has never held. The world checks both before every
 write (a copy in flight can expire, and one can arrive over two links), so
-the store does not test them again. Expiry is kept by time, not by bundle: a
-heap holds each distinct expiry time once, and the bundles that expire at
-that time hang off it, so the copies of one announce round cost one heap
-entry. Each stored bundle's arrival time is kept beside it and dropped with
-it. Only archive bundles carry a workflow tag; an offer or a cleanup marker
-carries none. A cleanup drops its workflow's index entry and the bundles it
-names (`remove_where`), so it never scans the whole store and never removes
-a marker.
+the store does not test them again. Only archive bundles carry a workflow
+tag; an offer or a cleanup marker carries none. The table indexes tagged
+bundles by workflow and counts their copies: a cleanup drops the store's
+entries for the ids its workflow's index names (`remove_where`), so it
+never scans the store and never removes a marker, and a tagged bundle
+leaves the table with its last copy, even one that never expires.
 """
 
 from __future__ import annotations
@@ -88,44 +95,127 @@ class Bundle:
 
     def __post_init__(self) -> None:
         expires_at = self.created_at + self.ttl_seconds
-        # a NaN expiry would sit at the head of a store's expiry heap, never
-        # compare as passed, and keep everything behind it from being shed
+        # a NaN expiry would sit at the head of the table's expiry heap,
+        # never compare as passed, and keep everything behind it from being shed
         if math.isnan(expires_at):
             raise ValueError(f"bundle expiry is NaN (created_at={self.created_at!r}, "
                              f"ttl_seconds={self.ttl_seconds!r})")
         object.__setattr__(self, "expires_at", expires_at)
 
 
-class BundleStore:
-    """Holds the bundles one node currently carries, in insertion order.
+class BundleTable:
+    """Each bundle that a store of one world holds, once, and its expiry.
 
-    A removed bundle is never stored again (removal happens only on cleanup,
-    after which the node refuses that workflow, or on expiry, after which
-    the world no longer hands it over), so iterating the store gives the
-    order in which its live bundles arrived. A heap of distinct expiry
-    times, each with the ids that expire then, finds the bundles to shed,
-    and a per-workflow index lets a cleanup touch only its own workflow.
+    Every copy of a bundle expires at the same `expires_at`, so the table
+    sheds a bundle once for all its copies: it pops the bundle here and its
+    id from every member store's arrival dict. A heap holds each distinct
+    finite expiry time once, with the ids that expire then, so an announce
+    round's offers cost one heap entry. Archive bundles carry a workflow
+    tag; the table indexes them by workflow for a store's cleanup, and
+    counts their copies, so a tagged bundle leaves the table once no store
+    holds it, even one that never expires. An offer or a cleanup marker is
+    removed only by expiry, so it stays here exactly while a store holds it.
     """
 
     def __init__(self) -> None:
         self._bundles: dict[BundleId, Bundle] = {}
-        # read-only view for callers that test membership on a hot path
-        self.by_id: Mapping[BundleId, Bundle] = MappingProxyType(self._bundles)
-        self._arrived: dict[BundleId, float] = {}
-        # read-only: when each stored bundle was inserted
-        self.arrived_at: Mapping[BundleId, float] = MappingProxyType(self._arrived)
-        # each finite expiry time of a stored bundle once, and per time the
-        # ids stored to expire then (ids cleanup removed since stay listed)
+        # each finite expiry time of a bundle once, and per time the ids
+        # listed to expire then (an id that left with its last copy stays)
         self._expiry: list[float] = []
         self._expiring: dict[float, list[BundleId]] = {}
-        # per workflow tag, the ids of its stored bundles
+        # per workflow tag, the ids of its bundles, and per tagged bundle
+        # the number of stores that hold it
         self._by_workflow: dict[str, set[BundleId]] = {}
+        self._copies: dict[BundleId, int] = {}
+        # the arrival dict of every store that shares this table
+        self._stores: list[dict[BundleId, float]] = []
+        # read-only: per workflow tag, the ids of its bundles in the table
+        self.workflows: Mapping[str, set[BundleId]] = MappingProxyType(self._by_workflow)
 
     def __len__(self) -> int:
         return len(self._bundles)
 
+    def add(self, bundle: Bundle) -> None:
+        """Keep a bundle whose first copy is being stored."""
+        bundle_id, expires_at = bundle.bundle_id, bundle.expires_at
+        self._bundles[bundle_id] = bundle
+        if expires_at != math.inf:
+            ids = self._expiring.get(expires_at)
+            if ids is None:
+                heapq.heappush(self._expiry, expires_at)
+                self._expiring[expires_at] = [bundle_id]
+            else:
+                ids.append(bundle_id)
+        if bundle.workflow_id is not None:
+            self._by_workflow.setdefault(bundle.workflow_id, set()).add(bundle_id)
+            self._copies[bundle_id] = 1
+
+    def forget(self, workflow_id: str, removed: list[BundleId]) -> None:
+        """Count off one copy of each removed id of a workflow's bundles."""
+        bundles, copies, ids = self._bundles, self._copies, self._by_workflow[workflow_id]
+        for bundle_id in removed:
+            left = copies[bundle_id] - 1
+            if left:
+                copies[bundle_id] = left
+            else:
+                del copies[bundle_id], bundles[bundle_id]
+                ids.remove(bundle_id)
+        if not ids:
+            del self._by_workflow[workflow_id]
+
+    def shed(self, now: float) -> None:
+        """Drop every bundle that expired before `now`, with all its copies."""
+        heap, expiring, bundles, stores = (self._expiry, self._expiring, self._bundles,
+                                           self._stores)
+        while heap and heap[0] < now:
+            for bundle_id in expiring.pop(heapq.heappop(heap)):
+                # the id may be gone (no store held it any more); a tagged
+                # one stored again meanwhile is listed twice
+                bundle = bundles.pop(bundle_id, None)
+                if bundle is None:
+                    continue
+                for arrived in stores:
+                    arrived.pop(bundle_id, None)
+                workflow_id = bundle.workflow_id
+                if workflow_id is not None:
+                    del self._copies[bundle_id]
+                    ids = self._by_workflow[workflow_id]
+                    ids.remove(bundle_id)
+                    if not ids:
+                        del self._by_workflow[workflow_id]
+
+    def clear(self) -> None:
+        """Forget every bundle and member store, as a finished world does."""
+        for part in (self._bundles, self._expiry, self._expiring, self._by_workflow,
+                     self._copies, self._stores):
+            part.clear()
+
+
+class BundleStore:
+    """The ids one node currently carries, each with its arrival time, in arrival order.
+
+    The bundles themselves sit in a `BundleTable`, which a world shares
+    among its stores; a store built without one makes its own. A removed
+    bundle is never stored again (removal happens only on cleanup, after
+    which the node refuses that workflow, or on expiry, after which the
+    world no longer hands it over), so iterating the store gives the order
+    in which its live bundles arrived.
+    """
+
+    __slots__ = ("table", "_arrived", "arrived_at")
+
+    def __init__(self, table: Optional[BundleTable] = None) -> None:
+        self.table = BundleTable() if table is None else table
+        self._arrived: dict[BundleId, float] = {}
+        # read-only: when each stored bundle was inserted
+        self.arrived_at: Mapping[BundleId, float] = MappingProxyType(self._arrived)
+        self.table._stores.append(self._arrived)
+
+    def __len__(self) -> int:
+        return len(self._arrived)
+
     def __contains__(self, bundle_id: BundleId) -> bool:
-        return bundle_id in self._bundles
+        return bundle_id in self._arrived
 
     def insert(self, bundle: Bundle, now: float) -> None:
         """Store a bundle, first shedding what expired before `now`.
@@ -134,56 +224,39 @@ class BundleStore:
         this store has never held, neither now nor before a cleanup or
         expiry removed it; nothing here tests that again.
         """
-        expiry = self._expiry
+        table = self.table
+        expiry = table._expiry
         if expiry and expiry[0] < now:
-            self._shed(now)
-        bundle_id, expires_at = bundle.bundle_id, bundle.expires_at
-        self._bundles[bundle_id] = bundle
+            table.shed(now)
+        bundle_id = bundle.bundle_id
+        if bundle_id not in table._bundles:
+            table.add(bundle)
+        elif bundle.workflow_id is not None:
+            table._copies[bundle_id] += 1
         self._arrived[bundle_id] = now
-        if expires_at != math.inf:
-            ids = self._expiring.get(expires_at)
-            if ids is None:
-                heapq.heappush(expiry, expires_at)
-                self._expiring[expires_at] = [bundle_id]
-            else:
-                ids.append(bundle_id)
-        if bundle.workflow_id is not None:
-            self._by_workflow.setdefault(bundle.workflow_id, set()).add(bundle_id)
 
     def remove_where(self, workflow_id: str) -> int:
         """Drop every stored bundle of one workflow; returns how many.
 
         Only archive bundles carry a workflow tag, so a cleanup marker is
-        never indexed here and outlives its workflow's cleanup.
+        never indexed and outlives its workflow's cleanup.
         """
-        held = self._by_workflow.pop(workflow_id, ())
-        for bundle_id in held:
-            del self._bundles[bundle_id]
-            del self._arrived[bundle_id]
-        return len(held)
+        ids = self.table.workflows.get(workflow_id)
+        if ids is None:
+            return 0
+        arrived = self._arrived
+        removed = [bundle_id for bundle_id in ids if bundle_id in arrived]
+        for bundle_id in removed:
+            del arrived[bundle_id]
+        self.table.forget(workflow_id, removed)
+        return len(removed)
 
     def live(self, now: float) -> Iterator[Bundle]:
         """All stored, non-expired bundles in insertion order."""
-        self._shed(now)
-        yield from self._bundles.values()
+        table = self.table
+        table.shed(now)
+        yield from map(table._bundles.__getitem__, self._arrived)
 
     # The link scan calls live() under this second name so that a profiler
     # patching the class attribute by name can time link scans on their own.
     scan_log = live
-
-    def _shed(self, now: float) -> None:
-        heap, expiring, bundles, arrived = (self._expiry, self._expiring, self._bundles,
-                                            self._arrived)
-        while heap and heap[0] < now:
-            for bundle_id in expiring.pop(heapq.heappop(heap)):
-                # the id may be gone (cleanup); it is never stored again
-                bundle = bundles.pop(bundle_id, None)
-                if bundle is None:
-                    continue
-                del arrived[bundle_id]
-                workflow_id = bundle.workflow_id
-                if workflow_id is not None:
-                    held = self._by_workflow[workflow_id]
-                    held.remove(bundle_id)
-                    if not held:
-                        del self._by_workflow[workflow_id]

@@ -19,28 +19,34 @@ which keeps the link in sync until it closes. A transfer interrupted by
 contact loss restarts from scratch at the next encounter.
 
 The world keeps one record per node: its slot in the position list, its
-store, the store's id mapping and bound `insert`, its accept and delivery
-hooks (always both, so they are called untested), and its open links, each
-naming the record of the node at its far end, so the hot path reaches a
-receiver's state without a lookup. Two paths enqueue: the link scan puts
-many bundles on its one link, and a delivery (`_deliver`) forwards its one
-bundle over the receiver's links. Both skip a bundle the receiver holds and
-a tagged one (it carries a workflow id) the receiver's accept hook refuses;
-the hook is asked about nothing else, so an offer or a cleanup marker never
-costs it a call. Storing a delivered or originated bundle asks the storing
-node's hook by the same rule. A scan first drops the bundles the receiver
-holds in one pass, since those are most of what a sender carries. No link
-queues one bundle twice for one receiver: the scan runs once, when the link
-opens, after that only bundles newly stored at one end are forwarded, and a
-store takes an id at most once. A queued entry is a plain (bundle,
-receiver) tuple; the entry a link is sending is its `current`, the one
-record of the entry in flight, which closing the link clears.
+store, the store's arrival times by id (`held`) and bound `insert`, its
+accept and delivery hooks (always both, so they are called untested), and
+its open links, each naming the record of the node at its far end, so the
+hot path reaches a receiver's state without a lookup. Two paths enqueue: the
+link scan puts many bundles on its one link, and a delivery (`_deliver`)
+forwards its one bundle over the receiver's links. Both skip a bundle the
+receiver holds and a tagged one (it carries a workflow id) the receiver's
+accept hook refuses; the hook is asked about nothing else, so an offer or a
+cleanup marker never costs it a call. Storing a delivered or originated
+bundle asks the storing node's hook by the same rule. A scan first drops the
+bundles the receiver holds in one pass, since those are most of what a
+sender carries. No link queues one bundle twice for one receiver: the scan
+runs once, when the link opens, after that only bundles newly stored at one
+end are forwarded, and a store takes an id at most once. A queued entry is a
+plain (bundle, receiver) tuple; the entry a link is sending is its
+`current`, the one record of the entry in flight, which closing the link
+clears.
 
 The world alone decides what a store takes. A store refuses nothing, so
 every write is of a live bundle the store never held: a completion skips a
 copy its receiver got over another link meanwhile, `originate` one its
 source holds, and `_deliver` an expired one; a copy that cleanup or expiry
 removed never comes back, since its workflow is refused or it is expired.
+All stores share the world's one `BundleTable`, which holds each stored
+bundle once and sheds an expired one from every store at once, whichever
+store's insert or listing finds it expired. That moment moves nothing the
+world does: it tests `now > expires_at` itself before it forwards, starts
+or delivers a copy, and every copy of a bundle expires at the same time.
 Every stored bundle but an offer then goes to its node's delivery hook:
 cleanup markers, and archives addressed to the node or passing through it.
 An offer, most of what floods, only sits in the store, where the node's
@@ -97,7 +103,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .bundles import Bundle, BundleKind, BundleStore, NodeAddress
+from .bundles import Bundle, BundleKind, BundleStore, BundleTable, NodeAddress
 
 if TYPE_CHECKING:
     from .contacts import RangeContacts
@@ -238,13 +244,13 @@ class _Node:
 
     __slots__ = ("addr", "index", "store", "held", "insert", "accept", "handler", "links")
 
-    def __init__(self, addr: NodeAddress, index: int, accept: Callable[[Bundle], bool],
-                 handler: Callable[[Bundle], None]) -> None:
+    def __init__(self, addr: NodeAddress, index: int, table: BundleTable,
+                 accept: Callable[[Bundle], bool], handler: Callable[[Bundle], None]) -> None:
         self.addr = addr
         # the node's slot in the world's position list, in joining order
         self.index = index
-        self.store = BundleStore()
-        self.held = self.store.by_id
+        self.store = BundleStore(table)
+        self.held = self.store.arrived_at
         self.insert = self.store.insert
         self.accept = accept
         self.handler = handler
@@ -292,6 +298,8 @@ class World:
         self._heap: list[float] = []
         self._due: dict[float, list[Callable[[], None]]] = {}
         self.stores: dict[NodeAddress, BundleStore] = {}
+        # every stored bundle once, shared by all the stores
+        self.table = BundleTable()
         self._nodes: dict[NodeAddress, _Node] = {}
         # _positions[i] is the (x, y) of node _addrs[i], in joining order
         self._addrs: list[NodeAddress] = []
@@ -329,7 +337,8 @@ class World:
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
         point = _point(position)
-        node = self._nodes[addr] = _Node(addr, len(self._positions), accept, handler)
+        node = self._nodes[addr] = _Node(addr, len(self._positions), self.table, accept,
+                                           handler)
         self.stores[addr] = node.store
         self._addrs.append(addr)
         self._positions.append(point)
@@ -347,6 +356,7 @@ class World:
         self._heap.clear()
         self._due.clear()
         self.stores.clear()
+        self.table.clear()
         for node in self._nodes.values():
             node.links.clear()
         self._nodes.clear()

@@ -369,11 +369,12 @@ def test_one_offer_bundle_reaching_two_nodes_is_one_shared_record(line3, monkeyp
     monkeypatch.setattr(announce, "decode_offers", calls.append)
     line3.settle(0.5)
     # worker 3's first announce: one record, held by every store it reached
-    first = line3.world.stores[3].by_id[(3, 1)]
-    assert all(line3.world.stores[addr].by_id[first.bundle_id] is first
-               for addr in (1, 2))
-    assert calls == []
     now = line3.world.now
+    held = {addr: {b.bundle_id: b for b in line3.world.stores[addr].live(now)}
+            for addr in (1, 2, 3)}
+    first = held[3][(3, 1)]
+    assert all(held[addr][first.bundle_id] is first for addr in (1, 2))
+    assert calls == []
     seen_at_1, seen_at_2 = (line3.node(addr).offer_db.lookup("work", now)
                             for addr in (1, 2))
     assert [r.worker for r in seen_at_1] == [2, 3]

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carryflow.bundles import (Bundle, BundleKind, BundleStore, format_address,
-                               parse_address)
+from carryflow.bundles import (Bundle, BundleKind, BundleStore, BundleTable,
+                               format_address, parse_address)
 
 
 def make_bundle(seq: int, *, created_at: float = 0.0, ttl: float = 100.0,
@@ -67,11 +67,12 @@ def test_insert_and_duplicate():
     # membership test that the insert itself makes true
     store = BundleStore()
     b = make_bundle(1)
-    assert b.bundle_id not in store and b.bundle_id not in store.by_id
+    assert b.bundle_id not in store and b.bundle_id not in store.arrived_at
     assert store.insert(b, now=0.0) is None
     assert len(store) == 1
     assert b.bundle_id in store
-    assert store.by_id[b.bundle_id] is b
+    (stored,) = store.live(0.0)
+    assert stored is b
     assert dict(store.arrived_at) == {b.bundle_id: 0.0}
 
 
@@ -146,7 +147,7 @@ def test_expires_at_is_creation_plus_ttl():
 @pytest.mark.parametrize("created_at, ttl", [(0.0, math.nan), (math.nan, 100.0),
                                              (math.inf, -math.inf)])
 def test_a_nan_expiry_is_refused(created_at, ttl):
-    # a NaN expiry never compares as passed: at the head of a store's expiry
+    # a NaN expiry never compares as passed: at the head of the table's expiry
     # heap it would keep every bundle behind it from being shed
     with pytest.raises(ValueError, match="NaN"):
         make_bundle(1, created_at=created_at, ttl=ttl)
@@ -200,10 +201,51 @@ def test_workflow_index_shrinks_when_its_bundles_expire():
     store.insert(make_bundle(1, ttl=1.0), now=0.0)
     store.insert(dataclasses.replace(make_bundle(3, ttl=2.0), workflow_id="wf-1"), now=0.0)
     store.insert(make_bundle(2, ttl=100.0), now=0.0)
+    workflows = store.table.workflows
     assert len(list(store.live(now=1.5))) == 2
-    assert set(store._by_workflow) == {"wf-1", "wf-2"}
+    assert {wf: set(ids) for wf, ids in workflows.items()} == {"wf-1": {(1, 3)},
+                                                               "wf-2": {(1, 2)}}
     assert len(list(store.live(now=3.0))) == 1
-    assert set(store._by_workflow) == {"wf-2"}
+    assert set(workflows) == {"wf-2"}
+    assert len(store.table) == 1
+
+
+def test_stores_that_share_a_table_keep_one_bundle_and_their_own_arrivals():
+    # the bundle sits in the table once, however many stores hold it; each
+    # store keeps its own arrival time, and a store built alone its own table
+    table = BundleTable()
+    stores = [BundleStore(table) for _ in range(3)]
+    b = make_bundle(1)
+    for at, store in enumerate(stores):
+        store.insert(b, now=float(at))
+    assert len(table) == 1
+    for at, store in enumerate(stores):
+        assert dict(store.arrived_at) == {b.bundle_id: float(at)}
+        (stored,) = store.live(2.0)
+        assert stored is b
+    assert BundleStore().table is not BundleStore().table
+
+
+def test_a_tagged_bundle_leaves_the_table_with_its_last_copy():
+    # even one that never expires: a cleaned archive is not kept for the run
+    table = BundleTable()
+    first, second = BundleStore(table), BundleStore(table)
+    lasting = make_bundle(1, ttl=math.inf)
+    offer = dataclasses.replace(make_bundle(2, ttl=math.inf), workflow_id=None)
+    for store in (first, second):
+        store.insert(lasting, now=0.0)
+        store.insert(offer, now=0.0)
+    assert first.remove_where("wf-1") == 1
+    assert len(table) == 2 and "wf-1" in table.workflows
+    assert second.remove_where("wf-1") == 1
+    assert len(table) == 1 and "wf-1" not in table.workflows
+    # an in-flight copy stored after every cleanup is kept again, once
+    third = BundleStore(table)
+    third.insert(lasting, now=1.0)
+    assert [b.bundle_id for b in third.live(1.0)] == [(1, 1)]
+    assert third.remove_where("wf-1") == 1 and len(table) == 1
+    table.clear()
+    assert len(table) == 0 and not table.workflows
 
 
 # one step: (seconds forward, operation, bundle seq, ttl)
@@ -293,6 +335,68 @@ def test_store_matches_a_dict_oracle_when_expiry_times_collide(steps):
             assert list(store.live(now)) == list(oracle.values())
         assert len(store) == len(oracle)
         assert dict(store.arrived_at) == {bid: arrived[bid] for bid in oracle}
+
+
+# one step: (seconds forward, operation, store, workflow, ttl); every insert
+# is of a fresh bundle, and some steps hand that same bundle to several stores
+_shared_steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+              st.sampled_from(["insert", "insert", "copy", "live", "cleanup"]),
+              st.integers(0, 2),
+              st.integers(1, 3),
+              st.sampled_from([0.5, 1.0, 2.0, 3.0, float("inf")])),
+    max_size=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3), _shared_steps)
+def test_stores_that_share_a_table_match_a_per_store_oracle(n_stores, steps):
+    # calls that keep insert's contract, as the world's do: a store gets a
+    # bundle only while it is live, and never one it held before; "copy"
+    # hands the last bundle made to one more store, as a transfer does
+    table = BundleTable()
+    stores = [BundleStore(table) for _ in range(n_stores)]
+    oracles: list[dict] = [{} for _ in stores]    # per store: id -> (bundle, arrival)
+    removed: list[set] = [set() for _ in stores]  # per store: ids it held once
+    last = None
+    now = 0.0
+    for step, (dt, op, which, wf, ttl) in enumerate(steps, start=1):
+        now += dt
+        which %= n_stores
+        store, oracle = stores[which], oracles[which]
+        if op == "insert":
+            last = Bundle(bundle_id=(1, step), source=1, destination=2,
+                          kind=BundleKind.WORKFLOW_ARCHIVE if wf < 3 else BundleKind.OFFER,
+                          payload=None, size_bytes=10, created_at=now, ttl_seconds=ttl,
+                          workflow_id=f"wf-{wf}" if wf < 3 else None)
+        if op in ("insert", "copy") and last is not None:
+            bid = last.bundle_id
+            if (now <= last.expires_at and bid not in oracle
+                    and bid not in removed[which]):
+                store.insert(last, now)
+                oracle[bid] = (last, now)
+        elif op == "cleanup":
+            doomed = [bid for bid, (b, _) in oracle.items() if b.workflow_id == f"wf-{wf}"]
+            store.remove_where(f"wf-{wf}")
+            for bid in doomed:
+                del oracle[bid]
+                removed[which].add(bid)
+        elif op == "live":
+            for bid in [bid for bid, (b, _) in oracle.items() if now > b.expires_at]:
+                del oracle[bid]
+                removed[which].add(bid)
+            assert list(store.live(now)) == [b for b, _ in oracle.values()]
+            assert dict(store.arrived_at) == {bid: at for bid, (_, at) in oracle.items()}
+            # shedding here shows no expired bundle through any other store
+            for other, held in zip(stores, oracles):
+                assert all(now <= held[bid][0].expires_at for bid in other.arrived_at)
+        for held, gone, each in zip(oracles, removed, stores):
+            # what a store dropped never comes back, and what it holds is
+            # what the oracle holds, bar bundles expired and not yet shed
+            assert not gone & each.arrived_at.keys()
+            assert each.arrived_at.keys() <= held.keys()
+        # the table keeps exactly the bundles some store holds
+        assert len(table) == len(set().union(*(each.arrived_at for each in stores)))
 
 
 def test_no_bundle_field_is_written_after_construction():

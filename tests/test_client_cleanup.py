@@ -124,3 +124,25 @@ def test_unparsable_workflow_raises_immediately(line3):
     with pytest.raises(WorkflowParseError):
         line3.node(1).offload("nonsense", {})
     assert line3.collector.tracks == {}
+
+
+def test_a_cleaned_workflow_that_never_expires_leaves_the_bundle_table(line3):
+    # ttl=inf: no expiry ever sheds its archives, so only the copy count
+    # takes them out of the world's table once every node has cleaned up
+    world = line3.world
+    table = world.table
+    line3.settle(1.0)
+    handle = line3.node(1).offload("ttl=inf\nany work in.dat\n", {"in.dat": 1})
+    workflow_id = handle.description.workflow_id
+    indexed = False
+    while world.now < 10.0:
+        line3.settle(0.01)
+        indexed |= workflow_id in table.workflows
+    assert indexed
+    assert handle.status == "succeeded"
+    assert all(workflow_id in line3.node(addr).cleaned for addr in (1, 2, 3))
+    assert workflow_id not in table.workflows
+    stored = set().union(*(store.arrived_at for store in world.stores.values()))
+    assert len(table) == len(stored)
+    world.release()
+    assert len(table) == 0

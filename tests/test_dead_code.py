@@ -153,3 +153,18 @@ def test_a_file_is_its_size_and_a_cleanup_forgets_by_one_set():
     markers = [b for b in micro.world.stores[1].live(micro.world.now)
                if b.kind is BundleKind.CLEANUP_MARKER]
     assert [(b.payload, b.workflow_id) for b in markers] == [("wf-x", None)]
+
+
+def test_a_store_is_one_dict_and_its_bundles_sit_in_the_table():
+    # a store keeps its arrival times and nothing else: the bundles, their
+    # expiry heap and the workflow index sit once in the world's table, and
+    # no id-to-bundle view of a store is left to read
+    from carryflow.bundles import BundleStore
+    store = BundleStore()
+    assert [name for name in ("by_id", "_bundles", "_expiry", "_expiring", "_by_workflow")
+            if hasattr(store, name)] == []
+    found = [str(path.relative_to(ROOT)) for folder in ("src", "demos", "bench", "tests")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if path != Path(__file__)
+             and re.search(r"\.by_id\b", path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -319,7 +319,8 @@ def test_a_pin_to_an_address_no_node_has_is_a_selection_failure(line3, text, fai
     assert 255 not in {worker for _, worker in line3.collector.selections}
     if failed_by == 1:
         # nothing of the workflow, not even a cleanup marker, was stored
-        assert [b for store in line3.world.stores.values() for b in store.by_id.values()
+        now = line3.world.now
+        assert [b for store in line3.world.stores.values() for b in store.live(now)
                 if b.kind is not BundleKind.OFFER] == []
         assert line3.collector.selections == {}
 

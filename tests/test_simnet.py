@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -371,14 +372,17 @@ def test_duplicate_not_requeued():
     assert world.transfers_completed == completed
 
 
+class _Float(float):
+    """A float that is not a built-in float, as a numpy scalar is not."""
+
+
 def test_positions_are_built_in_floats_that_round_trip_exactly():
-    np = pytest.importorskip("numpy")
     world = World(LINK, adjacency=[])
     world.add_node(1, position=(3, -4))
-    world.add_node(2, position=(np.float64(0.1), np.float64(2.5e-300)))
+    world.add_node(2, position=(_Float(0.1), _Float(2.5e-300)))
     world.add_node(3)
     given = {1: (3.0, -4.0), 2: (0.1, 2.5e-300), 3: (0.0, 0.0)}
-    world.set_position(3, (np.float64(1 / 3), 7))
+    world.set_position(3, (Fraction(1, 3), 7))
     given[3] = (1 / 3, 7.0)
     world.set_position(1, (0.1 + 0.2, -0.0))
     given[1] = (0.1 + 0.2, -0.0)
@@ -417,6 +421,29 @@ def test_originate_honors_source_refusal():
     assert len(store) == 0
 
 
+def test_the_table_keeps_each_stored_bundle_once_through_a_mobile_run():
+    # at every simulated second of a mobile-sparse run, through its
+    # workflows and their cleanups, the world's one table holds exactly the
+    # distinct ids its stores hold, and a store is one dict of arrival times
+    config = resolve_scenario("mobile-sparse").with_run(seed=1, strategy=Strategy.SPREAD)
+    world = build(config).world
+    table = world.table
+    extra_copies = tagged_seen = 0
+    while world.now < 420.0:
+        world.advance(1.0)
+        stores = list(world.stores.values())
+        assert all(store.table is table for store in stores)
+        assert all([name for name in BundleStore.__slots__
+                    if isinstance(getattr(store, name), dict)] == ["_arrived"]
+                   for store in stores)
+        assert len(table) == len(set().union(*(store.arrived_at for store in stores)))
+        extra_copies = max(extra_copies, sum(map(len, stores)) - len(table))
+        tagged_seen = max(tagged_seen, len(table.workflows))
+    # stores shared bundles, and workflows came and went
+    assert extra_copies > 0 and tagged_seen > 0
+    assert not table.workflows
+
+
 def test_the_accept_hook_is_asked_only_about_tagged_bundles():
     # an offer (no workflow id) and a workflow bundle take the same paths:
     # node 1 originates both, forwards them to node 2, which takes delivery,
@@ -432,7 +459,7 @@ def test_the_accept_hook_is_asked_only_about_tagged_bundles():
     world.schedule(5.2, lambda: world.set_position(3, (15.0, 0.0)))
     world.run_until(10.0)
     for addr in (1, 2, 3):
-        assert {offer.bundle_id, tagged.bundle_id} <= world.stores[addr].by_id.keys()
+        assert {offer.bundle_id, tagged.bundle_id} <= world.stores[addr].arrived_at.keys()
     assert all(b is tagged for _, b, _ in asked)
     d = transfer_duration(LINK, 1_000_000)
     assert [(a, t) for a, _, t in asked] == [
