@@ -1,16 +1,24 @@
 """Service offers: periodic capability announcements and the local offer view.
 
-Every worker broadcasts one bundle per announcement round. Its payload is
-the round's `Announcement`, the way an archive bundle's payload is its
-`Archive`: a snapshot of the worker's capability vector and the param count
-of each service it offers. The bundle's source and creation time are the
-worker and the issue time. Nothing is encoded; a bundle's size is what the
-fixed-width record layout would take, a header plus one record per
-service, so link timing follows the layout. The layout's limits,
-`SERVICE_NAME_BYTES` and `MAX_PARAM_COUNT`, are the model's, and the
-scenario parser enforces them. Every store holding a copy holds the same
-bundle, so the announcement is freed with its last copy, and nothing may
-edit it.
+Every worker broadcasts one bundle per announcement round. Its payload is an
+`Announcement`, the way an archive bundle's payload is its `Archive`: a
+snapshot of the worker's capability vector and the param count of each
+service it offers. The bundle's source and creation time are the worker and
+the issue time. A round builds a new record only when what it would snapshot
+has changed since the worker's last round; otherwise the bundle carries the
+last record again, so a worker that keeps still and idle costs one bundle
+per round. A snapshot holds each number as `float(v)`, which is `v` itself
+for a built-in float, so the test is one identity comparison per source
+value, and it is exact: a record is reused only while every source value is
+the very object it holds, so its repr is what a fresh build's would be,
+`-0.0` against `0.0` and NaN included.
+
+Nothing is encoded; a bundle's size is what the fixed-width record layout
+would take, a header plus one record per service, so link timing follows the
+layout. The layout's limits, `SERVICE_NAME_BYTES` and `MAX_PARAM_COUNT`, are
+the model's, and the scenario parser enforces them. Every store holding a
+copy holds the same bundle, so the announcement is freed with its last copy,
+and nothing may edit it.
 
 A node's offer view is read from the offer bundles its store holds, in
 arrival order: of the announcements of one worker offering one service, a
@@ -25,7 +33,7 @@ it asks for and builds an OfferRecord only for each winner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .bundles import (BROADCAST, Bundle, BundleId, BundleKind, BundleStore,
                       NodeAddress)
@@ -42,6 +50,9 @@ MAX_PARAM_COUNT = 2 ** 32 - 1
 
 DEFAULT_ANNOUNCE_INTERVAL_S = 2.0
 DEFAULT_OFFER_EXPIRY_S = 120.0
+
+# an enum member read through its class costs an attribute lookup each time
+_OFFER = BundleKind.OFFER
 
 
 @dataclass
@@ -89,18 +100,35 @@ def decode_offers(payload: object) -> list[OfferRecord]:
 
 def build_offer_bundle(bundle_id: BundleId, worker: NodeAddress, issued_at: float,
                        caps: CapabilityVector, params: Mapping[str, int],
-                       expiry_s: float = DEFAULT_OFFER_EXPIRY_S) -> Bundle:
-    """One broadcast bundle per announcement round, whose payload is the round's record."""
+                       expiry_s: float = DEFAULT_OFFER_EXPIRY_S,
+                       last: Optional[Announcement] = None) -> Bundle:
+    """One broadcast bundle per announcement round, whose payload is the round's record.
+
+    `last` is the worker's record of its previous round, if it had one. When
+    each source value (the four resources, both coordinates and `params`)
+    is the very object `last` holds, the snapshot would read the same, and
+    the bundle carries `last` itself; otherwise it carries a new snapshot.
+    """
     x, y = caps.position
-    snapshot = CapabilityVector(cpu=float(caps.cpu), memory=float(caps.memory),
-                                disk=float(caps.disk), energy=float(caps.energy),
-                                position=(float(x), float(y)))
-    issued_at = float(issued_at)
-    return Bundle(bundle_id=bundle_id, source=worker, destination=BROADCAST,
-                  kind=BundleKind.OFFER,
-                  payload=Announcement(snapshot, params),
-                  size_bytes=OFFER_HEADER_BYTES + OFFER_RECORD_BYTES * len(params),
-                  created_at=issued_at, ttl_seconds=expiry_s)
+    cpu, memory, disk, energy = caps.cpu, caps.memory, caps.disk, caps.energy
+    record = last
+    if record is not None:
+        # a snapshot holds float(v), which is v itself for a built-in float,
+        # so it holds the source's very objects while none has changed; a
+        # new -0.0 for 0.0, a new NaN or an int for a float is a change
+        held = record.capabilities
+        held_x, held_y = held.position
+        if not (x is held_x and y is held_y and cpu is held.cpu and memory is held.memory
+                and disk is held.disk and energy is held.energy
+                and params is record.params):
+            record = None
+    if record is None:
+        record = Announcement(CapabilityVector(float(cpu), float(memory), float(disk),
+                                               float(energy), (float(x), float(y))),
+                              params)
+    return Bundle(bundle_id, worker, BROADCAST, _OFFER, record,
+                  OFFER_HEADER_BYTES + OFFER_RECORD_BYTES * len(params),
+                  float(issued_at), expiry_s)
 
 
 class OfferDatabase:
@@ -134,7 +162,7 @@ class OfferDatabase:
         arrived_at = self.store.arrived_at
         candidates = [(bundle, arrived_at[bundle.bundle_id])
                       for bundle in self.store.live(now)
-                      if bundle.kind is BundleKind.OFFER
+                      if bundle.kind is _OFFER
                       and service_name in bundle.payload.params]
         winners: dict[NodeAddress, tuple[Bundle, float]] = {}
         self.ingest(candidates, winners)

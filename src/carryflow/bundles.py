@@ -2,12 +2,15 @@
 
 A bundle is the unit of replication: an addressed (or broadcast) payload with
 a creation time and a TTL. Every store holding a copy holds the same frozen
-object, and no field of it is written after construction. A payload is a
-plain object, never encoded bytes: an offer bundle's `Announcement`, an
-archive bundle's `Archive`, a cleanup marker's workflow id. Only
-`size_bytes` stands for the wire. Each node owns one store; synchronization
-between stores happens in the network layer, this module only answers what a
-node currently holds.
+object, and no field of it is written after construction. `Bundle` has one
+written-out constructor, not a generated one: it takes the fields in order,
+by position or keyword, computes the expiry time, refuses a NaN one, and
+writes the ten slots directly, so an announce round, which builds a bundle
+per worker, pays one plain call for each. A payload is a plain object,
+never encoded bytes: an offer bundle's `Announcement`, an archive bundle's
+`Archive`, a cleanup marker's workflow id. Only `size_bytes` stands for the
+wire. Each node owns one store; synchronization between stores happens in
+the network layer, this module only answers what a node currently holds.
 
 A stored copy costs one dict entry: a store is an insertion-ordered dict
 from bundle id to arrival time, and nothing else. The bundles sit in a
@@ -72,12 +75,17 @@ class BundleKind(Enum):
 BundleId = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
+# writes a slot of a frozen bundle; only its constructor calls it
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Bundle:
     """A payload unit carried between nodes.
 
     Bundles are frozen and slotted, and every store holding a copy holds the
-    same object; its payload is frozen too.
+    same object; its payload is frozen too. `__init__` is written out: it
+    does what the generated one would, computes `expires_at`, and nothing else.
     """
 
     bundle_id: BundleId
@@ -93,14 +101,27 @@ class Bundle:
     # created_at + ttl_seconds; infinite for a bundle that never expires
     expires_at: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        expires_at = self.created_at + self.ttl_seconds
-        # a NaN expiry would sit at the head of the table's expiry heap,
-        # never compare as passed, and keep everything behind it from being shed
-        if math.isnan(expires_at):
-            raise ValueError(f"bundle expiry is NaN (created_at={self.created_at!r}, "
-                             f"ttl_seconds={self.ttl_seconds!r})")
-        object.__setattr__(self, "expires_at", expires_at)
+    def __init__(self, bundle_id: BundleId, source: NodeAddress,
+                 destination: Optional[NodeAddress], kind: BundleKind, payload: object,
+                 size_bytes: int, created_at: float, ttl_seconds: float,
+                 workflow_id: Optional[str] = None) -> None:
+        expires_at = created_at + ttl_seconds
+        # a NaN expiry, the one value unequal to itself, would sit at the head
+        # of the table's expiry heap, never compare as passed, and keep
+        # everything behind it from being shed
+        if expires_at != expires_at:
+            raise ValueError(f"bundle expiry is NaN (created_at={created_at!r}, "
+                             f"ttl_seconds={ttl_seconds!r})")
+        _set(self, "bundle_id", bundle_id)
+        _set(self, "source", source)
+        _set(self, "destination", destination)
+        _set(self, "kind", kind)
+        _set(self, "payload", payload)
+        _set(self, "size_bytes", size_bytes)
+        _set(self, "created_at", created_at)
+        _set(self, "ttl_seconds", ttl_seconds)
+        _set(self, "workflow_id", workflow_id)
+        _set(self, "expires_at", expires_at)
 
 
 class BundleTable:

@@ -3,24 +3,29 @@
 A node is one object. It inherits the worker role (`WorkerRuntime`) and the
 client role (`ClientRuntime`) and owns the state both read. It announces its
 services, if it has any, on a fixed period from the moment it is built, one
-`Announcement` record per round. A received offer bundle needs no handling,
-so the world never passes one to `on_bundle`: its store keeps it, and the
-node's offer view reads the store when a task is assigned. `on_bundle` gets
-every other bundle the node stores. It dispatches the archives addressed to
-the node to its worker or client methods, only carries the ones passing
-through, and honors a cleanup marker by dropping every stored copy of the
-finished workflow's archives. Nodes remember which workflows were cleaned so
-anti-entropy cannot re-plant stale copies on them, and a worker skips a
-queued archive of a cleaned workflow when it reaches it. A cleanup marker,
-like an offer, carries no workflow tag, so no node ever refuses one.
+offer bundle per round, and keeps its last round's `Announcement` record:
+the next round carries that record again unless what it snapshots has
+changed, so a new record is built only when the node moves or spends energy.
+A received offer bundle needs no handling, so the world never passes one to
+`on_bundle`: its store keeps it, and the node's offer view reads the store
+when a task is assigned. `on_bundle` gets every other bundle the node
+stores. It dispatches the archives addressed to the node to its worker or
+client methods, only carries the ones passing through, and honors a cleanup
+marker by dropping every stored copy of the finished workflow's archives.
+Nodes remember which workflows were cleaned so anti-entropy cannot re-plant
+stale copies on them, and a worker skips a queued archive of a cleaned
+workflow when it reaches it. A cleanup marker, like an offer, carries no
+workflow tag, so no node ever refuses one.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Optional
 
-from .announce import CapabilityVector, OfferDatabase, build_offer_bundle
+from .announce import (Announcement, CapabilityVector, OfferDatabase,
+                       build_offer_bundle)
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
@@ -52,6 +57,9 @@ class Node(WorkerRuntime, ClientRuntime):
         # fixed once built
         self._offered = {name: self.services[name].param_count
                          for name in sorted(self.services)}
+        # the last round's record, which the next round carries again if
+        # nothing it snapshots has changed
+        self._announced: Optional[Announcement] = None
         self.busy = False
         self.queue: deque[tuple[Archive, float]] = deque()
         self._workflow_seq = 0
@@ -71,9 +79,11 @@ class Node(WorkerRuntime, ClientRuntime):
     def _announce(self) -> None:
         now = self.world.now
         self.caps.position = self.position()
-        self.world.originate(build_offer_bundle(
-            self._next_bundle_id(), self.address, now, self.caps, self._offered,
-            expiry_s=self.config.offer_expiry_s))
+        bundle = build_offer_bundle(self._next_bundle_id(), self.address, now, self.caps,
+                                    self._offered, self.config.offer_expiry_s,
+                                    self._announced)
+        self._announced = bundle.payload
+        self.world.originate(bundle)
         self.world.schedule(now + self.config.announce_interval_s, self._announce)
 
     # -- bundle plumbing ---------------------------------------------------------

@@ -518,3 +518,130 @@ def test_inbox_lookups_match_an_eager_fold(steps):
             winner = eager[name].get(worker)
             if winner is None or winner[0].created_at < bundle.created_at:
                 eager[name][worker] = (bundle, now)
+
+
+class Reading(float):
+    """A float subclass: a snapshot holds it as a new built-in float, like an int."""
+
+
+# a capability source value: ints and floats, both zeros, NaN and infinities
+SOURCES = (st.integers(-3, 3) | st.floats() | st.sampled_from([0.0, -0.0])
+           | st.builds(Reading, st.floats(allow_nan=False)))
+# per round: a new value for some of cpu, memory, disk, energy, x and y (by
+# index; the others keep the objects they hold), and whether the round gets
+# a new (equal) params map
+ROUNDS = st.lists(st.tuples(st.dictionaries(st.integers(0, 5), SOURCES, max_size=2),
+                            st.booleans()), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=st.lists(st.floats(), min_size=6, max_size=6), rounds=ROUNDS)
+@example(first=[0.0] * 6, rounds=[({}, False), ({0: -0.0}, False), ({}, False),
+                                  ({4: 2.5}, False), ({3: 0.5}, False), ({}, False)])
+@example(first=[float("nan")] * 6, rounds=[({}, False), ({0: float("nan")}, False),
+                                           ({}, True), ({}, False)])
+@example(first=[1.0] * 6, rounds=[({0: 4, 1: 2048}, False), ({}, False),
+                                  ({0: 4.0, 1: 2048.0}, False), ({}, False)])
+def test_a_round_carries_the_last_record_exactly_while_no_source_changed(first, rounds):
+    """A round's snapshot reads as a fresh build's, and is the last one's while nothing changed.
+
+    A source value counts as unchanged while it is the very object it was
+    last round; a round reuses the record only then, and only if every
+    value is a built-in float, which a snapshot holds as itself.
+    """
+    caps = CapabilityVector(*first[:4], position=(first[4], first[5]))
+    params = {"scale": 1}
+    last = sources = None
+    for seq, (changes, new_params) in enumerate([({}, False), *rounds], start=1):
+        values = [caps.cpu, caps.memory, caps.disk, caps.energy, *caps.position]
+        for index, value in changes.items():
+            values[index] = value
+        caps.cpu, caps.memory, caps.disk, caps.energy = values[:4]
+        # every round a new tuple, as a mover gets: it is the values that count
+        caps.position = (values[4], values[5])
+        if new_params:
+            params = dict(params)
+        bundle = build_offer_bundle((1, seq), 1, float(seq), caps, params, 60.0, last)
+        fresh = build_offer_bundle((1, seq), 1, float(seq), caps, params, 60.0)
+        # repr tells an int from a float, -0.0 from 0.0 and shows NaN
+        assert repr(bundle) == repr(fresh)
+        unchanged = (sources is not None
+                     and all(now is before for now, before in zip([*values, params], sources))
+                     and all(type(value) is float for value in values))
+        assert (bundle.payload is last) == unchanged
+        assert bundle.payload is not fresh.payload
+        last, sources = bundle.payload, [*values, params]
+
+
+def issued_offers(monkeypatch, config) -> tuple[list, list, object]:
+    """Run a scenario and list the offer bundles it issued.
+
+    Returns the (bundle, its record's repr then, the worker's position and
+    energy objects then) of each, the workers, and the report.
+    """
+    import carryflow.harness as harness
+    from carryflow.simnet import World
+    built = []
+    real_build = harness.build
+    monkeypatch.setattr(harness, "build", lambda c: built.append(real_build(c)) or built[-1])
+    issued = []
+    real_originate = World.originate
+
+    def originate(self, bundle):
+        if bundle.kind is BundleKind.OFFER:
+            caps = built[0].nodes[bundle.source].caps
+            issued.append((bundle, repr(bundle.payload), self.position_of(bundle.source),
+                           caps.energy))
+        real_originate(self, bundle)
+    monkeypatch.setattr(World, "originate", originate)
+    report = run_scenario(config)
+    return issued, [node for node in built[0].nodes.values() if node.services], report
+
+
+def test_a_static_ring_issues_one_record_per_capability_change(monkeypatch):
+    # a ring node never moves, so its record changes only when a task it
+    # runs spends energy: one record per worker, plus one per executed task
+    executed = []
+    real_setattr = CapabilityVector.__setattr__
+
+    def setattr_(self, name, value):
+        if name == "energy" and "energy" in vars(self):
+            executed.append(self)
+        real_setattr(self, name, value)
+    monkeypatch.setattr(CapabilityVector, "__setattr__", setattr_)
+    config = resolve_scenario("ring-heterogeneous").with_run(seed=1, strategy=Strategy.BEST)
+    issued, workers, report = issued_offers(monkeypatch, config)
+    assert all(w.status == "succeeded" for w in report.workflows)
+    records = {id(bundle.payload) for bundle, *_ in issued}
+    assert executed
+    assert len(records) <= len(workers) + len(executed)
+    assert len(records) * 20 < len(issued)
+    # each round's snapshot is its worker's state when it was issued, and no
+    # round edited a record that an earlier round issued and stores hold
+    assert all(repr(bundle.payload.capabilities.position) == repr(position)
+               and repr(bundle.payload.capabilities.energy) == repr(float(energy))
+               for bundle, _, position, energy in issued)
+    assert [repr(bundle.payload) for bundle, *_ in issued] == [text for _, text, *_ in issued]
+
+
+def test_a_paused_worker_reuses_its_record_and_a_moving_one_does_not(monkeypatch):
+    config = resolve_scenario("mobile-sparse")
+    config = replace(config, run=replace(config.run, duration_s=120.0)).with_run(seed=1)
+    issued, _, _ = issued_offers(monkeypatch, config)
+    previous: dict = {}
+    paused = moved = 0
+    for bundle, _, position, energy in issued:
+        before = previous.get(bundle.source)
+        previous[bundle.source] = (bundle, position, energy)
+        if before is None:
+            continue
+        last, last_position, last_energy = before
+        if position != last_position:
+            moved += 1
+            assert bundle.payload is not last.payload
+        elif position is last_position and energy is last_energy:
+            # mobility left the worker's position as it was, and no task
+            # spent its energy, since its last round
+            paused += 1
+            assert bundle.payload is last.payload
+    assert paused and moved

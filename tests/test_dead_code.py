@@ -168,3 +168,13 @@ def test_a_store_is_one_dict_and_its_bundles_sit_in_the_table():
              if path != Path(__file__)
              and re.search(r"\.by_id\b", path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_a_bundle_is_built_by_its_one_constructor():
+    # the written-out __init__ computes expires_at and refuses a NaN expiry,
+    # so no generated constructor or post-init hook is left beside it
+    from carryflow.bundles import Bundle
+    assert not hasattr(Bundle, "__post_init__")
+    assert not Bundle.__dataclass_params__.init
+    assert not re.search(r"\b__post_init__\b",
+                         (PACKAGE / "bundles.py").read_text(encoding="utf-8"))
