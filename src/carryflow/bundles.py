@@ -13,24 +13,27 @@ wire. Each node owns one store; synchronization between stores happens in
 the network layer, this module only answers what a node currently holds.
 
 A stored copy costs one dict entry: a store is an insertion-ordered dict
-from bundle id to arrival time, and nothing else. The bundles sit in a
-`BundleTable`, one per world, shared by all its stores, which keeps each
-bundle once however many stores hold it. The table sheds a bundle once it
-expires, from itself and from every store at once: inserting into any
-store and listing any store's live bundles first drop everything whose
-expiry time has passed, so what the stores hold is bounded by the live
-data, not by how long the run has gone. Expiry is kept by time, not by
+from bundle id to arrival time (`arrived_at`, a plain dict), and nothing
+else. The bundles sit in a `BundleTable`, one per world, shared by all its
+stores, which keeps each bundle once however many stores hold it. The
+table sheds a bundle once it expires, from itself and from every store at
+once: inserting into any store and listing any store's live bundles first
+drop everything whose expiry time has passed, so what the stores hold is
+bounded by the live data, not by how long the run has gone. Expiry is kept by time, not by
 bundle: a heap holds each distinct expiry time once, and the ids that
 expire at that time hang off it, so an announce round's offers cost one
 heap entry. A store refuses nothing: its caller hands `insert` only a live
 bundle that the store has never held. The world checks both before every
 write (a copy in flight can expire, and one can arrive over two links), so
 the store does not test them again. Only archive bundles carry a workflow
-tag; an offer or a cleanup marker carries none. The table indexes tagged
-bundles by workflow and counts their copies: a cleanup drops the store's
-entries for the ids its workflow's index names (`remove_where`), so it
-never scans the store and never removes a marker, and a tagged bundle
-leaves the table with its last copy, even one that never expires.
+tag; an offer or a cleanup marker carries none. The table keeps one map
+for them, from each workflow to its bundles' ids and per id the number of
+stores that hold it: a cleanup drops the store's entries for the ids its
+workflow's map names (`remove_where`), so it never scans the store and
+never removes a marker, and a tagged bundle leaves the table with its last
+copy, even one that never expires. A store writes the table's maps itself
+when it takes or drops a copy; the table only sheds and clears. Every map
+is a plain dict, so a store and its table copy and pickle together.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 NodeAddress = int
 
@@ -132,10 +134,11 @@ class BundleTable:
     id from every member store's arrival dict. A heap holds each distinct
     finite expiry time once, with the ids that expire then, so an announce
     round's offers cost one heap entry. Archive bundles carry a workflow
-    tag; the table indexes them by workflow for a store's cleanup, and
-    counts their copies, so a tagged bundle leaves the table once no store
-    holds it, even one that never expires. An offer or a cleanup marker is
-    removed only by expiry, so it stays here exactly while a store holds it.
+    tag; `workflows` maps each tag to its bundles' ids, each with the
+    number of stores that hold it, for a store's cleanup, so a tagged
+    bundle leaves the table once no store holds it, even one that never
+    expires. An offer or a cleanup marker is removed only by expiry, so it
+    stays here exactly while a store holds it.
     """
 
     def __init__(self) -> None:
@@ -144,50 +147,19 @@ class BundleTable:
         # listed to expire then (an id that left with its last copy stays)
         self._expiry: list[float] = []
         self._expiring: dict[float, list[BundleId]] = {}
-        # per workflow tag, the ids of its bundles, and per tagged bundle
-        # the number of stores that hold it
-        self._by_workflow: dict[str, set[BundleId]] = {}
-        self._copies: dict[BundleId, int] = {}
+        # per workflow tag, the ids of its bundles, each with the number of
+        # stores that hold it
+        self.workflows: dict[str, dict[BundleId, int]] = {}
         # the arrival dict of every store that shares this table
         self._stores: list[dict[BundleId, float]] = []
-        # read-only: per workflow tag, the ids of its bundles in the table
-        self.workflows: Mapping[str, set[BundleId]] = MappingProxyType(self._by_workflow)
 
     def __len__(self) -> int:
         return len(self._bundles)
 
-    def add(self, bundle: Bundle) -> None:
-        """Keep a bundle whose first copy is being stored."""
-        bundle_id, expires_at = bundle.bundle_id, bundle.expires_at
-        self._bundles[bundle_id] = bundle
-        if expires_at != math.inf:
-            ids = self._expiring.get(expires_at)
-            if ids is None:
-                heapq.heappush(self._expiry, expires_at)
-                self._expiring[expires_at] = [bundle_id]
-            else:
-                ids.append(bundle_id)
-        if bundle.workflow_id is not None:
-            self._by_workflow.setdefault(bundle.workflow_id, set()).add(bundle_id)
-            self._copies[bundle_id] = 1
-
-    def forget(self, workflow_id: str, removed: list[BundleId]) -> None:
-        """Count off one copy of each removed id of a workflow's bundles."""
-        bundles, copies, ids = self._bundles, self._copies, self._by_workflow[workflow_id]
-        for bundle_id in removed:
-            left = copies[bundle_id] - 1
-            if left:
-                copies[bundle_id] = left
-            else:
-                del copies[bundle_id], bundles[bundle_id]
-                ids.remove(bundle_id)
-        if not ids:
-            del self._by_workflow[workflow_id]
-
     def shed(self, now: float) -> None:
         """Drop every bundle that expired before `now`, with all its copies."""
-        heap, expiring, bundles, stores = (self._expiry, self._expiring, self._bundles,
-                                           self._stores)
+        heap, expiring, bundles, stores, workflows = (
+            self._expiry, self._expiring, self._bundles, self._stores, self.workflows)
         while heap and heap[0] < now:
             for bundle_id in expiring.pop(heapq.heappop(heap)):
                 # the id may be gone (no store held it any more); a tagged
@@ -197,86 +169,106 @@ class BundleTable:
                     continue
                 for arrived in stores:
                     arrived.pop(bundle_id, None)
-                workflow_id = bundle.workflow_id
-                if workflow_id is not None:
-                    del self._copies[bundle_id]
-                    ids = self._by_workflow[workflow_id]
-                    ids.remove(bundle_id)
-                    if not ids:
-                        del self._by_workflow[workflow_id]
+                if bundle.workflow_id is not None:
+                    copies = workflows[bundle.workflow_id]
+                    del copies[bundle_id]
+                    if not copies:
+                        del workflows[bundle.workflow_id]
 
     def clear(self) -> None:
-        """Forget every bundle and member store, as a finished world does."""
-        for part in (self._bundles, self._expiry, self._expiring, self._by_workflow,
-                     self._copies, self._stores):
+        """Empty every member store, then forget it and every bundle, as a finished world does."""
+        for arrived in self._stores:
+            arrived.clear()
+        for part in (self._bundles, self._expiry, self._expiring, self.workflows,
+                     self._stores):
             part.clear()
 
 
 class BundleStore:
     """The ids one node currently carries, each with its arrival time, in arrival order.
 
-    The bundles themselves sit in a `BundleTable`, which a world shares
-    among its stores; a store built without one makes its own. A removed
-    bundle is never stored again (removal happens only on cleanup, after
-    which the node refuses that workflow, or on expiry, after which the
-    world no longer hands it over), so iterating the store gives the order
-    in which its live bundles arrived.
+    `arrived_at` is the store: a dict from each stored id to its arrival
+    time, the only state a store has, and the one way to ask whether it
+    holds an id. The bundles themselves sit in a `BundleTable`, which a
+    world shares among its stores; a store built without one makes its
+    own. Taking a copy and dropping one write the table's maps here, so
+    the table itself only sheds and clears. A removed bundle is never
+    stored again (removal happens only on cleanup, after which the node
+    refuses that workflow, or on expiry, after which the world no longer
+    hands it over), so iterating the store gives the order in which its
+    live bundles arrived.
     """
 
-    __slots__ = ("table", "_arrived", "arrived_at")
+    __slots__ = ("table", "arrived_at")
 
     def __init__(self, table: Optional[BundleTable] = None) -> None:
         self.table = BundleTable() if table is None else table
-        self._arrived: dict[BundleId, float] = {}
-        # read-only: when each stored bundle was inserted
-        self.arrived_at: Mapping[BundleId, float] = MappingProxyType(self._arrived)
-        self.table._stores.append(self._arrived)
+        # when each stored bundle was inserted
+        self.arrived_at: dict[BundleId, float] = {}
+        self.table._stores.append(self.arrived_at)
 
     def __len__(self) -> int:
-        return len(self._arrived)
-
-    def __contains__(self, bundle_id: BundleId) -> bool:
-        return bundle_id in self._arrived
+        return len(self.arrived_at)
 
     def insert(self, bundle: Bundle, now: float) -> None:
         """Store a bundle, first shedding what expired before `now`.
 
         The caller hands it only a live bundle (`now <= expires_at`) that
         this store has never held, neither now nor before a cleanup or
-        expiry removed it; nothing here tests that again.
+        expiry removed it; nothing here tests that again. The first copy
+        puts the bundle in the table, listed under its expiry time; a
+        tagged one is counted under its workflow.
         """
         table = self.table
         expiry = table._expiry
         if expiry and expiry[0] < now:
             table.shed(now)
-        bundle_id = bundle.bundle_id
+        bundle_id, workflow_id = bundle.bundle_id, bundle.workflow_id
         if bundle_id not in table._bundles:
-            table.add(bundle)
-        elif bundle.workflow_id is not None:
-            table._copies[bundle_id] += 1
-        self._arrived[bundle_id] = now
+            table._bundles[bundle_id] = bundle
+            expires_at = bundle.expires_at
+            if expires_at != math.inf:
+                ids = table._expiring.get(expires_at)
+                if ids is None:
+                    heapq.heappush(expiry, expires_at)
+                    table._expiring[expires_at] = [bundle_id]
+                else:
+                    ids.append(bundle_id)
+            if workflow_id is not None:
+                table.workflows.setdefault(workflow_id, {})[bundle_id] = 1
+        elif workflow_id is not None:
+            table.workflows[workflow_id][bundle_id] += 1
+        self.arrived_at[bundle_id] = now
 
     def remove_where(self, workflow_id: str) -> int:
         """Drop every stored bundle of one workflow; returns how many.
 
-        Only archive bundles carry a workflow tag, so a cleanup marker is
-        never indexed and outlives its workflow's cleanup.
+        Each dropped copy is counted off in the table, and a bundle leaves
+        it with its last copy. Only archive bundles carry a workflow tag, so
+        a cleanup marker is never indexed and outlives its workflow's cleanup.
         """
-        ids = self.table.workflows.get(workflow_id)
-        if ids is None:
+        table = self.table
+        copies = table.workflows.get(workflow_id)
+        if copies is None:
             return 0
-        arrived = self._arrived
-        removed = [bundle_id for bundle_id in ids if bundle_id in arrived]
+        arrived = self.arrived_at
+        removed = [bundle_id for bundle_id in copies if bundle_id in arrived]
         for bundle_id in removed:
             del arrived[bundle_id]
-        self.table.forget(workflow_id, removed)
+            left = copies[bundle_id] - 1
+            if left:
+                copies[bundle_id] = left
+            else:
+                del copies[bundle_id], table._bundles[bundle_id]
+        if not copies:
+            del table.workflows[workflow_id]
         return len(removed)
 
     def live(self, now: float) -> Iterator[Bundle]:
         """All stored, non-expired bundles in insertion order."""
         table = self.table
         table.shed(now)
-        yield from map(table._bundles.__getitem__, self._arrived)
+        yield from map(table._bundles.__getitem__, self.arrived_at)
 
     # The link scan calls live() under this second name so that a profiler
     # patching the class attribute by name can time link scans on their own.

@@ -30,14 +30,17 @@ event:
     fit at most `MAX_ROUNDS` times into `duration_s`. That bounds the events
     it makes per node, and keeps it far above one ulp of every time up to
     the cap, since an ulp is at most 2**-52 of the time.
-  - Building a world allocates per node (three RNGs, a store and its views)
-    and per offload (one scheduled event) before anything runs, so `nodes`
-    is at most `MAX_NODES` and clients x `repeat` at most `MAX_OFFLOADS`.
+  - Building a world allocates per node (three RNGs and a store) and per
+    offload (one scheduled event) before anything runs, so `nodes` is at
+    most `MAX_NODES` and clients x `repeat` at most `MAX_OFFLOADS`.
   - Every length (`spacing_m`, `width_m`, `height_m`, `range_m`) lies in
     [`MIN_LENGTH_M`, `MAX_LENGTH_M`]. That keeps the contact detector's
     cell index (a coordinate over the range) and every squared distance
     finite, and keeps the slots of a ring of up to `MAX_NODES` nodes
     finite and distinct.
+  - Every file size (`input`, `output_bytes`) is at most `MAX_FILE_BYTES`,
+    the archive layout's 64-bit content length, so each transfer's
+    duration is a finite float.
 The bounds sit far above every packaged and benchmark scenario, whose
 largest values are 3,600 ticks, 150 nodes and 15 offloads, and far outside
 their lengths, which run from 40 m to 600 m.
@@ -61,8 +64,8 @@ from .announce import (DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S,
 from .assignment import DEFAULT_WEIGHTS, Strategy, validate_weights
 from .runtime import FaultPlan, ServiceDefinition
 from .simnet import LinkModel
-from .workflow import (ALL_METRICS, WorkflowParseError, format_description,
-                       parse as parse_workflow)
+from .workflow import (ALL_METRICS, MAX_FILE_BYTES, WorkflowParseError,
+                       format_description, parse as parse_workflow)
 
 
 class ScenarioError(ValueError):
@@ -269,7 +272,7 @@ _SERVICE_KEYS = (
     _Key("params", "param_count", int, minimum=0, maximum=MAX_PARAM_COUNT),
     _Key("mean", "exec_seconds_mean", minimum=0.0),
     _Key("jitter", "exec_seconds_jitter", minimum=0.0),
-    _Key("output_bytes", "output_size_bytes", int, minimum=0),
+    _Key("output_bytes", "output_size_bytes", int, minimum=0, maximum=MAX_FILE_BYTES),
     _Key("energy", "energy_cost_e", minimum=0.0),
     _Key("ext", "output_ext", str))
 _COHORT_KEYS = (_Key("count", kind=int, minimum=0),
@@ -495,7 +498,8 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: Optional[
     except WorkflowParseError as exc:
         reader.complain(f"tasks: {exc}")
     sizes = reader.entries("input", ":")
-    files = sizes.values(tuple(_Key(name, kind=int, minimum=0) for name in sizes.raw))
+    files = sizes.values(tuple(_Key(name, kind=int, minimum=0, maximum=MAX_FILE_BYTES)
+                               for name in sizes.raw))
     return WorkflowSpec(text=text, files=files, **reader.values(_WORKFLOW_KEYS))
 
 

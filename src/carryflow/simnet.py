@@ -19,7 +19,8 @@ which keeps the link in sync until it closes. A transfer interrupted by
 contact loss restarts from scratch at the next encounter.
 
 The world keeps one record per node: its slot in the position list, its
-store, the store's arrival times by id (`held`) and bound `insert`, its
+store, the store's own arrival dict (`held`, the store's `arrived_at`, so
+testing an id there is testing the store) and bound `insert`, its
 accept and delivery hooks (always both, so they are called untested), and
 its open links, each naming the record of the node at its far end, so the
 hot path reaches a receiver's state without a lookup. Two paths enqueue: the
@@ -346,6 +347,9 @@ class World:
 
     def release(self) -> None:
         """Drop a finished run's events, stores, links and node hooks.
+
+        Clearing the table empties every store too, so a store or offer view
+        kept past the run reads as empty rather than naming dropped bundles.
 
         Nodes and their handlers refer to each other in cycles, and so do the
         two ends of an open link, and each open link and its completion

@@ -212,35 +212,8 @@ class Archive:
 # count; per file, a 32-bit name length and a 64-bit content length
 _ARCHIVE_FRAMING_BYTES = 4 + 4 + 4
 _FILE_FRAMING_BYTES = 4 + 8
-
-
-def _desc_to_obj(desc: WorkflowDescription) -> dict:
-    return {
-        "workflow_id": desc.workflow_id,
-        "client": desc.client,
-        "ttl_seconds": desc.ttl_seconds if not math.isinf(desc.ttl_seconds) else "inf",
-        "created_at": desc.created_at,
-        "cursor": desc.cursor,
-        "tasks": [
-            {
-                "worker": task.worker,
-                "service": task.service_name,
-                "params": task.params,
-                "requirements": task.requirements,
-            }
-            for task in desc.tasks
-        ],
-    }
-
-
-def _desc_blob(archive: Archive) -> bytes:
-    meta = {
-        "description": _desc_to_obj(archive.description),
-        "error_log": archive.error_log,
-        "assigned_by": archive.assigned_by,
-        "retried": archive.retried,
-    }
-    return json.dumps(meta, sort_keys=True).encode("utf-8")
+# the most content bytes one file's 64-bit length can give
+MAX_FILE_BYTES = 2 ** 64 - 1
 
 
 def packed_size(archive: Archive) -> int:
@@ -249,9 +222,25 @@ def packed_size(archive: Archive) -> int:
     The layout: a magic, the length-prefixed JSON metadata, a file count,
     then per file in name order a length-prefixed UTF-8 name, a 64-bit
     content length and `size` content bytes. Only the total is needed, so
-    the files are summed in any order.
+    the files are summed in any order. The metadata leaves `error` out.
     """
-    total = _ARCHIVE_FRAMING_BYTES + len(_desc_blob(archive))
+    desc = archive.description
+    meta = {
+        "description": {
+            "workflow_id": desc.workflow_id,
+            "client": desc.client,
+            "ttl_seconds": desc.ttl_seconds if not math.isinf(desc.ttl_seconds) else "inf",
+            "created_at": desc.created_at,
+            "cursor": desc.cursor,
+            "tasks": [{"worker": task.worker, "service": task.service_name,
+                       "params": task.params, "requirements": task.requirements}
+                      for task in desc.tasks],
+        },
+        "error_log": archive.error_log,
+        "assigned_by": archive.assigned_by,
+        "retried": archive.retried,
+    }
+    total = _ARCHIVE_FRAMING_BYTES + len(json.dumps(meta, sort_keys=True).encode("utf-8"))
     for name, size in archive.files.items():
         total += _FILE_FRAMING_BYTES + len(name.encode("utf-8")) + size
     return total

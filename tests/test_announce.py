@@ -180,7 +180,7 @@ def receive(db: OfferDatabase, bundle, now: float) -> bool:
 
     Returns whether the bundle was stored. Every bundle here has a fresh id.
     """
-    if now > bundle.expires_at or bundle.bundle_id in db.store:
+    if now > bundle.expires_at or bundle.bundle_id in db.store.arrived_at:
         return False
     db.store.insert(bundle, now)
     return True
@@ -297,7 +297,7 @@ def test_offers_leave_the_view_with_their_bundle():
     assert [r.worker for r in db.lookup("a", now=100.0)] == [2, 7]
     assert db.lookup("b", now=150.0) == []
     assert [r.worker for r in db.lookup("a", now=150.0)] == [7]
-    assert stale.bundle_id not in db.store
+    assert stale.bundle_id not in db.store.arrived_at
     assert stale.bundle_id not in db.store.arrived_at
 
 

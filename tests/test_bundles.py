@@ -8,6 +8,8 @@ side of it is tested in tests/test_simnet.py.
 import ast
 import dataclasses
 import math
+import pickle
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -64,13 +66,13 @@ def test_infinite_ttl_never_expires():
 
 def test_insert_and_duplicate():
     # insert stores and answers nothing; a caller skips a duplicate by the
-    # membership test that the insert itself makes true
+    # membership test of the arrival dict that the insert itself makes true
     store = BundleStore()
     b = make_bundle(1)
-    assert b.bundle_id not in store and b.bundle_id not in store.arrived_at
+    assert b.bundle_id not in store.arrived_at
     assert store.insert(b, now=0.0) is None
     assert len(store) == 1
-    assert b.bundle_id in store
+    assert b.bundle_id in store.arrived_at
     (stored,) = store.live(0.0)
     assert stored is b
     assert dict(store.arrived_at) == {b.bundle_id: 0.0}
@@ -158,7 +160,7 @@ def test_insert_sheds_expired():
     short = make_bundle(1, ttl=1.0)
     store.insert(short, now=0.0)
     store.insert(make_bundle(2, created_at=5.0), now=5.0)
-    assert short.bundle_id not in store
+    assert short.bundle_id not in store.arrived_at
     assert len(store) == 1
 
 
@@ -248,6 +250,30 @@ def test_a_tagged_bundle_leaves_the_table_with_its_last_copy():
     assert len(table) == 0 and not table.workflows
 
 
+
+def test_a_store_and_its_shared_table_pickle_together():
+    # every map of a store and its table is a plain dict, so a round trip
+    # keeps arrivals, bundles, copy counts and the store's place in the table
+    table = BundleTable()
+    store, other = BundleStore(table), BundleStore(table)
+    archive = make_bundle(1)
+    offer = dataclasses.replace(make_bundle(2), kind=BundleKind.OFFER, workflow_id=None)
+    store.insert(archive, now=0.5)
+    store.insert(offer, now=0.75)
+    other.insert(archive, now=1.0)
+    copy = pickle.loads(pickle.dumps(store))
+    assert copy.arrived_at == {(1, 1): 0.5, (1, 2): 0.75}
+    assert copy.table._stores[0] is copy.arrived_at
+    assert copy.table._stores[1] == other.arrived_at
+    assert copy.table.workflows == {"wf-1": {(1, 1): 2}}
+    assert list(copy.live(1.0)) == [archive, offer]
+    # the copy stands alone: its cleanup leaves the original as it was
+    assert copy.remove_where("wf-1") == 1
+    assert copy.table.workflows == {"wf-1": {(1, 1): 1}}
+    assert store.arrived_at == {(1, 1): 0.5, (1, 2): 0.75}
+    assert table.workflows == {"wf-1": {(1, 1): 2}}
+
+
 # one step: (seconds forward, operation, bundle seq, ttl)
 _steps = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
                             st.sampled_from(["insert", "live", "cleanup"]),
@@ -278,7 +304,7 @@ def test_store_holds_exactly_the_live_bundles_in_arrival_order(steps):
             assert store.remove_where(f"wf-{seq}") == len(doomed)
             for bid in doomed:
                 del model[bid]
-                assert bid not in store
+                assert bid not in store.arrived_at
             continue
         model = {bid: b for bid, b in model.items() if now <= b.expires_at}
         assert list(store.live(now)) == list(model.values())
@@ -395,8 +421,15 @@ def test_stores_that_share_a_table_match_a_per_store_oracle(n_stores, steps):
             # what the oracle holds, bar bundles expired and not yet shed
             assert not gone & each.arrived_at.keys()
             assert each.arrived_at.keys() <= held.keys()
-        # the table keeps exactly the bundles some store holds
-        assert len(table) == len(set().union(*(each.arrived_at for each in stores)))
+        # the table keeps exactly the bundles some store holds, and counts
+        # each tagged one's copies under its workflow
+        held_by = Counter(bid for each in stores for bid in each.arrived_at)
+        assert len(table) == len(held_by)
+        bundles = {bid: b for held in oracles for bid, (b, _) in held.items()}
+        assert {(b.workflow_id, bid, n) for bid, n in held_by.items()
+                if (b := bundles[bid]).workflow_id is not None} == {
+            (wf, bid, n) for wf, copies in table.workflows.items()
+            for bid, n in copies.items()}
 
 
 def test_no_bundle_field_is_written_after_construction():

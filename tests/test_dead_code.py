@@ -178,3 +178,18 @@ def test_a_bundle_is_built_by_its_one_constructor():
     assert not Bundle.__dataclass_params__.init
     assert not re.search(r"\b__post_init__\b",
                          (PACKAGE / "bundles.py").read_text(encoding="utf-8"))
+
+
+def test_the_bundle_layer_keeps_each_fact_in_one_map():
+    # a tagged id's copy count sits in its workflow's map, a store's arrival
+    # dict is read as it is, with no read-only view beside it, and the store
+    # writes the table's maps itself: no table method has the store as its
+    # one caller, and membership is asked of the arrival dict alone
+    from carryflow.bundles import BundleStore, BundleTable
+    bundles = (PACKAGE / "bundles.py").read_text(encoding="utf-8")
+    assert [name for name in ("MappingProxyType", "_copies", "_arrived", "_by_workflow")
+            if re.search(rf"\b{name}\b", bundles)] == []
+    assert [name for name in ("add", "forget") if hasattr(BundleTable, name)] == []
+    assert "__contains__" not in vars(BundleStore)
+    assert type(BundleStore().arrived_at) is dict
+    assert type(BundleTable().workflows) is dict

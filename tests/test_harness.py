@@ -237,6 +237,22 @@ def test_run_scenario_releases_its_world(monkeypatch):
         assert (world._contacts is None) == (name == "ring-heterogeneous")
 
 
+def test_a_released_world_leaves_no_store_naming_a_dropped_bundle():
+    # a store or offer view kept past release reads as empty; it does not
+    # name ids whose bundles the cleared table no longer has
+    built = build(resolve_scenario("ring-heterogeneous"))
+    world = built.world
+    world.advance(30.0)
+    stores = dict(world.stores)
+    assert sum(map(len, stores.values())) > len(world.table) > 0
+    world.release()
+    assert len(world.table) == 0
+    for addr, store in stores.items():
+        assert len(store) == 0
+        assert list(store.live(world.now)) == []
+        assert built.nodes[addr].offer_db.lookup("denoise", world.now) == []
+
+
 def test_finished_run_is_freed_by_reference_count(monkeypatch):
     import carryflow.harness as harness
     refs = []

@@ -22,7 +22,7 @@ from carryflow.scenario import (MAX_LENGTH_M, MAX_NODES, MIN_LENGTH_M,
                                 load_scenario, parse_scenario,
                                 resolve_cohort_counts)
 from carryflow.simnet import LinkModel
-from carryflow.workflow import parse as parse_workflow
+from carryflow.workflow import MAX_FILE_BYTES, parse as parse_workflow
 
 RING_INI = """
 [scenario]
@@ -381,6 +381,54 @@ def test_out_of_range_geometry_on_a_packaged_scenario_is_refused(
     problems = [line for line in err.splitlines() if line.startswith("  - ")]
     assert len(problems) == 1
     assert problems[0].startswith(f"  - [topology] {key} must be ")
+
+
+# one file size per key: ring-aot's input file, and its denoise output
+_SIZE_KEYS = {
+    "input": ("input = photo.raw:13600000", "input = photo.raw:{}",
+              "[workflow] input: photo.raw"),
+    "output_bytes": ("denoise = mean=7.0, jitter=1.0, energy=6, output_bytes=13600000",
+                     "denoise = mean=7.0, jitter=1.0, energy=6, output_bytes={}",
+                     "[services] denoise: output_bytes"),
+}
+
+
+def _ring_aot_with(key: str, size: int) -> str:
+    old, new, _ = _SIZE_KEYS[key]
+    text = (SCENARIO_DIR / "ring-aot.ini").read_text().replace(
+        "file = aot-chain.wf", f"file = {SCENARIO_DIR / 'aot-chain.wf'}")
+    assert text.count(old) == 1
+    return text.replace(old, new.format(size))
+
+
+@pytest.mark.parametrize("key", sorted(_SIZE_KEYS))
+def test_an_oversized_file_size_is_one_problem_and_builds_no_world(
+        key, tmp_path, monkeypatch, capsys):
+    # past a 64-bit content length a size no longer converts to a float, and
+    # the run used to end in a traceback from transfer_duration
+    from carryflow import harness
+    from carryflow.cli import main
+
+    def no_world(config):
+        raise AssertionError("a refused scenario built a world")
+    monkeypatch.setattr(harness, "build", no_world)
+    path = tmp_path / "oversized.ini"
+    for size in (MAX_FILE_BYTES + 1, 10 ** 400):
+        path.write_text(_ring_aot_with(key, size))
+        assert main(["run", str(path)]) == 2
+        problems = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("  - ")]
+        assert problems == [f"  - {_SIZE_KEYS[key][2]} must be at most "
+                            f"{MAX_FILE_BYTES}, got {size}"]
+
+
+@pytest.mark.parametrize("key", sorted(_SIZE_KEYS))
+def test_the_file_size_bound_is_inclusive(key):
+    config = parse_scenario(_ring_aot_with(key, MAX_FILE_BYTES))
+    if key == "input":
+        assert config.workflow.files == {"photo.raw": MAX_FILE_BYTES}
+    else:
+        assert config.services["denoise"].output_size_bytes == MAX_FILE_BYTES
 
 
 FINITE = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,

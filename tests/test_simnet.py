@@ -330,7 +330,7 @@ def test_abort_on_contact_loss_restarts_from_scratch():
     world.run_until(6.0)
     assert world.transfers_aborted == 1
     assert got == []
-    assert big.bundle_id not in world.stores[2]
+    assert big.bundle_id not in world.stores[2].arrived_at
 
     world.schedule(6.0, lambda: world.set_position(2, (10.0, 0.0)))
     world.run_until(30.0)
@@ -347,7 +347,7 @@ def test_receiver_accept_filter_blocks_storage():
     bundle = make_bundle(1, 2, 1, 1000, created_at=1.0, workflow_id="wf")
     world.schedule(1.0, lambda: world.originate(bundle))
     world.run_until(5.0)
-    assert bundle.bundle_id not in world.stores[2]
+    assert bundle.bundle_id not in world.stores[2].arrived_at
     assert world.transfers_completed == 0
 
 
@@ -434,7 +434,7 @@ def test_the_table_keeps_each_stored_bundle_once_through_a_mobile_run():
         stores = list(world.stores.values())
         assert all(store.table is table for store in stores)
         assert all([name for name in BundleStore.__slots__
-                    if isinstance(getattr(store, name), dict)] == ["_arrived"]
+                    if isinstance(getattr(store, name), dict)] == ["arrived_at"]
                    for store in stores)
         assert len(table) == len(set().union(*(store.arrived_at for store in stores)))
         extra_copies = max(extra_copies, sum(map(len, stores)) - len(table))
@@ -442,6 +442,21 @@ def test_the_table_keeps_each_stored_bundle_once_through_a_mobile_run():
     # stores shared bundles, and workflows came and went
     assert extra_copies > 0 and tagged_seen > 0
     assert not table.workflows
+
+
+def test_the_stored_peak_of_a_mobile_run_is_pinned():
+    # (stored copies, distinct bundles) at the most copies any simulated
+    # second of mobile-sparse, seed 1, spread, holds in its first 300 s: a
+    # change to what a store takes, keeps or sheds moves one of them
+    config = resolve_scenario("mobile-sparse").with_run(seed=1, strategy=Strategy.SPREAD)
+    world = build(config).world
+    peak = (0, 0, 0.0)
+    while world.now < 300.0:
+        world.advance(1.0)
+        copies = sum(map(len, world.stores.values()))
+        if copies > peak[0]:
+            peak = (copies, len(world.table), world.now)
+    assert peak == (13008, 549, 296.0)
 
 
 def test_the_accept_hook_is_asked_only_about_tagged_bundles():
@@ -801,7 +816,7 @@ def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
             assert len(set(pending)) == len(pending), (world.now, pair, pending)
             pending = set(pending)
             for sender, receiver in (pair, pair[::-1]):
-                held = world.stores[receiver]
+                held = world.stores[receiver].arrived_at
                 accepts = built.nodes[receiver].accepts
                 for bundle in world.stores[sender].live(world.now):
                     if bundle.bundle_id in held or not accepts(bundle):
@@ -841,7 +856,7 @@ def test_a_copy_expired_in_flight_or_already_delivered_is_not_stored(monkeypatch
     # (1, 2) and (1, 3) land together, then (2, 3) lands a copy node 3 holds
     assert world.transfers_completed == 2 + 3
     assert inserted == [(stores[addr], lasting.bundle_id) for addr in (1, 2, 3)]
-    assert all(short.bundle_id not in stores[addr] for addr in (2, 3))
+    assert all(short.bundle_id not in stores[addr].arrived_at for addr in (2, 3))
 
 
 @pytest.mark.parametrize("scenario", [*packaged_scenarios(), DENSE],
@@ -858,7 +873,7 @@ def test_the_world_hands_each_store_only_live_bundles_it_never_held(monkeypatch,
     def insert(self, bundle, now):
         nonlocal calls
         calls += 1
-        held = bundle.bundle_id in self
+        held = bundle.bundle_id in self.arrived_at
         seen = ever.setdefault(self, set())
         if now > bundle.expires_at:
             broken.append(("expired", now, bundle.bundle_id))

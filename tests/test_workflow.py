@@ -1,5 +1,6 @@
 """Workflow text format, archives, and their wire size."""
 
+import json
 import math
 import struct
 from dataclasses import FrozenInstanceError, replace
@@ -12,8 +13,8 @@ from carryflow.bundles import Bundle, BundleKind, format_address
 from carryflow.runtime import ErrorClass, WorkerError
 from carryflow.workflow import (ALL_METRICS, Archive, Task,
                                 WorkflowDescription, WorkflowParseError,
-                                _desc_blob, format_description,
-                                packed_size, parse, substitute_result)
+                                format_description, packed_size, parse,
+                                substitute_result)
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -22,9 +23,21 @@ _U64 = struct.Struct(">Q")
 def pack(archive: Archive) -> bytes:
     """Reference wire encoding whose length packed_size must give.
 
-    A file is only its size, so each is written as that many zero bytes.
+    The metadata is the description, the error log and the retry
+    bookkeeping, as sorted-key JSON; the error itself does not travel. A
+    file is only its size, so each is written as that many zero bytes.
     """
-    blob = _desc_blob(archive)
+    desc = archive.description
+    tasks = [{"service": task.service_name, "worker": task.worker,
+              "params": list(task.params), "requirements": dict(task.requirements)}
+             for task in desc.tasks]
+    ttl = "inf" if desc.ttl_seconds == math.inf else desc.ttl_seconds
+    meta = {"assigned_by": archive.assigned_by, "error_log": archive.error_log,
+            "retried": archive.retried,
+            "description": {"client": desc.client, "created_at": desc.created_at,
+                            "cursor": desc.cursor, "tasks": tasks, "ttl_seconds": ttl,
+                            "workflow_id": desc.workflow_id}}
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     parts = [b"CFA1", _U32.pack(len(blob)), blob, _U32.pack(len(archive.files))]
     for name in sorted(archive.files):
         raw_name = name.encode("utf-8")
@@ -148,6 +161,10 @@ def test_packed_size_matches_pack():
     # the error travels beside the wire metadata, so it costs no bytes
     failed = replace(archive, error=WorkerError(ErrorClass.TASK_EXECUTION, "boom", 4))
     assert packed_size(failed) == packed_size(archive)
+    # a workflow that never expires writes its ttl as the string "inf"
+    lasting = replace(archive, description=replace(archive.description,
+                                                   ttl_seconds=math.inf))
+    assert packed_size(lasting) == len(pack(lasting))
 
 
 def test_travelling_values_are_frozen():
