@@ -13,6 +13,7 @@ so carriers drop its leftovers.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 from .assignment import SelectionError
@@ -56,11 +57,10 @@ class ClientRuntime:
             self._fail_selection(archive, exc)
             return handle
         if math.isfinite(desc.ttl_seconds):
-            self.world.schedule(now + desc.ttl_seconds, lambda: self._finish(handle, None))
+            self.world.schedule(now + desc.ttl_seconds, partial(self._finish, handle, None))
         self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
-        self.world.schedule(
-            now + self.config.postprocess_s,
-            lambda: self._dispatch(handle, archive, worker))
+        self.world.schedule(now + self.config.postprocess_s,
+                            partial(self._dispatch, handle, archive, worker))
         return handle
 
     def _dispatch(self, handle: WorkflowHandle, archive: Archive,

@@ -1,10 +1,14 @@
 """Experiment harness: build a world from a scenario and run it to a report.
 
 One run wires up the topology, cohorts, and clients described by a
-ScenarioConfig, drives the event loop until every offloaded workflow reached
-a terminal state (plus a grace period for cleanup traffic) or the configured
-duration cap, and freezes the collector into an ExperimentReport. Suites
-sweep seeds and strategies and aggregate into CSV tables.
+ScenarioConfig (`build`), then drives the event loop until every offloaded
+workflow reached a terminal state (plus a grace period for cleanup traffic)
+or the configured duration cap, and freezes the collector into an
+ExperimentReport (`run_built`). A built world holds no closure: every event
+is a bound method or a `partial` of one, so a world pickles between events
+up to its first offload, and `run_built` runs a loaded copy to the same
+report bytes. Suites sweep seeds and strategies and aggregate into CSV
+tables.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .announce import CapabilityVector
@@ -46,27 +51,27 @@ def ring_positions(n: int, spacing_m: float) -> list[Position]:
              radius * math.sin(2.0 * math.pi * i / n)) for i in range(n)]
 
 
-def ring_arc_distance(n: int, spacing_m: float):
+def ring_arc_distance(n: int, spacing_m: float) -> partial[float]:
     """Distance along the ring between two of its slots: hops times spacing_m.
 
     Each end is looked up by its exact position, so no trigonometric
     function runs after `ring_positions`, and the result is exact. A
-    position that is not a slot of the ring raises ValueError.
+    position that is not a slot of the ring raises ValueError. The result
+    is a `partial` over the slot table, so a world that rates by it pickles.
     """
     slots = {position: i for i, position in enumerate(ring_positions(n, spacing_m))}
     if len(slots) != n:
         raise ValueError(f"{n} ring slots at {spacing_m} m do not all differ")
+    return partial(_arc, slots, spacing_m)
 
-    def slot(position: Position) -> int:
-        try:
-            return slots[position]
-        except KeyError:
-            raise ValueError(f"{position!r} is not a slot of the ring") from None
 
-    def arc(a: Position, b: Position) -> float:
-        hops = abs(slot(a) - slot(b))
-        return min(hops, n - hops) * spacing_m
-    return arc
+def _arc(slots: dict[Position, int], spacing_m: float, a: Position, b: Position) -> float:
+    # the ring's distance from a to b, given each slot's index by position
+    try:
+        hops = abs(slots[a] - slots[b])
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]!r} is not a slot of the ring") from None
+    return min(hops, len(slots) - hops) * spacing_m
 
 
 def assign_cohorts(config: ScenarioConfig) -> dict[NodeAddress, int]:
@@ -128,9 +133,8 @@ def build(config: ScenarioConfig) -> BuiltScenario:
     spec = config.workflow
     for client in clients:
         for k in range(spec.repeat):
-            def offload(node: Node = client) -> None:
-                node.offload(spec.text, spec.files)
-            world.schedule(spec.offload_at + k * spec.interval_s, offload)
+            world.schedule(spec.offload_at + k * spec.interval_s,
+                           partial(client.offload, spec.text, spec.files))
 
     return BuiltScenario(world=world, nodes=nodes, clients=clients,
                          collector=collector)
@@ -140,7 +144,16 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
                  strategy: Optional[Strategy] = None) -> ExperimentReport:
     """Run one scenario once and freeze the report."""
     config = config.with_run(seed=seed, strategy=strategy)
-    built = build(config)
+    return run_built(build(config), config)
+
+
+def run_built(built: BuiltScenario, config: ScenarioConfig) -> ExperimentReport:
+    """Run a world built from `config` to its end, freeze the report and release it.
+
+    The world runs from wherever it stands, in chunks of `_CHUNK_S` from
+    there, so one loaded from a pickle taken at a chunk boundary runs the
+    same chunks as the world it was copied from.
+    """
     world, collector = built.world, built.collector
     run = config.run
     expected = len(built.clients) * config.workflow.repeat
@@ -184,14 +197,6 @@ class SuiteResult:
 
     def __post_init__(self) -> None:
         self.reports = sorted(self.reports, key=lambda r: (r.strategy, r.seed))
-
-    @property
-    def seeds(self) -> list[int]:
-        return sorted({r.seed for r in self.reports})
-
-    @property
-    def strategies(self) -> list[str]:
-        return sorted({r.strategy for r in self.reports})
 
     def digest(self) -> str:
         """Covers every report, each with its own config digest."""
@@ -308,8 +313,8 @@ def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
 
     manifest = {
         "scenario": result.scenario,
-        "seeds": result.seeds,
-        "strategies": result.strategies,
+        "seeds": sorted({r.seed for r in result.reports}),
+        "strategies": sorted({r.strategy for r in result.reports}),
         "suite_digest": result.digest(),
         "files": sorted(written),
     }

@@ -12,10 +12,11 @@ when a task is assigned. `on_bundle` gets every other bundle the node
 stores. It dispatches the archives addressed to the node to its worker or
 client methods, only carries the ones passing through, and honors a cleanup
 marker by dropping every stored copy of the finished workflow's archives.
-Nodes remember which workflows were cleaned so anti-entropy cannot re-plant
-stale copies on them, and a worker skips a queued archive of a cleaned
-workflow when it reaches it. A cleanup marker, like an offer, carries no
-workflow tag, so no node ever refuses one.
+Nodes remember which workflows were cleaned, in `cleaned`, and the world
+refuses by that same set, so anti-entropy cannot re-plant stale copies on
+them; a worker skips a queued archive of a cleaned workflow when it reaches
+it. A cleanup marker, like an offer, carries no workflow tag, so no node
+ever refuses one.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class Node(WorkerRuntime, ClientRuntime):
         self._workflow_seq = 0
         self._bundle_seq = 0
         self.store = world.add_node(address, position=caps.position,
-                                    handler=self.on_bundle, accept=self.accepts)
+                                    handler=self.on_bundle, refused=self.cleaned)
         self.offer_db = OfferDatabase(self.store)
         # nodes built in address order announce in address order
         if self.services:
@@ -92,14 +93,6 @@ class Node(WorkerRuntime, ClientRuntime):
         self._bundle_seq += 1
         return (self.address, self._bundle_seq)
 
-    def accepts(self, bundle: Bundle) -> bool:
-        """Refuse re-planting of bundles from workflows this node already cleaned.
-
-        The world asks only about bundles that carry a workflow id, and only
-        archives do.
-        """
-        return bundle.workflow_id not in self.cleaned
-
     def on_bundle(self, bundle: Bundle) -> None:
         """Act on a stored cleanup marker or archive; the world passes no offer."""
         kind = bundle.kind
@@ -124,15 +117,12 @@ class Node(WorkerRuntime, ClientRuntime):
 
     # -- sending -----------------------------------------------------------------
 
-    def _remaining_ttl(self, desc: WorkflowDescription) -> float:
-        return max(0.0, desc.expires_at() - self.world.now)
-
     def send_archive(self, kind: BundleKind, archive: Archive, dest: NodeAddress) -> None:
         desc = archive.description
         bundle = Bundle(bundle_id=self._next_bundle_id(), source=self.address,
                         destination=dest, kind=kind, payload=archive,
                         size_bytes=packed_size(archive), created_at=self.world.now,
-                        ttl_seconds=self._remaining_ttl(desc),
+                        ttl_seconds=max(0.0, desc.expires_at() - self.world.now),
                         workflow_id=desc.workflow_id)
         self.collector.charge(desc, FinalState.TRANSMISSION)
         self.world.originate(bundle)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -217,20 +217,48 @@ def _workflow_obj(w: WorkflowReport) -> dict:
     return obj
 
 
+# the JSON types of a value by the annotation of its field; a bool is no number
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float),
+               "Optional[str]": (str, type(None)), "Optional[float]": (int, float, type(None))}
+
+
+def _typed(key: str, value, annotation: str):
+    """value, if its JSON type is one that annotation allows; else ValueError naming key."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation]):
+        raise ValueError(f"{key} is {json.dumps(value)}, not {annotation}")
+    return value
+
+
+def _record(record: type, obj: dict, **converted):
+    """A `record` from its JSON object, with `converted` values in place of the JSON ones.
+
+    Each number, string or optional value is checked against its field's
+    type first; a key that is no field raises TypeError.
+    """
+    for f in fields(record):
+        if f.type in _JSON_TYPES and f.name in obj:
+            _typed(f.name, obj[f.name], f.type)
+    return record(**{**obj, **converted})
+
+
 def report_from_obj(obj: dict) -> ExperimentReport:
-    """Inverse of `ExperimentReport.to_obj`; a key that is no field raises TypeError."""
-    workflows = [WorkflowReport(**{
-        **w, "client": int(w["client"], 16),
-        "final_state": FinalState(w["final_state"]),
-        "task_phases": [PhaseBreakdown(**p) for p in w["task_phases"]],
-    }) for w in obj["workflows"]]
+    """Inverse of `ExperimentReport.to_obj`.
+
+    A key that is no field raises TypeError, and a value whose JSON type is
+    not its field's raises ValueError naming the key, so a wrongly typed
+    value never gets into a report.
+    """
+    workflows = [_record(WorkflowReport, w, client=int(w["client"], 16),
+                         final_state=FinalState(w["final_state"]),
+                         task_phases=[_record(PhaseBreakdown, p) for p in w["task_phases"]])
+                 for w in obj["workflows"]]
     selections = {}
     for key, count in obj["selections"].items():
         caller, _, worker = key.partition(":")
-        selections[(int(caller, 16), int(worker, 16))] = count
-    residual_energy = {int(k, 16): v for k, v in obj["residual_energy"].items()}
-    return ExperimentReport(**{**obj, "workflows": workflows, "selections": selections,
-                               "residual_energy": residual_energy})
+        selections[(int(caller, 16), int(worker, 16))] = _typed(key, count, "int")
+    return _record(ExperimentReport, obj, workflows=workflows, selections=selections,
+                   residual_energy={int(k, 16): _typed(k, v, "float")
+                                    for k, v in obj["residual_energy"].items()})
 
 
 def freeze_workflow(handle: WorkflowHandle, strategy: str) -> WorkflowReport:

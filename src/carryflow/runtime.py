@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Iterator, Optional
 
 from .assignment import SelectionError, select
@@ -106,9 +107,12 @@ class WorkerRuntime:
     error to `on_returned`.
 
     `_serve` is one archive's stay, and each way out of it is a `return`;
-    `_resume`, its driver, is the one place that frees the worker. No
-    `finally` may wrap a `yield` there: a released world drops suspended
-    stays, and the `finally` would then run on that world.
+    `_resume`, its driver, is the one place that frees the worker. Each
+    wait comes back as a `partial` of `_resume` over the stay's generator,
+    the one scheduled event that holds a generator, so a world with a stay
+    under way does not pickle. No `finally` may wrap a `yield` there: a
+    released world drops suspended stays, and the `finally` would then run
+    on that world.
     """
 
     # -- archive intake ------------------------------------------------------
@@ -152,7 +156,7 @@ class WorkerRuntime:
             self.busy = False
             self._start_next()
         else:
-            self.world.schedule(self.world.now + wait, lambda: self._resume(serving))
+            self.world.schedule(self.world.now + wait, partial(self._resume, serving))
 
     # -- serving an archive ----------------------------------------------------
 
@@ -279,6 +283,5 @@ class WorkerRuntime:
             return
         archive = replace(archive, assigned_by=self.address, retried=True, error=None)
         self.collector.charge(desc, FinalState.RUNTIME, self.config.postprocess_s)
-        self.world.schedule(
-            now + self.config.postprocess_s,
-            lambda: self.send_archive(BundleKind.WORKFLOW_ARCHIVE, archive, worker))
+        self.world.schedule(now + self.config.postprocess_s, partial(
+            self.send_archive, BundleKind.WORKFLOW_ARCHIVE, archive, worker))

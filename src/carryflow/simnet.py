@@ -20,23 +20,24 @@ contact loss restarts from scratch at the next encounter.
 
 The world keeps one record per node: its slot in the position list, its
 store, the store's own arrival dict (`held`, the store's `arrived_at`, so
-testing an id there is testing the store) and bound `insert`, its
-accept and delivery hooks (always both, so they are called untested), and
-its open links, each naming the record of the node at its far end, so the
-hot path reaches a receiver's state without a lookup. Two paths enqueue: the
-link scan puts many bundles on its one link, and a delivery (`_deliver`)
-forwards its one bundle over the receiver's links. Both skip a bundle the
-receiver holds and a tagged one (it carries a workflow id) the receiver's
-accept hook refuses; the hook is asked about nothing else, so an offer or a
-cleanup marker never costs it a call. Storing a delivered or originated
-bundle asks the storing node's hook by the same rule. A scan first drops the
-bundles the receiver holds in one pass, since those are most of what a
-sender carries. No link queues one bundle twice for one receiver: the scan
-runs once, when the link opens, after that only bundles newly stored at one
-end are forwarded, and a store takes an id at most once. A queued entry is a
-plain (bundle, receiver) tuple; the entry a link is sending is its
-`current`, the one record of the entry in flight, which closing the link
-clears.
+testing an id there is testing the store) and bound `insert`, the set of
+workflows it refuses (`refused`, the node's own set of cleaned workflows,
+shared, so a cleanup refuses at once), its delivery hook (always set, so it
+is called untested), and its open links, each naming the record of the node
+at its far end, so the hot path reaches a receiver's state without a lookup.
+Two paths enqueue: the link scan puts many bundles on its one link, and a
+delivery (`_deliver`) forwards its one bundle over the receiver's links.
+Both skip a bundle the receiver holds and a tagged one (it carries a
+workflow id) whose workflow the receiver refuses; an untagged bundle, an
+offer or a cleanup marker, is never looked up there. Storing a delivered or
+originated bundle tests the storing node's set by the same rule. A scan
+first drops the bundles the receiver holds in one pass, since those are
+most of what a sender carries. No link queues one bundle twice for one
+receiver: the scan runs once, when the link opens, after that only bundles
+newly stored at one end are forwarded, and a store takes an id at most
+once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
+is sending is its `current`, the one record of the entry in flight, which
+closing the link clears.
 
 The world alone decides what a store takes. A store refuses nothing, so
 every write is of a live bundle the store never held: a completion skips a
@@ -59,7 +60,7 @@ that expired or whose receiver got the bundle meanwhile, looks the
 duration up and schedules; a scan starts the head of what it queued the
 same way. A forward that finds its link idle with an empty queue puts its
 entry in flight at once, without the queue round trip and that recheck: it
-was found live, lacking at the receiver and accepted just now, so the
+was found live, lacking at the receiver and not refused just now, so the
 recheck would pass. A link can be idle with a non-empty queue only while
 its own completion runs, between clearing `current` and starting the next
 entry. There the receiver never forwards the bundle it just got back over
@@ -82,6 +83,10 @@ is asked for it; both places that start a transfer read it in one
 expression. A completed copy the receiver already holds is not delivered
 again.
 
+Everything a world holds is plain data, bound methods and `partial`s of
+them: every event is one of those, never a closure, so a world pickles
+between events, up to the first suspended worker stay (a generator).
+
 The event queue is keyed by time. Equal-sized transfers that start together
 end together, so events cluster, a handful to a time; the heap holds each
 pending time once, as a bare float, and `_due` maps each of those times to
@@ -102,7 +107,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional
 
 from .bundles import Bundle, BundleKind, BundleStore, BundleTable, NodeAddress
 
@@ -116,6 +121,10 @@ _TIME_EPS = 1e-12
 
 # the one kind a node's handler never sees: its store is all an offer touches
 _OFFER = BundleKind.OFFER
+
+
+def _ignore(bundle: Bundle) -> None:
+    """The handler of a node that acts on nothing it stores."""
 
 
 @dataclass(frozen=True)
@@ -243,17 +252,17 @@ class _Durations(dict):
 class _Node:
     """What the world keeps of one node."""
 
-    __slots__ = ("addr", "index", "store", "held", "insert", "accept", "handler", "links")
+    __slots__ = ("addr", "index", "store", "held", "insert", "refused", "handler", "links")
 
     def __init__(self, addr: NodeAddress, index: int, table: BundleTable,
-                 accept: Callable[[Bundle], bool], handler: Callable[[Bundle], None]) -> None:
+                 refused: Collection[str], handler: Callable[[Bundle], None]) -> None:
         self.addr = addr
         # the node's slot in the world's position list, in joining order
         self.index = index
         self.store = BundleStore(table)
         self.held = self.store.arrived_at
         self.insert = self.store.insert
-        self.accept = accept
+        self.refused = refused
         self.handler = handler
         # open links as (pair, state, far end's _Node), in pair order
         self.links: list[tuple] = []
@@ -322,23 +331,24 @@ class World:
     # -- node registration ------------------------------------------------
 
     def add_node(self, addr: NodeAddress, position: Position = (0.0, 0.0),
-                 handler: Callable[[Bundle], None] = lambda bundle: None,
-                 accept: Callable[[Bundle], bool] = lambda bundle: True) -> BundleStore:
+                 handler: Callable[[Bundle], None] = _ignore,
+                 refused: Collection[str] = frozenset()) -> BundleStore:
         """Join a node and return its store.
 
         `handler` is called with each bundle the node stores, its own
         included, except an offer: an offer's only effect is its place in
-        the store. `accept` is asked, before the node stores a bundle or a
-        link queues one for it, only about a bundle that carries a
-        `workflow_id`; a bundle without one (an offer or a cleanup marker)
-        is always accepted. The world writes to the store only a live
-        bundle that the store never held; it checks both itself, and the
-        store does not.
+        the store. `refused` holds the workflows whose bundles the node
+        never takes: neither stored there nor queued on a link to it. The
+        world keeps the collection it is given and reads it as it changes,
+        so a node passes its own set of cleaned workflows. A bundle without
+        a `workflow_id` (an offer or a cleanup marker) is never refused.
+        The world writes to the store only a live bundle that the store
+        never held; it checks both itself, and the store does not.
         """
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
         point = _point(position)
-        node = self._nodes[addr] = _Node(addr, len(self._positions), self.table, accept,
+        node = self._nodes[addr] = _Node(addr, len(self._positions), self.table, refused,
                                            handler)
         self.stores[addr] = node.store
         self._addrs.append(addr)
@@ -471,11 +481,11 @@ class World:
         # of what the scan queues starts
         now, queue = self.now, state.queue
         for sender, receiver in ((a, b), (b, a)):
-            held, accept = receiver.held, receiver.accept
+            held, refused = receiver.held, receiver.refused
             fresh = [bundle for bundle in sender.store.scan_log(now)
                      if bundle.bundle_id not in held]
             for bundle in fresh:
-                if bundle.workflow_id is None or accept(bundle):
+                if bundle.workflow_id is None or bundle.workflow_id not in refused:
                     queue.append((bundle, receiver))
         if queue:
             self._complete(state)
@@ -508,9 +518,9 @@ class World:
 
     def _deliver(self, node: _Node, bundle: Bundle) -> None:
         # the caller found the node lacking the bundle; the store tests nothing
-        now = self.now
-        tagged = bundle.workflow_id is not None
-        if now > bundle.expires_at or tagged and not node.accept(bundle):
+        now, workflow_id = self.now, bundle.workflow_id
+        tagged = workflow_id is not None
+        if now > bundle.expires_at or tagged and workflow_id in node.refused:
             return
         node.insert(bundle, now)
         if bundle.kind is not _OFFER:
@@ -518,7 +528,7 @@ class World:
         # forward the fresh bundle over every open link without waiting for a tick
         bundle_id = bundle.bundle_id
         for _, state, far in node.links:
-            if bundle_id in far.held or tagged and not far.accept(bundle):
+            if bundle_id in far.held or tagged and workflow_id in far.refused:
                 continue
             if state.current is not None:
                 state.queue.append((bundle, far))

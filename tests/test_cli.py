@@ -222,6 +222,48 @@ def test_file_that_is_not_a_report_is_refused_with_an_error_line(
 
 
 @pytest.mark.parametrize("command", ["report", "plot-data"])
+@pytest.mark.parametrize("where, value", [
+    (("workflows", 0, "finished_at"), "x"),
+    (("workflows", 0, "task_phases", 0, "runtime_s"), "1"),
+    (("seed",), None),
+    (("expired_drops",), True),
+], ids=["finished_at", "runtime_s", "seed", "expired_drops"])
+def test_a_value_of_the_wrong_type_is_refused_with_an_error_line(
+        scenario_file, tmp_path, command, where, value):
+    # beside a good report, so a suite's sort by seed would meet the spoiled one
+    folder = tmp_path / "reports"
+    folder.mkdir()
+    for seed in (1, 2):
+        out = str(folder / f"report-best-{seed}.json")
+        assert main(["run", scenario_file, "--seed", str(seed), "--out", out]) == 0
+    spoiled = folder / "report-best-2.json"
+    obj = json.loads(spoiled.read_text())
+    *path, key = where
+    record = obj
+    for step in path:
+        record = record[step]
+    assert type(record[key]) in (int, float)
+    record[key] = value
+    spoiled.write_text(json.dumps(obj))
+    args = [command, str(folder)]
+    if command == "plot-data":
+        args += ["--out", str(tmp_path / "tables")]
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(str(spoiled))} is not a "
+                                         f"carryflow report: {key} is "):
+        main(args)
+    assert not (tmp_path / "tables").exists()
+
+
+def test_a_report_takes_an_integer_where_it_writes_a_float(saved_report, capsys):
+    obj = json.loads(saved_report.read_text())
+    obj["duration_s"] = int(obj["duration_s"])
+    obj["workflows"][0]["task_phases"][0]["runtime_s"] = 0
+    saved_report.write_text(json.dumps(obj))
+    assert main(["report", str(saved_report)]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["report", "plot-data"])
 def test_reports_of_two_scenarios_are_refused_with_an_error_line(
         scenario_file, tmp_path, command):
     other = tmp_path / "other.ini"

@@ -84,15 +84,24 @@ def test_cleaned_node_refuses_replanting(line3):
     handle = line3.node(1).offload("any work in.dat\n", {"in.dat": 1})
     line3.settle(5.0)
     wf = handle.description.workflow_id
-    stray = Bundle(bundle_id=(9, 1), source=3, destination=1,
+    assert wf in line3.node(1).cleaned
+    # node 1 originates a stray archive of the cleaned workflow and a marker
+    # for it: the world drops the archive and stores the untagged marker
+    stray = Bundle(bundle_id=(9, 1), source=1, destination=3,
                    kind=BundleKind.WORKFLOW_ARCHIVE, payload=None,
                    size_bytes=10, created_at=line3.world.now, ttl_seconds=100.0,
                    workflow_id=wf)
-    assert line3.node(1).accepts(stray) is False
-    marker = Bundle(bundle_id=(9, 2), source=3, destination=None,
+    marker = Bundle(bundle_id=(9, 2), source=1, destination=None,
                     kind=BundleKind.CLEANUP_MARKER, payload=wf,
                     size_bytes=10, created_at=line3.world.now, ttl_seconds=100.0)
-    assert line3.node(1).accepts(marker) is True
+    line3.world.originate(stray)
+    line3.world.originate(marker)
+    line3.settle(1.0)
+    held = line3.world.stores[1].arrived_at
+    assert stray.bundle_id not in held
+    assert marker.bundle_id in held
+    assert all(stray.bundle_id not in store.arrived_at
+               for store in line3.world.stores.values())
 
 
 def test_local_failure_broadcasts_no_marker():

@@ -1,9 +1,12 @@
 """Every public class, function or method of the package has a caller outside tests."""
 
 import ast
+import pickle
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "carryflow"
@@ -193,3 +196,47 @@ def test_the_bundle_layer_keeps_each_fact_in_one_map():
     assert "__contains__" not in vars(BundleStore)
     assert type(BundleStore().arrived_at) is dict
     assert type(BundleTable().workflows) is dict
+
+
+def test_no_closure_is_ever_scheduled():
+    # every event is a bound method or a partial of one, so a world holds no
+    # closure and pickles between events: no `.schedule(` call in the
+    # package is handed a lambda or a function defined inside another
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = {inner.name for outer in ast.walk(tree)
+                  if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for inner in ast.walk(outer)
+                  if inner is not outer
+                  and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "schedule"):
+                found += [f"{path.name}:{node.lineno}" for arg in node.args
+                          for inner in ast.walk(arg)
+                          if isinstance(inner, ast.Lambda)
+                          or isinstance(inner, ast.Name) and inner.id in nested]
+    assert found == []
+
+
+def test_a_node_refuses_by_its_cleaned_set_alone():
+    # the world's one refusal rule is the node's set of cleaned workflows,
+    # so no accept hook is left to ask
+    found = [f"{name} {word}" for name in ("nodes.py", "simnet.py")
+             for word in (r"\baccepts\b", r"\baccept=")
+             if re.search(word, (PACKAGE / name).read_text(encoding="utf-8"))]
+    assert found == []
+    from carryflow.nodes import Node
+    assert not hasattr(Node, "accepts")
+
+
+def test_the_ring_distance_pickles():
+    from carryflow.harness import ring_arc_distance, ring_positions
+    arc = ring_arc_distance(12, 100.0)
+    copy = pickle.loads(pickle.dumps(arc))
+    slots = ring_positions(12, 100.0)
+    assert [copy(a, b) for a in slots for b in slots] == [arc(a, b) for a in slots
+                                                          for b in slots]
+    with pytest.raises(ValueError, match="not a slot"):
+        copy(slots[0], (0.0, 0.0))

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import math
+import pickle
 import weakref
 from pathlib import Path
 
@@ -13,10 +14,10 @@ import pytest
 from carryflow import harness
 from carryflow.assignment import Strategy
 from carryflow.bundles import BundleKind
-from carryflow.cli import resolve_scenario
-from carryflow.harness import (assign_cohorts, build, emit_suite, makespan,
-                               ring_arc_distance, ring_positions, run_scenario,
-                               run_suite, summarize)
+from carryflow.cli import packaged_scenarios, resolve_scenario
+from carryflow.harness import (_CHUNK_S, assign_cohorts, build, emit_suite, makespan,
+                               ring_arc_distance, ring_positions, run_built,
+                               run_scenario, run_suite, summarize)
 from carryflow.runtime import FaultPlan
 from carryflow.scenario import parse_scenario
 from carryflow.simnet import World
@@ -251,6 +252,29 @@ def test_a_released_world_leaves_no_store_naming_a_dropped_bundle():
         assert len(store) == 0
         assert list(store.live(world.now)) == []
         assert built.nodes[addr].offer_db.lookup("denoise", world.now) == []
+
+
+# chunk boundaries before the first offload to copy a world at: a ring has
+# one, and mobile-sparse the first, a middle and the last of its 23
+BOUNDARIES = {"mobile-sparse": (5.0, 60.0, 115.0)}
+
+
+@pytest.mark.parametrize("name", packaged_scenarios())
+def test_a_world_pickled_before_its_first_offload_runs_to_the_same_report(name):
+    # a run depends on (scenario, seed) alone: a world copied through pickle
+    # at a chunk boundary and run on by run_built writes the straight run's
+    # bytes
+    config = resolve_scenario(name).with_run(seed=1)
+    straight = run_scenario(config).to_json()
+    boundaries = BOUNDARIES.get(name, (_CHUNK_S,))
+    assert boundaries[-1] < config.workflow.offload_at
+    built = build(config)
+    for boundary in boundaries:
+        while built.world.now < boundary:
+            built.world.advance(_CHUNK_S)
+        assert built.world.now == boundary and not built.collector.tracks
+        copy = pickle.loads(pickle.dumps(built))
+        assert run_built(copy, config).to_json() == straight
 
 
 def test_finished_run_is_freed_by_reference_count(monkeypatch):

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from carryflow.assignment import Strategy
 from carryflow.bundles import Bundle, BundleKind, BundleStore
 from carryflow.cli import packaged_scenarios, resolve_scenario
+from carryflow.client import ClientRuntime
 from carryflow.harness import build, run_scenario
 from carryflow.nodes import Node
-from carryflow.runtime import FaultPlan
+from carryflow.runtime import FaultPlan, WorkerRuntime
 from carryflow.scenario import WaypointTopology
 from carryflow.simnet import LinkModel, RandomWaypoint, World, transfer_duration
 
@@ -342,8 +343,8 @@ def test_abort_on_contact_loss_restarts_from_scratch():
 def test_receiver_accept_filter_blocks_storage():
     world = World(LINK, tick_interval=0.5, adjacency=[(1, 2)])
     world.add_node(1)
-    world.add_node(2, accept=lambda b: False)
-    # the hook is asked only about a bundle that carries a workflow id
+    world.add_node(2, refused={"wf"})
+    # a bundle of a workflow that node 2 refuses is never queued for it
     bundle = make_bundle(1, 2, 1, 1000, created_at=1.0, workflow_id="wf")
     world.schedule(1.0, lambda: world.originate(bundle))
     world.run_until(5.0)
@@ -416,7 +417,7 @@ def test_a_static_world_opens_its_pairs_once():
 
 def test_originate_honors_source_refusal():
     world = World(LINK, adjacency=[])
-    store = world.add_node(1, accept=lambda b: False)
+    store = world.add_node(1, refused={"wf"})
     world.originate(make_bundle(1, None, 1, 10, workflow_id="wf"))
     assert len(store) == 0
 
@@ -459,30 +460,57 @@ def test_the_stored_peak_of_a_mobile_run_is_pinned():
     assert peak == (13008, 549, 296.0)
 
 
-def test_the_accept_hook_is_asked_only_about_tagged_bundles():
-    # an offer (no workflow id) and a workflow bundle take the same paths:
-    # node 1 originates both, forwards them to node 2, which takes delivery,
-    # and node 3, brought in range later, gets both by the scans of its links
+class _Logged(set):
+    """A node's refused workflows, logging each lookup as (node, workflow, time)."""
+
+    def __init__(self, addr, world, log, refused=()) -> None:
+        super().__init__(refused)
+        self.addr, self.world, self.log = addr, world, log
+
+    def __contains__(self, workflow_id) -> bool:
+        self.log.append((self.addr, workflow_id, self.world.now))
+        return super().__contains__(workflow_id)
+
+
+def test_a_refusing_node_takes_offers_on_every_path_and_never_its_workflow():
+    # node 2 starts refusing "wf" while its bundle is in flight to it, so it
+    # refuses that bundle at delivery, then at its own originate and on a
+    # forward; node 3 refuses it from the start, at a link scan and on a
+    # forward. The offers take the same four paths to every node, and the
+    # world looks a workflow up only for a bundle that carries one
     world = World(LINK, tick_interval=0.5, contact_range=20.0)
     asked = []
+    refused = {addr: _Logged(addr, world, asked, initial)
+               for addr, initial in ((1, ()), (2, ()), (3, ("wf",)))}
     for addr, x in ((1, 0.0), (2, 10.0), (3, 1000.0)):
-        world.add_node(addr, position=(x, 0.0),
-                       accept=lambda b, a=addr: asked.append((a, b, world.now)) or True)
-    offer = make_bundle(1, None, 1, 1_000_000, created_at=1.2)
-    tagged = make_bundle(1, 2, 2, 1_000_000, created_at=1.2, workflow_id="wf")
-    world.schedule(1.2, lambda: (world.originate(offer), world.originate(tagged)))
+        world.add_node(addr, position=(x, 0.0), refused=refused[addr])
+
+    def pair(source, seq, created_at):
+        return (make_bundle(source, None, seq, 1_000_000, created_at=created_at),
+                make_bundle(source, 2, seq + 1, 1_000_000, created_at=created_at,
+                            workflow_id="wf"))
+
+    sent = [pair(1, 1, 1.2), pair(2, 1, 3.0), pair(1, 3, 7.0)]
+    for offer, tagged in sent:
+        world.schedule(offer.created_at, lambda o=offer, t=tagged: (world.originate(o),
+                                                                    world.originate(t)))
+    world.schedule(1.3, lambda: refused[2].add("wf"))
     world.schedule(5.2, lambda: world.set_position(3, (15.0, 0.0)))
     world.run_until(10.0)
-    for addr in (1, 2, 3):
-        assert {offer.bundle_id, tagged.bundle_id} <= world.stores[addr].arrived_at.keys()
-    assert all(b is tagged for _, b, _ in asked)
+    offers = {offer.bundle_id for offer, _ in sent}
+    (_, first), (_, own), (_, last) = sent
+    assert world.stores[1].arrived_at.keys() == offers | {first.bundle_id, last.bundle_id}
+    for addr in (2, 3):
+        assert world.stores[addr].arrived_at.keys() == offers
+    assert {workflow for _, workflow, _ in asked} == {"wf"}
     d = transfer_duration(LINK, 1_000_000)
     assert [(a, t) for a, _, t in asked] == [
-        (1, 1.2),                           # originate, at the source
-        (2, 1.2),                           # forwarding over (1, 2)
-        (2, pytest.approx(1.2 + 2 * d)),    # delivery, behind the offer
-        (3, 5.5), (3, 5.5),                 # the scans of (1, 3) and (2, 3)
-        (3, pytest.approx(5.5 + 2 * d)),    # delivery over (1, 3)
+        (1, 1.2),                           # originate at node 1, which takes it
+        (2, 1.2),                           # forwarding over (1, 2), not yet refused
+        (2, pytest.approx(1.2 + 2 * d)),    # delivery behind the offer: refused
+        (2, 3.0),                           # node 2's own originate: refused
+        (3, 5.5),                           # the scan of (1, 3): refused
+        (1, 7.0), (2, 7.0), (3, 7.0),       # originate, then forwards: refused
     ]
 
 
@@ -791,8 +819,8 @@ DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
 def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
                                                          fault_rate):
     # a link is scanned only in the tick it opens, so from then on the push
-    # alone must keep queued every live bundle the other end lacks and accepts,
-    # and never queue one bundle twice for one receiver
+    # alone must keep queued every live bundle the other end lacks and has
+    # not cleaned, and never queue one bundle twice for one receiver
     config = replace(
         SPARSE,
         topology=WaypointTopology(nodes=nodes, width_m=150.0, height_m=150.0,
@@ -817,9 +845,9 @@ def test_open_links_hold_every_bundle_the_receiver_lacks(seed, nodes, range_m,
             pending = set(pending)
             for sender, receiver in (pair, pair[::-1]):
                 held = world.stores[receiver].arrived_at
-                accepts = built.nodes[receiver].accepts
+                cleaned = built.nodes[receiver].cleaned
                 for bundle in world.stores[sender].live(world.now):
-                    if bundle.bundle_id in held or not accepts(bundle):
+                    if bundle.bundle_id in held or bundle.workflow_id in cleaned:
                         continue
                     assert (receiver, bundle.bundle_id) in pending, \
                         (world.now, sender, receiver, bundle.bundle_id)
@@ -892,14 +920,36 @@ def test_the_world_hands_each_store_only_live_bundles_it_never_held(monkeypatch,
     assert calls and broken == []
 
 
+# the kind of every event that is not a link's completion, by the function
+# its callback calls: a bound method, or a partial of one
+EVENT_KINDS = {
+    World._tick: "tick",
+    Node._announce: "announce",
+    ClientRuntime.offload: "offload",
+    ClientRuntime._finish: "ttl",
+    ClientRuntime._dispatch: "dispatch",
+    WorkerRuntime._resume: "stay",
+    Node.send_archive: "retry send",
+}
+
+
+def event_kind(fn) -> str:
+    """The kind of a scheduled callback; one that is not in EVENT_KINDS fails the test."""
+    method = getattr(fn, "func", fn)
+    kind = EVENT_KINDS.get(getattr(method, "__func__", method))
+    assert kind is not None, f"no event kind for {fn!r}"
+    return kind
+
+
 def link_work(monkeypatch, config, seed, strategy):
     """What one run's links, stores and handlers did, in the counts the tracer reads.
 
     (transfers completed, transfers aborted, events scheduled, store inserts,
     handler calls, SHA-256 of every scheduled event's (time, target) in
     scheduling order). A completion's target is its link's pair; any other
-    event's is its callback's qualified name. A store refuses nothing, so
-    every insert stores its bundle, and no offer reaches a handler.
+    event's is its kind, so renaming a callback moves nothing. A store
+    refuses nothing, so every insert stores its bundle, and no offer
+    reaches a handler.
     """
     import carryflow.harness as harness
     built = []
@@ -917,7 +967,7 @@ def link_work(monkeypatch, config, seed, strategy):
         target = pairs.get(fn)
         if target is None:
             pairs.update((state.complete, pair) for pair, state in self._links.items())
-            target = pairs.get(fn) or fn.__qualname__
+            target = pairs.get(fn) or event_kind(fn)
         order.update(f"{when!r} {target}\n".encode())
         real_schedule(self, when, fn)
 
@@ -945,13 +995,13 @@ def link_work(monkeypatch, config, seed, strategy):
 @pytest.mark.parametrize("name, duration_s, strategy, expected", [
     ("ring-heterogeneous", None, Strategy.BEST, (
         5525, 0, 6028, 5753, 77,
-        "b5e2bc48c36956910e1a1a9502a2f24c9e1ad189fb16f3703338a19a8d4acd83")),
+        "a17337e4c1b1efa0bd469e675358379e84ab6d160ecaf6b92acc671312b8f238")),
     ("mobile-sparse", 120.0, Strategy.SPREAD, (
         58976, 29, 60885, 35228, 0,
-        "00484c8661b071fe897264990cd4622026bb6403bfefeb1ba241968efaa65b68")),
+        "6f507fd2dd0939884aa1f937a7623e74bbf5e0c3b4e318714fadc75ebb6a6126")),
     pytest.param(DENSE, 120.0, Strategy.SPREAD, (
         6276, 4, 6607, 3660, 413,
-        "2d935023d14e01917343b7d2267de8777b4fccef88b17b6eadd6bbf861390e25"),
+        "875667455a0dd7f93d86287803574c21c8e86d333061a93d1041af8470fdf800"),
         id="mobile-dense"),
 ])
 def test_link_work_is_pinned(monkeypatch, name, duration_s, strategy, expected):
