@@ -43,10 +43,6 @@ class PhaseBreakdown:
     transmission_s: float = 0.0
     execution_s: float = 0.0
 
-    @property
-    def total_s(self) -> float:
-        return self.runtime_s + self.transmission_s + self.execution_s
-
 
 @dataclass
 class WorkflowHandle:
@@ -103,7 +99,9 @@ class Collector:
     the last task, the cursor of a finished archive. An archive's
     transmission is charged when its bundle reaches the addressee: arrival
     minus the bundle's send time. `faults_injected` is the run's count
-    against its fault plan's cap.
+    against its fault plan's cap. The roles update `tracks` and the counters
+    (`selections` per (caller, worker) pick, `expired_drops`,
+    `faults_injected`) directly, where each event happens.
     """
 
     def __init__(self) -> None:
@@ -128,10 +126,6 @@ class Collector:
             row = track.phases.setdefault(desc.cursor, PhaseBreakdown())
             column = f"{phase.value}_s"
             setattr(row, column, getattr(row, column) + seconds)
-
-    def selection(self, caller: NodeAddress, worker: NodeAddress) -> None:
-        key = (caller, worker)
-        self.selections[key] = self.selections.get(key, 0) + 1
 
 
 # -- frozen reports ----------------------------------------------------------

@@ -239,7 +239,8 @@ class WorkerRuntime:
                             self.select_rng,
                             distance_fn=self.world.rating_distance,
                             exclude={self.address} | exclude)
-        self.collector.selection(self.address, worker)
+        selections = self.collector.selections
+        selections[self.address, worker] = selections.get((self.address, worker), 0) + 1
         return worker
 
     # -- errors -------------------------------------------------------------------

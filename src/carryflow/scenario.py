@@ -39,8 +39,10 @@ event:
     finite, and keeps the slots of a ring of up to `MAX_NODES` nodes
     finite and distinct.
   - Every file size (`input`, `output_bytes`) is at most `MAX_FILE_BYTES`,
-    the archive layout's 64-bit content length, so each transfer's
-    duration is a finite float.
+    the archive layout's 64-bit content length. That bounds no transfer's
+    duration: on a slow enough link (`bandwidth_mbit = 1e-300` with a size
+    near the bound) a transfer takes `inf` s and never completes, and the
+    run still ends by `duration_s`.
 The bounds sit far above every packaged and benchmark scenario, whose
 largest values are 3,600 ticks, 150 nodes and 15 offloads, and far outside
 their lengths, which run from 40 m to 600 m.
@@ -153,6 +155,10 @@ class RunSettings:
     fault: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
+        # a period that is not positive reschedules its event at `now` forever
+        for key in ("tick_s", "announce_interval_s"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
         object.__setattr__(self, "weights", validate_weights(self.weights))
 
 
@@ -584,10 +590,13 @@ def parse_scenario(text: str, *, name: str = "inline",
         if section.startswith("cohort:"):
             cohort_name = section.partition(":")[2].strip()
             cohort_reader = reader(section)
+            if not cohort_name:
+                cohort_reader.complain("cohort name is empty")
             cohorts.append(_parse_cohort(cohort_name, cohort_reader, services))
             client_refused |= "client" in cohort_reader.refused
     if not cohorts:
         problems.append("no [cohort:*] sections")
+    _Reader("cohort:*", {}, problems).refuse_repeats([c.name for c in cohorts], "name")
     if sum(1 for c in cohorts
            if c.count is None and c.fraction is None and not c.addresses) > 1:
         problems.append("only one cohort may omit count/fraction/addresses")

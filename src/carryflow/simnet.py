@@ -8,23 +8,24 @@ one: links that closed and links that opened. Only a range world has
 mobility. Positions are a plain list of (x, y) float tuples, one per node in
 joining order, which mobility moves in place. A range world hands them each
 tick to its detector (`contacts.RangeContacts`), which tests only the pairs
-on its skin list that may have changed sides; only a world with a contact
-range imports that module. Each node keeps its open links in pair order,
-updated in place as links open and close. While two nodes are in contact
-every bundle one of them holds and the other lacks is transferred
-(anti-entropy), and all traffic on one link shares the medium first-come
-first-served. A link is scanned once, in the tick it opens; from then on
-each newly stored bundle is forwarded at once over its node's open links,
-which keeps the link in sync until it closes. A transfer interrupted by
-contact loss restarts from scratch at the next encounter.
+on its skin list that may have changed sides. Each node keeps its open
+links in pair order, updated in place as links open and close. While two
+nodes are in contact every bundle one of them holds and the other lacks is
+transferred (anti-entropy), and all traffic on one link shares the medium
+first-come first-served. A link is scanned once, in the tick it opens; from
+then on each newly stored bundle is forwarded at once over its node's open
+links, which keeps the link in sync until it closes. A transfer interrupted
+by contact loss restarts from scratch at the next encounter.
 
-The world keeps one record per node: its slot in the position list, its
-store, the store's own arrival dict (`held`, the store's `arrived_at`, so
-testing an id there is testing the store) and bound `insert`, the set of
-workflows it refuses (`refused`, the node's own set of cleaned workflows,
-shared, so a cleanup refuses at once), its delivery hook (always set, so it
-is called untested), and its open links, each naming the record of the node
-at its far end, so the hot path reaches a receiver's state without a lookup.
+A node's store is reached one way, through `World.stores`, which the link
+scan reads for each sender. The world keeps one record per node besides:
+its slot in the position list, the two handles of its store that every
+transfer reads (`held`, the store's own `arrived_at` dict, so testing an id
+there is testing the store, and the bound `insert`), the set of workflows
+it refuses (`refused`, the node's own set of cleaned workflows, shared, so a
+cleanup refuses at once), its delivery hook (always set, so it is called
+untested), and its open links, each naming the record of the node at its
+far end, so the hot path reaches a receiver's state without a lookup.
 Two paths enqueue: the link scan puts many bundles on its one link, and a
 delivery (`_deliver`) forwards its one bundle over the receiver's links.
 Both skip a bundle the receiver holds and a tagged one (it carries a
@@ -107,12 +108,10 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .bundles import Bundle, BundleKind, BundleStore, BundleTable, NodeAddress
-
-if TYPE_CHECKING:
-    from .contacts import RangeContacts
+from .contacts import RangeContacts
 
 Position = tuple[float, float]
 
@@ -252,16 +251,15 @@ class _Durations(dict):
 class _Node:
     """What the world keeps of one node."""
 
-    __slots__ = ("addr", "index", "store", "held", "insert", "refused", "handler", "links")
+    __slots__ = ("addr", "index", "held", "insert", "refused", "handler", "links")
 
-    def __init__(self, addr: NodeAddress, index: int, table: BundleTable,
+    def __init__(self, addr: NodeAddress, index: int, store: BundleStore,
                  refused: Collection[str], handler: Callable[[Bundle], None]) -> None:
         self.addr = addr
         # the node's slot in the world's position list, in joining order
         self.index = index
-        self.store = BundleStore(table)
-        self.held = self.store.arrived_at
-        self.insert = self.store.insert
+        self.held = store.arrived_at
+        self.insert = store.insert
         self.refused = refused
         self.handler = handler
         # open links as (pair, state, far end's _Node), in pair order
@@ -298,7 +296,8 @@ class World:
                  adjacency: Iterable[tuple[NodeAddress, NodeAddress]] = (),
                  mobility: Optional[RandomWaypoint] = None,
                  rating_distance: Callable[[Position, Position], float] = euclidean) -> None:
-        self.link = link
+        if not tick_interval > 0:
+            raise ValueError(f"tick_interval must be positive, got {tick_interval!r}")
         self.tick_interval = tick_interval
         self.adjacency = {tuple(sorted(p)) for p in adjacency}
         self.mobility = mobility
@@ -318,12 +317,12 @@ class World:
         self._durations = _Durations(link)
         if mobility is not None and contact_range is None:
             raise ValueError("mobility needs a contact range")
-        # the in-range test of a range world; only such a world imports its
-        # module, so a static run and `import carryflow` skip that import
-        self._contacts: Optional[RangeContacts] = None
-        if contact_range is not None:
-            from .contacts import RangeContacts
-            self._contacts = RangeContacts(contact_range)
+        if not (contact_range is None or contact_range >= 0):
+            raise ValueError(f"contact_range must be at least 0, got {contact_range!r}")
+        if contact_range is not None and self.adjacency:
+            raise ValueError("a world with a contact range takes no static pairs")
+        # the in-range test of a range world; a static world has none
+        self._contacts = None if contact_range is None else RangeContacts(contact_range)
         self.transfers_completed = 0
         self.transfers_aborted = 0
         self.schedule(0.0, self._tick)
@@ -348,12 +347,11 @@ class World:
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
         point = _point(position)
-        node = self._nodes[addr] = _Node(addr, len(self._positions), self.table, refused,
-                                           handler)
-        self.stores[addr] = node.store
+        store = self.stores[addr] = BundleStore(self.table)
+        self._nodes[addr] = _Node(addr, len(self._positions), store, refused, handler)
         self._addrs.append(addr)
         self._positions.append(point)
-        return node.store
+        return store
 
     def release(self) -> None:
         """Drop a finished run's events, stores, links and node hooks.
@@ -479,10 +477,10 @@ class World:
         # runs once per link, when it opens; _deliver keeps it in sync afterwards.
         # The link is new, so its queue is empty and it is idle until the head
         # of what the scan queues starts
-        now, queue = self.now, state.queue
-        for sender, receiver in ((a, b), (b, a)):
+        now, queue, stores = self.now, state.queue, self.stores
+        for sender, receiver in ((stores[pair[0]], b), (stores[pair[1]], a)):
             held, refused = receiver.held, receiver.refused
-            fresh = [bundle for bundle in sender.store.scan_log(now)
+            fresh = [bundle for bundle in sender.scan_log(now)
                      if bundle.bundle_id not in held]
             for bundle in fresh:
                 if bundle.workflow_id is None or bundle.workflow_id not in refused:

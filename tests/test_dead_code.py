@@ -231,6 +231,24 @@ def test_a_node_refuses_by_its_cleaned_set_alone():
     assert not hasattr(Node, "accepts")
 
 
+def test_what_no_run_reads_stays_deleted():
+    # a node's store is reached through `World.stores` alone; the world keeps
+    # no link model beside its duration table and imports its contact
+    # detector at module top; the roles count selections in the collector
+    # themselves, and a phase row holds its three columns only
+    from carryflow.report import Collector, PhaseBreakdown
+    from carryflow.simnet import LinkModel, World, _Node
+    assert "store" not in _Node.__slots__
+    world = World(LinkModel())
+    assert world.add_node(1) is world.stores[1]
+    assert not hasattr(world, "link")
+    assert not hasattr(Collector, "selection")
+    assert not hasattr(PhaseBreakdown, "total_s")
+    simnet = (PACKAGE / "simnet.py").read_text(encoding="utf-8")
+    assert [word for word in (r"\bTYPE_CHECKING\b", r"\.store\b")
+            if re.search(word, simnet)] == []
+
+
 def test_the_ring_distance_pickles():
     from carryflow.harness import ring_arc_distance, ring_positions
     arc = ring_arc_distance(12, 100.0)

@@ -41,7 +41,7 @@ fault_plans = st.builds(
 
 
 def charged_s(w) -> float:
-    return sum(p.total_s for p in w.task_phases) + w.return_transmission_s
+    return w.total_s + w.return_transmission_s
 
 
 def with_ttl(config, ttl_s: float):

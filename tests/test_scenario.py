@@ -150,6 +150,11 @@ def test_problems_are_collected_not_fail_fast():
     (lambda t: t.replace("seed = 9", "seed = 9\nwarp = 1"), "unknown key"),
     (lambda t: t + "\n[cohort:extra]\ncpu = 1\n\n[cohort:more]\ncpu = 1\n",
      "only one cohort may omit"),
+    # a cohort name is stripped, so these two sections name one cohort
+    (lambda t: t.replace("[cohort:client]", "[cohort: worker]"),
+     r"\[cohort:\*\] name: worker is given more than once"),
+    (lambda t: t.replace("[cohort:client]", "[cohort:]"),
+     r"\[cohort:\] cohort name is empty"),
     (lambda t: t.replace("[cohort:worker]", "[cohort:worker]\nfraction = nan"),
      "fraction is not a finite number"),
     (lambda t: t.replace("[run]", "[run]\ntick_s = nan"),
@@ -456,6 +461,15 @@ def test_every_accepted_period_advances_the_clock(duration_s, period):
     below = math.nextafter(duration_s, 0.0)
     for now in (duration_s, below, math.nextafter(below, 0.0), 0.0):
         assert now + period > now
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("key", ["tick_s", "announce_interval_s"])
+def test_a_hand_built_period_that_is_not_positive_is_refused(key, period):
+    # the parser refuses these already; a zero period reschedules its event
+    # at `now` forever, so a hand-built run must not reach a world either
+    with pytest.raises(ValueError, match=f"{key} must be positive"):
+        RunSettings(**{key: period})
 
 
 def test_duplicate_pins_rejected():

@@ -406,6 +406,21 @@ def test_positions_must_be_finite(position):
     assert world.position_of(1) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("kwargs,problem", [
+    # a period that is not positive would reschedule the tick at `now` forever
+    *[(dict(tick_interval=period, contact_range=10.0), "tick_interval must be positive")
+      for period in (0.0, -0.5, math.nan)],
+    # a negative range would link nodes |range| apart, and NaN would link none
+    (dict(contact_range=-5.0), "contact_range must be at least 0, got -5.0"),
+    (dict(contact_range=math.nan), "contact_range must be at least 0, got nan"),
+    # a range world would drop its static pairs unread
+    (dict(contact_range=5.0, adjacency=[(1, 2)]), "takes no static pairs"),
+])
+def test_world_arguments_it_would_misread_are_refused(kwargs, problem):
+    with pytest.raises(ValueError, match=problem):
+        World(LINK, **kwargs)
+
+
 def test_a_static_world_opens_its_pairs_once():
     world = line_world(3)
     world.run_until(100.0)
