@@ -15,6 +15,10 @@ from .report import report_from_obj
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
 
+# the most seeds one suite runs, each a run per strategy
+MAX_SEEDS = 100_000
+
+
 def packaged_scenarios() -> list[str]:
     root = resources.files("carryflow") / "scenarios"
     return sorted(entry.name[:-4] for entry in root.iterdir()
@@ -55,17 +59,23 @@ def _refuse_repeats(values: list, what: str) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
+    """The seeds of a comma list of seeds and `first..last` ranges, in order.
+
+    The count is checked against `MAX_SEEDS` before a range is expanded.
+    """
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            first, last = _parse_seed(lo), _parse_seed(hi)
-            if last < first:
-                raise SystemExit(f"error: seed range {part!r} ends below its start")
-            seeds.extend(range(first, last + 1))
-        elif part:
-            seeds.append(_parse_seed(part))
+        if not part:
+            continue
+        lo, dots, hi = part.partition("..")
+        first = _parse_seed(lo)
+        last = _parse_seed(hi) if dots else first
+        if last < first:
+            raise SystemExit(f"error: seed range {part!r} ends below its start")
+        if len(seeds) + (last - first + 1) > MAX_SEEDS:
+            raise SystemExit(f"error: more than {MAX_SEEDS} seeds given")
+        seeds.extend(range(first, last + 1))
     if not seeds:
         raise SystemExit("error: no seeds given")
     _refuse_repeats(seeds, "seed")
@@ -88,6 +98,7 @@ def _load_reports(ref: str) -> list:
 
     A file that cannot be read, is not JSON, or whose keys are not a
     report's ends the command with an error line naming the file; so do
+    two reports of one run, which every table would count twice, and
     reports of more than one scenario, which no table can hold apart.
     """
     paths = []
@@ -99,12 +110,20 @@ def _load_reports(ref: str) -> list:
     if not paths:
         raise SystemExit(f"error: no report JSON files under {ref!r}")
     reports = []
+    # the file each run's report came from, by (scenario, strategy, seed)
+    runs: dict[tuple, str] = {}
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
-                reports.append(report_from_obj(json.load(fh)))
+                report = report_from_obj(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SystemExit(f"error: {path} is not a carryflow report: {exc}") from None
+        run = (report.scenario, report.strategy, report.seed)
+        if run in runs:
+            raise SystemExit(f"error: {runs[run]} and {path} are reports of one run "
+                             f"({report.strategy}, seed {report.seed})")
+        runs[run] = path
+        reports.append(report)
     scenarios = sorted({report.scenario for report in reports})
     if len(scenarios) > 1:
         raise SystemExit(f"error: {ref} holds reports of more than one scenario: "

@@ -109,8 +109,7 @@ class Node(WorkerRuntime, ClientRuntime):
         # it can be; a result, or an error that is not retried, ends at the client
         if kind is BundleKind.WORKFLOW_ARCHIVE:
             self.on_archive(archive, now)
-        elif (kind is BundleKind.ERROR_ARCHIVE and archive.assigned_by == self.address
-              and retryable(archive, archive.error.error_class)):
+        elif kind is BundleKind.ERROR_ARCHIVE and retryable(archive):
             self.on_error_report(archive)
         elif archive.description.client == self.address:
             self.on_returned(archive)

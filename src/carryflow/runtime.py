@@ -5,13 +5,13 @@ they use. A worker queues each archive addressed to it and serves one at a
 time, each stay one process: it re-checks the TTL and its own live
 capabilities, executes the current task synthetically, then either forwards
 the archive to the next worker (pinned or freshly selected) or returns the
-result to the client. Three error classes exist: the task itself failing
-(task execution), no candidate for the next task or a pin to an address no
-node has (worker selection), and a worker that turns out unfit for what it
-was sent (worker calling). A failure travels as the archive itself with its
-`error` set. A failure on a just-in-time assigned worker goes back to
-whoever assigned it for exactly one retry with the failed worker excluded;
-ahead of time failures and second failures go straight to the client.
+result to the client. A worker fails an archive when the task itself
+fails, when the next task has no candidate or is pinned to an address no
+node has, or when it turns out unfit for what it was sent; the failure
+travels as the archive itself, carrying its `WorkerError`. A failure on a
+just-in-time assigned worker goes back to whoever assigned it for exactly
+one retry with the failed worker excluded; ahead of time failures and
+second failures go straight to the client.
 Archives are frozen: every hop sends a new one built with `replace`.
 """
 
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import partial
 from typing import Iterator, Optional
 
 from .assignment import SelectionError, select
 from .bundles import BundleKind, NodeAddress, format_address
 from .report import FinalState
-from .workflow import Archive, WorkflowDescription, substitute_result
+from .workflow import (Archive, ErrorClass, WorkerError, WorkflowDescription,
+                       substitute_result)
 
 MIN_EXEC_SECONDS = 0.05
 
@@ -44,28 +44,15 @@ class ServiceDefinition:
     output_ext: str = "out"
 
 
-class ErrorClass(Enum):
-    TASK_EXECUTION = "task_execution"
-    WORKER_SELECTION = "worker_selection"
-    WORKER_CALLING = "worker_calling"
-
-
-@dataclass(frozen=True)
-class WorkerError:
-    error_class: ErrorClass
-    message: str
-    worker: NodeAddress
-
-
-def retryable(archive: Archive, error_class: ErrorClass) -> bool:
-    """Whether a failure goes back to the worker's assigner for a retry.
+def retryable(archive: Archive) -> bool:
+    """Whether an error archive goes back to the worker's assigner for a retry.
 
     Only the first failure of a just-in-time assigned task does, and never
     a selection failure; every other failure goes to the client.
     """
     desc = archive.description
-    return (not desc.finished and desc.current_task.worker is None
-            and not archive.retried and error_class is not ErrorClass.WORKER_SELECTION)
+    return (not desc.finished and desc.current_task.worker is None and not archive.retried
+            and archive.error.error_class is not ErrorClass.WORKER_SELECTION)
 
 
 @dataclass(frozen=True)
@@ -248,12 +235,11 @@ class WorkerRuntime:
     def _emit_error(self, archive: Archive, error_class: ErrorClass, message: str) -> None:
         now = self.world.now
         desc = archive.description
-        error = WorkerError(error_class=error_class, message=message,
-                            worker=self.address)
-        dest = archive.assigned_by if retryable(archive, error_class) else desc.client
-        archive = replace(archive, error=error, error_log=archive.error_log + (
-            f"[{now:.3f}] {format_address(self.address)} "
-            f"task {desc.cursor} {error_class.value}: {message}\n"))
+        archive = replace(archive, error=WorkerError(error_class, message, self.address),
+                          error_log=archive.error_log + (
+                              f"[{now:.3f}] {format_address(self.address)} "
+                              f"task {desc.cursor} {error_class.value}: {message}\n"))
+        dest = archive.assigned_by if retryable(archive) else desc.client
         self.send_archive(BundleKind.ERROR_ARCHIVE, archive, dest)
 
     def _fail_selection(self, archive: Archive, exc: SelectionError) -> None:

@@ -27,9 +27,10 @@ event:
   - A periodic event (`tick_s`, `announce_interval_s`) reschedules itself at
     now + period. A period below one ulp of the clock would round back to
     now and stop simulated time, so a run could never end. Each period must
-    fit at most `MAX_ROUNDS` times into `duration_s`. That bounds the events
-    it makes per node, and keeps it far above one ulp of every time up to
-    the cap, since an ulp is at most 2**-52 of the time.
+    fit at most `MAX_ROUNDS` times into `duration_s`, a rule `RunSettings`
+    keeps for a hand-built run too. That bounds the events it makes per
+    node, and keeps it far above one ulp of every time up to the cap, since
+    an ulp is at most 2**-52 of the time.
   - Building a world allocates per node (three RNGs and a store) and per
     offload (one scheduled event) before anything runs, so `nodes` is at
     most `MAX_NODES` and clients x `repeat` at most `MAX_OFFLOADS`.
@@ -140,7 +141,11 @@ class WorkflowSpec:
 
 @dataclass(frozen=True)
 class RunSettings:
-    """The only run configuration, parsed or hand-built; it holds no run state."""
+    """The only run configuration, parsed or hand-built; it holds no run state.
+
+    Either way it meets the `[run]` rows and the `MAX_ROUNDS` period rule,
+    and raises ScenarioError listing what does not.
+    """
 
     seed: int = 1
     duration_s: float = 600.0
@@ -155,10 +160,17 @@ class RunSettings:
     fault: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
-        # a period that is not positive reschedules its event at `now` forever
-        for key in ("tick_s", "announce_interval_s"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        problems = [f"{key.name} {problem}" for key in _RUN_KEYS
+                    if (problem := key.problem(getattr(self, key.name))) is not None]
+        # a period rule over a refused value would only add a derived problem
+        problems = problems or [
+            f"{key} {period:g} repeats more than {MAX_ROUNDS} times "
+            f"in duration_s {self.duration_s:g}"
+            for key, period in (("tick_s", self.tick_s),
+                                ("announce_interval_s", self.announce_interval_s))
+            if period * MAX_ROUNDS < self.duration_s]
+        if problems:
+            raise ScenarioError(problems)
         object.__setattr__(self, "weights", validate_weights(self.weights))
 
 
@@ -202,20 +214,18 @@ def resolve_cohort_counts(cohorts: tuple[CohortSpec, ...], n_nodes: int) -> list
     cohort with no sizing takes whatever remains at the end.
     """
     counts = [0] * len(cohorts)
+    frac_idx: list[int] = []
     rest_idx = None
-    fixed = 0
     for i, cohort in enumerate(cohorts):
         if cohort.addresses:
             counts[i] = len(cohort.addresses)
-            fixed += counts[i]
         elif cohort.count is not None:
             counts[i] = cohort.count
-            fixed += counts[i]
-        elif cohort.fraction is None:
+        elif cohort.fraction is not None:
+            frac_idx.append(i)
+        else:
             rest_idx = i
-    remaining = n_nodes - fixed
-    frac_idx = [i for i, c in enumerate(cohorts)
-                if c.fraction is not None and not c.addresses and c.count is None]
+    remaining = n_nodes - sum(counts)
     if frac_idx:
         quotas = [cohorts[i].fraction * remaining for i in frac_idx]
         base = [int(q) for q in quotas]
@@ -226,11 +236,9 @@ def resolve_cohort_counts(cohorts: tuple[CohortSpec, ...], n_nodes: int) -> list
             base[j] += 1
         for j, i in enumerate(frac_idx):
             counts[i] = base[j]
-            remaining -= base[j]
     if rest_idx is not None:
-        counts[rest_idx] = remaining
-        remaining = 0
-    if remaining != 0 or any(c < 0 for c in counts):
+        counts[rest_idx] = n_nodes - sum(counts)
+    if sum(counts) != n_nodes or any(c < 0 for c in counts):
         raise ScenarioError([f"cohort sizes resolve to {counts} for "
                              f"{n_nodes} nodes"])
     return counts
@@ -248,6 +256,24 @@ class _Key:
     positive: bool = False
     allow_inf: bool = False
     scale: Optional[Callable[[float], float]] = None   # INI unit -> field unit
+
+    def problem(self, value: object, text: Optional[str] = None) -> Optional[str]:
+        """Why the key refuses a value of its kind, or None if it takes it.
+
+        None stands for text that reads as no value of the kind; `text` is
+        the value as the file wrote it, shown in place of the value. A NaN
+        fails every bound.
+        """
+        if value is None or self.kind is float and math.isinf(value) and not self.allow_inf:
+            return f"is not {_KINDS[self.kind]}: {value if text is None else text!r}"
+        show = str if self.kind is int else "{:g}".format
+        if self.positive and not value > 0:
+            return f"must be positive, got {show(value)}"
+        if not value >= self.minimum:
+            return f"must be at least {show(self.minimum)}, got {show(value)}"
+        if not value <= self.maximum:
+            return f"must be at most {show(self.maximum)}, got {show(value)}"
+        return None
 
 
 MAX_ROUNDS = 1_000_000
@@ -296,8 +322,6 @@ _RUN_KEYS = (_Key("seed", kind=int, minimum=0),
              *_keys("duration_s", "tick_s", "announce_interval_s", "offer_expiry_s",
                     positive=True),
              *_keys("preprocess_s", "postprocess_s", "stop_grace_s", minimum=0.0))
-_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
-          "false": False, "no": False, "0": False, "off": False}
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
 
@@ -337,24 +361,13 @@ class _Reader:
         if text is None or key.kind is str:
             return text
         try:
-            value = _BOOLS[text.strip().lower()] if key.kind is bool else key.kind(text)
+            value = (configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+                     if key.kind is bool else key.kind(text))
         except (KeyError, ValueError):
             value = None
-        if key.kind is float and value is not None and (
-                math.isnan(value) or math.isinf(value) and not key.allow_inf):
-            value = None
-        if value is None:
-            self.complain(f"{key.name} is not {_KINDS[key.kind]}: {text!r}")
-            self.refused.add(key.name)
-            return None
-        show = str if key.kind is int else "{:g}".format
-        if key.positive and value <= 0:
-            problem = f"must be positive, got {show(value)}"
-        elif value < key.minimum:
-            problem = f"must be at least {show(key.minimum)}, got {show(value)}"
-        elif value > key.maximum:
-            problem = f"must be at most {show(key.maximum)}, got {show(value)}"
-        else:
+        # a written NaN reads as no number at all
+        problem = key.problem(None if value != value else value, text)
+        if problem is None:
             return value if key.scale is None else key.scale(value)
         self.complain(f"{key.name} {problem}")
         self.refused.add(key.name)
@@ -384,8 +397,11 @@ class _Reader:
         entries.refuse_repeats(names)
         return entries
 
-    def get_addresses(self, key: str) -> Optional[list[int]]:
-        """The distinct node addresses listed under key; None if unset or blank."""
+    def get_addresses(self, key: str, n_nodes: Optional[int]) -> Optional[list[int]]:
+        """The distinct node addresses listed under key; None if unset or blank.
+
+        An address outside 1..n_nodes is a problem, unless n_nodes is None.
+        """
         if not self.raw.get(key, "").strip():
             return None
         out: list[int] = []
@@ -398,6 +414,9 @@ class _Reader:
             except ValueError:
                 self.complain(f"{key}: not an integer: {item!r}")
         self.refuse_repeats(out, key)
+        for addr in sorted(set(out)):
+            if n_nodes is not None and not 1 <= addr <= n_nodes:
+                self.complain(f"{key}: address {addr} outside 1..{n_nodes}")
         return list(dict.fromkeys(out))
 
 
@@ -409,11 +428,9 @@ def _parse_topology(reader: _Reader) -> Topology:
         kind = "ring"
     keys = _TOPOLOGY_KEYS[kinds[kind]]
     reader.check_keys(keys, "kind")
-    values = reader.values(keys)
-    topology = kinds[kind](**values)
+    topology = kinds[kind](**reader.values(keys))
     # compare only speeds that were read well: a bad one reads as its default
-    speeds = [key for key in ("speed_min", "speed_max") if key in reader.raw]
-    if kind == "waypoint" and all(key in values for key in speeds) \
+    if kind == "waypoint" and not reader.refused & {"speed_min", "speed_max"} \
             and topology.speed_min > topology.speed_max:
         reader.complain(f"speed_min {topology.speed_min:g} exceeds "
                         f"speed_max {topology.speed_max:g}")
@@ -435,14 +452,14 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     return services
 
 
-def _parse_cohort(name: str, reader: _Reader,
+def _parse_cohort(name: str, reader: _Reader, n_nodes: Optional[int],
                   services: dict[str, ServiceDefinition]) -> CohortSpec:
     reader.check_keys(_COHORT_KEYS, "addresses", "services")
     sizing = [key for key in ("count", "fraction", "addresses") if key in reader.raw]
     if len(sizing) > 1:
         reader.complain(f"give at most one of count/fraction/addresses, got {sizing}")
     values = reader.values(_COHORT_KEYS)
-    addresses = reader.get_addresses("addresses")
+    addresses = reader.get_addresses("addresses", n_nodes)
     # a bad count, fraction or address list still sizes the cohort, so it is
     # not a remainder
     for key in ("count", "fraction"):
@@ -533,23 +550,21 @@ def _parse_run(reader: _Reader, n_nodes: Optional[int],
                 settings["weights"] = validate_weights(values)
             except ValueError as exc:
                 reader.complain(f"weights: {exc}")
-    nodes = reader.get_addresses("fault_nodes")
-    for addr in sorted(nodes or ()):
-        if n_nodes is not None and not 1 <= addr <= n_nodes:
-            reader.complain(f"fault_nodes: address {addr} outside 1..{n_nodes}")
+    nodes = reader.get_addresses("fault_nodes", n_nodes)
     fault_nodes = None if nodes is None else frozenset(nodes)
     fault_service = reader.raw.get("fault_service", "").strip() or None
     if fault_service is not None and fault_service not in services:
         reader.complain(f"fault_service {fault_service!r} is not under [services]")
     fault = FaultPlan(nodes=fault_nodes, service=fault_service,
                       **reader.values(_FAULT_KEYS))
-    run = RunSettings(fault=fault, **settings, **reader.values(_RUN_KEYS))
-    for key in ("tick_s", "announce_interval_s"):
-        period = getattr(run, key)
-        if period * MAX_ROUNDS < run.duration_s:
-            reader.complain(f"{key} {period:g} repeats more than {MAX_ROUNDS} times "
-                            f"in duration_s {run.duration_s:g}")
-    return run
+    values = reader.values(_RUN_KEYS)
+    try:
+        return RunSettings(fault=fault, **settings, **values)
+    except ScenarioError as exc:
+        # the rows refused every bad value already, so these are the periods'
+        for problem in exc.problems:
+            reader.complain(problem)
+        return RunSettings(fault=fault, **settings)
 
 
 def parse_scenario(text: str, *, name: str = "inline",
@@ -592,7 +607,7 @@ def parse_scenario(text: str, *, name: str = "inline",
             cohort_reader = reader(section)
             if not cohort_name:
                 cohort_reader.complain("cohort name is empty")
-            cohorts.append(_parse_cohort(cohort_name, cohort_reader, services))
+            cohorts.append(_parse_cohort(cohort_name, cohort_reader, n_nodes, services))
             client_refused |= "client" in cohort_reader.refused
     if not cohorts:
         problems.append("no [cohort:*] sections")
@@ -606,8 +621,6 @@ def parse_scenario(text: str, *, name: str = "inline",
             if addr in seen_addresses:
                 problems.append(f"address {addr} pinned by more than one cohort")
             seen_addresses.add(addr)
-            if n_nodes is not None and not 1 <= addr <= n_nodes:
-                problems.append(f"pinned address {addr} outside 1..{n_nodes}")
     if not client_refused and not any(c.client for c in cohorts):
         problems.append("no cohort is marked client = true")
 

@@ -2,7 +2,8 @@
 
 Nodes hold bundle stores and positions; contacts come from a disc radio
 range over mobile positions or, without one, from static pairs (none by
-default). Static pairs all open at t = 0 and never close. A range world
+default). Static pairs all open at t = 0 and never close; each joins two
+distinct nodes, and both must have joined by then. A range world
 re-evaluates contact state on a fixed tick, as changes against the last
 one: links that closed and links that opened. Only a range world has
 mobility. Positions are a plain list of (x, y) float tuples, one per node in
@@ -321,6 +322,9 @@ class World:
             raise ValueError(f"contact_range must be at least 0, got {contact_range!r}")
         if contact_range is not None and self.adjacency:
             raise ValueError("a world with a contact range takes no static pairs")
+        for a, b in self.adjacency:
+            if a == b:
+                raise ValueError(f"static pair ({a}, {b}) joins a node to itself")
         # the in-range test of a range world; a static world has none
         self._contacts = None if contact_range is None else RangeContacts(contact_range)
         self.transfers_completed = 0
@@ -437,8 +441,13 @@ class World:
 
     def _tick(self) -> None:
         if self._contacts is None:
-            # static pairs open at t = 0 and never close, so nothing ticks again
-            for pair in sorted(self.adjacency):
+            # static pairs open at t = 0 and never close, so nothing ticks again;
+            # the nodes have joined by now, so each pair is checked first
+            pairs = sorted(self.adjacency)
+            for pair in pairs:
+                if not self._nodes.keys() >= set(pair):
+                    raise ValueError(f"static pair {pair} names a node that never joined")
+            for pair in pairs:
                 self._open_link(pair)
             return
         if self.mobility is not None:

@@ -4,7 +4,9 @@ A workflow is an ordered list of tasks, each naming a service, its
 parameters, an optional pinned worker, and optional resource requirements.
 The archive is what actually moves through the network: the description
 plus the files the next task needs, with exactly one cursor marking the
-next task to run.
+next task to run. A failed task's archive carries a `WorkerError`: its
+class (task execution, worker selection or worker calling), its message and
+the worker that raised it.
 
 Text format, one task per line:
 
@@ -23,12 +25,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from enum import Enum
+from typing import Optional
 
 from .bundles import NodeAddress, format_address, parse_address
-
-if TYPE_CHECKING:
-    from .runtime import WorkerError
 
 PLACEHOLDER = "##result##"
 
@@ -185,6 +185,19 @@ def substitute_result(task: Task, result_name: str) -> Task:
 
 
 # -- files and archives ----------------------------------------------------
+
+
+class ErrorClass(Enum):
+    TASK_EXECUTION = "task_execution"
+    WORKER_SELECTION = "worker_selection"
+    WORKER_CALLING = "worker_calling"
+
+
+@dataclass(frozen=True)
+class WorkerError:
+    error_class: ErrorClass
+    message: str
+    worker: NodeAddress
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,19 @@ def test_suite_refuses_a_reversed_seed_range_with_an_error_line(
     assert not (tmp_path / "s").exists()
 
 
+def test_seed_count_is_bounded_before_a_range_is_expanded(scenario_file, tmp_path):
+    from carryflow.cli import MAX_SEEDS
+    assert len(_parse_seeds(f"1..{MAX_SEEDS}")) == MAX_SEEDS
+    for seeds in (f"0..{MAX_SEEDS}", f"0,1..{MAX_SEEDS}", f"1..{MAX_SEEDS},0"):
+        with pytest.raises(SystemExit, match=f"^error: more than {MAX_SEEDS} seeds given$"):
+            _parse_seeds(seeds)
+    # a range this long would not fit in memory if it were expanded first
+    with pytest.raises(SystemExit, match=f"^error: more than {MAX_SEEDS} seeds given$"):
+        main(["suite", scenario_file, "--seeds=0..1000000000000000000",
+              "--out", str(tmp_path / "s")])
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("option, message", [
     ("--seeds=1,1", "seed 1"), ("--seeds=1..3,2", "seed 2"),
     ("--strategies=best,best", "strategy 'best'"),
@@ -250,6 +263,26 @@ def test_a_value_of_the_wrong_type_is_refused_with_an_error_line(
         args += ["--out", str(tmp_path / "tables")]
     with pytest.raises(SystemExit, match=f"^error: {re.escape(str(spoiled))} is not a "
                                          f"carryflow report: {key} is "):
+        main(args)
+    assert not (tmp_path / "tables").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "plot-data"])
+def test_two_reports_of_one_run_are_refused_with_an_error_line(
+        scenario_file, tmp_path, command):
+    # a copy of a report would count its run twice in every table
+    folder = tmp_path / "suite"
+    assert main(["suite", scenario_file, "--seeds", "1", "--strategies", "best",
+                 "--out", str(folder)]) == 0
+    original = folder / "report-best-1.json"
+    copy = folder / "report-best-1-copy.json"
+    copy.write_text(original.read_text())
+    args = [command, str(folder)]
+    if command == "plot-data":
+        args += ["--out", str(tmp_path / "tables")]
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(str(copy))} and "
+                                         f"{re.escape(str(original))} are reports of "
+                                         r"one run \(best, seed 1\)$"):
         main(args)
     assert not (tmp_path / "tables").exists()
 

@@ -122,6 +122,62 @@ def test_each_node_layer_rule_is_kept_once():
         "runtime.py:_emit_error", "runtime.py:_fail_selection"]
 
 
+def _package_imports() -> dict[str, set[str]]:
+    """Module -> the package modules it imports, at any depth and in any block."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem] |= ({node.module} if node.module
+                                     else {alias.name for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.startswith("carryflow."):
+                graph[path.stem].add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                graph[path.stem] |= {alias.name.split(".")[1] for alias in node.names
+                                     if alias.name.startswith("carryflow.")}
+    return graph
+
+
+def test_the_package_imports_form_no_cycle():
+    # a cycle is one module's rule stated again, or hidden, in another; a
+    # TYPE_CHECKING block is where one hides
+    graph = _package_imports()
+    assert graph["runtime"] >= {"workflow"} and "runtime" not in graph["workflow"]
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]) -> list[tuple[str, ...]]:
+        if module in path:
+            return [path[path.index(module):] + (module,)]
+        if module in done or module not in graph:
+            return []
+        done.add(module)
+        return [cycle for target in sorted(graph[module])
+                for cycle in visit(target, path + (module,))]
+
+    assert [cycle for module in sorted(graph) for cycle in visit(module, ())] == []
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if re.search(r"\bTYPE_CHECKING\b", path.read_text(encoding="utf-8"))] == []
+
+
+def test_an_error_archive_is_routed_from_itself():
+    # the error types sit beside the archive that carries them, and whether
+    # an error archive is retried is read from the archive alone
+    import inspect
+
+    from carryflow import runtime, workflow
+    assert (runtime.ErrorClass, runtime.WorkerError) == (workflow.ErrorClass,
+                                                         workflow.WorkerError)
+    assert {cls.__module__ for cls in (workflow.ErrorClass, workflow.WorkerError)} == {
+        "carryflow.workflow"}
+    assert list(inspect.signature(runtime.retryable).parameters) == ["archive"]
+    nodes = (PACKAGE / "nodes.py").read_text(encoding="utf-8")
+    assert not re.search(r"\bassigned_by\b", nodes)
+    scenario = (PACKAGE / "scenario.py").read_text(encoding="utf-8")
+    assert not re.search(r"\b_BOOLS\b", scenario)
+
+
 def _imports_struct(path: Path) -> bool:
     return any(isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
                or isinstance(node, ast.ImportFrom) and node.module == "struct"

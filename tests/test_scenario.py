@@ -205,6 +205,9 @@ def test_problems_are_collected_not_fail_fast():
     (lambda t: t.replace("nodes = 6", "nodes = many")
      .replace("seed = 9", "seed = 9\nfault_nodes = 1, 12"),
      r"\[topology\] nodes is not an integer: 'many'"),
+    # a pin is checked against the node count where it is read, like fault_nodes
+    (lambda t: t.replace("addresses = 1", "addresses = 1, 99"),
+     r"\[cohort:client\] addresses: address 99 outside 1\.\.6"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment) as info:
@@ -470,6 +473,37 @@ def test_a_hand_built_period_that_is_not_positive_is_refused(key, period):
     # at `now` forever, so a hand-built run must not reach a world either
     with pytest.raises(ValueError, match=f"{key} must be positive"):
         RunSettings(**{key: period})
+
+
+@pytest.mark.parametrize("settings, problem", [
+    # each would fail mid-run, scheduling an event before now
+    (dict(preprocess_s=-1.0), "preprocess_s must be at least 0, got -1"),
+    (dict(postprocess_s=-1.0), "postprocess_s must be at least 0, got -1"),
+    (dict(stop_grace_s=math.nan), "stop_grace_s must be at least 0, got nan"),
+    # each would leave the run without an end
+    (dict(tick_s=1e-300),
+     "tick_s 1e-300 repeats more than 1000000 times in duration_s 600"),
+    (dict(duration_s=math.inf), "duration_s is not a finite number: inf"),
+    (dict(stop_grace_s=math.inf), "stop_grace_s is not a finite number: inf"),
+    (dict(seed=-1), "seed must be at least 0, got -1"),
+])
+def test_a_hand_built_run_meets_the_parsers_rules(settings, problem):
+    with pytest.raises(ScenarioError) as info:
+        RunSettings(**settings)
+    assert info.value.problems == [problem]
+
+
+def test_the_parser_reports_the_period_rule_as_its_own_problem():
+    # RunSettings states the rule; the parser reports what it says, with its
+    # section, and a bad period is one problem, not a second derived one
+    with pytest.raises(ScenarioError) as hand_built:
+        RunSettings(tick_s=1e-5, duration_s=60.0)
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(RING_INI.replace("[run]", "[run]\ntick_s = 1e-5"))
+    assert parsed.value.problems == [f"[run] {p}" for p in hand_built.value.problems]
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(RING_INI.replace("[run]", "[run]\ntick_s = 0"))
+    assert parsed.value.problems == ["[run] tick_s must be positive, got 0"]
 
 
 def test_duplicate_pins_rejected():

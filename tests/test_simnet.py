@@ -415,10 +415,21 @@ def test_positions_must_be_finite(position):
     (dict(contact_range=math.nan), "contact_range must be at least 0, got nan"),
     # a range world would drop its static pairs unread
     (dict(contact_range=5.0, adjacency=[(1, 2)]), "takes no static pairs"),
+    # a link from a node to itself would list it twice among the node's own
+    (dict(adjacency=[(1, 2), (1, 1)]), r"static pair \(1, 1\) joins a node to itself"),
 ])
 def test_world_arguments_it_would_misread_are_refused(kwargs, problem):
     with pytest.raises(ValueError, match=problem):
         World(LINK, **kwargs)
+
+
+def test_a_static_pair_with_an_absent_end_is_refused_before_any_link_opens():
+    world = World(LINK, adjacency=[(1, 2), (2, 3)])
+    world.add_node(1)
+    world.add_node(2)
+    with pytest.raises(ValueError, match=r"static pair \(2, 3\) names a node that never joined"):
+        world.run_until(1.0)
+    assert world._links == {}
 
 
 def test_a_static_world_opens_its_pairs_once():
