@@ -42,7 +42,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from itertools import filterfalse
+from typing import Container, Iterator, Optional
 
 NodeAddress = int
 
@@ -196,7 +197,9 @@ class BundleStore:
     stored again (removal happens only on cleanup, after which the node
     refuses that workflow, or on expiry, after which the world no longer
     hands it over), so iterating the store gives the order in which its
-    live bundles arrived.
+    live bundles arrived. `live` lists them all; `scan_log`, which a link
+    scan calls, lists only those whose ids the other end lacks, filtering
+    in C, since on a busy link the other end holds most of them.
     """
 
     __slots__ = ("table", "arrived_at")
@@ -270,6 +273,14 @@ class BundleStore:
         table.shed(now)
         yield from map(table._bundles.__getitem__, self.arrived_at)
 
-    # The link scan calls live() under this second name so that a profiler
-    # patching the class attribute by name can time link scans on their own.
-    scan_log = live
+    def scan_log(self, now: float, held: Container[BundleId]) -> Iterator[Bundle]:
+        """The live bundles whose ids `held` lacks, in insertion order.
+
+        What `live(now)` lists, less every bundle whose id is in `held`;
+        it sheds at the call, and the filter and lookup run in C, so an id
+        the other end of a link holds never reaches a Python-level test.
+        """
+        table = self.table
+        table.shed(now)
+        return map(table._bundles.__getitem__,
+                   filterfalse(held.__contains__, self.arrived_at))

@@ -38,8 +38,33 @@ from .workflow import Archive, WorkflowDescription, packed_size
 CLEANUP_MARKER_BYTES = 64
 
 
+class _Stream:
+    """A node's random stream for one role, made at its first draw.
+
+    Nothing draws from a stream before its first use, and the stream is
+    seeded from the same `seed:role:address` string an eager one would
+    take, so no draw moves; a node that only carries bundles never makes
+    one. The node keeps the stream as a plain attribute, which shadows this
+    descriptor from then on. `functools.cached_property` would write it
+    through the instance `__dict__`, and on CPython 3.11 that makes every
+    later attribute load on the node about three times slower.
+    """
+
+    def __init__(self, role: str) -> None:
+        self.role = role
+
+    def __get__(self, node: Optional[Node], owner: type) -> random.Random:
+        if node is None:
+            return self
+        return node._first_draw(self.role)
+
+
 class Node(WorkerRuntime, ClientRuntime):
     """Full protocol stack of one address, wired into a World."""
+
+    select_rng = _Stream("select")
+    exec_rng = _Stream("exec")
+    fault_rng = _Stream("fault")
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
                  run: RunSettings, caps: CapabilityVector,
@@ -50,9 +75,6 @@ class Node(WorkerRuntime, ClientRuntime):
         self.config = run
         self.caps = caps
         self.cleaned: set[str] = set()
-        self.select_rng = random.Random(f"{run.seed}:select:{address}")
-        self.exec_rng = random.Random(f"{run.seed}:exec:{address}")
-        self.fault_rng = random.Random(f"{run.seed}:fault:{address}")
         self.services = dict(services)
         # param count by service, shared by every announcement: services are
         # fixed once built
@@ -71,6 +93,17 @@ class Node(WorkerRuntime, ClientRuntime):
         # nodes built in address order announce in address order
         if self.services:
             world.schedule(world.now, self._announce)
+
+    def _first_draw(self, role: str) -> random.Random:
+        # the stream becomes a plain attribute, which shadows its `_Stream`
+        stream = random.Random(f"{self.config.seed}:{role}:{self.address}")
+        if role == "select":
+            self.select_rng = stream
+        elif role == "exec":
+            self.exec_rng = stream
+        else:
+            self.fault_rng = stream
+        return stream
 
     def position(self) -> Position:
         return self.world.position_of(self.address)

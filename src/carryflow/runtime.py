@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 from .assignment import SelectionError, select
 from .bundles import BundleKind, NodeAddress, format_address
 from .report import FinalState
-from .workflow import (Archive, ErrorClass, WorkerError, WorkflowDescription,
-                       substitute_result)
+from .workflow import (MAX_FILE_BYTES, Archive, ErrorClass, WorkerError,
+                       WorkflowDescription, substitute_result)
 
 MIN_EXEC_SECONDS = 0.05
 
@@ -42,6 +42,13 @@ class ServiceDefinition:
     output_size_bytes: int = 1_000_000
     energy_cost_e: float = 1.0
     output_ext: str = "out"
+
+    def __post_init__(self) -> None:
+        # the parser's `output_bytes` bounds, so a hand-built service is
+        # refused here rather than by the first result it sends
+        if not 0 <= self.output_size_bytes <= MAX_FILE_BYTES:
+            raise ValueError(f"output_size_bytes must be in 0..{MAX_FILE_BYTES}, "
+                             f"got {self.output_size_bytes!r}")
 
 
 def retryable(archive: Archive) -> bool:

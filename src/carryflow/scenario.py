@@ -31,9 +31,10 @@ event:
     keeps for a hand-built run too. That bounds the events it makes per
     node, and keeps it far above one ulp of every time up to the cap, since
     an ulp is at most 2**-52 of the time.
-  - Building a world allocates per node (three RNGs and a store) and per
-    offload (one scheduled event) before anything runs, so `nodes` is at
-    most `MAX_NODES` and clients x `repeat` at most `MAX_OFFLOADS`.
+  - Building a world allocates per node (a store, and in a waypoint world
+    a mobility stream) and per offload (one scheduled event) before
+    anything runs, so `nodes` is at most `MAX_NODES` and clients x
+    `repeat` at most `MAX_OFFLOADS`.
   - Every length (`spacing_m`, `width_m`, `height_m`, `range_m`) lies in
     [`MIN_LENGTH_M`, `MAX_LENGTH_M`]. That keeps the contact detector's
     cell index (a coordinate over the range) and every squared distance
@@ -44,6 +45,10 @@ event:
     duration: on a slow enough link (`bandwidth_mbit = 1e-300` with a size
     near the bound) a transfer takes `inf` s and never completes, and the
     run still ends by `duration_s`.
+  - `bandwidth_mbit` is at most `MAX_BANDWIDTH_MBIT`, so the link's rate
+    in bits per second is finite, as `LinkModel` requires of a hand-built
+    link too; it refuses a rate that is not finite and above 0, or a
+    latency that is not finite and at least 0.
 The bounds sit far above every packaged and benchmark scenario, whose
 largest values are 3,600 ticks, 150 nodes and 15 offloads, and far outside
 their lengths, which run from 40 m to 600 m.
@@ -282,6 +287,9 @@ MAX_OFFLOADS = 100_000
 # metres, for every length of the geometry
 MIN_LENGTH_M = 1e-6
 MAX_LENGTH_M = 1e9
+# megabits per second; its value in bits per second stays finite, as a
+# `LinkModel` needs
+MAX_BANDWIDTH_MBIT = 1e300
 
 
 def _keys(*names: str, **bounds: object) -> tuple[_Key, ...]:
@@ -298,7 +306,8 @@ _TOPOLOGY_KEYS = {
 # multiply and divide as written: `* 1e-3` is another double, and latency_s
 # is part of the config digest
 _LINK_KEYS = (
-    _Key("bandwidth_mbit", "bandwidth_bps", positive=True, scale=lambda v: v * 1e6),
+    _Key("bandwidth_mbit", "bandwidth_bps", positive=True, maximum=MAX_BANDWIDTH_MBIT,
+         scale=lambda v: v * 1e6),
     _Key("latency_ms", "latency_s", minimum=0.0, scale=lambda v: v / 1e3))
 _SERVICE_KEYS = (
     _Key("params", "param_count", int, minimum=0, maximum=MAX_PARAM_COUNT),

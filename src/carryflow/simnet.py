@@ -33,8 +33,9 @@ Both skip a bundle the receiver holds and a tagged one (it carries a
 workflow id) whose workflow the receiver refuses; an untagged bundle, an
 offer or a cleanup marker, is never looked up there. Storing a delivered or
 originated bundle tests the storing node's set by the same rule. A scan
-first drops the bundles the receiver holds in one pass, since those are
-most of what a sender carries. No link queues one bundle twice for one
+queues straight from the sender's `scan_log(now, held)`, which drops the
+ids the receiver holds in C, so none of those, most of what a sender
+carries, costs a Python-level test. No link queues one bundle twice for one
 receiver: the scan runs once, when the link opens, after that only bundles
 newly stored at one end are forwarded, and a store takes an id at most
 once. A queued entry is a plain (bundle, receiver) tuple; the entry a link
@@ -133,6 +134,15 @@ class LinkModel:
 
     bandwidth_bps: float = 54_000_000.0
     latency_s: float = 0.020
+
+    def __post_init__(self) -> None:
+        # the parser's `[link]` bounds, so a hand-built link is refused here
+        # rather than by the first transfer it times
+        if not 0.0 < self.bandwidth_bps < math.inf:
+            raise ValueError(f"bandwidth_bps must be finite and positive, "
+                             f"got {self.bandwidth_bps!r}")
+        if not 0.0 <= self.latency_s < math.inf:
+            raise ValueError(f"latency_s must be finite and at least 0, got {self.latency_s!r}")
 
 
 def transfer_duration(link: LinkModel, size_bytes: int) -> float:
@@ -488,10 +498,8 @@ class World:
         # of what the scan queues starts
         now, queue, stores = self.now, state.queue, self.stores
         for sender, receiver in ((stores[pair[0]], b), (stores[pair[1]], a)):
-            held, refused = receiver.held, receiver.refused
-            fresh = [bundle for bundle in sender.scan_log(now)
-                     if bundle.bundle_id not in held]
-            for bundle in fresh:
+            refused = receiver.refused
+            for bundle in sender.scan_log(now, receiver.held):
                 if bundle.workflow_id is None or bundle.workflow_id not in refused:
                     queue.append((bundle, receiver))
         if queue:

@@ -432,6 +432,57 @@ def test_stores_that_share_a_table_match_a_per_store_oracle(n_stores, steps):
             for bid, n in copies.items()}
 
 
+# one step: (seconds forward, operation, store, workflow, ttl, what the scan's
+# receiver holds); inserts and copies keep insert's contract as above
+_scan_steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+              st.sampled_from(["insert", "insert", "copy", "copy", "scan", "cleanup"]),
+              st.integers(0, 2),
+              st.integers(1, 3),
+              st.sampled_from([0.5, 1.0, 2.0, 3.0, float("inf")]),
+              st.one_of(st.integers(0, 2), st.frozensets(st.integers(1, 50)))),
+    max_size=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3), _scan_steps)
+def test_a_scan_lists_what_live_lists_less_the_held_ids(n_stores, steps):
+    # the link scan's filter: with stores sharing one table, through expiries
+    # and cleanups, scan_log(now, held) is live(now) without the ids in
+    # `held`, in the same order. `held` is another store's arrival dict, as
+    # the world passes it, or a set of ids. The scan runs first, so it must
+    # shed by itself
+    table = BundleTable()
+    stores = [BundleStore(table) for _ in range(n_stores)]
+    gone: list[set] = [set() for _ in stores]    # per store: ids cleanup removed
+    last = None
+    now = 0.0
+    for step, (dt, op, which, wf, ttl, held) in enumerate(steps, start=1):
+        now += dt
+        store = stores[which % n_stores]
+        if op == "insert":
+            last = Bundle(bundle_id=(1, step), source=1, destination=2,
+                          kind=BundleKind.WORKFLOW_ARCHIVE if wf < 3 else BundleKind.OFFER,
+                          payload=None, size_bytes=10, created_at=now, ttl_seconds=ttl,
+                          workflow_id=f"wf-{wf}" if wf < 3 else None)
+        if op in ("insert", "copy") and last is not None:
+            bid = last.bundle_id
+            if (now <= last.expires_at and bid not in store.arrived_at
+                    and bid not in gone[which % n_stores]):
+                store.insert(last, now)
+        elif op == "cleanup":
+            gone[which % n_stores].update(bid for bid in store.arrived_at
+                                          if table._bundles[bid].workflow_id == f"wf-{wf}")
+            store.remove_where(f"wf-{wf}")
+        elif op == "scan":
+            if isinstance(held, int):
+                held = stores[held % n_stores].arrived_at
+            else:
+                held = {(1, seq) for seq in held}
+            scanned = list(store.scan_log(now, held))
+            assert scanned == [b for b in store.live(now) if b.bundle_id not in held]
+
+
 def test_no_bundle_field_is_written_after_construction():
     """Bundles are frozen, and the package's only writes past that are constructors' own."""
     assert Bundle.__dataclass_params__.frozen

@@ -314,3 +314,20 @@ def test_the_ring_distance_pickles():
                                                           for b in slots]
     with pytest.raises(ValueError, match="not a slot"):
         copy(slots[0], (0.0, 0.0))
+
+
+def test_a_link_scan_and_a_node_build_do_only_their_own_work():
+    # the link scan filters held ids itself rather than listing every live
+    # bundle under a second name, and a node makes no random stream until
+    # it first draws from one
+    from carryflow.bundles import BundleStore
+    assert BundleStore.scan_log is not BundleStore.live
+    tree = ast.parse((PACKAGE / "nodes.py").read_text(encoding="utf-8"))
+    (init,) = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "Node" for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    built = [node.lineno for node in ast.walk(init)
+             if isinstance(node, ast.Call) and (
+                 isinstance(node.func, ast.Attribute) and node.func.attr == "Random"
+                 or isinstance(node.func, ast.Name) and node.func.id == "Random")]
+    assert built == []

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import pickle
+import random
 import weakref
 from pathlib import Path
 
@@ -102,6 +103,44 @@ def test_build_wires_nodes_and_clients(tiny_config):
     assert [(b.kind, b.source) for b in built.nodes[2].store.live(0.0)] == \
         [(BundleKind.OFFER, 2)]
     assert len(built.nodes[1].store) == 0
+
+
+STREAMS = ("select", "exec", "fault")
+# the benchmark's dense world: 150 nodes, of which 2 are clients and 6 workers
+DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
+
+
+@pytest.mark.parametrize("seed", [9, 123])
+def test_a_stream_made_at_its_first_draw_draws_as_an_eager_one(tiny_config, seed):
+    # a node makes each stream when it first draws from it, from the seed
+    # string it was always seeded from, so its draws are the eager stream's
+    built = build(tiny_config.with_run(seed=seed))
+    for addr, node in built.nodes.items():
+        for role in STREAMS:
+            name = f"{role}_rng"
+            assert name not in vars(node)
+            eager = random.Random(f"{seed}:{role}:{addr}")
+            stream = getattr(node, name)
+            assert [stream.random() for _ in range(5)] == [eager.random() for _ in range(5)]
+            assert getattr(node, name) is stream
+            assert stream.getstate() == eager.getstate()
+
+
+def test_a_relay_makes_no_random_stream():
+    # on the benchmark's dense world only the clients and a few workers draw;
+    # a relay (no services, no client) only carries bundles
+    config = resolve_scenario(DENSE).with_run(seed=1)
+    built = build(config)
+    run_built(built, config)
+    made = {addr: {f"{role}_rng" for role in STREAMS} & vars(node).keys()
+            for addr, node in built.nodes.items()}
+    clients = {node.address for node in built.clients}
+    relays = [addr for addr, node in built.nodes.items()
+              if not node.services and addr not in clients]
+    assert len(relays) == 142
+    assert [addr for addr in relays if made[addr]] == []
+    # the check sees what it looks for: every client selected a worker
+    assert all("select_rng" in made[addr] for addr in clients)
 
 
 def test_run_scenario_produces_report(tiny_config):

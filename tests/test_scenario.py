@@ -1,5 +1,6 @@
 """Scenario INI parsing: typed sections, cohort sizing, collected errors."""
 
+import dataclasses
 import math
 import re
 from importlib import resources
@@ -13,9 +14,9 @@ from carryflow.announce import (MAX_PARAM_COUNT, OFFER_HEADER_BYTES,
                                 OFFER_RECORD_BYTES, SERVICE_NAME_BYTES,
                                 CapabilityVector, build_offer_bundle)
 from carryflow.assignment import Strategy
-from carryflow.cli import packaged_scenarios
+from carryflow.cli import packaged_scenarios, resolve_scenario
 from carryflow.runtime import FaultPlan, ServiceDefinition
-from carryflow.harness import ring_arc_distance, ring_positions
+from carryflow.harness import ring_arc_distance, ring_positions, run_scenario
 from carryflow.scenario import (MAX_LENGTH_M, MAX_NODES, MIN_LENGTH_M,
                                 CohortSpec, RingTopology, RunSettings,
                                 ScenarioError, WaypointTopology, WorkflowSpec,
@@ -208,6 +209,9 @@ def test_problems_are_collected_not_fail_fast():
     # a pin is checked against the node count where it is read, like fault_nodes
     (lambda t: t.replace("addresses = 1", "addresses = 1, 99"),
      r"\[cohort:client\] addresses: address 99 outside 1\.\.6"),
+    # a rate whose value in bits per second would not be finite
+    (lambda t: t.replace("bandwidth_mbit = 10", "bandwidth_mbit = 1e303"),
+     r"\[link\] bandwidth_mbit must be at most 1e\+300, got 1e\+303"),
 ])
 def test_single_problem_scenarios(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment) as info:
@@ -491,6 +495,48 @@ def test_a_hand_built_run_meets_the_parsers_rules(settings, problem):
     with pytest.raises(ScenarioError) as info:
         RunSettings(**settings)
     assert info.value.problems == [problem]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda c: dataclasses.replace(c, link=dataclasses.replace(c.link, bandwidth_bps=0.0)),
+     "bandwidth_bps"),
+    (lambda c: dataclasses.replace(c, link=dataclasses.replace(c.link, latency_s=-1.0)),
+     "latency_s"),
+    (lambda c: dataclasses.replace(c, link=dataclasses.replace(c.link, bandwidth_bps=math.nan)),
+     "bandwidth_bps"),
+    (lambda c: dataclasses.replace(c, services={
+        name: dataclasses.replace(service, output_size_bytes=-10**9)
+        for name, service in c.services.items()}),
+     "output_size_bytes"),
+], ids=["no-bandwidth", "negative-latency", "nan-bandwidth", "negative-output"])
+def test_a_hand_built_link_or_service_is_refused_before_its_run(edit, field):
+    # values no scenario file can give are refused where they are built,
+    # naming the field, not part-way through the run that first uses them
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        run_scenario(edit(resolve_scenario("ring-homogeneous")))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: LinkModel(bandwidth_bps=math.inf), "bandwidth_bps"),
+    (lambda: LinkModel(bandwidth_bps=-1.0), "bandwidth_bps"),
+    (lambda: LinkModel(latency_s=math.inf), "latency_s"),
+    (lambda: LinkModel(latency_s=math.nan), "latency_s"),
+    (lambda: ServiceDefinition("s", output_size_bytes=MAX_FILE_BYTES + 1),
+     "output_size_bytes"),
+], ids=["inf-bandwidth", "negative-bandwidth", "inf-latency", "nan-latency",
+        "oversized-output"])
+def test_a_link_and_a_service_keep_the_parsers_bounds(build, field):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        build()
+
+
+def test_the_link_and_service_bounds_take_their_edges():
+    assert LinkModel(bandwidth_bps=5e-324, latency_s=0.0).latency_s == 0.0
+    assert ServiceDefinition("s", output_size_bytes=0).output_size_bytes == 0
+    assert ServiceDefinition("s", output_size_bytes=MAX_FILE_BYTES).output_size_bytes \
+        == MAX_FILE_BYTES
+    link = parse_scenario(RING_INI.replace("bandwidth_mbit = 10", "bandwidth_mbit = 1e300")).link
+    assert link.bandwidth_bps == 1e300 * 1e6
 
 
 def test_the_parser_reports_the_period_rule_as_its_own_problem():
