@@ -9,14 +9,15 @@ when dx*dx + dy*dy <= range*range on Python floats.
 
 The detector keeps a skin list (a Verlet neighbour list): the pairs that
 were within range plus a skin of half the range when the list was last
-rebuilt, sorted by their squared distance then, with the positions then as
-the anchor. A rebuild bins the nodes into square cells one range plus skin
-wide, so a pair that close lies in one cell or in two that touch, and tests
-each cell against itself and its four half-neighbour cells (Allen and
-Tildesley's cell list). Between rebuilds let D be the largest distance any
-node has moved from its anchor, kept monotone; each end of a pair has moved
-at most D, so the pair's distance is within 2D of its distance at the
-rebuild. Hence:
+rebuilt, sorted by their squared distance then. A rebuild bins the nodes
+into square cells one range plus skin wide, so a pair that close lies in
+one cell or in two that touch, and tests each cell against itself and its
+four half-neighbour cells (Allen and Tildesley's cell list). The detector
+measures no node: each tick the world hands it `moved`, a bound on how far
+any node can have moved since the last tick, and D, the sum of those
+bounds since the rebuild, bounds how far any node has moved from where it
+was then. Each end of a pair has moved at most D, so the pair's distance is
+within 2D of its distance at the rebuild. Hence:
 
 - a pair off the list was more than range + skin apart, and while
   2D < skin it is still out of range;
@@ -26,10 +27,20 @@ rebuild. Hence:
 So only the listed pairs whose rebuild distance lies within 2D of the
 range are tested, found with two bisections; a pair once in that window
 stays in it, since D only grows. A node joining, or 2D reaching the skin,
-rebuilds the list. The window and the rebuild trigger each keep a slack of
-1 um, so rounding in the distances cannot let a pair change sides unseen;
-nor can rounding in a cell index, which can drop only a pair within a hair
-of range + skin, further out than any window reaches.
+rebuilds the list; the detector keeps the node count of the last rebuild
+only to tell a join.
+
+The window and the rebuild trigger each keep a slack of 1 um, so rounding
+cannot let a pair change sides unseen. In one tick a walking node's path,
+leg changes included, is at most speed_max * dt long: a leg ends exactly on
+its target, and only the tick's last, partial step is rounded. Rounding
+relative to a value, a few ulps of a step's length, of a summed bound or of
+a distance, stays a few ulps of at most the skin, however many ticks pass
+before a rebuild, and the slack covers it. The last rounding of a step's
+coordinates, up to half an ulp of each, does not shrink with the step, so
+it would add up tick by tick; the world adds it to `moved` instead (see
+`World._tick`). Nor can rounding in a cell index drop a pair, save one
+within a hair of range + skin, further out than any window reaches.
 
 Only a world with a contact range builds a detector, and then ignores its
 static pairs. The detector refers to no node, so releasing a world leaves
@@ -120,24 +131,24 @@ class RangeContacts:
         self._pairs: list[tuple[int, int]] = []
         self._gaps: list[float] = []
         self._in_range: list[bool] = []
-        # the positions at the last rebuild, None until the first tick, and
-        # the furthest any node has moved from them since
-        self._anchor: Optional[list[tuple[float, float]]] = None
+        # the node count at the last rebuild, None until the first tick, and
+        # the furthest any node can have moved since
+        self._count: Optional[int] = None
         self._drift = 0.0
 
     def changes(self, positions: Sequence[tuple[float, float]],
-                addrs: Sequence[NodeAddress]) -> tuple[list, list]:
+                addrs: Sequence[NodeAddress], moved: float) -> tuple[list, list]:
         """Pairs to close and pairs to open since the last tick, each in pair order.
 
-        positions[i] is the (x, y) of node addrs[i]. Only the listed pairs
+        positions[i] is the (x, y) of node addrs[i], and no node has moved
+        further than `moved` since the last call. Only the listed pairs
         that may have changed sides are tested, unless a node joined or
-        moved half a skin since the list was built: then the list is
-        rebuilt, and every pair within range plus skin is tested.
+        the nodes may have moved half a skin since the list was built: then
+        the list is rebuilt, and every pair within range plus skin is tested.
         """
-        anchor = self._anchor
         skin = self.contact_range / 2
-        if anchor is not None and len(anchor) == len(positions):
-            drift = max(self._drift, max(map(math.dist, positions, anchor), default=0.0))
+        if self._count == len(positions):
+            drift = self._drift + moved
             if 2.0 * drift < skin - _SKIN_SLACK:
                 self._drift = drift
                 return self._recheck(positions, addrs, 2.0 * drift + _SKIN_SLACK)
@@ -172,7 +183,7 @@ class RangeContacts:
         self._gaps, self._pairs = gaps, pairs = _near_pairs(positions, width)
         inside = bisect_right(gaps, self.contact_range * self.contact_range)
         self._in_range = [True] * inside + [False] * (len(pairs) - inside)
-        self._anchor = list(positions)
+        self._count = len(positions)
         self._drift = 0.0
         now_in = set(pairs[:inside])
         return (_address_pairs(addrs, was_in - now_in),

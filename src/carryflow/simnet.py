@@ -9,7 +9,12 @@ one: links that closed and links that opened. Only a range world has
 mobility. Positions are a plain list of (x, y) float tuples, one per node in
 joining order, which mobility moves in place. A range world hands them each
 tick to its detector (`contacts.RangeContacts`), which tests only the pairs
-on its skin list that may have changed sides. Each node keeps its open
+on its skin list that may have changed sides, with a bound on how far any
+node can have moved since the last tick instead of a measure: the walk of
+one tick at the model's top speed, plus its rounding, plus the longest
+path of hand jumps (`set_position`) that one node made since the last
+tick. A node's jumps are summed, since several short ones can carry it as
+far as one long one. Each node keeps its open
 links in pair order, updated in place as links open and close. While two
 nodes are in contact every bundle one of them holds and the other lacks is
 transferred (anti-entropy), and all traffic on one link shares the medium
@@ -175,6 +180,17 @@ class RandomWaypoint:
 
     def __init__(self, width: float, height: float, speed_min: float, speed_max: float,
                  pause_max: float, rngs: list) -> None:
+        # the parser's `[topology]` bounds, so a hand-built model is refused
+        # here; a range world trusts speed_max to bound how far a node walks
+        for name, value in (("width", width), ("height", height),
+                            ("speed_min", speed_min), ("speed_max", speed_max)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and above 0, got {value!r}")
+        if not speed_min <= speed_max:
+            raise ValueError(f"speed_min must be at most speed_max, "
+                             f"got {speed_min!r} > {speed_max!r}")
+        if not 0.0 <= pause_max < math.inf:
+            raise ValueError(f"pause_max must be finite and at least 0, got {pause_max!r}")
         self.width = width
         self.height = height
         self.speed_min = speed_min
@@ -237,7 +253,7 @@ class RandomWaypoint:
             reach = speed * left
             if reach >= dist:
                 x, y = tx, ty
-                left -= dist / speed if speed > 0 else left
+                left -= dist / speed
                 legs[i] = None
                 pauses[i] = rng.uniform(0.0, self.pause_max)
             else:
@@ -324,6 +340,13 @@ class World:
         # _positions[i] is the (x, y) of node _addrs[i], in joining order
         self._addrs: list[NodeAddress] = []
         self._positions: list[Position] = []
+        # what `_tick` bounds the nodes' moves by: the largest coordinate any
+        # node can have (a walker heads straight for a target in the field,
+        # so none of its coordinates exceeds the field's or those of the
+        # points it was placed at), and each node's jumps by hand since the
+        # last tick, summed, by its slot
+        self._extent = 0.0 if mobility is None else max(mobility.width, mobility.height)
+        self._jumps: dict[int, float] = {}
         self._links: dict[tuple[NodeAddress, NodeAddress], _LinkState] = {}
         self._durations = _Durations(link)
         if mobility is not None and contact_range is None:
@@ -360,7 +383,7 @@ class World:
         """
         if addr in self._nodes:
             raise ValueError(f"duplicate node address {addr}")
-        point = _point(position)
+        point = self._place(position)
         store = self.stores[addr] = BundleStore(self.table)
         self._nodes[addr] = _Node(addr, len(self._positions), store, refused, handler)
         self._addrs.append(addr)
@@ -394,7 +417,18 @@ class World:
         return self._positions[self._nodes[addr].index]
 
     def set_position(self, addr: NodeAddress, position: Position) -> None:
-        self._positions[self._nodes[addr].index] = _point(position)
+        i = self._nodes[addr].index
+        point = self._place(position)
+        if self._contacts is not None:
+            jumps = self._jumps
+            jumps[i] = jumps.get(i, 0.0) + math.dist(self._positions[i], point)
+        self._positions[i] = point
+
+    def _place(self, position: Position) -> Position:
+        # a position as _point makes it, widening the world's extent to it
+        x, y = point = _point(position)
+        self._extent = max(self._extent, abs(x), abs(y))
+        return point
 
     # -- event queue -------------------------------------------------------
 
@@ -460,9 +494,18 @@ class World:
             for pair in pairs:
                 self._open_link(pair)
             return
+        # the furthest any node can have moved since the last tick: the most
+        # one node jumped by hand, plus a walk of dt at top speed, plus the
+        # walk's last rounding, at most half an ulp of the extent in each
+        # coordinate
+        jumps = self._jumps
+        moved = max(jumps.values()) if jumps else 0.0
+        jumps.clear()
         if self.mobility is not None:
-            self.mobility.step(self._positions, self.tick_interval if self.now > 0 else 0.0)
-        closed, opened = self._contacts.changes(self._positions, self._addrs)
+            dt = self.tick_interval if self.now > 0 else 0.0
+            self.mobility.step(self._positions, dt)
+            moved += self.mobility.speed_max * dt + 2.0 * math.ulp(self._extent)
+        closed, opened = self._contacts.changes(self._positions, self._addrs, moved)
         for pair in closed:
             self._close_link(pair)
         for pair in opened:

@@ -331,3 +331,26 @@ def test_a_link_scan_and_a_node_build_do_only_their_own_work():
                  isinstance(node.func, ast.Attribute) and node.func.attr == "Random"
                  or isinstance(node.func, ast.Name) and node.func.id == "Random")]
     assert built == []
+
+
+def test_the_contact_detector_measures_no_drift():
+    # the world bounds how far the nodes moved since the last tick and hands
+    # the detector that bound, so the detector neither measures a node's
+    # distance from where it was nor keeps a copy of the positions
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "contacts.py").read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr == "dist"
+                or isinstance(node, ast.Name) and node.id == "dist"):
+            found.append(f"line {node.lineno}: dist")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("list", "tuple", "copy", "deepcopy")
+                and any(isinstance(arg, ast.Name) and arg.id == "positions"
+                        for arg in node.args)):
+            found.append(f"line {node.lineno}: {node.func.id}(positions)")
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "positions" and isinstance(node.slice, ast.Slice)):
+            found.append(f"line {node.lineno}: positions[:]")
+        elif (isinstance(node, ast.Attribute) and node.attr == "copy"
+                and isinstance(node.value, ast.Name) and node.value.id == "positions"):
+            found.append(f"line {node.lineno}: positions.copy")
+    assert found == []

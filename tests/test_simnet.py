@@ -441,6 +441,24 @@ def test_a_static_world_opens_its_pairs_once():
         World(LINK, mobility=RandomWaypoint(100.0, 80.0, 0.8, 1.9, 10.0, []))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((100.0, 100.0, 2.0, 1.0, 5.0), "speed_min must be at most speed_max"),
+    ((100.0, 100.0, math.nan, 1.9, 5.0), "speed_min must be finite and above 0"),
+    ((100.0, 100.0, 0.0, 1.9, 5.0), "speed_min must be finite and above 0"),
+    ((100.0, 100.0, 0.8, math.inf, 5.0), "speed_max must be finite and above 0"),
+    ((100.0, 100.0, 0.8, 1.9, -1.0), "pause_max must be finite and at least 0"),
+    ((100.0, 100.0, 0.8, 1.9, math.nan), "pause_max must be finite and at least 0"),
+    ((0.0, 100.0, 0.8, 1.9, 5.0), "width must be finite and above 0"),
+    ((100.0, math.inf, 0.8, 1.9, 5.0), "height must be finite and above 0"),
+])
+def test_waypoint_refuses_what_the_parser_refuses(args, message):
+    # a range world bounds how far a node walks in a tick by speed_max, so a
+    # model whose legs could outrun it, or whose positions turn NaN, is
+    # refused when built
+    with pytest.raises(ValueError, match=f"^{message}"):
+        RandomWaypoint(*args, [random.Random(1)])
+
+
 def test_originate_honors_source_refusal():
     world = World(LINK, adjacency=[])
     store = world.add_node(1, refused={"wf"})
@@ -607,7 +625,7 @@ class PlainWaypoint(RandomWaypoint):
             positions[i] = (x, y)
 
 
-_speed = st.floats(0.0, 4.0)
+_speed = st.floats(0.0, 4.0, exclude_min=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,7 +675,7 @@ def test_contact_pairs_match_pairwise_reference(nodes, radius):
         for b, bx, by in nodes[i + 1:]:
             if (ax - bx) ** 2 + (ay - by) ** 2 <= radius ** 2:
                 expected.add((min(a, b), max(a, b)))
-    closed, opened = world._contacts.changes(world._positions, world._addrs)
+    closed, opened = world._contacts.changes(world._positions, world._addrs, 0.0)
     assert closed == []
     assert opened == sorted(expected)
     assert all(type(a) is int and type(b) is int for pair in opened for a in pair)
@@ -735,6 +753,64 @@ def test_skin_list_catches_two_ends_that_each_drift_under_half_a_skin():
         assert list(world._links) == ([(1, 2)] if step == 4 else [])
 
 
+def test_skin_list_sums_the_jumps_of_one_node_between_ticks():
+    # range 40 m, so the skin is 20 m: the pair starts 60.5 m apart, off the
+    # skin list. Between two ticks node 2 jumps three times, 7 m each, under
+    # half a skin; the jumps sum to 21 m, past it, and bring the pair into
+    # range. A bound by the longest single jump would keep the list and miss
+    # the pair.
+    world = World(LINK, tick_interval=0.5, contact_range=40.0)
+    world.add_node(1, position=(0.0, 0.0))
+    world.add_node(2, position=(60.5, 0.0))
+    world.run_until(0.0)
+    assert world._links == {} and world._contacts._pairs == []
+    for x in (53.5, 46.5, 39.5):
+        world.set_position(2, (x, 0.0))
+    world.advance(0.5)
+    assert list(world._links) == [(1, 2)]
+
+
+def test_skin_window_slack_covers_rounding_in_the_bound():
+    # no walkers, so the ends' jumps alone bound the drift and a pair can sit
+    # on the window's rounding edge. The pair joins 40 + 2d apart, and a tick
+    # later each end has jumped d toward the other. It is then exactly 40 m
+    # apart, in range; but its squared distance at the join lies just above
+    # (40 + 2 * drift)**2 as rounded, so only the window's slack tests it.
+    d = 2.2197220890791756
+    far = 40.0 + 2 * d
+    world = World(LINK, tick_interval=0.5, contact_range=40.0)
+    world.add_node(1, position=(0.0, -500.0))
+    world.add_node(2, position=(far, -500.0))
+    world.run_until(0.0)
+    assert world._links == {} and world._contacts._pairs == [(0, 1)]
+    world.set_position(1, (d, -500.0))
+    world.set_position(2, (far - d, -500.0))
+    world.advance(0.5)
+    assert list(world._links) == [(1, 2)]
+
+
+def test_skin_window_covers_rounding_in_a_walk():
+    # a field 1e9 m wide, as the parser allows, where the two walkers' x
+    # lies in [2**28, 2**29) and so is a multiple of u = 2**-24. Each walks
+    # 0.6u a tick straight at the other, and the step rounds to a whole u:
+    # the pair closes 2u a tick against the 1.2u that speed_max * dt
+    # allows. From 40 + 44u apart it comes into range at the 22nd tick,
+    # when the speed bound and the 1 um slack alone give a window of only
+    # 26.4u + 16.8u. The world's rounding term keeps the pair in the window.
+    u = 2.0 ** -24
+    rngs = [random.Random(f"walk:0:{i}") for i in range(2)]
+    # legs toward x = 7.7e8 and 4.8e7: node 1 walks right, node 2 left
+    mob = RandomWaypoint(1e9, 1e-6, 1.2 * u, 1.2 * u, 0.0, rngs)
+    world = World(LINK, tick_interval=0.5, contact_range=40.0, mobility=mob)
+    world.add_node(1, position=(2.0 ** 28, 0.0))
+    world.add_node(2, position=(2.0 ** 28 + 40.0 + 44 * u, 0.0))
+    for tick in range(1, 23):
+        world.advance(0.5)
+        (x1, _), (x2, _) = world.position_of(1), world.position_of(2)
+        assert x2 - x1 == 40.0 + (44 - 2 * tick) * u
+        assert list(world._links) == ([(1, 2)] if tick == 22 else [])
+
+
 def test_range_contacts_match_all_pairs_every_tick():
     # the benchmark's dense world: 150 waypoint nodes on 600 x 600 m with a
     # 40 m range. Now and then a node jumps across the field or a static
@@ -747,11 +823,13 @@ def test_range_contacts_match_all_pairs_every_tick():
     for addr, pos in zip(addrs, mob.initial_positions()):
         world.add_node(addr, position=pos)
     late = addrs[150:]
-    # a probe pair on a rounding edge of the window, 500 m off the field: it
-    # joins 40 + 2d apart, and a tick later each end has moved d toward the
-    # other, more than any walker moves in a tick. It is then exactly 40 m
-    # apart, in range; but its squared distance at the join lies just above
-    # (40 + 2 * drift)**2 as rounded, so only the window's slack tests it.
+    # a probe pair 500 m off the field: it joins 40 + 2d apart, and a tick
+    # later each end has jumped d toward the other, more than any walker
+    # moves in a tick. It is then exactly 40 m apart, in range, which the
+    # window reaches only by the jumps. The walkers' top speed widens the
+    # window by more than a jump can use, so the same pair sits on the
+    # window's rounding edge only in a world without walkers, as in
+    # test_skin_window_slack_covers_rounding_in_the_bound.
     d = 2.2197220890791756
     far = 40.0 + 2 * d
     probes = {120: (0.0, far), 121: (d, far - d)}
