@@ -107,8 +107,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                       rating_distance=ring_arc_distance(n, topo.spacing_m))
     elif isinstance(topo, WaypointTopology):
         rngs = [random.Random(f"{run.seed}:mob:{addr}") for addr in addresses]
-        mobility = RandomWaypoint(topo.width_m, topo.height_m, topo.speed_min,
-                                  topo.speed_max, topo.pause_max_s, rngs)
+        mobility = RandomWaypoint(topo, rngs)
         positions = mobility.initial_positions()
         world = World(config.link, tick_interval=run.tick_s,
                       contact_range=topo.range_m, mobility=mobility)
@@ -233,7 +232,6 @@ def summarize(reports: Sequence[ExperimentReport]) -> dict[str, dict[str, float]
     for strategy, group in sorted(by_strategy.items()):
         workflows = [w for r in group for w in r.workflows]
         succeeded = [w for w in workflows if w.status == "succeeded"]
-        spans = [makespan(w) for w in succeeded]
         counts: dict[NodeAddress, int] = {}
         for report in group:
             for (_, worker), c in report.selections.items():
@@ -242,7 +240,7 @@ def summarize(reports: Sequence[ExperimentReport]) -> dict[str, dict[str, float]
             "runs": len(group),
             "workflows": len(workflows),
             "success_rate": len(succeeded) / len(workflows) if workflows else 0.0,
-            "mean_makespan_s": sum(spans) / len(spans) if spans else math.nan,
+            "mean_makespan_s": _mean([makespan(w) for w in succeeded]),
             "mean_runtime_s": _mean([w.runtime_s for w in succeeded]),
             "mean_transmission_s": _mean([w.transmission_s for w in succeeded]),
             "mean_execution_s": _mean([w.execution_s for w in succeeded]),

@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Optional
 
+from .announce import MAX_PARAM_COUNT
 from .assignment import SelectionError, select
+from .bounds import Key, check
 from .bundles import BundleKind, NodeAddress, format_address
 from .report import FinalState
 from .workflow import (MAX_FILE_BYTES, Archive, ErrorClass, WorkerError,
@@ -31,9 +33,18 @@ from .workflow import (MAX_FILE_BYTES, Archive, ErrorClass, WorkerError,
 MIN_EXEC_SECONDS = 0.05
 
 
+# a file's size in bytes, up to the archive layout's 64-bit content length
+FILE_BYTES = Key("bytes", kind=int, minimum=0, maximum=MAX_FILE_BYTES)
+
+
 @dataclass(frozen=True)
 class ServiceDefinition:
-    """A synthetic service profile: timing, output size, and energy drain."""
+    """A synthetic service profile: timing, output size, and energy drain.
+
+    Built, it meets its `rows`, each named by its key under `[services]`,
+    so a service no file could give is refused here rather than by the
+    first result it sends.
+    """
 
     name: str
     param_count: int = 1
@@ -43,12 +54,15 @@ class ServiceDefinition:
     energy_cost_e: float = 1.0
     output_ext: str = "out"
 
+    rows = (Key("params", "param_count", int, minimum=0, maximum=MAX_PARAM_COUNT),
+            Key("mean", "exec_seconds_mean", minimum=0.0),
+            Key("jitter", "exec_seconds_jitter", minimum=0.0),
+            replace(FILE_BYTES, name="output_bytes", attr="output_size_bytes"),
+            Key("energy", "energy_cost_e", minimum=0.0),
+            Key("ext", "output_ext", str))
+
     def __post_init__(self) -> None:
-        # the parser's `output_bytes` bounds, so a hand-built service is
-        # refused here rather than by the first result it sends
-        if not 0 <= self.output_size_bytes <= MAX_FILE_BYTES:
-            raise ValueError(f"output_size_bytes must be in 0..{MAX_FILE_BYTES}, "
-                             f"got {self.output_size_bytes!r}")
+        check(self, self.rows)
 
 
 def retryable(archive: Archive) -> bool:
@@ -67,13 +81,20 @@ class FaultPlan:
     """Scenario-configured execution faults, optionally scoped and bounded.
 
     The plan is a spec only: the run counts the faults it has injected and
-    passes that count in, so one plan serves any number of runs.
+    passes that count in, so one plan serves any number of runs. Built, it
+    meets its `rows`, each named by its key under `[run]`.
     """
 
     rate: float = 0.0
     nodes: Optional[frozenset[NodeAddress]] = None
     service: Optional[str] = None
     max_failures: Optional[int] = None
+
+    rows = (Key("fault_max_failures", "max_failures", int, minimum=0),
+            Key("fault_rate", "rate", minimum=0.0, maximum=1.0))
+
+    def __post_init__(self) -> None:
+        check(self, self.rows)
 
     def should_fail(self, worker: NodeAddress, service: str, rng: random.Random,
                     injected: int) -> bool:

@@ -11,16 +11,26 @@ A scenario file has the sections
   [workflow]    the task list (inline or file=), input file sizes, offload times
   [run]         seed, duration, strategy, rating weights, fault injection
 
-Each scalar key is a `_Key` row in its section's table (INI name, field,
-type, bounds, unit scale); a section accepts its rows plus the few keys read
-by hand. A `name=value` list (a service profile, `requirements`, `weights`,
-or `input` with `:`) is read as a section of its own, so its names and
-values are checked by `_Key` rows too. Only keys the file sets are read, so
-each default is the dataclass's.
+Each scalar key is read by a `Key` row (INI name, field, kind, bounds; see
+`bounds`), and each bounded type keeps its own rows beside it and applies
+them when built: the topologies, cohorts, workflow and run here, the link
+and the waypoint geometry in `simnet`, services and the fault plan in
+`runtime`. So a hand-built value is refused like a parsed one, in the same
+words. A section accepts its rows plus the few keys read by hand. A
+`name=value` list (a service profile, `requirements`, `weights`, or `input`
+with `:`) is read as a section of its own, so its names and values are
+checked by rows too. Only keys the file sets are read, so each default is
+the dataclass's. The parser keeps only what no one type can say: reading
+text, the link's INI units, and the rules that join sections (addresses
+within 1..nodes, known services, the offload count).
 
 Validation is collected rather than fail-fast: a bad file raises one
 ScenarioError listing every problem found. A key that draws a problem reads
-as unset, so its default stands in for the cross-checks that follow.
+as unset, so its default stands in for the cross-checks that follow. A rule
+across a type's fields (`speed_min` against `speed_max`, the period rule)
+is said once, on the type, and the parser reports it under its section;
+one that names a refused key would be derived from that key's default, so
+it goes unsaid.
 
 Every accepted scenario ends, and bounds what it allocates before its first
 event:
@@ -28,9 +38,9 @@ event:
     now + period. A period below one ulp of the clock would round back to
     now and stop simulated time, so a run could never end. Each period must
     fit at most `MAX_ROUNDS` times into `duration_s`, a rule `RunSettings`
-    keeps for a hand-built run too. That bounds the events it makes per
-    node, and keeps it far above one ulp of every time up to the cap, since
-    an ulp is at most 2**-52 of the time.
+    states. That bounds the events it makes per node, and keeps it far
+    above one ulp of every time up to the cap, since an ulp is at most
+    2**-52 of the time.
   - Building a world allocates per node (a store, and in a waypoint world
     a mobility stream) and per offload (one scheduled event) before
     anything runs, so `nodes` is at most `MAX_NODES` and clients x
@@ -46,9 +56,7 @@ event:
     near the bound) a transfer takes `inf` s and never completes, and the
     run still ends by `duration_s`.
   - `bandwidth_mbit` is at most `MAX_BANDWIDTH_MBIT`, so the link's rate
-    in bits per second is finite, as `LinkModel` requires of a hand-built
-    link too; it refuses a rate that is not finite and above 0, or a
-    latency that is not finite and at least 0.
+    in bits per second is finite, as `LinkModel`'s rows require.
 The bounds sit far above every packaged and benchmark scenario, whose
 largest values are 3,600 ticks, 150 nodes and 15 offloads, and far outside
 their lengths, which run from 40 m to 600 m.
@@ -61,27 +69,22 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .announce import (DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S,
-                       MAX_PARAM_COUNT, SERVICE_NAME_BYTES)
+                       SERVICE_NAME_BYTES)
 from .assignment import DEFAULT_WEIGHTS, Strategy, validate_weights
-from .runtime import FaultPlan, ServiceDefinition
-from .simnet import LinkModel
-from .workflow import (ALL_METRICS, MAX_FILE_BYTES, WorkflowParseError,
-                       format_description, parse as parse_workflow)
+from .bounds import (MAX_BANDWIDTH_MBIT, MAX_LENGTH_M, MAX_NODES, MAX_OFFLOADS,
+                     MAX_ROUNDS, MIN_LENGTH_M, Key, ScenarioError, check, keys)
+from .runtime import FILE_BYTES, FaultPlan, ServiceDefinition
+from .simnet import TICK, WAYPOINT_KEYS, LinkModel, speeds_in_order
+from .workflow import (ALL_METRICS, WorkflowParseError, format_description,
+                       parse as parse_workflow)
 
-
-class ScenarioError(ValueError):
-    """All configuration problems of a scenario file, joined into one error."""
-
-    def __init__(self, problems: list[str]) -> None:
-        self.problems = list(problems)
-        super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in problems))
+_NODES = Key("nodes", kind=int, minimum=2, maximum=MAX_NODES)
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,10 @@ class RingTopology:
     spacing_m: float = 100.0
 
     kind = "ring"
+    rows = (_NODES, Key("spacing_m", minimum=MIN_LENGTH_M, maximum=MAX_LENGTH_M))
+
+    def __post_init__(self) -> None:
+        check(self, self.rows)
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,10 @@ class WaypointTopology:
     pause_max_s: float = 60.0
 
     kind = "waypoint"
+    rows = (_NODES, *WAYPOINT_KEYS)
+
+    def __post_init__(self) -> None:
+        check(self, self.rows, speeds_in_order)
 
 
 Topology = Union[RingTopology, WaypointTopology]
@@ -132,6 +143,18 @@ class CohortSpec:
     services: tuple[str, ...] = ()
     client: bool = False
 
+    rows = (Key("count", kind=int, minimum=0), Key("fraction", minimum=0.0, maximum=1.0),
+            *keys("cpu", "memory", "disk", positive=True),
+            Key("energy", minimum=0.0), Key("client", kind=bool))
+
+    def __post_init__(self) -> None:
+        check(self, self.rows)
+
+
+def _file_sizes(spec: WorkflowSpec) -> list[str]:
+    return [f"files: {name} {problem}" for name, size in spec.files.items()
+            if (problem := FILE_BYTES.problem(size)) is not None]
+
 
 @dataclass(frozen=True)
 class WorkflowSpec:
@@ -143,13 +166,29 @@ class WorkflowSpec:
     repeat: int = 1
     interval_s: float = 0.0
 
+    # each of `files`' sizes meets FILE_BYTES
+    rows = (Key("offload_at", minimum=0.0),
+            Key("repeat", kind=int, minimum=1, maximum=MAX_OFFLOADS),
+            Key("interval_s", minimum=0.0))
+
+    def __post_init__(self) -> None:
+        check(self, self.rows, _file_sizes)
+
+
+def _periods(run: RunSettings) -> list[str]:
+    return [f"{key} {period:g} repeats more than {MAX_ROUNDS} times "
+            f"in duration_s {run.duration_s:g}"
+            for key, period in (("tick_s", run.tick_s),
+                                ("announce_interval_s", run.announce_interval_s))
+            if period * MAX_ROUNDS < run.duration_s]
+
 
 @dataclass(frozen=True)
 class RunSettings:
     """The only run configuration, parsed or hand-built; it holds no run state.
 
-    Either way it meets the `[run]` rows and the `MAX_ROUNDS` period rule,
-    and raises ScenarioError listing what does not.
+    Either way it meets its `rows`, the `[run]` keys, and the `MAX_ROUNDS`
+    period rule, and raises ScenarioError listing what does not.
     """
 
     seed: int = 1
@@ -164,18 +203,13 @@ class RunSettings:
     stop_grace_s: float = 20.0
     fault: FaultPlan = field(default_factory=FaultPlan)
 
+    rows = (Key("seed", kind=int, minimum=0),
+            Key("duration_s", positive=True), dataclasses.replace(TICK, name="tick_s"),
+            *keys("announce_interval_s", "offer_expiry_s", positive=True),
+            *keys("preprocess_s", "postprocess_s", "stop_grace_s", minimum=0.0))
+
     def __post_init__(self) -> None:
-        problems = [f"{key.name} {problem}" for key in _RUN_KEYS
-                    if (problem := key.problem(getattr(self, key.name))) is not None]
-        # a period rule over a refused value would only add a derived problem
-        problems = problems or [
-            f"{key} {period:g} repeats more than {MAX_ROUNDS} times "
-            f"in duration_s {self.duration_s:g}"
-            for key, period in (("tick_s", self.tick_s),
-                                ("announce_interval_s", self.announce_interval_s))
-            if period * MAX_ROUNDS < self.duration_s]
-        if problems:
-            raise ScenarioError(problems)
+        check(self, self.rows, _periods)
         object.__setattr__(self, "weights", validate_weights(self.weights))
 
 
@@ -191,12 +225,9 @@ class ScenarioConfig:
 
     def with_run(self, *, seed: Optional[int] = None,
                  strategy: Optional[Strategy] = None) -> "ScenarioConfig":
-        run = self.run
-        if seed is not None:
-            run = dataclasses.replace(run, seed=seed)
-        if strategy is not None:
-            run = dataclasses.replace(run, strategy=strategy)
-        return dataclasses.replace(self, run=run)
+        changes = {key: value for key, value in (("seed", seed), ("strategy", strategy))
+                   if value is not None}
+        return dataclasses.replace(self, run=dataclasses.replace(self.run, **changes))
 
     def to_obj(self) -> dict:
         obj = dataclasses.asdict(self)
@@ -235,8 +266,7 @@ def resolve_cohort_counts(cohorts: tuple[CohortSpec, ...], n_nodes: int) -> list
         quotas = [cohorts[i].fraction * remaining for i in frac_idx]
         base = [int(q) for q in quotas]
         want = round(sum(quotas))
-        order = sorted(range(len(frac_idx)),
-                       key=lambda j: (-(quotas[j] - base[j]), j))
+        order = sorted(range(len(frac_idx)), key=lambda j: (-(quotas[j] - base[j]), j))
         for j in order[:max(0, want - sum(base))]:
             base[j] += 1
         for j, i in enumerate(frac_idx):
@@ -244,94 +274,21 @@ def resolve_cohort_counts(cohorts: tuple[CohortSpec, ...], n_nodes: int) -> list
     if rest_idx is not None:
         counts[rest_idx] = n_nodes - sum(counts)
     if sum(counts) != n_nodes or any(c < 0 for c in counts):
-        raise ScenarioError([f"cohort sizes resolve to {counts} for "
-                             f"{n_nodes} nodes"])
+        raise ScenarioError([f"cohort sizes resolve to {counts} for {n_nodes} nodes"])
     return counts
 
 
-@dataclass(frozen=True)
-class _Key:
-    """One scalar INI key: the field it sets, its type and its bounds."""
-
-    name: str
-    attr: str = ""              # the dataclass field, when not named like the key
-    kind: type = float          # int, float, bool or str
-    minimum: float = -math.inf
-    maximum: float = math.inf
-    positive: bool = False
-    allow_inf: bool = False
-    scale: Optional[Callable[[float], float]] = None   # INI unit -> field unit
-
-    def problem(self, value: object, text: Optional[str] = None) -> Optional[str]:
-        """Why the key refuses a value of its kind, or None if it takes it.
-
-        None stands for text that reads as no value of the kind; `text` is
-        the value as the file wrote it, shown in place of the value. A NaN
-        fails every bound.
-        """
-        if value is None or self.kind is float and math.isinf(value) and not self.allow_inf:
-            return f"is not {_KINDS[self.kind]}: {value if text is None else text!r}"
-        show = str if self.kind is int else "{:g}".format
-        if self.positive and not value > 0:
-            return f"must be positive, got {show(value)}"
-        if not value >= self.minimum:
-            return f"must be at least {show(self.minimum)}, got {show(value)}"
-        if not value <= self.maximum:
-            return f"must be at most {show(self.maximum)}, got {show(value)}"
-        return None
-
-
-MAX_ROUNDS = 1_000_000
-MAX_NODES = 10_000
-MAX_OFFLOADS = 100_000
-# metres, for every length of the geometry
-MIN_LENGTH_M = 1e-6
-MAX_LENGTH_M = 1e9
-# megabits per second; its value in bits per second stays finite, as a
-# `LinkModel` needs
-MAX_BANDWIDTH_MBIT = 1e300
-
-
-def _keys(*names: str, **bounds: object) -> tuple[_Key, ...]:
-    return tuple(_Key(name, **bounds) for name in names)
-
-
-_NODES = _Key("nodes", kind=int, minimum=2, maximum=MAX_NODES)
-_TOPOLOGY_KEYS = {
-    RingTopology: (_NODES, _Key("spacing_m", minimum=MIN_LENGTH_M, maximum=MAX_LENGTH_M)),
-    WaypointTopology: (_NODES, *_keys("width_m", "height_m", "range_m",
-                                      minimum=MIN_LENGTH_M, maximum=MAX_LENGTH_M),
-                       *_keys("speed_min", "speed_max", positive=True),
-                       _Key("pause_max_s", minimum=0.0))}
-# multiply and divide as written: `* 1e-3` is another double, and latency_s
-# is part of the config digest
+# the file gives the link's rate and latency in other units than its
+# fields, so these rows bound them as written, and a problem shows the
+# file's own value; the rate's cap keeps its value in bits per second finite,
+# as `LinkModel.rows` need. Multiply and divide as written: `* 1e-3` is another
+# double, and latency_s is part of the config digest
 _LINK_KEYS = (
-    _Key("bandwidth_mbit", "bandwidth_bps", positive=True, maximum=MAX_BANDWIDTH_MBIT,
-         scale=lambda v: v * 1e6),
-    _Key("latency_ms", "latency_s", minimum=0.0, scale=lambda v: v / 1e3))
-_SERVICE_KEYS = (
-    _Key("params", "param_count", int, minimum=0, maximum=MAX_PARAM_COUNT),
-    _Key("mean", "exec_seconds_mean", minimum=0.0),
-    _Key("jitter", "exec_seconds_jitter", minimum=0.0),
-    _Key("output_bytes", "output_size_bytes", int, minimum=0, maximum=MAX_FILE_BYTES),
-    _Key("energy", "energy_cost_e", minimum=0.0),
-    _Key("ext", "output_ext", str))
-_COHORT_KEYS = (_Key("count", kind=int, minimum=0),
-                _Key("fraction", minimum=0.0, maximum=1.0),
-                *_keys("cpu", "memory", "disk", positive=True),
-                _Key("energy", minimum=0.0), _Key("client", kind=bool))
-_TTL = _Key("ttl", positive=True, allow_inf=True)
-_WORKFLOW_KEYS = (_Key("offload_at", minimum=0.0),
-                  _Key("repeat", kind=int, minimum=1, maximum=MAX_OFFLOADS),
-                  _Key("interval_s", minimum=0.0))
-_REQUIREMENT_KEYS = _keys(*ALL_METRICS, positive=True)
-_FAULT_KEYS = (_Key("fault_max_failures", "max_failures", int, minimum=0),
-               _Key("fault_rate", "rate", minimum=0.0, maximum=1.0))
-_RUN_KEYS = (_Key("seed", kind=int, minimum=0),
-             *_keys("duration_s", "tick_s", "announce_interval_s", "offer_expiry_s",
-                    positive=True),
-             *_keys("preprocess_s", "postprocess_s", "stop_grace_s", minimum=0.0))
-_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
+    Key("bandwidth_mbit", "bandwidth_bps", positive=True, maximum=MAX_BANDWIDTH_MBIT,
+        scale=lambda v: v * 1e6),
+    Key("latency_ms", "latency_s", minimum=0.0, scale=lambda v: v / 1e3))
+_TTL = Key("ttl", positive=True, allow_inf=True)
+_REQUIREMENT_KEYS = keys(*ALL_METRICS, positive=True)
 
 
 class _Reader:
@@ -359,12 +316,12 @@ class _Reader:
             if count > 1:
                 self.complain(f"{prefix}{name} is given more than once")
 
-    def check_keys(self, keys: tuple[_Key, ...], *by_hand: str) -> None:
+    def check_keys(self, keys: tuple[Key, ...], *by_hand: str) -> None:
         allowed = {key.name for key in keys}.union(by_hand)
         for key in sorted(set(self.raw) - allowed):
             self.complain(f"unknown key {key!r}")
 
-    def value(self, key: _Key) -> object:
+    def value(self, key: Key) -> object:
         """The key's checked value in the field's unit; None if unset or bad."""
         text = self.raw.get(key.name)
         if text is None or key.kind is str:
@@ -382,10 +339,31 @@ class _Reader:
         self.refused.add(key.name)
         return None
 
-    def values(self, keys: tuple[_Key, ...]) -> dict[str, object]:
+    def read(self, keys: tuple[Key, ...], *by_hand: str) -> dict[str, object]:
+        """`values` of a section whose keys are these rows and `by_hand`."""
+        self.check_keys(keys, *by_hand)
+        return self.values(keys)
+
+    def values(self, keys: tuple[Key, ...]) -> dict[str, object]:
         """Field name -> checked value, for the keys the section sets well."""
         return {key.attr or key.name: value for key in keys
                 if (value := self.value(key)) is not None}
+
+    def build(self, cls: type, **values: object) -> object:
+        """cls(**values); if its check refuses them, each problem is said
+        under the section and cls() stands in, as the file is refused.
+
+        The rows took every value already, so each problem is one of a rule
+        across the type's fields. One that names a refused key would be
+        derived from that key's default, so it goes unsaid.
+        """
+        try:
+            return cls(**values)
+        except ScenarioError as exc:
+            for problem in exc.problems:
+                if self.refused.isdisjoint(problem.split()):
+                    self.complain(problem)
+            return cls()
 
     def items(self, key: str) -> list[str]:
         """The stripped, non-blank items of the comma list under key."""
@@ -429,45 +407,41 @@ class _Reader:
         return list(dict.fromkeys(out))
 
 
-def _parse_topology(reader: _Reader) -> Topology:
-    kinds = {cls.kind: cls for cls in _TOPOLOGY_KEYS}
+def _parse_topology(reader: _Reader) -> tuple[Topology, Optional[int]]:
+    """The topology, and its node count unless the file's was refused."""
+    kinds = {cls.kind: cls for cls in (RingTopology, WaypointTopology)}
     kind = reader.raw.get("kind", "ring").strip().lower()
     if kind not in kinds:
         reader.complain(f"unknown topology kind {kind!r}")
-        kind = "ring"
-    keys = _TOPOLOGY_KEYS[kinds[kind]]
-    reader.check_keys(keys, "kind")
-    topology = kinds[kind](**reader.values(keys))
-    # compare only speeds that were read well: a bad one reads as its default
-    if kind == "waypoint" and not reader.refused & {"speed_min", "speed_max"} \
-            and topology.speed_min > topology.speed_max:
-        reader.complain(f"speed_min {topology.speed_min:g} exceeds "
-                        f"speed_max {topology.speed_max:g}")
-    return topology
+    cls = kinds.get(kind, RingTopology)
+    values = reader.read(cls.rows, "kind")
+    # with `nodes` refused, no address range is checked
+    n_nodes = None if _NODES.name in reader.refused else values.get("nodes", cls.nodes)
+    return reader.build(cls, **values), n_nodes
 
 
 def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     services: dict[str, ServiceDefinition] = {}
     for name in reader.raw:
         fields = reader.entries(name)
-        fields.check_keys(_SERVICE_KEYS)
+        fields.check_keys(ServiceDefinition.rows)
         if len(name.encode("utf-8")) > SERVICE_NAME_BYTES:
             fields.complain(f"name is longer than the {SERVICE_NAME_BYTES} "
                             f"UTF-8 bytes an offer record holds")
         elif name.endswith("\x00"):
             # the record layout pads a name with NUL, so a trailing one is lost
             fields.complain("name ends in a NUL byte, which an offer record drops")
-        services[name] = ServiceDefinition(name=name, **fields.values(_SERVICE_KEYS))
+        services[name] = ServiceDefinition(name, **fields.values(ServiceDefinition.rows))
     return services
 
 
 def _parse_cohort(name: str, reader: _Reader, n_nodes: Optional[int],
                   services: dict[str, ServiceDefinition]) -> CohortSpec:
-    reader.check_keys(_COHORT_KEYS, "addresses", "services")
+    reader.check_keys(CohortSpec.rows, "addresses", "services")
     sizing = [key for key in ("count", "fraction", "addresses") if key in reader.raw]
     if len(sizing) > 1:
         reader.complain(f"give at most one of count/fraction/addresses, got {sizing}")
-    values = reader.values(_COHORT_KEYS)
+    values = reader.values(CohortSpec.rows)
     addresses = reader.get_addresses("addresses", n_nodes)
     # a bad count, fraction or address list still sizes the cohort, so it is
     # not a remainder
@@ -488,56 +462,47 @@ def _parse_cohort(name: str, reader: _Reader, n_nodes: Optional[int],
 
 def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: Optional[int],
                     services: dict[str, ServiceDefinition]) -> WorkflowSpec:
-    reader.check_keys(_WORKFLOW_KEYS + (_TTL,), "tasks", "file", "requirements",
-                      "input")
+    reader.check_keys(WorkflowSpec.rows + (_TTL,), "tasks", "file", "requirements", "input")
     text = reader.raw.get("tasks", "")
     if "file" in reader.raw:
         if text:
             reader.complain("give either tasks or file, not both")
         else:
-            path = reader.raw["file"]
-            if base_dir is not None:
-                path = os.path.join(base_dir, path)
             try:
-                with open(path, encoding="utf-8") as fh:
+                with open(os.path.join(base_dir or "", reader.raw["file"]),
+                          encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, ValueError) as exc:
                 # ValueError: a NUL byte in the path, or text that is not UTF-8
                 reader.complain(f"cannot read workflow file: {exc}")
-    required = reader.entries("requirements")
-    required.check_keys(_REQUIREMENT_KEYS)
-    defaults = required.values(_REQUIREMENT_KEYS)
+    defaults = reader.entries("requirements").read(_REQUIREMENT_KEYS)
     try:
         desc = parse_workflow(text)
         ttl = reader.value(_TTL)
         if ttl is not None:
             desc = dataclasses.replace(desc, ttl_seconds=ttl)
         if defaults:
-            tasks = tuple(
+            desc = dataclasses.replace(desc, tasks=tuple(
                 dataclasses.replace(task, requirements={**defaults, **task.requirements})
-                for task in desc.tasks
-            )
-            desc = dataclasses.replace(desc, tasks=tasks)
+                for task in desc.tasks))
         for idx, task in enumerate(desc.tasks):
             if task.service_name not in services:
-                reader.complain(f"task {idx} uses unknown service "
-                                f"{task.service_name!r}")
+                reader.complain(f"task {idx} uses unknown service {task.service_name!r}")
             if (task.worker is not None and n_nodes is not None
                     and not 1 <= task.worker <= n_nodes):
-                reader.complain(f"task {idx} pinned address {task.worker} "
-                                f"outside 1..{n_nodes}")
+                reader.complain(f"task {idx} pinned address {task.worker} outside 1..{n_nodes}")
         text = format_description(desc)
     except WorkflowParseError as exc:
         reader.complain(f"tasks: {exc}")
     sizes = reader.entries("input", ":")
-    files = sizes.values(tuple(_Key(name, kind=int, minimum=0, maximum=MAX_FILE_BYTES)
+    files = sizes.values(tuple(dataclasses.replace(FILE_BYTES, name=name)
                                for name in sizes.raw))
-    return WorkflowSpec(text=text, files=files, **reader.values(_WORKFLOW_KEYS))
+    return WorkflowSpec(text=text, files=files, **reader.values(WorkflowSpec.rows))
 
 
 def _parse_run(reader: _Reader, n_nodes: Optional[int],
                services: dict[str, ServiceDefinition]) -> RunSettings:
-    reader.check_keys(_RUN_KEYS + _FAULT_KEYS, "strategy", "weights",
+    reader.check_keys(RunSettings.rows + FaultPlan.rows, "strategy", "weights",
                       "fault_nodes", "fault_service")
     # an empty fault key means "not set"
     for key in [key for key, text in reader.raw.items()
@@ -552,7 +517,7 @@ def _parse_run(reader: _Reader, n_nodes: Optional[int],
     if "weights" in reader.raw:
         known = len(reader.problems)
         weights = reader.entries("weights")
-        values = weights.values(tuple(_Key(name, minimum=0.0) for name in weights.raw))
+        values = weights.values(keys(*weights.raw, minimum=0.0))
         # a sum over what is left of a bad list would be a second, derived problem
         if len(reader.problems) == known:
             try:
@@ -564,16 +529,8 @@ def _parse_run(reader: _Reader, n_nodes: Optional[int],
     fault_service = reader.raw.get("fault_service", "").strip() or None
     if fault_service is not None and fault_service not in services:
         reader.complain(f"fault_service {fault_service!r} is not under [services]")
-    fault = FaultPlan(nodes=fault_nodes, service=fault_service,
-                      **reader.values(_FAULT_KEYS))
-    values = reader.values(_RUN_KEYS)
-    try:
-        return RunSettings(fault=fault, **settings, **values)
-    except ScenarioError as exc:
-        # the rows refused every bad value already, so these are the periods'
-        for problem in exc.problems:
-            reader.complain(problem)
-        return RunSettings(fault=fault, **settings)
+    fault = FaultPlan(nodes=fault_nodes, service=fault_service, **reader.values(FaultPlan.rows))
+    return reader.build(RunSettings, fault=fault, **settings, **reader.values(RunSettings.rows))
 
 
 def parse_scenario(text: str, *, name: str = "inline",
@@ -599,13 +556,8 @@ def parse_scenario(text: str, *, name: str = "inline",
     meta.check_keys((), "name")
     name = meta.raw.get("name", name).strip() or name
 
-    topology_reader = reader("topology")
-    topology = _parse_topology(topology_reader)
-    # with `nodes` refused, no address range is checked
-    n_nodes = None if _NODES.name in topology_reader.refused else topology.nodes
-    link_reader = reader("link")
-    link_reader.check_keys(_LINK_KEYS)
-    link = LinkModel(**link_reader.values(_LINK_KEYS))
+    topology, n_nodes = _parse_topology(reader("topology"))
+    link = LinkModel(**reader("link").read(_LINK_KEYS))
     services = _parse_services(reader("services"))
 
     cohorts: list[CohortSpec] = []
@@ -636,9 +588,8 @@ def parse_scenario(text: str, *, name: str = "inline",
     workflow = _parse_workflow(reader("workflow"), base_dir, n_nodes, services)
     run = _parse_run(reader("run"), n_nodes, services)
 
-    config = ScenarioConfig(name=name, topology=topology, link=link,
-                            services=services, cohorts=tuple(cohorts),
-                            workflow=workflow, run=run)
+    config = ScenarioConfig(name=name, topology=topology, link=link, services=services,
+                            cohorts=tuple(cohorts), workflow=workflow, run=run)
     if not problems:
         try:
             counts = resolve_cohort_counts(config.cohorts, topology.nodes)

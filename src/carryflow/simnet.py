@@ -117,6 +117,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Collection, Iterable, Optional
 
+from .bounds import MAX_LENGTH_M, MIN_LENGTH_M, Key, check, keys
 from .bundles import Bundle, BundleKind, BundleStore, BundleTable, NodeAddress
 from .contacts import RangeContacts
 
@@ -135,19 +136,19 @@ def _ignore(bundle: Bundle) -> None:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """One-hop radio link: fixed latency plus serialization at a shared rate."""
+    """One-hop radio link: fixed latency plus serialization at a shared rate.
+
+    Built, it meets its `rows`, so a link no file could give is refused
+    here rather than by the first transfer it times.
+    """
 
     bandwidth_bps: float = 54_000_000.0
     latency_s: float = 0.020
 
+    rows = (Key("bandwidth_bps", positive=True), Key("latency_s", minimum=0.0))
+
     def __post_init__(self) -> None:
-        # the parser's `[link]` bounds, so a hand-built link is refused here
-        # rather than by the first transfer it times
-        if not 0.0 < self.bandwidth_bps < math.inf:
-            raise ValueError(f"bandwidth_bps must be finite and positive, "
-                             f"got {self.bandwidth_bps!r}")
-        if not 0.0 <= self.latency_s < math.inf:
-            raise ValueError(f"latency_s must be finite and at least 0, got {self.latency_s!r}")
+        check(self, self.rows)
 
 
 def transfer_duration(link: LinkModel, size_bytes: int) -> float:
@@ -170,32 +171,35 @@ def _point(position: Position) -> Position:
     return (x, y)
 
 
+# the geometry of a waypoint topology, which `RandomWaypoint` walks
+WAYPOINT_KEYS = (*keys("width_m", "height_m", "range_m",
+                       minimum=MIN_LENGTH_M, maximum=MAX_LENGTH_M),
+                 *keys("speed_min", "speed_max", positive=True),
+                 Key("pause_max_s", minimum=0.0))
+
+
+def speeds_in_order(geometry) -> list[str]:
+    """The rule across `WAYPOINT_KEYS`: a leg's speed is drawn between the two."""
+    return ([f"speed_min {geometry.speed_min:g} exceeds speed_max {geometry.speed_max:g}"]
+            if geometry.speed_min > geometry.speed_max else [])
+
+
 class RandomWaypoint:
     """Random waypoint mobility inside a rectangle.
 
     Each node walks toward a uniformly drawn destination at a uniformly drawn
     speed, pauses for a uniform time on arrival, then repeats. One RNG per
-    node keeps trajectories independent of event interleaving.
+    node keeps trajectories independent of event interleaving. The model
+    takes its geometry from a waypoint topology, or any object with its
+    fields, and refuses one that breaks `WAYPOINT_KEYS` or `speeds_in_order`:
+    a range world trusts speed_max to bound how far a node walks.
     """
 
-    def __init__(self, width: float, height: float, speed_min: float, speed_max: float,
-                 pause_max: float, rngs: list) -> None:
-        # the parser's `[topology]` bounds, so a hand-built model is refused
-        # here; a range world trusts speed_max to bound how far a node walks
-        for name, value in (("width", width), ("height", height),
-                            ("speed_min", speed_min), ("speed_max", speed_max)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and above 0, got {value!r}")
-        if not speed_min <= speed_max:
-            raise ValueError(f"speed_min must be at most speed_max, "
-                             f"got {speed_min!r} > {speed_max!r}")
-        if not 0.0 <= pause_max < math.inf:
-            raise ValueError(f"pause_max must be finite and at least 0, got {pause_max!r}")
-        self.width = width
-        self.height = height
-        self.speed_min = speed_min
-        self.speed_max = speed_max
-        self.pause_max = pause_max
+    def __init__(self, geometry, rngs: list) -> None:
+        check(geometry, WAYPOINT_KEYS, speeds_in_order)
+        self.width, self.height = geometry.width_m, geometry.height_m
+        self.speed_min, self.speed_max = geometry.speed_min, geometry.speed_max
+        self.pause_max = geometry.pause_max_s
         self._rngs = rngs
         # each node's leg as (target x, target y, speed), or None while it
         # pauses or has yet to draw one; a node walking a leg has no pause left
@@ -315,17 +319,24 @@ class _LinkState:
         self.complete: Optional[Callable[[], None]] = partial(complete, self)
 
 
+# the tick's bound, which `RunSettings.tick_s` applies too
+TICK = Key("tick_interval", positive=True)
+
+
 class World:
-    """Event queue, node state, and the epidemic synchronization machinery."""
+    """Event queue, node state, and the epidemic synchronization machinery.
+
+    A tick interval that breaks `TICK` is refused: a period that is not
+    positive would reschedule the tick at `now` forever.
+    """
 
     def __init__(self, link: LinkModel, tick_interval: float = 0.5, *,
                  contact_range: Optional[float] = None,
                  adjacency: Iterable[tuple[NodeAddress, NodeAddress]] = (),
                  mobility: Optional[RandomWaypoint] = None,
                  rating_distance: Callable[[Position, Position], float] = euclidean) -> None:
-        if not tick_interval > 0:
-            raise ValueError(f"tick_interval must be positive, got {tick_interval!r}")
         self.tick_interval = tick_interval
+        check(self, (TICK,))
         self.adjacency = {tuple(sorted(p)) for p in adjacency}
         self.mobility = mobility
         self.rating_distance = rating_distance

@@ -354,3 +354,35 @@ def test_the_contact_detector_measures_no_drift():
                 and isinstance(node.value, ast.Name) and node.value.id == "positions"):
             found.append(f"line {node.lineno}: positions.copy")
     assert found == []
+
+
+# each type a scenario row bounds, by the module that defines it
+BOUNDED = {
+    "simnet.py": ("LinkModel", "RandomWaypoint", "World"),
+    "runtime.py": ("ServiceDefinition", "FaultPlan"),
+    "scenario.py": ("RingTopology", "WaypointTopology", "CohortSpec", "WorkflowSpec",
+                    "RunSettings"),
+}
+
+
+def test_each_bound_is_said_once_by_the_rows_of_its_type():
+    # every bounded type refuses a value through the shared row check, in
+    # the rows' words, so no second wording of a bound comes back by hand.
+    # The one hand refusal left bounds what no row does: a world takes a
+    # contact range of 0, which no scenario file gives
+    unchecked, worded = [], []
+    for file, names in BOUNDED.items():
+        tree = ast.parse((PACKAGE / file).read_text(encoding="utf-8"))
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for name in names:
+            inits = [node for node in classes[name].body if isinstance(node, ast.FunctionDef)
+                     and node.name in ("__init__", "__post_init__")]
+            if not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "check"
+                       for init in inits for call in ast.walk(init)):
+                unchecked.append(f"{file} {name}")
+            worded += [f"{file} {name}: {node.value}" for node in ast.walk(classes[name])
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and "must be" in node.value]
+    assert unchecked == []
+    assert worded == ["simnet.py World: contact_range must be at least 0, got "]

@@ -15,7 +15,7 @@ from carryflow.announce import (MAX_PARAM_COUNT, OFFER_HEADER_BYTES,
                                 CapabilityVector, build_offer_bundle)
 from carryflow.assignment import Strategy
 from carryflow.cli import packaged_scenarios, resolve_scenario
-from carryflow.runtime import FaultPlan, ServiceDefinition
+from carryflow.runtime import FILE_BYTES, FaultPlan, ServiceDefinition
 from carryflow.harness import ring_arc_distance, ring_positions, run_scenario
 from carryflow.scenario import (MAX_LENGTH_M, MAX_NODES, MIN_LENGTH_M,
                                 CohortSpec, RingTopology, RunSettings,
@@ -512,8 +512,10 @@ def test_a_hand_built_run_meets_the_parsers_rules(settings, problem):
 def test_a_hand_built_link_or_service_is_refused_before_its_run(edit, field):
     # values no scenario file can give are refused where they are built,
     # naming the field, not part-way through the run that first uses them
-    with pytest.raises(ValueError, match=rf"^{field} "):
+    with pytest.raises(ScenarioError) as info:
         run_scenario(edit(resolve_scenario("ring-homogeneous")))
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{field} ")
 
 
 @pytest.mark.parametrize("build, field", [
@@ -526,8 +528,10 @@ def test_a_hand_built_link_or_service_is_refused_before_its_run(edit, field):
 ], ids=["inf-bandwidth", "negative-bandwidth", "inf-latency", "nan-latency",
         "oversized-output"])
 def test_a_link_and_a_service_keep_the_parsers_bounds(build, field):
-    with pytest.raises(ValueError, match=rf"^{field} "):
+    with pytest.raises(ScenarioError) as info:
         build()
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{field} ")
 
 
 def test_the_link_and_service_bounds_take_their_edges():
@@ -537,6 +541,130 @@ def test_the_link_and_service_bounds_take_their_edges():
         == MAX_FILE_BYTES
     link = parse_scenario(RING_INI.replace("bandwidth_mbit = 10", "bandwidth_mbit = 1e300")).link
     assert link.bandwidth_bps == 1e300 * 1e6
+
+
+# each bounded type with the fields it needs, set so that it builds at every
+# row's edge: speed_min and duration_s sit at their own floors, so the cross
+# rules hold while speed_max or a period sits at its floor too
+BOUNDED = {
+    RingTopology: {},
+    WaypointTopology: {"speed_min": 5e-324},
+    LinkModel: {},
+    ServiceDefinition: {"name": "s"},
+    CohortSpec: {"name": "c"},
+    WorkflowSpec: {"text": ""},
+    FaultPlan: {},
+    RunSettings: {"duration_s": 5e-324},
+}
+
+
+def _step(key, value, toward):
+    return value + (1 if toward > value else -1) if key.kind is int \
+        else math.nextafter(value, toward)
+
+
+def _probes(key):
+    """(values the row takes, values one past them or of the wrong kind)."""
+    if key.kind is bool:
+        return [True, False], [1, "yes"]
+    if key.kind is str:
+        return ["x", ""], [5, b"x"]
+    edges, past = [], ["1"]
+    if key.positive:
+        edges.append(_step(key, 0, math.inf))
+        past.append(0)
+    elif math.isfinite(key.minimum):
+        edges.append(key.minimum)
+        past.append(_step(key, key.minimum, -math.inf))
+    if math.isfinite(key.maximum):
+        edges.append(key.maximum)
+        past.append(_step(key, key.maximum, math.inf))
+    if key.kind is int:
+        past += [float(edges[0]), True]
+    else:
+        past += [math.nan] + ([] if key.allow_inf else [math.inf, -math.inf])
+    return edges, past
+
+
+def _row_cases():
+    """(type, field, the kwargs one value gives, whether it builds) per probe."""
+    rows = [(cls, key, lambda field, value: {field: value})
+            for cls in BOUNDED for key in cls.rows]
+    # each file size of a workflow meets the file row
+    rows.append((WorkflowSpec, dataclasses.replace(FILE_BYTES, name="files"),
+                 lambda field, value: {"files": {"in.dat": value}}))
+    for cls, key, kwargs in rows:
+        field = key.attr or key.name
+        edges, past = _probes(key)
+        for value, builds in [(v, True) for v in edges] + [(v, False) for v in past]:
+            yield pytest.param(cls, field, kwargs(field, value), builds,
+                               id=f"{cls.__name__}-{field}-{value!r}")
+
+
+@pytest.mark.parametrize("cls, field, kwargs, builds", list(_row_cases()))
+def test_every_row_refuses_one_past_its_bounds_and_takes_its_edges(cls, field, kwargs, builds):
+    # a hand-built value draws the one problem the row states, named by its
+    # field, and the bound itself is taken
+    kwargs = {**BOUNDED[cls], **kwargs}
+    if builds:
+        assert vars(cls(**kwargs)).items() >= kwargs.items()
+        return
+    with pytest.raises(ScenarioError) as info:
+        cls(**kwargs)
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{field} " if field != "files" else "files: in.dat ")
+
+
+@pytest.mark.parametrize("build, problem", [
+    # each of these built at the parent and failed, or ran, later
+    (lambda: WorkflowSpec("", offload_at=-1), "offload_at must be at least 0, got -1"),
+    (lambda: RingTopology(nodes=1), "nodes must be at least 2, got 1"),
+    (lambda: RingTopology(spacing_m=math.nan), "spacing_m must be at least 1e-06, got nan"),
+    (lambda: WorkflowSpec("", repeat=0), "repeat must be at least 1, got 0"),
+    (lambda: CohortSpec("c", cpu=-1), "cpu must be positive, got -1"),
+    (lambda: FaultPlan(rate=math.nan), "rate must be at least 0, got nan"),
+    (lambda: ServiceDefinition("s", exec_seconds_mean=-50),
+     "exec_seconds_mean must be at least 0, got -50"),
+    (lambda: RunSettings(seed=1.5), "seed is not an integer: 1.5"),
+    (lambda: RunSettings(seed=True), "seed is not an integer: True"),
+    (lambda: RunSettings(seed=None), "seed is not an integer: None"),
+    (lambda: CohortSpec("c", count=2.5), "count is not an integer: 2.5"),
+    (lambda: CohortSpec("c", client=1), "client is not a boolean: 1"),
+    (lambda: ServiceDefinition("s", output_ext=5), "output_ext is not a string: 5"),
+    (lambda: WorkflowSpec("", files={"in.dat": -1}),
+     "files: in.dat must be at least 0, got -1"),
+    (lambda: WaypointTopology(speed_min=2.0, speed_max=1.0),
+     "speed_min 2 exceeds speed_max 1"),
+    # a cross rule over a refused value would only add a derived problem
+    (lambda: WaypointTopology(speed_min=math.inf, speed_max=1.0),
+     "speed_min is not a finite number: inf"),
+], ids=["offload-at", "one-node-ring", "nan-spacing", "no-repeat", "negative-cpu",
+        "nan-fault-rate", "negative-mean", "float-seed", "bool-seed", "no-seed",
+        "float-count", "int-client", "int-ext", "negative-file", "speeds",
+        "speeds-over-a-refused-one"])
+def test_a_hand_built_value_is_refused_as_the_parser_refuses_it(build, problem):
+    with pytest.raises(ScenarioError) as info:
+        build()
+    assert info.value.problems == [problem]
+
+
+def test_none_leaves_an_optional_field_unset():
+    assert CohortSpec("c", count=None, fraction=None).count is None
+    assert FaultPlan(max_failures=None).max_failures is None
+
+
+def test_a_cross_problem_over_a_refused_keys_default_goes_unsaid():
+    # a refused key reads as its default; a period or speed rule over that
+    # default would be a second problem derived from the first
+    text = RING_INI.replace("duration_s = 60", "duration_s = 1000000\ntick_s = 0")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert info.value.problems == ["[run] tick_s must be positive, got 0"]
+    text = RING_INI.replace("kind = ring\nnodes = 6\nspacing_m = 50",
+                            "kind = waypoint\nspeed_min = fast\nspeed_max = 0.5")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert info.value.problems == ["[topology] speed_min is not a finite number: 'fast'"]
 
 
 def test_the_parser_reports_the_period_rule_as_its_own_problem():

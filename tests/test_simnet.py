@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,10 +21,16 @@ from carryflow.client import ClientRuntime
 from carryflow.harness import build, run_scenario
 from carryflow.nodes import Node
 from carryflow.runtime import FaultPlan, WorkerRuntime
-from carryflow.scenario import WaypointTopology
+from carryflow.scenario import ScenarioError, WaypointTopology
 from carryflow.simnet import LinkModel, RandomWaypoint, World, transfer_duration
 
 LINK = LinkModel(bandwidth_bps=54e6, latency_s=0.020)
+
+
+def waypoint(width, height, speed_min, speed_max, pause_max):
+    """The geometry a RandomWaypoint walks, given as a topology gives it."""
+    return WaypointTopology(width_m=width, height_m=height, speed_min=speed_min,
+                            speed_max=speed_max, pause_max_s=pause_max)
 
 
 def make_bundle(source: int, dest, seq: int, size: int, *, created_at: float = 0.0,
@@ -438,25 +445,34 @@ def test_a_static_world_opens_its_pairs_once():
     assert sorted(world._links) == [(1, 2), (2, 3)]
     assert world._heap == []        # no tick is left to run
     with pytest.raises(ValueError, match="contact range"):
-        World(LINK, mobility=RandomWaypoint(100.0, 80.0, 0.8, 1.9, 10.0, []))
+        World(LINK, mobility=RandomWaypoint(waypoint(100.0, 80.0, 0.8, 1.9, 10.0), []))
 
 
 @pytest.mark.parametrize("args, message", [
-    ((100.0, 100.0, 2.0, 1.0, 5.0), "speed_min must be at most speed_max"),
-    ((100.0, 100.0, math.nan, 1.9, 5.0), "speed_min must be finite and above 0"),
-    ((100.0, 100.0, 0.0, 1.9, 5.0), "speed_min must be finite and above 0"),
-    ((100.0, 100.0, 0.8, math.inf, 5.0), "speed_max must be finite and above 0"),
-    ((100.0, 100.0, 0.8, 1.9, -1.0), "pause_max must be finite and at least 0"),
-    ((100.0, 100.0, 0.8, 1.9, math.nan), "pause_max must be finite and at least 0"),
-    ((0.0, 100.0, 0.8, 1.9, 5.0), "width must be finite and above 0"),
-    ((100.0, math.inf, 0.8, 1.9, 5.0), "height must be finite and above 0"),
-])
+    ((100.0, 100.0, 2.0, 1.0, 5.0), "speed_min 2 exceeds speed_max 1"),
+    ((100.0, 100.0, math.nan, 1.9, 5.0), "speed_min must be positive, got nan"),
+    ((100.0, 100.0, 0.0, 1.9, 5.0), "speed_min must be positive, got 0"),
+    ((100.0, 100.0, 0.8, math.inf, 5.0), "speed_max is not a finite number: inf"),
+    ((100.0, 100.0, 0.8, 1.9, -1.0), "pause_max_s must be at least 0, got -1"),
+    ((100.0, 100.0, 0.8, 1.9, math.nan), "pause_max_s must be at least 0, got nan"),
+    ((0.0, 100.0, 0.8, 1.9, 5.0), "width_m must be at least 1e-06, got 0"),
+    ((100.0, math.inf, 0.8, 1.9, 5.0), "height_m is not a finite number: inf"),
+], ids=[  # each names the rule its case breaks
+    "args0-speed_min must be at most speed_max", "args1-speed_min must be finite and above 0",
+    "args2-speed_min must be finite and above 0", "args3-speed_max must be finite and above 0",
+    "args4-pause_max must be finite and at least 0",
+    "args5-pause_max must be finite and at least 0", "args6-width must be finite and above 0",
+    "args7-height must be finite and above 0"])
 def test_waypoint_refuses_what_the_parser_refuses(args, message):
     # a range world bounds how far a node walks in a tick by speed_max, so a
     # model whose legs could outrun it, or whose positions turn NaN, is
-    # refused when built
-    with pytest.raises(ValueError, match=f"^{message}"):
-        RandomWaypoint(*args, [random.Random(1)])
+    # refused when built; a WaypointTopology would refuse these itself, so
+    # the geometry comes in a plain namespace with its fields
+    geometry = SimpleNamespace(**{**vars(WaypointTopology()), **dict(zip(
+        ("width_m", "height_m", "speed_min", "speed_max", "pause_max_s"), args))})
+    with pytest.raises(ScenarioError) as info:
+        RandomWaypoint(geometry, [random.Random(1)])
+    assert info.value.problems == [message]
 
 
 def test_originate_honors_source_refusal():
@@ -561,7 +577,7 @@ def test_a_refusing_node_takes_offers_on_every_path_and_never_its_workflow():
 def test_waypoint_stays_in_bounds_and_is_deterministic():
     def trajectories(seed: str):
         rngs = [random.Random(f"{seed}:{i}") for i in range(4)]
-        mob = RandomWaypoint(100.0, 80.0, 0.8, 1.9, 10.0, rngs)
+        mob = RandomWaypoint(waypoint(100.0, 80.0, 0.8, 1.9, 10.0), rngs)
         world = World(LINK, tick_interval=0.5, contact_range=30.0, mobility=mob)
         for addr, pos in enumerate(mob.initial_positions(), start=1):
             world.add_node(addr, position=pos)
@@ -640,7 +656,7 @@ def test_waypoint_step_matches_the_plain_loop(seed, nodes, speeds, pause_max, dt
     # and pauses, which the fast paths leave to the loop
     def model(cls):
         rngs = [random.Random(f"{seed}:{i}") for i in range(nodes)]
-        mob = cls(60.0, 40.0, speeds[0], speeds[1], pause_max, rngs)
+        mob = cls(waypoint(60.0, 40.0, speeds[0], speeds[1], pause_max), rngs)
         return mob, mob.initial_positions()
 
     (fast, fast_at), (plain, plain_at) = model(RandomWaypoint), model(PlainWaypoint)
@@ -707,7 +723,7 @@ def test_contact_changes_keep_links_and_neighbours_exact(data, addrs, radius, se
     # that add up); addresses arrive in no particular order
     n_mobile = data.draw(st.integers(1, len(addrs)), label="mobile nodes")
     rngs = [random.Random(f"{seed}:{i}") for i in range(n_mobile)]
-    mob = RandomWaypoint(100.0, 100.0, 2.0, 8.0, 3.0, rngs)
+    mob = RandomWaypoint(waypoint(100.0, 100.0, 2.0, 8.0, 3.0), rngs)
     world = World(LINK, tick_interval=0.5, contact_range=radius, mobility=mob)
     for addr, pos in zip(addrs, mob.initial_positions()):
         world.add_node(addr, position=pos)
@@ -800,7 +816,7 @@ def test_skin_window_covers_rounding_in_a_walk():
     u = 2.0 ** -24
     rngs = [random.Random(f"walk:0:{i}") for i in range(2)]
     # legs toward x = 7.7e8 and 4.8e7: node 1 walks right, node 2 left
-    mob = RandomWaypoint(1e9, 1e-6, 1.2 * u, 1.2 * u, 0.0, rngs)
+    mob = RandomWaypoint(waypoint(1e9, 1e-6, 1.2 * u, 1.2 * u, 0.0), rngs)
     world = World(LINK, tick_interval=0.5, contact_range=40.0, mobility=mob)
     world.add_node(1, position=(2.0 ** 28, 0.0))
     world.add_node(2, position=(2.0 ** 28 + 40.0 + 44 * u, 0.0))
@@ -816,7 +832,7 @@ def test_range_contacts_match_all_pairs_every_tick():
     # 40 m range. Now and then a node jumps across the field or a static
     # node joins, so ticks mix the skin window and rebuilds.
     rng = random.Random(3)
-    mob = RandomWaypoint(600.0, 600.0, 0.8, 1.9, 60.0,
+    mob = RandomWaypoint(waypoint(600.0, 600.0, 0.8, 1.9, 60.0),
                          [random.Random(f"dense:{i}") for i in range(150)])
     world = World(LINK, tick_interval=0.5, contact_range=40.0, mobility=mob)
     addrs = rng.sample(range(3, 100_000), 160)
