@@ -78,18 +78,14 @@ def assign_cohorts(config: ScenarioConfig) -> dict[NodeAddress, int]:
     """Map each address to a cohort index, pinned first, the rest shuffled."""
     n = config.topology.nodes
     counts = resolve_cohort_counts(config.cohorts, n)
-    assignment: dict[NodeAddress, int] = {}
-    for idx, cohort in enumerate(config.cohorts):
-        for addr in cohort.addresses:
-            assignment[addr] = idx
+    assignment = {addr: idx for idx, cohort in enumerate(config.cohorts)
+                  for addr in cohort.addresses}
     pool = [addr for addr in range(1, n + 1) if addr not in assignment]
     random.Random(f"{config.run.seed}:cohorts").shuffle(pool)
-    cursor = 0
-    for idx, cohort in enumerate(config.cohorts):
-        take = counts[idx] - len(cohort.addresses)
-        for addr in pool[cursor:cursor + take]:
-            assignment[addr] = idx
-        cursor += take
+    # the shuffled pool fills the cohorts in order, each to its size
+    drawn = [idx for idx, (cohort, count) in enumerate(zip(config.cohorts, counts))
+             for _ in range(count - len(cohort.addresses))]
+    assignment.update(zip(pool, drawn))
     return assignment
 
 

@@ -20,17 +20,24 @@ words. A section accepts its rows plus the few keys read by hand. A
 `name=value` list (a service profile, `requirements`, `weights`, or `input`
 with `:`) is read as a section of its own, so its names and values are
 checked by rows too. Only keys the file sets are read, so each default is
-the dataclass's. The parser keeps only what no one type can say: reading
-text, the link's INI units, and the rules that join sections (addresses
-within 1..nodes, known services, the offload count).
+the dataclass's. The rules that join sections (addresses within 1..nodes,
+known services, a task text that parses, the cohorts' names, pins, client
+and sizes, the offload count) are `ScenarioConfig`'s, in `_joins`, so a
+hand-built scenario is refused like a parsed one. The parser keeps only
+what no type can say: reading text, and the link's INI units.
 
 Validation is collected rather than fail-fast: a bad file raises one
 ScenarioError listing every problem found. A key that draws a problem reads
 as unset, so its default stands in for the cross-checks that follow. A rule
-across a type's fields (`speed_min` against `speed_max`, the period rule)
-is said once, on the type, and the parser reports it under its section;
-one that names a refused key would be derived from that key's default, so
-it goes unsaid.
+across a type's fields (`speed_min` against `speed_max`, the period rule, a
+cohort sized once) is said once, on the type, and the parser reports it
+under its section; one that names a refused key would be derived from that
+key's default, so it goes unsaid. The parser builds the config last and
+reports its join problems after the sections' own, a cohort's under its
+section as the file wrote it, leaving unsaid those that read a refused
+key's default: an address range over a refused node count, the missing
+client when a cohort's `client` was refused, and the cohort sizes and
+offload count in a file with any other problem.
 
 Every accepted scenario ends, and bounds what it allocates before its first
 event:
@@ -72,7 +79,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .announce import (DEFAULT_ANNOUNCE_INTERVAL_S, DEFAULT_OFFER_EXPIRY_S,
                        SERVICE_NAME_BYTES)
@@ -148,7 +155,13 @@ class CohortSpec:
             Key("energy", minimum=0.0), Key("client", kind=bool))
 
     def __post_init__(self) -> None:
-        check(self, self.rows)
+        check(self, self.rows, _sized_once)
+
+
+def _sized_once(cohort: CohortSpec) -> list[str]:
+    given = [key for key in ("count", "fraction", "addresses")
+             if getattr(cohort, key) not in (None, ())]
+    return [f"give at most one of count/fraction/addresses, got {given}"] if len(given) > 1 else []
 
 
 def _file_sizes(spec: WorkflowSpec) -> list[str]:
@@ -215,6 +228,12 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A whole scenario, parsed or hand-built.
+
+    Either way its sections meet the rules that join them (`_joins`), and
+    it raises ScenarioError listing, in the parser's words, what does not.
+    """
+
     name: str
     topology: Topology
     link: LinkModel
@@ -222,6 +241,9 @@ class ScenarioConfig:
     cohorts: tuple[CohortSpec, ...]
     workflow: WorkflowSpec
     run: RunSettings
+
+    def __post_init__(self) -> None:
+        check(self, (), _joins)
 
     def with_run(self, *, seed: Optional[int] = None,
                  strategy: Optional[Strategy] = None) -> "ScenarioConfig":
@@ -249,33 +271,96 @@ def resolve_cohort_counts(cohorts: tuple[CohortSpec, ...], n_nodes: int) -> list
     after them by half-up rounding with a largest-remainder correction; a
     cohort with no sizing takes whatever remains at the end.
     """
-    counts = [0] * len(cohorts)
-    frac_idx: list[int] = []
-    rest_idx = None
+    # a cohort is sized once (`CohortSpec`), so a pin list or a count is
+    # its size, and a fraction or the remainder starts at 0
+    counts = [len(cohort.addresses) or cohort.count or 0 for cohort in cohorts]
+    fractions = [i for i, cohort in enumerate(cohorts) if cohort.fraction is not None]
+    quotas = [cohorts[i].fraction * (n_nodes - sum(counts)) for i in fractions]
+    base = [int(q) for q in quotas]
+    order = sorted(range(len(fractions)), key=lambda j: (base[j] - quotas[j], j))
+    for j in order[:max(0, round(sum(quotas)) - sum(base))]:
+        base[j] += 1
+    for i, size in zip(fractions, base):
+        counts[i] = size
     for i, cohort in enumerate(cohorts):
-        if cohort.addresses:
-            counts[i] = len(cohort.addresses)
-        elif cohort.count is not None:
-            counts[i] = cohort.count
-        elif cohort.fraction is not None:
-            frac_idx.append(i)
-        else:
-            rest_idx = i
-    remaining = n_nodes - sum(counts)
-    if frac_idx:
-        quotas = [cohorts[i].fraction * remaining for i in frac_idx]
-        base = [int(q) for q in quotas]
-        want = round(sum(quotas))
-        order = sorted(range(len(frac_idx)), key=lambda j: (-(quotas[j] - base[j]), j))
-        for j in order[:max(0, want - sum(base))]:
-            base[j] += 1
-        for j, i in enumerate(frac_idx):
-            counts[i] = base[j]
-    if rest_idx is not None:
-        counts[rest_idx] = n_nodes - sum(counts)
+        if cohort.count is None and cohort.fraction is None and not cohort.addresses:
+            counts[i] = n_nodes - sum(counts)
     if sum(counts) != n_nodes or any(c < 0 for c in counts):
         raise ScenarioError([f"cohort sizes resolve to {counts} for {n_nodes} nodes"])
     return counts
+
+
+class _Join(str):
+    """A problem of a rule that joins sections.
+
+    `reads` names what else the rule read, so that a parser knows which
+    refused key it derives from: "nodes" for an address range, "sizes" for
+    the cohorts' sizing, which reads every section. `cohort` is the index of
+    the cohort it is said under, whose section a file may write with spaces.
+    """
+
+    def __new__(cls, text: str, reads: str = "", cohort: Optional[int] = None) -> _Join:
+        problem = super().__new__(cls, text)
+        problem.reads, problem.cohort = reads, cohort
+        return problem
+
+
+def _joins(config: ScenarioConfig) -> list[_Join]:
+    """The problems of the rules that join sections, each under its section.
+
+    Every address lies within 1..nodes, every service named is defined, the
+    task text parses, and the cohorts are one or more, named once each, at
+    most one of them the remainder, with no address pinned twice and a
+    client among them. Once all that holds, their sizes resolve to the node
+    count and the clients make at most `MAX_OFFLOADS` offloads.
+    """
+    n, services, fault = config.topology.nodes, config.services, config.run.fault
+
+    def outside(where: str, addresses: Iterable[int], cohort: Optional[int] = None) -> list[str]:
+        return [_Join(f"{where}address {addr} outside 1..{n}", "nodes", cohort)
+                for addr in sorted(set(addresses)) if not 1 <= addr <= n]
+
+    problems = []
+    for idx, cohort in enumerate(config.cohorts):
+        problems += outside(f"[cohort:{cohort.name}] addresses: ", cohort.addresses, idx)
+        problems += [_Join(f"[cohort:{cohort.name}] unknown service {name!r}", cohort=idx)
+                     for name in cohort.services if name not in services]
+    if not config.cohorts:
+        problems.append("no [cohort:*] sections")
+    _Reader("cohort:*", {}, problems).refuse_repeats([c.name for c in config.cohorts], "name")
+    if sum(c.count is None and c.fraction is None and not c.addresses
+           for c in config.cohorts) > 1:
+        problems.append("only one cohort may omit count/fraction/addresses")
+    pinned: set[int] = set()
+    for addr in (addr for cohort in config.cohorts for addr in cohort.addresses):
+        if addr in pinned:
+            problems.append(f"address {addr} pinned by more than one cohort")
+        pinned.add(addr)
+    if not any(c.client for c in config.cohorts):
+        problems.append("no cohort is marked client = true")
+    try:
+        tasks = parse_workflow(config.workflow.text).tasks
+    except WorkflowParseError as exc:
+        problems.append(f"[workflow] tasks: {exc}")
+        tasks = ()
+    for idx, task in enumerate(tasks):
+        if task.service_name not in services:
+            problems.append(f"[workflow] task {idx} uses unknown service {task.service_name!r}")
+        if task.worker is not None:
+            problems += outside(f"[workflow] task {idx} pinned ", [task.worker])
+    problems += outside("[run] fault_nodes: ", fault.nodes or ())
+    if fault.service is not None and fault.service not in services:
+        problems.append(f"[run] fault_service {fault.service!r} is not under [services]")
+    if problems:
+        return [problem if isinstance(problem, _Join) else _Join(problem) for problem in problems]
+    try:
+        counts = resolve_cohort_counts(config.cohorts, n)
+    except ScenarioError as exc:
+        return [_Join(problem, "sizes") for problem in exc.problems]
+    clients = sum(count for count, cohort in zip(counts, config.cohorts) if cohort.client)
+    repeat = config.workflow.repeat
+    return [_Join(f"[workflow] repeat {repeat} for {clients} clients is more than "
+                  f"{MAX_OFFLOADS} offloads", "sizes")] if clients * repeat > MAX_OFFLOADS else []
 
 
 # the file gives the link's rate and latency in other units than its
@@ -349,9 +434,10 @@ class _Reader:
         return {key.attr or key.name: value for key in keys
                 if (value := self.value(key)) is not None}
 
-    def build(self, cls: type, **values: object) -> object:
+    def build(self, cls: type, stand_in: Optional[dict] = None, **values: object) -> object:
         """cls(**values); if its check refuses them, each problem is said
-        under the section and cls() stands in, as the file is refused.
+        under the section and cls(**stand_in) stands in, as the file is
+        refused.
 
         The rows took every value already, so each problem is one of a rule
         across the type's fields. One that names a refused key would be
@@ -363,7 +449,7 @@ class _Reader:
             for problem in exc.problems:
                 if self.refused.isdisjoint(problem.split()):
                     self.complain(problem)
-            return cls()
+            return cls(**stand_in or {})
 
     def items(self, key: str) -> list[str]:
         """The stripped, non-blank items of the comma list under key."""
@@ -384,11 +470,8 @@ class _Reader:
         entries.refuse_repeats(names)
         return entries
 
-    def get_addresses(self, key: str, n_nodes: Optional[int]) -> Optional[list[int]]:
-        """The distinct node addresses listed under key; None if unset or blank.
-
-        An address outside 1..n_nodes is a problem, unless n_nodes is None.
-        """
+    def get_addresses(self, key: str) -> Optional[list[int]]:
+        """The distinct node addresses listed under key; None if unset or blank."""
         if not self.raw.get(key, "").strip():
             return None
         out: list[int] = []
@@ -401,23 +484,18 @@ class _Reader:
             except ValueError:
                 self.complain(f"{key}: not an integer: {item!r}")
         self.refuse_repeats(out, key)
-        for addr in sorted(set(out)):
-            if n_nodes is not None and not 1 <= addr <= n_nodes:
-                self.complain(f"{key}: address {addr} outside 1..{n_nodes}")
         return list(dict.fromkeys(out))
 
 
-def _parse_topology(reader: _Reader) -> tuple[Topology, Optional[int]]:
-    """The topology, and its node count unless the file's was refused."""
+def _parse_topology(reader: _Reader) -> Topology:
     kinds = {cls.kind: cls for cls in (RingTopology, WaypointTopology)}
     kind = reader.raw.get("kind", "ring").strip().lower()
     if kind not in kinds:
         reader.complain(f"unknown topology kind {kind!r}")
     cls = kinds.get(kind, RingTopology)
     values = reader.read(cls.rows, "kind")
-    # with `nodes` refused, no address range is checked
-    n_nodes = None if _NODES.name in reader.refused else values.get("nodes", cls.nodes)
-    return reader.build(cls, **values), n_nodes
+    # refused, it stands in with the node count that addresses are checked by
+    return reader.build(cls, {"nodes": values.get("nodes", cls.nodes)}, **values)
 
 
 def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
@@ -435,33 +513,34 @@ def _parse_services(reader: _Reader) -> dict[str, ServiceDefinition]:
     return services
 
 
-def _parse_cohort(name: str, reader: _Reader, n_nodes: Optional[int],
-                  services: dict[str, ServiceDefinition]) -> CohortSpec:
+def _parse_cohort(reader: _Reader) -> CohortSpec:
+    name = reader.section.partition(":")[2].strip()
+    if not name:
+        reader.complain("cohort name is empty")
     reader.check_keys(CohortSpec.rows, "addresses", "services")
-    sizing = [key for key in ("count", "fraction", "addresses") if key in reader.raw]
-    if len(sizing) > 1:
-        reader.complain(f"give at most one of count/fraction/addresses, got {sizing}")
-    values = reader.values(CohortSpec.rows)
-    addresses = reader.get_addresses("addresses", n_nodes)
-    # a bad count, fraction or address list still sizes the cohort, so it is
-    # not a remainder
-    for key in ("count", "fraction"):
-        if key in reader.raw:
-            values.setdefault(key, 0)
-    if addresses == []:
-        values.setdefault("count", 0)
+    # a sizing key the file sets is given, even if its value is refused or
+    # blank, so CohortSpec's rule is asked of a stand-in for each; a refused
+    # count or fraction still sizes the cohort as its stand-in, so it is not
+    # the remainder
+    given = {key: stand_in for key, stand_in in (("count", 0), ("fraction", 0), ("addresses", (1,)))
+             if key in reader.raw}
+    reader.build(CohortSpec, {"name": name}, name=name, **given)
+    values = {**given, **reader.values(CohortSpec.rows)}
+    addresses = reader.get_addresses("addresses")
+    values["addresses"] = tuple(addresses or ())
+    # a refused address list, or sizing given more than once, stands in as
+    # its pins or as count 0; a refused `client` reads as a client, so that
+    # no missing client is derived from its default
+    if addresses == [] or len(given) > 1:
+        values.update(count=None if addresses else 0, fraction=None)
+    if "client" in reader.refused:
+        values["client"] = True
     listed = reader.items("services")
     reader.refuse_repeats(listed, "services")
-    offered = tuple(dict.fromkeys(listed))
-    for svc in offered:
-        if svc not in services:
-            reader.complain(f"unknown service {svc!r}")
-    return CohortSpec(name=name, addresses=tuple(addresses or ()), services=offered,
-                      **values)
+    return CohortSpec(name=name, services=tuple(dict.fromkeys(listed)), **values)
 
 
-def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: Optional[int],
-                    services: dict[str, ServiceDefinition]) -> WorkflowSpec:
+def _parse_workflow(reader: _Reader, base_dir: Optional[str]) -> WorkflowSpec:
     reader.check_keys(WorkflowSpec.rows + (_TTL,), "tasks", "file", "requirements", "input")
     text = reader.raw.get("tasks", "")
     if "file" in reader.raw:
@@ -485,23 +564,16 @@ def _parse_workflow(reader: _Reader, base_dir: Optional[str], n_nodes: Optional[
             desc = dataclasses.replace(desc, tasks=tuple(
                 dataclasses.replace(task, requirements={**defaults, **task.requirements})
                 for task in desc.tasks))
-        for idx, task in enumerate(desc.tasks):
-            if task.service_name not in services:
-                reader.complain(f"task {idx} uses unknown service {task.service_name!r}")
-            if (task.worker is not None and n_nodes is not None
-                    and not 1 <= task.worker <= n_nodes):
-                reader.complain(f"task {idx} pinned address {task.worker} outside 1..{n_nodes}")
         text = format_description(desc)
-    except WorkflowParseError as exc:
-        reader.complain(f"tasks: {exc}")
+    except WorkflowParseError:
+        pass   # the text stays as written, and ScenarioConfig refuses it
     sizes = reader.entries("input", ":")
     files = sizes.values(tuple(dataclasses.replace(FILE_BYTES, name=name)
                                for name in sizes.raw))
     return WorkflowSpec(text=text, files=files, **reader.values(WorkflowSpec.rows))
 
 
-def _parse_run(reader: _Reader, n_nodes: Optional[int],
-               services: dict[str, ServiceDefinition]) -> RunSettings:
+def _parse_run(reader: _Reader) -> RunSettings:
     reader.check_keys(RunSettings.rows + FaultPlan.rows, "strategy", "weights",
                       "fault_nodes", "fault_service")
     # an empty fault key means "not set"
@@ -524,13 +596,13 @@ def _parse_run(reader: _Reader, n_nodes: Optional[int],
                 settings["weights"] = validate_weights(values)
             except ValueError as exc:
                 reader.complain(f"weights: {exc}")
-    nodes = reader.get_addresses("fault_nodes", n_nodes)
+    nodes = reader.get_addresses("fault_nodes")
     fault_nodes = None if nodes is None else frozenset(nodes)
     fault_service = reader.raw.get("fault_service", "").strip() or None
-    if fault_service is not None and fault_service not in services:
-        reader.complain(f"fault_service {fault_service!r} is not under [services]")
     fault = FaultPlan(nodes=fault_nodes, service=fault_service, **reader.values(FaultPlan.rows))
-    return reader.build(RunSettings, fault=fault, **settings, **reader.values(RunSettings.rows))
+    # refused, it stands in with the fault plan, whose nodes and service join
+    return reader.build(RunSettings, {"fault": fault}, fault=fault, **settings,
+                        **reader.values(RunSettings.rows))
 
 
 def parse_scenario(text: str, *, name: str = "inline",
@@ -556,50 +628,29 @@ def parse_scenario(text: str, *, name: str = "inline",
     meta.check_keys((), "name")
     name = meta.raw.get("name", name).strip() or name
 
-    topology, n_nodes = _parse_topology(reader("topology"))
+    topology_reader = reader("topology")
+    topology = _parse_topology(topology_reader)
     link = LinkModel(**reader("link").read(_LINK_KEYS))
     services = _parse_services(reader("services"))
+    sections = [section for section in parser.sections() if section.startswith("cohort:")]
+    cohorts = [_parse_cohort(reader(section)) for section in sections]
+    workflow = _parse_workflow(reader("workflow"), base_dir)
+    run = _parse_run(reader("run"))
 
-    cohorts: list[CohortSpec] = []
-    client_refused = False
-    for section in parser.sections():
-        if section.startswith("cohort:"):
-            cohort_name = section.partition(":")[2].strip()
-            cohort_reader = reader(section)
-            if not cohort_name:
-                cohort_reader.complain("cohort name is empty")
-            cohorts.append(_parse_cohort(cohort_name, cohort_reader, n_nodes, services))
-            client_refused |= "client" in cohort_reader.refused
-    if not cohorts:
-        problems.append("no [cohort:*] sections")
-    _Reader("cohort:*", {}, problems).refuse_repeats([c.name for c in cohorts], "name")
-    if sum(1 for c in cohorts
-           if c.count is None and c.fraction is None and not c.addresses) > 1:
-        problems.append("only one cohort may omit count/fraction/addresses")
-    seen_addresses: set[int] = set()
-    for cohort in cohorts:
-        for addr in cohort.addresses:
-            if addr in seen_addresses:
-                problems.append(f"address {addr} pinned by more than one cohort")
-            seen_addresses.add(addr)
-    if not client_refused and not any(c.client for c in cohorts):
-        problems.append("no cohort is marked client = true")
-
-    workflow = _parse_workflow(reader("workflow"), base_dir, n_nodes, services)
-    run = _parse_run(reader("run"), n_nodes, services)
-
-    config = ScenarioConfig(name=name, topology=topology, link=link, services=services,
-                            cohorts=tuple(cohorts), workflow=workflow, run=run)
-    if not problems:
-        try:
-            counts = resolve_cohort_counts(config.cohorts, topology.nodes)
-        except ScenarioError as exc:
-            problems.extend(exc.problems)
-        else:
-            clients = sum(count for count, cohort in zip(counts, cohorts) if cohort.client)
-            if clients * workflow.repeat > MAX_OFFLOADS:
-                problems.append(f"[workflow] repeat {workflow.repeat} for {clients} "
-                                f"clients is more than {MAX_OFFLOADS} offloads")
+    # the sections join last, as ScenarioConfig checks them. A range over a
+    # refused node count reads its default, and so does a sizing of cohorts
+    # in a file with any other problem, so what either finds is derived and
+    # goes unsaid
+    derived = {"nodes": _NODES.name in topology_reader.refused, "sizes": bool(problems)}
+    try:
+        config = ScenarioConfig(name=name, topology=topology, link=link, services=services,
+                                cohorts=tuple(cohorts), workflow=workflow, run=run)
+    except ScenarioError as exc:
+        # a cohort's problem is said under its section as the file wrote it,
+        # which may hold spaces
+        labels = [(f"[cohort:{c.name}]", f"[{s}]") for c, s in zip(cohorts, sections)]
+        problems += [p if p.cohort is None else p.replace(*labels[p.cohort], 1)
+                     for p in exc.problems if not derived.get(p.reads)]
     if problems:
         raise ScenarioError(problems)
     return config

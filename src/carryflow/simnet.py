@@ -326,9 +326,13 @@ TICK = Key("tick_interval", positive=True)
 class World:
     """Event queue, node state, and the epidemic synchronization machinery.
 
-    A tick interval that breaks `TICK` is refused: a period that is not
-    positive would reschedule the tick at `now` forever.
+    A tick interval or a contact range that breaks its row is refused: a
+    period that is not positive would reschedule the tick at `now` forever,
+    a negative range would link nodes |range| apart, and NaN would link none.
     """
+
+    # None: a static world, whose links are its static pairs
+    contact_range: Optional[float] = None
 
     def __init__(self, link: LinkModel, tick_interval: float = 0.5, *,
                  contact_range: Optional[float] = None,
@@ -336,7 +340,8 @@ class World:
                  mobility: Optional[RandomWaypoint] = None,
                  rating_distance: Callable[[Position, Position], float] = euclidean) -> None:
         self.tick_interval = tick_interval
-        check(self, (TICK,))
+        self.contact_range = contact_range
+        check(self, (TICK, Key("contact_range", minimum=0.0)))
         self.adjacency = {tuple(sorted(p)) for p in adjacency}
         self.mobility = mobility
         self.rating_distance = rating_distance
@@ -362,8 +367,6 @@ class World:
         self._durations = _Durations(link)
         if mobility is not None and contact_range is None:
             raise ValueError("mobility needs a contact range")
-        if not (contact_range is None or contact_range >= 0):
-            raise ValueError(f"contact_range must be at least 0, got {contact_range!r}")
         if contact_range is not None and self.adjacency:
             raise ValueError("a world with a contact range takes no static pairs")
         for a, b in self.adjacency:

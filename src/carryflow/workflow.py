@@ -170,7 +170,8 @@ def format_description(desc: WorkflowDescription) -> str:
     for task in desc.tasks:
         worker = "any" if task.worker is None else format_address(task.worker)
         parts = [worker, task.service_name, *task.params]
-        if task.requirements:
+        # a last param that starts with "[" would read back as requirements
+        if task.requirements or task.params and task.params[-1].startswith("["):
             reqs = task.requirements
             body = ",".join(f"{k}={_number(reqs[k])}" for k in ALL_METRICS if k in reqs)
             parts.append(f"[{body}]")

@@ -361,15 +361,13 @@ BOUNDED = {
     "simnet.py": ("LinkModel", "RandomWaypoint", "World"),
     "runtime.py": ("ServiceDefinition", "FaultPlan"),
     "scenario.py": ("RingTopology", "WaypointTopology", "CohortSpec", "WorkflowSpec",
-                    "RunSettings"),
+                    "RunSettings", "ScenarioConfig"),
 }
 
 
 def test_each_bound_is_said_once_by_the_rows_of_its_type():
     # every bounded type refuses a value through the shared row check, in
-    # the rows' words, so no second wording of a bound comes back by hand.
-    # The one hand refusal left bounds what no row does: a world takes a
-    # contact range of 0, which no scenario file gives
+    # the rows' words, so no second wording of a bound comes back by hand
     unchecked, worded = [], []
     for file, names in BOUNDED.items():
         tree = ast.parse((PACKAGE / file).read_text(encoding="utf-8"))
@@ -385,4 +383,29 @@ def test_each_bound_is_said_once_by_the_rows_of_its_type():
                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
                        and "must be" in node.value]
     assert unchecked == []
-    assert worded == ["simnet.py World: contact_range must be at least 0, got "]
+    assert worded == []
+
+
+# the words of the rules that join a scenario's sections, which
+# `ScenarioConfig` states once
+JOIN_WORDS = ("outside 1..", "unknown service", "pinned by more than one cohort",
+              "is marked client")
+
+
+def test_the_parser_states_no_rule_that_joins_sections():
+    # a parsed scenario is refused by the same join rules as a hand-built
+    # one, so no parser function words one of them, nor takes what one reads
+    tree = ast.parse((PACKAGE / "scenario.py").read_text(encoding="utf-8"))
+    found = []
+    for parser in tree.body:
+        if not (isinstance(parser, (ast.FunctionDef, ast.ClassDef))
+                and (parser.name.startswith("_parse_")
+                     or parser.name in ("_Reader", "parse_scenario"))):
+            continue
+        for node in ast.walk(parser):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found += [f"{parser.name}: {word!r}" for word in JOIN_WORDS
+                          if word in node.value]
+            elif isinstance(node, ast.arg) and node.arg in ("n_nodes", "services"):
+                found.append(f"{parser.name}: parameter {node.arg}")
+    assert found == []

@@ -14,6 +14,7 @@ from carryflow.announce import (MAX_PARAM_COUNT, OFFER_HEADER_BYTES,
                                 OFFER_RECORD_BYTES, SERVICE_NAME_BYTES,
                                 CapabilityVector, build_offer_bundle)
 from carryflow.assignment import Strategy
+from carryflow.bundles import format_address
 from carryflow.cli import packaged_scenarios, resolve_scenario
 from carryflow.runtime import FILE_BYTES, FaultPlan, ServiceDefinition
 from carryflow.harness import ring_arc_distance, ring_positions, run_scenario
@@ -680,6 +681,135 @@ def test_the_parser_reports_the_period_rule_as_its_own_problem():
     assert parsed.value.problems == ["[run] tick_s must be positive, got 0"]
 
 
+def _cohorts(config, which, **changes):
+    """config's cohorts, with the one named `which` changed."""
+    return tuple(dataclasses.replace(cohort, **changes) if cohort.name == which else cohort
+                 for cohort in config.cohorts)
+
+
+def _text(old, new):
+    return lambda text: text.replace(old, new)
+
+
+@pytest.mark.parametrize("edit_file, edit_config, problems", [
+    (_text("addresses = 1", "addresses = 1, 99"),
+     lambda c: dict(cohorts=_cohorts(c, "client", addresses=(1, 99))),
+     ["[cohort:client] addresses: address 99 outside 1..6"]),
+    (_text("services = work", "services = work, nosuch"),
+     lambda c: dict(cohorts=_cohorts(c, "worker", services=("work", "nosuch"))),
+     ["[cohort:worker] unknown service 'nosuch'"]),
+    (lambda t: t[:t.index("[cohort:client]")] + t[t.index("[workflow]"):],
+     lambda c: dict(cohorts=()),
+     ["no [cohort:*] sections", "no cohort is marked client = true"]),
+    (_text("[cohort:client]", "[cohort: worker]"),
+     lambda c: dict(cohorts=_cohorts(c, "client", name="worker")),
+     ["[cohort:*] name: worker is given more than once"]),
+    (lambda t: t + "\n[cohort:extra]\n",
+     lambda c: dict(cohorts=c.cohorts + (CohortSpec("extra"),)),
+     ["only one cohort may omit count/fraction/addresses"]),
+    (_text("[cohort:worker]", "[cohort:pinned]\naddresses = 1\n\n[cohort:worker]"),
+     lambda c: dict(cohorts=(c.cohorts[0], CohortSpec("pinned", addresses=(1,)), c.cohorts[1])),
+     ["address 1 pinned by more than one cohort"]),
+    (_text("client = true", "client = false"),
+     lambda c: dict(cohorts=_cohorts(c, "client", client=False)),
+     ["no cohort is marked client = true"]),
+    (_text("any work in.dat", "any vanish in.dat"),
+     lambda c: dict(workflow=dataclasses.replace(
+         c.workflow, text=c.workflow.text.replace("any work in.dat", "any vanish in.dat"))),
+     ["[workflow] task 0 uses unknown service 'vanish'"]),
+    (_text("any work in.dat", "00000000000000ff work in.dat"),
+     lambda c: dict(workflow=dataclasses.replace(
+         c.workflow, text=c.workflow.text.replace("any work", "00000000000000ff work", 1))),
+     ["[workflow] task 0 pinned address 255 outside 1..6"]),
+    (_text("any work in.dat", "any work ##result##"),
+     lambda c: dict(workflow=dataclasses.replace(
+         c.workflow, text=c.workflow.text.replace("in.dat", "##result##", 1))),
+     ["[workflow] tasks: line 2: ##result## is not allowed in the first task"]),
+    (_text("[run]", "[run]\nfault_nodes = 2, 99"),
+     lambda c: dict(run=dataclasses.replace(c.run, fault=FaultPlan(nodes=frozenset({2, 99})))),
+     ["[run] fault_nodes: address 99 outside 1..6"]),
+    (_text("[run]", "[run]\nfault_service = nosuch"),
+     lambda c: dict(run=dataclasses.replace(c.run, fault=FaultPlan(service="nosuch"))),
+     ["[run] fault_service 'nosuch' is not under [services]"]),
+    (_text("addresses = 1", "count = 7"),
+     lambda c: dict(cohorts=_cohorts(c, "client", addresses=(), count=7)),
+     ["cohort sizes resolve to [7, -1] for 6 nodes"]),
+    (lambda t: t.replace("addresses = 1", "count = 3").replace("repeat = 2", "repeat = 40000"),
+     lambda c: dict(cohorts=_cohorts(c, "client", addresses=(), count=3),
+                    workflow=dataclasses.replace(c.workflow, repeat=40000)),
+     ["[workflow] repeat 40000 for 3 clients is more than 100000 offloads"]),
+], ids=["cohort-address", "cohort-service", "no-cohort", "cohort-name", "two-remainders",
+        "pinned-twice", "no-client", "task-service", "task-pin", "task-text", "fault-nodes",
+        "fault-service", "sizes", "offloads"])
+def test_a_hand_built_config_is_refused_as_the_parser_refuses_it(edit_file, edit_config,
+                                                                 problems):
+    # each rule that joins sections is stated once, by ScenarioConfig, so a
+    # file that breaks it and the same config built by hand draw the same
+    # problems, and no world is built from either
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(edit_file(RING_INI))
+    config = parse_scenario(RING_INI)
+    with pytest.raises(ScenarioError) as built:
+        dataclasses.replace(config, **edit_config(config))
+    assert parsed.value.problems == built.value.problems == problems
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda c: _cohorts(c, "client", addresses=(99,)),
+     "[cohort:client] addresses: address 99 outside 1..12"),
+    (lambda c: _cohorts(c, "capable", services=("nosuch",)),
+     "[cohort:capable] unknown service 'nosuch'"),
+    (lambda c: c.cohorts[1:], "no cohort is marked client = true"),
+], ids=["client-at-99", "unknown-service", "no-client"])
+def test_a_hand_built_packaged_scenario_is_refused_before_its_run(edit, problem):
+    # each of these built at the parent: the first two then failed in
+    # `harness.build` with a KeyError, and the third ran to an empty report
+    config = resolve_scenario("ring-homogeneous")
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(dataclasses.replace(config, cohorts=edit(config)))
+    assert info.value.problems == [problem]
+
+
+def test_a_cohort_sized_twice_is_refused_as_the_parser_refuses_it():
+    with pytest.raises(ScenarioError) as built:
+        CohortSpec(name="x", count=2, fraction=0.5)
+    assert built.value.problems == [
+        "give at most one of count/fraction/addresses, got ['count', 'fraction']"]
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(RING_INI.replace("[cohort:worker]",
+                                        "[cohort:worker]\ncount = 2\nfraction = 0.5"))
+    assert parsed.value.problems == [f"[cohort:worker] {built.value.problems[0]}"]
+
+
+_TWICE = "give at most one of count/fraction/addresses, got ['count', 'addresses']"
+
+
+@pytest.mark.parametrize("edit, problems", [
+    # a cohort's join problem is said under its section as the file wrote it
+    (lambda t: t.replace("[cohort:worker]", "[cohort: worker ]").replace(
+        "services = work", "services = nosuch"),
+     ["[cohort: worker ] unknown service 'nosuch'"]),
+    (_text("[cohort:client]\naddresses = 1", "[cohort: client]\naddresses = 1, 99"),
+     ["[cohort: client] addresses: address 99 outside 1..6"]),
+    (_text("[cohort:client]\naddresses = 1", "[cohort: worker]\ncount = 1\nservices = nosuch"),
+     ["[cohort: worker] unknown service 'nosuch'",
+      "[cohort:*] name: worker is given more than once"]),
+    # a sizing key the file sets counts as given, even blank or refused, and
+    # the cohort's sizing is said before the values it reads
+    (_text("[cohort:worker]", "[cohort:worker]\ncount = 2\naddresses ="),
+     [f"[cohort:worker] {_TWICE}"]),
+    (_text("[cohort:worker]", "[cohort:worker]\ncount = 2\naddresses = abc"),
+     [f"[cohort:worker] {_TWICE}", "[cohort:worker] addresses: not an integer: 'abc'"]),
+    (_text("addresses = 1", "addresses = 1\ncount = 1\ncpu = -1"),
+     [f"[cohort:client] {_TWICE}", "[cohort:client] cpu must be positive, got -1"]),
+], ids=["spaced-service", "spaced-address", "spaced-twice", "blank-addresses",
+        "refused-addresses", "before-values"])
+def test_a_cohorts_problems_keep_the_parsers_words(edit, problems):
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(edit(RING_INI))
+    assert parsed.value.problems == problems
+
+
 def test_duplicate_pins_rejected():
     text = RING_INI.replace("[cohort:worker]",
                             "[cohort:pinned]\naddresses = 1\n\n[cohort:worker]")
@@ -871,3 +1001,51 @@ def test_mutated_scenarios_raise_only_scenario_errors(text):
         parse_scenario(text, base_dir=str(SCENARIO_DIR))
     except ScenarioError:
         pass
+
+
+PACKAGED = {name: resolve_scenario(name) for name in packaged_scenarios()}
+
+
+@st.composite
+def hand_edits(draw):
+    """A packaged scenario's name, and new cohort pins and services, task
+    text and fault settings for it, drawn near and past its bounds."""
+    name = draw(st.sampled_from(sorted(PACKAGED)))
+    config = PACKAGED[name]
+    addresses = st.integers(-1, config.topology.nodes + 2)
+    services = st.sampled_from([*config.services, "nosuch"])
+    cohorts = [draw(st.fixed_dictionaries({}, optional={
+        "addresses": st.lists(addresses, max_size=3).map(tuple),
+        "services": st.lists(services, max_size=3, unique=True).map(tuple)}))
+        for _ in config.cohorts]
+    head, *tasks = config.workflow.text.splitlines()
+    for idx in draw(st.lists(st.integers(0, len(tasks) - 1), max_size=3)):
+        worker = draw(st.just("any") | addresses.filter(lambda a: a >= 0).map(format_address))
+        tasks[idx] = " ".join([worker, draw(services), *tasks[idx].split(" ")[2:]])
+    # a reorder may put a `##result##` first, which does not parse
+    text = "\n".join([head, *(draw(st.permutations(tasks)) if draw(st.booleans()) else tasks)])
+    fault = draw(st.fixed_dictionaries({
+        "rate": st.sampled_from([0.0, 0.5, 1.0]),
+        "nodes": st.none() | st.frozensets(addresses, max_size=3),
+        "service": st.none() | services,
+        "max_failures": st.none() | st.integers(0, 2)}))
+    return name, cohorts, text, fault
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=hand_edits())
+def test_a_hand_built_scenario_is_refused_or_runs(edits):
+    # a config that constructs runs: no rule that joins its sections is
+    # left for the world's build or its run to trip over
+    name, cohorts, text, fault = edits
+    config = PACKAGED[name]
+    try:
+        config = dataclasses.replace(
+            config,
+            cohorts=tuple(dataclasses.replace(cohort, **changes)
+                          for cohort, changes in zip(config.cohorts, cohorts)),
+            workflow=dataclasses.replace(config.workflow, text=text),
+            run=dataclasses.replace(config.run, duration_s=30.0, fault=FaultPlan(**fault)))
+    except ScenarioError:
+        return
+    run_scenario(config)

@@ -418,8 +418,9 @@ def test_positions_must_be_finite(position):
     *[(dict(tick_interval=period, contact_range=10.0), "tick_interval must be positive")
       for period in (0.0, -0.5, math.nan)],
     # a negative range would link nodes |range| apart, and NaN would link none
-    (dict(contact_range=-5.0), "contact_range must be at least 0, got -5.0"),
+    (dict(contact_range=-5.0), "contact_range must be at least 0, got -5$"),
     (dict(contact_range=math.nan), "contact_range must be at least 0, got nan"),
+    (dict(contact_range=math.inf), "contact_range is not a finite number: inf"),
     # a range world would drop its static pairs unread
     (dict(contact_range=5.0, adjacency=[(1, 2)]), "takes no static pairs"),
     # a link from a node to itself would list it twice among the node's own
