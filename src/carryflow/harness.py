@@ -7,8 +7,18 @@ or the configured duration cap, and freezes the collector into an
 ExperimentReport (`run_built`). A built world holds no closure: every event
 is a bound method or a `partial` of one, so a world pickles between events
 up to its first offload, and `run_built` runs a loaded copy to the same
-report bytes. Suites sweep seeds and strategies and aggregate into CSV
-tables.
+report bytes.
+
+Suites sweep seeds and strategies and aggregate into CSV tables. Only a
+worker pick reads the strategy, so a suite runs each seed's strategies as
+one `Lockstep` group in one world: every pick asks each member, each with
+its own select streams, and a member whose pick differs from the lead's
+leaves, to run later with the others that left, from the start. A
+`SelectionError` comes from the candidates alone, not the strategy, so the
+members take it together. Each member still in the group when its world
+ends gets its own report, byte for byte its solo run's; so a suite builds
+one world per distinct selection history and copies none. `run_scenario` is
+a group of one.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .bundles import NodeAddress, format_address
 from .nodes import Node
 from .report import (Collector, ExperimentReport, freeze_workflow,
                      selection_entropy)
+from .runtime import Lockstep
 from .scenario import (RingTopology, ScenarioConfig, WaypointTopology,
                        resolve_cohort_counts)
 from .simnet import Position, RandomWaypoint, World
@@ -42,6 +53,7 @@ class BuiltScenario:
     nodes: dict[NodeAddress, Node]
     clients: list[Node]
     collector: Collector
+    lockstep: Lockstep
 
 
 def ring_positions(n: int, spacing_m: float) -> list[Position]:
@@ -111,6 +123,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         raise TypeError(f"unsupported topology {topo!r}")
 
     collector = Collector()
+    lockstep = Lockstep(run.seed, (run.strategy,))
     assignment = assign_cohorts(config)
     nodes: dict[NodeAddress, Node] = {}
     clients: list[Node] = []
@@ -120,7 +133,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                                 disk=cohort.disk, energy=cohort.energy,
                                 position=positions[i])
         services = {name: config.services[name] for name in cohort.services}
-        node = Node(addr, world, collector, run, caps, services)
+        node = Node(addr, world, collector, run, caps, services, lockstep)
         nodes[addr] = node
         if cohort.client:
             clients.append(node)
@@ -132,7 +145,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
                            partial(client.offload, spec.text, spec.files))
 
     return BuiltScenario(world=world, nodes=nodes, clients=clients,
-                         collector=collector)
+                         collector=collector, lockstep=lockstep)
 
 
 def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
@@ -143,12 +156,18 @@ def run_scenario(config: ScenarioConfig, *, seed: Optional[int] = None,
 
 
 def run_built(built: BuiltScenario, config: ScenarioConfig) -> ExperimentReport:
-    """Run a world built from `config` to its end, freeze the report and release it.
+    """Run a world built from `config` to its end and release it; the lead's report.
 
     The world runs from wherever it stands, in chunks of `_CHUNK_S` from
     there, so one loaded from a pickle taken at a chunk boundary runs the
     same chunks as the world it was copied from.
     """
+    return _run_lockstep(built, config)[0]
+
+
+def _run_lockstep(built: BuiltScenario, config: ScenarioConfig) -> list[ExperimentReport]:
+    """Run a built world to its end, then freeze a report per member still in
+    its group, lead first, and release the world."""
     world, collector = built.world, built.collector
     run = config.run
     expected = len(built.clients) * config.workflow.repeat
@@ -161,14 +180,23 @@ def run_built(built: BuiltScenario, config: ScenarioConfig) -> ExperimentReport:
             world.run_until(min(run.duration_s, world.now + run.stop_grace_s))
             break
 
+    reports = [_freeze(built, config.with_run(strategy=member.strategy))
+               for member in built.lockstep.members]
+    world.release()
+    return reports
+
+
+def _freeze(built: BuiltScenario, config: ScenarioConfig) -> ExperimentReport:
+    """The report of the run of `config` that `built`'s world made."""
+    collector, run = built.collector, config.run
     workflows = [freeze_workflow(collector.tracks[wid], run.strategy.value)
                  for wid in sorted(collector.tracks)]
-    report = ExperimentReport(
+    return ExperimentReport(
         scenario=config.name,
         seed=run.seed,
         strategy=run.strategy.value,
         config_digest=config.digest(),
-        duration_s=world.now,
+        duration_s=built.world.now,
         workflows=workflows,
         selections=dict(collector.selections),
         residual_energy={addr: built.nodes[addr].caps.energy
@@ -176,8 +204,6 @@ def run_built(built: BuiltScenario, config: ScenarioConfig) -> ExperimentReport:
         expired_drops=collector.expired_drops,
         malformed_offers=0,
     )
-    world.release()
-    return report
 
 
 # -- suites -------------------------------------------------------------------
@@ -201,9 +227,20 @@ class SuiteResult:
 
 def run_suite(config: ScenarioConfig, seeds: Sequence[int],
               strategies: Sequence[Strategy]) -> SuiteResult:
-    """Sweep seeds for each strategy; reports in (strategy, seed) order."""
-    reports = [run_scenario(config, seed=seed, strategy=strategy)
-               for strategy in strategies for seed in seeds]
+    """Sweep seeds for each strategy; reports in (strategy, seed) order.
+
+    Each seed's strategies run as one lockstep group; those that left it run
+    on as the next group, until every strategy has its report.
+    """
+    reports: list[ExperimentReport] = []
+    for seed in seeds:
+        waiting = list(strategies)
+        while waiting:
+            lead = config.with_run(seed=seed, strategy=waiting[0])
+            built = build(lead)
+            built.lockstep.join(waiting[1:])
+            reports += _run_lockstep(built, lead)
+            waiting = built.lockstep.left
     return SuiteResult(scenario=config.name, reports=reports)
 
 

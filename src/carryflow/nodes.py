@@ -30,7 +30,7 @@ from .announce import (Announcement, CapabilityVector, OfferDatabase,
 from .bundles import BROADCAST, Bundle, BundleKind, NodeAddress
 from .client import ClientRuntime
 from .report import Collector, FinalState
-from .runtime import ServiceDefinition, WorkerRuntime, retryable
+from .runtime import Lockstep, ServiceDefinition, WorkerRuntime, retryable
 from .scenario import RunSettings
 from .simnet import Position, World
 from .workflow import Archive, WorkflowDescription, packed_size
@@ -40,6 +40,9 @@ CLEANUP_MARKER_BYTES = 64
 
 class _Stream:
     """A node's random stream for one role, made at its first draw.
+
+    A node keeps its `exec` and `fault` streams this way; its select streams
+    are its world's, one per strategy, in the `Lockstep` group.
 
     Nothing draws from a stream before its first use, and the stream is
     seeded from the same `seed:role:address` string an eager one would
@@ -62,18 +65,19 @@ class _Stream:
 class Node(WorkerRuntime, ClientRuntime):
     """Full protocol stack of one address, wired into a World."""
 
-    select_rng = _Stream("select")
     exec_rng = _Stream("exec")
     fault_rng = _Stream("fault")
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
                  run: RunSettings, caps: CapabilityVector,
-                 services: dict[str, ServiceDefinition]) -> None:
+                 services: dict[str, ServiceDefinition],
+                 lockstep: Optional[Lockstep] = None) -> None:
         self.address = address
         self.world = world
         self.collector = collector
         self.config = run
         self.caps = caps
+        self.lockstep = Lockstep(run.seed, (run.strategy,)) if lockstep is None else lockstep
         self.cleaned: set[str] = set()
         self.services = dict(services)
         # param count by service, shared by every announcement: services are
@@ -97,9 +101,7 @@ class Node(WorkerRuntime, ClientRuntime):
     def _first_draw(self, role: str) -> random.Random:
         # the stream becomes a plain attribute, which shadows its `_Stream`
         stream = random.Random(f"{self.config.seed}:{role}:{self.address}")
-        if role == "select":
-            self.select_rng = stream
-        elif role == "exec":
+        if role == "exec":
             self.exec_rng = stream
         else:
             self.fault_rng = stream

@@ -20,10 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .announce import MAX_PARAM_COUNT
-from .assignment import SelectionError, select
+from .assignment import SelectionError, Strategy, select
 from .bounds import Key, check
 from .bundles import BundleKind, NodeAddress, format_address
 from .report import FinalState
@@ -76,6 +76,14 @@ def retryable(archive: Archive) -> bool:
             and archive.error.error_class is not ErrorClass.WORKER_SELECTION)
 
 
+def _some_nodes(plan: FaultPlan) -> list[str]:
+    # None scopes the plan to every node, and a config writes it and an
+    # empty set alike, so an empty set would run apart under one digest
+    if plan.nodes is not None and not plan.nodes:
+        return ["nodes is empty: None scopes a plan to every node"]
+    return []
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Scenario-configured execution faults, optionally scoped and bounded.
@@ -94,7 +102,7 @@ class FaultPlan:
             Key("fault_rate", "rate", minimum=0.0, maximum=1.0))
 
     def __post_init__(self) -> None:
-        check(self, self.rows)
+        check(self, self.rows, _some_nodes)
 
     def should_fail(self, worker: NodeAddress, service: str, rng: random.Random,
                     injected: int) -> bool:
@@ -111,15 +119,62 @@ class FaultPlan:
         return rng.random() < self.rate
 
 
+class Member:
+    """One strategy of a lockstep group, with its select stream at each node.
+
+    A node's stream is made at its first pick, from the `seed:select:address`
+    string a solo run of the strategy seeds it from, so it draws as that
+    run's stream does.
+    """
+
+    __slots__ = ("strategy", "seed", "streams")
+
+    def __init__(self, strategy: Strategy, seed: int) -> None:
+        self.strategy = strategy
+        self.seed = seed
+        self.streams: dict[NodeAddress, random.Random] = {}
+
+    def stream(self, address: NodeAddress) -> random.Random:
+        stream = self.streams.get(address)
+        if stream is None:
+            stream = self.streams[address] = random.Random(
+                f"{self.seed}:select:{address}")
+        return stream
+
+
+class Lockstep:
+    """The strategies one world runs for one seed while their picks agree.
+
+    Only a pick reads the strategy, so strategies that pick the same worker
+    at every pick run the same world. The first member leads: its picks
+    steer the world. A member that picks another worker leaves for `left`,
+    to run later in a world of its own; each member still in at the end
+    ran, draw for draw, what its solo run would have. Every node of a world
+    shares its group; a node built without one is a group of its run's one
+    strategy.
+    """
+
+    def __init__(self, seed: int, strategies: Sequence[Strategy]) -> None:
+        self.seed = seed
+        self.members = [Member(strategy, seed) for strategy in strategies]
+        self.left: list[Strategy] = []
+
+    def join(self, strategies: Sequence[Strategy]) -> None:
+        """Add members, which must come before any member has picked."""
+        if any(member.streams for member in self.members):
+            raise ValueError("a strategy joins a lockstep group before its first pick")
+        self.members += [Member(strategy, self.seed) for strategy in strategies]
+
+
 class WorkerRuntime:
     """The worker role of a `Node`: its execution engine.
 
     Archives wait in the node's `queue` while it is `busy`, and one of a
     cleaned workflow is skipped when `_start_next` reaches it; `services`
     are what it offers. The role also reads `address`, `world`,
-    `collector`, `config`, `caps`, `cleaned`, `offer_db`, `position()` and
-    the random streams, sends through `send_archive`, and hands a terminal
-    error to `on_returned`.
+    `collector`, `config`, `caps`, `cleaned`, `offer_db`, `position()`, the
+    random streams and the world's `lockstep` group, sends through
+    `send_archive`, and hands a terminal error to `on_returned`.
 
     `_serve` is one archive's stay, and each way out of it is a `return`;
     `_resume`, its driver, is the one place that frees the worker. Each
@@ -237,8 +292,14 @@ class WorkerRuntime:
     def resolve_worker(self, archive: Archive, exclude: set[NodeAddress]) -> NodeAddress:
         """Resolve the worker for the archive's current task; records the selection.
 
+        A just-in-time task asks `select` once per member of the world's
+        lockstep group, each with its own stream; the lead's pick is the
+        world's, and a member that picks another worker leaves the group.
+
         Raises SelectionError when no worker qualifies, or when the task is
-        pinned to an address that no node of the world has.
+        pinned to an address that no node of the world has. No strategy
+        decides that: `select` raises it from the capability-filtered
+        candidates, before it draws, so the lead raises it for every member.
         """
         desc = archive.description
         task = desc.current_task
@@ -249,11 +310,22 @@ class WorkerRuntime:
                     f"pinned worker {format_address(worker)} is not in the world")
         else:
             records = self.offer_db.lookup(task.service_name, self.world.now)
-            worker = select(self.config.strategy, records, task.requirements,
-                            self.config.weights, self.position(),
-                            self.select_rng,
-                            distance_fn=self.world.rating_distance,
-                            exclude={self.address} | exclude)
+            origin = self.position()
+            exclude = {self.address} | exclude
+            group = self.lockstep
+            worker = None
+            kept = []
+            for member in group.members:
+                picked = select(member.strategy, records, task.requirements,
+                                self.config.weights, origin, member.stream(self.address),
+                                distance_fn=self.world.rating_distance, exclude=exclude)
+                if worker is None:
+                    worker = picked
+                if picked == worker:
+                    kept.append(member)
+                else:
+                    group.left.append(member.strategy)
+            group.members = kept
         selections = self.collector.selections
         selections[self.address, worker] = selections.get((self.address, worker), 0) + 1
         return worker

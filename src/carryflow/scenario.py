@@ -164,9 +164,15 @@ def _sized_once(cohort: CohortSpec) -> list[str]:
     return [f"give at most one of count/fraction/addresses, got {given}"] if len(given) > 1 else []
 
 
-def _file_sizes(spec: WorkflowSpec) -> list[str]:
-    return [f"files: {name} {problem}" for name, size in spec.files.items()
-            if (problem := FILE_BYTES.problem(size)) is not None]
+# the task text's kind, checked by the cross rule: as a row, the parser
+# would read a `text` key under [workflow]
+_TEXT = Key("text", kind=str)
+
+
+def _text_and_file_sizes(spec: WorkflowSpec) -> list[str]:
+    problems = [f"text {problem}"] if (problem := _TEXT.problem(spec.text)) else []
+    return problems + [f"files: {name} {problem}" for name, size in spec.files.items()
+                       if (problem := FILE_BYTES.problem(size)) is not None]
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,13 @@ class WorkflowSpec:
     repeat: int = 1
     interval_s: float = 0.0
 
-    # each of `files`' sizes meets FILE_BYTES
+    # the text is a str, and each of `files`' sizes meets FILE_BYTES
     rows = (Key("offload_at", minimum=0.0),
             Key("repeat", kind=int, minimum=1, maximum=MAX_OFFLOADS),
             Key("interval_s", minimum=0.0))
 
     def __post_init__(self) -> None:
-        check(self, self.rows, _file_sizes)
+        check(self, self.rows, _text_and_file_sizes)
 
 
 def _periods(run: RunSettings) -> list[str]:
@@ -596,8 +602,10 @@ def _parse_run(reader: _Reader) -> RunSettings:
                 settings["weights"] = validate_weights(values)
             except ValueError as exc:
                 reader.complain(f"weights: {exc}")
+    # a refused list of no address stands in as unset, since a plan on no
+    # node is refused too
     nodes = reader.get_addresses("fault_nodes")
-    fault_nodes = None if nodes is None else frozenset(nodes)
+    fault_nodes = frozenset(nodes) if nodes else None
     fault_service = reader.raw.get("fault_service", "").strip() or None
     fault = FaultPlan(nodes=fault_nodes, service=fault_service, **reader.values(FaultPlan.rows))
     # refused, it stands in with the fault plan, whose nodes and service join

@@ -409,3 +409,39 @@ def test_the_parser_states_no_rule_that_joins_sections():
             elif isinstance(node, ast.arg) and node.arg in ("n_nodes", "services"):
                 found.append(f"{parser.name}: parameter {node.arg}")
     assert found == []
+
+
+def _callers_of(name: str) -> list[str]:
+    """`file:function` of each package call of `name`, by name or as an
+    attribute; `file:<module>` for a call outside any def."""
+    found = []
+
+    def visit(node: ast.AST, path: Path, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append(f"{path.name}:{where}")
+            visit(child, path, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return found
+
+
+def test_every_pick_goes_through_the_traced_select_and_the_groups_streams():
+    # the tracer patches `carryflow.runtime.select`, so a pick anywhere else
+    # would escape the traced pass; a lockstep pick asks it once per member
+    assert _callers_of("select") == ["runtime.py:resolve_worker"]
+    importers = [f"{path.name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "select" for alias in node.names)]
+    assert importers == ["runtime.py"]
+    # a node's select streams are its group's, one per member, in one place
+    from carryflow.nodes import Node
+    assert not hasattr(Node, "select_rng")
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if re.search(r"\bselect_rng\b", path.read_text(encoding="utf-8"))] == []

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -105,25 +106,36 @@ def test_build_wires_nodes_and_clients(tiny_config):
     assert len(built.nodes[1].store) == 0
 
 
-STREAMS = ("select", "exec", "fault")
+# a node's own streams; its select streams are its group's, one per member
+STREAMS = ("exec", "fault")
 # the benchmark's dense world: 150 nodes, of which 2 are clients and 6 workers
 DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
 
 
 @pytest.mark.parametrize("seed", [9, 123])
 def test_a_stream_made_at_its_first_draw_draws_as_an_eager_one(tiny_config, seed):
-    # a node makes each stream when it first draws from it, from the seed
-    # string it was always seeded from, so its draws are the eager stream's
+    # a node makes each of its streams when it first draws from it, and each
+    # member of its group a select stream at the node's first pick, from the
+    # seed string it was always seeded from, so its draws are the eager stream's
     built = build(tiny_config.with_run(seed=seed))
+    built.lockstep.join([Strategy.RANDOM])
+    members = built.lockstep.members
     for addr, node in built.nodes.items():
-        for role in STREAMS:
-            name = f"{role}_rng"
-            assert name not in vars(node)
+        assert not {f"{role}_rng" for role in STREAMS} & vars(node).keys()
+        assert not any(addr in member.streams for member in members)
+        streams = [(role, partial(getattr, node, f"{role}_rng")) for role in STREAMS]
+        streams += [("select", partial(member.stream, addr)) for member in members]
+        for role, get in streams:
             eager = random.Random(f"{seed}:{role}:{addr}")
-            stream = getattr(node, name)
+            stream = get()
             assert [stream.random() for _ in range(5)] == [eager.random() for _ in range(5)]
-            assert getattr(node, name) is stream
+            assert get() is stream
             assert stream.getstate() == eager.getstate()
+        # each member draws from its own stream at the node
+        assert members[0].stream(addr) is not members[1].stream(addr)
+    # a strategy that joined after a pick would miss the draws made before it
+    with pytest.raises(ValueError, match="before its first pick"):
+        built.lockstep.join([Strategy.SPREAD])
 
 
 def test_a_relay_makes_no_random_stream():
@@ -134,13 +146,16 @@ def test_a_relay_makes_no_random_stream():
     run_built(built, config)
     made = {addr: {f"{role}_rng" for role in STREAMS} & vars(node).keys()
             for addr, node in built.nodes.items()}
+    for member in built.lockstep.members:
+        for addr in member.streams:
+            made[addr].add("select")
     clients = {node.address for node in built.clients}
     relays = [addr for addr, node in built.nodes.items()
               if not node.services and addr not in clients]
     assert len(relays) == 142
     assert [addr for addr in relays if made[addr]] == []
     # the check sees what it looks for: every client selected a worker
-    assert all("select_rng" in made[addr] for addr in clients)
+    assert all("select" in made[addr] for addr in clients)
 
 
 def test_run_scenario_produces_report(tiny_config):
@@ -255,6 +270,48 @@ def test_suite_runs_match_fresh_runs_with_bounded_faults():
     for report in suite.reports:
         fresh = run_scenario(config, seed=report.seed, strategy=Strategy.SPREAD)
         assert report.digest() == fresh.digest()
+
+
+def _unmet(name: str):
+    # the first task asks more cpu than any node has, so no client's pick
+    # finds a candidate under any strategy
+    config = resolve_scenario(name)
+    text = config.workflow.text.replace("cpu=2", "cpu=64", 1)
+    return dataclasses.replace(config, workflow=dataclasses.replace(config.workflow,
+                                                                    text=text))
+
+
+# (scenario, seeds, worlds a four-strategy suite builds): one per distinct
+# selection history of a seed
+LOCKSTEP_SUITES = (
+    ("ring-aot", (1, 2, 3), 3),
+    ("ring-heterogeneous", (1, 2, 3, 4), 14),
+    ("ring-homogeneous", (1, 2), 8),
+    (DENSE, (1,), 4),
+    ("unmet", (1, 2), 2),
+)
+
+
+@pytest.mark.parametrize("name,seeds,worlds", LOCKSTEP_SUITES,
+                         ids=[case[0].rsplit("/", 1)[-1] for case in LOCKSTEP_SUITES])
+def test_a_suite_report_is_its_solo_run_in_one_world_per_selection_history(
+        monkeypatch, name, seeds, worlds):
+    config = _unmet("ring-heterogeneous") if name == "unmet" else resolve_scenario(name)
+    strategies = [Strategy.BEST, Strategy.SPREAD, Strategy.RANDOM, Strategy.RECENT]
+    built = []
+    real_build = harness.build
+    monkeypatch.setattr(harness, "build",
+                        lambda config: built.append(real_build(config)) or built[-1])
+    suite = run_suite(config, seeds, strategies)
+    assert len(built) == worlds
+    assert [(r.strategy, r.seed) for r in suite.reports] == sorted(
+        (s.value, seed) for s in strategies for seed in seeds)
+    for report in suite.reports:
+        solo = run_scenario(config, seed=report.seed, strategy=Strategy(report.strategy))
+        assert report.to_json() == solo.to_json()
+    if name == "unmet":
+        assert {w.error_class for r in suite.reports for w in r.workflows} == \
+            {"worker_selection"}
 
 
 def test_run_scenario_releases_its_world(monkeypatch):

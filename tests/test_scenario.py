@@ -770,6 +770,31 @@ def test_a_hand_built_packaged_scenario_is_refused_before_its_run(edit, problem)
     assert info.value.problems == [problem]
 
 
+def test_a_fault_plan_on_no_node_is_refused():
+    # a config writes `nodes: null` for both None (every node) and an empty
+    # set (no node), so the two would run apart under one config digest
+    with pytest.raises(ScenarioError) as info:
+        FaultPlan(rate=1.0, nodes=frozenset())
+    assert info.value.problems == ["nodes is empty: None scopes a plan to every node"]
+    config = resolve_scenario("ring-homogeneous")
+    everywhere = dataclasses.replace(config, run=dataclasses.replace(
+        config.run, fault=FaultPlan(rate=1.0, nodes=None)))
+    assert everywhere.to_obj()["run"]["fault"]["nodes"] is None
+    # the parser gives no empty set: a list of no address is refused in its words
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(RING_INI.replace("duration_s = 60", "duration_s = 60\nfault_nodes = ,"))
+    assert info.value.problems == ["[run] fault_nodes: no address given"]
+
+
+@pytest.mark.parametrize("text", [5, None, b"any work in.dat"])
+def test_a_task_text_that_is_not_a_string_is_refused(text):
+    # it reached ScenarioConfig's join check, which ended in AttributeError
+    config = resolve_scenario("ring-homogeneous")
+    with pytest.raises(ScenarioError) as info:
+        dataclasses.replace(config, workflow=dataclasses.replace(config.workflow, text=text))
+    assert info.value.problems == [f"text is not a string: {text!r}"]
+
+
 def test_a_cohort_sized_twice_is_refused_as_the_parser_refuses_it():
     with pytest.raises(ScenarioError) as built:
         CohortSpec(name="x", count=2, fraction=0.5)
