@@ -9,8 +9,8 @@ import sys
 from importlib import resources
 
 from .assignment import Strategy
-from .harness import (SUMMARY_COLUMNS, SuiteResult, emit_suite, run_scenario, run_suite,
-                      summarize)
+from .harness import (SUMMARY_COLUMNS, SuiteResult, emit_suite, report_files,
+                      run_scenario, run_suite, summarize)
 from .report import report_from_obj
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
@@ -103,8 +103,7 @@ def _load_reports(ref: str) -> list:
     """
     paths = []
     if os.path.isdir(ref):
-        paths = [os.path.join(ref, name) for name in sorted(os.listdir(ref))
-                 if name.startswith("report-") and name.endswith(".json")]
+        paths = [os.path.join(ref, name) for name in report_files(ref)]
     elif os.path.isfile(ref):
         paths = [ref]
     if not paths:

@@ -9,11 +9,16 @@ is a bound method or a `partial` of one, so a world pickles between events
 up to its first offload, and `run_built` runs a loaded copy to the same
 report bytes.
 
+Every random stream of a run comes from a `runtime.Streams` table, made at
+its first draw from the string `seed:role:address` (or `seed:role`): the
+cohort shuffle from `("cohorts",)`, and the walkers and each node's exec
+and fault streams from the world's table, `Lockstep.streams`.
+
 Suites sweep seeds and strategies and aggregate into CSV tables. Only a
 worker pick reads the strategy, so a suite runs each seed's strategies as
 one `Lockstep` group in one world: every pick asks each member, each with
-its own select streams, and a member whose pick differs from the lead's
-leaves, to run later with the others that left, from the start. A
+its own table of select streams, and a member whose pick differs from the
+lead's leaves, to run later with the others that left, from the start. A
 `SelectionError` comes from the candidates alone, not the strategy, so the
 members take it together. Each member still in the group when its world
 ends gets its own report, byte for byte its solo run's; so a suite builds
@@ -28,7 +33,7 @@ import hashlib
 import json
 import math
 import os
-import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -39,7 +44,7 @@ from .bundles import NodeAddress, format_address
 from .nodes import Node
 from .report import (Collector, ExperimentReport, freeze_workflow,
                      selection_entropy)
-from .runtime import Lockstep
+from .runtime import Lockstep, Streams
 from .scenario import (RingTopology, ScenarioConfig, WaypointTopology,
                        resolve_cohort_counts)
 from .simnet import Position, RandomWaypoint, World
@@ -93,7 +98,7 @@ def assign_cohorts(config: ScenarioConfig) -> dict[NodeAddress, int]:
     assignment = {addr: idx for idx, cohort in enumerate(config.cohorts)
                   for addr in cohort.addresses}
     pool = [addr for addr in range(1, n + 1) if addr not in assignment]
-    random.Random(f"{config.run.seed}:cohorts").shuffle(pool)
+    Streams(config.run.seed)["cohorts",].shuffle(pool)
     # the shuffled pool fills the cohorts in order, each to its size
     drawn = [idx for idx, (cohort, count) in enumerate(zip(config.cohorts, counts))
              for _ in range(count - len(cohort.addresses))]
@@ -107,6 +112,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
     run = config.run
     n = topo.nodes
     addresses = list(range(1, n + 1))
+    lockstep = Lockstep(run.seed, (run.strategy,))
 
     if isinstance(topo, RingTopology):
         positions = ring_positions(n, topo.spacing_m)
@@ -114,8 +120,7 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         world = World(config.link, tick_interval=run.tick_s, adjacency=adjacency,
                       rating_distance=ring_arc_distance(n, topo.spacing_m))
     elif isinstance(topo, WaypointTopology):
-        rngs = [random.Random(f"{run.seed}:mob:{addr}") for addr in addresses]
-        mobility = RandomWaypoint(topo, rngs)
+        mobility = RandomWaypoint(topo, [lockstep.streams["mob", addr] for addr in addresses])
         positions = mobility.initial_positions()
         world = World(config.link, tick_interval=run.tick_s,
                       contact_range=topo.range_m, mobility=mobility)
@@ -123,7 +128,6 @@ def build(config: ScenarioConfig) -> BuiltScenario:
         raise TypeError(f"unsupported topology {topo!r}")
 
     collector = Collector()
-    lockstep = Lockstep(run.seed, (run.strategy,))
     assignment = assign_cohorts(config)
     nodes: dict[NodeAddress, Node] = {}
     clients: list[Node] = []
@@ -323,23 +327,38 @@ def _tables(result: SuiteResult) -> dict[str, list[list]]:
             "load_matrix.csv": load, "summary.csv": summary}
 
 
+def report_files(folder: str) -> list[str]:
+    """The names of the report files in a folder, which a suite reads back."""
+    return sorted(name for name in os.listdir(folder)
+                  if name.startswith("report-") and name.endswith(".json"))
+
+
 def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
-    """Write reports plus the derived CSV tables; returns the files written."""
+    """Write reports plus the derived CSV tables; returns the files written.
+
+    So that the directory reads back as this suite, two cases raise
+    FileExistsError before anything is written: a suite holding two
+    reports of one run (strategy, seed), which would share one file, and a
+    directory holding a report file that this suite does not write, which
+    every later read of the directory would count.
+    """
+    names = [f"report-{report.strategy}-{report.seed}.json" for report in result.reports]
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise FileExistsError(f"two reports of one run would both be written as {repeated[0]}")
+    stale = sorted(set(report_files(out_dir)) - set(names)) if os.path.isdir(out_dir) else []
+    if stale:
+        raise FileExistsError(f"it holds {stale[0]}, which this suite does not write")
+    tables = _tables(result)
+    # the manifest lists every file but itself
+    written = sorted([*names, *tables])
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
+    for report, name in zip(result.reports, names):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
 
-    def path(name: str) -> str:
-        written.append(name)
-        return os.path.join(out_dir, name)
-
-    for report in result.reports:
-        name = f"report-{report.strategy}-{report.seed}.json"
-        with open(path(name), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-
-    for name, rows in _tables(result).items():
-        with open(path(name), "w", newline="", encoding="utf-8") as fh:
+    for name, rows in tables.items():
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
 
     manifest = {
@@ -347,9 +366,9 @@ def emit_suite(result: SuiteResult, out_dir: str) -> list[str]:
         "seeds": sorted({r.seed for r in result.reports}),
         "strategies": sorted({r.strategy for r in result.reports}),
         "suite_digest": result.digest(),
-        "files": sorted(written),
+        "files": written,
     }
-    with open(path("manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return sorted(written)
+    return sorted([*written, "manifest.json"])

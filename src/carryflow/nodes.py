@@ -16,12 +16,14 @@ Nodes remember which workflows were cleaned, in `cleaned`, and the world
 refuses by that same set, so anti-entropy cannot re-plant stale copies on
 them; a worker skips a queued archive of a cleaned workflow when it reaches
 it. A cleanup marker, like an offer, carries no workflow tag, so no node
-ever refuses one.
+ever refuses one. A node keeps no random stream: it draws its execution
+jitter and faults from its world's `Lockstep.streams` table, and each
+strategy picks from its member's own, so nothing is set on a node once it
+is built.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Optional
 
@@ -38,35 +40,8 @@ from .workflow import Archive, WorkflowDescription, packed_size
 CLEANUP_MARKER_BYTES = 64
 
 
-class _Stream:
-    """A node's random stream for one role, made at its first draw.
-
-    A node keeps its `exec` and `fault` streams this way; its select streams
-    are its world's, one per strategy, in the `Lockstep` group.
-
-    Nothing draws from a stream before its first use, and the stream is
-    seeded from the same `seed:role:address` string an eager one would
-    take, so no draw moves; a node that only carries bundles never makes
-    one. The node keeps the stream as a plain attribute, which shadows this
-    descriptor from then on. `functools.cached_property` would write it
-    through the instance `__dict__`, and on CPython 3.11 that makes every
-    later attribute load on the node about three times slower.
-    """
-
-    def __init__(self, role: str) -> None:
-        self.role = role
-
-    def __get__(self, node: Optional[Node], owner: type) -> random.Random:
-        if node is None:
-            return self
-        return node._first_draw(self.role)
-
-
 class Node(WorkerRuntime, ClientRuntime):
     """Full protocol stack of one address, wired into a World."""
-
-    exec_rng = _Stream("exec")
-    fault_rng = _Stream("fault")
 
     def __init__(self, address: NodeAddress, world: World, collector: Collector,
                  run: RunSettings, caps: CapabilityVector,
@@ -97,15 +72,6 @@ class Node(WorkerRuntime, ClientRuntime):
         # nodes built in address order announce in address order
         if self.services:
             world.schedule(world.now, self._announce)
-
-    def _first_draw(self, role: str) -> random.Random:
-        # the stream becomes a plain attribute, which shadows its `_Stream`
-        stream = random.Random(f"{self.config.seed}:{role}:{self.address}")
-        if role == "exec":
-            self.exec_rng = stream
-        else:
-            self.fault_rng = stream
-        return stream
 
     def position(self) -> Position:
         return self.world.position_of(self.address)

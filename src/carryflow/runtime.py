@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .announce import MAX_PARAM_COUNT
 from .assignment import SelectionError, Strategy, select
@@ -119,27 +119,31 @@ class FaultPlan:
         return rng.random() < self.rate
 
 
-class Member:
-    """One strategy of a lockstep group, with its select stream at each node.
+class Streams(dict):
+    """Every random stream of one table, each made at its first use.
 
-    A node's stream is made at its first pick, from the `seed:select:address`
-    string a solo run of the strategy seeds it from, so it draws as that
-    run's stream does.
+    Key `(role, address)` makes the stream seeded from the string
+    `seed:role:address`, and `(role,)` the one from `seed:role`; a stream
+    made late draws as one made eagerly would. A run draws from these keys:
+    `("cohorts",)` shuffles the cohorts; in the world's table,
+    `("mob", address)` walks a node, `("exec", address)` jitters its
+    executions and `("fault", address)` injects its faults; and in each
+    strategy's own table, `("select", address)` feeds its picks at a node.
     """
 
-    __slots__ = ("strategy", "seed", "streams")
-
-    def __init__(self, strategy: Strategy, seed: int) -> None:
-        self.strategy = strategy
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.streams: dict[NodeAddress, random.Random] = {}
 
-    def stream(self, address: NodeAddress) -> random.Random:
-        stream = self.streams.get(address)
-        if stream is None:
-            stream = self.streams[address] = random.Random(
-                f"{self.seed}:select:{address}")
+    def __missing__(self, key: tuple) -> random.Random:
+        stream = self[key] = random.Random(":".join(map(str, (self.seed, *key))))
         return stream
+
+
+class Member(NamedTuple):
+    """One strategy of a lockstep group and its table of select streams."""
+
+    strategy: Strategy
+    streams: Streams
 
 
 class Lockstep:
@@ -149,21 +153,22 @@ class Lockstep:
     at every pick run the same world. The first member leads: its picks
     steer the world. A member that picks another worker leaves for `left`,
     to run later in a world of its own; each member still in at the end
-    ran, draw for draw, what its solo run would have. Every node of a world
-    shares its group; a node built without one is a group of its run's one
-    strategy.
+    ran, draw for draw, what its solo run would have. `streams` is the
+    world's table, which every member shares; each member picks from its
+    own. Every node of a world shares its group; a node built without one
+    is a group of its run's one strategy.
     """
 
     def __init__(self, seed: int, strategies: Sequence[Strategy]) -> None:
-        self.seed = seed
-        self.members = [Member(strategy, seed) for strategy in strategies]
+        self.streams = Streams(seed)
+        self.members = [Member(strategy, Streams(seed)) for strategy in strategies]
         self.left: list[Strategy] = []
 
     def join(self, strategies: Sequence[Strategy]) -> None:
         """Add members, which must come before any member has picked."""
         if any(member.streams for member in self.members):
             raise ValueError("a strategy joins a lockstep group before its first pick")
-        self.members += [Member(strategy, self.seed) for strategy in strategies]
+        self.members += [Member(strategy, Streams(self.streams.seed)) for strategy in strategies]
 
 
 class WorkerRuntime:
@@ -172,9 +177,10 @@ class WorkerRuntime:
     Archives wait in the node's `queue` while it is `busy`, and one of a
     cleaned workflow is skipped when `_start_next` reaches it; `services`
     are what it offers. The role also reads `address`, `world`,
-    `collector`, `config`, `caps`, `cleaned`, `offer_db`, `position()`, the
-    random streams and the world's `lockstep` group, sends through
-    `send_archive`, and hands a terminal error to `on_returned`.
+    `collector`, `config`, `caps`, `cleaned`, `offer_db`, `position()` and
+    the world's `lockstep` group, whose `streams` table gives the node's
+    exec and fault streams and whose members pick from their own; it sends
+    through `send_archive`, and hands a terminal error to `on_returned`.
 
     `_serve` is one archive's stay, and each way out of it is a `return`;
     `_resume`, its driver, is the one place that frees the worker. Each
@@ -249,9 +255,9 @@ class WorkerRuntime:
                              f"capabilities changed since the offer: {', '.join(unmet)} below requirement")
             return
         duration = service.exec_seconds_mean
-        if service.exec_seconds_jitter > 0:
-            duration += self.exec_rng.uniform(-service.exec_seconds_jitter,
-                                              service.exec_seconds_jitter)
+        jitter = service.exec_seconds_jitter
+        if jitter > 0:
+            duration += self.lockstep.streams["exec", self.address].uniform(-jitter, jitter)
         duration = max(MIN_EXEC_SECONDS, duration)
         self.collector.charge(desc, FinalState.EXECUTION)
         yield duration
@@ -260,7 +266,8 @@ class WorkerRuntime:
         self.caps.energy = max(0.0, self.caps.energy - service.energy_cost_e)
         if desc.workflow_id in self.cleaned:
             return
-        if self.config.fault.should_fail(self.address, service.name, self.fault_rng,
+        if self.config.fault.should_fail(self.address, service.name,
+                                         self.lockstep.streams["fault", self.address],
                                          self.collector.faults_injected):
             self.collector.faults_injected += 1
             self._emit_error(archive, ErrorClass.TASK_EXECUTION,
@@ -316,8 +323,8 @@ class WorkerRuntime:
             worker = None
             kept = []
             for member in group.members:
-                picked = select(member.strategy, records, task.requirements,
-                                self.config.weights, origin, member.stream(self.address),
+                picked = select(member.strategy, records, task.requirements, self.config.weights,
+                                origin, member.streams["select", self.address],
                                 distance_fn=self.world.rating_distance, exclude=exclude)
                 if worker is None:
                     worker = picked

@@ -6,8 +6,10 @@ from importlib import resources
 
 import pytest
 
-from carryflow.cli import (_parse_seeds, main, packaged_scenarios,
+from carryflow.assignment import Strategy
+from carryflow.cli import (_emit_suite, _parse_seeds, main, packaged_scenarios,
                            resolve_scenario)
+from carryflow.harness import emit_suite, run_suite
 
 from test_scenario import RING_INI
 
@@ -313,3 +315,50 @@ def test_reports_of_two_scenarios_are_refused_with_an_error_line(
                                          "of more than one scenario: other-ring, tiny-ring$"):
         main(args)
     assert not (tmp_path / "tables").exists()
+
+
+def _files(folder):
+    return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+
+def test_a_suite_into_a_folder_of_reports_it_does_not_write_is_refused(
+        scenario_file, tmp_path, capsys):
+    # a report left from a longer sweep would be read back as this suite's
+    folder = tmp_path / "suite"
+    sweep = ["suite", scenario_file, "--strategies", "best,random", "--out", str(folder)]
+    assert main([*sweep, "--seeds", "1..3"]) == 0
+    before = _files(folder)
+    assert len(before) == 6 + 5
+    # the manifest lists every file the suite wrote but itself
+    assert json.loads(before["manifest.json"])["files"] == sorted(set(before) - {"manifest.json"})
+    with pytest.raises(SystemExit, match=f"^error: cannot write {re.escape(str(folder))}: "
+                                         "it holds report-best-3.json, which this suite "
+                                         "does not write$"):
+        main([*sweep, "--seeds", "1..2"])
+    assert _files(folder) == before
+    # the suite the folder holds writes it again, and so do its own tables
+    assert main([*sweep, "--seeds", "1..3"]) == 0
+    assert main(["plot-data", str(folder), "--out", str(folder)]) == 0
+    assert _files(folder) == before
+    # a report under a name this suite does not write would be read twice
+    (folder / "report-best-3.json").rename(folder / "report-3.json")
+    with pytest.raises(SystemExit, match=f"^error: cannot write {re.escape(str(folder))}: "
+                                         "it holds report-3.json, which"):
+        main(["plot-data", str(folder), "--out", str(folder)])
+    capsys.readouterr()
+
+
+def test_a_suite_with_two_reports_of_one_run_is_refused(scenario_file, tmp_path):
+    # the suite still runs a repeated seed; its folder would hold one file for both
+    result = run_suite(resolve_scenario(scenario_file), [1, 1],
+                       [Strategy.BEST, Strategy.BEST])
+    assert len(result.reports) == 4
+    folder = tmp_path / "suite"
+    with pytest.raises(FileExistsError, match="^two reports of one run would both be "
+                                              "written as report-best-1.json$"):
+        emit_suite(result, str(folder))
+    assert not folder.exists()
+    with pytest.raises(SystemExit, match=f"^error: cannot write {re.escape(str(folder))}: "
+                                         "two reports of one run"):
+        _emit_suite(result, str(folder))
+    assert not folder.exists()

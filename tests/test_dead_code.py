@@ -445,3 +445,20 @@ def test_every_pick_goes_through_the_traced_select_and_the_groups_streams():
     assert not hasattr(Node, "select_rng")
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if re.search(r"\bselect_rng\b", path.read_text(encoding="utf-8"))] == []
+
+
+def test_every_random_stream_is_made_by_the_one_streams_table():
+    # a stream seeded anywhere else could take its own seed string, and the
+    # draws it moved would show only as a changed digest; annotations are
+    # not calls, so only a made stream counts
+    assert _callers_of("Random") == ["runtime.py:__missing__"]
+    tree = ast.parse((PACKAGE / "runtime.py").read_text(encoding="utf-8"))
+    assert [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__missing__"] == ["Streams"]
+    # a node keeps no stream, and a member draws from its table alone
+    from carryflow.nodes import Node
+    from carryflow.runtime import Member
+    assert [name for name in ("_first_draw", "exec_rng", "fault_rng")
+            if hasattr(Node, name)] == []
+    assert not hasattr(Member, "stream")

@@ -8,7 +8,6 @@ import math
 import pickle
 import random
 import weakref
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,7 @@ from carryflow.cli import packaged_scenarios, resolve_scenario
 from carryflow.harness import (_CHUNK_S, assign_cohorts, build, emit_suite, makespan,
                                ring_arc_distance, ring_positions, run_built,
                                run_scenario, run_suite, summarize)
-from carryflow.runtime import FaultPlan
+from carryflow.runtime import FaultPlan, Streams
 from carryflow.scenario import parse_scenario
 from carryflow.simnet import World
 
@@ -106,7 +105,8 @@ def test_build_wires_nodes_and_clients(tiny_config):
     assert len(built.nodes[1].store) == 0
 
 
-# a node's own streams; its select streams are its group's, one per member
+# a node's streams in its world's table; its select streams are its group's
+# members', one table per member
 STREAMS = ("exec", "fault")
 # the benchmark's dense world: 150 nodes, of which 2 are clients and 6 workers
 DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
@@ -114,28 +114,35 @@ DENSE = str(Path(__file__).resolve().parents[1] / "bench" / "mobile-dense.ini")
 
 @pytest.mark.parametrize("seed", [9, 123])
 def test_a_stream_made_at_its_first_draw_draws_as_an_eager_one(tiny_config, seed):
-    # a node makes each of its streams when it first draws from it, and each
-    # member of its group a select stream at the node's first pick, from the
-    # seed string it was always seeded from, so its draws are the eager stream's
+    # a table makes each stream when it is first drawn from: a node's in its
+    # world's table, and each member's select stream at the node's first pick
+    # in that member's own, each from the seed string it was always seeded
+    # from, so its draws are the eager stream's
     built = build(tiny_config.with_run(seed=seed))
-    built.lockstep.join([Strategy.RANDOM])
-    members = built.lockstep.members
-    for addr, node in built.nodes.items():
-        assert not {f"{role}_rng" for role in STREAMS} & vars(node).keys()
-        assert not any(addr in member.streams for member in members)
-        streams = [(role, partial(getattr, node, f"{role}_rng")) for role in STREAMS]
-        streams += [("select", partial(member.stream, addr)) for member in members]
-        for role, get in streams:
+    group = built.lockstep
+    group.join([Strategy.RANDOM])
+    members = group.members
+    tables = [(role, group.streams) for role in STREAMS]
+    tables += [("select", member.streams) for member in members]
+    for addr in built.nodes:
+        assert [role for role, table in tables if (role, addr) in table] == []
+        for role, table in tables:
             eager = random.Random(f"{seed}:{role}:{addr}")
-            stream = get()
+            stream = table[role, addr]
             assert [stream.random() for _ in range(5)] == [eager.random() for _ in range(5)]
-            assert get() is stream
+            assert table[role, addr] is stream
             assert stream.getstate() == eager.getstate()
         # each member draws from its own stream at the node
-        assert members[0].stream(addr) is not members[1].stream(addr)
+        assert members[0].streams["select", addr] is not members[1].streams["select", addr]
+    # one select stream per node in each member's table
+    for member in members:
+        assert sorted(member.streams) == [("select", addr) for addr in sorted(built.nodes)]
+    # a key of the role alone takes the `seed:role` string the cohort shuffle uses
+    eager = random.Random(f"{seed}:cohorts")
+    assert Streams(seed)["cohorts",].getstate() == eager.getstate()
     # a strategy that joined after a pick would miss the draws made before it
     with pytest.raises(ValueError, match="before its first pick"):
-        built.lockstep.join([Strategy.SPREAD])
+        group.join([Strategy.SPREAD])
 
 
 def test_a_relay_makes_no_random_stream():
@@ -144,10 +151,12 @@ def test_a_relay_makes_no_random_stream():
     config = resolve_scenario(DENSE).with_run(seed=1)
     built = build(config)
     run_built(built, config)
-    made = {addr: {f"{role}_rng" for role in STREAMS} & vars(node).keys()
-            for addr, node in built.nodes.items()}
+    made = {addr: set() for addr in built.nodes}
+    for role, addr in built.lockstep.streams:
+        if role in STREAMS:
+            made[addr].add(role)
     for member in built.lockstep.members:
-        for addr in member.streams:
+        for _, addr in member.streams:
             made[addr].add("select")
     clients = {node.address for node in built.clients}
     relays = [addr for addr, node in built.nodes.items()
